@@ -26,7 +26,6 @@ from .channels import (
     superop_from_kraus,
 )
 from .dynamics import (
-    GeneratorModel,
     LindbladModel,
     SpectralLines,
     Trajectory,
@@ -39,7 +38,6 @@ from .dynamics import (
     poisson_bracket,
     rydberg_ritz_lines,
     schrodinger_evolve,
-    slice_evolution,
     sliced_master,
     spectral_solution,
     von_neumann_evolve,

@@ -16,8 +16,8 @@ import click
 import numpy as np
 
 from . import __version__, io
-from .dynamics import GeneratorModel, Trajectory, lindblad_evolve, slice_evolution, \
-    sliced_master, von_neumann_evolve, rydberg_ritz_lines
+from .dynamics import Trajectory, lindblad_evolve, sliced_master, von_neumann_evolve, \
+    rydberg_ritz_lines
 from .channels import classify_filter, pi_operator, superop_from_kraus, choi_rank
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 from .measures import Detector, validate_measure
@@ -138,23 +138,17 @@ def simulate(ctx, source, device, shots, seed, out_dir):
             cfg = ExperimentConfig(seed, shots, rho, detector, instrument)
             log, counts = sample_coincidences(cfg)
         else:
-            detector = io.detector_from_json(doc) if doc.get("scale") is not None else None
-            if detector is None:
-                measure, _ = io.measure_from_json(doc)
-                mrep = validate_measure(measure, tols.get("tol_psd", 1e-9))
-                if not mrep.ok:
-                    raise ContractViolation(
-                        f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
-                        f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
-                    )
-                detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
+            if doc.get("scale") is not None:
+                detector = io.detector_from_json(doc)
             else:
-                mrep = validate_measure(detector.measure, tols.get("tol_psd", 1e-9))
-                if not mrep.ok:
-                    raise ContractViolation(
-                        f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
-                        f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
-                    )
+                measure, _ = io.measure_from_json(doc)
+                detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
+            mrep = validate_measure(detector.measure, tols.get("tol_psd", 1e-9))
+            if not mrep.ok:
+                raise ContractViolation(
+                    f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
+                    f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
+                )
             cfg = ExperimentConfig(seed, shots, rho, detector)
             log, counts = sample_detections(cfg)
         os.makedirs(out_dir, exist_ok=True)
@@ -178,25 +172,28 @@ def _load_probes(problem_dir):
     return probes
 
 
-def _load_rates(problem_dir, measure=None):
+def _event_rates(problem_dir):
+    """empirical_rates of each events/*.csv log in problem_dir, in file-name order."""
+    events_dir = os.path.join(problem_dir, "events")
+    files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
+    if not files:
+        raise ContractViolation(f"no rates.json or tables.json and no events in {events_dir}")
+    rates = []
+    for name in files:
+        with open(os.path.join(events_dir, name)) as handle:
+            rates.append(empirical_rates(event_log_from_csv(handle.read())))
+    return rates
+
+
+def _load_rates(problem_dir):
     """Rates from rates.json if present, else empirical rates from events/*.csv."""
     rates_path = os.path.join(problem_dir, "rates.json")
     if os.path.exists(rates_path):
         doc = io.read_json(rates_path)
         return np.asarray(doc["rates"], dtype=float), None
-    events_dir = os.path.join(problem_dir, "events")
-    files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
-    if not files:
-        raise ContractViolation(f"no rates.json and no events in {events_dir}")
-    all_rates, all_err = [], []
-    for name in files:
-        with open(os.path.join(events_dir, name)) as handle:
-            log = event_log_from_csv(handle.read())
-        emp = empirical_rates(log)
-        all_rates.append(emp.p_hat[1:])
-        all_err.append(emp.stderr[1:])
-    rates = np.stack(all_rates)
-    err = np.stack(all_err)
+    emp = _event_rates(problem_dir)
+    rates = np.stack([e.p_hat[1:] for e in emp])
+    err = np.stack([e.stderr[1:] for e in emp])
     if rates.shape[0] == 1:
         return rates[0], err[0]
     return rates, err
@@ -234,14 +231,7 @@ def _tomo_instrument(problem_dir):
     if os.path.exists(tables_path):
         tables = np.asarray(io.read_json(tables_path)["tables"], dtype=float)
     else:
-        events_dir = os.path.join(problem_dir, "events")
-        files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
-        stack = []
-        for name in files:
-            with open(os.path.join(events_dir, name)) as handle:
-                log = event_log_from_csv(handle.read())
-            stack.append(empirical_rates(log).table)
-        tables = np.stack(stack)
+        tables = np.stack([e.table for e in _event_rates(problem_dir)])
     maps, report = instrument_tomography(tables, probes, detector)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
@@ -321,35 +311,24 @@ def dynamics(ctx, model, t_final, dt, method, out_path, richardson):
     def work():
         if dt <= 0 or t_final < 0:
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
-        parsed = io.model_from_json(io.read_json(model))
+        medium, rho0 = io.model_from_json(io.read_json(model))
         steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
+        if (method == "exact" or richardson) and (medium.V is not None or medium.jump_ops):
+            raise ContractViolation(
+                "method 'exact' and --richardson cover only lossless models (no V, no jumps)")
         if method == "lindblad":
-            if parsed["lindblad"] is None:
-                raise ContractViolation("method 'lindblad' needs a lindblad section in the model")
-            traj = lindblad_evolve(parsed["lindblad"], parsed["rho0"], t_final, dt)
+            traj = lindblad_evolve(medium, rho0, t_final, dt)
         elif method == "slice":
-            if parsed["lindblad"] is not None and parsed["lindblad"].jump_ops:
-                traj = sliced_master(parsed["lindblad"], parsed["rho0"], dt, steps)
-            else:
-                gen = GeneratorModel(parsed["H"], parsed["V"], parsed["hbar"])
-                traj = slice_evolution(gen.K(), parsed["rho0"], dt, steps)
+            traj = sliced_master(medium, rho0, dt, steps)
         else:
-            if parsed["V"] is not None or (parsed["lindblad"] is not None and parsed["lindblad"].jump_ops):
-                raise ContractViolation("method 'exact' covers only lossless models (no V, no jumps)")
             times = dt * np.arange(steps + 1)
-            states = np.stack([von_neumann_evolve(parsed["H"], parsed["rho0"], t, parsed["hbar"])
-                               for t in times])
+            states = np.stack([von_neumann_evolve(medium.H, rho0, t, medium.hbar) for t in times])
             traj = Trajectory(times, states)
         io.write_json_atomic(out_path, io.trajectory_to_json(traj))
         if richardson:
-            gen = GeneratorModel(parsed["H"], parsed["V"], parsed["hbar"])
-            exact = von_neumann_evolve(parsed["H"], parsed["rho0"], steps * dt, parsed["hbar"]) \
-                if parsed["V"] is None else None
-            if exact is None:
-                raise ContractViolation("--richardson needs a lossless model")
-            err = np.max(np.abs(slice_evolution(gen.K(), parsed["rho0"], dt, steps).final - exact))
-            err_half = np.max(np.abs(
-                slice_evolution(gen.K(), parsed["rho0"], dt / 2, 2 * steps).final - exact))
+            exact = von_neumann_evolve(medium.H, rho0, steps * dt, medium.hbar)
+            err = np.max(np.abs(sliced_master(medium, rho0, dt, steps).final - exact))
+            err_half = np.max(np.abs(sliced_master(medium, rho0, dt / 2, 2 * steps).final - exact))
             io.write_json_atomic(
                 os.path.splitext(out_path)[0] + ".richardson.json",
                 {"error_dt": float(err), "error_half_dt": float(err_half),

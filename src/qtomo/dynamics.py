@@ -4,9 +4,10 @@ A medium is modeled as a stack of thin filters T = 1 + dt K; iterating
 rho -> T rho T* converges at first order in dt to the quantum Liouville
 equation d rho / dt = K rho + rho K*.  With i*hbar*K = H - i V this covers
 the von Neumann (V = 0) and dissipative cases; adding weak mixing terms
-sqrt(dt) L_l per slice yields the Lindblad equation in the limit.  Closed
-forms use Hermitian eigendecompositions; the Lindblad reference integrator
-is classical RK4 on the vectorized master equation with step halving.
+sqrt(dt) L_l per slice yields the Lindblad equation in the limit.  One
+model, LindbladModel, carries H, V and the jumps for every case.  Closed
+forms use Hermitian eigendecompositions; the Lindblad reference applies
+the exact one-step propagator exp(L dt) of the vectorized master equation.
 """
 
 from __future__ import annotations
@@ -15,23 +16,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalError
+from .errors import ContractViolation
 from .ops import as_square, hermitian_defect, quantum_value
 
 
 @dataclass(frozen=True)
-class GeneratorModel:
-    """Slice generator i*hbar*K = H - i*V with Hermitian H and PSD V."""
+class LindbladModel:
+    """One medium: Hamiltonian H, optional PSD dissipative potential V, and
+    jump operators L_l with nonnegative rates gamma_l.
+
+    The slice generator is K = -i H / hbar - V / hbar - (1/2) sum_l gamma_l
+    L_l* L_l.  V = 0 without jumps is the von Neumann case; V alone is a
+    passive (trace-decreasing) medium; jumps alone give the Lindblad equation.
+    """
 
     H: np.ndarray
-    V: np.ndarray | None = None
+    jump_ops: tuple = ()
+    rates: tuple = ()
     hbar: float = 1.0
+    V: np.ndarray | None = None
 
     def __post_init__(self):
         h = as_square(self.H, "H")
         if hermitian_defect(h) > 1e-9:
             raise ContractViolation("Hamiltonian must be Hermitian")
-        object.__setattr__(self, "H", h)
         if self.V is not None:
             v = as_square(self.V, "V")
             if hermitian_defect(v) > 1e-9:
@@ -39,31 +47,11 @@ class GeneratorModel:
             if float(np.linalg.eigvalsh(0.5 * (v + v.conj().T))[0]) < -1e-9:
                 raise ContractViolation("dissipative potential must be PSD for a passive medium")
             object.__setattr__(self, "V", v)
-        if self.hbar <= 0:
-            raise ContractViolation("hbar must be positive")
-
-    def K(self) -> np.ndarray:
-        k = -1j * self.H / self.hbar
-        if self.V is not None:
-            k = k - self.V / self.hbar
-        return k
-
-
-@dataclass(frozen=True)
-class LindbladModel:
-    """Hamiltonian, jump operators and nonnegative rates for mixing media."""
-
-    H: np.ndarray
-    jump_ops: tuple = ()
-    rates: tuple = ()
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        h = as_square(self.H, "H")
-        if hermitian_defect(h) > 1e-9:
-            raise ContractViolation("Hamiltonian must be Hermitian")
         jumps = tuple(as_square(l, "jump operator") for l in self.jump_ops)
         gammas = tuple(float(g) for g in self.rates)
+        others = jumps if self.V is None else (self.V,) + jumps
+        if any(m.shape != h.shape for m in others):
+            raise ContractViolation(f"V and jump operators must have the shape of H, {h.shape}")
         if len(jumps) != len(gammas):
             raise ContractViolation("need one rate per jump operator")
         if any(g < 0 for g in gammas):
@@ -90,20 +78,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-
-def slice_evolution(K, rho0, dt: float, steps: int) -> Trajectory:
-    """Iterate rho -> (1 + dt K) rho (1 + dt K)*; first order in dt."""
-    if dt <= 0:
-        raise ContractViolation(f"dt must be positive, got {dt}")
-    k = as_square(K, "K")
-    rho = as_square(rho0, "rho0").copy()
-    t_op = np.eye(k.shape[0], dtype=complex) + dt * k
-    states = [rho]
-    for _ in range(steps):
-        rho = t_op @ rho @ t_op.conj().T
-        states.append(rho)
-    return Trajectory(dt * np.arange(steps + 1), np.stack(states))
 
 
 def evolution_operator(H, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -149,11 +123,13 @@ def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Vectorized generator of the Lindblad equation (row-major convention)."""
+    """Vectorized generator of the master equation (row-major convention)."""
     d = model.dim
     ident = np.eye(d, dtype=complex)
     h = model.H
     gen = (-1j / model.hbar) * (np.kron(h, ident) - np.kron(ident, h.T))
+    if model.V is not None:
+        gen -= (np.kron(model.V, ident) + np.kron(ident, model.V.T)) / model.hbar
     for g, l in zip(model.rates, model.jump_ops):
         ll = l.conj().T @ l
         gen += g * (
@@ -164,66 +140,68 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return gen
 
 
-def _rk4(gen, v0, t_grid):
-    v = v0.copy()
-    out = [v0]
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        h = t1 - t0
-        k1 = gen @ v
-        k2 = gen @ (v + 0.5 * h * k1)
-        k3 = gen @ (v + 0.5 * h * k2)
-        k4 = gen @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(v)
-    return np.stack(out)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a Taylor series.
+
+    Moler & Van Loan, SIAM Rev. 45 (2003): halve a until its 1-norm is at
+    most 1/2, sum Taylor terms until one falls below machine epsilon
+    relative to the sum (about 20 terms at that norm), then square back.
+    """
+    norm = np.linalg.norm(a, 1)
+    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    a = a / 2.0**squarings
+    term = np.eye(a.shape[0], dtype=complex)
+    total = term.copy()
+    eps = np.finfo(float).eps
+    for k in range(1, 30):
+        term = (term @ a) / k
+        total += term
+        if np.linalg.norm(term, 1) <= eps * np.linalg.norm(total, 1):
+            break
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
-def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float | None = None,
-                    tol: float = 1e-8, max_refine: int = 20) -> Trajectory:
-    """Reference master-equation solution on a grid of step dt.
+def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajectory:
+    """Reference master-equation solution on the grid linspace(0, t, n + 1).
 
-    RK4 on the vectorized equation, with the internal substep halved until
-    two successive refinements agree to tol at every grid point.
+    n = round(t / dt); the one-step propagator exp(L t / n) of the
+    vectorized equation is computed once and applied n times, so the
+    trajectory is exact up to rounding.
     """
     rho = as_square(rho0, "rho0")
     d = model.dim
     if rho.shape[0] != d:
         raise ContractViolation("initial state does not match the model dimension")
-    if t < 0 or (dt is not None and dt <= 0):
+    if t < 0 or dt <= 0:
         raise ContractViolation("need t >= 0 and dt > 0")
-    if dt is None:
-        dt = t / 64.0 if t > 0 else 1.0
     n_steps = max(1, int(round(t / dt))) if t > 0 else 0
     times = np.linspace(0.0, t, n_steps + 1)
     if t == 0:
         return Trajectory(times, rho[None, :, :].astype(complex))
-    gen = liouvillian(model)
-    v0 = rho.reshape(-1).astype(complex)
-    substeps = 1
-    prev = None
-    for _ in range(max_refine):
-        grid = np.linspace(0.0, t, n_steps * substeps + 1)
-        sol = _rk4(gen, v0, grid)[::substeps]
-        if prev is not None and float(np.max(np.abs(sol - prev))) < tol:
-            return Trajectory(times, sol.reshape(-1, d, d))
-        prev = sol
-        substeps *= 2
-    raise NumericalError(
-        f"Lindblad integrator did not reach tolerance {tol} after {max_refine} refinements"
-    )
+    step = _expm(liouvillian(model) * (t / n_steps))
+    states = [rho.reshape(-1).astype(complex)]
+    for _ in range(n_steps):
+        states.append(step @ states[-1])
+    return Trajectory(times, np.stack(states).reshape(-1, d, d))
 
 
 def sliced_master(model: LindbladModel, rho0, dt: float, steps: int) -> Trajectory:
     """Mixing-filter slices: rho -> T rho T* + dt sum_l gamma_l L_l rho L_l*.
 
-    T = 1 + dt K with K = -i H / hbar - (1/2) sum_l gamma_l L_l* L_l, the
-    lossless bookkeeping that makes the continuum limit the Lindblad
-    equation; converges to it at first order in dt.
+    T = 1 + dt K with K = -i H / hbar - V / hbar - (1/2) sum_l gamma_l
+    L_l* L_l; the jump terms keep the lossless bookkeeping that makes the
+    continuum limit the master equation, which this converges to at first
+    order in dt.  Without jumps this is the plain slice iteration
+    rho -> T rho T*.
     """
     if dt <= 0:
         raise ContractViolation(f"dt must be positive, got {dt}")
     d = model.dim
     k = -1j * model.H / model.hbar
+    if model.V is not None:
+        k = k - model.V / model.hbar
     for g, l in zip(model.rates, model.jump_ops):
         k = k - 0.5 * g * (l.conj().T @ l)
     t_op = np.eye(d, dtype=complex) + dt * k

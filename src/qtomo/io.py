@@ -153,23 +153,21 @@ def network_to_json(net):
 
 
 def model_from_json(obj):
-    """Parse a dynamics model: H, optional V, optional lindblad, rho0."""
+    """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0)."""
     if "H" not in obj or "rho0" not in obj:
         raise ContractViolation("model document needs 'H' and 'rho0'")
-    h = matrix_from_json(obj["H"])
+    section = obj["lindblad"] if obj.get("lindblad") is not None else {"L": [], "gamma": []}
+    model = LindbladModel(
+        matrix_from_json(obj["H"]),
+        tuple(matrix_from_json(l) for l in section["L"]),
+        tuple(float(g) for g in section["gamma"]),
+        float(obj.get("hbar", 1.0)),
+        matrix_from_json(obj["V"]) if obj.get("V") is not None else None,
+    )
     rho0 = matrix_from_json(obj["rho0"])
-    hbar = float(obj.get("hbar", 1.0))
-    v = matrix_from_json(obj["V"]) if obj.get("V") is not None else None
-    lindblad = None
-    if obj.get("lindblad") is not None:
-        section = obj["lindblad"]
-        lindblad = LindbladModel(
-            h,
-            tuple(matrix_from_json(l) for l in section["L"]),
-            tuple(float(g) for g in section["gamma"]),
-            hbar,
-        )
-    return {"H": h, "V": v, "hbar": hbar, "rho0": rho0, "lindblad": lindblad}
+    if rho0.shape != model.H.shape:
+        raise ContractViolation(f"rho0 of shape {rho0.shape} does not match H, {model.H.shape}")
+    return model, rho0
 
 
 def trajectory_to_json(traj):

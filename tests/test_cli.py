@@ -127,10 +127,18 @@ class TestTomoState:
         bundle = tmp_path / "empty_problem"
         bundle.mkdir()
         qio.write_json_atomic(str(bundle / "measure.json"),
-                              qio.measure_to_json(qtomo.pauli_six_measure()))
+                              qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
         assert result.exit_code == 2
+        # an events directory without logs is rejected the same way by every mode
+        (bundle / "events").mkdir()
+        (bundle / "probes").mkdir()
+        qio.write_json_atomic(str(bundle / "probes" / "p0.json"), qio.density_to_json(np.eye(2) / 2))
+        for mode in ("state", "instrument"):
+            result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+            assert result.exit_code == 2, mode
+            assert "no events" in json.loads(result.stderr)["error"]["message"]
 
     def test_rank_deficient_design_exits_3(self, runner, tmp_path):
         bundle = tmp_path / "deficient"
@@ -314,6 +322,45 @@ class TestDynamicsCommand:
             state = qio.matrix_from_json(snap["matrix"])
             expected = 0.5 * np.exp(-2.0 * gamma * snap["t"])
             assert abs(state[0, 1].real - expected) <= 1e-6
+
+    def test_potential_with_jumps_decays(self, runner, tmp_path):
+        # V = v I decays the trace as exp(-2 v t); the sigma_z jump preserves it
+        v, t = 0.5, 1.0
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {
+            "H": qio.matrix_to_json(qtomo.PAULI[1]),
+            "V": qio.matrix_to_json(v * np.eye(2)),
+            "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
+            "lindblad": {"L": [qio.matrix_to_json(qtomo.PAULI[3])], "gamma": [0.3]},
+        })
+        for method, dt, tol in (("lindblad", 0.1, 1e-9), ("slice", 0.01, 0.01)):
+            out = tmp_path / method / "traj.json"
+            result = runner.invoke(main, [
+                "dynamics", str(model), "--t", str(t), "--dt", str(dt),
+                "--method", method, "--out", str(out),
+            ])
+            assert result.exit_code == 0
+            final = qio.matrix_from_json(json.loads(out.read_text())[-1]["matrix"])
+            assert abs(np.trace(final).real - np.exp(-2.0 * v * t)) <= tol, method
+
+    def test_lossless_only_paths_reject_dissipative_models(self, runner, tmp_path):
+        jump = {"L": [qio.matrix_to_json(qtomo.PAULI[3])], "gamma": [0.3]}
+        potential = qio.matrix_to_json(0.1 * np.eye(2))
+        for extra, args in (({"V": potential}, ["--method", "exact"]),
+                            ({"lindblad": jump}, ["--method", "exact"]),
+                            ({"lindblad": jump}, ["--method", "slice", "--richardson"])):
+            model = tmp_path / "model.json"
+            qio.write_json_atomic(str(model), {
+                "H": qio.matrix_to_json(qtomo.PAULI[1]),
+                "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])), **extra,
+            })
+            out = tmp_path / "traj.json"
+            result = runner.invoke(main, [
+                "dynamics", str(model), "--t", "1.0", "--dt", "0.1", *args, "--out", str(out),
+            ])
+            assert result.exit_code == 2, args
+            assert not out.exists()
+            assert not (tmp_path / "traj.richardson.json").exists()
 
     def test_negative_dt_exits_2(self, runner, tmp_path):
         model = tmp_path / "model.json"

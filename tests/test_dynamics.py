@@ -4,7 +4,6 @@ import pytest
 from qtomo import (
     PAULI,
     ContractViolation,
-    GeneratorModel,
     LindbladModel,
     density_from_state,
     ehrenfest_derivative,
@@ -15,7 +14,6 @@ from qtomo import (
     quantum_value,
     rydberg_ritz_lines,
     schrodinger_evolve,
-    slice_evolution,
     sliced_master,
     spectral_solution,
     trace_distance,
@@ -28,7 +26,7 @@ from support import random_density, random_hermitian
 class TestSliceEvolution:
     def test_zero_generator_constant(self):
         rho = np.diag([0.3, 0.7])
-        traj = slice_evolution(np.zeros((2, 2)), rho, 0.1, 25)
+        traj = sliced_master(LindbladModel(np.zeros((2, 2))), rho, 0.1, 25)
         assert np.allclose(traj.final, rho)
         assert len(traj) == 26
 
@@ -40,7 +38,7 @@ class TestSliceEvolution:
             exact = von_neumann_evolve(h, rho, 1.0)
             errors = []
             for n in (512, 1024):
-                traj = slice_evolution(-1j * h, rho, 1.0 / n, n)
+                traj = sliced_master(LindbladModel(h), rho, 1.0 / n, n)
                 errors.append(np.max(np.abs(traj.final - exact)))
             ratio = errors[0] / errors[1]
             assert 1.8 <= ratio <= 2.2
@@ -50,7 +48,7 @@ class TestSliceEvolution:
         h = random_hermitian(3, rng)
         rho = random_density(3, rng)
         for dt in (1e-2, 1e-3):
-            traj = slice_evolution(-1j * h, rho, dt, 1)
+            traj = sliced_master(LindbladModel(h), rho, dt, 1)
             drift = abs(np.trace(traj.final).real - 1.0)
             assert drift <= dt * dt * np.linalg.norm(h, 2) ** 2 * 2.0
 
@@ -58,14 +56,17 @@ class TestSliceEvolution:
         gamma = 0.8
         rho = np.diag([0.4, 0.6])
         dt, steps = 1e-4, 10_000
-        traj = slice_evolution(-gamma * np.eye(2), rho, dt, steps)
+        model = LindbladModel(np.zeros((2, 2)), V=gamma * np.eye(2))
+        traj = sliced_master(model, rho, dt, steps)
         expected = np.exp(-2.0 * gamma * dt * steps)
         assert np.trace(traj.final).real == pytest.approx(expected, rel=1e-3)
 
     def test_snapshots_stay_hermitian(self):
         rng = np.random.default_rng(91)
-        k = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        traj = slice_evolution(k, random_density(3, rng), 0.01, 50)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        jump = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        model = LindbladModel(random_hermitian(3, rng), (jump,), (0.3,), V=g @ g.conj().T)
+        traj = sliced_master(model, random_density(3, rng), 0.01, 50)
         for state in traj.states:
             assert np.max(np.abs(state - state.conj().T)) <= 1e-12
 
@@ -74,16 +75,25 @@ class TestSliceEvolution:
         h = random_hermitian(3, rng)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         v = g @ g.conj().T  # PSD dissipative potential
-        model = GeneratorModel(h, v)
         dt = 1e-3
-        traj = slice_evolution(model.K(), random_density(3, rng), dt, 200)
+        traj = sliced_master(LindbladModel(h, V=v), random_density(3, rng), dt, 200)
         traces = np.einsum("nii->n", traj.states).real
-        bound = 10.0 * dt * dt * np.linalg.norm(model.K(), 2) ** 2
+        bound = 10.0 * dt * dt * np.linalg.norm(-1j * h - v, 2) ** 2
         assert np.all(np.diff(traces) <= bound)
 
     def test_invalid_dt(self):
         with pytest.raises(ContractViolation):
-            slice_evolution(np.zeros((2, 2)), np.eye(2), -0.1, 5)
+            sliced_master(LindbladModel(np.zeros((2, 2))), np.eye(2), -0.1, 5)
+
+    def test_invalid_potential_rejected(self):
+        with pytest.raises(ContractViolation, match="PSD"):
+            LindbladModel(np.zeros((2, 2)), V=-np.eye(2))
+        with pytest.raises(ContractViolation, match="Hermitian"):
+            LindbladModel(np.zeros((2, 2)), V=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ContractViolation, match="shape"):
+            LindbladModel(np.zeros((2, 2)), V=np.eye(1))
+        with pytest.raises(ContractViolation, match="shape"):
+            LindbladModel(np.zeros((2, 2)), (np.eye(3),), (0.1,))
 
 
 class TestVonNeumann:
@@ -206,6 +216,28 @@ class TestLindblad:
         for state in traj.states:
             assert np.trace(state).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0] >= -1e-8
+
+    def test_propagator_squaring_branch(self):
+        # ||L dt||_1 = 2 gamma dt = 5, so the exponential is scaled and squared
+        gamma, omega, dt = 5.0, 1.3, 0.5
+        model = LindbladModel(omega * PAULI[3], (PAULI[3],), (gamma,))
+        rho0 = density_from_state(np.array([1.0, 1.0]) / np.sqrt(2))
+        traj = lindblad_evolve(model, rho0, 2.0, dt)
+        assert np.allclose(traj.times, dt * np.arange(5), rtol=0, atol=1e-15)
+        for t, state in zip(traj.times, traj.states):
+            expected = np.array([[0.5, 0.5 * np.exp(-2.0 * (gamma + 1j * omega) * t)],
+                                 [0.5 * np.exp(-2.0 * (gamma - 1j * omega) * t), 0.5]])
+            assert np.max(np.abs(state - expected)) <= 1e-12
+
+    def test_potential_matches_uniform_decay(self):
+        # V = v I with trace-preserving jumps: tr rho(t) = exp(-2 v t / hbar)
+        rng = np.random.default_rng(109)
+        v, hbar = 0.35, 0.8
+        model = LindbladModel(random_hermitian(3, rng), (random_hermitian(3, rng),), (0.4,),
+                              hbar, V=v * np.eye(3))
+        traj = lindblad_evolve(model, random_density(3, rng), 1.5, 0.1)
+        traces = np.einsum("nii->n", traj.states).real
+        assert np.max(np.abs(traces - np.exp(-2.0 * v * traj.times / hbar))) <= 1e-12
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ContractViolation):

@@ -7,12 +7,13 @@ from qtomo import (
     ContractViolation,
     Instrument,
     Leaf,
+    LindbladModel,
     PAULI,
     Split,
     cascade_measure,
     kraus_apply,
     pauli_six_measure,
-    slice_evolution,
+    sliced_master,
     tetrahedron_measure,
 )
 from qtomo import io as qio
@@ -110,13 +111,25 @@ class TestDocuments:
             "hbar": 2.0,
             "lindblad": {"L": [qio.matrix_to_json(PAULI[1])], "gamma": [0.5]},
         }
-        parsed = qio.model_from_json(doc)
-        assert parsed["hbar"] == 2.0
-        assert parsed["lindblad"].rates == (0.5,)
-        assert np.array_equal(parsed["H"], PAULI[3])
+        model, rho0 = qio.model_from_json(doc)
+        assert model.hbar == 2.0
+        assert model.rates == (0.5,)
+        assert model.V is None
+        assert np.array_equal(model.H, PAULI[3])
+        assert np.array_equal(rho0, np.diag([1.0, 0.0]))
+        doc["V"] = qio.matrix_to_json(0.5 * np.eye(2))
+        del doc["lindblad"]
+        model, _ = qio.model_from_json(doc)
+        assert np.array_equal(model.V, 0.5 * np.eye(2))
+        assert model.jump_ops == () and model.rates == ()
+
+    def test_model_rho0_dim_mismatch(self):
+        doc = {"H": qio.matrix_to_json(PAULI[3]), "rho0": qio.matrix_to_json(np.eye(3) / 3)}
+        with pytest.raises(ContractViolation):
+            qio.model_from_json(doc)
 
     def test_trajectory_serialization(self):
-        traj = slice_evolution(np.zeros((2, 2)), np.diag([0.5, 0.5]), 0.5, 2)
+        traj = sliced_master(LindbladModel(np.zeros((2, 2))), np.diag([0.5, 0.5]), 0.5, 2)
         doc = qio.trajectory_to_json(traj)
         assert [snap["t"] for snap in doc] == [0.0, 0.5, 1.0]
         assert np.array_equal(qio.matrix_from_json(doc[0]["matrix"]), np.diag([0.5, 0.5]))
