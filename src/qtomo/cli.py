@@ -16,13 +16,15 @@ import click
 import numpy as np
 
 from . import __version__, io
-from .dynamics import Trajectory, lindblad_evolve, sliced_master, von_neumann_evolve, \
-    rydberg_ritz_lines
+from .dynamics import Trajectory, lindblad_evolve, sliced_master, step_count, \
+    von_neumann_evolve, rydberg_ritz_lines
 from .channels import classify_filter, pi_operator, superop_from_kraus, choi_rank
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 from .measures import Detector, validate_measure
 from .ops import validate_density
 from .simulate import (
+    CoincidenceLog,
+    EventLog,
     ExperimentConfig,
     empirical_rates,
     event_log_from_csv,
@@ -172,8 +174,11 @@ def _load_probes(problem_dir):
     return probes
 
 
-def _event_rates(problem_dir):
-    """empirical_rates of each events/*.csv log in problem_dir, in file-name order."""
+def _event_rates(problem_dir, kind):
+    """empirical_rates of each events/*.csv log in problem_dir, in file-name order.
+
+    Every log must be of the given kind (EventLog or CoincidenceLog).
+    """
     events_dir = os.path.join(problem_dir, "events")
     files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
     if not files:
@@ -181,27 +186,39 @@ def _event_rates(problem_dir):
     rates = []
     for name in files:
         with open(os.path.join(events_dir, name)) as handle:
-            rates.append(empirical_rates(event_log_from_csv(handle.read())))
+            try:
+                log = event_log_from_csv(handle.read())
+            except (ContractViolation, UnicodeDecodeError) as err:
+                raise ContractViolation(f"{name}: {err}") from None
+        if not isinstance(log, kind):
+            raise ContractViolation(
+                f"{name}: is a {type(log).__name__}, this bundle needs {kind.__name__}s")
+        rates.append(empirical_rates(log))
     return rates
 
 
 def _load_rates(problem_dir):
-    """Rates from rates.json if present, else empirical rates from events/*.csv."""
+    """Rates from rates.json if present, else empirical rates from events/*.csv.
+
+    Event rates come with their standard errors, one row per log.
+    """
     rates_path = os.path.join(problem_dir, "rates.json")
     if os.path.exists(rates_path):
         doc = io.read_json(rates_path)
         return np.asarray(doc["rates"], dtype=float), None
-    emp = _event_rates(problem_dir)
-    rates = np.stack([e.p_hat[1:] for e in emp])
-    err = np.stack([e.stderr[1:] for e in emp])
-    if rates.shape[0] == 1:
-        return rates[0], err[0]
-    return rates, err
+    emp = _event_rates(problem_dir, EventLog)
+    return np.stack([e.p_hat[1:] for e in emp]), np.stack([e.stderr[1:] for e in emp])
 
 
 def _tomo_state(problem_dir):
     measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
     rates, err = _load_rates(problem_dir)
+    if err is not None:
+        if len(rates) != 1:
+            raise ContractViolation(
+                f"a state bundle takes exactly one event log, found {len(rates)} in "
+                f"{os.path.join(problem_dir, 'events')}")
+        rates, err = rates[0], err[0]
     rho, report = state_tomography(measure, rates, err)
     return {"estimate": io.density_to_json(rho)}, report
 
@@ -231,7 +248,7 @@ def _tomo_instrument(problem_dir):
     if os.path.exists(tables_path):
         tables = np.asarray(io.read_json(tables_path)["tables"], dtype=float)
     else:
-        tables = np.stack([e.table for e in _event_rates(problem_dir)])
+        tables = np.stack([e.table for e in _event_rates(problem_dir, CoincidenceLog)])
     maps, report = instrument_tomography(tables, probes, detector)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
@@ -312,7 +329,7 @@ def dynamics(ctx, model, t_final, dt, method, out_path, richardson):
         if dt <= 0 or t_final < 0:
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
         medium, rho0 = io.model_from_json(io.read_json(model))
-        steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
+        steps = step_count(t_final, dt)
         if (method == "exact" or richardson) and (medium.V is not None or medium.jump_ops):
             raise ContractViolation(
                 "method 'exact' and --richardson cover only lossless models (no V, no jumps)")

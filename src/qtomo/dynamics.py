@@ -163,12 +163,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajectory:
-    """Reference master-equation solution on the grid linspace(0, t, n + 1).
+def step_count(t: float, dt: float) -> int:
+    """Steps n of the grid dt * arange(n + 1) for time t: round(t / dt), at least 1 if t > 0."""
+    return max(1, int(round(t / dt))) if t > 0 else 0
 
-    n = round(t / dt); the one-step propagator exp(L t / n) of the
-    vectorized equation is computed once and applied n times, so the
-    trajectory is exact up to rounding.
+
+def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajectory:
+    """Reference master-equation solution on the grid dt * arange(n + 1).
+
+    n = step_count(t, dt), the grid of sliced_master; the one-step
+    propagator exp(L dt) of the vectorized equation is computed once and
+    applied n times, so the trajectory is exact up to rounding.
     """
     rho = as_square(rho0, "rho0")
     d = model.dim
@@ -176,11 +181,11 @@ def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajecto
         raise ContractViolation("initial state does not match the model dimension")
     if t < 0 or dt <= 0:
         raise ContractViolation("need t >= 0 and dt > 0")
-    n_steps = max(1, int(round(t / dt))) if t > 0 else 0
-    times = np.linspace(0.0, t, n_steps + 1)
-    if t == 0:
+    n_steps = step_count(t, dt)
+    times = dt * np.arange(n_steps + 1)
+    if n_steps == 0:
         return Trajectory(times, rho[None, :, :].astype(complex))
-    step = _expm(liouvillian(model) * (t / n_steps))
+    step = _expm(liouvillian(model) * dt)
     states = [rho.reshape(-1).astype(complex)]
     for _ in range(n_steps):
         states.append(step @ states[-1])

@@ -51,14 +51,24 @@ class ExperimentConfig:
         object.__setattr__(self, "source", rho)
 
 
+def _check_range(values, bound: int, what: str, name: str) -> None:
+    bad = np.flatnonzero((values < 0) | (values > bound))
+    if bad.size:
+        raise ContractViolation(
+            f"shot {bad[0]}: {what} {values[bad[0]]} is outside [0, {name}={bound}]")
+
+
 @dataclass(frozen=True)
 class EventLog:
-    """Per-shot detection element labels; label 0 means null detection."""
+    """Per-shot detection element labels in [0, n_elements]; label 0 means null detection."""
 
     seed: int
     generator: str
     n_elements: int
     labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _check_range(self.labels, self.n_elements, "label", "n_elements")
 
     def __len__(self) -> int:
         return self.labels.size
@@ -71,8 +81,9 @@ class EventLog:
 class CoincidenceLog:
     """Per-shot (instrument branch, detector element) label pairs.
 
-    Branch label 0 is the appended null branch; element label 0 is a null
-    detection at the second device.
+    Branches lie in [0, n_branches] and elements in [0, n_elements].  Branch
+    label 0 is the appended null branch; element label 0 is a null detection
+    at the second device.
     """
 
     seed: int
@@ -80,6 +91,10 @@ class CoincidenceLog:
     n_branches: int
     n_elements: int
     labels: np.ndarray = field(repr=False)  # shape (shots, 2)
+
+    def __post_init__(self):
+        _check_range(self.labels[:, 0], self.n_branches, "branch", "n_branches")
+        _check_range(self.labels[:, 1], self.n_elements, "element", "n_elements")
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -210,58 +225,103 @@ def empirical_rates(log):
     return EmpiricalRates(p, err)
 
 
+def _csv_rows(columns) -> str:
+    """CSV text of equal-length nonnegative integer columns, one line per row.
+
+    Every digit is written right-aligned into one (rows, width) byte matrix
+    whose unused cells stay 0; dropping the zeros leaves the text.
+    """
+    n = columns[0].size
+    if n == 0:
+        return ""
+    tops = [int(col.max()) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    out = np.zeros((n, sum(widths) + len(widths)), dtype=np.uint8)
+    stop = 0
+    for col, top, width in zip(columns, tops, widths):
+        stop += width
+        rest = col.astype(np.min_scalar_type(top))
+        digit = np.empty_like(rest)
+        for k in range(width):  # rest is col // 10**k; its leading zeros stay 0
+            cell = out[:, stop - 1 - k]
+            np.remainder(rest, 10, out=digit)
+            np.add(digit, ord("0"), out=cell, casting="unsafe")
+            if k:
+                cell[rest == 0] = 0
+            np.floor_divide(rest, 10, out=rest)
+        out[:, stop] = ord(",")
+        stop += 1
+    out[:, -1] = ord("\n")
+    flat = out.reshape(-1)
+    return str(flat[flat != 0].data, "ascii")
+
+
 def event_log_to_csv(log) -> str:
     """Serialize a log with seed and generator header lines."""
-    buf = io.StringIO()
-    buf.write(f"# seed={log.seed}\n")
-    buf.write(f"# generator={log.generator}\n")
+    head = f"# seed={log.seed}\n# generator={log.generator}\n"
+    shots = np.arange(len(log))
     if isinstance(log, CoincidenceLog):
-        buf.write(f"# n_branches={log.n_branches}\n")
-        buf.write(f"# n_elements={log.n_elements}\n")
-        buf.write("shot,j,k\n")
-        for shot, (j, k) in enumerate(log.labels):
-            buf.write(f"{shot},{j},{k}\n")
-    else:
-        buf.write(f"# n_elements={log.n_elements}\n")
-        buf.write("shot,label\n")
-        for shot, label in enumerate(log.labels):
-            buf.write(f"{shot},{label}\n")
-    return buf.getvalue()
+        head += f"# n_branches={log.n_branches}\n# n_elements={log.n_elements}\nshot,j,k\n"
+        return head + _csv_rows([shots, log.labels[:, 0], log.labels[:, 1]])
+    head += f"# n_elements={log.n_elements}\nshot,label\n"
+    return head + _csv_rows([shots, log.labels])
 
 
 def event_log_from_csv(text: str):
-    """Inverse of event_log_to_csv for both log kinds."""
+    """Inverse of event_log_to_csv for both log kinds.
+
+    Header lines ("# key=value") come first, then the column header, then
+    one row per shot with the shots 0..N-1 in order.  Anything else (a
+    non-integer field, a ragged row, a wrong shot column, a label above its
+    header count) raises ContractViolation.
+    """
     header = {}
-    rows = []
     columns = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    pos = 0
+    while columns is None:
+        if pos >= len(text):
+            raise ContractViolation("event log is missing its column header")
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end].strip()
+        pos = end + 1
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             header[key.strip()] = value.strip()
-        elif line[0].isdigit():
-            rows.append(tuple(int(x) for x in line.split(",")))
-        else:
-            columns = line.split(",")
-    if columns is None:
-        raise ContractViolation("event log is missing its column header")
-    seed = int(header.get("seed", 0))
+        elif line:
+            columns = [c.strip() for c in line.split(",")]
+    if columns not in (["shot", "label"], ["shot", "j", "k"]):
+        raise ContractViolation(
+            f"event log columns must be shot,label or shot,j,k, got {','.join(columns)}")
+    try:
+        # bytes, not text: a StringIO would hold four bytes per character
+        body = text[pos:].encode("ascii")
+        rows = (np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+                if body.strip() else np.zeros((0, len(columns)), dtype=np.int64))
+    except ValueError as err:  # numpy's message names the row; drop its usecols hint
+        raise ContractViolation(f"event log rows must be {len(columns)} integers each: "
+                                f"{str(err).split(';')[0]}") from None
+    if rows.shape[1] != len(columns):
+        raise ContractViolation(
+            f"event log rows must be {len(columns)} integers each, got {rows.shape[1]} fields")
+    bad = np.flatnonzero(rows[:, 0] != np.arange(rows.shape[0]))
+    if bad.size:
+        raise ContractViolation(
+            f"event log row {bad[0]} has shot {rows[bad[0], 0]}, expected {bad[0]}")
+
+    def header_int(key, default=0):
+        try:
+            return int(header.get(key, default))
+        except ValueError:
+            raise ContractViolation(
+                f"event log header {key}={header[key]} is not an integer") from None
+
+    seed = header_int("seed")
     generator = header.get("generator", GENERATOR_NAME)
-    if columns == ["shot", "j", "k"]:
-        labels = np.array([(j, k) for _, j, k in rows], dtype=np.int64).reshape(-1, 2)
-        return CoincidenceLog(
-            seed,
-            generator,
-            int(header.get("n_branches", labels[:, 0].max() if len(labels) else 0)),
-            int(header.get("n_elements", labels[:, 1].max() if len(labels) else 0)),
-            labels,
-        )
-    labels = np.array([label for _, label in rows], dtype=np.int64)
-    return EventLog(
-        seed,
-        generator,
-        int(header.get("n_elements", labels.max() if len(labels) else 0)),
-        labels,
-    )
+    if len(columns) == 3:
+        labels = np.ascontiguousarray(rows[:, 1:])
+        n_branches = header_int("n_branches", labels[:, 0].max(initial=0))
+        n_elements = header_int("n_elements", labels[:, 1].max(initial=0))
+        return CoincidenceLog(seed, generator, n_branches, n_elements, labels)
+    labels = rows[:, 1].copy()
+    return EventLog(seed, generator, header_int("n_elements", labels.max(initial=0)), labels)

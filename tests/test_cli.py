@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from qtomo.cli import main
 
 # frozen output of the built tool for seed 2024, 10^6 shots on the fixture below
 GOLDEN_COUNTS = [0, 326505, 6735, 166116, 166485, 120085, 214074]
+# sha256 of that run's events.csv, recorded before the CSV writer was vectorised
+GOLDEN_EVENTS_SHA256 = "51fd1ba046188b9036018cfa283fce158eed22aaa71760e719f1dafb4f182a32"
 
 
 @pytest.fixture
@@ -70,6 +73,7 @@ class TestSimulate:
         assert result.exit_code == 0
         counts = json.loads((out / "counts.json").read_text())
         assert counts["counts"] == GOLDEN_COUNTS
+        assert hashlib.sha256((out / "events.csv").read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256
 
     def test_seed_env_default(self, runner, fixture_files, tmp_path, monkeypatch):
         monkeypatch.setenv("QTOMO_SEED", "2024")
@@ -169,6 +173,73 @@ class TestTomoState:
         assert result.exit_code == 0
         est = qio.density_from_json(json.loads(out.read_text())["estimate"])
         assert qtomo.trace_distance(est, fixture_files["rho"]) <= 0.02
+
+
+_STATE_HEAD = "# seed=1\n# generator=philox4x64\n# n_elements=6\nshot,label\n"
+_VALID_ROWS = "".join(f"{shot},{shot % 6 + 1}\n" for shot in range(12))
+
+
+class TestEventLogContract:
+    """Malformed event logs exit 2, leave a manifest and name the broken invariant."""
+
+    def _state_bundle(self, tmp_path, texts):
+        bundle = tmp_path / "bundle"
+        (bundle / "events").mkdir(parents=True)
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        for i, text in enumerate(texts):
+            (bundle / "events" / f"run{i}.csv").write_text(text)
+        return bundle
+
+    def _expect_exit_2(self, runner, tmp_path, mode, bundle, *invariants):
+        out = tmp_path / "out" / "report.json"
+        result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "ContractViolation"
+        for text in invariants:
+            assert text in error["message"]
+
+    @pytest.mark.parametrize("rows, invariant", [
+        (_VALID_ROWS + "12,x1\n", "could not convert string 'x1'"),
+        (_VALID_ROWS + "12,1,1\n", "must be 2 integers each"),
+        (_VALID_ROWS + "13,1\n", "row 12 has shot 13, expected 12"),
+        (_VALID_ROWS + "12,9\n", "label 9 is outside [0, n_elements=6]"),
+    ], ids=["non-integer", "ragged", "shot-column", "label-range"])
+    def test_malformed_state_log(self, runner, tmp_path, rows, invariant):
+        bundle = self._state_bundle(tmp_path, [_STATE_HEAD + rows])
+        self._expect_exit_2(runner, tmp_path, "state", bundle, "run0.csv", invariant)
+
+    def test_undecodable_log(self, runner, tmp_path):
+        bundle = self._state_bundle(tmp_path, [])
+        (bundle / "events" / "run0.csv").write_bytes((_STATE_HEAD + "0,1\n").encode() + b"1,\xff\n")
+        self._expect_exit_2(runner, tmp_path, "state", bundle, "run0.csv", "xff")
+
+    def test_branch_above_header_count(self, runner, tmp_path):
+        det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
+        bundle = tmp_path / "bundle"
+        (bundle / "probes").mkdir(parents=True)
+        (bundle / "events").mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(det.measure, det.scale))
+        qio.write_json_atomic(str(bundle / "probes" / "p0.json"),
+                              qio.density_to_json(np.eye(2) / 2))
+        (bundle / "events" / "p0.csv").write_text(
+            "# seed=1\n# generator=philox4x64\n# n_branches=2\n# n_elements=4\nshot,j,k\n"
+            "0,1,1\n1,3,2\n")
+        self._expect_exit_2(runner, tmp_path, "instrument", bundle,
+                            "p0.csv", "branch 3 is outside [0, n_branches=2]")
+
+    def test_coincidence_log_in_state_bundle(self, runner, tmp_path):
+        bundle = self._state_bundle(tmp_path, [
+            "# seed=1\n# generator=philox4x64\n# n_branches=1\n# n_elements=6\nshot,j,k\n0,1,1\n"])
+        self._expect_exit_2(runner, tmp_path, "state", bundle, "is a CoincidenceLog")
+
+    def test_state_bundle_takes_one_log(self, runner, tmp_path):
+        bundle = self._state_bundle(tmp_path, [_STATE_HEAD + _VALID_ROWS] * 2)
+        self._expect_exit_2(runner, tmp_path, "state", bundle,
+                            "exactly one event log", "found 2")
 
 
 class TestTomoProcess:
@@ -361,6 +432,25 @@ class TestDynamicsCommand:
             assert result.exit_code == 2, args
             assert not out.exists()
             assert not (tmp_path / "traj.richardson.json").exists()
+
+    def test_methods_share_one_time_grid(self, runner, tmp_path):
+        # t = 0.7 is not a multiple of dt = 0.3: every method steps dt and stops at 2 dt
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {
+            "H": qio.matrix_to_json(qtomo.PAULI[1]),
+            "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
+        })
+        times = {}
+        for method in ("slice", "exact", "lindblad"):
+            out = tmp_path / method / "traj.json"
+            result = runner.invoke(main, [
+                "dynamics", str(model), "--t", "0.7", "--dt", "0.3",
+                "--method", method, "--out", str(out),
+            ])
+            assert result.exit_code == 0, method
+            times[method] = [snap["t"] for snap in json.loads(out.read_text())]
+        assert times["slice"] == times["exact"] == times["lindblad"]
+        assert times["lindblad"] == pytest.approx([0.0, 0.3, 0.6], abs=1e-15)
 
     def test_negative_dt_exits_2(self, runner, tmp_path):
         model = tmp_path / "model.json"

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qtomo import (
     ContractViolation,
@@ -19,6 +23,7 @@ from qtomo import (
     sample_detections,
     tetrahedron_measure,
 )
+from qtomo.simulate import CoincidenceLog, EventLog
 from support import random_density
 
 
@@ -211,3 +216,130 @@ class TestCsvRoundTrip:
         back = event_log_from_csv(event_log_to_csv(log))
         assert np.array_equal(back.labels, log.labels)
         assert back.n_branches == log.n_branches
+
+
+def _csv_oracle(log) -> str:
+    """Plain per-row formatter: the reference for event_log_to_csv."""
+    lines = [f"# seed={log.seed}", f"# generator={log.generator}"]
+    if isinstance(log, CoincidenceLog):
+        lines += [f"# n_branches={log.n_branches}", f"# n_elements={log.n_elements}", "shot,j,k"]
+        lines += [f"{shot},{j},{k}" for shot, (j, k) in enumerate(log.labels)]
+    else:
+        lines += [f"# n_elements={log.n_elements}", "shot,label"]
+        lines += [f"{shot},{label}" for shot, label in enumerate(log.labels)]
+    return "\n".join(lines) + "\n"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestCsvSnapshots:
+    def test_small_coincidence_log(self):
+        log = CoincidenceLog(5, "philox4x64", 2, 4, np.array([[1, 3], [0, 0], [2, 4]]))
+        assert event_log_to_csv(log) == (
+            "# seed=5\n# generator=philox4x64\n# n_branches=2\n# n_elements=4\nshot,j,k\n"
+            "0,1,3\n1,0,0\n2,2,4\n"
+        )
+
+    def test_empty_logs(self):
+        text = event_log_to_csv(EventLog(0, "philox4x64", 6, np.zeros(0, dtype=np.int64)))
+        assert text == "# seed=0\n# generator=philox4x64\n# n_elements=6\nshot,label\n"
+        back = event_log_from_csv(text)
+        assert len(back) == 0 and back.n_elements == 6
+        empty = CoincidenceLog(0, "philox4x64", 1, 6, np.zeros((0, 2), dtype=np.int64))
+        text = event_log_to_csv(empty)
+        assert text == ("# seed=0\n# generator=philox4x64\n# n_branches=1\n# n_elements=6\n"
+                        "shot,j,k\n")
+        back = event_log_from_csv(text)
+        assert back.labels.shape == (0, 2) and back.n_branches == 1
+
+    def test_wide_labels_and_shot_boundaries(self):
+        # digests of the per-row formatter's output, fixed before the writer was vectorised
+        shots = np.arange(1001)
+        text = event_log_to_csv(EventLog(11, "philox4x64", 150, (shots * 37) % 151))
+        lines = text.splitlines()
+        assert lines[4:6] == ["0,0", "1,37"]
+        assert lines[13:15] == ["9,31", "10,68"]
+        assert lines[103:105] == ["99,39", "100,76"]
+        assert lines[1003:] == ["999,119", "1000,5"]
+        assert _sha256(text) == "032ed99ea28ce14f2fd9e650676513efbbad8ee881e10f7443e5bf7d1e6d3453"
+        labels = np.stack([shots % 13, (shots * 37) % 151], axis=1)
+        text = event_log_to_csv(CoincidenceLog(12, "philox4x64", 12, 150, labels))
+        lines = text.splitlines()
+        assert lines[14:16] == ["9,9,31", "10,10,68"]
+        assert lines[104:106] == ["99,8,39", "100,9,76"]
+        assert lines[1004:] == ["999,11,119", "1000,12,5"]
+        assert _sha256(text) == "7bce369793426315e3aa60e143162349146e87ae75914981f393f754982396be"
+
+
+_HEAD = "# seed=1\n# generator=philox4x64\n# n_elements=6\nshot,label\n"
+_COINC_HEAD = "# seed=1\n# generator=philox4x64\n# n_branches=2\n# n_elements=4\nshot,j,k\n"
+
+
+class TestCsvReaderContract:
+    @pytest.mark.parametrize("text, invariant", [
+        (_HEAD + "0,1\n1,x1\n", "x1"),
+        (_HEAD + "0,1\n1,2.5\n", "2.5"),
+        (_HEAD + "0,1\n1,\u00b2\n", "'ascii' codec"),
+        (_HEAD + "0,1\n1,2,3\n", "must be 2 integers"),
+        (_HEAD + "0,1,1\n1,2,3\n", "must be 2 integers each, got 3 fields"),
+        (_HEAD + "0,1\n2,2\n", "row 1 has shot 2, expected 1"),
+        (_HEAD + "1,1\n", "row 0 has shot 1"),
+        (_HEAD + "0,1\n1,9\n", "label 9 is outside [0, n_elements=6]"),
+        (_HEAD + "0,-1\n", "label -1 is outside"),
+        (_COINC_HEAD + "0,1,1\n1,3,1\n", "branch 3 is outside [0, n_branches=2]"),
+        (_COINC_HEAD + "0,1,5\n", "element 5 is outside [0, n_elements=4]"),
+        (_COINC_HEAD + "0,1\n", "must be 3 integers"),
+        ("# seed=1\n# n_elements=six\nshot,label\n0,1\n", "n_elements=six"),
+        ("# seed=1\n0,1\n", "columns must be"),
+        ("# seed=1\nshot,kind\n0,1\n", "columns must be"),
+        ("# seed=1\n", "missing its column header"),
+    ], ids=["non-integer", "float", "non-ascii", "ragged", "too-wide", "shot-gap", "shot-start",
+            "label-range", "negative-label", "branch-range", "element-range", "too-narrow", "header-int",
+            "no-columns", "unknown-columns", "header-only"])
+    def test_malformed_log_rejected(self, text, invariant):
+        with pytest.raises(ContractViolation) as info:
+            event_log_from_csv(text)
+        assert invariant in str(info.value)
+
+    def test_constructors_check_label_range(self):
+        with pytest.raises(ContractViolation, match="label 3 is outside"):
+            EventLog(0, "philox4x64", 2, np.array([1, 3]))
+        with pytest.raises(ContractViolation, match="branch 2 is outside"):
+            CoincidenceLog(0, "philox4x64", 1, 2, np.array([[2, 1]]))
+
+    def test_missing_header_counts_default_to_label_maxima(self):
+        log = event_log_from_csv("shot,j,k\n0,1,3\n1,2,0\n")
+        assert (log.seed, log.generator, log.n_branches, log.n_elements) == (0, "philox4x64", 2, 3)
+
+
+@st.composite
+def _logs(draw):
+    shots = draw(st.integers(0, 3000))
+    n_elements = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**63 - 1))
+    labels = draw(hnp.arrays(np.int64, shots, elements=st.integers(0, n_elements)))
+    if draw(st.booleans()):
+        n_branches = draw(st.integers(1, 20))
+        branches = draw(hnp.arrays(np.int64, shots, elements=st.integers(0, n_branches)))
+        return CoincidenceLog(seed, "philox4x64", n_branches, n_elements,
+                              np.stack([branches, labels], axis=1))
+    return EventLog(seed, "philox4x64", n_elements, labels)
+
+
+class TestCsvProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_logs())
+    def test_round_trip_and_oracle(self, log):
+        # compare line lists: pytest's diff of two long strings is very slow
+        text = event_log_to_csv(log)
+        assert text.splitlines() == _csv_oracle(log).splitlines() and text.endswith("\n")
+        back = event_log_from_csv(text)
+        assert type(back) is type(log)
+        for name in ("seed", "generator", "n_elements"):
+            assert getattr(back, name) == getattr(log, name)
+        if isinstance(log, CoincidenceLog):
+            assert back.n_branches == log.n_branches
+        assert np.array_equal(back.labels, log.labels)
+        assert event_log_to_csv(back).splitlines() == text.splitlines()
