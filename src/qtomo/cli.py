@@ -197,6 +197,20 @@ def _event_rates(problem_dir, kind):
     return rates
 
 
+def _read_table(path, key, ndims):
+    """The array under key in the JSON file at path, as floats; it must have one of ndims axes."""
+    doc = io.read_json(path)
+    try:
+        table = np.array(doc[key])
+    except (KeyError, TypeError, ValueError):  # no such key, not an object, or ragged rows
+        table = np.array(None)
+    if table.dtype.kind not in "iuf" or table.ndim not in ndims or not np.isfinite(table).all():
+        raise ContractViolation(
+            f"{path}: '{key}' must be a rectangular array of finite numbers with "
+            f"{' or '.join(map(str, ndims))} axes")
+    return table.astype(float)
+
+
 def _load_rates(problem_dir):
     """Rates from rates.json if present, else empirical rates from events/*.csv.
 
@@ -204,8 +218,7 @@ def _load_rates(problem_dir):
     """
     rates_path = os.path.join(problem_dir, "rates.json")
     if os.path.exists(rates_path):
-        doc = io.read_json(rates_path)
-        return np.asarray(doc["rates"], dtype=float), None
+        return _read_table(rates_path, "rates", (1, 2)), None
     emp = _event_rates(problem_dir, EventLog)
     return np.stack([e.p_hat[1:] for e in emp]), np.stack([e.stderr[1:] for e in emp])
 
@@ -246,7 +259,7 @@ def _tomo_instrument(problem_dir):
     detector = io.detector_from_json(detector_doc)
     tables_path = os.path.join(problem_dir, "tables.json")
     if os.path.exists(tables_path):
-        tables = np.asarray(io.read_json(tables_path)["tables"], dtype=float)
+        tables = _read_table(tables_path, "tables", (3,))
     else:
         tables = np.stack([e.table for e in _event_rates(problem_dir, CoincidenceLog)])
     maps, report = instrument_tomography(tables, probes, detector)

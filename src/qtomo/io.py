@@ -1,13 +1,17 @@
 """JSON file formats and canonical serialization.
 
 Complex scalars are encoded as two-element arrays [re, im] and matrices as
-row-major nested arrays.  The canonical writer sorts keys and prints floats
-with 17 significant digits, so writing, reading and re-writing a document
-reproduces it byte for byte.
+row-major nested arrays.  The encoders return each matrix as a float array
+of shape (rows, cols, 2) holding those pairs, and the canonical writer
+formats each float array in one call from a bracket template cached per
+shape.  It sorts keys and prints floats with 17 significant digits, so
+writing, reading and re-writing a document reproduces it byte for byte; the
+one exception is a negative zero, printed "-0", which reads back as 0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -35,17 +39,26 @@ def json_to_complex(obj) -> complex:
 
 
 def matrix_to_json(m):
+    """The [re, im] pairs of a complex matrix, as a float array of shape (rows, cols, 2)."""
     arr = np.asarray(m, dtype=complex)
-    return [[complex_to_json(x) for x in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1)
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ContractViolation("matrix must be a nonempty nested array")
+    """Parse rows of numbers and [re, im] pairs, or the array matrix_to_json returns."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
+        raise ContractViolation("matrix must be a nonempty array of rows")
+    widths = {len(row) for row in obj}
+    if len(widths) != 1:
+        raise ContractViolation(f"matrix rows differ in length: {sorted(widths)}")
     return np.array([[json_to_complex(x) for x in row] for row in obj], dtype=complex)
 
 
 def vector_from_json(obj) -> np.ndarray:
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if not isinstance(obj, list):
         raise ContractViolation("vector must be an array")
     return np.array([json_to_complex(x) for x in obj], dtype=complex)
@@ -76,7 +89,7 @@ def measure_to_json(measure: QuantumMeasure, scale=None):
         values = np.asarray(scale, dtype=complex)
         if values.ndim == 1:
             values = values[:, None]
-        doc["scale"] = [[complex_to_json(x) for x in row] for row in values]
+        doc["scale"] = matrix_to_json(values)
     return doc
 
 
@@ -91,9 +104,7 @@ def measure_from_json(obj):
         )
     scale = None
     if obj.get("scale") is not None:
-        scale = np.array(
-            [[json_to_complex(x) for x in row] for row in obj["scale"]], dtype=complex
-        )
+        scale = matrix_from_json(obj["scale"])
     return measure, scale
 
 
@@ -177,6 +188,14 @@ def trajectory_to_json(traj):
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def _array_template(shape):
+    """%-format string that prints a float array of this shape as nested JSON arrays."""
+    if not shape:
+        return "%.17g"
+    return "[" + ",".join([_array_template(shape[1:])] * shape[0]) + "]"
+
+
 def _canonical(obj, out):
     if obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
@@ -198,6 +217,10 @@ def _canonical(obj, out):
             out.append(":")
             _canonical(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        if not np.isfinite(obj).all():
+            raise ContractViolation("cannot serialize non-finite numbers")
+        out.append(_array_template(obj.shape) % tuple(obj.ravel().tolist()))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, item in enumerate(list(obj)):
@@ -233,5 +256,8 @@ def write_json_atomic(path, obj):
 
 
 def read_json(path):
-    with open(path) as handle:
-        return json.load(handle)
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ContractViolation(f"{path}: not a JSON document: {err}") from None

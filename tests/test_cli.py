@@ -16,6 +16,13 @@ from qtomo.cli import main
 GOLDEN_COUNTS = [0, 326505, 6735, 166116, 166485, 120085, 214074]
 # sha256 of that run's events.csv, recorded before the CSV writer was vectorised
 GOLDEN_EVENTS_SHA256 = "51fd1ba046188b9036018cfa283fce158eed22aaa71760e719f1dafb4f182a32"
+# sha256 of canonical JSON outputs (the model and bundle of the golden-bytes tests below),
+# recorded before the JSON writer formatted each array in one call
+GOLDEN_TRAJECTORY_SHA256 = {
+    "lindblad": "3864d3d1b814bec4fe17900485e2a53d0ba1f79786e3d1e541325fae343c9a80",
+    "slice": "d1411cc14eccc3309d6e5a8eb3e4a5e3cbb3e3eeff640dd909bde44fc75bb097",
+}
+GOLDEN_PROCESS_SHA256 = "4856382ba282aece35f619d57a19d41d1912b84831ac19dff3be776c168ddde7"
 
 
 @pytest.fixture
@@ -242,6 +249,69 @@ class TestEventLogContract:
                             "exactly one event log", "found 2")
 
 
+class TestMalformedJson:
+    """Undecodable JSON and malformed arrays exit 2 and leave a ContractViolation manifest."""
+
+    def _expect_exit_2(self, runner, args, manifest, *invariants):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        error = json.loads(manifest.read_text())["error"]
+        assert error["type"] == "ContractViolation"
+        for text in invariants:
+            assert text in error["message"]
+
+    @pytest.mark.parametrize("text, invariant", [
+        (b'{"matrix": [[1,0],[0', "not a JSON document"),
+        (b'{"matrix": [[1,0],[0]]}', "rows differ in length: [1, 2]"),
+        (b'{"matrix": [1, 0]}', "nonempty array of rows"),
+        (b'{"matrix": [[1,0],[0,1]], "note": "\xff"}', "not a JSON document"),
+    ], ids=["truncated", "ragged", "flat", "undecodable"])
+    def test_malformed_source(self, runner, fixture_files, tmp_path, text, invariant):
+        source = tmp_path / "bad.json"
+        source.write_bytes(text)
+        out = tmp_path / "run"
+        self._expect_exit_2(runner, ["simulate", str(source), fixture_files["device"],
+                                     "--shots", "5", "--seed", "1", "--out", str(out)],
+                            out / "manifest.json", invariant)
+
+    @pytest.mark.parametrize("rates", [
+        [0.5, "x", 0.5, 0.5, 0.5, 0.5],
+        [[0.5, 0.5, 0.5], [0.5, 0.5]],
+        [0.5, None, 0.5, 0.5, 0.5, 0.5],
+        0.5,
+        [[[0.5] * 6]],
+    ], ids=["non-numeric", "ragged", "null", "scalar", "three-axes"])
+    def test_malformed_rates(self, runner, tmp_path, rates):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        (bundle / "rates.json").write_text(json.dumps({"rates": rates}))
+        out = tmp_path / "report.json"
+        self._expect_exit_2(runner, ["tomo", "state", str(bundle), "--out", str(out)],
+                            tmp_path / "manifest.json",
+                            "rates.json", "'rates' must be a rectangular array of finite numbers")
+
+    @pytest.mark.parametrize("tables", [
+        [[[0.5, "x"]]],
+        [[[0.5, 0.5], [0.5]]],
+        [[0.5, 0.5]],
+    ], ids=["non-numeric", "ragged", "two-axes"])
+    def test_malformed_tables(self, runner, tmp_path, tables):
+        det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
+        bundle = tmp_path / "bundle"
+        (bundle / "probes").mkdir(parents=True)
+        qio.write_json_atomic(str(bundle / "probes" / "p0.json"),
+                              qio.density_to_json(np.eye(2) / 2))
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(det.measure, det.scale))
+        (bundle / "tables.json").write_text(json.dumps({"tables": tables}))
+        out = tmp_path / "report.json"
+        self._expect_exit_2(runner, ["tomo", "instrument", str(bundle), "--out", str(out)],
+                            tmp_path / "manifest.json",
+                            "tables.json", "with 3 axes")
+
+
 class TestTomoProcess:
     def test_identity_channel_choi_rank_one(self, runner, tmp_path):
         from support import probe_states
@@ -260,6 +330,25 @@ class TestTomoProcess:
         assert report["choi_rank"] == 1
         est = qio.matrix_from_json(report["estimate"]["superoperator"])
         assert np.max(np.abs(est - np.eye(4))) <= 1e-10
+
+
+    def test_golden_report_bytes(self, runner, tmp_path):
+        from support import probe_states
+
+        # amplitude damping with decay probability 0.36
+        kraus = [np.diag([1.0, 0.8]), np.array([[0.0, 0.6], [0.0, 0.0]])]
+        bundle = tmp_path / "process_problem"
+        (bundle / "probes").mkdir(parents=True)
+        (bundle / "outputs").mkdir()
+        for i, probe in enumerate(probe_states(2)):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"),
+                                  qio.density_to_json(probe))
+            qio.write_json_atomic(str(bundle / "outputs" / f"p{i}.json"),
+                                  qio.density_to_json(qtomo.kraus_apply(kraus, probe)))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["tomo", "process", str(bundle), "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PROCESS_SHA256
 
 
 class TestTomoDetectorInstrumentSelfcal:
@@ -451,6 +540,23 @@ class TestDynamicsCommand:
             times[method] = [snap["t"] for snap in json.loads(out.read_text())]
         assert times["slice"] == times["exact"] == times["lindblad"]
         assert times["lindblad"] == pytest.approx([0.0, 0.3, 0.6], abs=1e-15)
+
+    @pytest.mark.parametrize("method", ["lindblad", "slice"])
+    def test_golden_trajectory_bytes(self, runner, tmp_path, method):
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {
+            "H": qio.matrix_to_json(0.5 * qtomo.PAULI[1] + 0.25 * qtomo.PAULI[3]),
+            "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
+            "lindblad": {"L": [qio.matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))],
+                         "gamma": [0.3]},
+        })
+        out = tmp_path / "traj.json"
+        result = runner.invoke(main, [
+            "dynamics", str(model), "--t", "1.0", "--dt", "0.25",
+            "--method", method, "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256[method]
 
     def test_negative_dt_exits_2(self, runner, tmp_path):
         model = tmp_path / "model.json"
