@@ -1,9 +1,10 @@
 """Command-line surface for reproducible simulation and reconstruction runs.
 
 Exit codes: 0 success, 2 input or validation error, 3 reconstruction
-infeasibility (rank deficiency), 4 internal numerical failure.  Every
-command writes a manifest next to its outputs, also on failure, with the
-error embedded.  Errors are additionally reported as JSON on stderr.
+infeasibility (rank deficiency), 4 internal numerical failure or any other
+unexpected error.  Every command writes a manifest next to its outputs, also
+on failure, with the error embedded (an unexpected error also records its
+traceback there).  Errors are additionally reported as JSON on stderr.
 """
 
 from __future__ import annotations
@@ -60,19 +61,21 @@ class _Run:
         }
         self.out_dir = out_dir
 
-    def finish(self, error=None):
+    def finish(self, error=None, trace=None):
         self.manifest["wall_time_s"] = time.monotonic() - self.started
         if error is not None:
             self.manifest["error"] = {
                 "type": type(error).__name__,
                 "message": str(error),
             }
+            if trace is not None:
+                self.manifest["error"]["traceback"] = trace
         os.makedirs(self.out_dir, exist_ok=True)
         io.write_json_atomic(os.path.join(self.out_dir, "manifest.json"), self.manifest)
 
 
-def _fail(run, error, code):
-    run.finish(error)
+def _fail(run, error, code, trace=None):
+    run.finish(error, trace)
     payload = {"error": {"type": type(error).__name__, "message": str(error)}}
     click.echo(io.canonical_json(payload), err=True)
     sys.exit(code)
@@ -87,6 +90,10 @@ def _guard(run, fn):
         _fail(run, err, 3)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
         _fail(run, err, 4)
+    except Exception as err:  # last resort: still exit with a documented code and a manifest
+        import traceback
+
+        _fail(run, err, 4, traceback.format_exc())
     else:
         run.finish()
         return result
@@ -134,6 +141,8 @@ def simulate(ctx, source, device, shots, seed, out_dir):
                 f"{rep.hermitian_defect:.3e}, min eigenvalue {rep.min_eigenvalue:.3e}"
             )
         doc = io.read_json(device)
+        if not isinstance(doc, dict):
+            raise ContractViolation(f"{device}: device document must be a JSON object")
         if "instrument" in doc:
             instrument = io.instrument_from_json(doc["instrument"])
             detector = io.detector_from_json(doc["detector"])

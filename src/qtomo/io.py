@@ -64,19 +64,49 @@ def vector_from_json(obj) -> np.ndarray:
     return np.array([json_to_complex(x) for x in obj], dtype=complex)
 
 
+def _object(obj, what):
+    """obj if it is a JSON object, else ContractViolation naming the document kind."""
+    if not isinstance(obj, dict):
+        raise ContractViolation(f"{what} document must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _array(obj, key, what):
+    """The array under key of a parsed JSON object, else ContractViolation."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ContractViolation(f"{what} '{key}' must be an array, got {type(value).__name__}")
+    return value
+
+
+def _number(value, what):
+    """A JSON number as a float, else ContractViolation (booleans are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContractViolation(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_dim(obj, actual, what):
+    """Compare an optional declared integer 'dim' with the parsed dimension."""
+    if "dim" not in obj:
+        return
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ContractViolation(f"declared dim must be an integer, got {dim!r}")
+    if dim != actual:
+        raise ContractViolation(f"declared dim {dim} does not match {what}")
+
+
 def density_to_json(rho):
     arr = np.asarray(rho, dtype=complex)
     return {"dim": arr.shape[0], "matrix": matrix_to_json(arr)}
 
 
 def density_from_json(obj) -> np.ndarray:
-    if "matrix" not in obj:
+    if "matrix" not in _object(obj, "density"):
         raise ContractViolation("density document needs a 'matrix' field")
     m = matrix_from_json(obj["matrix"])
-    if "dim" in obj and int(obj["dim"]) != m.shape[0]:
-        raise ContractViolation(
-            f"declared dim {obj['dim']} does not match matrix shape {m.shape}"
-        )
+    _check_dim(obj, m.shape[0], f"matrix shape {m.shape}")
     return m
 
 
@@ -95,13 +125,10 @@ def measure_to_json(measure: QuantumMeasure, scale=None):
 
 def measure_from_json(obj):
     """Parse a measure document; returns (QuantumMeasure, scale or None)."""
-    if "elements" not in obj:
+    if "elements" not in _object(obj, "measure"):
         raise ContractViolation("measure document needs an 'elements' field")
-    measure = QuantumMeasure([matrix_from_json(e) for e in obj["elements"]])
-    if "dim" in obj and int(obj["dim"]) != measure.dim:
-        raise ContractViolation(
-            f"declared dim {obj['dim']} does not match element dimension {measure.dim}"
-        )
+    measure = QuantumMeasure([matrix_from_json(e) for e in _array(obj, "elements", "measure")])
+    _check_dim(obj, measure.dim, f"element dimension {measure.dim}")
     scale = None
     if obj.get("scale") is not None:
         scale = matrix_from_json(obj["scale"])
@@ -122,23 +149,23 @@ def channel_to_json(kraus):
 
 def channel_from_json(obj) -> list:
     """Parse a channel given as Kraus operators or a Choi matrix."""
-    if "kraus" in obj:
-        ops = [matrix_from_json(t) for t in obj["kraus"]]
+    if "kraus" in _object(obj, "channel"):
+        ops = [matrix_from_json(t) for t in _array(obj, "kraus", "channel")]
     elif "choi" in obj:
         ops = kraus_from_choi(matrix_from_json(obj["choi"]))
     else:
         raise ContractViolation("channel document needs 'kraus' or 'choi'")
-    if "dim" in obj and int(obj["dim"]) != ops[0].shape[0]:
-        raise ContractViolation(
-            f"declared dim {obj['dim']} does not match operator dimension {ops[0].shape[0]}"
-        )
+    if not ops:
+        raise ContractViolation("channel needs at least one operator")
+    _check_dim(obj, ops[0].shape[0], f"operator dimension {ops[0].shape[0]}")
     return ops
 
 
 def instrument_from_json(obj) -> Instrument:
-    if "branches" not in obj:
+    if "branches" not in _object(obj, "instrument"):
         raise ContractViolation("instrument document needs a 'branches' field")
-    return Instrument(tuple(tuple(channel_from_json(b)) for b in obj["branches"]))
+    branches = _array(obj, "branches", "instrument")
+    return Instrument(tuple(tuple(channel_from_json(b)) for b in branches))
 
 
 def instrument_to_json(instrument: Instrument):
@@ -149,11 +176,13 @@ def instrument_to_json(instrument: Instrument):
 
 
 def network_from_json(obj):
-    if "leaf" in obj:
-        return Leaf(matrix_from_json(obj["leaf"]["jones"]))
+    if "leaf" in _object(obj, "network node"):
+        return Leaf(matrix_from_json(_object(obj["leaf"], "leaf")["jones"]))
     if "split" in obj:
-        left, right = obj["split"]
-        return Split(network_from_json(left), network_from_json(right))
+        children = _array(obj, "split", "network node")
+        if len(children) != 2:
+            raise ContractViolation(f"a split has two children, got {len(children)}")
+        return Split(network_from_json(children[0]), network_from_json(children[1]))
     raise ContractViolation("network node must have 'leaf' or 'split'")
 
 
@@ -165,14 +194,15 @@ def network_to_json(net):
 
 def model_from_json(obj):
     """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0)."""
-    if "H" not in obj or "rho0" not in obj:
+    if "H" not in _object(obj, "model") or "rho0" not in obj:
         raise ContractViolation("model document needs 'H' and 'rho0'")
-    section = obj["lindblad"] if obj.get("lindblad") is not None else {"L": [], "gamma": []}
+    section = (_object(obj["lindblad"], "lindblad") if obj.get("lindblad") is not None
+               else {"L": [], "gamma": []})
     model = LindbladModel(
         matrix_from_json(obj["H"]),
-        tuple(matrix_from_json(l) for l in section["L"]),
-        tuple(float(g) for g in section["gamma"]),
-        float(obj.get("hbar", 1.0)),
+        tuple(matrix_from_json(l) for l in _array(section, "L", "lindblad")),
+        tuple(_number(g, "lindblad rate") for g in _array(section, "gamma", "lindblad")),
+        _number(obj.get("hbar", 1.0), "hbar"),
         matrix_from_json(obj["V"]) if obj.get("V") is not None else None,
     )
     rho0 = matrix_from_json(obj["rho0"])

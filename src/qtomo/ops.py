@@ -63,33 +63,28 @@ def quantum_value(rho, X) -> complex:
     return complex(np.trace(r @ x))
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
+def hermitian_basis(d: int) -> np.ndarray:
     """Basis of d^2 Hermitian matrices spanning Hermitian space over the reals.
 
-    Ordering: identity, d-1 diagonal traceless matrices, then for each index
-    pair j < k a symmetric and an antisymmetric off-diagonal element.  For
-    d = 2 the non-identity elements are exactly the three Pauli matrices.
+    Returned as a (d^2, d, d) complex array.  Ordering: identity, d-1
+    diagonal traceless matrices, then the symmetric off-diagonal elements of
+    all index pairs j < k in row-major order, then the antisymmetric ones in
+    the same order.  For d = 2 the non-identity elements are exactly the
+    three Pauli matrices.
     """
     if d < 1:
         raise ContractViolation(f"dimension must be >= 1, got {d}")
-    basis = [np.eye(d, dtype=complex)]
-    for j in range(d - 1):
-        m = np.zeros((d, d), dtype=complex)
-        m[j, j] = 1.0
-        m[j + 1, j + 1] = -1.0
-        basis.append(m)
-    sym, antisym = [], []
-    for j in range(d):
-        for k in range(j + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[j, k] = s[k, j] = 1.0
-            sym.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[j, k] = -1j
-            a[k, j] = 1j
-            antisym.append(a)
-    basis.extend(sym)
-    basis.extend(antisym)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    basis[0, diag, diag] = 1.0
+    basis[diag[1:], diag[:-1], diag[:-1]] = 1.0
+    basis[diag[1:], diag[1:], diag[1:]] = -1.0
+    j, k = np.triu_indices(d, 1)
+    sym = d + np.arange(j.size)
+    antisym = sym + j.size
+    basis[sym, j, k] = basis[sym, k, j] = 1.0
+    basis[antisym, j, k] = -1j
+    basis[antisym, k, j] = 1j
     return basis
 
 

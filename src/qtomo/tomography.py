@@ -1,12 +1,14 @@
 """Reconstruction engines: state, detector, process, instrument, self-calibration.
 
 Every engine solves the linear response system tr(rho P_k) = p_k in a real
-Hermitian parametrization by (optionally weighted) least squares and then
-projects onto the feasible cone: densities are clipped to PSD with the trace
-fixed to the measured intensity, measure elements are clipped and the
-identity deficit redistributed, channels may be clipped to completely
-positive.  Reports carry the residual, the design condition number, how far
-the projection moved the estimate, and warning flags.
+Hermitian parametrization by (optionally weighted) least squares, factoring
+each design once for all its right-hand sides, and then projects onto the
+feasible cone: densities go to the nearest PSD matrix with the trace fixed
+to the measured intensity (eigenvalues projected onto the simplex), measure
+elements are clipped and the identity deficit redistributed, channels may
+be clipped to completely positive.  Reports carry the residual, the design
+condition number, how far the projection moved the estimate, the achieved
+rank, and warning flags.
 """
 
 from __future__ import annotations
@@ -39,34 +41,25 @@ class ReconstructionReport:
     extras: dict = field(default_factory=dict)
 
 
-def _design_rows(operators, basis):
-    """Real design matrix M[k, a] = tr(B_a O_k) for Hermitian operators O_k."""
+def _pair_traces(a, b):
+    """Matrix of tr(a_i b_j) over two stacks of d x d matrices, as one matrix product."""
+    return a.reshape(len(a), -1) @ np.swapaxes(b, 1, 2).reshape(len(b), -1).T
+
+
+def _hermitian_lstsq(operators, rates, stderr, what):
+    """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c.
+
+    The design and the basis are built once, and one SVD gives the rank and
+    condition checks and the solution of every column.  A column with
+    standard errors has its own row weights, so it gets its own weighted
+    solve of the same design.  Returns (X of shape (n, d, d), per-column
+    residuals of the unweighted equations, cond, rank).
+    """
     ops = np.stack([as_square(o) for o in operators])
-    bas = np.stack(basis)
-    m = np.einsum("aij,kji->ka", bas, ops)
-    return m.real
-
-
-def _weighted(m, y, stderr):
-    if stderr is None:
-        return m, y
-    err = np.asarray(stderr, dtype=float)
-    if err.shape != y.shape:
-        raise ContractViolation("standard errors must match the rate vector")
-    if np.all(err == 0.0):
-        return m, y
-    floor = max(err.max() * 1e-6, 1e-300)
-    w = 1.0 / np.clip(err, floor, None)
-    return m * w[:, None], y * w
-
-
-def _solve_hermitian(operators, rates, stderr, what):
-    """Least-squares Hermitian solve of tr(X O_k) = rates_k; returns diagnostics."""
-    ops = [as_square(o) for o in operators]
-    d = ops[0].shape[0]
+    d = ops.shape[1]
     basis = hermitian_basis(d)
-    m = _design_rows(ops, basis)
-    sing = np.linalg.svd(m, compute_uv=False)
+    m = _pair_traces(ops, basis).real
+    u, sing, vt = np.linalg.svd(m, full_matrices=False)
     rank = int(np.sum(sing > sing[0] * _RANK_RTOL)) if sing.size and sing[0] > 0 else 0
     if rank < d * d:
         raise RankDeficiencyError(
@@ -76,41 +69,73 @@ def _solve_hermitian(operators, rates, stderr, what):
         )
     cond = float(sing[0] / sing[rank - 1])
     y = np.asarray(rates, dtype=float)
-    if y.shape != (len(ops),):
+    if y.shape[0] != len(ops):
         raise ContractViolation(
-            f"{what}: got {y.shape} rates for {len(ops)} design operators"
+            f"{what}: got {y.shape[0]} rates for {len(ops)} design operators"
         )
-    mw, yw = _weighted(m, y, stderr)
-    coeff, *_ = np.linalg.lstsq(mw, yw, rcond=None)
-    x = np.tensordot(coeff, np.stack(basis), axes=(0, 0))
-    residual = float(np.linalg.norm(m @ coeff - y))
-    return x, residual, cond, rank
+    coeff = vt.T @ ((u.T @ y) / sing[:, None])
+    if stderr is not None:
+        err = np.asarray(stderr, dtype=float)
+        if err.shape != y.shape:
+            raise ContractViolation("standard errors must match the rates")
+        for c in np.flatnonzero(np.any(err != 0.0, axis=0)):
+            floor = max(err[:, c].max() * 1e-6, 1e-300)
+            w = 1.0 / np.clip(err[:, c], floor, None)
+            coeff[:, c] = np.linalg.lstsq(m * w[:, None], y[:, c] * w, rcond=None)[0]
+    x = np.tensordot(coeff.T, basis, axes=(1, 0))
+    residuals = np.linalg.norm(m @ coeff - y, axis=0)
+    return x, residuals, cond, rank
+
+
+def _simplex(evals, target):
+    """Euclidean projection of each row of evals onto {lam >= 0, sum(lam) = target > 0}."""
+    u = -np.sort(-evals, axis=-1)
+    excess = np.cumsum(u, axis=-1) - target[..., None]
+    count = np.arange(1, u.shape[-1] + 1)
+    active = np.sum(u * count > excess, axis=-1, keepdims=True)
+    shift = np.take_along_axis(excess, active - 1, axis=-1) / active
+    return np.clip(evals - shift, 0.0, None)
 
 
 def project_psd(x, trace_target=None):
-    """Clip negative eigenvalues; optionally rescale the trace.
+    """Nearest PSD matrix in Frobenius norm, of one matrix or of each in a stack (..., d, d).
 
-    Returns (projected matrix, Frobenius distance moved).  Idempotent: a
-    matrix already in the cone with the right trace is returned unchanged.
+    Without trace_target the negative eigenvalues are clipped.  With a
+    positive trace_target (broadcast over the stack) the eigenvalues are
+    projected onto the simplex {lam >= 0, sum(lam) = target}, which gives
+    the nearest PSD matrix with that trace (Smolin, Gambetta & Smith, PRL
+    108, 070502, 2012).  A nonpositive target has no such matrix unless it
+    is zero; there the clipped matrix is rescaled to the target trace, and a
+    zero clipped matrix stays zero.
+
+    Returns (projected matrix or stack, Frobenius distance moved: a float for
+    one matrix, an array over the stack).  Idempotent: a matrix already in
+    the cone with the right trace is returned unchanged.
     """
-    h = as_square(x)
-    h = 0.5 * (h + h.conj().T)
+    a = np.asarray(x, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ContractViolation(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ContractViolation("matrix has non-finite entries")
+    h = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
     evals, evecs = np.linalg.eigh(h)
-    clipped = np.clip(evals, 0.0, None)
-    out = (evecs * clipped) @ evecs.conj().T
+    lam = np.clip(evals, 0.0, None)
     if trace_target is not None:
-        tr = float(np.trace(out).real)
-        if tr > 0.0:
-            out = out * (trace_target / tr)
-        elif trace_target > 0.0:
-            out = np.zeros_like(out)
-    dist = float(np.linalg.norm(out - as_square(x)))
-    return out, dist
+        target = np.broadcast_to(np.asarray(trace_target, dtype=float), evals.shape[:-1])
+        total = lam.sum(axis=-1)
+        positive = target > 0.0
+        scale = np.divide(target, total, out=np.ones_like(total), where=~positive & (total > 0.0))
+        lam = np.where(positive[..., None],
+                       _simplex(evals, np.where(positive, target, 1.0)),
+                       lam * scale[..., None])
+    out = (evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+    dist = np.linalg.norm(out - a, axis=(-2, -1))
+    return out, (float(dist) if a.ndim == 2 else dist)
 
 
-def _rate_residual(operators, x, rates):
-    pred = np.einsum("kij,ji->k", np.stack(operators), x).real
-    return float(np.linalg.norm(pred - np.asarray(rates, dtype=float)))
+def _rate_residuals(operators, x, rates):
+    """Per-column norms of tr(x_c O_k) - rates[k, c] for a stack x of shape (n, d, d)."""
+    return np.linalg.norm(_pair_traces(operators, x).real - rates, axis=0)
 
 
 def state_tomography(measures, rates, stderr=None):
@@ -118,26 +143,28 @@ def state_tomography(measures, rates, stderr=None):
 
     measures is one QuantumMeasure or a sequence of them; rates (and
     optional standard errors) are concatenated in the same element order.
-    The unconstrained Hermitian solution is projected to the PSD cone with
-    its trace fixed to the measured intensity, so exact rates from a valid
-    state are reproduced and sampled rates always yield a valid state.
+    The unconstrained Hermitian solution is projected to the nearest PSD
+    matrix with its trace fixed to the measured intensity, so exact rates
+    from a valid state are reproduced and sampled rates always yield a
+    valid state.
     """
     if isinstance(measures, QuantumMeasure):
         measures = [measures]
-    operators = [p for m in measures for p in m.elements]
-    y = np.asarray(rates, dtype=float).reshape(-1)
-    x, residual, cond, rank = _solve_hermitian(operators, y, stderr, "state tomography")
+    operators = np.concatenate([m.elements for m in measures])
+    y = np.asarray(rates, dtype=float).reshape(-1, 1)
+    err = None if stderr is None else np.asarray(stderr, dtype=float)[..., None]
+    x, residual, cond, rank = _hermitian_lstsq(operators, y, err, "state tomography")
     intensity = float(y.sum()) / len(measures)
-    rho, dist = project_psd(x, trace_target=intensity)
+    rho, dist = project_psd(x[0], trace_target=intensity)
     flags = []
     if cond > COND_WARN:
         flags.append("ill_conditioned")
     if dist > 1e-12 * max(1.0, abs(intensity)):
         flags.append("projected")
-    residual_after = _rate_residual(operators, rho, y)
+    residual_after = float(_rate_residuals(operators, rho[None], y)[0])
     report = ReconstructionReport(
         residual_after, cond, dist, rank, tuple(flags),
-        {"residual_unprojected": residual, "intensity": intensity},
+        {"residual_unprojected": float(residual[0]), "intensity": intensity},
     )
     return rho, report
 
@@ -146,9 +173,13 @@ def detector_tomography(probe_states, rates, stderr=None):
     """Reconstruct a quantum measure from per-probe, per-element rates.
 
     probe_states must contain at least d^2 states with linearly independent
-    density matrices; rates has shape (n_probes, K).  Each element is solved
-    separately, clipped to PSD, and the identity deficit is spread over the
-    elements in proportion to their traces, then clipped again.
+    density matrices; rates has shape (n_probes, K).  All elements are
+    solved on the one probe design and clipped to PSD; then the identity
+    deficit is spread over the elements in proportion to their traces and
+    they are clipped again, until the deficit is below 1e-12.  When that
+    loop gives up (after 100 passes, or with no positive trace left) the
+    report carries the flag "deficit_not_converged"; extras record the
+    number of passes as "deficit_iterations".
     """
     probes = [as_square(p, "probe state") for p in probe_states]
     table = np.asarray(rates, dtype=float)
@@ -156,45 +187,34 @@ def detector_tomography(probe_states, rates, stderr=None):
         raise ContractViolation(
             f"rates must be (n_probes, K), got {table.shape} for {len(probes)} probes"
         )
-    err = None if stderr is None else np.asarray(stderr, dtype=float)
-    n_k = table.shape[1]
-    elements = []
-    residual_sq = 0.0
-    dist_sq = 0.0
-    cond = 0.0
-    rank = 0
-    for k in range(n_k):
-        col_err = None if err is None else err[:, k]
-        x, res, cond, rank = _solve_hermitian(probes, table[:, k], col_err, "detector tomography")
-        p, dist = project_psd(x)
-        elements.append(p)
-        residual_sq += res ** 2
-        dist_sq += dist ** 2
-    d = probes[0].shape[0]
+    x, residuals, cond, rank = _hermitian_lstsq(probes, table, stderr, "detector tomography")
+    elements, dists = project_psd(x)
+    dist_sq = float(np.sum(dists ** 2))
+    identity = np.eye(probes[0].shape[0], dtype=complex)
     # Spread the identity deficit over the elements in proportion to their
     # traces, re-clip, and repeat: clipping can reopen a small deficit when
     # elements are rank deficient, and the cycle contracts it quickly.
-    for _ in range(100):
-        deficit = np.eye(d, dtype=complex) - np.sum(elements, axis=0)
-        if np.max(np.abs(deficit)) <= 1e-12:
-            break
-        traces = np.array([max(float(np.trace(p).real), 0.0) for p in elements])
+    iterations = 0
+    deficit = identity - elements.sum(axis=0)
+    while np.max(np.abs(deficit)) > 1e-12 and iterations < 100:
+        traces = np.clip(np.trace(elements, axis1=1, axis2=2).real, 0.0, None)
         if traces.sum() <= 0.0:
             break
         shares = traces / traces.sum()
-        redistributed = []
-        for share, p in zip(shares, elements):
-            q, extra = project_psd(p + share * deficit)
-            redistributed.append(q)
-            dist_sq += extra ** 2
-        elements = redistributed
+        elements, dists = project_psd(elements + shares[:, None, None] * deficit)
+        dist_sq += float(np.sum(dists ** 2))
+        iterations += 1
+        deficit = identity - elements.sum(axis=0)
     measure = QuantumMeasure(elements)
     flags = []
     if cond > COND_WARN:
         flags.append("ill_conditioned")
+    if np.max(np.abs(deficit)) > 1e-12:
+        flags.append("deficit_not_converged")
     report = ReconstructionReport(
-        float(np.sqrt(residual_sq)), cond, float(np.sqrt(dist_sq)), rank, tuple(flags),
-        {"sum_defect": measure.sum_defect()},
+        float(np.sqrt(np.sum(residuals ** 2))), cond, float(np.sqrt(dist_sq)), rank,
+        tuple(flags),
+        {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
     return measure, report
 
@@ -255,12 +275,13 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
 
     joint_tables has shape (n_probes, J+1, K+1): for each probe state, the
     joint rates over (branch j, element k) with j = 0 the null branch and
-    k = 0 the null detection slot.  For each responding branch the
-    postselected element rates are inverted to the unnormalized conditional
-    output state (second detector must be informationally complete), and the
-    branch map follows by process tomography over the probes.  Branch 0 with
-    no recorded rate is returned as the zero map; an ordinary branch without
-    events is an error.
+    k = 0 the null detection slot.  The postselected element rates of every
+    (probe, branch) pair are inverted together to unnormalized conditional
+    output states (second detector must be informationally complete), and
+    each responding branch's map follows by process tomography over the
+    probes.  Branch 0 with no recorded rate is returned as the zero map; an
+    ordinary branch without events is an error.  The report's rank is the
+    smaller of the detector design's rank and the probes' span rank.
     """
     tables = np.asarray(joint_tables, dtype=float)
     probes = [as_square(p, "probe state") for p in probe_states]
@@ -282,7 +303,14 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
             required=measure.dim ** 2,
         )
     d = measure.dim
-    n_branches = tables.shape[1]
+    n_probes, n_branches, n_slots = tables.shape
+    # One solve on the detector design for every (probe, branch) output:
+    # column ell * (J+1) + j holds the element rates of probe ell in branch j.
+    y = tables[:, :, 1:].reshape(-1, n_slots - 1).T
+    x, _, _, rank = _hermitian_lstsq(measure.elements, y, None, "instrument tomography")
+    outputs, _ = project_psd(x, trace_target=y.sum(axis=0))
+    output_residuals = _rate_residuals(measure.elements, outputs, y).reshape(n_probes, n_branches)
+    outputs = outputs.reshape(n_probes, n_branches, d, d)
     branch_maps = []
     marginals = tables.sum(axis=2)  # (n_probes, J+1)
     flags = []
@@ -298,15 +326,10 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
             raise ContractViolation(
                 f"insufficient events for branch {j}: no probe recorded a response"
             )
-        outputs = []
-        for ell in range(len(probes)):
-            rates = tables[ell, j, 1:]
-            out, rep = state_tomography(measure, rates)
-            outputs.append(out)
-            residual_sq += rep.residual ** 2
-        e, rep = process_tomography(probes, outputs, project_cp=project_cp)
+        e, rep = process_tomography(probes, outputs[:, j], project_cp=project_cp)
         worst_cond = max(worst_cond, rep.cond)
-        residual_sq += rep.residual ** 2
+        rank = min(rank, rep.rank)
+        residual_sq += float(np.sum(output_residuals[:, j] ** 2)) + rep.residual ** 2
         dist_sq += rep.projection_distance ** 2
         branch_maps.append(e)
     predicted = np.stack(
@@ -314,7 +337,7 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
     )
     report = ReconstructionReport(
         float(np.sqrt(residual_sq)), worst_cond, float(np.sqrt(dist_sq)),
-        d * d, tuple(flags),
+        rank, tuple(flags),
         {"branch_marginals": marginals, "predicted_marginals": predicted},
     )
     return branch_maps, report

@@ -265,7 +265,9 @@ class TestMalformedJson:
         (b'{"matrix": [[1,0],[0]]}', "rows differ in length: [1, 2]"),
         (b'{"matrix": [1, 0]}', "nonempty array of rows"),
         (b'{"matrix": [[1,0],[0,1]], "note": "\xff"}', "not a JSON document"),
-    ], ids=["truncated", "ragged", "flat", "undecodable"])
+        (b'5', "density document must be a JSON object, got int"),
+        (b'{"matrix": [[1,0],[0,0]], "dim": "x"}', "declared dim must be an integer, got 'x'"),
+    ], ids=["truncated", "ragged", "flat", "undecodable", "scalar", "string-dim"])
     def test_malformed_source(self, runner, fixture_files, tmp_path, text, invariant):
         source = tmp_path / "bad.json"
         source.write_bytes(text)
@@ -643,6 +645,35 @@ class TestManifestsAndDeterminism:
         ])
         manifest = json.loads((bad_out / "manifest.json").read_text())
         assert manifest["error"] is not None
+
+    def test_unexpected_error_exits_4_with_manifest(self, runner, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("unexpected failure")
+
+        monkeypatch.setattr("qtomo.cli.state_tomography", broken)
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [1 / 6] * 6})
+        out = tmp_path / "run" / "report.json"
+        result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
+        assert result.exit_code == 4
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "RuntimeError"
+        assert error["message"] == "unexpected failure"
+        assert "in broken" in error["traceback"]
+        assert not out.exists()
+
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is a test-only dependency; importing it would add to every command's start-up
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        subprocess.run(
+            [sys.executable, "-c", "import qtomo.cli, sys; assert 'scipy' not in sys.modules"],
+            check=True, env=env, capture_output=True)
 
     def test_full_pipeline_byte_identical_across_runs(self, fixture_files, tmp_path):
         env = dict(os.environ)

@@ -74,6 +74,27 @@ class TestDocuments:
         with pytest.raises(ContractViolation):
             qio.density_from_json(doc)
 
+    @pytest.mark.parametrize("parse, doc", [
+        (qio.density_from_json, 5),
+        (qio.density_from_json, {"matrix": [[1, 0], [0, 0]], "dim": "x"}),
+        (qio.density_from_json, {"matrix": [[1, 0], [0, 0]], "dim": 2.5}),
+        (qio.measure_from_json, {"elements": 5}),
+        (qio.measure_from_json, "elements"),
+        (qio.channel_from_json, {"kraus": 5}),
+        (qio.channel_from_json, {"kraus": []}),
+        (qio.instrument_from_json, {"branches": {"kraus": []}}),
+        (qio.network_from_json, {"split": [{"leaf": {"jones": [[1]]}}]}),
+        (qio.network_from_json, {"leaf": 5}),
+        (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "hbar": "1"}),
+        (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "lindblad": {"L": [[[1]]], "gamma": ["x"]}}),
+        (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "lindblad": [1]}),
+    ], ids=["scalar", "string-dim", "fractional-dim", "scalar-elements",
+            "string-measure", "scalar-kraus", "empty-kraus", "object-branches",
+            "one-child-split", "scalar-leaf", "string-hbar", "string-gamma", "array-lindblad"])
+    def test_wrong_types_rejected(self, parse, doc):
+        with pytest.raises(ContractViolation):
+            parse(doc)
+
     def test_measure_round_trip_with_scale(self):
         m = tetrahedron_measure()
         doc = qio.measure_to_json(m, np.arange(1.0, 5.0))

@@ -87,6 +87,24 @@ class TestHermitianBasis:
         with pytest.raises(ContractViolation):
             hermitian_basis(0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    def test_matches_double_loop_construction(self, d):
+        loop = [np.eye(d, dtype=complex)]
+        for j in range(d - 1):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, j], m[j + 1, j + 1] = 1.0, -1.0
+            loop.append(m)
+        sym, antisym = [], []
+        for j in range(d):
+            for k in range(j + 1, d):
+                s = np.zeros((d, d), dtype=complex)
+                s[j, k] = s[k, j] = 1.0
+                sym.append(s)
+                a = np.zeros((d, d), dtype=complex)
+                a[j, k], a[k, j] = -1j, 1j
+                antisym.append(a)
+        assert np.array_equal(hermitian_basis(d), np.stack(loop + sym + antisym))
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_expand_and_resum_reproduces(self, d):
         rng = np.random.default_rng(13)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qtomo import (
     PAULI,
@@ -34,6 +36,7 @@ from qtomo import (
 from support import (
     probe_states,
     random_density,
+    random_hermitian,
     random_kraus,
     random_measure,
     random_unitary,
@@ -131,6 +134,89 @@ class TestPsdProjection:
             assert report.residual <= before + report.projection_distance + 1e-12
 
 
+def _clip_then_rescale(x, target):
+    """The projection project_psd made before the simplex one: clip, then rescale the trace."""
+    evals, evecs = np.linalg.eigh(0.5 * (x + x.conj().T))
+    out = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+    tr = float(np.trace(out).real)
+    return out * (target / tr) if tr > 0.0 else out
+
+
+@st.composite
+def _hermitian_and_target(draw):
+    d = draw(st.integers(1, 5))
+    parts = draw(hnp.arrays(np.float64, (2, d, d), elements=st.floats(-10.0, 10.0)))
+    g = parts[0] + 1j * parts[1]
+    return 0.5 * (g + g.conj().T), draw(st.floats(1e-3, 20.0))
+
+
+class TestPsdProjectionProperties:
+    """Invariants of the trace-constrained projection, for any Hermitian input."""
+
+    @staticmethod
+    def _scale(h, target):
+        return max(1.0, float(np.linalg.norm(h)), target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hermitian_and_target())
+    def test_psd_with_target_trace(self, case):
+        h, target = case
+        out, _ = project_psd(h, trace_target=target)
+        tol = 1e-12 * self._scale(h, target)
+        assert np.max(np.abs(out - out.conj().T)) <= tol
+        assert np.linalg.eigvalsh(out)[0] >= -tol
+        assert abs(np.trace(out).real - target) <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hermitian_and_target())
+    def test_idempotent(self, case):
+        h, target = case
+        once, _ = project_psd(h, trace_target=target)
+        twice, dist = project_psd(once, trace_target=target)
+        assert dist <= 1e-12 * self._scale(h, target)
+        assert np.max(np.abs(twice - once)) <= 1e-12 * self._scale(h, target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hermitian_and_target())
+    def test_never_farther_than_clip_then_rescale(self, case):
+        h, target = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = _clip_then_rescale(h, target)
+        # only where clip-then-rescale is feasible: some positive eigenvalue, no overflow
+        assume(np.all(np.isfinite(old)) and np.trace(old).real > 0.0)
+        _, dist = project_psd(h, trace_target=target)
+        assert dist <= np.linalg.norm(old - h) + 1e-12 * self._scale(h, target)
+
+    def test_exact_simplex_optimum(self):
+        x = np.diag([0.8, 0.4, -0.2])
+        out, dist = project_psd(x, trace_target=1.0)
+        assert np.max(np.abs(out - np.diag([0.7, 0.3, 0.0]))) <= 1e-15
+        assert dist < np.linalg.norm(_clip_then_rescale(x, 1.0) - x)
+
+    @pytest.mark.parametrize("target", [0.0, -0.5])
+    def test_nonpositive_target_keeps_clip_then_rescale(self, target):
+        rng = np.random.default_rng(79)
+        for x in (random_hermitian(3, rng), -np.eye(3), np.diag([0.8, 0.4, -0.2])):
+            out, dist = project_psd(x, trace_target=target)
+            expected = _clip_then_rescale(x, target)
+            assert np.max(np.abs(out - expected)) <= 1e-14
+            assert dist == pytest.approx(np.linalg.norm(expected - x), abs=1e-14)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(86)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        targets = np.array([[1.0, 0.0, -1.0], [2.0, 0.5, 3.0]])
+        out, dist = project_psd(stack, trace_target=targets)
+        assert out.shape == stack.shape and dist.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one, one_dist = project_psd(stack[i, j], trace_target=targets[i, j])
+                assert np.max(np.abs(out[i, j] - one)) <= 1e-14
+                assert abs(dist[i, j] - one_dist) <= 1e-14
+        clipped, _ = project_psd(stack)
+        assert np.max(np.abs(clipped[1, 2] - project_psd(stack[1, 2])[0])) <= 1e-14
+
+
 class TestDetectorTomography:
     def test_exact_recovery_of_projective_measure(self):
         probes = [
@@ -167,6 +253,20 @@ class TestDetectorTomography:
         for a, b in zip(est.elements, target.elements):
             assert np.max(np.abs(a - b)) <= 1e-2
         assert validate_measure(est).ok
+
+    def test_deficit_loop_reports_iterations(self):
+        probes = probe_states(2)
+        rates = np.stack([response_probabilities(tetrahedron_measure(), p) for p in probes])
+        _, report = detector_tomography(probes, rates)
+        assert report.extras["deficit_iterations"] == 0
+        assert "deficit_not_converged" not in report.flags
+
+    def test_deficit_left_open_is_flagged(self):
+        # every element clips to zero, so no trace is left to carry the deficit
+        _, report = detector_tomography(probe_states(2), -np.ones((4, 2)))
+        assert "deficit_not_converged" in report.flags
+        assert report.extras["deficit_iterations"] == 0
+        assert report.extras["sum_defect"] == pytest.approx(1.0)
 
     def test_probe_rank_deficiency_names_rank(self):
         probes = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([0.5, 0.5])]
@@ -256,6 +356,7 @@ class TestInstrumentTomography:
             for b in basis:
                 assert np.max(np.abs(apply_superop(maps[j], b) - proj @ b @ proj)) <= 1e-8
         assert "null_branch_zero" in report.flags
+        assert report.rank == 4
 
     def test_single_identity_branch(self):
         inst = Instrument(((np.eye(2, dtype=complex),),))
@@ -382,3 +483,145 @@ class TestReconstructedObjectsAreValid:
             rates = np.stack([response_probabilities(m, p) for p in probes])
             est_m, _ = detector_tomography(probes, rates)
             assert validate_measure(est_m).ok
+
+
+def _per_column_solve(operators, rates, stderr=None):
+    """Reference: the one-column Hermitian solve the engines ran before they factored
+    each design once.  Every call builds its own basis and design, runs its own SVD
+    for the rank and condition checks, and solves with lstsq."""
+    ops = np.stack([np.asarray(o, dtype=complex) for o in operators])
+    d = ops.shape[1]
+    basis = hermitian_basis(d)
+    m = np.einsum("aij,kji->ka", basis, ops).real
+    sing = np.linalg.svd(m, compute_uv=False)
+    rank = int(np.sum(sing > sing[0] * 1e-10))
+    assert rank == d * d
+    cond = float(sing[0] / sing[rank - 1])
+    y = np.asarray(rates, dtype=float)
+    mw, yw = m, y
+    if stderr is not None and not np.all(np.asarray(stderr) == 0.0):
+        err = np.asarray(stderr, dtype=float)
+        w = 1.0 / np.clip(err, max(err.max() * 1e-6, 1e-300), None)
+        mw, yw = m * w[:, None], y * w
+    coeff = np.linalg.lstsq(mw, yw, rcond=None)[0]
+    x = np.tensordot(coeff, basis, axes=(0, 0))
+    return x, float(np.linalg.norm(m @ coeff - y)), cond, rank
+
+
+def _oracle_state(measure, rates):
+    x, _, cond, rank = _per_column_solve(measure.elements, rates)
+    rho, dist = project_psd(x, trace_target=float(np.sum(rates)))
+    pred = np.einsum("kij,ji->k", measure.elements, rho).real
+    return rho, float(np.linalg.norm(pred - rates)), cond, rank, dist
+
+
+def _oracle_detector(probes, table, stderr):
+    elements, residual_sq, dist_sq = [], 0.0, 0.0
+    for k in range(table.shape[1]):
+        x, res, cond, rank = _per_column_solve(
+            probes, table[:, k], None if stderr is None else stderr[:, k])
+        p, dist = project_psd(x)
+        elements.append(p)
+        residual_sq += res ** 2
+        dist_sq += dist ** 2
+    d = probes[0].shape[0]
+    for _ in range(100):
+        deficit = np.eye(d) - np.sum(elements, axis=0)
+        if np.max(np.abs(deficit)) <= 1e-12:
+            break
+        traces = np.array([max(float(np.trace(p).real), 0.0) for p in elements])
+        if traces.sum() <= 0.0:
+            break
+        redistributed = []
+        for share, p in zip(traces / traces.sum(), elements):
+            q, extra = project_psd(p + share * deficit)
+            redistributed.append(q)
+            dist_sq += extra ** 2
+        elements = redistributed
+    return elements, np.sqrt(residual_sq), cond, rank, np.sqrt(dist_sq)
+
+
+def _oracle_instrument(tables, probes, measure):
+    maps, residual_sq, worst_cond = [], 0.0, 0.0
+    for j in range(tables.shape[1]):
+        outputs = []
+        for ell in range(len(probes)):
+            rho, res, _, _, _ = _oracle_state(measure, tables[ell, j, 1:])
+            outputs.append(rho)
+            residual_sq += res ** 2
+        e, rep = process_tomography(probes, outputs)
+        worst_cond = max(worst_cond, rep.cond)
+        residual_sq += rep.residual ** 2
+        maps.append(e)
+    return maps, np.sqrt(residual_sq), worst_cond, measure.dim ** 2
+
+
+def _problem(d, noisy, rng):
+    """Probes, an informationally complete measure and its exact or noisy rate table."""
+    probes = probe_states(d) + [random_density(d, rng) for _ in range(3)]
+    measure = random_measure(d, d * d + 2, rng)
+    table = np.stack([response_probabilities(measure, p) for p in probes])
+    if noisy:
+        table = table + 1e-2 * rng.normal(size=table.shape)
+    return probes, measure, table
+
+
+class TestFactoredEnginesMatchPerColumnOracle:
+    """One factored solve over all columns agrees with one solve per column."""
+
+    TOL = 1e-12
+
+    def _close(self, est, oracle, scale=1.0):
+        assert abs(est - oracle) <= self.TOL * max(1.0, scale)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    def test_state(self, d, noisy):
+        rng = np.random.default_rng(90 + d + 10 * noisy)
+        _, measure, table = _problem(d, noisy, rng)
+        for rates in table:
+            rho, report = state_tomography(measure, rates)
+            o_rho, o_res, o_cond, o_rank, o_dist = _oracle_state(measure, rates)
+            assert np.max(np.abs(rho - o_rho)) <= self.TOL
+            self._close(report.residual, o_res)
+            self._close(report.cond, o_cond, o_cond)
+            self._close(report.projection_distance, o_dist)
+            assert report.rank == o_rank
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_detector(self, d, noisy, weighted):
+        rng = np.random.default_rng(100 + d + 10 * noisy + 20 * weighted)
+        probes, _, table = _problem(d, noisy, rng)
+        stderr = None
+        if weighted:
+            stderr = rng.uniform(1e-3, 2e-2, size=table.shape)
+            stderr[:, 0] = 0.0  # a column without errors is solved unweighted
+        est, report = detector_tomography(probes, table, stderr)
+        o_elements, o_res, o_cond, o_rank, o_dist = _oracle_detector(probes, table, stderr)
+        assert np.max(np.abs(est.elements - np.stack(o_elements))) <= self.TOL
+        self._close(report.residual, o_res)
+        self._close(report.cond, o_cond, o_cond)
+        self._close(report.projection_distance, o_dist)
+        assert report.rank == o_rank
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    def test_instrument(self, d, noisy):
+        rng = np.random.default_rng(110 + d + 10 * noisy)
+        probes = probe_states(d) + [random_density(d, rng)]
+        measure = random_measure(d, d * d + 1, rng)
+        det = Detector(measure, np.arange(1.0, len(measure) + 1.0))
+        inst = Instrument(tuple((k,) for k in random_kraus(d, 2, rng, scale=0.3 / np.sqrt(d))))
+        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
+        if noisy:
+            tables = tables + 1e-3 * rng.normal(size=tables.shape)
+        maps, report = instrument_tomography(tables, probes, det)
+        o_maps, o_res, o_cond, o_rank = _oracle_instrument(tables, probes, measure)
+        assert len(maps) == len(o_maps)
+        for e, o in zip(maps, o_maps):
+            assert np.max(np.abs(e - o)) <= self.TOL
+        self._close(report.residual, o_res)
+        self._close(report.cond, o_cond, o_cond)
+        assert report.rank == o_rank
