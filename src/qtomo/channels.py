@@ -250,6 +250,3 @@ class Instrument:
             )
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
         return [root.astype(complex)]
-
-    def apply(self, j: int, rho) -> np.ndarray:
-        return kraus_apply(self.branches[j], rho)

@@ -5,6 +5,9 @@ infeasibility (rank deficiency), 4 internal numerical failure or any other
 unexpected error.  Every command writes a manifest next to its outputs, also
 on failure, with the error embedded (an unexpected error also records its
 traceback there).  Errors are additionally reported as JSON on stderr.
+
+Each command imports the engines it runs inside its body, so start-up loads
+only click, numpy and the JSON layer.
 """
 
 from __future__ import annotations
@@ -17,30 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, io
-from .dynamics import Trajectory, lindblad_evolve, sliced_master, step_count, \
-    von_neumann_evolve, rydberg_ritz_lines
-from .channels import classify_filter, pi_operator, superop_from_kraus, choi_rank
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
-from .measures import Detector, validate_measure
-from .ops import validate_density
-from .simulate import (
-    CoincidenceLog,
-    EventLog,
-    ExperimentConfig,
-    empirical_rates,
-    event_log_from_csv,
-    event_log_to_csv,
-    sample_coincidences,
-    sample_detections,
-)
-from .tomography import (
-    detector_tomography,
-    instrument_tomography,
-    process_tomography,
-    self_calibrating_tomography,
-    state_tomography,
-)
-from .uncertainty import statistical_vs_quantum
 
 SEED_ENV = "QTOMO_SEED"
 
@@ -51,6 +31,8 @@ class _Run:
     def __init__(self, command, inputs, out_dir, seed=None, tolerances=None):
         self.started = time.monotonic()
         self.manifest = {
+            # CPU time of this process before the command body: start-up, imports, parsing
+            "startup_cpu_s": time.process_time(),
             "command": command,
             "inputs": inputs,
             "seed": seed,
@@ -133,6 +115,11 @@ def simulate(ctx, source, device, shots, seed, out_dir):
                out_dir, seed=seed, tolerances=tols)
 
     def work():
+        from .measures import Detector, validate_measure
+        from .ops import validate_density
+        from .simulate import (ExperimentConfig, event_log_to_csv, sample_coincidences,
+                               sample_detections)
+
         rho = io.density_from_json(io.read_json(source))
         rep = validate_density(rho, tols.get("tol_herm", 1e-10), tols.get("tol_psd", 1e-9))
         if not rep.ok:
@@ -186,8 +173,10 @@ def _load_probes(problem_dir):
 def _event_rates(problem_dir, kind):
     """empirical_rates of each events/*.csv log in problem_dir, in file-name order.
 
-    Every log must be of the given kind (EventLog or CoincidenceLog).
+    Every log must be of the given kind, "EventLog" or "CoincidenceLog".
     """
+    from . import simulate
+
     events_dir = os.path.join(problem_dir, "events")
     files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
     if not files:
@@ -196,13 +185,12 @@ def _event_rates(problem_dir, kind):
     for name in files:
         with open(os.path.join(events_dir, name)) as handle:
             try:
-                log = event_log_from_csv(handle.read())
+                log = simulate.event_log_from_csv(handle.read())
             except (ContractViolation, UnicodeDecodeError) as err:
                 raise ContractViolation(f"{name}: {err}") from None
-        if not isinstance(log, kind):
-            raise ContractViolation(
-                f"{name}: is a {type(log).__name__}, this bundle needs {kind.__name__}s")
-        rates.append(empirical_rates(log))
+        if type(log).__name__ != kind:
+            raise ContractViolation(f"{name}: is a {type(log).__name__}, this bundle needs {kind}s")
+        rates.append(simulate.empirical_rates(log))
     return rates
 
 
@@ -228,11 +216,13 @@ def _load_rates(problem_dir):
     rates_path = os.path.join(problem_dir, "rates.json")
     if os.path.exists(rates_path):
         return _read_table(rates_path, "rates", (1, 2)), None
-    emp = _event_rates(problem_dir, EventLog)
+    emp = _event_rates(problem_dir, "EventLog")
     return np.stack([e.p_hat[1:] for e in emp]), np.stack([e.stderr[1:] for e in emp])
 
 
 def _tomo_state(problem_dir):
+    from .tomography import state_tomography
+
     measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
     rates, err = _load_rates(problem_dir)
     if err is not None:
@@ -246,6 +236,8 @@ def _tomo_state(problem_dir):
 
 
 def _tomo_detector(problem_dir):
+    from .tomography import detector_tomography
+
     probes = _load_probes(problem_dir)
     rates, err = _load_rates(problem_dir)
     measure, report = detector_tomography(probes, np.atleast_2d(rates),
@@ -254,6 +246,8 @@ def _tomo_detector(problem_dir):
 
 
 def _tomo_process(problem_dir):
+    from .tomography import process_tomography
+
     probes = _load_probes(problem_dir)
     outputs_dir = os.path.join(problem_dir, "outputs")
     names = sorted(n for n in os.listdir(outputs_dir) if n.endswith(".json"))
@@ -263,6 +257,8 @@ def _tomo_process(problem_dir):
 
 
 def _tomo_instrument(problem_dir):
+    from .tomography import instrument_tomography
+
     probes = _load_probes(problem_dir)
     detector_doc = io.read_json(os.path.join(problem_dir, "measure.json"))
     detector = io.detector_from_json(detector_doc)
@@ -270,18 +266,25 @@ def _tomo_instrument(problem_dir):
     if os.path.exists(tables_path):
         tables = _read_table(tables_path, "tables", (3,))
     else:
-        tables = np.stack([e.table for e in _event_rates(problem_dir, CoincidenceLog)])
+        tables = np.stack([e.table for e in _event_rates(problem_dir, "CoincidenceLog")])
     maps, report = instrument_tomography(tables, probes, detector)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
 
 def _tomo_selfcal(problem_dir, rtol):
-    doc = io.read_json(os.path.join(problem_dir, "selfcal.json"))
-    outputs = np.array(
-        [[io.matrix_from_json(m) for m in row] for row in doc["outputs"]], dtype=complex
-    )
-    filters = [io.matrix_from_json(f) for f in doc["init_filters"]]
-    sources = [io.matrix_from_json(s) for s in doc["init_sources"]]
+    from .tomography import self_calibrating_tomography
+
+    doc = io._object(io.read_json(os.path.join(problem_dir, "selfcal.json")), "selfcal")
+    rows = io._array(doc, "outputs", "selfcal")
+    if not all(isinstance(row, list) for row in rows):
+        raise ContractViolation("selfcal 'outputs' must be an array of rows of matrices")
+    grid = [[io.matrix_from_json(m) for m in row] for row in rows]
+    if len({len(row) for row in grid}) > 1 or len({m.shape for row in grid for m in row}) > 1:
+        raise ContractViolation(
+            "selfcal 'outputs' must be a rectangular grid of equally sized matrices")
+    outputs = np.array(grid, dtype=complex)
+    filters = [io.matrix_from_json(f) for f in io._array(doc, "init_filters", "selfcal")]
+    sources = [io.matrix_from_json(s) for s in io._array(doc, "init_sources", "selfcal")]
     result = self_calibrating_tomography(outputs, filters, sources, rtol=rtol)
     payload = {
         "estimate": {
@@ -348,6 +351,9 @@ def dynamics(ctx, model, t_final, dt, method, out_path, richardson):
                os.path.dirname(os.path.abspath(out_path)), tolerances=_tolerances(ctx))
 
     def work():
+        from .dynamics import (Trajectory, lindblad_evolve, sliced_master, step_count,
+                               von_neumann_evolve)
+
         if dt <= 0 or t_final < 0:
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
         medium, rho0 = io.model_from_json(io.read_json(model))
@@ -394,25 +400,31 @@ def report(ctx, kind, inputs, out_path, plot_path):
         if kind == "uncertainty":
             if len(inputs) != 2:
                 raise ContractViolation("report uncertainty needs SOURCE and DETECTOR files")
+            from .measures import response_probabilities
+            from .uncertainty import statistical_vs_quantum
+
             rho = io.density_from_json(io.read_json(inputs[0]))
             detector = io.detector_from_json(io.read_json(inputs[1]))
             res = statistical_vs_quantum(detector, rho)
             payload = {"e_var": res.e_var, "sigma2": res.sigma2, "excess": res.excess}
-            from .measures import response_probabilities
             p = response_probabilities(detector.measure, rho)
             series = [(float(k + 1), float(v)) for k, v in enumerate(p)]
         elif kind == "lines":
             if len(inputs) != 1:
                 raise ContractViolation("report lines needs one Hamiltonian file")
-            doc = io.read_json(inputs[0])
+            from .dynamics import rydberg_ritz_lines
+
+            doc = io._object(io.read_json(inputs[0]), "Hamiltonian")
             h = io.matrix_from_json(doc["H"] if "H" in doc else doc["matrix"])
-            hbar = float(doc.get("hbar", 1.0))
+            hbar = io._number(doc.get("hbar", 1.0), "hbar")
             lines = rydberg_ritz_lines(h, hbar)
             payload = {"omega": lines.omega.tolist(), "nu": lines.nu.tolist()}
             series = [(float(i + 1), float(nu)) for i, nu in enumerate(lines.nu)]
         else:
             if len(inputs) != 1:
                 raise ContractViolation("report classify needs one channel file")
+            from .channels import choi_rank, classify_filter, pi_operator, superop_from_kraus
+
             kraus = io.channel_from_json(io.read_json(inputs[0]))
             cls = classify_filter(kraus)
             payload = {

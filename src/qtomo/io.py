@@ -15,14 +15,15 @@ import functools
 import json
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import Instrument, kraus_from_choi
-from .dynamics import LindbladModel
 from .errors import ContractViolation
-from .measures import Detector, QuantumMeasure
-from .optics import Leaf, Split
+
+if TYPE_CHECKING:  # the parsers import these engines when they build one
+    from .channels import Instrument
+    from .measures import Detector, QuantumMeasure
 
 
 def complex_to_json(z):
@@ -31,10 +32,13 @@ def complex_to_json(z):
 
 
 def json_to_complex(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(obj[0], obj[1])
+    try:
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if isinstance(obj, (list, tuple)) and len(obj) == 2:
+            return complex(obj[0], obj[1])
+    except (OverflowError, TypeError):  # an integer beyond float range, or a part not a number
+        pass
     raise ContractViolation(f"cannot parse {obj!r} as a complex scalar")
 
 
@@ -56,14 +60,6 @@ def matrix_from_json(obj) -> np.ndarray:
     return np.array([[json_to_complex(x) for x in row] for row in obj], dtype=complex)
 
 
-def vector_from_json(obj) -> np.ndarray:
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if not isinstance(obj, list):
-        raise ContractViolation("vector must be an array")
-    return np.array([json_to_complex(x) for x in obj], dtype=complex)
-
-
 def _object(obj, what):
     """obj if it is a JSON object, else ContractViolation naming the document kind."""
     if not isinstance(obj, dict):
@@ -81,9 +77,12 @@ def _array(obj, key, what):
 
 def _number(value, what):
     """A JSON number as a float, else ContractViolation (booleans are not numbers)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ContractViolation(f"{what} must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ContractViolation(f"{what} must be a number, got {value!r}")
 
 
 def _check_dim(obj, actual, what):
@@ -125,6 +124,8 @@ def measure_to_json(measure: QuantumMeasure, scale=None):
 
 def measure_from_json(obj):
     """Parse a measure document; returns (QuantumMeasure, scale or None)."""
+    from .measures import QuantumMeasure
+
     if "elements" not in _object(obj, "measure"):
         raise ContractViolation("measure document needs an 'elements' field")
     measure = QuantumMeasure([matrix_from_json(e) for e in _array(obj, "elements", "measure")])
@@ -136,6 +137,8 @@ def measure_from_json(obj):
 
 
 def detector_from_json(obj) -> Detector:
+    from .measures import Detector
+
     measure, scale = measure_from_json(obj)
     if scale is None:
         raise ContractViolation("detector document needs a 'scale' field")
@@ -149,6 +152,8 @@ def channel_to_json(kraus):
 
 def channel_from_json(obj) -> list:
     """Parse a channel given as Kraus operators or a Choi matrix."""
+    from .channels import kraus_from_choi
+
     if "kraus" in _object(obj, "channel"):
         ops = [matrix_from_json(t) for t in _array(obj, "kraus", "channel")]
     elif "choi" in obj:
@@ -162,6 +167,8 @@ def channel_from_json(obj) -> list:
 
 
 def instrument_from_json(obj) -> Instrument:
+    from .channels import Instrument
+
     if "branches" not in _object(obj, "instrument"):
         raise ContractViolation("instrument document needs a 'branches' field")
     branches = _array(obj, "branches", "instrument")
@@ -176,6 +183,8 @@ def instrument_to_json(instrument: Instrument):
 
 
 def network_from_json(obj):
+    from .optics import Leaf, Split
+
     if "leaf" in _object(obj, "network node"):
         return Leaf(matrix_from_json(_object(obj["leaf"], "leaf")["jones"]))
     if "split" in obj:
@@ -187,6 +196,8 @@ def network_from_json(obj):
 
 
 def network_to_json(net):
+    from .optics import Leaf
+
     if isinstance(net, Leaf):
         return {"leaf": {"jones": matrix_to_json(net.jones)}}
     return {"split": [network_to_json(net.left), network_to_json(net.right)]}
@@ -194,6 +205,8 @@ def network_to_json(net):
 
 def model_from_json(obj):
     """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0)."""
+    from .dynamics import LindbladModel
+
     if "H" not in _object(obj, "model") or "rho0" not in obj:
         raise ContractViolation("model document needs 'H' and 'rho0'")
     section = (_object(obj["lindblad"], "lindblad") if obj.get("lindblad") is not None

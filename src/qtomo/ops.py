@@ -35,10 +35,6 @@ def as_square(a, name="matrix") -> np.ndarray:
     return m
 
 
-def dagger(a) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def hermitian_defect(a) -> float:
     """Max-norm distance from a to its adjoint."""
     m = np.asarray(a, dtype=complex)

@@ -406,6 +406,8 @@ def self_calibrating_tomography(outputs, init_filters, init_sources,
     if len(filters) != n_filters or len(sources) != n_sources:
         raise ContractViolation("initial guesses must match the output grid")
     d = data.shape[2]
+    if data.shape[3] != d or any(s.shape != (d, d) for s in sources):
+        raise ContractViolation(f"outputs and initial sources must all be {d}x{d} matrices")
     basis = hermitian_basis(d)
     gauge_trace = float(np.trace(sources[0]).real)
     if gauge_trace <= 0.0:

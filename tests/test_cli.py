@@ -650,7 +650,7 @@ class TestManifestsAndDeterminism:
         def broken(*args, **kwargs):
             raise RuntimeError("unexpected failure")
 
-        monkeypatch.setattr("qtomo.cli.state_tomography", broken)
+        monkeypatch.setattr("qtomo.tomography.state_tomography", broken)
         bundle = tmp_path / "bundle"
         bundle.mkdir()
         qio.write_json_atomic(str(bundle / "measure.json"),
@@ -671,9 +671,15 @@ class TestManifestsAndDeterminism:
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src"),
              env.get("PYTHONPATH", "")])
-        subprocess.run(
-            [sys.executable, "-c", "import qtomo.cli, sys; assert 'scipy' not in sys.modules"],
-            check=True, env=env, capture_output=True)
+        # Submodules load lazily, so import every one of them before looking.
+        code = ("import importlib, pkgutil, sys, qtomo\n"
+                "names = [m.name for m in pkgutil.iter_modules(qtomo.__path__)]\n"
+                "assert 'cli' in names and 'tomography' in names\n"
+                "for name in names:\n"
+                "    if name != '__main__':\n"
+                "        importlib.import_module('qtomo.' + name)\n"
+                "assert 'scipy' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
 
     def test_full_pipeline_byte_identical_across_runs(self, fixture_files, tmp_path):
         env = dict(os.environ)
