@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from io import BytesIO, TextIOWrapper
 
 import click
 import numpy as np
@@ -117,8 +118,8 @@ def simulate(ctx, source, device, shots, seed, out_dir):
     def work():
         from .measures import Detector, validate_measure
         from .ops import validate_density
-        from .simulate import (ExperimentConfig, event_log_to_csv, sample_coincidences,
-                               sample_detections)
+        from .simulate import (ExperimentConfig, counts_document, event_log_to_csv,
+                               sample_coincidences, sample_detections)
 
         rho = io.density_from_json(io.read_json(source))
         rep = validate_density(rho, tols.get("tol_herm", 1e-10), tols.get("tol_psd", 1e-9))
@@ -134,7 +135,7 @@ def simulate(ctx, source, device, shots, seed, out_dir):
             instrument = io.instrument_from_json(doc["instrument"])
             detector = io.detector_from_json(doc["detector"])
             cfg = ExperimentConfig(seed, shots, rho, detector, instrument)
-            log, counts = sample_coincidences(cfg)
+            log, _ = sample_coincidences(cfg)
         else:
             if doc.get("scale") is not None:
                 detector = io.detector_from_json(doc)
@@ -148,14 +149,12 @@ def simulate(ctx, source, device, shots, seed, out_dir):
                     f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
                 )
             cfg = ExperimentConfig(seed, shots, rho, detector)
-            log, counts = sample_detections(cfg)
+            log, _ = sample_detections(cfg)
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "events.csv"), "w") as handle:
-            handle.write(event_log_to_csv(log))
-        io.write_json_atomic(
-            os.path.join(out_dir, "counts.json"),
-            {"seed": seed, "shots": shots, "counts": np.asarray(counts).tolist()},
-        )
+        data = event_log_to_csv(log).encode("ascii")
+        with open(os.path.join(out_dir, "events.csv"), "wb") as handle:
+            handle.write(data)
+        io.write_json_atomic(os.path.join(out_dir, "counts.json"), counts_document(log, data))
 
     _guard(run, work)
 
@@ -170,10 +169,24 @@ def _load_probes(problem_dir):
     return probes
 
 
-def _event_rates(problem_dir, kind):
-    """empirical_rates of each events/*.csv log in problem_dir, in file-name order.
+def _counts_memo(events_dir):
+    """The parsed events/counts.json, or None when there is none or it is not JSON."""
+    path = os.path.join(events_dir, "counts.json")
+    if not os.path.isfile(path):
+        return None
+    try:
+        return io.read_json(path)
+    except (ContractViolation, OSError):  # an unreadable memo vouches for no log
+        return None
 
-    Every log must be of the given kind, "EventLog" or "CoincidenceLog".
+
+def _event_rates(problem_dir, kind, logs):
+    """Rates of each events/*.csv log in problem_dir, in file-name order.
+
+    Every log must be of the given kind, "EventLog" or "CoincidenceLog".  A
+    log's rates come from the counts in events/counts.json when that memo
+    records the log's sha256, else from parsing the log.  logs maps each
+    log's file name to its sha256 and the file its rates came from.
     """
     from . import simulate
 
@@ -181,16 +194,29 @@ def _event_rates(problem_dir, kind):
     files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
     if not files:
         raise ContractViolation(f"no rates.json or tables.json and no events in {events_dir}")
+    memo = _counts_memo(events_dir)
     rates = []
     for name in files:
-        with open(os.path.join(events_dir, name)) as handle:
-            try:
-                log = simulate.event_log_from_csv(handle.read())
+        with open(os.path.join(events_dir, name), "rb") as handle:
+            data = handle.read()
+        digest = simulate.events_sha256(data)
+        source = "counts.json" if simulate.memo_describes(memo, digest) else name
+        logs[name] = {"sha256": digest, "rates_from": source}
+        if source == name:
+            try:  # decoded with open()'s text-mode defaults: locale encoding, any newline
+                log = simulate.event_log_from_csv(TextIOWrapper(BytesIO(data)).read())
             except (ContractViolation, UnicodeDecodeError) as err:
                 raise ContractViolation(f"{name}: {err}") from None
-        if type(log).__name__ != kind:
-            raise ContractViolation(f"{name}: is a {type(log).__name__}, this bundle needs {kind}s")
-        rates.append(simulate.empirical_rates(log))
+            counts, shots = log.counts(), len(log)
+        else:
+            try:
+                counts, shots = simulate.counts_from_document(memo)
+            except ContractViolation as err:
+                raise ContractViolation(f"counts.json: {err}") from None
+        found = "EventLog" if counts.ndim == 1 else "CoincidenceLog"
+        if found != kind:
+            raise ContractViolation(f"{source}: is a {found}, this bundle needs {kind}s")
+        rates.append(simulate.rates_from_counts(counts, shots))
     return rates
 
 
@@ -208,23 +234,23 @@ def _read_table(path, key, ndims):
     return table.astype(float)
 
 
-def _load_rates(problem_dir):
-    """Rates from rates.json if present, else empirical rates from events/*.csv.
+def _load_rates(problem_dir, logs):
+    """Rates from rates.json if present, else empirical rates of the event logs.
 
     Event rates come with their standard errors, one row per log.
     """
     rates_path = os.path.join(problem_dir, "rates.json")
     if os.path.exists(rates_path):
         return _read_table(rates_path, "rates", (1, 2)), None
-    emp = _event_rates(problem_dir, "EventLog")
+    emp = _event_rates(problem_dir, "EventLog", logs)
     return np.stack([e.p_hat[1:] for e in emp]), np.stack([e.stderr[1:] for e in emp])
 
 
-def _tomo_state(problem_dir):
+def _tomo_state(problem_dir, logs):
     from .tomography import state_tomography
 
     measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
-    rates, err = _load_rates(problem_dir)
+    rates, err = _load_rates(problem_dir, logs)
     if err is not None:
         if len(rates) != 1:
             raise ContractViolation(
@@ -235,11 +261,11 @@ def _tomo_state(problem_dir):
     return {"estimate": io.density_to_json(rho)}, report
 
 
-def _tomo_detector(problem_dir):
+def _tomo_detector(problem_dir, logs):
     from .tomography import detector_tomography
 
     probes = _load_probes(problem_dir)
-    rates, err = _load_rates(problem_dir)
+    rates, err = _load_rates(problem_dir, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates),
                                           None if err is None else np.atleast_2d(err))
     return {"estimate": io.measure_to_json(measure)}, report
@@ -256,7 +282,7 @@ def _tomo_process(problem_dir):
     return {"estimate": {"superoperator": io.matrix_to_json(e)}}, report
 
 
-def _tomo_instrument(problem_dir):
+def _tomo_instrument(problem_dir, logs):
     from .tomography import instrument_tomography
 
     probes = _load_probes(problem_dir)
@@ -266,7 +292,7 @@ def _tomo_instrument(problem_dir):
     if os.path.exists(tables_path):
         tables = _read_table(tables_path, "tables", (3,))
     else:
-        tables = np.stack([e.table for e in _event_rates(problem_dir, "CoincidenceLog")])
+        tables = np.stack([e.table for e in _event_rates(problem_dir, "CoincidenceLog", logs)])
     maps, report = instrument_tomography(tables, probes, detector)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
@@ -308,16 +334,17 @@ def tomo(ctx, mode, problem_dir, out_path):
     tols = _tolerances(ctx)
     run = _Run(f"tomo {mode}", {"problem_dir": problem_dir}, os.path.dirname(os.path.abspath(out_path)),
                tolerances=tols)
+    logs = run.manifest["event_logs"] = {}
 
     def work():
         if mode == "state":
-            payload, report = _tomo_state(problem_dir)
+            payload, report = _tomo_state(problem_dir, logs)
         elif mode == "detector":
-            payload, report = _tomo_detector(problem_dir)
+            payload, report = _tomo_detector(problem_dir, logs)
         elif mode == "process":
             payload, report = _tomo_process(problem_dir)
         elif mode == "instrument":
-            payload, report = _tomo_instrument(problem_dir)
+            payload, report = _tomo_instrument(problem_dir, logs)
         else:
             payload, report = _tomo_selfcal(problem_dir, tols.get("rtol", 1e-10))
         if report is not None:

@@ -7,10 +7,17 @@ derived streams (the counter advanced to the chunk start, which therefore
 sits on a 4-word block boundary); chunked output is identical to sequential
 output.  Outcomes are drawn by inverse CDF on the cumulative probability
 vector, one uniform per shot.
+
+A log is written as CSV text (`event_log_to_csv`), and its counts, the
+sufficient statistic of every reconstruction, as a counts.json memo that
+records the sha256 of those CSV bytes (`counts_document`).  A reader takes
+the counts in place of the CSV only when the memo's digest matches the CSV
+(`memo_describes`, `counts_from_document`); the CSV stays the record.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import dataclass, field
 
@@ -212,17 +219,24 @@ class JointRates:
     element_marginal: np.ndarray
 
 
-def empirical_rates(log):
-    """Relative frequencies with binomial standard errors sqrt(p(1-p)/N)."""
-    n = len(log)
-    if n == 0:
+def rates_from_counts(counts, shots):
+    """Relative frequencies with binomial standard errors sqrt(p(1-p)/N).
+
+    counts is a log's count vector (EmpiricalRates) or coincidence table
+    (JointRates) over shots events.
+    """
+    if shots == 0:
         raise ContractViolation("empty event log has no rates")
-    counts = log.counts().astype(float)
-    p = counts / n
-    err = np.sqrt(p * (1.0 - p) / n)
-    if isinstance(log, CoincidenceLog):
+    p = np.asarray(counts).astype(float) / shots
+    err = np.sqrt(p * (1.0 - p) / shots)
+    if p.ndim == 2:
         return JointRates(p, err, p.sum(axis=1), p.sum(axis=0))
     return EmpiricalRates(p, err)
+
+
+def empirical_rates(log):
+    """rates_from_counts of the log's counts."""
+    return rates_from_counts(log.counts(), len(log))
 
 
 def _csv_rows(columns) -> str:
@@ -325,3 +339,57 @@ def event_log_from_csv(text: str):
         return CoincidenceLog(seed, generator, n_branches, n_elements, labels)
     labels = rows[:, 1].copy()
     return EventLog(seed, generator, header_int("n_elements", labels.max(initial=0)), labels)
+
+
+def events_sha256(data: bytes) -> str:
+    """Hex sha256 of an event log's CSV bytes, the digest counts.json records."""
+    return hashlib.sha256(data).hexdigest()
+
+
+def counts_document(log, data: bytes) -> dict:
+    """The counts.json memo of a log whose CSV is data: seed, shots, counts, events_sha256.
+
+    The counts are the log's sufficient statistic; events_sha256 is the
+    digest of exactly data, so a reader can tell whether the memo still
+    describes the CSV beside it.
+    """
+    return {"seed": log.seed, "shots": len(log), "counts": log.counts().tolist(),
+            "events_sha256": events_sha256(data)}
+
+
+def _count_array(obj):
+    """obj as a 1-D or 2-D int64 array of nonnegative JSON integers, else None."""
+    if not isinstance(obj, list):
+        return None
+    rows = obj if obj and all(isinstance(row, list) for row in obj) else [obj]
+    if (len({len(row) for row in rows}) != 1
+            or not all(type(x) is int and 0 <= x < 2 ** 63 for row in rows for x in row)):
+        return None
+    return np.array(obj, dtype=np.int64)
+
+
+def memo_describes(doc, digest: str) -> bool:
+    """Whether a parsed counts.json is the memo of the log whose CSV bytes have this sha256.
+
+    A memo without events_sha256 (from an older run) or with another digest
+    (of another log, or of this log before an edit) describes no log.
+    """
+    return isinstance(doc, dict) and doc.get("events_sha256") == digest
+
+
+def counts_from_document(doc):
+    """(counts, shots) of a counts.json document.
+
+    The counts must be a rectangular array of 1 or 2 axes of nonnegative
+    integers (a count vector or a coincidence table) summing to the integer
+    shots, else ContractViolation.
+    """
+    counts = _count_array(doc.get("counts"))
+    if counts is None:
+        raise ContractViolation(
+            "'counts' must be a rectangular array of nonnegative integers with 1 or 2 axes")
+    shots = doc.get("shots")
+    total = sum(map(int, counts.flat))
+    if type(shots) is not int or shots != total:
+        raise ContractViolation(f"'shots' must be the integer count total {total}, got {shots!r}")
+    return counts, shots

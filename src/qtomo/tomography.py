@@ -23,7 +23,7 @@ from .channels import (
     choi_transform,
     superop_from_choi,
 )
-from .errors import ContractViolation, RankDeficiencyError
+from .errors import ContractViolation, NumericalError, RankDeficiencyError
 from .measures import Detector, QuantumMeasure, informational_completeness
 from .ops import as_square, hermitian_basis
 
@@ -92,7 +92,9 @@ def _simplex(evals, target):
     u = -np.sort(-evals, axis=-1)
     excess = np.cumsum(u, axis=-1) - target[..., None]
     count = np.arange(1, u.shape[-1] + 1)
-    active = np.sum(u * count > excess, axis=-1, keepdims=True)
+    # at least one: with huge eigenvalues u - excess can round to 0, and the
+    # largest eigenvalue is always active in exact arithmetic
+    active = np.maximum(np.sum(u * count > excess, axis=-1, keepdims=True), 1)
     shift = np.take_along_axis(excess, active - 1, axis=-1) / active
     return np.clip(evals - shift, 0.0, None)
 
@@ -128,8 +130,13 @@ def project_psd(x, trace_target=None):
         lam = np.where(positive[..., None],
                        _simplex(evals, np.where(positive, target, 1.0)),
                        lam * scale[..., None])
-    out = (evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
-    dist = np.linalg.norm(out - a, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = (evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+        dist = np.linalg.norm(out - a, axis=(-2, -1))
+    if not (np.isfinite(out).all() and np.isfinite(dist).all()):
+        raise NumericalError(
+            f"PSD projection overflowed: the estimate has entries up to {np.abs(a).max():.3e}, "
+            "so the projected matrix or its distance is not finite")
     return out, (float(dist) if a.ndim == 2 else dist)
 
 
@@ -359,12 +366,19 @@ def _als_filter_step(outputs, sources):
     return [np.stack([o.reshape(-1) for o in outs], axis=1) @ vpinv for outs in outputs]
 
 
+def _finite(what, *arrays):
+    """NumericalError unless every array is finite, so that LAPACK never sees inf or nan."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"self-calibration overflowed: {what} is not finite")
+
+
 def _als_source_step(outputs, filters, basis):
     d = basis[0].shape[0]
     n_sources = outputs.shape[1]
     bas = np.stack([b.reshape(-1) for b in basis], axis=1)
     design = np.concatenate([f @ bas for f in filters], axis=0)
     a = np.concatenate([design.real, design.imag], axis=0)
+    _finite("the source design", a)
     sources = []
     for ell in range(n_sources):
         b = np.concatenate([outputs[k, ell].reshape(-1) for k in range(outputs.shape[0])])
@@ -382,6 +396,7 @@ def _als_residual(outputs, filters, sources):
     return float(np.sqrt(total))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite entries: _finite checks each step
 def self_calibrating_tomography(outputs, init_filters, init_sources,
                                 rtol=1e-10, max_iter=100):
     """Jointly fit filter maps and source states to filtered-output data.
@@ -408,24 +423,30 @@ def self_calibrating_tomography(outputs, init_filters, init_sources,
     d = data.shape[2]
     if data.shape[3] != d or any(s.shape != (d, d) for s in sources):
         raise ContractViolation(f"outputs and initial sources must all be {d}x{d} matrices")
+    if not np.isfinite(data).all():
+        raise ContractViolation("outputs have non-finite entries")
     basis = hermitian_basis(d)
     gauge_trace = float(np.trace(sources[0]).real)
     if gauge_trace <= 0.0:
         raise ContractViolation("first source must have positive intensity to fix the gauge")
 
     history = [_als_residual(data, filters, sources)]
+    _finite("the residual of the initial guesses", history[0])
     converged = history[0] <= 1e-14
     iterations = 0
     while not converged and iterations < max_iter:
         filters = _als_filter_step(data, sources)
+        _finite("a filter iterate", *filters)
         sources = _als_source_step(data, filters, basis)
         tr = float(np.trace(sources[0]).real)
         if abs(tr) > 1e-300:
             lam = gauge_trace / tr
             sources = [lam * s for s in sources]
             filters = [f / lam for f in filters]
+        _finite("a gauge-fixed iterate", *filters, *sources)
         iterations += 1
         history.append(_als_residual(data, filters, sources))
+        _finite("the residual", history[-1])
         change = history[-2] - history[-1]
         if abs(change) <= rtol * max(1.0, history[-2]):
             converged = True

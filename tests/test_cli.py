@@ -719,3 +719,45 @@ class TestManifestsAndDeterminism:
         second = pipeline("run_b")
         for name in ("events.csv", "counts.json", "report.json", "lines.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestOverflowExits4WithCause:
+    def _expect_exit_4(self, runner, tmp_path, mode, bundle, cause):
+        out = tmp_path / "run" / "report.json"
+        result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        assert not out.exists()
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "NumericalError" and "traceback" not in error
+        assert cause in error["message"]
+
+    def test_state_estimate_overflow(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"), {"elements": [[[5.9e-306]]]})
+        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [1.0]})
+        self._expect_exit_4(runner, tmp_path, "state", bundle, "PSD projection overflowed")
+
+    def test_selfcal_overflow(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        qio.write_json_atomic(str(bundle / "selfcal.json"), {
+            "outputs": [[[[1e150]], [[1e150]]], [[[1e150]], [[1e150]]]],
+            "init_filters": [[[1.0]], [[1.0]]],
+            "init_sources": [[[1e-160]], [[1e-160]]],
+        })
+        self._expect_exit_4(runner, tmp_path, "selfcal", bundle, "a filter iterate is not finite")
+
+
+class TestCountsMemoBytes:
+    def test_golden_counts_document(self, runner, fixture_files, tmp_path):
+        out = tmp_path / "golden"
+        result = runner.invoke(main, [
+            "simulate", fixture_files["source"], fixture_files["device"],
+            "--shots", str(10**6), "--seed", "2024", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        # every key and value of the memo before the digest, plus the digest of events.csv
+        assert (out / "counts.json").read_text() == (
+            '{"counts":[%s],"events_sha256":"%s","seed":2024,"shots":1000000}\n'
+            % (",".join(map(str, GOLDEN_COUNTS)), GOLDEN_EVENTS_SHA256))

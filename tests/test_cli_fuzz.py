@@ -8,6 +8,7 @@ documents are well formed, a third have one field replaced by arbitrary
 JSON, and a third are arbitrary JSON.
 """
 
+import hashlib
 import json
 import os
 import tempfile
@@ -17,6 +18,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import qtomo
+from qtomo import io as qio
 from qtomo.cli import main
 
 # Extreme magnitudes make numpy warn of overflow on their way to an input error.
@@ -147,3 +150,42 @@ def test_dynamics_model_document(doc, method):
         _write(os.path.join(tmp, "model.json"), doc)
         _check(tmp, ["dynamics", os.path.join(tmp, "model.json"), "--t", "0.2", "--dt", "0.1",
                      "--method", method, "--out", os.path.join(tmp, "run", "traj.json")])
+
+
+# A 12-shot state log; each counts.json below carries its digest, so tomo reads the memo.
+_STATE_LOG = ("# seed=1\n# generator=philox4x64\n# n_elements=6\nshot,label\n"
+              + "".join(f"{shot},{shot % 6 + 1}\n" for shot in range(12))).encode()
+_count_values = st.integers(0, 5) | st.integers() | st.floats() | st.booleans()
+_count_arrays = (st.lists(_count_values, max_size=8)
+                 | st.lists(st.lists(_count_values, max_size=4), max_size=3))
+# well formed: seven counts (null slot and six elements) whose total is shots
+_consistent_counts = st.lists(st.integers(0, 5), min_size=7, max_size=7).map(
+    lambda counts: {"seed": 1, "shots": sum(counts), "counts": counts})
+_counts_docs = _consistent_counts | _documents(
+    {"seed": st.integers(), "shots": st.integers(0, 40) | _numbers, "counts": _count_arrays})
+
+
+@_SETTINGS
+@given(_counts_docs)
+@example({"seed": 1, "shots": 3, "counts": [0, 1.0, 2, 0, 0, 0, 0]})
+@example({"seed": 1, "shots": 1, "counts": [0, 2, -1, 0, 0, 0, 0]})
+@example({"seed": 1, "shots": 12, "counts": [[0, 6], [0, 6]]})
+@example({"seed": 1, "shots": 12, "counts": [0, 2, 2, 2, 2, 2, 1]})
+@example({"seed": 1, "shots": 10 ** 30, "counts": [0, 10 ** 30, 0, 0, 0, 0, 0]})
+@example({"seed": 1, "shots": 0, "counts": [0, 0, 0, 0, 0, 0, 0]})
+def test_state_bundle_counts_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        events = os.path.join(tmp, "bundle", "events")
+        os.makedirs(events)
+        with open(os.path.join(events, "events.csv"), "wb") as handle:
+            handle.write(_STATE_LOG)
+        if isinstance(doc, dict):
+            doc = {**doc, "events_sha256": hashlib.sha256(_STATE_LOG).hexdigest()}
+        _write(os.path.join(events, "counts.json"), doc)
+        qio.write_json_atomic(os.path.join(tmp, "bundle", "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        _check(tmp, ["tomo", "state", os.path.join(tmp, "bundle"),
+                     "--out", os.path.join(tmp, "run", "report.json")])
+        with open(os.path.join(tmp, "run", "manifest.json")) as handle:
+            rates_from = json.load(handle)["event_logs"]["events.csv"]["rates_from"]
+        assert rates_from == ("counts.json" if isinstance(doc, dict) else "events.csv")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +11,8 @@ from qtomo import (
     Detector,
     ExperimentConfig,
     Instrument,
+    NumericalError,
+    QuantumMeasure,
     RankDeficiencyError,
     apply_superop,
     density_from_state,
@@ -625,3 +629,49 @@ class TestFactoredEnginesMatchPerColumnOracle:
         self._close(report.residual, o_res)
         self._close(report.cond, o_cond, o_cond)
         assert report.rank == o_rank
+
+
+class TestOverflowIsNamed:
+    """Huge finite inputs raise NumericalError before LAPACK or the JSON writer sees inf."""
+
+    def test_selfcal_iterate_overflow(self, capfd):
+        # sources of 1e-160 make the filter step divide by |s|^2 ~ 1e-320
+        outputs = np.full((2, 2, 1, 1), 1e150, dtype=complex)
+        with pytest.raises(NumericalError, match="a filter iterate is not finite"):
+            self_calibrating_tomography(outputs, [np.eye(1)] * 2, [np.full((1, 1), 1e-160)] * 2)
+        assert capfd.readouterr() == ("", "")
+
+    def test_selfcal_initial_residual_overflow(self, capfd):
+        half = 0.5 * np.eye(2)
+        outputs = np.array([[half, half], [half, half]], dtype=complex)
+        outputs[1, 0, 0, 0] = -1e308
+        with pytest.raises(NumericalError, match="residual of the initial guesses"):
+            self_calibrating_tomography(outputs, [np.eye(4)] * 2,
+                                        [half, np.array([[0.3, 0.1], [0.1, 0.7]])])
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("where", ["outputs", "filters", "sources"])
+    def test_selfcal_nonfinite_input_is_an_input_error(self, where):
+        outputs = np.ones((2, 2, 1, 1), dtype=complex)
+        filters, sources = [np.eye(1)] * 2, [np.eye(1)] * 2
+        bad = np.full((1, 1), np.nan)
+        if where == "outputs":
+            outputs[0, 1] = bad
+        elif where == "filters":
+            filters = [np.eye(1), bad]
+        else:
+            sources = [np.eye(1), bad]
+        with pytest.raises(ContractViolation, match="non-finite entries"):
+            self_calibrating_tomography(outputs, filters, sources)
+
+    def test_state_estimate_overflow(self):
+        measure = QuantumMeasure([np.array([[5.9e-306]])])
+        with pytest.raises(NumericalError, match="PSD projection overflowed"):
+            state_tomography(measure, [1.0])
+
+    def test_simplex_keeps_one_active_eigenvalue(self):
+        # 1e17 - 1 rounds to 1e17, so no eigenvalue passes the strict test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, dist = project_psd(np.diag([1e17, 0.0]), trace_target=1.0)
+        assert np.isfinite(out).all() and np.isfinite(dist)
