@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from io import BytesIO, TextIOWrapper
 
 import click
 import numpy as np
@@ -118,8 +117,7 @@ def simulate(ctx, source, device, shots, seed, out_dir):
     def work():
         from .measures import Detector, validate_measure
         from .ops import validate_density
-        from .simulate import (ExperimentConfig, counts_document, event_log_to_csv,
-                               sample_coincidences, sample_detections)
+        from .simulate import ExperimentConfig, write_events
 
         rho = io.density_from_json(io.read_json(source))
         rep = validate_density(rho, tols.get("tol_herm", 1e-10), tols.get("tol_psd", 1e-9))
@@ -135,7 +133,6 @@ def simulate(ctx, source, device, shots, seed, out_dir):
             instrument = io.instrument_from_json(doc["instrument"])
             detector = io.detector_from_json(doc["detector"])
             cfg = ExperimentConfig(seed, shots, rho, detector, instrument)
-            log, _ = sample_coincidences(cfg)
         else:
             if doc.get("scale") is not None:
                 detector = io.detector_from_json(doc)
@@ -149,12 +146,9 @@ def simulate(ctx, source, device, shots, seed, out_dir):
                     f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
                 )
             cfg = ExperimentConfig(seed, shots, rho, detector)
-            log, _ = sample_detections(cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        data = event_log_to_csv(log).encode("ascii")
-        with open(os.path.join(out_dir, "events.csv"), "wb") as handle:
-            handle.write(data)
-        io.write_json_atomic(os.path.join(out_dir, "counts.json"), counts_document(log, data))
+        memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
+                               lambda handle: write_events(cfg, handle))
+        io.write_json_atomic(os.path.join(out_dir, "counts.json"), memo)
 
     _guard(run, work)
 
@@ -185,8 +179,10 @@ def _event_rates(problem_dir, kind, logs):
 
     Every log must be of the given kind, "EventLog" or "CoincidenceLog".  A
     log's rates come from the counts in events/counts.json when that memo
-    records the log's sha256, else from parsing the log.  logs maps each
-    log's file name to its sha256 and the file its rates came from.
+    records the log's sha256, else from parsing the log.  The digest is taken
+    block by block, so only a log that the memo does not describe is read
+    whole.  logs maps each log's file name to its sha256 and the file its
+    rates came from.
     """
     from . import simulate
 
@@ -197,14 +193,14 @@ def _event_rates(problem_dir, kind, logs):
     memo = _counts_memo(events_dir)
     rates = []
     for name in files:
-        with open(os.path.join(events_dir, name), "rb") as handle:
-            data = handle.read()
-        digest = simulate.events_sha256(data)
+        path = os.path.join(events_dir, name)
+        digest = simulate.file_sha256(path)
         source = "counts.json" if simulate.memo_describes(memo, digest) else name
         logs[name] = {"sha256": digest, "rates_from": source}
         if source == name:
             try:  # decoded with open()'s text-mode defaults: locale encoding, any newline
-                log = simulate.event_log_from_csv(TextIOWrapper(BytesIO(data)).read())
+                with open(path) as handle:
+                    log = simulate.event_log_from_csv(handle.read())
             except (ContractViolation, UnicodeDecodeError) as err:
                 raise ContractViolation(f"{name}: {err}") from None
             counts, shots = log.counts(), len(log)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -282,20 +281,29 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def write_json_atomic(path, obj):
-    """Write canonical JSON via a temp file and rename, so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def write_atomic(path, write):
+    """Call write(handle) on a binary temp file, then rename it to path; returns write's result.
+
+    Readers never see partial output, and a write that raises leaves no file.
+    open() gives the file the usual mode (0666 less the umask).
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(canonical_json(obj))
-            handle.write("\n")
+        with open(tmp, "wb") as handle:
+            result = write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return result
+
+
+def write_json_atomic(path, obj):
+    """Write canonical JSON via a temp file and rename, so readers never see partial output."""
+    data = (canonical_json(obj) + "\n").encode("ascii")  # json.dumps escapes non-ASCII
+    write_atomic(path, lambda handle: handle.write(data))
 
 
 def read_json(path):

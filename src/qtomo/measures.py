@@ -103,7 +103,12 @@ class Detector:
                 f"scale has {values.shape[0] if values.ndim else 0} values "
                 f"for {len(self.measure)} detection elements"
             )
-        if not self.allow_repeated_values:
+        # One sort in np.unique tells whether any rows may coincide; only then
+        # does the pair loop run.  The loop decides, since array_equal never
+        # matches NaN entries (whatever np.unique does with them), and it
+        # names the first coinciding pair in its order.
+        if (not self.allow_repeated_values
+                and len(np.unique(values, axis=0)) < values.shape[0]):
             for j in range(values.shape[0]):
                 for k in range(j + 1, values.shape[0]):
                     if np.array_equal(values[j], values[k]):

@@ -2,15 +2,17 @@
 
 Randomness comes from numpy's Philox bit generator, a counter-based 64-bit
 generator keyed directly with the run seed, so event logs are reproducible
-across processes and platforms.  Shot ranges can be generated in chunks with
-derived streams (the counter advanced to the chunk start, which therefore
-sits on a 4-word block boundary); chunked output is identical to sequential
-output.  Outcomes are drawn by inverse CDF on the cumulative probability
-vector, one uniform per shot.
+across processes and platforms.  Outcomes are drawn by inverse CDF on the
+cumulative probability vector, one uniform per shot.  Shots can be drawn in
+chunks, in order from the one generator; chunked output is identical to
+sequential output.
 
 A log is written as CSV text (`event_log_to_csv`), and its counts, the
 sufficient statistic of every reconstruction, as a counts.json memo that
-records the sha256 of those CSV bytes (`counts_document`).  A reader takes
+records the sha256 of those CSV bytes (`counts_document`).  `write_events`
+streams a run straight to a file instead: it draws, checks, formats, hashes
+and counts a fixed number of shots at a time, so its memory does not grow
+with the shot count, and it writes the same bytes and memo.  A reader takes
 the counts in place of the CSV only when the memo's digest matches the CSV
 (`memo_describes`, `counts_from_document`); the CSV stays the record.
 """
@@ -19,17 +21,23 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import Instrument, kraus_apply
 from .errors import ContractViolation
 from .measures import Detector, response_probabilities
 from .ops import as_square
 
+if TYPE_CHECKING:
+    from .channels import Instrument
+
 GENERATOR_NAME = "philox4x64"
 _PROB_TOL = 1e-9
+# Shots drawn, checked, formatted and written at a time by write_events and
+# event_log_to_csv; bounds their working memory (a few MB), not their output.
+_CHUNK_SHOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,11 +66,12 @@ class ExperimentConfig:
         object.__setattr__(self, "source", rho)
 
 
-def _check_range(values, bound: int, what: str, name: str) -> None:
+def _check_range(values, bound: int, what: str, name: str, start: int = 0) -> None:
+    """Labels of shots start, start+1, ... must lie in [0, bound]."""
     bad = np.flatnonzero((values < 0) | (values > bound))
     if bad.size:
         raise ContractViolation(
-            f"shot {bad[0]}: {what} {values[bad[0]]} is outside [0, {name}={bound}]")
+            f"shot {start + bad[0]}: {what} {values[bad[0]]} is outside [0, {name}={bound}]")
 
 
 @dataclass(frozen=True)
@@ -75,13 +84,28 @@ class EventLog:
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_range(self.labels, self.n_elements, "label", "n_elements")
+        self._check(self.labels)
 
     def __len__(self) -> int:
         return self.labels.size
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_elements + 1)
+        return self._count(self.labels)
+
+    # The methods below take labels of this log's kind and header: all of
+    # them, or one chunk of them whose first shot is start.
+    def _check(self, labels, start=0):
+        _check_range(labels, self.n_elements, "label", "n_elements", start)
+
+    def _count(self, labels):
+        return np.bincount(labels, minlength=self.n_elements + 1)
+
+    def _header(self) -> str:
+        return f"# n_elements={self.n_elements}\nshot,label\n"
+
+    @staticmethod
+    def _columns(labels):
+        return [labels]
 
 
 @dataclass(frozen=True)
@@ -100,23 +124,41 @@ class CoincidenceLog:
     labels: np.ndarray = field(repr=False)  # shape (shots, 2)
 
     def __post_init__(self):
-        _check_range(self.labels[:, 0], self.n_branches, "branch", "n_branches")
-        _check_range(self.labels[:, 1], self.n_elements, "element", "n_elements")
+        self._check(self.labels)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def counts(self) -> np.ndarray:
+        return self._count(self.labels)
+
+    # As for EventLog: labels of this log's kind, all of them or one chunk.
+    def _check(self, labels, start=0):
+        _check_range(labels[:, 0], self.n_branches, "branch", "n_branches", start)
+        _check_range(labels[:, 1], self.n_elements, "element", "n_elements", start)
+
+    def _count(self, labels):
         n_cols = self.n_elements + 1
-        flat = np.bincount(
-            self.labels[:, 0] * n_cols + self.labels[:, 1],
-            minlength=(self.n_branches + 1) * n_cols,
-        )
+        flat = np.bincount(labels[:, 0] * n_cols + labels[:, 1],
+                           minlength=(self.n_branches + 1) * n_cols)
         return flat.reshape(self.n_branches + 1, n_cols)
+
+    def _header(self) -> str:
+        return f"# n_branches={self.n_branches}\n# n_elements={self.n_elements}\nshot,j,k\n"
+
+    @staticmethod
+    def _columns(labels):
+        return [labels[:, 0], labels[:, 1]]
 
 
 def _prepare_cdf(p):
-    """Clip tiny negative rates, renormalize, and build the cumulative vector."""
+    """Clip tiny negative rates, renormalize, and build the cumulative vector.
+
+    The vector is exactly 1 from the last outcome of positive probability on,
+    so every uniform in [0, 1) falls on an outcome that can occur: a rounded
+    cumulative sum can end just below 1 (0.9999999999999999 for ten rates of
+    0.1), and a trailing outcome of probability zero must never be drawn.
+    """
     p = np.asarray(p, dtype=float)
     if p.min() < -_PROB_TOL:
         raise ContractViolation(f"probability {p.min():.3e} is negative beyond tolerance")
@@ -124,30 +166,51 @@ def _prepare_cdf(p):
         raise ContractViolation(f"probabilities sum to {p.sum()}, expected 1")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    return np.cumsum(p)
+    cdf = np.cumsum(p)
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    return cdf
 
 
-def _uniforms(seed: int, start: int, n: int) -> np.ndarray:
-    # Philox emits 4 words per counter block and one word per double, so a
-    # derived stream for shots [start, start+n) advances start // 4 blocks.
-    if start % 4:
-        raise ContractViolation("derived shot streams must start on multiples of 4")
-    bitgen = np.random.Philox(key=seed)
-    if start:
-        bitgen.advance(start // 4)
-    return np.random.Generator(bitgen).random(n)
+def _uniforms(seed: int, shots: int, chunk_size=None):
+    """One uniform per shot, drawn in order from the seed's Philox stream.
+
+    Yields chunks of chunk_size shots (all shots at once when None), and
+    always at least one chunk; the concatenation does not depend on the
+    chunk size.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    size = max(1, shots if chunk_size is None else int(chunk_size))
+    yield gen.random(min(size, shots))
+    for start in range(size, shots, size):
+        yield gen.random(min(size, shots - start))
 
 
-def _draw_labels(seed: int, shots: int, cdf, chunk_size=None) -> np.ndarray:
-    if chunk_size is None or chunk_size >= shots:
-        u = _uniforms(seed, 0, shots)
-        return np.searchsorted(cdf, u, side="right")
-    chunk_size = 4 * max(1, int(np.ceil(chunk_size / 4)))
-    parts = []
-    for start in range(0, shots, chunk_size):
-        n = min(chunk_size, shots - start)
-        parts.append(np.searchsorted(cdf, _uniforms(seed, start, n), side="right"))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+def _label_chunks(cfg: ExperimentConfig, chunk_size=None):
+    """(log, chunks): an empty log of cfg's kind and header, and its label chunks in shot order."""
+    if cfg.instrument is None:
+        measure = cfg.detector.measure
+        cdf = _prepare_cdf(response_probabilities(measure, cfg.source, _PROB_TOL))
+        log = EventLog(cfg.seed, GENERATOR_NAME, len(measure), np.zeros(0, dtype=np.int64))
+
+        def labels(idx):
+            return idx + 1  # element k is label k + 1; 0 (null) cannot occur
+    else:
+        table = joint_probabilities(cfg.instrument, cfg.detector, cfg.source)
+        cdf = _prepare_cdf(table.reshape(-1))
+        log = CoincidenceLog(cfg.seed, GENERATOR_NAME, len(cfg.instrument),
+                             len(cfg.detector.measure), np.zeros((0, 2), dtype=np.int64))
+
+        def labels(idx):
+            return np.stack(np.divmod(idx, table.shape[1]), axis=1)
+    chunks = (labels(np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False))
+              for u in _uniforms(cfg.seed, cfg.shots, chunk_size))
+    return log, chunks
+
+
+def _sample(cfg: ExperimentConfig, chunk_size):
+    empty, chunks = _label_chunks(cfg, chunk_size)
+    log = replace(empty, labels=np.concatenate(list(chunks)))
+    return log, log.counts()
 
 
 def sample_detections(cfg: ExperimentConfig, chunk_size=None):
@@ -155,17 +218,11 @@ def sample_detections(cfg: ExperimentConfig, chunk_size=None):
 
     Labels are 1..K for the K measure elements (0 is reserved for null and
     cannot occur since a valid measure responds with total rate one).
-    Identical configs give byte-identical logs.
+    Identical configs give byte-identical logs, whatever the chunk size.
     """
     if cfg.instrument is not None:
         raise ContractViolation("config with an instrument needs sample_coincidences")
-    measure = cfg.detector.measure
-    p = response_probabilities(measure, cfg.source, _PROB_TOL)
-    cdf = _prepare_cdf(p)
-    idx = _draw_labels(cfg.seed, cfg.shots, cdf, chunk_size)
-    labels = (idx + 1).astype(np.int64)
-    log = EventLog(cfg.seed, GENERATOR_NAME, len(measure), labels)
-    return log, log.counts()
+    return _sample(cfg, chunk_size)
 
 
 def joint_probabilities(instrument: Instrument, detector: Detector, rho, tol: float = _PROB_TOL):
@@ -174,6 +231,8 @@ def joint_probabilities(instrument: Instrument, detector: Detector, rho, tol: fl
     Row j = 0 is the appended null branch; column k = 0 is the (never
     responding) null slot of the second detector.
     """
+    from .channels import kraus_apply
+
     rho = as_square(rho, "rho")
     branches = [instrument.null_kraus(tol)] + list(instrument.branches)
     k_elems = detector.measure.elements
@@ -193,16 +252,7 @@ def sample_coincidences(cfg: ExperimentConfig, chunk_size=None):
     """Draw (branch, element) pairs for an instrument run; returns (log, table)."""
     if cfg.instrument is None:
         raise ContractViolation("coincidence sampling needs an instrument in the config")
-    table = joint_probabilities(cfg.instrument, cfg.detector, cfg.source)
-    flat = table.reshape(-1)
-    cdf = _prepare_cdf(flat)
-    idx = _draw_labels(cfg.seed, cfg.shots, cdf, chunk_size)
-    n_cols = table.shape[1]
-    labels = np.stack([idx // n_cols, idx % n_cols], axis=1).astype(np.int64)
-    log = CoincidenceLog(
-        cfg.seed, GENERATOR_NAME, len(cfg.instrument), len(cfg.detector.measure), labels
-    )
-    return log, log.counts()
+    return _sample(cfg, chunk_size)
 
 
 @dataclass(frozen=True)
@@ -239,15 +289,15 @@ def empirical_rates(log):
     return rates_from_counts(log.counts(), len(log))
 
 
-def _csv_rows(columns) -> str:
-    """CSV text of equal-length nonnegative integer columns, one line per row.
+def _csv_rows(columns) -> bytes:
+    """CSV bytes of equal-length nonnegative integer columns, one line per row.
 
     Every digit is written right-aligned into one (rows, width) byte matrix
     whose unused cells stay 0; dropping the zeros leaves the text.
     """
     n = columns[0].size
     if n == 0:
-        return ""
+        return b""
     tops = [int(col.max()) for col in columns]
     widths = [len(str(top)) for top in tops]
     out = np.zeros((n, sum(widths) + len(widths)), dtype=np.uint8)
@@ -267,18 +317,49 @@ def _csv_rows(columns) -> str:
         stop += 1
     out[:, -1] = ord("\n")
     flat = out.reshape(-1)
-    return str(flat[flat != 0].data, "ascii")
+    return flat[flat != 0].tobytes()
+
+
+def _write_csv(handle, log, chunks) -> dict:
+    """Write the CSV of log's header and of the label chunks to the binary handle.
+
+    The chunks are the labels of shots 0, 1, ... in order; each is checked
+    against the header and counted as it is written.  Returns the counts.json
+    memo of the bytes written.
+    """
+    digest = hashlib.sha256()
+
+    def put(data):
+        handle.write(data)
+        digest.update(data)
+
+    put(f"# seed={log.seed}\n# generator={log.generator}\n{log._header()}".encode())
+    counts = log._count(log.labels[:0])
+    start = 0
+    for labels in chunks:
+        log._check(labels, start)
+        counts += log._count(labels)
+        put(_csv_rows([np.arange(start, start + len(labels)), *log._columns(labels)]))
+        start += len(labels)
+    return _memo(log.seed, start, counts, digest.hexdigest())
 
 
 def event_log_to_csv(log) -> str:
     """Serialize a log with seed and generator header lines."""
-    head = f"# seed={log.seed}\n# generator={log.generator}\n"
-    shots = np.arange(len(log))
-    if isinstance(log, CoincidenceLog):
-        head += f"# n_branches={log.n_branches}\n# n_elements={log.n_elements}\nshot,j,k\n"
-        return head + _csv_rows([shots, log.labels[:, 0], log.labels[:, 1]])
-    head += f"# n_elements={log.n_elements}\nshot,label\n"
-    return head + _csv_rows([shots, log.labels])
+    buffer = io.BytesIO()
+    _write_csv(buffer, log, (log.labels[start:start + _CHUNK_SHOTS]
+                             for start in range(0, len(log), _CHUNK_SHOTS)))
+    return buffer.getvalue().decode()
+
+
+def write_events(cfg: ExperimentConfig, handle) -> dict:
+    """Sample cfg's run and write its CSV to the binary handle; returns its counts.json memo.
+
+    The bytes and the memo are those of event_log_to_csv and counts_document
+    of the log that sample_detections or sample_coincidences draws, but only
+    one chunk of shots is in memory at a time.
+    """
+    return _write_csv(handle, *_label_chunks(cfg, _CHUNK_SHOTS))
 
 
 def event_log_from_csv(text: str):
@@ -346,6 +427,15 @@ def events_sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def file_sha256(path) -> str:
+    """events_sha256 of the bytes of the file at path, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def counts_document(log, data: bytes) -> dict:
     """The counts.json memo of a log whose CSV is data: seed, shots, counts, events_sha256.
 
@@ -353,8 +443,11 @@ def counts_document(log, data: bytes) -> dict:
     digest of exactly data, so a reader can tell whether the memo still
     describes the CSV beside it.
     """
-    return {"seed": log.seed, "shots": len(log), "counts": log.counts().tolist(),
-            "events_sha256": events_sha256(data)}
+    return _memo(log.seed, len(log), log.counts(), events_sha256(data))
+
+
+def _memo(seed, shots, counts, digest):
+    return {"seed": seed, "shots": shots, "counts": counts.tolist(), "events_sha256": digest}
 
 
 def _count_array(obj):

@@ -17,12 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    apply_superop,
-    choi_rank,
-    choi_transform,
-    superop_from_choi,
-)
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 from .measures import Detector, QuantumMeasure, informational_completeness
 from .ops import as_square, hermitian_basis
@@ -234,6 +228,8 @@ def process_tomography(probe_states, output_states, project_cp=False, cp_tol=1e-
     optionally the estimate is projected to the CP cone by clipping Choi
     eigenvalues.
     """
+    from .channels import choi_rank, choi_transform, superop_from_choi
+
     probes = [as_square(p, "probe state") for p in probe_states]
     outs = [as_square(o, "output state") for o in output_states]
     if len(probes) != len(outs):
@@ -290,6 +286,8 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
     ordinary branch without events is an error.  The report's rank is the
     smaller of the detector design's rank and the probes' span rank.
     """
+    from .channels import apply_superop
+
     tables = np.asarray(joint_tables, dtype=float)
     probes = [as_square(p, "probe state") for p in probe_states]
     if tables.ndim != 3 or tables.shape[0] != len(probes):
@@ -389,6 +387,8 @@ def _als_source_step(outputs, filters, basis):
 
 
 def _als_residual(outputs, filters, sources):
+    from .channels import apply_superop
+
     total = 0.0
     for k, f in enumerate(filters):
         for ell, s in enumerate(sources):

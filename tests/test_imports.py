@@ -165,3 +165,22 @@ class TestCommandImports:
                                  "--out", str(tmp_path / "report.json"))
         assert "tomography" in loaded
         assert not loaded & {"dynamics", "optics", "simulate", "uncertainty"}
+
+    def test_detection_commands_load_no_channels(self, tmp_path):
+        # channels serves coincidences, processes, instruments and self-calibration only
+        qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(np.diag([1.0, 0.0])))
+        qio.write_json_atomic(str(tmp_path / "device.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
+        bundle = tmp_path / "state"
+        loaded = _loaded_engines("simulate", str(tmp_path / "source.json"),
+                                 str(tmp_path / "device.json"), "--shots", "100",
+                                 "--out", str(bundle / "events"))
+        assert "simulate" in loaded and "channels" not in loaded
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        loaded = _loaded_engines("tomo", "state", str(bundle), "--out", str(tmp_path / "s.json"))
+        assert "tomography" in loaded and "channels" not in loaded
+        _detector_bundle(tmp_path / "detector")
+        loaded = _loaded_engines("tomo", "detector", str(tmp_path / "detector"),
+                                 "--out", str(tmp_path / "d.json"))
+        assert "tomography" in loaded and "channels" not in loaded

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from qtomo import (
@@ -204,6 +206,32 @@ class TestDetectorScale:
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
             Detector(projective_measure(np.eye(2)), [1.0, 2.0, 3.0])
+
+    def test_first_coinciding_pair_is_named(self):
+        # (1, 4) and (0, 5) both coincide; the pair loop reaches (0, 5) first
+        with pytest.raises(ContractViolation, match="scale values 0 and 5 coincide"):
+            Detector(pauli_six_measure(), [5.0, 1.0, 2.0, 3.0, 1.0, 5.0])
+        with pytest.raises(ContractViolation, match="scale values 0 and 1 coincide"):
+            Detector(projective_measure(np.eye(2)), [0.0, -0.0])
+
+    def test_nan_values_never_coincide(self):
+        scale = [[np.nan, 1.0], [np.nan, 1.0], [2.0, 1.0], [3.0, 1.0]]
+        assert Detector(tetrahedron_measure(), scale).scale.shape == (4, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                      elements=st.sampled_from([0.0, -0.0, 1.0, 2.0, np.nan])))
+    def test_rejected_exactly_when_a_pair_is_equal(self, scale):
+        k = scale.shape[0]
+        pairs = [(j, i) for j in range(k) for i in range(j + 1, k)
+                 if np.array_equal(scale[j], scale[i])]
+        measure = QuantumMeasure([np.eye(1) / k] * k)
+        if pairs:
+            with pytest.raises(ContractViolation) as info:
+                Detector(measure, scale)
+            assert f"scale values {pairs[0][0]} and {pairs[0][1]} coincide" in str(info.value)
+        else:
+            assert Detector(measure, scale).scale.shape == scale.shape
 
 
 class TestCoherentPartitionMeasure:

@@ -23,6 +23,7 @@ from qtomo import (
     sample_detections,
     tetrahedron_measure,
 )
+from qtomo import simulate
 from qtomo.simulate import CoincidenceLog, EventLog
 from support import random_density
 
@@ -343,3 +344,72 @@ class TestCsvProperties:
             assert back.n_branches == log.n_branches
         assert np.array_equal(back.labels, log.labels)
         assert event_log_to_csv(back).splitlines() == text.splitlines()
+
+
+def _uniform_detector(k, trailing_zero):
+    """k d = 1 elements of rate 1/k, then optionally one of rate 0."""
+    elements = [np.array([[1.0 / k]])] * k + [np.array([[0.0]])] * trailing_zero
+    return Detector(QuantumMeasure(elements), np.arange(1.0, k + 1.0 + trailing_zero))
+
+
+def _top_uniforms(seed, shots, chunk_size=None):
+    yield np.full(shots, 1.0 - 2.0 ** -53)  # the largest double Philox's random() returns
+
+
+def _rounded_cdf_end(p):
+    """The last entry of the plain normalized cumulative sum, before the tail is fixed."""
+    p = np.asarray(p, dtype=float)
+    return np.cumsum(p / p.sum())[-1]
+
+
+class TestInverseCdfTail:
+    """A uniform above the rounded end of the cumulative sum still draws a possible outcome."""
+
+    @pytest.mark.parametrize("trailing_zero", [0, 1])
+    def test_largest_uniform_draws_the_last_element(self, monkeypatch, trailing_zero):
+        detector = _uniform_detector(10, trailing_zero)
+        assert _rounded_cdf_end(response_probabilities(detector.measure, np.eye(1))) < 1.0
+        monkeypatch.setattr(simulate, "_uniforms", _top_uniforms)
+        log, counts = sample_detections(ExperimentConfig(1, 3, np.eye(1), detector))
+        assert log.labels.tolist() == [10, 10, 10] and counts[10] == 3
+
+    @pytest.mark.parametrize("trailing_zero", [0, 1])
+    def test_largest_uniform_draws_the_last_coincidence(self, monkeypatch, trailing_zero):
+        # nine elements: the table's null row and column change the sum's rounding
+        inst = Instrument(((np.eye(1, dtype=complex),),))
+        cfg = ExperimentConfig(1, 3, np.eye(1), _uniform_detector(9, trailing_zero), inst)
+        assert _rounded_cdf_end(joint_probabilities(inst, cfg.detector, np.eye(1)).ravel()) < 1.0
+        monkeypatch.setattr(simulate, "_uniforms", _top_uniforms)
+        log, table = sample_coincidences(cfg)
+        assert log.labels.tolist() == [[1, 9]] * 3 and table[1, 9] == 3
+
+    def test_cdf_ends_at_one_from_the_last_possible_outcome(self):
+        cdf = simulate._prepare_cdf([0.1] * 10 + [0.0, 0.0])
+        assert np.cumsum([0.1] * 10)[-1] < 1.0
+        assert cdf[9:].tolist() == [1.0, 1.0, 1.0]
+        assert np.array_equal(cdf[:9], np.cumsum([0.1] * 9))
+
+
+def _coincidence_config(seed, shots):
+    det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+    return ExperimentConfig(seed, shots, np.diag([0.3, 0.7]), det, _projective_instrument())
+
+
+def _detection_config(seed, shots):
+    rho = random_density(2, np.random.default_rng(seed))
+    return ExperimentConfig(seed, shots, rho, Detector(pauli_six_measure(), np.arange(6.0)))
+
+
+class TestChunkedSamplingProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(st.booleans(), st.integers(0, 2 ** 32), st.integers(0, 3000), st.integers(1, 4000))
+    def test_chunked_equals_sequential(self, coincidences, seed, shots, chunk):
+        if coincidences:
+            sample, cfg = sample_coincidences, _coincidence_config(seed, shots)
+        else:
+            sample, cfg = sample_detections, _detection_config(seed, shots)
+        seq, seq_counts = sample(cfg)
+        chunked, chunked_counts = sample(cfg, chunk_size=chunk)
+        assert chunked.labels.dtype == seq.labels.dtype == np.int64
+        assert np.array_equal(seq.labels, chunked.labels)
+        assert np.array_equal(seq_counts, chunked_counts)
