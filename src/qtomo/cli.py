@@ -314,8 +314,10 @@ def _tomo_selfcal(problem_dir, rtol):
             "sources": [io.matrix_to_json(s) for s in result.sources],
         },
         "residual": result.residual,
+        "residual_history": result.residual_history,
         "iterations": result.iterations,
         "converged": result.converged,
+        "flags": list(result.flags),
     }
     return payload, None
 

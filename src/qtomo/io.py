@@ -2,16 +2,18 @@
 
 Complex scalars are encoded as two-element arrays [re, im] and matrices as
 row-major nested arrays.  The encoders return each matrix as a float array
-of shape (rows, cols, 2) holding those pairs, and the canonical writer
-formats each float array in one call from a bracket template cached per
-shape.  It sorts keys and prints floats with 17 significant digits, so
-writing, reading and re-writing a document reproduces it byte for byte; the
-one exception is a negative zero, printed "-0", which reads back as 0.
+of shape (rows, cols, 2) holding those pairs.  The canonical writer sorts
+keys and prints every float as '%.17g' does, so writing, reading and
+re-writing a document reproduces it byte for byte; the one exception is a
+negative zero, printed "-0", which reads back as 0.  It walks a document
+once, leaving a place for each float array, and then prints all those arrays
+in one vectorised pass (``_floattext``): the digits are exactly rounded from
+a double-double product, and the rare element that pass cannot certify, near
+a rounding tie or of extreme magnitude, is printed by Python's own '%.17g'.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from typing import TYPE_CHECKING
@@ -230,15 +232,9 @@ def trajectory_to_json(traj):
     ]
 
 
-@functools.lru_cache(maxsize=64)
-def _array_template(shape):
-    """%-format string that prints a float array of this shape as nested JSON arrays."""
-    if not shape:
-        return "%.17g"
-    return "[" + ",".join([_array_template(shape[1:])] * shape[0]) + "]"
-
-
-def _canonical(obj, out):
+def _canonical(obj, out, arrays):
+    """Append the canonical text of obj to out; a float array leaves a None in out and
+    (its index in out, the array) in arrays, for canonical_json to format them together."""
     if obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -257,18 +253,17 @@ def _canonical(obj, out):
                 out.append(",")
             out.append(json.dumps(str(key)))
             out.append(":")
-            _canonical(obj[key], out)
+            _canonical(obj[key], out, arrays)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        if not np.isfinite(obj).all():
-            raise ContractViolation("cannot serialize non-finite numbers")
-        out.append(_array_template(obj.shape) % tuple(obj.ravel().tolist()))
+        arrays.append((len(out), obj))
+        out.append(None)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, item in enumerate(list(obj)):
             if i:
                 out.append(",")
-            _canonical(item, out)
+            _canonical(item, out, arrays)
         out.append("]")
     else:
         raise ContractViolation(f"cannot serialize {type(obj)!r} canonically")
@@ -276,8 +271,13 @@ def _canonical(obj, out):
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    out = []
-    _canonical(obj, out)
+    out, arrays = [], []
+    _canonical(obj, out, arrays)
+    if arrays:
+        from ._floattext import format_arrays
+
+        for (i, _), text in zip(arrays, format_arrays([a for _, a in arrays])):
+            out[i] = text
     return "".join(out)
 
 

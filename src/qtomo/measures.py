@@ -103,18 +103,21 @@ class Detector:
                 f"scale has {values.shape[0] if values.ndim else 0} values "
                 f"for {len(self.measure)} detection elements"
             )
-        # One sort in np.unique tells whether any rows may coincide; only then
+        # One lexicographic sort puts equal rows next to each other, so
+        # comparing neighbours tells whether any rows may coincide; only then
         # does the pair loop run.  The loop decides, since array_equal never
-        # matches NaN entries (whatever np.unique does with them), and it
-        # names the first coinciding pair in its order.
-        if (not self.allow_repeated_values
-                and len(np.unique(values, axis=0)) < values.shape[0]):
-            for j in range(values.shape[0]):
-                for k in range(j + 1, values.shape[0]):
-                    if np.array_equal(values[j], values[k]):
-                        raise ContractViolation(
-                            f"scale values {j} and {k} coincide; values must be distinct"
-                        )
+        # matches NaN entries, and it names the first coinciding pair in its
+        # order.  (np.unique(values, axis=0) would also tell, but it imports
+        # numpy.ma, which costs more than the sort.)
+        if not self.allow_repeated_values:
+            ordered = values[np.lexsort(np.concatenate([values.real, values.imag], axis=1).T)]
+            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+                for j in range(values.shape[0]):
+                    for k in range(j + 1, values.shape[0]):
+                        if np.array_equal(values[j], values[k]):
+                            raise ContractViolation(
+                                f"scale values {j} and {k} coincide; values must be distinct"
+                            )
         object.__setattr__(self, "scale", values)
 
     @property

@@ -357,6 +357,11 @@ class SelfCalibrationResult:
     iterations: int
     converged: bool
 
+    @property
+    def flags(self) -> tuple:
+        """("not_converged",) when the sweeps stopped at max_iter above the tolerance."""
+        return () if self.converged else ("not_converged",)
+
 
 def _als_filter_step(outputs, sources):
     v = np.stack([s.reshape(-1) for s in sources], axis=1)

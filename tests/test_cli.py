@@ -426,7 +426,8 @@ class TestTomoDetectorInstrumentSelfcal:
                 err = np.max(np.abs(qtomo.apply_superop(maps[j], b) - proj @ b @ proj))
                 assert err <= 0.05
 
-    def test_selfcal_bundle(self, runner, tmp_path):
+    @staticmethod
+    def _selfcal_report(runner, tmp_path):
         rng = np.random.default_rng(140)
         from support import random_density, random_kraus
 
@@ -443,9 +444,27 @@ class TestTomoDetectorInstrumentSelfcal:
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["tomo", "selfcal", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
-        report = json.loads(out.read_text())
+        return json.loads(out.read_text())
+
+    def test_selfcal_bundle(self, runner, tmp_path):
+        report = self._selfcal_report(runner, tmp_path)
         assert report["residual"] <= 1e-8
-        assert report["converged"]
+        assert report["converged"] and report["flags"] == []
+        history = report["residual_history"]
+        assert len(history) == report["iterations"] + 1 and history[-1] == report["residual"]
+
+    def test_selfcal_stopped_at_max_iter_is_flagged(self, runner, tmp_path, monkeypatch):
+        import functools
+
+        from qtomo import tomography
+
+        capped = functools.partial(tomography.self_calibrating_tomography, max_iter=1)
+        monkeypatch.setattr(tomography, "self_calibrating_tomography", capped)
+        report = self._selfcal_report(runner, tmp_path)
+        assert report["iterations"] == 1 and not report["converged"]
+        assert report["flags"] == ["not_converged"]
+        history = report["residual_history"]
+        assert len(history) == 2 and history[-1] == report["residual"]
 
 
 class TestDynamicsCommand:

@@ -55,13 +55,18 @@ def _env():
     return env
 
 
-def _loaded_engines(*argv):
-    """Run ``python -m qtomo ARGV``; the engine modules it imported, from -X importtime."""
+def _loaded_modules(*argv):
+    """Run ``python -m qtomo ARGV``; the modules it imported, from -X importtime."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "qtomo", *argv],
                           env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _loaded_engines(*argv):
+    """The engine modules that ``python -m qtomo ARGV`` imported."""
+    names = _loaded_modules(*argv)
     return {name[len("qtomo."):] for name in names if name.startswith("qtomo.")} & ENGINES
 
 
@@ -130,6 +135,13 @@ class TestCommandImports:
     def test_version_loads_no_engine(self):
         assert _loaded_engines("--version") == set()
 
+    def test_float_formatter_loads_with_the_first_float_array(self, tmp_path):
+        assert "qtomo._floattext" not in _loaded_modules("--version")
+        model = tmp_path / "model.json"
+        model.write_text('{"H": [[0.0]], "rho0": [[1.0]]}')
+        assert "qtomo._floattext" in _loaded_modules(
+            "dynamics", str(model), "--t", "0.1", "--dt", "0.1", "--out", str(tmp_path / "t.json"))
+
     def test_dynamics_loads_only_its_engine(self, tmp_path):
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
@@ -165,6 +177,20 @@ class TestCommandImports:
                                  "--out", str(tmp_path / "report.json"))
         assert "tomography" in loaded
         assert not loaded & {"dynamics", "optics", "simulate", "uncertainty"}
+
+    def test_detector_commands_load_no_masked_arrays(self, tmp_path):
+        # a Detector checks its scale without np.unique(axis=0), which imports numpy.ma
+        qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(np.diag([1.0, 0.0])))
+        qio.write_json_atomic(str(tmp_path / "device.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
+        loaded = _loaded_modules("simulate", str(tmp_path / "source.json"),
+                                 str(tmp_path / "device.json"), "--shots", "100",
+                                 "--out", str(tmp_path / "events"))
+        assert "qtomo.measures" in loaded and "numpy.ma" not in loaded
+        _instrument_bundle(tmp_path / "instrument")
+        loaded = _loaded_modules("tomo", "instrument", str(tmp_path / "instrument"),
+                                 "--out", str(tmp_path / "i.json"))
+        assert "qtomo.tomography" in loaded and "numpy.ma" not in loaded
 
     def test_detection_commands_load_no_channels(self, tmp_path):
         # channels serves coincidences, processes, instruments and self-calibration only

@@ -253,3 +253,63 @@ class TestCanonicalArrays:
     def test_write_read_write_idempotent(self, doc):
         once = qio.canonical_json(doc)
         assert qio.canonical_json(json.loads(once)) == once
+
+
+def _oracle(values):
+    """The per-element '%.17g' text of a 1-D array, as canonical_json should print it."""
+    return "[" + ",".join("%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()) + "]"
+
+
+def _ties(rng, count):
+    """Doubles exactly halfway between two 17-digit decimals: m/4 and m/8 for odd m."""
+    quarters = (rng.integers(4 * 10 ** 15, 9 * 10 ** 15, count) | 1) / 4.0
+    eighths = (rng.integers(8 * 10 ** 14, 8 * 10 ** 15, count) | 1) / 8.0
+    return np.concatenate([quarters, eighths])
+
+
+class TestExactDigits:
+    """The vectorised printer against one '%.17g' per float, where rounding is hardest."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(150).integers(0, 2 ** 64, 1_100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert values.size >= 10 ** 6
+        assert qio.canonical_json(values) == _oracle(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+        values = np.concatenate([powers, below, above, np.nextafter(below, 0.0),
+                                 np.nextafter(above, np.inf)])
+        values = np.concatenate([values, -values])
+        assert qio.canonical_json(values) == _oracle(values)
+
+    def test_subnormals_zeros_and_float32(self):
+        rng = np.random.default_rng(151)
+        subnormal = rng.integers(1, 2 ** 52, 20000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([subnormal, -subnormal, [0.0, -0.0, 5e-324, -5e-324,
+                                                         2.2250738585072009e-308]])
+        assert qio.canonical_json(values) == _oracle(values)
+        singles = (rng.normal(size=20000) * 10.0 ** rng.integers(-45, 39, 20000)).astype(np.float32)
+        singles = np.concatenate([singles[np.isfinite(singles)],
+                                  np.array([0.1, 1e-45, 3.4028235e38, -0.0], dtype=np.float32)])
+        assert qio.canonical_json(singles) == _oracle(singles)
+
+    def test_exact_ties_round_half_even_through_the_fallback(self, monkeypatch):
+        from qtomo import _floattext
+
+        uncertified = []
+        significands = _floattext._significands
+
+        def spy(v):
+            digits, exponent, exact = significands(v)
+            uncertified.append(int(np.count_nonzero(~exact)))
+            return digits, exponent, exact
+
+        monkeypatch.setattr(_floattext, "_significands", spy)
+        ties = _ties(np.random.default_rng(152), 100_000)
+        assert qio.canonical_json(ties) == _oracle(ties)
+        assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"  # half-even
+        # the fast path certified none of them: every tie went to '%.17g'
+        assert sum(uncertified) == ties.size

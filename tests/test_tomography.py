@@ -15,6 +15,7 @@ from qtomo import (
     QuantumMeasure,
     RankDeficiencyError,
     apply_superop,
+    choi_transform,
     density_from_state,
     detector_tomography,
     empirical_rates,
@@ -342,6 +343,43 @@ class TestProcessTomography:
             process_tomography(probes, probes[:-1])
 
 
+@st.composite
+def _process_data(draw):
+    """probe_states(d) and one Hermitian output each, of any sign: a map that need not be CP."""
+    d = draw(st.integers(1, 3))
+    parts = draw(hnp.arrays(np.float64, (d * d, 2, d, d), elements=st.floats(-2.0, 2.0)))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    return probe_states(d), list(0.5 * (g + np.swapaxes(g, 1, 2).conj()))
+
+
+class TestCpProjectionProperties:
+    """process_tomography(project_cp=True) lands in the CP cone and stays there."""
+
+    @staticmethod
+    def _scale(e):
+        return max(1.0, float(np.linalg.norm(choi_transform(e))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_process_data())
+    def test_projected_choi_is_psd(self, data):
+        e, _ = process_tomography(*data, project_cp=True)
+        choi = choi_transform(e)
+        tol = 1e-12 * self._scale(e)
+        assert np.max(np.abs(choi - choi.conj().T)) <= tol
+        assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] >= -tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(_process_data())
+    def test_projecting_again_moves_nothing(self, data):
+        probes, _ = data
+        once, _ = process_tomography(*data, project_cp=True)
+        outputs = [apply_superop(once, p) for p in probes]
+        twice, report = process_tomography(probes, outputs, project_cp=True)
+        tol = 1e-12 * self._scale(once)
+        assert report.projection_distance <= tol
+        assert np.max(np.abs(twice - once)) <= tol
+
+
 def _projective_instrument():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -427,7 +465,15 @@ class TestSelfCalibration:
         result = self_calibrating_tomography(outputs, filters, sources)
         assert result.iterations == 0
         assert result.residual <= 1e-12
-        assert result.converged
+        assert result.converged and result.flags == ()
+
+    def test_stopping_at_max_iter_is_flagged(self):
+        rng = np.random.default_rng(81)
+        filters, sources, outputs = self._ground_truth(rng)
+        init_f = [f + 1e-2 * rng.normal(size=f.shape) for f in filters]
+        result = self_calibrating_tomography(outputs, init_f, sources, max_iter=1)
+        assert result.iterations == 1 and not result.converged
+        assert result.flags == ("not_converged",)
 
     def test_perturbed_guesses_converge_on_exact_data(self):
         rng = np.random.default_rng(81)
