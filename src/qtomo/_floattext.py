@@ -34,10 +34,10 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_BLOCK = 4096  # elements per pass: the scratch arrays stay well under 1 MB
+_BLOCK = 2048  # elements per pass: the scratch arrays stay near 0.5 MB
 _DIGITS = 17
 _K_MIN, _K_MAX = -280, 290  # exponents k of the tabulated powers 10^k
-_FAST_MIN, _FAST_MAX = 1e-270, 1e290  # |x| the double-double path serves
+_FAST_MIN, _FAST_MAX = 1e-270, 1e290  # |x| the double-double path serves, in whole binades
 _TIE_MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for doubles
 _EXP_MIN, _EXP_MAX = -330, 310  # decimal exponents of the exponent words
@@ -74,32 +74,47 @@ def _words(texts, count=1):
 
 @functools.lru_cache(maxsize=1)
 def _tables():
-    """Powers of ten and the words of the number text (see _NUMBER_WORDS).
+    """Lookup tables, built by assignment alone.
 
-    The tables are built by assignment alone, with no arithmetic: each new
-    kind of numpy loop pages in more of numpy's code, and scratch memory or
-    code pages raise the peak RSS of every process that writes a float array.
+    The whole printer uses only numpy loops that any numpy program runs
+    anyway (take, where, copyto, float arithmetic, int64 addition), plus
+    int64 floor division: the first call of a kind of loop pages in more of
+    numpy's code, and that raises the peak RSS of every process that writes
+    a float array.  So comparisons are signs, and masks come from tables.
     """
     hi, lo = np.array([_pow10_pair(k) for k in range(_K_MIN, _K_MAX + 1)]).T
     powers = np.stack([hi, *_split(hi), lo])  # rows: hi, its two halves, lo
+    # By biased binary exponent b: whether the fast path serves the binade
+    # [2^(b-1023), 2^(b-1022)), floor(log10) of its least value, and the next power of ten.
+    fast = np.zeros(2048, bool)
+    fast[1023 + math.ceil(math.log2(_FAST_MIN)):1023 + math.floor(math.log2(_FAST_MAX))] = True
+    floors = [math.floor((b - 1023) * math.log10(2.0)) for b in range(2048)]
+    binades = np.array(floors), np.array([float(f"1e{f + 1}") for f in floors]), fast
     ascii_digits = np.arange(48, 58, dtype=np.uint8)
     quads = np.zeros((10, 10, 10, 10, 8), np.uint8)  # the digits of q, point slots between
     for place in range(4):
         quads[..., 2 * place] = ascii_digits[(slice(None),) + (None,) * (3 - place)]
-    zeros = np.zeros(10000, np.uint8)  # trailing zeros of q, 4 for 0
+    # The digits of q = d1 d2 d3 d4 up to its last nonzero one, plus one (none for 0).
+    significant = np.full(10000, 5, np.intp)
     for count in range(1, 5):
-        zeros[::10 ** count] = count
+        significant[::10 ** count] = 5 - count
+    significant[0] = -_DIGITS
     # Word 0 by (prefix of decimal exponent -j, or none for j = 0; sign; first digit).
     heads = [sign + b"0.000"[:j + 1 if j else 0].ljust(5, b"\0") + bytes([d])
              for j in range(5) for sign in (b"\0", b"-") for d in range(48, 58)]
+    # By decimal exponent x: the start of its heads, its exponent word (none in fixed
+    # notation), the digits always kept (those before the point) and the digit the
+    # point follows (17 for 0.000ddd, whose prefix holds the point).
+    layouts = [(20 * -x, 0, 1, _DIGITS) if -4 <= x < 0 else (0, 0, x + 1, x + 1)
+               if 0 <= x < _DIGITS else (0, 1 + x - _EXP_MIN, 1, 1)
+               for x in range(_EXP_MIN, _EXP_MAX + 1)]
     exps = [b""] + [b"e%+03d" % x for x in range(_EXP_MIN, _EXP_MAX + 1)]
-    # Row m passes word 0 and the bytes of the first m digits (point slots are set later).
-    keep = np.zeros((_DIGITS + 1, 5 * 8), np.uint8)
-    keep[:, :7] = 255
-    for m in range(1, _DIGITS + 1):
-        keep[m, 6:6 + 2 * m:2] = 255
-    return (powers, _words(heads).ravel(), quads.view(np.uint64).ravel(), zeros,
-            keep.view(np.uint64), _words(exps).ravel())
+    # Row m marks digits m.. of digits 1-16: those past the first m.
+    past = np.zeros((_DIGITS + 1, _DIGITS - 1), bool)
+    for m in range(_DIGITS + 1):
+        past[m, max(m - 1, 0):] = True
+    return (powers, binades, _words(heads).ravel(), quads.view(np.uint64).ravel(), significant,
+            np.array(layouts).T, _words(exps).ravel(), past)
 
 
 @functools.lru_cache(maxsize=8)
@@ -121,23 +136,28 @@ def _outside(p, t):
     """Whether p + t lies below 10^16, and whether it rounds to 10^17 or more.
 
     Each difference p - bound is exact near the bound (Sterbenz) and far
-    larger than t away from it, so the signs are those of the exact sums.
+    larger than t away from it, and rounding keeps the sign of a sum, so the
+    signs are those of the exact sums.
     """
-    return (p - 1e16) + t < 0, (p - 1e17) + t >= -0.5
+    return np.signbit((p - 1e16) + t), ~np.signbit(((p - 1e17) + t) + 0.5)
 
 
 def _significands(v):
     """(digits, exponent, exact) of finite doubles v: the 17-digit significand D and the
     decimal exponent X with |v| = D·10^(X-16) rounded to nearest; where exact is False
     the fast path could not certify the rounding.  Zeros give D = 0, X = 0."""
+    floors, powers, fast = _tables()[1]
     a = np.abs(v)
-    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    binade = a.view(np.int64) >> 52  # the biased binary exponent
+    fast = np.take(fast, binade)
     a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.take(floors, binade)
+    e = np.where(fast, np.where(np.signbit(a - np.take(powers, binade)), e, e + 1), 0)
+    del binade
     p, t = _scaled(a, e)
-    # log10 may miss by one near a power of ten; compare the exact p + t with the ends.
-    # A product that would round up to 10^17 (below 10^17 by 0.5 or less) stays
-    # outside after the fix and goes to Python's formatter.
+    # The next power of ten is rounded, so e may miss by one right next to it;
+    # compare the exact p + t with the ends.  A product that would round up to
+    # 10^17 (below 10^17 by 0.5 or less) stays outside and goes to '%.17g'.
     low, high = _outside(p, t)
     fix = np.flatnonzero(low | high)
     if fix.size:
@@ -145,45 +165,38 @@ def _significands(v):
         p[fix], t[fix] = _scaled(a[fix], e[fix])
         fast[fix] &= ~np.logical_or(*_outside(p[fix], t[fix]))
     rounded = np.floor(t + 0.5)  # t + 0.5 is exact, since |t| < 32
-    exact = fast & (np.abs(np.abs(t - rounded) - 0.5) >= _TIE_MARGIN)
+    exact = fast & ~np.signbit(np.abs(np.abs(t - rounded) - 0.5) - _TIE_MARGIN)
     digits = p.astype(np.int64) + rounded.astype(np.int64)
     zero = v == 0  # a zero was scaled as 1.0, so e is 0 already
     return np.where(zero, 0, digits), e, exact | zero
 
 
-def _divmod(n, d):
-    """n // d and n % d; floor division by a scalar runs far faster than %."""
-    q = n // d
-    return q, n - q * d
-
-
 def _rows(v, seps, depth):
     """Each double of v as '%.17g' text, then its separator, in rows of NUL-padded bytes."""
-    heads, quads, zeros, keep, exps = _tables()[1:]
+    heads, quads, significant, layouts, exps, past = _tables()[2:]
     separators = _separators(depth)
     digits, x, exact = _significands(v)
-    top, bottom = _divmod(digits, 10 ** 8)
-    lead, g2 = _divmod(top, 10 ** 4)
-    d0, g1 = _divmod(lead, 10 ** 4)
-    g3, g4 = _divmod(bottom, 10 ** 4)
-    fixed = (x >= -4) & (x < _DIGITS)
-    small = fixed & (x < 0)  # 0.000ddd: the prefix holds the point
+    head, exp, kept, point = np.take(layouts, x - _EXP_MIN, axis=1)
     rows = np.empty((len(v), _NUMBER_WORDS + separators.shape[1]), np.uint64)
-    rows[:, 0] = np.take(heads, (np.where(small, -x, 0) * 2 + np.signbit(v)) * 10 + d0)
-    for i, g in enumerate((g1, g2, g3, g4)):
-        rows[:, 1 + i] = np.take(quads, g)
-    rows[:, 5] = np.take(exps, np.where(fixed, 0, x + (1 - _EXP_MIN)))
+    rows[:, 5] = np.take(exps, exp)
     rows[:, _NUMBER_WORDS:] = np.take(separators, seps, axis=0)
-    # Keep the digits up to the last nonzero one and those before the point.
-    trailing = np.take(zeros, g1)
-    for g in (g2, g3, g4):
-        trailing = np.take(zeros, g) + (g == 0) * trailing
-    sig = _DIGITS - trailing  # one for zero
-    whole = np.where(fixed & ~small, x + 1, 1)  # digits before the point
-    rows[:, :5] &= np.take(keep, np.maximum(sig, whole), axis=0)
+    # Digits 1-16, four to a word, and the count of digits up to the last
+    # nonzero one (one for zero): the largest over the words.
+    count = np.ones(len(v), np.intp)
+    for word in (4, 3, 2, 1):
+        quotient = digits // 10 ** 4  # floor division by a scalar runs far faster than %
+        group = digits - quotient * 10 ** 4
+        digits = quotient
+        rows[:, word] = np.take(quads, group)
+        count = np.maximum(count, np.take(significant, group) + 4 * (word - 1))
+    rows[:, 0] = np.take(heads, head + np.where(np.signbit(v), 10, 0) + digits)  # digit 0
     text = rows.view(np.uint8)
-    point = np.flatnonzero((sig > whole) & ~small)
-    text[point, 5 + 2 * whole[point]] = ord(".")  # the slot after digit whole - 1
+    text[np.arange(len(v)), 5 + 2 * point] = ord(".")  # the slot after digit point - 1
+    # Drop trailing zeros past the point; a point slot goes with the digit after it.
+    drop = np.take(past, np.maximum(count, kept), axis=0)
+    np.copyto(text[:, 8:40:2], 0, where=drop)
+    np.copyto(text[:, 7:39:2], 0, where=drop)
+    text[:, 39] = 0  # no digit follows digit 16
 
     slow = np.flatnonzero(~exact)
     if slow.size:
@@ -191,22 +204,6 @@ def _rows(v, seps, depth):
         fallback = np.array(["%.17g" % f for f in v[slow].tolist()], "S24")
         text[slow, :24] = fallback.view(np.uint8).reshape(-1, 24)
     return text
-
-
-@functools.lru_cache(maxsize=16)
-def _separator_cycle(shape):
-    """(period, cycle): item i of cycle is the separator before element i mod period of
-    an array of this shape, past its first element: the number of brackets that close
-    (and open) there.  The period is shape[1:].size, and the cycle runs _BLOCK items
-    past one period, so a block reads its separators as one slice.
-    """
-    period = math.prod(shape[1:])
-    cycle = np.zeros(period * -(-(_BLOCK + period) // period), np.intp)
-    size = 1
-    for closed, axis in enumerate(reversed(shape[1:]), start=1):  # sub-arrays nest
-        size *= axis
-        cycle[::size] = closed
-    return period, cycle
 
 
 def _empty(shape):
@@ -246,22 +243,25 @@ def format_arrays(arrays):
                            dtype=np.float64)
         if not np.isfinite(v).all():
             raise ContractViolation("cannot serialize non-finite numbers")
-        seps = np.empty(len(v), np.intp)
+        # The separator after element i closes (and opens) one bracket for each
+        # sub-array size that divides i + 1; the sizes nest, so later levels win.
+        seps = np.zeros(len(v), np.intp)
         row = 0
         for j, start, count in block:
-            period, cycle = _separator_cycle(arrays[j].shape)
-            first = (start + 1) % period  # each row holds the separator after its element
-            seps[row:row + count] = cycle[first:first + count]
+            size = 1
+            for closed, axis in enumerate(reversed(arrays[j].shape[1:]), start=1):
+                size *= axis
+                seps[row + -(start + 1) % size:row + count:size] = closed
             if start + count == arrays[j].size:
                 seps[row + count - 1] = depth  # the closing brackets come with the array
             row += count
         rows = _rows(v, seps, depth)
         row = 0
         for j, start, count in block:
-            chunks.append(rows[row:row + count].tobytes().translate(None, b"\0"))
+            chunks.append(rows[row:row + count].tobytes().translate(None, b"\0").decode("ascii"))
             row += count
             if start + count == arrays[j].size:  # the array is complete
                 brackets = arrays[j].ndim
-                texts[j] = "[" * brackets + b"".join(chunks).decode("ascii") + "]" * brackets
+                texts[j] = "".join(["[" * brackets, *chunks, "]" * brackets])
                 chunks = []
     return texts
