@@ -55,16 +55,19 @@ def _split(a):
     return hi, a - hi
 
 
-def _pow10_pair(k):
-    """10^k as hi + lo: hi correctly rounded, lo the correctly rounded remainder."""
+def _power(k):
+    """10^k as (hi, hi's two Veltkamp halves, lo): hi correctly rounded, lo the correctly
+    rounded remainder, from exact integer arithmetic."""
     if k >= 0:
         exact = 10 ** k
         hi = float(exact)
-        return hi, float(exact - int(hi))
-    scale = 10 ** -k
-    hi = 1 / scale  # int true division rounds correctly
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * scale) / (den * scale)
+        lo = float(exact - int(hi))
+    else:
+        scale = 10 ** -k
+        hi = 1 / scale  # int true division rounds correctly
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * scale) / (den * scale)
+    return (hi, *_split(hi), lo)
 
 
 def _words(texts, count=1):
@@ -76,20 +79,22 @@ def _words(texts, count=1):
 def _tables():
     """Lookup tables, built by assignment alone.
 
-    The whole printer uses only numpy loops that any numpy program runs
-    anyway (take, where, copyto, float arithmetic, int64 addition), plus
-    int64 floor division: the first call of a kind of loop pages in more of
-    numpy's code, and that raises the peak RSS of every process that writes
-    a float array.  So comparisons are signs, and masks come from tables.
+    The printer runs only numpy loops that numpy programs commonly run
+    anyway (take, where, copyto, float arithmetic, int64 addition and
+    maximum) plus an int64 shift and floor division: the first call of a
+    kind of loop pages in more of numpy's code, which raises the peak RSS of
+    every process that writes a float array.  So comparisons are taken as
+    signs, and masks come from tables.
     """
-    hi, lo = np.array([_pow10_pair(k) for k in range(_K_MIN, _K_MAX + 1)]).T
-    powers = np.stack([hi, *_split(hi), lo])  # rows: hi, its two halves, lo
+    # The powers 10^k by k - _K_MIN, as in _power, each filled on its first use.
+    powers = np.zeros((4, _K_MAX - _K_MIN + 1)), np.zeros(_K_MAX - _K_MIN + 1, bool)
     # By biased binary exponent b: whether the fast path serves the binade
-    # [2^(b-1023), 2^(b-1022)), floor(log10) of its least value, and the next power of ten.
+    # [2^(b-1023), 2^(b-1022)), floor(log10) of its least value, and about the
+    # next power of ten (a miss by one ulp only sends an element through the fix).
     fast = np.zeros(2048, bool)
     fast[1023 + math.ceil(math.log2(_FAST_MIN)):1023 + math.floor(math.log2(_FAST_MAX))] = True
     floors = [math.floor((b - 1023) * math.log10(2.0)) for b in range(2048)]
-    binades = np.array(floors), np.array([float(f"1e{f + 1}") for f in floors]), fast
+    binades = np.array(floors), np.array([10.0 ** min(f + 1, 308) for f in floors]), fast
     ascii_digits = np.arange(48, 58, dtype=np.uint8)
     quads = np.zeros((10, 10, 10, 10, 8), np.uint8)  # the digits of q, point slots between
     for place in range(4):
@@ -102,19 +107,24 @@ def _tables():
     # Word 0 by (prefix of decimal exponent -j, or none for j = 0; sign; first digit).
     heads = [sign + b"0.000"[:j + 1 if j else 0].ljust(5, b"\0") + bytes([d])
              for j in range(5) for sign in (b"\0", b"-") for d in range(48, 58)]
-    # By decimal exponent x: the start of its heads, its exponent word (none in fixed
-    # notation), the digits always kept (those before the point) and the digit the
-    # point follows (17 for 0.000ddd, whose prefix holds the point).
-    layouts = [(20 * -x, 0, 1, _DIGITS) if -4 <= x < 0 else (0, 0, x + 1, x + 1)
-               if 0 <= x < _DIGITS else (0, 1 + x - _EXP_MIN, 1, 1)
-               for x in range(_EXP_MIN, _EXP_MAX + 1)]
+    # By decimal exponent x - _EXP_MIN: the start of its heads, its exponent word
+    # (none in fixed notation), the digits always kept (those before the point) and
+    # the digit the point follows (17 for 0.000ddd, whose prefix holds the point).
+    layouts = np.ones((4, _EXP_MAX - _EXP_MIN + 1), np.intp)
+    small, fixed, end = -4 - _EXP_MIN, -_EXP_MIN, _DIGITS - _EXP_MIN
+    layouts[0] = 0
+    layouts[0, small:fixed] = [80, 60, 40, 20]
+    layouts[1] = np.arange(1, layouts.shape[1] + 1)
+    layouts[1, small:end] = 0
+    layouts[2:, fixed:end] = np.arange(1, _DIGITS + 1)
+    layouts[3, small:fixed] = _DIGITS
     exps = [b""] + [b"e%+03d" % x for x in range(_EXP_MIN, _EXP_MAX + 1)]
     # Row m marks digits m.. of digits 1-16: those past the first m.
     past = np.zeros((_DIGITS + 1, _DIGITS - 1), bool)
     for m in range(_DIGITS + 1):
         past[m, max(m - 1, 0):] = True
     return (powers, binades, _words(heads).ravel(), quads.view(np.uint64).ravel(), significant,
-            np.array(layouts).T, _words(exps).ravel(), past)
+            layouts, _words(exps).ravel(), past)
 
 
 @functools.lru_cache(maxsize=8)
@@ -125,7 +135,14 @@ def _separators(depth):
 
 def _scaled(a, e):
     """|x|·10^(16-e) as p + t: p the rounded product, t the rest, within about 1e-14."""
-    b, b_hi, b_lo, lo = np.take(_tables()[0], (16 - _K_MIN) - e, axis=1)
+    powers, ready = _tables()[0]
+    k = (16 - _K_MIN) - e
+    missing = k[~np.take(ready, k)]
+    if missing.size:
+        for i in set(missing.tolist()):
+            powers[:, i] = _power(i + _K_MIN)
+        ready[missing] = True
+    b, b_hi, b_lo, lo = np.take(powers, k, axis=1)
     a_hi, a_lo = _split(a)
     p = a * b
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
