@@ -250,7 +250,6 @@ def _blocks(sizes):
 
 def format_arrays(arrays):
     """The canonical JSON text of each float array; ContractViolation if any holds a non-finite."""
-    arrays = [np.asarray(a) for a in arrays]
     flats = [a.ravel() for a in arrays]
     depth = max([a.ndim for a in arrays] + [1])
     texts = [None if a.size else _empty(a.shape) for a in arrays]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -454,8 +455,6 @@ class TestTomoDetectorInstrumentSelfcal:
         assert len(history) == report["iterations"] + 1 and history[-1] == report["residual"]
 
     def test_selfcal_stopped_at_max_iter_is_flagged(self, runner, tmp_path, monkeypatch):
-        import functools
-
         from qtomo import tomography
 
         capped = functools.partial(tomography.self_calibrating_tomography, max_iter=1)
