@@ -93,8 +93,9 @@ def _tables():
     # next power of ten (a miss by one ulp only sends an element through the fix).
     fast = np.zeros(2048, bool)
     fast[1023 + math.ceil(math.log2(_FAST_MIN)):1023 + math.floor(math.log2(_FAST_MAX))] = True
-    floors = [math.floor((b - 1023) * math.log10(2.0)) for b in range(2048)]
-    binades = np.array(floors), np.array([10.0 ** min(f + 1, 308) for f in floors]), fast
+    floors = np.floor(np.arange(-1023.0, 1025.0) * math.log10(2.0)).astype(np.intp)
+    tens = np.array([10.0 ** k for k in range(-307, 309)] + [math.inf])  # 10^(floor + 1)
+    binades = floors, np.take(tens, floors + 308), fast
     ascii_digits = np.arange(48, 58, dtype=np.uint8)
     quads = np.zeros((10, 10, 10, 10, 8), np.uint8)  # the digits of q, point slots between
     for place in range(4):
