@@ -77,7 +77,7 @@ def _words(texts, count=1):
 
 @functools.lru_cache(maxsize=1)
 def _tables():
-    """Lookup tables, built by assignment alone.
+    """Lookup tables.
 
     The printer runs only numpy loops that numpy programs commonly run
     anyway (take, where, copyto, float arithmetic, int64 addition and
@@ -100,7 +100,8 @@ def _tables():
     quads = np.zeros((10, 10, 10, 10, 8), np.uint8)  # the digits of q, point slots between
     for place in range(4):
         quads[..., 2 * place] = ascii_digits[(slice(None),) + (None,) * (3 - place)]
-    # The digits of q = d1 d2 d3 d4 up to its last nonzero one, plus one (none for 0).
+    # How many of the digits d0 d1 d2 d3 d4 run up to the last nonzero one of
+    # q = d1 d2 d3 d4; below any count for q = 0, since the largest over the words wins.
     significant = np.full(10000, 5, np.intp)
     for count in range(1, 5):
         significant[::10 ** count] = 5 - count
