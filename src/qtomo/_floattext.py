@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_BLOCK = 2048  # elements per pass: the scratch arrays stay near 0.5 MB
+_BLOCK = 4096  # elements per pass: the scratch arrays stay near 1 MB
 _DIGITS = 17
 _K_MIN, _K_MAX = -280, 290  # exponents k of the tabulated powers 10^k
 _FAST_MIN, _FAST_MAX = 1e-270, 1e290  # |x| the double-double path serves, in whole binades
