@@ -165,13 +165,13 @@ def _significands(v):
     """(digits, exponent, exact) of finite doubles v: the 17-digit significand D and the
     decimal exponent X with |v| = D·10^(X-16) rounded to nearest; where exact is False
     the fast path could not certify the rounding.  Zeros give D = 0, X = 0."""
-    floors, powers, fast = _tables()[1]
+    floors, nexts, fast = _tables()[1]
     a = np.abs(v)
     binade = a.view(np.int64) >> 52  # the biased binary exponent
     fast = np.take(fast, binade)
     a = np.where(fast, a, 1.0)
     e = np.take(floors, binade)
-    e = np.where(fast, np.where(np.signbit(a - np.take(powers, binade)), e, e + 1), 0)
+    e = np.where(fast, np.where(np.signbit(a - np.take(nexts, binade)), e, e + 1), 0)
     del binade
     p, t = _scaled(a, e)
     # The next power of ten is rounded, so e may miss by one right next to it;
