@@ -93,8 +93,12 @@ def superop_from_action(action, d: int) -> np.ndarray:
 def choi_transform(e) -> np.ndarray:
     """Swap the middle tensor indices; an exact linear involution."""
     m = as_square(e, "superoperator")
-    d = superop_dim(m)
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return swap_middle(m, superop_dim(m))
+
+
+def swap_middle(m, d: int) -> np.ndarray:
+    """choi_transform of each matrix in a stack (..., d^2, d^2), without input checks."""
+    return m.reshape(*m.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(m.shape)
 
 
 # The inverse direction is the same index permutation.

@@ -302,8 +302,8 @@ def write_atomic(path, write):
 
 def write_json_atomic(path, obj):
     """Write canonical JSON via a temp file and rename, so readers never see partial output."""
-    data = (canonical_json(obj) + "\n").encode("ascii")  # json.dumps escapes non-ASCII
-    write_atomic(path, lambda handle: handle.write(data))
+    data = canonical_json(obj).encode("ascii")  # json.dumps escapes non-ASCII
+    write_atomic(path, lambda handle: handle.writelines((data, b"\n")))
 
 
 def read_json(path):

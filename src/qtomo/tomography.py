@@ -40,6 +40,23 @@ def _pair_traces(a, b):
     return a.reshape(len(a), -1) @ np.swapaxes(b, 1, 2).reshape(len(b), -1).T
 
 
+def _square_stack(matrices, name):
+    """(n, d, d) stack of n >= 1 square matrices of one size, or ContractViolation."""
+    mats = [as_square(m, name) for m in matrices]
+    sizes = sorted({m.shape[0] for m in mats})
+    if len(sizes) != 1:
+        raise ContractViolation(f"{name}s must be square matrices of one size, got sizes {sizes}")
+    return np.stack(mats)
+
+
+def _span(sing, d, message):
+    """(rank, cond) of a design from its singular values; RankDeficiencyError below rank d^2."""
+    rank = int(np.sum(sing > sing[0] * _RANK_RTOL)) if sing.size and sing[0] > 0 else 0
+    if rank < d * d:
+        raise RankDeficiencyError(f"{message}: rank {rank} < {d * d}", rank=rank, required=d * d)
+    return rank, float(sing[0] / sing[rank - 1])
+
+
 def _hermitian_lstsq(operators, rates, stderr, what):
     """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c.
 
@@ -54,14 +71,7 @@ def _hermitian_lstsq(operators, rates, stderr, what):
     basis = hermitian_basis(d)
     m = _pair_traces(ops, basis).real
     u, sing, vt = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(sing > sing[0] * _RANK_RTOL)) if sing.size and sing[0] > 0 else 0
-    if rank < d * d:
-        raise RankDeficiencyError(
-            f"{what} design is not informationally complete: rank {rank} < {d * d}",
-            rank=rank,
-            required=d * d,
-        )
-    cond = float(sing[0] / sing[rank - 1])
+    rank, cond = _span(sing, d, f"{what} design is not informationally complete")
     y = np.asarray(rates, dtype=float)
     if y.shape[0] != len(ops):
         raise ContractViolation(
@@ -82,15 +92,19 @@ def _hermitian_lstsq(operators, rates, stderr, what):
 
 
 def _simplex(evals, target):
-    """Euclidean projection of each row of evals onto {lam >= 0, sum(lam) = target > 0}."""
+    """Euclidean projection of each row of evals onto {lam >= 0, sum(lam) = target > 0}.
+
+    With u sorted descending, the k largest stay while D_k = sum_{j<=k} (u_j - u_k)
+    < target and become (target - D_k) / k + (lam - u_k).  Every term summed is
+    nonnegative, so the target trace survives eigenvalues of any spread.
+    """
     u = -np.sort(-evals, axis=-1)
-    excess = np.cumsum(u, axis=-1) - target[..., None]
-    count = np.arange(1, u.shape[-1] + 1)
-    # at least one: with huge eigenvalues u - excess can round to 0, and the
-    # largest eigenvalue is always active in exact arithmetic
-    active = np.maximum(np.sum(u * count > excess, axis=-1, keepdims=True), 1)
-    shift = np.take_along_axis(excess, active - 1, axis=-1) / active
-    return np.clip(evals - shift, 0.0, None)
+    gaps = np.arange(1, u.shape[-1]) * (u[..., :-1] - u[..., 1:])
+    excess = np.concatenate([np.zeros_like(u[..., :1]), np.cumsum(gaps, axis=-1)], axis=-1)
+    active = np.sum(excess < target[..., None], axis=-1, keepdims=True)
+    floor = np.take_along_axis(u, active - 1, axis=-1)
+    level = (target[..., None] - np.take_along_axis(excess, active - 1, axis=-1)) / active
+    return np.where(evals >= floor, level + (evals - floor), 0.0)
 
 
 def project_psd(x, trace_target=None):
@@ -182,7 +196,7 @@ def detector_tomography(probe_states, rates, stderr=None):
     report carries the flag "deficit_not_converged"; extras record the
     number of passes as "deficit_iterations".
     """
-    probes = [as_square(p, "probe state") for p in probe_states]
+    probes = _square_stack(probe_states, "probe state")
     table = np.asarray(rates, dtype=float)
     if table.ndim != 2 or table.shape[0] != len(probes):
         raise ContractViolation(
@@ -220,6 +234,38 @@ def detector_tomography(probe_states, rates, stderr=None):
     return measure, report
 
 
+def _norms(stack):
+    """Frobenius norm of each matrix in a stack, summed as np.linalg.norm sums one matrix,
+    so that a report does not depend on how many maps were fitted with it."""
+    return np.array([np.linalg.norm(m) for m in stack])
+
+
+def _fit_superops(probes, outputs, project_cp):
+    """Least-squares maps E_b with E_b vec(probes[l]) = vec(outputs[b, l]) for a (B, n, d, d) stack.
+
+    One pseudo-inverse of the probe matrix serves all B maps.  Returns (maps,
+    residuals, CP projection distances, least Choi eigenvalues (0 unprojected),
+    cond, rank).
+    """
+    from .channels import swap_middle
+
+    n, d = probes.shape[:2]
+    v = probes.reshape(n, d * d).T
+    rank, cond = _span(np.linalg.svd(v, compute_uv=False), d,
+                       "probe states do not span Hermitian space")
+    w = outputs.reshape(len(outputs), n, d * d).transpose(0, 2, 1)
+    e = w @ np.linalg.pinv(v)
+    dist = lowest = np.zeros(len(e))
+    if project_cp:
+        choi = swap_middle(e, d)
+        evals, evecs = np.linalg.eigh(0.5 * (choi + choi.conj().swapaxes(1, 2)))
+        lowest = evals[:, 0]
+        clipped = (evecs * np.clip(evals, 0.0, None)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+        projected = swap_middle(clipped, d)
+        e, dist = projected, _norms(projected - e)
+    return e, _norms(e @ v - w), dist, lowest, cond, rank
+
+
 def process_tomography(probe_states, output_states, project_cp=False, cp_tol=1e-9):
     """Reconstruct the superoperator mapping probe states to output states.
 
@@ -228,48 +274,22 @@ def process_tomography(probe_states, output_states, project_cp=False, cp_tol=1e-
     optionally the estimate is projected to the CP cone by clipping Choi
     eigenvalues.
     """
-    from .channels import choi_rank, choi_transform, superop_from_choi
+    from .channels import choi_rank
 
-    probes = [as_square(p, "probe state") for p in probe_states]
-    outs = [as_square(o, "output state") for o in output_states]
-    if len(probes) != len(outs):
-        raise ContractViolation(
-            f"{len(probes)} probes but {len(outs)} reconstructed outputs"
-        )
-    d = probes[0].shape[0]
-    v = np.stack([p.reshape(-1) for p in probes], axis=1)
-    w = np.stack([o.reshape(-1) for o in outs], axis=1)
-    sing = np.linalg.svd(v, compute_uv=False)
-    rank = int(np.sum(sing > sing[0] * _RANK_RTOL)) if sing.size and sing[0] > 0 else 0
-    if rank < d * d:
-        raise RankDeficiencyError(
-            f"probe states do not span Hermitian space: rank {rank} < {d * d}",
-            rank=rank,
-            required=d * d,
-        )
-    cond = float(sing[0] / sing[rank - 1])
-    e = w @ np.linalg.pinv(v)
-    residual = float(np.linalg.norm(e @ v - w))
-    dist = 0.0
-    flags = []
-    if project_cp:
-        choi = choi_transform(e)
-        choi = 0.5 * (choi + choi.conj().T)
-        evals, evecs = np.linalg.eigh(choi)
-        if evals[0] < -cp_tol:
-            flags.append("cp_projected")
-        clipped = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
-        e_proj = superop_from_choi(clipped)
-        dist = float(np.linalg.norm(e_proj - e))
-        e = e_proj
-        residual = float(np.linalg.norm(e @ v - w))
+    probes = _square_stack(probe_states, "probe state")
+    outs = _square_stack(output_states, "output state")
+    if outs.shape != probes.shape:
+        raise ContractViolation(f"{len(probes)} probes of size {probes.shape[1]} but {len(outs)} "
+                                f"reconstructed outputs of size {outs.shape[1]}")
+    e, residual, dist, lowest, cond, rank = _fit_superops(probes, outs[None], project_cp)
+    flags = ["cp_projected"] if lowest[0] < -cp_tol else []
     if cond > COND_WARN:
         flags.append("ill_conditioned")
     report = ReconstructionReport(
-        residual, cond, dist, rank, tuple(flags),
-        {"choi_rank": choi_rank(e, cp_tol)},
+        float(residual[0]), cond, float(dist[0]), rank, tuple(flags),
+        {"choi_rank": choi_rank(e[0], cp_tol)},
     )
-    return e, report
+    return e[0], report
 
 
 def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
@@ -281,15 +301,14 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
     k = 0 the null detection slot.  The postselected element rates of every
     (probe, branch) pair are inverted together to unnormalized conditional
     output states (second detector must be informationally complete), and
-    each responding branch's map follows by process tomography over the
-    probes.  Branch 0 with no recorded rate is returned as the zero map; an
-    ordinary branch without events is an error.  The report's rank is the
-    smaller of the detector design's rank and the probes' span rank.
+    the maps of all responding branches follow by process tomography over
+    the probes, with one pseudo-inverse of the probe matrix.  Branch 0 with
+    no recorded rate is returned as the zero map; an ordinary branch without
+    events is an error.  The report's rank is the smaller of the detector
+    design's rank and the probes' span rank.
     """
-    from .channels import apply_superop
-
     tables = np.asarray(joint_tables, dtype=float)
-    probes = [as_square(p, "probe state") for p in probe_states]
+    probes = _square_stack(probe_states, "probe state")
     if tables.ndim != 3 or tables.shape[0] != len(probes):
         raise ContractViolation(
             f"joint tables must be (n_probes, J+1, K+1), got {tables.shape}"
@@ -308,44 +327,35 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
             required=measure.dim ** 2,
         )
     d = measure.dim
+    if probes.shape[1] != d:
+        raise ContractViolation(f"probe states are {probes.shape[1]}-dimensional, the second "
+                                f"detector measures {d}x{d} states")
     n_probes, n_branches, n_slots = tables.shape
+    marginals = tables.sum(axis=2)  # (n_probes, J+1)
+    silent = marginals.max(axis=0) <= min_branch_rate
+    if silent[1:].any():
+        raise ContractViolation(f"insufficient events for branch {np.argmax(silent[1:]) + 1}: "
+                                "no probe recorded a response")
     # One solve on the detector design for every (probe, branch) output:
     # column ell * (J+1) + j holds the element rates of probe ell in branch j.
     y = tables[:, :, 1:].reshape(-1, n_slots - 1).T
-    x, _, _, rank = _hermitian_lstsq(measure.elements, y, None, "instrument tomography")
+    x, _, _, det_rank = _hermitian_lstsq(measure.elements, y, None, "instrument tomography")
     outputs, _ = project_psd(x, trace_target=y.sum(axis=0))
     output_residuals = _rate_residuals(measure.elements, outputs, y).reshape(n_probes, n_branches)
-    outputs = outputs.reshape(n_probes, n_branches, d, d)
-    branch_maps = []
-    marginals = tables.sum(axis=2)  # (n_probes, J+1)
-    flags = []
-    residual_sq = 0.0
-    dist_sq = 0.0
-    worst_cond = 0.0
-    for j in range(n_branches):
-        if marginals[:, j].max() <= min_branch_rate:
-            if j == 0:
-                branch_maps.append(np.zeros((d * d, d * d), dtype=complex))
-                flags.append("null_branch_zero")
-                continue
-            raise ContractViolation(
-                f"insufficient events for branch {j}: no probe recorded a response"
-            )
-        e, rep = process_tomography(probes, outputs[:, j], project_cp=project_cp)
-        worst_cond = max(worst_cond, rep.cond)
-        rank = min(rank, rep.rank)
-        residual_sq += float(np.sum(output_residuals[:, j] ** 2)) + rep.residual ** 2
-        dist_sq += rep.projection_distance ** 2
-        branch_maps.append(e)
-    predicted = np.stack(
-        [[np.trace(apply_superop(e, p)).real for e in branch_maps] for p in probes]
-    )
+    live = ~silent
+    fit, fit_residuals, dists, _, cond, probe_rank = _fit_superops(
+        probes, outputs.reshape(n_probes, n_branches, d, d)[:, live].swapaxes(0, 1), project_cp)
+    maps = np.zeros((n_branches, d * d, d * d), dtype=complex)
+    maps[live] = fit
+    residual_sq = np.sum(output_residuals[:, live] ** 2, axis=0) + fit_residuals ** 2
+    # tr E_j(rho) sums the entries of E_j vec(rho) that land on the diagonal
+    predicted = (maps[:, ::d + 1] @ probes.reshape(n_probes, -1).T).sum(axis=1).real.T
     report = ReconstructionReport(
-        float(np.sqrt(residual_sq)), worst_cond, float(np.sqrt(dist_sq)),
-        rank, tuple(flags),
+        float(np.sqrt(np.sum(residual_sq))), cond, float(np.sqrt(np.sum(dists ** 2))),
+        min(det_rank, probe_rank), ("null_branch_zero",) if silent[0] else (),
         {"branch_marginals": marginals, "predicted_marginals": predicted},
     )
-    return branch_maps, report
+    return list(maps), report
 
 
 @dataclass(frozen=True)
@@ -363,12 +373,6 @@ class SelfCalibrationResult:
         return () if self.converged else ("not_converged",)
 
 
-def _als_filter_step(outputs, sources):
-    v = np.stack([s.reshape(-1) for s in sources], axis=1)
-    vpinv = np.linalg.pinv(v)
-    return [np.stack([o.reshape(-1) for o in outs], axis=1) @ vpinv for outs in outputs]
-
-
 def _finite(what, *arrays):
     """NumericalError unless every array is finite, so that LAPACK never sees inf or nan."""
     if not all(np.isfinite(a).all() for a in arrays):
@@ -376,29 +380,18 @@ def _finite(what, *arrays):
 
 
 def _als_source_step(outputs, filters, basis):
-    d = basis[0].shape[0]
-    n_sources = outputs.shape[1]
-    bas = np.stack([b.reshape(-1) for b in basis], axis=1)
-    design = np.concatenate([f @ bas for f in filters], axis=0)
+    """All L Hermitian sources by one lstsq, from the (K, d^2, L) stack of vec(outputs)."""
+    d = basis.shape[1]
+    design = (filters @ basis.reshape(len(basis), -1).T).reshape(-1, d * d)
     a = np.concatenate([design.real, design.imag], axis=0)
     _finite("the source design", a)
-    sources = []
-    for ell in range(n_sources):
-        b = np.concatenate([outputs[k, ell].reshape(-1) for k in range(outputs.shape[0])])
-        rhs = np.concatenate([b.real, b.imag])
-        coeff, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        sources.append(np.tensordot(coeff, np.stack(basis), axes=(0, 0)))
-    return sources
+    b = outputs.reshape(-1, outputs.shape[2])
+    coeff, *_ = np.linalg.lstsq(a, np.concatenate([b.real, b.imag]), rcond=None)
+    return np.tensordot(coeff.T, basis, axes=(1, 0))
 
 
 def _als_residual(outputs, filters, sources):
-    from .channels import apply_superop
-
-    total = 0.0
-    for k, f in enumerate(filters):
-        for ell, s in enumerate(sources):
-            total += np.linalg.norm(apply_superop(f, s) - outputs[k, ell]) ** 2
-    return float(np.sqrt(total))
+    return float(np.linalg.norm(filters @ sources.reshape(len(sources), -1).T - outputs))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge finite entries: _finite checks each step
@@ -421,40 +414,45 @@ def self_calibrating_tomography(outputs, init_filters, init_sources,
     n_filters, n_sources = data.shape[:2]
     if n_filters < 2 or n_sources < 2:
         raise ContractViolation("self-calibration needs at least 2 filters and 2 sources")
-    filters = [as_square(f, "filter superoperator").copy() for f in init_filters]
-    sources = [as_square(s, "source state").copy() for s in init_sources]
+    filters = [as_square(f, "filter superoperator") for f in init_filters]
+    sources = [as_square(s, "source state") for s in init_sources]
     if len(filters) != n_filters or len(sources) != n_sources:
         raise ContractViolation("initial guesses must match the output grid")
     d = data.shape[2]
     if data.shape[3] != d or any(s.shape != (d, d) for s in sources):
         raise ContractViolation(f"outputs and initial sources must all be {d}x{d} matrices")
+    if any(f.shape != (d * d, d * d) for f in filters):
+        raise ContractViolation(f"filters must be {d * d}x{d * d} superoperators of {d}x{d} states")
     if not np.isfinite(data).all():
         raise ContractViolation("outputs have non-finite entries")
+    filters, sources = np.stack(filters), np.stack(sources)
     basis = hermitian_basis(d)
     gauge_trace = float(np.trace(sources[0]).real)
     if gauge_trace <= 0.0:
         raise ContractViolation("first source must have positive intensity to fix the gauge")
+    # column l of w[k] is vec(outputs[k, l])
+    w = data.reshape(n_filters, n_sources, d * d).swapaxes(1, 2)
 
-    history = [_als_residual(data, filters, sources)]
+    history = [_als_residual(w, filters, sources)]
     _finite("the residual of the initial guesses", history[0])
     converged = history[0] <= 1e-14
     iterations = 0
     while not converged and iterations < max_iter:
-        filters = _als_filter_step(data, sources)
-        _finite("a filter iterate", *filters)
-        sources = _als_source_step(data, filters, basis)
+        filters = w @ np.linalg.pinv(sources.reshape(n_sources, -1).T)
+        _finite("a filter iterate", filters)
+        sources = _als_source_step(w, filters, basis)
         tr = float(np.trace(sources[0]).real)
         if abs(tr) > 1e-300:
             lam = gauge_trace / tr
-            sources = [lam * s for s in sources]
-            filters = [f / lam for f in filters]
-        _finite("a gauge-fixed iterate", *filters, *sources)
+            sources = lam * sources
+            filters = filters / lam
+        _finite("a gauge-fixed iterate", filters, sources)
         iterations += 1
-        history.append(_als_residual(data, filters, sources))
+        history.append(_als_residual(w, filters, sources))
         _finite("the residual", history[-1])
         change = history[-2] - history[-1]
         if abs(change) <= rtol * max(1.0, history[-2]):
             converged = True
     return SelfCalibrationResult(
-        filters, sources, history[-1], np.array(history), iterations, converged
+        list(filters), list(sources), history[-1], np.array(history), iterations, converged
     )

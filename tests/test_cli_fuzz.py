@@ -109,6 +109,8 @@ _selfcal_docs = st.tuples(st.integers(1, 2), st.integers(2, 3), st.integers(2, 3
 @given(_selfcal_docs)
 @example({"outputs": 5, "init_filters": [], "init_sources": []})
 @example({"outputs": [[[[1.0]], [[1.0]]], [[[1.0]]]], "init_filters": [], "init_sources": []})
+@example({"outputs": [[[[0.5, 0], [0, 0.5]]] * 2] * 2, "init_sources": [[[0.5, 0], [0, 0.5]]] * 2,
+          "init_filters": [np.eye(4).tolist(), np.eye(9).tolist()]})
 def test_tomo_selfcal_document(doc):
     with tempfile.TemporaryDirectory() as tmp:
         _write(os.path.join(tmp, "bundle", "selfcal.json"), doc)
@@ -133,6 +135,60 @@ def test_state_bundle_measure_document(doc):
         _write(os.path.join(tmp, "bundle", "rates.json"), {"rates": [1 / k] * k})
         _check(tmp, ["tomo", "state", os.path.join(tmp, "bundle"),
                      "--out", os.path.join(tmp, "run", "report.json")])
+
+
+def _qubit_bundle(bundle):
+    """Write the four qubit probes of support.probe_states and a tetrahedron detector."""
+    from support import probe_states
+
+    det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
+    qio.write_json_atomic(os.path.join(bundle, "measure.json"),
+                          qio.measure_to_json(det.measure, det.scale))
+    probes = probe_states(2)
+    for i, probe in enumerate(probes):
+        qio.write_json_atomic(os.path.join(bundle, "probes", f"p{i}.json"),
+                              qio.density_to_json(probe))
+    return probes
+
+
+# (4 probes, J+1 branches, null slot and 4 elements); small nonnegative rates reconstruct
+_rates = st.floats(0.0, 0.5) | st.floats(0.0, 0.5) | _numbers
+_table_docs = st.integers(1, 3).flatmap(lambda branches: _documents({"tables": st.lists(
+    st.lists(st.lists(_rates, min_size=5, max_size=5), min_size=branches, max_size=branches),
+    min_size=4, max_size=4)}))
+
+
+@_SETTINGS
+@given(_table_docs)
+@example({"tables": [[[0.0] * 5, [0.0, 0.1, 0.1, 0.1, 0.1]]] * 4})
+@example({"tables": [[[0.0, 0.1, 0.1, 0.1, 0.1]]] * 3})
+@example({"tables": [[[0.0, 0.1, 0.1, 0.1]]] * 4})
+@example({"tables": [[[0.0] * 5, [0.0] * 5]] * 4})
+def test_tomo_instrument_tables_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle")
+        _qubit_bundle(bundle)
+        _write(os.path.join(bundle, "tables.json"), doc)
+        _check(tmp, ["tomo", "instrument", bundle, "--out", os.path.join(tmp, "run", "report.json")])
+
+
+_probe_docs = _dims.flatmap(lambda d: _documents(
+    {"matrix": _hermitian(d) | _square(d)}, {"dim": st.integers(0, 4)}))
+
+
+@_SETTINGS
+@given(_probe_docs)
+@example({"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+@example({"matrix": [[1, 0], [0, 0]]})
+def test_tomo_process_probe_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle")
+        probes = _qubit_bundle(bundle)
+        for i, probe in enumerate(probes):  # the identity channel's outputs
+            qio.write_json_atomic(os.path.join(bundle, "outputs", f"p{i}.json"),
+                                  qio.density_to_json(probe))
+        _write(os.path.join(bundle, "probes", "p0.json"), doc)
+        _check(tmp, ["tomo", "process", bundle, "--out", os.path.join(tmp, "run", "report.json")])
 
 
 _model_docs = _dims.flatmap(lambda d: _documents(

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qtomo import (
@@ -222,6 +222,32 @@ class TestPsdProjectionProperties:
         assert np.max(np.abs(clipped[1, 2] - project_psd(stack[1, 2])[0])) <= 1e-14
 
 
+@st.composite
+def _wide_spectrum(draw):
+    """A Hermitian matrix whose eigenvalue magnitudes span up to 200 orders, and a target."""
+    d = draw(st.integers(1, 6))
+    exponents = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=d, max_size=d)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
+    u = random_unitary(d, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    return (u * (signs * 10.0 ** exponents)) @ u.conj().T, 10.0 ** draw(st.floats(-6.0, 6.0))
+
+
+class TestSimplexKeepsTheTrace:
+    """The trace target survives eigenvalues far larger or smaller than it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wide_spectrum())
+    @example((np.diag([1e16, 0.0]), 1.0))
+    @example((np.diag([1e100, 1e100, -1e100]), 1.0))
+    @example((np.diag([1e100, 1e-100, 3.0]), 1e-6))
+    def test_psd_with_target_trace(self, case):
+        h, target = case
+        out, _ = project_psd(h, trace_target=target)
+        tol = 1e-12 * max(1.0, target)
+        assert np.linalg.eigvalsh(out)[0] >= -tol
+        assert abs(np.trace(out).real - target) <= tol
+
+
 class TestDetectorTomography:
     def test_exact_recovery_of_projective_measure(self):
         probes = [
@@ -342,6 +368,18 @@ class TestProcessTomography:
         with pytest.raises(ContractViolation):
             process_tomography(probes, probes[:-1])
 
+    def test_states_of_another_size_rejected(self):
+        probes = probe_states(2)
+        odd = probes[:-1] + [np.eye(3) / 3]
+        with pytest.raises(ContractViolation, match="one size"):
+            process_tomography(odd, probes)
+        with pytest.raises(ContractViolation, match="one size"):
+            process_tomography(probes, odd)
+        with pytest.raises(ContractViolation, match="of size 3"):
+            process_tomography(probes, [np.eye(3) / 3] * len(probes))
+        with pytest.raises(ContractViolation, match="one size"):
+            detector_tomography(odd, np.full((len(odd), 2), 0.5))
+
 
 @st.composite
 def _process_data(draw):
@@ -427,6 +465,15 @@ class TestInstrumentTomography:
         tables[:, 2, :] = 0.0  # erase all events for branch 2
         with pytest.raises(ContractViolation, match="branch 2"):
             instrument_tomography(tables, probes, det)
+
+    def test_probes_of_another_size_rejected(self):
+        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        probes = probe_states(3)
+        tables = np.full((len(probes), 2, 5), 0.1)
+        with pytest.raises(ContractViolation, match="measures 2x2 states"):
+            instrument_tomography(tables, probes, det)
+        with pytest.raises(ContractViolation, match="one size"):
+            instrument_tomography(tables[:5], probe_states(2) + [np.eye(3) / 3], det)
 
     def test_incomplete_second_detector_rejected(self):
         inst = _projective_instrument()
@@ -514,6 +561,13 @@ class TestSelfCalibration:
         assert result.residual > 1e-3
         assert np.all(np.diff(result.residual_history) <= 1e-10)
 
+    @pytest.mark.parametrize("sizes", [(9, 9), (4, 9)], ids=["mis-sized", "mixed"])
+    def test_filters_must_act_on_the_sources(self, sizes):
+        rng = np.random.default_rng(87)
+        _, sources, outputs = self._ground_truth(rng)
+        with pytest.raises(ContractViolation, match="superoperator"):
+            self_calibrating_tomography(outputs, [np.eye(n) for n in sizes], sources)
+
     def test_needs_two_by_two_grid(self):
         rng = np.random.default_rng(84)
         filters, sources, outputs = self._ground_truth(rng)
@@ -591,19 +645,40 @@ def _oracle_detector(probes, table, stderr):
     return elements, np.sqrt(residual_sq), cond, rank, np.sqrt(dist_sq)
 
 
-def _oracle_instrument(tables, probes, measure):
-    maps, residual_sq, worst_cond = [], 0.0, 0.0
+def _oracle_instrument(tables, probes, measure, project_cp=False):
+    """Reference: the per-branch instrument fit the engine ran before it fitted all
+    branches at once.  Each responding branch gets its own pseudo-inverse of the probe
+    matrix and its own Choi clip, and each (probe, branch) marginal its own
+    apply_superop."""
+    d = measure.dim
+    v = np.stack([p.reshape(-1) for p in probes], axis=1)
+    sing = np.linalg.svd(v, compute_uv=False)
+    assert np.sum(sing > sing[0] * 1e-10) == d * d
+    maps, flags, residual_sq, dist_sq = [], [], 0.0, 0.0
     for j in range(tables.shape[1]):
+        if tables[:, j].sum(axis=1).max() <= 1e-12:
+            assert j == 0
+            maps.append(np.zeros((d * d, d * d), dtype=complex))
+            flags.append("null_branch_zero")
+            continue
         outputs = []
         for ell in range(len(probes)):
             rho, res, _, _, _ = _oracle_state(measure, tables[ell, j, 1:])
             outputs.append(rho)
             residual_sq += res ** 2
-        e, rep = process_tomography(probes, outputs)
-        worst_cond = max(worst_cond, rep.cond)
-        residual_sq += rep.residual ** 2
+        w = np.stack([o.reshape(-1) for o in outputs], axis=1)
+        e = w @ np.linalg.pinv(v)
+        if project_cp:
+            choi = choi_transform(e)
+            evals, evecs = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+            clipped = choi_transform((evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T)
+            dist_sq += np.linalg.norm(clipped - e) ** 2
+            e = clipped
+        residual_sq += np.linalg.norm(e @ v - w) ** 2
         maps.append(e)
-    return maps, np.sqrt(residual_sq), worst_cond, measure.dim ** 2
+    predicted = np.array([[np.trace(apply_superop(e, p)).real for e in maps] for p in probes])
+    return (maps, np.sqrt(residual_sq), float(sing[0] / sing[-1]), d * d, np.sqrt(dist_sq),
+            predicted, tuple(flags))
 
 
 def _problem(d, noisy, rng):
@@ -656,9 +731,22 @@ class TestFactoredEnginesMatchPerColumnOracle:
         self._close(report.projection_distance, o_dist)
         assert report.rank == o_rank
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
-    def test_instrument(self, d, noisy):
+    def _check_instrument(self, tables, probes, det, project_cp):
+        maps, report = instrument_tomography(tables, probes, det, project_cp=project_cp)
+        (o_maps, o_res, o_cond, o_rank, o_dist, o_predicted,
+         o_flags) = _oracle_instrument(tables, probes, det.measure, project_cp)
+        assert len(maps) == len(o_maps)
+        for e, o in zip(maps, o_maps):
+            assert np.max(np.abs(e - o)) <= self.TOL
+        self._close(report.residual, o_res)
+        self._close(report.cond, o_cond, o_cond)
+        self._close(report.projection_distance, o_dist)
+        assert report.rank == o_rank and report.flags == o_flags
+        assert np.max(np.abs(report.extras["predicted_marginals"] - o_predicted)) <= self.TOL
+        return report
+
+    @staticmethod
+    def _instrument_problem(d, noisy):
         rng = np.random.default_rng(110 + d + 10 * noisy)
         probes = probe_states(d) + [random_density(d, rng)]
         measure = random_measure(d, d * d + 1, rng)
@@ -667,14 +755,94 @@ class TestFactoredEnginesMatchPerColumnOracle:
         tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
         if noisy:
             tables = tables + 1e-3 * rng.normal(size=tables.shape)
-        maps, report = instrument_tomography(tables, probes, det)
-        o_maps, o_res, o_cond, o_rank = _oracle_instrument(tables, probes, measure)
-        assert len(maps) == len(o_maps)
-        for e, o in zip(maps, o_maps):
-            assert np.max(np.abs(e - o)) <= self.TOL
-        self._close(report.residual, o_res)
-        self._close(report.cond, o_cond, o_cond)
-        assert report.rank == o_rank
+        return tables, probes, det
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    def test_instrument(self, d, noisy):
+        self._check_instrument(*self._instrument_problem(d, noisy), project_cp=False)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    def test_instrument_cp_projected(self, d, noisy):
+        self._check_instrument(*self._instrument_problem(d, noisy), project_cp=True)
+
+    @pytest.mark.parametrize("project_cp", [False, True], ids=["unprojected", "cp"])
+    @pytest.mark.parametrize("case", ["silent_null", "null_only"])
+    def test_instrument_null_branch_edges(self, case, project_cp):
+        rng = np.random.default_rng(120)
+        probes = probe_states(2) + [random_density(2, rng)]
+        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        if case == "silent_null":  # projective branches leave the null branch no rate
+            tables = np.stack([joint_probabilities(_projective_instrument(), det, p)
+                               for p in probes])
+        else:  # one lossy branch, of which only the null branch is kept
+            inst = Instrument(((0.6 * random_unitary(2, rng),),))
+            tables = np.stack([joint_probabilities(inst, det, p) for p in probes])[:, :1]
+        report = self._check_instrument(tables, probes, det, project_cp)
+        assert report.flags == (("null_branch_zero",) if case == "silent_null" else ())
+
+
+def _oracle_selfcal(outputs, init_filters, init_sources, rtol=1e-10, max_iter=100):
+    """Reference: the alternating least squares before filters and sources became
+    stacks, with one lstsq per source and one apply_superop per (filter, source)."""
+    n_filters, n_sources, d = outputs.shape[:3]
+    basis = hermitian_basis(d)
+    bas = np.stack([b.reshape(-1) for b in basis], axis=1)
+    filters = [np.array(f, dtype=complex) for f in init_filters]
+    sources = [np.array(s, dtype=complex) for s in init_sources]
+    gauge = float(np.trace(sources[0]).real)
+
+    def residual():
+        return float(np.sqrt(sum(np.linalg.norm(apply_superop(f, s) - outputs[k, ell]) ** 2
+                                 for k, f in enumerate(filters)
+                                 for ell, s in enumerate(sources))))
+
+    history = [residual()]
+    converged, iterations = history[0] <= 1e-14, 0
+    while not converged and iterations < max_iter:
+        vpinv = np.linalg.pinv(np.stack([s.reshape(-1) for s in sources], axis=1))
+        filters = [np.stack([outputs[k, ell].reshape(-1) for ell in range(n_sources)], axis=1)
+                   @ vpinv for k in range(n_filters)]
+        design = np.concatenate([f @ bas for f in filters], axis=0)
+        a = np.concatenate([design.real, design.imag], axis=0)
+        sources = []
+        for ell in range(n_sources):
+            b = np.concatenate([outputs[k, ell].reshape(-1) for k in range(n_filters)])
+            coeff = np.linalg.lstsq(a, np.concatenate([b.real, b.imag]), rcond=None)[0]
+            sources.append(np.tensordot(coeff, basis, axes=(0, 0)))
+        tr = float(np.trace(sources[0]).real)
+        if abs(tr) > 1e-300:
+            sources = [gauge / tr * s for s in sources]
+            filters = [f / (gauge / tr) for f in filters]
+        iterations += 1
+        history.append(residual())
+        converged = abs(history[-2] - history[-1]) <= rtol * max(1.0, history[-2])
+    return filters, sources, np.array(history), iterations, converged
+
+
+class TestSelfCalibrationMatchesPerSourceOracle:
+    """Stacked filter and source steps agree with one solve per source."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweeps_match(self, seed):
+        rng = np.random.default_rng(130 + seed)
+        d, n_filters, n_sources = 2 + seed % 2, 2 + seed % 2, 3 + seed % 3
+        filters = [superop_from_kraus(random_kraus(d, 2, rng)) for _ in range(n_filters)]
+        sources = [random_density(d, rng) for _ in range(n_sources)]
+        outputs = np.array([[apply_superop(f, s) for s in sources] for f in filters])
+        if seed >= 3:  # inconsistent data: the sweeps stop at a stationary point
+            outputs = outputs + 1e-3 * rng.normal(size=outputs.shape)
+        init_f = [f + 1e-2 * rng.normal(size=f.shape) for f in filters]
+        result = self_calibrating_tomography(outputs, init_f, sources, max_iter=200)
+        o_filters, o_sources, o_history, o_iterations, o_converged = _oracle_selfcal(
+            outputs, init_f, sources, max_iter=200)
+        assert (result.iterations, result.converged) == (o_iterations, o_converged)
+        assert np.max(np.abs(result.residual_history - o_history)) <= self.TOL
+        assert np.max(np.abs(np.stack(result.filters) - np.stack(o_filters))) <= self.TOL
+        assert np.max(np.abs(np.stack(result.sources) - np.stack(o_sources))) <= self.TOL
 
 
 class TestOverflowIsNamed:
