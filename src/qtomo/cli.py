@@ -7,16 +7,17 @@ on failure, with the error embedded (an unexpected error also records its
 traceback there).  Errors are additionally reported as JSON on stderr.
 
 Each command imports the engines it runs inside its body, so start-up loads
-only click, numpy and the JSON layer.
+only argparse, numpy and the JSON layer.
 """
 
 from __future__ import annotations
 
+import argparse
+import math
 import os
 import sys
 import time
 
-import click
 import numpy as np
 
 from . import __version__, io
@@ -59,7 +60,7 @@ class _Run:
 def _fail(run, error, code, trace=None):
     run.finish(error, trace)
     payload = {"error": {"type": type(error).__name__, "message": str(error)}}
-    click.echo(io.canonical_json(payload), err=True)
+    print(io.canonical_json(payload), file=sys.stderr)
     sys.exit(code)
 
 
@@ -81,36 +82,19 @@ def _guard(run, fn):
         return result
 
 
-def _tolerances(ctx):
-    return ctx.obj or {}
+def _seed(seed):
+    """The --seed value, else the integer in $QTOMO_SEED, else 0."""
+    if seed is not None:
+        return seed
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ContractViolation(f"${SEED_ENV} must be an integer, got {text!r}") from None
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="qtomo")
-@click.option("--tol-psd", type=float, default=1e-9, show_default=True,
-              help="PSD tolerance relative to the trace.")
-@click.option("--tol-herm", type=float, default=1e-10, show_default=True,
-              help="Absolute hermiticity tolerance.")
-@click.option("--rtol", type=float, default=1e-10, show_default=True,
-              help="Relative convergence tolerance for iterative fits.")
-@click.pass_context
-def main(ctx, tol_psd, tol_herm, rtol):
-    """Quantum tomography workbench: simulate, reconstruct, evolve, report."""
-    ctx.obj = {"tol_psd": tol_psd, "tol_herm": tol_herm, "rtol": rtol}
-
-
-@main.command()
-@click.argument("source", type=click.Path())
-@click.argument("device", type=click.Path())
-@click.option("--shots", type=int, required=True, help="Number of recorded events.")
-@click.option("--seed", type=int, default=None, help=f"PRNG seed (default: ${SEED_ENV} or 0).")
-@click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
-@click.pass_context
-def simulate(ctx, source, device, shots, seed, out_dir):
+def simulate(tols, source, device, shots, seed, out_dir):
     """Sample detection (or coincidence) events from SOURCE into a log."""
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
-    tols = _tolerances(ctx)
     run = _Run("simulate", {"source": source, "device": device, "shots": shots},
                out_dir, seed=seed, tolerances=tols)
 
@@ -119,8 +103,9 @@ def simulate(ctx, source, device, shots, seed, out_dir):
         from .ops import validate_density
         from .simulate import ExperimentConfig, write_events
 
+        run.manifest["seed"] = cfg_seed = _seed(seed)
         rho = io.density_from_json(io.read_json(source))
-        rep = validate_density(rho, tols.get("tol_herm", 1e-10), tols.get("tol_psd", 1e-9))
+        rep = validate_density(rho, tols["tol_herm"], tols["tol_psd"])
         if not rep.ok:
             raise ContractViolation(
                 f"source is not a valid density matrix: hermitian defect "
@@ -132,20 +117,20 @@ def simulate(ctx, source, device, shots, seed, out_dir):
         if "instrument" in doc:
             instrument = io.instrument_from_json(doc["instrument"])
             detector = io.detector_from_json(doc["detector"])
-            cfg = ExperimentConfig(seed, shots, rho, detector, instrument)
+            cfg = ExperimentConfig(cfg_seed, shots, rho, detector, instrument)
         else:
             if doc.get("scale") is not None:
                 detector = io.detector_from_json(doc)
             else:
                 measure, _ = io.measure_from_json(doc)
                 detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
-            mrep = validate_measure(detector.measure, tols.get("tol_psd", 1e-9))
+            mrep = validate_measure(detector.measure, tols["tol_psd"])
             if not mrep.ok:
                 raise ContractViolation(
                     f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
                     f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
                 )
-            cfg = ExperimentConfig(seed, shots, rho, detector)
+            cfg = ExperimentConfig(cfg_seed, shots, rho, detector)
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
         io.write_json_atomic(os.path.join(out_dir, "counts.json"), memo)
@@ -322,14 +307,8 @@ def _tomo_selfcal(problem_dir, rtol):
     return payload, None
 
 
-@main.command()
-@click.argument("mode", type=click.Choice(["state", "detector", "process", "instrument", "selfcal"]))
-@click.argument("problem_dir", type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Report JSON path.")
-@click.pass_context
-def tomo(ctx, mode, problem_dir, out_path):
+def tomo(tols, mode, problem_dir, out_path):
     """Run a reconstruction over a problem bundle directory."""
-    tols = _tolerances(ctx)
     run = _Run(f"tomo {mode}", {"problem_dir": problem_dir}, os.path.dirname(os.path.abspath(out_path)),
                tolerances=tols)
     logs = run.manifest["event_logs"] = {}
@@ -344,7 +323,7 @@ def tomo(ctx, mode, problem_dir, out_path):
         elif mode == "instrument":
             payload, report = _tomo_instrument(problem_dir, logs)
         else:
-            payload, report = _tomo_selfcal(problem_dir, tols.get("rtol", 1e-10))
+            payload, report = _tomo_selfcal(problem_dir, tols["rtol"])
         if report is not None:
             payload.update(
                 residual=report.residual,
@@ -360,20 +339,10 @@ def tomo(ctx, mode, problem_dir, out_path):
     _guard(run, work)
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.option("--t", "t_final", type=float, required=True, help="Final time.")
-@click.option("--dt", type=float, required=True, help="Time step.")
-@click.option("--method", type=click.Choice(["slice", "exact", "lindblad"]), default="exact",
-              show_default=True)
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Trajectory JSON path.")
-@click.option("--richardson", is_flag=True,
-              help="Also report the slice-method error ratio at dt and dt/2 against the exact flow.")
-@click.pass_context
-def dynamics(ctx, model, t_final, dt, method, out_path, richardson):
+def dynamics(tols, model, t_final, dt, method, out_path, richardson):
     """Evolve the model's initial state and write the trajectory."""
     run = _Run("dynamics", {"model": model, "t": t_final, "dt": dt, "method": method},
-               os.path.dirname(os.path.abspath(out_path)), tolerances=_tolerances(ctx))
+               os.path.dirname(os.path.abspath(out_path)), tolerances=tols)
 
     def work():
         from .dynamics import (Trajectory, lindblad_evolve, sliced_master, step_count,
@@ -408,17 +377,10 @@ def dynamics(ctx, model, t_final, dt, method, out_path, richardson):
     _guard(run, work)
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(["uncertainty", "lines", "classify"]))
-@click.argument("inputs", nargs=-1, type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Report JSON path.")
-@click.option("--plot-csv", "plot_path", type=click.Path(), default=None,
-              help="Optional (x, y) series as CSV.")
-@click.pass_context
-def report(ctx, kind, inputs, out_path, plot_path):
+def report(tols, kind, inputs, out_path, plot_path):
     """Uncertainty, spectral-line, or filter-classification reports."""
     run = _Run(f"report {kind}", {"inputs": list(inputs)},
-               os.path.dirname(os.path.abspath(out_path)), tolerances=_tolerances(ctx))
+               os.path.dirname(os.path.abspath(out_path)), tolerances=tols)
 
     def work():
         series = None
@@ -468,6 +430,85 @@ def report(ctx, kind, inputs, out_path, plot_path):
                     handle.write(f"{x:.17g},{y:.17g}\n")
 
     _guard(run, work)
+
+
+def _finite_float(text):
+    """argparse type of the float options: nan, inf and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Quantum tomography workbench: simulate, reconstruct, evolve, report.")
+    parser.add_argument("--version", action="version", version=f"qtomo, version {__version__}")
+    parser.add_argument("--tol-psd", type=_finite_float, default=1e-9,
+                        help="PSD tolerance relative to the trace (default: %(default)s).")
+    parser.add_argument("--tol-herm", type=_finite_float, default=1e-10,
+                        help="Absolute hermiticity tolerance (default: %(default)s).")
+    parser.add_argument("--rtol", type=_finite_float, default=1e-10,
+                        help="Relative convergence tolerance for iterative fits "
+                             "(default: %(default)s).")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(fn):
+        sub = commands.add_parser(fn.__name__, allow_abbrev=False, help=fn.__doc__,
+                                  description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub
+
+    sub = command(simulate)
+    sub.add_argument("source")
+    sub.add_argument("device")
+    sub.add_argument("--shots", type=int, required=True, help="Number of recorded events.")
+    sub.add_argument("--seed", type=int, default=None,
+                     help=f"PRNG seed (default: ${SEED_ENV} or 0).")
+    sub.add_argument("--out", dest="out_dir", required=True, help="Output directory.")
+
+    sub = command(tomo)
+    sub.add_argument("mode", choices=["state", "detector", "process", "instrument", "selfcal"])
+    sub.add_argument("problem_dir")
+    sub.add_argument("--out", dest="out_path", required=True, help="Report JSON path.")
+
+    sub = command(dynamics)
+    sub.add_argument("model")
+    sub.add_argument("--t", dest="t_final", type=_finite_float, required=True, help="Final time.")
+    sub.add_argument("--dt", type=_finite_float, required=True, help="Time step.")
+    sub.add_argument("--method", choices=["slice", "exact", "lindblad"], default="exact",
+                     help="(default: %(default)s)")
+    sub.add_argument("--out", dest="out_path", required=True, help="Trajectory JSON path.")
+    sub.add_argument("--richardson", action="store_true",
+                     help="Also report the slice-method error ratio at dt and dt/2 against the "
+                          "exact flow.")
+
+    sub = command(report)
+    sub.add_argument("kind", choices=["uncertainty", "lines", "classify"])
+    sub.add_argument("inputs", nargs="*")
+    sub.add_argument("--out", dest="out_path", required=True, help="Report JSON path.")
+    sub.add_argument("--plot-csv", dest="plot_path", default=None,
+                     help="Optional (x, y) series as CSV.")
+    return parser
+
+
+def main(args=None, prog_name="qtomo", standalone_mode=True):
+    """Run the command line args (default sys.argv[1:]); any error exits through SystemExit.
+
+    standalone_mode is ignored; see the alias below.
+    """
+    opts = vars(_parser(prog_name).parse_args(args))
+    tols = {key: opts.pop(key) for key in ("tol_psd", "tol_herm", "rtol")}
+    opts.pop("run")(tols, **opts)
+
+
+# Callers written for the click entry point that main once was call
+# main.main(args=..., prog_name=..., standalone_mode=...); this alias keeps that call working.
+main.main = main
 
 
 if __name__ == "__main__":

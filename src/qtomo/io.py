@@ -33,10 +33,11 @@ def complex_to_json(z):
 
 
 def json_to_complex(obj) -> complex:
+    """A JSON number or [re, im] pair of numbers as a complex (booleans are not numbers)."""
     try:
-        if isinstance(obj, (int, float)):
+        if isinstance(obj, (int, float)) and type(obj) is not bool:
             return complex(obj)
-        if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        if isinstance(obj, (list, tuple)) and len(obj) == 2 and bool not in map(type, obj):
             return complex(obj[0], obj[1])
     except (OverflowError, TypeError):  # an integer beyond float range, or a part not a number
         pass

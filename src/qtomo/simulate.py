@@ -55,6 +55,8 @@ class ExperimentConfig:
     instrument: Instrument | None = None
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 128:  # a Philox key is 128 bits
+            raise ContractViolation(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.shots < 0:
             raise ContractViolation(f"shot count must be nonnegative, got {self.shots}")
         rho = as_square(self.source, "source")

@@ -140,7 +140,12 @@ def project_psd(x, trace_target=None):
                        lam * scale[..., None])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = (evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
-        dist = np.linalg.norm(out - a, axis=(-2, -1))
+        # The norm squares the entries; scaling each difference by a power of two near its
+        # largest entry keeps the squares finite and leaves the distance's bits unchanged.
+        diff = out - a
+        _, exp = np.frexp(np.abs(diff).max(axis=(-2, -1), initial=0.0))
+        dist = np.ldexp(np.linalg.norm(diff * np.ldexp(1.0, -exp)[..., None, None],
+                                       axis=(-2, -1)), exp)
     if not (np.isfinite(out).all() and np.isfinite(dist).all()):
         raise NumericalError(
             f"PSD projection overflowed: the estimate has entries up to {np.abs(a).max():.3e}, "

@@ -3,6 +3,10 @@
 Everything takes an explicit numpy Generator so tests stay reproducible.
 """
 
+import contextlib
+import io
+from typing import NamedTuple
+
 import numpy as np
 
 from qtomo import QuantumMeasure, density_from_state
@@ -65,3 +69,27 @@ def probe_states(d):
                 v[k] = z
                 states.append(density_from_state(v / np.sqrt(2.0)))
     return states
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
+def run_cli(argv):
+    """Run ``qtomo ARGV`` in this process: its exit code and what it wrote to stdout and stderr."""
+    from qtomo.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+            code = 0
+        except SystemExit as exit_:
+            code = 0 if exit_.code is None else exit_.code
+    return CliResult(code, out.getvalue(), err.getvalue())

@@ -7,11 +7,10 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import qtomo
 from qtomo import io as qio
-from qtomo.cli import main
+from support import run_cli
 
 # frozen output of the built tool for seed 2024, 10^6 shots on the fixture below
 GOLDEN_COUNTS = [0, 326505, 6735, 166116, 166485, 120085, 214074]
@@ -24,11 +23,6 @@ GOLDEN_TRAJECTORY_SHA256 = {
     "slice": "d1411cc14eccc3309d6e5a8eb3e4a5e3cbb3e3eeff640dd909bde44fc75bb097",
 }
 GOLDEN_PROCESS_SHA256 = "4856382ba282aece35f619d57a19d41d1912b84831ac19dff3be776c168ddde7"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture
@@ -45,9 +39,9 @@ def fixture_files(tmp_path):
 
 
 class TestSimulate:
-    def test_zero_shots_succeeds(self, runner, fixture_files, tmp_path):
+    def test_zero_shots_succeeds(self, fixture_files, tmp_path):
         out = tmp_path / "run0"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], fixture_files["device"],
             "--shots", "0", "--seed", "1", "--out", str(out),
         ])
@@ -57,13 +51,13 @@ class TestSimulate:
         assert (out / "events.csv").exists()
         assert (out / "manifest.json").exists()
 
-    def test_invalid_measure_exits_2_and_names_invariant(self, runner, fixture_files, tmp_path):
+    def test_invalid_measure_exits_2_and_names_invariant(self, fixture_files, tmp_path):
         doc = qio.measure_to_json(qtomo.pauli_six_measure())
         doc["elements"] = doc["elements"][:3]
         bad = tmp_path / "bad.json"
         qio.write_json_atomic(str(bad), doc)
         out = tmp_path / "runbad"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], str(bad),
             "--shots", "5", "--seed", "1", "--out", str(out),
         ])
@@ -72,9 +66,9 @@ class TestSimulate:
         assert manifest["error"]["type"] == "ContractViolation"
         assert "sum defect" in manifest["error"]["message"]
 
-    def test_golden_counts_snapshot(self, runner, fixture_files, tmp_path):
+    def test_golden_counts_snapshot(self, fixture_files, tmp_path):
         out = tmp_path / "golden"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], fixture_files["device"],
             "--shots", str(10**6), "--seed", "2024", "--out", str(out),
         ])
@@ -83,10 +77,10 @@ class TestSimulate:
         assert counts["counts"] == GOLDEN_COUNTS
         assert hashlib.sha256((out / "events.csv").read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256
 
-    def test_seed_env_default(self, runner, fixture_files, tmp_path, monkeypatch):
+    def test_seed_env_default(self, fixture_files, tmp_path, monkeypatch):
         monkeypatch.setenv("QTOMO_SEED", "2024")
         out = tmp_path / "envseed"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], fixture_files["device"],
             "--shots", str(10**6), "--out", str(out),
         ])
@@ -94,7 +88,27 @@ class TestSimulate:
         counts = json.loads((out / "counts.json").read_text())
         assert counts["counts"] == GOLDEN_COUNTS
 
-    def test_coincidence_device(self, runner, fixture_files, tmp_path):
+    @pytest.mark.parametrize("seed", ["-3", str(2 ** 128)])
+    def test_seed_outside_the_key_range_exits_2(self, fixture_files, tmp_path, seed):
+        out = tmp_path / "run"
+        result = run_cli(["simulate", fixture_files["source"], fixture_files["device"],
+                          "--shots", "10", "--seed", seed, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == int(seed)
+        assert manifest["error"]["type"] == "ContractViolation"
+        assert "traceback" not in manifest["error"]
+
+    def test_bad_seed_env_exits_2_naming_it(self, fixture_files, tmp_path, monkeypatch):
+        monkeypatch.setenv("QTOMO_SEED", "abc")
+        out = tmp_path / "run"
+        result = run_cli(["simulate", fixture_files["source"], fixture_files["device"],
+                          "--shots", "10", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "QTOMO_SEED" in json.loads(result.stderr)["error"]["message"]
+        assert json.loads((out / "manifest.json").read_text())["error"]["type"] == "ContractViolation"
+
+    def test_coincidence_device(self, fixture_files, tmp_path):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         inst = qtomo.Instrument(((p0,), (p1,)))
@@ -105,7 +119,7 @@ class TestSimulate:
                                             np.arange(1.0, 5.0)),
         })
         out = tmp_path / "coinc"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], str(device),
             "--shots", "1000", "--seed", "3", "--out", str(out),
         ])
@@ -123,36 +137,36 @@ class TestTomoState:
         qio.write_json_atomic(str(bundle / "rates.json"), {"rates": list(rates)})
         return bundle
 
-    def test_exact_rate_bundle_recovers_fixture(self, runner, tmp_path):
+    def test_exact_rate_bundle_recovers_fixture(self, tmp_path):
         rho = qtomo.density_from_state(np.array([0.6, 0.8], dtype=complex))
         rates = qtomo.response_probabilities(qtomo.pauli_six_measure(), rho)
         bundle = self._bundle(tmp_path, rates)
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         est = qio.density_from_json(report["estimate"])
         assert qtomo.trace_distance(est, rho) <= 1e-10
         assert report["rank"] == 4
 
-    def test_missing_events_exits_2(self, runner, tmp_path):
+    def test_missing_events_exits_2(self, tmp_path):
         bundle = tmp_path / "empty_problem"
         bundle.mkdir()
         qio.write_json_atomic(str(bundle / "measure.json"),
                               qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
         assert result.exit_code == 2
         # an events directory without logs is rejected the same way by every mode
         (bundle / "events").mkdir()
         (bundle / "probes").mkdir()
         qio.write_json_atomic(str(bundle / "probes" / "p0.json"), qio.density_to_json(np.eye(2) / 2))
         for mode in ("state", "instrument"):
-            result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+            result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
             assert result.exit_code == 2, mode
             assert "no events" in json.loads(result.stderr)["error"]["message"]
 
-    def test_rank_deficient_design_exits_3(self, runner, tmp_path):
+    def test_rank_deficient_design_exits_3(self, tmp_path):
         bundle = tmp_path / "deficient"
         bundle.mkdir()
         qio.write_json_atomic(
@@ -161,12 +175,12 @@ class TestTomoState:
         )
         qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [0.5, 0.5]})
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
         assert result.exit_code == 3
 
-    def test_events_based_bundle(self, runner, fixture_files, tmp_path):
+    def test_events_based_bundle(self, fixture_files, tmp_path):
         sim_out = tmp_path / "sim"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], fixture_files["device"],
             "--shots", "200000", "--seed", "7", "--out", str(sim_out),
         ])
@@ -177,7 +191,7 @@ class TestTomoState:
                               qio.measure_to_json(qtomo.pauli_six_measure()))
         (bundle / "events" / "run.csv").write_text((sim_out / "events.csv").read_text())
         out = tmp_path / "report2.json"
-        result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         est = qio.density_from_json(json.loads(out.read_text())["estimate"])
         assert qtomo.trace_distance(est, fixture_files["rho"]) <= 0.02
@@ -199,9 +213,9 @@ class TestEventLogContract:
             (bundle / "events" / f"run{i}.csv").write_text(text)
         return bundle
 
-    def _expect_exit_2(self, runner, tmp_path, mode, bundle, *invariants):
+    def _expect_exit_2(self, tmp_path, mode, bundle, *invariants):
         out = tmp_path / "out" / "report.json"
-        result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert not out.exists()
         error = json.loads((out.parent / "manifest.json").read_text())["error"]
@@ -215,16 +229,16 @@ class TestEventLogContract:
         (_VALID_ROWS + "13,1\n", "row 12 has shot 13, expected 12"),
         (_VALID_ROWS + "12,9\n", "label 9 is outside [0, n_elements=6]"),
     ], ids=["non-integer", "ragged", "shot-column", "label-range"])
-    def test_malformed_state_log(self, runner, tmp_path, rows, invariant):
+    def test_malformed_state_log(self, tmp_path, rows, invariant):
         bundle = self._state_bundle(tmp_path, [_STATE_HEAD + rows])
-        self._expect_exit_2(runner, tmp_path, "state", bundle, "run0.csv", invariant)
+        self._expect_exit_2(tmp_path, "state", bundle, "run0.csv", invariant)
 
-    def test_undecodable_log(self, runner, tmp_path):
+    def test_undecodable_log(self, tmp_path):
         bundle = self._state_bundle(tmp_path, [])
         (bundle / "events" / "run0.csv").write_bytes((_STATE_HEAD + "0,1\n").encode() + b"1,\xff\n")
-        self._expect_exit_2(runner, tmp_path, "state", bundle, "run0.csv", "xff")
+        self._expect_exit_2(tmp_path, "state", bundle, "run0.csv", "xff")
 
-    def test_branch_above_header_count(self, runner, tmp_path):
+    def test_branch_above_header_count(self, tmp_path):
         det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
         bundle = tmp_path / "bundle"
         (bundle / "probes").mkdir(parents=True)
@@ -236,25 +250,25 @@ class TestEventLogContract:
         (bundle / "events" / "p0.csv").write_text(
             "# seed=1\n# generator=philox4x64\n# n_branches=2\n# n_elements=4\nshot,j,k\n"
             "0,1,1\n1,3,2\n")
-        self._expect_exit_2(runner, tmp_path, "instrument", bundle,
+        self._expect_exit_2(tmp_path, "instrument", bundle,
                             "p0.csv", "branch 3 is outside [0, n_branches=2]")
 
-    def test_coincidence_log_in_state_bundle(self, runner, tmp_path):
+    def test_coincidence_log_in_state_bundle(self, tmp_path):
         bundle = self._state_bundle(tmp_path, [
             "# seed=1\n# generator=philox4x64\n# n_branches=1\n# n_elements=6\nshot,j,k\n0,1,1\n"])
-        self._expect_exit_2(runner, tmp_path, "state", bundle, "is a CoincidenceLog")
+        self._expect_exit_2(tmp_path, "state", bundle, "is a CoincidenceLog")
 
-    def test_state_bundle_takes_one_log(self, runner, tmp_path):
+    def test_state_bundle_takes_one_log(self, tmp_path):
         bundle = self._state_bundle(tmp_path, [_STATE_HEAD + _VALID_ROWS] * 2)
-        self._expect_exit_2(runner, tmp_path, "state", bundle,
+        self._expect_exit_2(tmp_path, "state", bundle,
                             "exactly one event log", "found 2")
 
 
 class TestMalformedJson:
     """Undecodable JSON and malformed arrays exit 2 and leave a ContractViolation manifest."""
 
-    def _expect_exit_2(self, runner, args, manifest, *invariants):
-        result = runner.invoke(main, args)
+    def _expect_exit_2(self, args, manifest, *invariants):
+        result = run_cli(args)
         assert result.exit_code == 2, result.output
         error = json.loads(manifest.read_text())["error"]
         assert error["type"] == "ContractViolation"
@@ -269,11 +283,11 @@ class TestMalformedJson:
         (b'5', "density document must be a JSON object, got int"),
         (b'{"matrix": [[1,0],[0,0]], "dim": "x"}', "declared dim must be an integer, got 'x'"),
     ], ids=["truncated", "ragged", "flat", "undecodable", "scalar", "string-dim"])
-    def test_malformed_source(self, runner, fixture_files, tmp_path, text, invariant):
+    def test_malformed_source(self, fixture_files, tmp_path, text, invariant):
         source = tmp_path / "bad.json"
         source.write_bytes(text)
         out = tmp_path / "run"
-        self._expect_exit_2(runner, ["simulate", str(source), fixture_files["device"],
+        self._expect_exit_2(["simulate", str(source), fixture_files["device"],
                                      "--shots", "5", "--seed", "1", "--out", str(out)],
                             out / "manifest.json", invariant)
 
@@ -284,14 +298,14 @@ class TestMalformedJson:
         0.5,
         [[[0.5] * 6]],
     ], ids=["non-numeric", "ragged", "null", "scalar", "three-axes"])
-    def test_malformed_rates(self, runner, tmp_path, rates):
+    def test_malformed_rates(self, tmp_path, rates):
         bundle = tmp_path / "bundle"
         bundle.mkdir()
         qio.write_json_atomic(str(bundle / "measure.json"),
                               qio.measure_to_json(qtomo.pauli_six_measure()))
         (bundle / "rates.json").write_text(json.dumps({"rates": rates}))
         out = tmp_path / "report.json"
-        self._expect_exit_2(runner, ["tomo", "state", str(bundle), "--out", str(out)],
+        self._expect_exit_2(["tomo", "state", str(bundle), "--out", str(out)],
                             tmp_path / "manifest.json",
                             "rates.json", "'rates' must be a rectangular array of finite numbers")
 
@@ -300,7 +314,7 @@ class TestMalformedJson:
         [[[0.5, 0.5], [0.5]]],
         [[0.5, 0.5]],
     ], ids=["non-numeric", "ragged", "two-axes"])
-    def test_malformed_tables(self, runner, tmp_path, tables):
+    def test_malformed_tables(self, tmp_path, tables):
         det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
         bundle = tmp_path / "bundle"
         (bundle / "probes").mkdir(parents=True)
@@ -310,13 +324,14 @@ class TestMalformedJson:
                               qio.measure_to_json(det.measure, det.scale))
         (bundle / "tables.json").write_text(json.dumps({"tables": tables}))
         out = tmp_path / "report.json"
-        self._expect_exit_2(runner, ["tomo", "instrument", str(bundle), "--out", str(out)],
+        self._expect_exit_2(["tomo", "instrument", str(bundle), "--out", str(out)],
                             tmp_path / "manifest.json",
                             "tables.json", "with 3 axes")
 
 
 class TestTomoProcess:
-    def test_identity_channel_choi_rank_one(self, runner, tmp_path):
+    @staticmethod
+    def _identity_bundle(tmp_path):
         from support import probe_states
 
         bundle = tmp_path / "process_problem"
@@ -326,16 +341,28 @@ class TestTomoProcess:
             doc = qio.density_to_json(probe)
             qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), doc)
             qio.write_json_atomic(str(bundle / "outputs" / f"p{i}.json"), doc)
+        return bundle
+
+    def test_identity_channel_choi_rank_one(self, tmp_path):
+        bundle = self._identity_bundle(tmp_path)
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "process", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "process", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["choi_rank"] == 1
         est = qio.matrix_from_json(report["estimate"]["superoperator"])
         assert np.max(np.abs(est - np.eye(4))) <= 1e-10
 
+    def test_boolean_probe_entry_exits_2(self, tmp_path):
+        bundle = self._identity_bundle(tmp_path)
+        (bundle / "probes" / "p0.json").write_text('{"matrix": [[true, [0, 1]], [[0, -1], 0]]}')
+        out = tmp_path / "run" / "report.json"
+        result = run_cli(["tomo", "process", str(bundle), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "ContractViolation" and "True" in error["message"]
 
-    def test_golden_report_bytes(self, runner, tmp_path):
+    def test_golden_report_bytes(self, tmp_path):
         from support import probe_states
 
         # amplitude damping with decay probability 0.36
@@ -349,13 +376,13 @@ class TestTomoProcess:
             qio.write_json_atomic(str(bundle / "outputs" / f"p{i}.json"),
                                   qio.density_to_json(qtomo.kraus_apply(kraus, probe)))
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "process", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "process", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PROCESS_SHA256
 
 
 class TestTomoDetectorInstrumentSelfcal:
-    def test_detector_bundle(self, runner, tmp_path):
+    def test_detector_bundle(self, tmp_path):
         from support import probe_states
 
         target = qtomo.tetrahedron_measure()
@@ -368,14 +395,14 @@ class TestTomoDetectorInstrumentSelfcal:
                                   qio.density_to_json(probe))
         qio.write_json_atomic(str(bundle / "rates.json"), {"rates": rates.tolist()})
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "detector", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "detector", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         est, _ = qio.measure_from_json(report["estimate"])
         for a, b in zip(est.elements, target.elements):
             assert np.max(np.abs(a - b)) <= 1e-8
 
-    def test_instrument_bundle(self, runner, tmp_path):
+    def test_instrument_bundle(self, tmp_path):
         from support import probe_states
 
         p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -393,12 +420,12 @@ class TestTomoDetectorInstrumentSelfcal:
                               qio.measure_to_json(det.measure, det.scale))
         qio.write_json_atomic(str(bundle / "tables.json"), {"tables": tables.tolist()})
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "instrument", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "instrument", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert len(report["estimate"]["branches"]) == 3  # null + two branches
 
-    def test_instrument_bundle_from_coincidence_events(self, runner, tmp_path):
+    def test_instrument_bundle_from_coincidence_events(self, tmp_path):
         from support import probe_states
 
         p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -418,7 +445,7 @@ class TestTomoDetectorInstrumentSelfcal:
             log, _ = qtomo.sample_coincidences(cfg)
             (bundle / "events" / f"p{i}.csv").write_text(qtomo.event_log_to_csv(log))
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "instrument", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "instrument", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         maps = [qio.matrix_from_json(b) for b in report["estimate"]["branches"]]
@@ -428,7 +455,7 @@ class TestTomoDetectorInstrumentSelfcal:
                 assert err <= 0.05
 
     @staticmethod
-    def _selfcal_report(runner, tmp_path):
+    def _selfcal_report(tmp_path):
         rng = np.random.default_rng(140)
         from support import random_density, random_kraus
 
@@ -443,23 +470,23 @@ class TestTomoDetectorInstrumentSelfcal:
             "init_sources": [qio.matrix_to_json(s) for s in sources],
         })
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["tomo", "selfcal", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "selfcal", str(bundle), "--out", str(out)])
         assert result.exit_code == 0
         return json.loads(out.read_text())
 
-    def test_selfcal_bundle(self, runner, tmp_path):
-        report = self._selfcal_report(runner, tmp_path)
+    def test_selfcal_bundle(self, tmp_path):
+        report = self._selfcal_report(tmp_path)
         assert report["residual"] <= 1e-8
         assert report["converged"] and report["flags"] == []
         history = report["residual_history"]
         assert len(history) == report["iterations"] + 1 and history[-1] == report["residual"]
 
-    def test_selfcal_stopped_at_max_iter_is_flagged(self, runner, tmp_path, monkeypatch):
+    def test_selfcal_stopped_at_max_iter_is_flagged(self, tmp_path, monkeypatch):
         from qtomo import tomography
 
         capped = functools.partial(tomography.self_calibrating_tomography, max_iter=1)
         monkeypatch.setattr(tomography, "self_calibrating_tomography", capped)
-        report = self._selfcal_report(runner, tmp_path)
+        report = self._selfcal_report(tmp_path)
         assert report["iterations"] == 1 and not report["converged"]
         assert report["flags"] == ["not_converged"]
         history = report["residual_history"]
@@ -467,14 +494,14 @@ class TestTomoDetectorInstrumentSelfcal:
 
 
 class TestDynamicsCommand:
-    def test_free_model_constant(self, runner, tmp_path):
+    def test_free_model_constant(self, tmp_path):
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
             "H": qio.matrix_to_json(np.zeros((2, 2))),
             "rho0": qio.matrix_to_json(np.diag([0.25, 0.75])),
         })
         out = tmp_path / "traj.json"
-        result = runner.invoke(main, [
+        result = run_cli([
             "dynamics", str(model), "--t", "1.0", "--dt", "0.25", "--out", str(out),
         ])
         assert result.exit_code == 0
@@ -483,7 +510,7 @@ class TestDynamicsCommand:
         for snap in traj:
             assert np.allclose(qio.matrix_from_json(snap["matrix"]), np.diag([0.25, 0.75]))
 
-    def test_dephasing_off_diagonal_decay(self, runner, tmp_path):
+    def test_dephasing_off_diagonal_decay(self, tmp_path):
         gamma = 0.25
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
@@ -492,7 +519,7 @@ class TestDynamicsCommand:
             "lindblad": {"L": [qio.matrix_to_json(qtomo.PAULI[3])], "gamma": [gamma]},
         })
         out = tmp_path / "traj.json"
-        result = runner.invoke(main, [
+        result = run_cli([
             "dynamics", str(model), "--t", "2.0", "--dt", "0.125",
             "--method", "lindblad", "--out", str(out),
         ])
@@ -503,7 +530,7 @@ class TestDynamicsCommand:
             expected = 0.5 * np.exp(-2.0 * gamma * snap["t"])
             assert abs(state[0, 1].real - expected) <= 1e-6
 
-    def test_potential_with_jumps_decays(self, runner, tmp_path):
+    def test_potential_with_jumps_decays(self, tmp_path):
         # V = v I decays the trace as exp(-2 v t); the sigma_z jump preserves it
         v, t = 0.5, 1.0
         model = tmp_path / "model.json"
@@ -515,7 +542,7 @@ class TestDynamicsCommand:
         })
         for method, dt, tol in (("lindblad", 0.1, 1e-9), ("slice", 0.01, 0.01)):
             out = tmp_path / method / "traj.json"
-            result = runner.invoke(main, [
+            result = run_cli([
                 "dynamics", str(model), "--t", str(t), "--dt", str(dt),
                 "--method", method, "--out", str(out),
             ])
@@ -523,7 +550,7 @@ class TestDynamicsCommand:
             final = qio.matrix_from_json(json.loads(out.read_text())[-1]["matrix"])
             assert abs(np.trace(final).real - np.exp(-2.0 * v * t)) <= tol, method
 
-    def test_lossless_only_paths_reject_dissipative_models(self, runner, tmp_path):
+    def test_lossless_only_paths_reject_dissipative_models(self, tmp_path):
         jump = {"L": [qio.matrix_to_json(qtomo.PAULI[3])], "gamma": [0.3]}
         potential = qio.matrix_to_json(0.1 * np.eye(2))
         for extra, args in (({"V": potential}, ["--method", "exact"]),
@@ -535,14 +562,14 @@ class TestDynamicsCommand:
                 "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])), **extra,
             })
             out = tmp_path / "traj.json"
-            result = runner.invoke(main, [
+            result = run_cli([
                 "dynamics", str(model), "--t", "1.0", "--dt", "0.1", *args, "--out", str(out),
             ])
             assert result.exit_code == 2, args
             assert not out.exists()
             assert not (tmp_path / "traj.richardson.json").exists()
 
-    def test_methods_share_one_time_grid(self, runner, tmp_path):
+    def test_methods_share_one_time_grid(self, tmp_path):
         # t = 0.7 is not a multiple of dt = 0.3: every method steps dt and stops at 2 dt
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
@@ -552,7 +579,7 @@ class TestDynamicsCommand:
         times = {}
         for method in ("slice", "exact", "lindblad"):
             out = tmp_path / method / "traj.json"
-            result = runner.invoke(main, [
+            result = run_cli([
                 "dynamics", str(model), "--t", "0.7", "--dt", "0.3",
                 "--method", method, "--out", str(out),
             ])
@@ -562,7 +589,7 @@ class TestDynamicsCommand:
         assert times["lindblad"] == pytest.approx([0.0, 0.3, 0.6], abs=1e-15)
 
     @pytest.mark.parametrize("method", ["lindblad", "slice"])
-    def test_golden_trajectory_bytes(self, runner, tmp_path, method):
+    def test_golden_trajectory_bytes(self, tmp_path, method):
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
             "H": qio.matrix_to_json(0.5 * qtomo.PAULI[1] + 0.25 * qtomo.PAULI[3]),
@@ -571,33 +598,33 @@ class TestDynamicsCommand:
                          "gamma": [0.3]},
         })
         out = tmp_path / "traj.json"
-        result = runner.invoke(main, [
+        result = run_cli([
             "dynamics", str(model), "--t", "1.0", "--dt", "0.25",
             "--method", method, "--out", str(out),
         ])
         assert result.exit_code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256[method]
 
-    def test_negative_dt_exits_2(self, runner, tmp_path):
+    def test_negative_dt_exits_2(self, tmp_path):
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
             "H": qio.matrix_to_json(np.zeros((2, 2))),
             "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
         })
-        result = runner.invoke(main, [
+        result = run_cli([
             "dynamics", str(model), "--t", "1.0", "--dt", "-0.1",
             "--out", str(tmp_path / "x.json"),
         ])
         assert result.exit_code == 2
 
-    def test_richardson_ratio_near_two(self, runner, tmp_path):
+    def test_richardson_ratio_near_two(self, tmp_path):
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
             "H": qio.matrix_to_json(qtomo.PAULI[1]),
             "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
         })
         out = tmp_path / "traj.json"
-        result = runner.invoke(main, [
+        result = run_cli([
             "dynamics", str(model), "--t", "1.0", "--dt", "0.001",
             "--method", "slice", "--richardson", "--out", str(out),
         ])
@@ -607,12 +634,12 @@ class TestDynamicsCommand:
 
 
 class TestReportCommand:
-    def test_lines_table(self, runner, tmp_path):
+    def test_lines_table(self, tmp_path):
         ham = tmp_path / "h.json"
         qio.write_json_atomic(str(ham), {"H": qio.matrix_to_json(np.diag([0.0, 1.0, 3.0]))})
         out = tmp_path / "lines.json"
         csv_path = tmp_path / "lines.csv"
-        result = runner.invoke(main, [
+        result = run_cli([
             "report", "lines", str(ham), "--out", str(out), "--plot-csv", str(csv_path),
         ])
         assert result.exit_code == 0
@@ -621,34 +648,34 @@ class TestReportCommand:
         assert np.allclose(report["nu"], np.array([1.0, 2.0, 3.0]) / (2 * np.pi))
         assert csv_path.read_text().splitlines()[0] == "x,y"
 
-    def test_uncertainty_projective_zero_excess(self, runner, tmp_path):
+    def test_uncertainty_projective_zero_excess(self, tmp_path):
         src = tmp_path / "state.json"
         qio.write_json_atomic(str(src), qio.density_to_json(np.diag([0.3, 0.7])))
         det = tmp_path / "det.json"
         qio.write_json_atomic(str(det), qio.measure_to_json(
             qtomo.projective_measure(np.eye(2)), [1.0, -1.0]))
         out = tmp_path / "unc.json"
-        result = runner.invoke(main, [
+        result = run_cli([
             "report", "uncertainty", str(src), str(det), "--out", str(out),
         ])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert abs(report["excess"]) <= 1e-10
 
-    def test_classify_unitary_lossless(self, runner, tmp_path):
+    def test_classify_unitary_lossless(self, tmp_path):
         chan = tmp_path / "chan.json"
         qio.write_json_atomic(str(chan), qio.channel_to_json([qtomo.PAULI[1]]))
         out = tmp_path / "cls.json"
-        result = runner.invoke(main, ["report", "classify", str(chan), "--out", str(out)])
+        result = run_cli(["report", "classify", str(chan), "--out", str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["lossless"] and report["passive"] and not report["mixing"]
 
 
 class TestManifestsAndDeterminism:
-    def test_manifest_written_on_success_and_failure(self, runner, fixture_files, tmp_path):
+    def test_manifest_written_on_success_and_failure(self, fixture_files, tmp_path):
         out = tmp_path / "ok"
-        runner.invoke(main, [
+        run_cli([
             "simulate", fixture_files["source"], fixture_files["device"],
             "--shots", "10", "--seed", "1", "--out", str(out),
         ])
@@ -657,14 +684,14 @@ class TestManifestsAndDeterminism:
         assert manifest["tool_version"] == qtomo.__version__
         assert manifest["wall_time_s"] >= 0.0
         bad_out = tmp_path / "fail"
-        runner.invoke(main, [
+        run_cli([
             "simulate", str(tmp_path / "missing.json"), fixture_files["device"],
             "--shots", "10", "--seed", "1", "--out", str(bad_out),
         ])
         manifest = json.loads((bad_out / "manifest.json").read_text())
         assert manifest["error"] is not None
 
-    def test_unexpected_error_exits_4_with_manifest(self, runner, tmp_path, monkeypatch):
+    def test_unexpected_error_exits_4_with_manifest(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("unexpected failure")
 
@@ -675,7 +702,7 @@ class TestManifestsAndDeterminism:
                               qio.measure_to_json(qtomo.pauli_six_measure()))
         qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [1 / 6] * 6})
         out = tmp_path / "run" / "report.json"
-        result = runner.invoke(main, ["tomo", "state", str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
         assert result.exit_code == 4
         error = json.loads((out.parent / "manifest.json").read_text())["error"]
         assert error["type"] == "RuntimeError"
@@ -740,23 +767,23 @@ class TestManifestsAndDeterminism:
 
 
 class TestOverflowExits4WithCause:
-    def _expect_exit_4(self, runner, tmp_path, mode, bundle, cause):
+    def _expect_exit_4(self, tmp_path, mode, bundle, cause):
         out = tmp_path / "run" / "report.json"
-        result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+        result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
         assert result.exit_code == 4, result.output
         assert not out.exists()
         error = json.loads((out.parent / "manifest.json").read_text())["error"]
         assert error["type"] == "NumericalError" and "traceback" not in error
         assert cause in error["message"]
 
-    def test_state_estimate_overflow(self, runner, tmp_path):
+    def test_state_estimate_overflow(self, tmp_path):
         bundle = tmp_path / "bundle"
         bundle.mkdir()
-        qio.write_json_atomic(str(bundle / "measure.json"), {"elements": [[[5.9e-306]]]})
-        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [1.0]})
-        self._expect_exit_4(runner, tmp_path, "state", bundle, "PSD projection overflowed")
+        qio.write_json_atomic(str(bundle / "measure.json"), {"elements": [[[1e-300]], [[0.0]]]})
+        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [8e7, -1.7e308]})
+        self._expect_exit_4(tmp_path, "state", bundle, "PSD projection overflowed")
 
-    def test_selfcal_overflow(self, runner, tmp_path):
+    def test_selfcal_overflow(self, tmp_path):
         bundle = tmp_path / "bundle"
         bundle.mkdir()
         qio.write_json_atomic(str(bundle / "selfcal.json"), {
@@ -764,13 +791,37 @@ class TestOverflowExits4WithCause:
             "init_filters": [[[1.0]], [[1.0]]],
             "init_sources": [[[1e-160]], [[1e-160]]],
         })
-        self._expect_exit_4(runner, tmp_path, "selfcal", bundle, "a filter iterate is not finite")
+        self._expect_exit_4(tmp_path, "selfcal", bundle, "a filter iterate is not finite")
+
+
+class TestCommandLine:
+    def test_version_text(self):
+        result = run_cli(["--version"])
+        assert result.exit_code == 0
+        assert result.stdout == f"qtomo, version {qtomo.__version__}\n"
+
+    @pytest.mark.parametrize("tol, t, dt", [
+        ("--tol-psd", "--t", "--dt"),
+        ("--tol-p", "--t", "--dt"),
+        ("--tol-psd", "--t", "--d"),
+    ], ids=["full", "global-prefix", "command-prefix"])
+    def test_option_prefixes_are_usage_errors(self, tmp_path, tol, t, dt):
+        model = tmp_path / "model.json"
+        model.write_text('{"H": [[0.0]], "rho0": [[1.0]]}')
+        out = tmp_path / "run" / "traj.json"
+        result = run_cli([tol, "1e-9", "dynamics", str(model), t, "0.2", dt, "0.1",
+                          "--out", str(out)])
+        if dt == "--dt" and tol == "--tol-psd":
+            assert result.exit_code == 0, result.output
+        else:
+            assert result.exit_code == 2
+            assert "usage: qtomo" in result.stderr and not out.parent.exists()
 
 
 class TestCountsMemoBytes:
-    def test_golden_counts_document(self, runner, fixture_files, tmp_path):
+    def test_golden_counts_document(self, fixture_files, tmp_path):
         out = tmp_path / "golden"
-        result = runner.invoke(main, [
+        result = run_cli([
             "simulate", fixture_files["source"], fixture_files["device"],
             "--shots", str(10**6), "--seed", "2024", "--out", str(out),
         ])

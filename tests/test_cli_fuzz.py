@@ -5,22 +5,24 @@ command in process and checks that it exits 0, 2, 3 or 4 with a manifest.
 A malformed document is an input error: it may not reach the last-resort
 handler, which is the one that records a traceback.  A third of the
 documents are well formed, a third have one field replaced by arbitrary
-JSON, and a third are arbitrary JSON.
+JSON, and a third are arbitrary JSON.  The last two tests fuzz option
+values and seeds the same way; a usage error exits 2 before any manifest.
 """
 
 import hashlib
 import json
+import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qtomo
 from qtomo import io as qio
-from qtomo.cli import main
+from support import run_cli
 
 # Extreme magnitudes make numpy warn of overflow on their way to an input error.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -59,7 +61,7 @@ def _documents(fields, optional=None):
 
 
 def _check(tmp, argv):
-    result = CliRunner().invoke(main, argv)
+    result = run_cli(argv)
     manifest_path = os.path.join(tmp, "run", "manifest.json")
     assert os.path.exists(manifest_path), result.output
     with open(manifest_path) as handle:
@@ -245,3 +247,61 @@ def test_state_bundle_counts_document(doc):
         with open(os.path.join(tmp, "run", "manifest.json")) as handle:
             rates_from = json.load(handle)["event_logs"]["events.csv"]["rates_from"]
         assert rates_from == ("counts.json" if isinstance(doc, dict) else "events.csv")
+
+
+def _check_options(tmp, argv):
+    """Exit 0, 2, 3 or 4, and a traceback, on stderr or in the manifest, only with exit 4."""
+    result = run_cli(argv)
+    assert result.exit_code in (0, 2, 3, 4), result.output
+    traced = "Traceback" in result.output
+    manifest_path = os.path.join(tmp, "run", "manifest.json")
+    if os.path.exists(manifest_path):
+        with open(manifest_path) as handle:
+            error = json.load(handle)["error"]
+        assert (error is None) == (result.exit_code == 0)
+        traced = traced or (error is not None and "traceback" in error)
+    assert not traced or result.exit_code == 4, result.output
+
+
+_option_floats = st.floats() | st.floats(0.0, 1.0)
+
+
+@_SETTINGS
+@given(st.sampled_from(["--tol-psd", "--tol-herm", "--rtol"]), st.floats(), _option_floats,
+       _option_floats)
+@example("--tol-psd", math.nan, 1.0, 0.1)
+@example("--rtol", 1e-10, math.inf, 0.1)
+@example("--tol-herm", 1e-10, 1.0, -math.inf)
+def test_float_options(tol, tol_value, t, dt):
+    # a finite grid of more than 100 steps is a long run, not an option value under test
+    assume(not (math.isfinite(t) and math.isfinite(dt) and dt > 0 and t / dt > 100))
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(os.path.join(tmp, "model.json"), {"H": [[0, 1], [1, 0]], "rho0": [[1, 0], [0, 0]]})
+        _check_options(tmp, [f"{tol}={tol_value!r}", "dynamics", os.path.join(tmp, "model.json"),
+                             f"--t={t!r}", f"--dt={dt!r}",
+                             "--out", os.path.join(tmp, "run", "traj.json")])
+
+
+_env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=8)
+
+
+@_SETTINGS
+@given(st.none() | st.integers(-2 ** 130, 2 ** 130) | st.integers(0, 2 ** 16),
+       st.none() | _env_text | st.integers(-2 ** 130, 2 ** 130).map(str))
+@example(-3, None)
+@example(2 ** 128, None)
+@example(None, "abc")
+def test_seed_options(seed, env):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("QTOMO_SEED", None)
+        if env is not None:
+            os.environ["QTOMO_SEED"] = env
+        qio.write_json_atomic(os.path.join(tmp, "source.json"),
+                              qio.density_to_json(np.diag([1.0, 0.0])))
+        qio.write_json_atomic(os.path.join(tmp, "device.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
+        _check_options(tmp, ["simulate", os.path.join(tmp, "source.json"),
+                             os.path.join(tmp, "device.json"), "--shots", "10",
+                             *([] if seed is None else [f"--seed={seed}"]),
+                             "--out", os.path.join(tmp, "run")])

@@ -10,15 +10,13 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import qtomo
 from qtomo import io as qio
 from qtomo import simulate
-from qtomo.cli import main
 from qtomo.errors import ContractViolation
-from support import probe_states
+from support import probe_states, run_cli
 
 
 def _log(kind, seed, shots, n_elements, n_branches):
@@ -91,11 +89,6 @@ class TestCountsDocument:
         assert invariant in str(info.value)
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def _write_device(tmp_path):
     rho = qtomo.density_from_state(np.array([0.6, 0.8j]))
     qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(rho))
@@ -103,10 +96,10 @@ def _write_device(tmp_path):
                           qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
 
 
-def _state_bundle(runner, tmp_path, shots, seed, name="bundle"):
+def _state_bundle(tmp_path, shots, seed, name="bundle"):
     """A state bundle whose events/ directory is the output of simulate."""
     bundle = tmp_path / name
-    result = runner.invoke(main, ["simulate", str(tmp_path / "source.json"),
+    result = run_cli(["simulate", str(tmp_path / "source.json"),
                                   str(tmp_path / "device.json"), "--shots", str(shots),
                                   "--seed", str(seed), "--out", str(bundle / "events")])
     assert result.exit_code == 0, result.output
@@ -115,20 +108,20 @@ def _state_bundle(runner, tmp_path, shots, seed, name="bundle"):
     return bundle
 
 
-def _tomo(runner, mode, bundle, out):
-    result = runner.invoke(main, ["tomo", mode, str(bundle), "--out", str(out)])
+def _tomo(mode, bundle, out):
+    result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
     manifest = json.loads((out.parent / "manifest.json").read_text())
     return result, manifest
 
 
-def _tomo_without_memo(runner, mode, bundle, out):
+def _tomo_without_memo(mode, bundle, out):
     """_tomo on the same bundle with counts.json moved away (and then restored)."""
     memo = bundle / "events" / "counts.json"
     kept = memo.read_bytes() if memo.exists() else None
     if kept is not None:
         memo.unlink()
     try:
-        result, manifest = _tomo(runner, mode, bundle, out)
+        result, manifest = _tomo(mode, bundle, out)
     finally:
         if kept is not None:
             memo.write_bytes(kept)
@@ -136,8 +129,8 @@ def _tomo_without_memo(runner, mode, bundle, out):
     return result, manifest
 
 
-def _report_without_memo(runner, mode, bundle, out):
-    result, _ = _tomo_without_memo(runner, mode, bundle, out)
+def _report_without_memo(mode, bundle, out):
+    result, _ = _tomo_without_memo(mode, bundle, out)
     assert result.exit_code == 0, result.output
     return out.read_bytes()
 
@@ -146,16 +139,15 @@ def _report_without_memo(runner, mode, bundle, out):
 @given(st.integers(1, 5000) | st.just(0), st.integers(0, 2 ** 31))
 @example(0, 1)
 def test_state_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed):
-    runner = CliRunner()
     tmp_path = tmp_path_factory.mktemp("state")
     _write_device(tmp_path)
-    bundle = _state_bundle(runner, tmp_path, shots, seed)
-    result, manifest = _tomo(runner, "state", bundle, tmp_path / "memo" / "report.json")
+    bundle = _state_bundle(tmp_path, shots, seed)
+    result, manifest = _tomo("state", bundle, tmp_path / "memo" / "report.json")
     data = (bundle / "events" / "events.csv").read_bytes()
     assert manifest["event_logs"] == {
         "events.csv": {"sha256": hashlib.sha256(data).hexdigest(), "rates_from": "counts.json"}}
     if shots == 0:  # no rates either way, and the same error
-        parsed, parsed_manifest = _tomo_without_memo(runner, "state", bundle,
+        parsed, parsed_manifest = _tomo_without_memo("state", bundle,
                                                      tmp_path / "csv" / "report.json")
         assert result.exit_code == parsed.exit_code == 2
         assert manifest["error"] == parsed_manifest["error"]
@@ -163,14 +155,13 @@ def test_state_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed)
         return
     assert result.exit_code == 0, result.output
     assert (tmp_path / "memo" / "report.json").read_bytes() == _report_without_memo(
-        runner, "state", bundle, tmp_path / "csv" / "report.json")
+        "state", bundle, tmp_path / "csv" / "report.json")
 
 
 @settings(max_examples=4, deadline=None)
 @given(st.integers(50, 3000), st.integers(0, 2 ** 31), st.integers(0, 3))
 def test_instrument_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed, memo_of):
     """One counts.json per events directory: it stands for the one log it names."""
-    runner = CliRunner()
     tmp_path = tmp_path_factory.mktemp("instrument")
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -188,19 +179,19 @@ def test_instrument_report_bytes_with_and_without_memo(tmp_path_factory, shots, 
         if i == memo_of:
             qio.write_json_atomic(str(bundle / "events" / "counts.json"),
                                   simulate.counts_document(log, data))
-    result, manifest = _tomo(runner, "instrument", bundle, tmp_path / "memo" / "report.json")
+    result, manifest = _tomo("instrument", bundle, tmp_path / "memo" / "report.json")
     assert result.exit_code == 0, result.output
     assert [log["rates_from"] for log in manifest["event_logs"].values()] == [
         "counts.json" if i == memo_of else f"p{i}.csv" for i in range(4)]
     assert (tmp_path / "memo" / "report.json").read_bytes() == _report_without_memo(
-        runner, "instrument", bundle, tmp_path / "csv" / "report.json")
+        "instrument", bundle, tmp_path / "csv" / "report.json")
 
 
 class TestStaleOrOldMemo:
     @pytest.fixture
-    def bundle(self, runner, tmp_path):
+    def bundle(self, tmp_path):
         _write_device(tmp_path)
-        return _state_bundle(runner, tmp_path, 3000, 11)
+        return _state_bundle(tmp_path, 3000, 11)
 
     def test_simulate_records_the_digest_of_the_csv_bytes(self, bundle):
         events = bundle / "events"
@@ -208,32 +199,32 @@ class TestStaleOrOldMemo:
         assert sorted(doc) == ["counts", "events_sha256", "seed", "shots"]
         assert doc["events_sha256"] == hashlib.sha256((events / "events.csv").read_bytes()).hexdigest()
 
-    def test_edited_label_takes_the_csv(self, runner, tmp_path, bundle):
+    def test_edited_label_takes_the_csv(self, tmp_path, bundle):
         csv = bundle / "events" / "events.csv"
         lines = csv.read_text().splitlines(keepends=True)
         shot, label = lines[-1].strip().split(",")
         lines[-1] = f"{shot},{int(label) % 6 + 1}\n"
         csv.write_text("".join(lines))
-        result, manifest = _tomo(runner, "state", bundle, tmp_path / "stale" / "report.json")
+        result, manifest = _tomo("state", bundle, tmp_path / "stale" / "report.json")
         assert result.exit_code == 0
         assert manifest["event_logs"]["events.csv"]["rates_from"] == "events.csv"
         assert (tmp_path / "stale" / "report.json").read_bytes() == _report_without_memo(
-            runner, "state", bundle, tmp_path / "csv" / "report.json")
+            "state", bundle, tmp_path / "csv" / "report.json")
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
-    def test_other_newlines_take_the_csv_and_agree(self, runner, tmp_path, bundle, newline):
-        expected = _report_without_memo(runner, "state", bundle, tmp_path / "lf" / "report.json")
+    def test_other_newlines_take_the_csv_and_agree(self, tmp_path, bundle, newline):
+        expected = _report_without_memo("state", bundle, tmp_path / "lf" / "report.json")
         csv = bundle / "events" / "events.csv"
         csv.write_bytes(csv.read_bytes().replace(b"\n", newline.encode()))
-        result, manifest = _tomo(runner, "state", bundle, tmp_path / "nl" / "report.json")
+        result, manifest = _tomo("state", bundle, tmp_path / "nl" / "report.json")
         assert result.exit_code == 0, result.output
         assert manifest["event_logs"]["events.csv"]["rates_from"] == "events.csv"
         assert (tmp_path / "nl" / "report.json").read_bytes() == expected
 
-    def test_malformed_csv_beside_stale_memo(self, runner, tmp_path, bundle):
+    def test_malformed_csv_beside_stale_memo(self, tmp_path, bundle):
         csv = bundle / "events" / "events.csv"
         csv.write_text(csv.read_text() + "3000,x1\n")
-        result, manifest = _tomo(runner, "state", bundle, tmp_path / "bad" / "report.json")
+        result, manifest = _tomo("state", bundle, tmp_path / "bad" / "report.json")
         assert result.exit_code == 2
         assert manifest["error"]["type"] == "ContractViolation"
         assert manifest["error"]["message"].startswith(
@@ -246,15 +237,15 @@ class TestStaleOrOldMemo:
         lambda doc: [doc],
         lambda doc: "not json {",
     ], ids=["older-memo", "digest-not-a-string", "not-an-object", "not-json"])
-    def test_memo_without_a_usable_digest_takes_the_csv(self, runner, tmp_path, bundle, memo):
+    def test_memo_without_a_usable_digest_takes_the_csv(self, tmp_path, bundle, memo):
         path = bundle / "events" / "counts.json"
         changed = memo(json.loads(path.read_text()))
         path.write_text(changed if isinstance(changed, str) else json.dumps(changed))
-        result, manifest = _tomo(runner, "state", bundle, tmp_path / "old" / "report.json")
+        result, manifest = _tomo("state", bundle, tmp_path / "old" / "report.json")
         assert result.exit_code == 0, result.output
         assert manifest["event_logs"]["events.csv"]["rates_from"] == "events.csv"
         assert (tmp_path / "old" / "report.json").read_bytes() == _report_without_memo(
-            runner, "state", bundle, tmp_path / "csv" / "report.json")
+            "state", bundle, tmp_path / "csv" / "report.json")
 
     @pytest.mark.parametrize("change, invariant", [
         ({"counts": [0, 1, 2]}, "'shots' must be the integer count total 3"),
@@ -263,12 +254,12 @@ class TestStaleOrOldMemo:
         ({"counts": [[0, 1500], [0, 1500]]}, "counts.json: is a CoincidenceLog"),
         ({"counts": [0] * 7, "shots": 0}, "empty event log has no rates"),
     ], ids=["sum", "negative", "shots-type", "kind", "empty"])
-    def test_malformed_memo_of_this_log_exits_2(self, runner, tmp_path, bundle, change,
+    def test_malformed_memo_of_this_log_exits_2(self, tmp_path, bundle, change,
                                                 invariant):
         path = bundle / "events" / "counts.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
         out = tmp_path / "bad" / "report.json"
-        result, manifest = _tomo(runner, "state", bundle, out)
+        result, manifest = _tomo("state", bundle, out)
         assert result.exit_code == 2, result.output
         assert not out.exists()
         assert manifest["error"]["type"] == "ContractViolation"

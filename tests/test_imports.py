@@ -178,6 +178,25 @@ class TestCommandImports:
         assert "tomography" in loaded
         assert not loaded & {"dynamics", "optics", "simulate", "uncertainty"}
 
+    def test_commands_load_no_click(self, tmp_path):
+        # the command line runs on argparse; numpy is the only runtime dependency
+        model = tmp_path / "model.json"
+        model.write_text('{"H": [[0.0]], "rho0": [[1.0]]}')
+        qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(np.diag([1.0, 0.0])))
+        qio.write_json_atomic(str(tmp_path / "device.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
+        _process_bundle(tmp_path / "process")
+        for argv in (["--version"],
+                     ["simulate", str(tmp_path / "source.json"), str(tmp_path / "device.json"),
+                      "--shots", "10", "--out", str(tmp_path / "events")],
+                     ["tomo", "process", str(tmp_path / "process"),
+                      "--out", str(tmp_path / "p.json")],
+                     ["dynamics", str(model), "--t", "0.1", "--dt", "0.1",
+                      "--out", str(tmp_path / "t.json")]):
+            loaded = _loaded_modules(*argv)
+            assert "qtomo.cli" in loaded, argv
+            assert not {name for name in loaded if name.split(".")[0] == "click"}, argv
+
     def test_detector_commands_load_no_masked_arrays(self, tmp_path):
         # a Detector checks its scale without np.unique(axis=0), which imports numpy.ma
         qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(np.diag([1.0, 0.0])))

@@ -34,6 +34,13 @@ class TestComplexAndMatrix:
         with pytest.raises(ContractViolation):
             qio.json_to_complex([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("payload", [True, False, [True, 0.0], [0.0, False]])
+    def test_booleans_are_not_numbers(self, payload):
+        with pytest.raises(ContractViolation, match="cannot parse"):
+            qio.json_to_complex(payload)
+        with pytest.raises(ContractViolation, match="cannot parse"):
+            qio.matrix_from_json([[payload, [0, 1]]])
+
     def test_matrix_round_trip_exact(self):
         rng = np.random.default_rng(130)
         m = random_complex((3, 3), rng)

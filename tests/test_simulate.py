@@ -39,6 +39,15 @@ class TestSampleDetections:
         assert len(log) == 0
         assert counts.sum() == 0
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_the_philox_key_range_rejected(self, seed):
+        with pytest.raises(ContractViolation, match=r"seed must lie in \[0, 2\*\*128\)"):
+            ExperimentConfig(seed, 10, np.diag([1.0, 0.0]), _sigma3_detector())
+
+    def test_largest_seed_samples(self):
+        cfg = ExperimentConfig(2 ** 128 - 1, 10, np.diag([1.0, 0.0]), _sigma3_detector())
+        assert sample_detections(cfg)[1][1] == 10
+
     def test_deterministic_outcome(self):
         cfg = ExperimentConfig(2, 500, np.diag([1.0, 0.0]), _sigma3_detector())
         log, counts = sample_detections(cfg)

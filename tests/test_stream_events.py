@@ -15,14 +15,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import qtomo
 from qtomo import io as qio
 from qtomo import simulate
-from qtomo.cli import main
 from qtomo.errors import ContractViolation
+from support import run_cli
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -85,7 +84,7 @@ def _simulate_inputs(tmp_path):
 
 def _simulate(tmp_path, out):
     source, device = _simulate_inputs(tmp_path)
-    return CliRunner().invoke(main, ["simulate", source, device, "--shots", "10", "--out", str(out)])
+    return run_cli(["simulate", source, device, "--shots", "10", "--out", str(out)])
 
 
 def test_failed_simulate_leaves_no_event_log(tmp_path, monkeypatch):

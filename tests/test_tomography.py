@@ -224,9 +224,9 @@ class TestPsdProjectionProperties:
 
 @st.composite
 def _wide_spectrum(draw):
-    """A Hermitian matrix whose eigenvalue magnitudes span up to 200 orders, and a target."""
+    """A Hermitian matrix whose eigenvalue magnitudes span up to 400 orders, and a target."""
     d = draw(st.integers(1, 6))
-    exponents = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=d, max_size=d)))
+    exponents = np.array(draw(st.lists(st.floats(-100.0, 300.0), min_size=d, max_size=d)))
     signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
     u = random_unitary(d, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
     return (u * (signs * 10.0 ** exponents)) @ u.conj().T, 10.0 ** draw(st.floats(-6.0, 6.0))
@@ -240,12 +240,20 @@ class TestSimplexKeepsTheTrace:
     @example((np.diag([1e16, 0.0]), 1.0))
     @example((np.diag([1e100, 1e100, -1e100]), 1.0))
     @example((np.diag([1e100, 1e-100, 3.0]), 1e-6))
+    @example((np.diag([1e300, -1e300]), 1.0))
     def test_psd_with_target_trace(self, case):
         h, target = case
-        out, _ = project_psd(h, trace_target=target)
+        out, dist = project_psd(h, trace_target=target)
         tol = 1e-12 * max(1.0, target)
         assert np.linalg.eigvalsh(out)[0] >= -tol
         assert abs(np.trace(out).real - target) <= tol
+        assert np.isfinite(dist)
+
+    def test_entries_beyond_the_square_root_of_the_float_range(self):
+        # the distance squares 1e200 past the float range unless it is scaled first
+        out, dist = project_psd(np.diag([1e200, 1e200]), trace_target=1.0)
+        assert np.max(np.abs(out - np.diag([0.5, 0.5]))) <= 1e-15
+        assert dist == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
 
 
 class TestDetectorTomography:
@@ -879,9 +887,10 @@ class TestOverflowIsNamed:
             self_calibrating_tomography(outputs, filters, sources)
 
     def test_state_estimate_overflow(self):
-        measure = QuantumMeasure([np.array([[5.9e-306]])])
+        # the estimate 8e307 projects to the target trace -1.7e308: a distance beyond float range
+        measure = QuantumMeasure([np.array([[1e-300]]), np.array([[0.0]])])
         with pytest.raises(NumericalError, match="PSD projection overflowed"):
-            state_tomography(measure, [1.0])
+            state_tomography(measure, [8e7, -1.7e308])
 
     def test_simplex_keeps_one_active_eigenvalue(self):
         # 1e17 - 1 rounds to 1e17, so no eigenvalue passes the strict test
