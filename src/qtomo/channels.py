@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import as_square, hermitian_defect
+from .ops import as_square, hermitian_defect, square_stack
 
 CP_TOL = 1e-9
 
@@ -60,14 +60,10 @@ def apply_superop(e, x) -> np.ndarray:
 
 def superop_from_kraus(kraus) -> np.ndarray:
     """Superoperator matrix of X -> sum_l T_l X T_l*."""
-    ops = [as_square(t, f"Kraus operator {i}") for i, t in enumerate(kraus)]
-    if not ops:
-        raise ContractViolation("need at least one Kraus operator")
-    d = ops[0].shape[0]
+    ops = square_stack(kraus, "Kraus operator")
+    d = ops.shape[1]
     e = np.zeros((d * d, d * d), dtype=complex)
     for t in ops:
-        if t.shape[0] != d:
-            raise ContractViolation("Kraus operators must share one dimension")
         e += np.kron(t, t.conj())
     return e
 
@@ -179,9 +175,7 @@ def choi_rank(e, tol: float = CP_TOL) -> int:
 
 def pi_operator(kraus) -> np.ndarray:
     """Intensity operator sum_l T_l* T_l: output intensity is tr(pi rho)."""
-    ops = [as_square(t) for t in kraus]
-    if not ops:
-        raise ContractViolation("need at least one Kraus operator")
+    ops = square_stack(kraus, "Kraus operator")
     out = np.zeros_like(ops[0])
     for t in ops:
         out = out + t.conj().T @ t
@@ -220,15 +214,12 @@ class Instrument:
     branches: tuple
 
     def __post_init__(self):
-        norm = tuple(tuple(as_square(t) for t in branch) for branch in self.branches)
-        if not norm or any(len(b) == 0 for b in norm):
+        branches = tuple(tuple(branch) for branch in self.branches)
+        if not branches or any(len(b) == 0 for b in branches):
             raise ContractViolation("instrument needs at least one nonempty branch")
-        d = norm[0][0].shape[0]
-        for branch in norm:
-            for t in branch:
-                if t.shape[0] != d:
-                    raise ContractViolation("instrument branches must share one dimension")
-        object.__setattr__(self, "branches", norm)
+        # one check of every Kraus operator, numbered across the branches in order
+        ops = iter(square_stack([t for b in branches for t in b], "instrument Kraus operator"))
+        object.__setattr__(self, "branches", tuple(tuple(next(ops) for _ in b) for b in branches))
 
     @property
     def dim(self) -> int:

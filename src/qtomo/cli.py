@@ -24,6 +24,9 @@ from . import __version__, io
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 
 SEED_ENV = "QTOMO_SEED"
+# Largest trajectory `dynamics` computes, in complex entries (n + 1) d^2: 2 GiB of states,
+# several GB once printed as JSON.
+MAX_TRAJECTORY_ENTRIES = 2 ** 27
 
 
 class _Run:
@@ -138,14 +141,14 @@ def simulate(tols, source, device, shots, seed, out_dir):
     _guard(run, work)
 
 
-def _load_probes(problem_dir):
-    probes_dir = os.path.join(problem_dir, "probes")
-    names = sorted(os.listdir(probes_dir))
-    probes = [io.density_from_json(io.read_json(os.path.join(probes_dir, n)))
-              for n in names if n.endswith(".json")]
-    if not probes:
-        raise ContractViolation(f"no probe states found in {probes_dir}")
-    return probes
+def _states(problem_dir, folder):
+    """The density matrices of the *.json files in problem_dir/folder, in file-name order."""
+    path = os.path.join(problem_dir, folder)
+    states = [io.density_from_json(io.read_json(os.path.join(path, n)))
+              for n in sorted(os.listdir(path)) if n.endswith(".json")]
+    if not states:
+        raise ContractViolation(f"no states found in {path}")
+    return states
 
 
 def _counts_memo(events_dir):
@@ -245,7 +248,7 @@ def _tomo_state(problem_dir, logs):
 def _tomo_detector(problem_dir, logs):
     from .tomography import detector_tomography
 
-    probes = _load_probes(problem_dir)
+    probes = _states(problem_dir, "probes")
     rates, err = _load_rates(problem_dir, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates),
                                           None if err is None else np.atleast_2d(err))
@@ -255,20 +258,15 @@ def _tomo_detector(problem_dir, logs):
 def _tomo_process(problem_dir):
     from .tomography import process_tomography
 
-    probes = _load_probes(problem_dir)
-    outputs_dir = os.path.join(problem_dir, "outputs")
-    names = sorted(n for n in os.listdir(outputs_dir) if n.endswith(".json"))
-    outputs = [io.density_from_json(io.read_json(os.path.join(outputs_dir, n))) for n in names]
-    e, report = process_tomography(probes, outputs)
+    e, report = process_tomography(_states(problem_dir, "probes"), _states(problem_dir, "outputs"))
     return {"estimate": {"superoperator": io.matrix_to_json(e)}}, report
 
 
 def _tomo_instrument(problem_dir, logs):
     from .tomography import instrument_tomography
 
-    probes = _load_probes(problem_dir)
-    detector_doc = io.read_json(os.path.join(problem_dir, "measure.json"))
-    detector = io.detector_from_json(detector_doc)
+    probes = _states(problem_dir, "probes")
+    detector = io.detector_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
     tables_path = os.path.join(problem_dir, "tables.json")
     if os.path.exists(tables_path):
         tables = _read_table(tables_path, "tables", (3,))
@@ -281,17 +279,8 @@ def _tomo_instrument(problem_dir, logs):
 def _tomo_selfcal(problem_dir, rtol):
     from .tomography import self_calibrating_tomography
 
-    doc = io._object(io.read_json(os.path.join(problem_dir, "selfcal.json")), "selfcal")
-    rows = io._array(doc, "outputs", "selfcal")
-    if not all(isinstance(row, list) for row in rows):
-        raise ContractViolation("selfcal 'outputs' must be an array of rows of matrices")
-    grid = [[io.matrix_from_json(m) for m in row] for row in rows]
-    if len({len(row) for row in grid}) > 1 or len({m.shape for row in grid for m in row}) > 1:
-        raise ContractViolation(
-            "selfcal 'outputs' must be a rectangular grid of equally sized matrices")
-    outputs = np.array(grid, dtype=complex)
-    filters = [io.matrix_from_json(f) for f in io._array(doc, "init_filters", "selfcal")]
-    sources = [io.matrix_from_json(s) for s in io._array(doc, "init_sources", "selfcal")]
+    outputs, filters, sources = io.selfcal_from_json(
+        io.read_json(os.path.join(problem_dir, "selfcal.json")))
     result = self_calibrating_tomography(outputs, filters, sources, rtol=rtol)
     payload = {
         "estimate": {
@@ -332,8 +321,7 @@ def tomo(tols, mode, problem_dir, out_path):
                 rank=report.rank,
                 flags=list(report.flags),
             )
-            for key, value in report.extras.items():
-                payload[key] = np.asarray(value).tolist() if isinstance(value, np.ndarray) else value
+            payload.update(report.extras)
         io.write_json_atomic(out_path, payload)
 
     _guard(run, work)
@@ -352,6 +340,11 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
         medium, rho0 = io.model_from_json(io.read_json(model))
         steps = step_count(t_final, dt)
+        d = medium.dim
+        if (steps + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
+            raise ContractViolation(
+                f"t / dt asks for n = {steps} steps of {d}x{d} states: (n + 1) d^2 = "
+                f"{(steps + 1) * d * d} complex entries, more than {MAX_TRAJECTORY_ENTRIES}")
         if (method == "exact" or richardson) and (medium.V is not None or medium.jump_ops):
             raise ContractViolation(
                 "method 'exact' and --richardson cover only lossless models (no V, no jumps)")
@@ -401,10 +394,7 @@ def report(tols, kind, inputs, out_path, plot_path):
                 raise ContractViolation("report lines needs one Hamiltonian file")
             from .dynamics import rydberg_ritz_lines
 
-            doc = io._object(io.read_json(inputs[0]), "Hamiltonian")
-            h = io.matrix_from_json(doc["H"] if "H" in doc else doc["matrix"])
-            hbar = io._number(doc.get("hbar", 1.0), "hbar")
-            lines = rydberg_ritz_lines(h, hbar)
+            lines = rydberg_ritz_lines(*io.hamiltonian_from_json(io.read_json(inputs[0])))
             payload = {"omega": lines.omega.tolist(), "nu": lines.nu.tolist()}
             series = [(float(i + 1), float(nu)) for i, nu in enumerate(lines.nu)]
         else:

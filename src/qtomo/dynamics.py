@@ -165,7 +165,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def step_count(t: float, dt: float) -> int:
     """Steps n of the grid dt * arange(n + 1) for time t: round(t / dt), at least 1 if t > 0."""
-    return max(1, int(round(t / dt))) if t > 0 else 0
+    if t <= 0:
+        return 0
+    ratio = t / dt
+    if not np.isfinite(ratio):
+        raise ContractViolation(f"t / dt = {t!r} / {dt!r} is not a finite number of steps")
+    return max(1, int(round(ratio)))
 
 
 def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajectory:

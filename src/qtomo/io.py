@@ -226,6 +226,29 @@ def model_from_json(obj):
     return model, rho0
 
 
+def hamiltonian_from_json(obj):
+    """Parse a Hamiltonian document ("H" or "matrix", optional "hbar"); returns (H, hbar)."""
+    doc = _object(obj, "Hamiltonian")
+    h = matrix_from_json(doc["H"] if "H" in doc else doc["matrix"])
+    return h, _number(doc.get("hbar", 1.0), "hbar")
+
+
+def selfcal_from_json(obj):
+    """Parse a self-calibration document; returns (outputs, init_filters, init_sources), the
+    outputs as the complex (K, L, d, d) grid of K rows of L equally sized matrices."""
+    doc = _object(obj, "selfcal")
+    rows = _array(doc, "outputs", "selfcal")
+    if not all(isinstance(row, list) for row in rows):
+        raise ContractViolation("selfcal 'outputs' must be an array of rows of matrices")
+    grid = [[matrix_from_json(m) for m in row] for row in rows]
+    if len({len(row) for row in grid}) > 1 or len({m.shape for row in grid for m in row}) > 1:
+        raise ContractViolation(
+            "selfcal 'outputs' must be a rectangular grid of equally sized matrices")
+    filters = [matrix_from_json(f) for f in _array(doc, "init_filters", "selfcal")]
+    sources = [matrix_from_json(s) for s in _array(doc, "init_sources", "selfcal")]
+    return np.array(grid, dtype=complex), filters, sources
+
+
 def trajectory_to_json(traj):
     return [
         {"t": float(t), "matrix": matrix_to_json(state)}

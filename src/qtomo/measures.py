@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import PAULI, TOL_PSD, as_square, min_eigenvalue
+from .ops import (PAULI, TOL_PSD, as_square, hermitian_basis, min_eigenvalue, numerical_rank,
+                  real_traces, square_stack)
 
 
 class QuantumMeasure:
@@ -24,16 +25,7 @@ class QuantumMeasure:
     """
 
     def __init__(self, elements):
-        mats = [as_square(e, f"measure element {i}") for i, e in enumerate(elements)]
-        if not mats:
-            raise ContractViolation("a quantum measure needs at least one element")
-        d = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape[0] != d:
-                raise ContractViolation(
-                    f"measure element {i} is {m.shape[0]}x{m.shape[0]}, expected {d}x{d}"
-                )
-        self.elements = np.stack(mats)
+        self.elements = square_stack(elements, "measure element")
 
     @property
     def dim(self) -> int:
@@ -201,14 +193,13 @@ class CompletenessReport:
 
 
 def informational_completeness(measure: QuantumMeasure) -> CompletenessReport:
-    """Real-linear rank of the elements in Hermitian space via their Gram matrix."""
-    k = len(measure)
-    gram = np.einsum("aij,bji->ab", measure.elements, measure.elements).real
-    sing = np.linalg.svd(gram, compute_uv=False)
-    rank = int(np.sum(sing > max(sing[0], 1.0) * 1e-12)) if sing.size else 0
+    """Real-linear rank of the elements in Hermitian space: the numerical_rank of the thin SVD of
+    their design, the rule by which every reconstruction judges the same design."""
+    design = real_traces(measure.elements, hermitian_basis(measure.dim))
+    rank = numerical_rank(np.linalg.svd(design, full_matrices=False)[1])
     d2 = measure.dim ** 2
     complete = rank == d2
-    return CompletenessReport(rank, complete, complete and k == d2)
+    return CompletenessReport(rank, complete, complete and len(measure) == d2)
 
 
 def projective_measure(vectors) -> QuantumMeasure:

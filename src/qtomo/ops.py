@@ -17,6 +17,7 @@ from .errors import ContractViolation
 # trace; both cover accumulated rounding at dimensions up to a few dozen.
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
+RANK_RTOL = 1e-10  # a design's rank counts its singular values above this share of the largest
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,6 +34,30 @@ def as_square(a, name="matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ContractViolation(f"{name} has non-finite entries")
     return m
+
+
+def square_stack(matrices, name="matrix") -> np.ndarray:
+    """(n, d, d) complex stack of n >= 1 finite square matrices of one size, else ContractViolation
+    naming the first offender: matrix i is checked by as_square as f"{name} {i}"."""
+    mats = [as_square(m, f"{name} {i}") for i, m in enumerate(matrices)]
+    if not mats:
+        raise ContractViolation(f"need at least one {name}")
+    d = mats[0].shape[0]
+    for i, m in enumerate(mats):
+        if m.shape[0] != d:
+            raise ContractViolation(f"{name} {i} is {m.shape[0]}x{m.shape[0]}, expected {d}x{d}")
+    return np.stack(mats)
+
+
+def real_traces(a, b) -> np.ndarray:
+    """Matrix of Re tr(a_i b_j) over two stacks of d x d matrices, as one matrix product; with
+    b = hermitian_basis(d), the design mapping a Hermitian X's coefficients to each tr(X a_i)."""
+    return (a.reshape(len(a), -1) @ np.swapaxes(b, 1, 2).reshape(len(b), -1).T).real
+
+
+def numerical_rank(sing) -> int:
+    """Rank of a design from its descending singular values: those above RANK_RTOL times sing[0]."""
+    return int(np.sum(sing > sing[0] * RANK_RTOL)) if sing.size and sing[0] > 0 else 0
 
 
 def hermitian_defect(a) -> float:

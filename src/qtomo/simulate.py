@@ -65,6 +65,11 @@ class ExperimentConfig:
             raise ContractViolation(f"source must have unit intensity, trace is {tr}")
         if self.detector is None:
             raise ContractViolation("config needs a detector (alone or after an instrument)")
+        d = rho.shape[0]
+        for what, device in (("detector", self.detector.measure), ("instrument", self.instrument)):
+            if device is not None and device.dim != d:
+                raise ContractViolation(
+                    f"the {what} acts on {device.dim}x{device.dim} states, the source is {d}x{d}")
         object.__setattr__(self, "source", rho)
 
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
-from .measures import Detector, QuantumMeasure, informational_completeness
-from .ops import as_square, hermitian_basis
+from .measures import Detector, QuantumMeasure
+from .ops import hermitian_basis, numerical_rank, real_traces, square_stack
 
 COND_WARN = 1e6
-_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,23 +34,9 @@ class ReconstructionReport:
     extras: dict = field(default_factory=dict)
 
 
-def _pair_traces(a, b):
-    """Matrix of tr(a_i b_j) over two stacks of d x d matrices, as one matrix product."""
-    return a.reshape(len(a), -1) @ np.swapaxes(b, 1, 2).reshape(len(b), -1).T
-
-
-def _square_stack(matrices, name):
-    """(n, d, d) stack of n >= 1 square matrices of one size, or ContractViolation."""
-    mats = [as_square(m, name) for m in matrices]
-    sizes = sorted({m.shape[0] for m in mats})
-    if len(sizes) != 1:
-        raise ContractViolation(f"{name}s must be square matrices of one size, got sizes {sizes}")
-    return np.stack(mats)
-
-
 def _span(sing, d, message):
     """(rank, cond) of a design from its singular values; RankDeficiencyError below rank d^2."""
-    rank = int(np.sum(sing > sing[0] * _RANK_RTOL)) if sing.size and sing[0] > 0 else 0
+    rank = numerical_rank(sing)
     if rank < d * d:
         raise RankDeficiencyError(f"{message}: rank {rank} < {d * d}", rank=rank, required=d * d)
     return rank, float(sing[0] / sing[rank - 1])
@@ -66,10 +51,10 @@ def _hermitian_lstsq(operators, rates, stderr, what):
     solve of the same design.  Returns (X of shape (n, d, d), per-column
     residuals of the unweighted equations, cond, rank).
     """
-    ops = np.stack([as_square(o) for o in operators])
+    ops = square_stack(operators, "design operator")
     d = ops.shape[1]
     basis = hermitian_basis(d)
-    m = _pair_traces(ops, basis).real
+    m = real_traces(ops, basis)
     u, sing, vt = np.linalg.svd(m, full_matrices=False)
     rank, cond = _span(sing, d, f"{what} design is not informationally complete")
     y = np.asarray(rates, dtype=float)
@@ -87,8 +72,16 @@ def _hermitian_lstsq(operators, rates, stderr, what):
             w = 1.0 / np.clip(err[:, c], floor, None)
             coeff[:, c] = np.linalg.lstsq(m * w[:, None], y[:, c] * w, rcond=None)[0]
     x = np.tensordot(coeff.T, basis, axes=(1, 0))
-    residuals = np.linalg.norm(m @ coeff - y, axis=0)
-    return x, residuals, cond, rank
+    return x, _scaled_norms(m @ coeff - y, 0), cond, rank
+
+
+def _scaled_norms(x, axis):
+    """np.linalg.norm(x, axis=axis), with x first scaled by a power of two near its largest
+    entry along axis: the squares can neither overflow nor underflow, and the bits of a norm
+    whose squares do neither are unchanged."""
+    _, exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
+    exp = np.maximum(exp, -1021)  # 2**-exp stays finite for subnormal entries
+    return np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -exp), axis=axis), exp.squeeze(axis))
 
 
 def _simplex(evals, target):
@@ -127,7 +120,7 @@ def project_psd(x, trace_target=None):
         raise ContractViolation(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ContractViolation("matrix has non-finite entries")
-    h = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+    h = 0.5 * a + 0.5 * np.swapaxes(a, -1, -2).conj()  # halving first keeps the sum finite
     evals, evecs = np.linalg.eigh(h)
     lam = np.clip(evals, 0.0, None)
     if trace_target is not None:
@@ -140,12 +133,7 @@ def project_psd(x, trace_target=None):
                        lam * scale[..., None])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = (evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
-        # The norm squares the entries; scaling each difference by a power of two near its
-        # largest entry keeps the squares finite and leaves the distance's bits unchanged.
-        diff = out - a
-        _, exp = np.frexp(np.abs(diff).max(axis=(-2, -1), initial=0.0))
-        dist = np.ldexp(np.linalg.norm(diff * np.ldexp(1.0, -exp)[..., None, None],
-                                       axis=(-2, -1)), exp)
+        dist = _scaled_norms(out - a, (-2, -1))
     if not (np.isfinite(out).all() and np.isfinite(dist).all()):
         raise NumericalError(
             f"PSD projection overflowed: the estimate has entries up to {np.abs(a).max():.3e}, "
@@ -155,7 +143,7 @@ def project_psd(x, trace_target=None):
 
 def _rate_residuals(operators, x, rates):
     """Per-column norms of tr(x_c O_k) - rates[k, c] for a stack x of shape (n, d, d)."""
-    return np.linalg.norm(_pair_traces(operators, x).real - rates, axis=0)
+    return _scaled_norms(real_traces(operators, x) - rates, 0)
 
 
 def state_tomography(measures, rates, stderr=None):
@@ -201,7 +189,7 @@ def detector_tomography(probe_states, rates, stderr=None):
     report carries the flag "deficit_not_converged"; extras record the
     number of passes as "deficit_iterations".
     """
-    probes = _square_stack(probe_states, "probe state")
+    probes = square_stack(probe_states, "probe state")
     table = np.asarray(rates, dtype=float)
     if table.ndim != 2 or table.shape[0] != len(probes):
         raise ContractViolation(
@@ -281,8 +269,8 @@ def process_tomography(probe_states, output_states, project_cp=False, cp_tol=1e-
     """
     from .channels import choi_rank
 
-    probes = _square_stack(probe_states, "probe state")
-    outs = _square_stack(output_states, "output state")
+    probes = square_stack(probe_states, "probe state")
+    outs = square_stack(output_states, "output state")
     if outs.shape != probes.shape:
         raise ContractViolation(f"{len(probes)} probes of size {probes.shape[1]} but {len(outs)} "
                                 f"reconstructed outputs of size {outs.shape[1]}")
@@ -310,10 +298,11 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
     the probes, with one pseudo-inverse of the probe matrix.  Branch 0 with
     no recorded rate is returned as the zero map; an ordinary branch without
     events is an error.  The report's rank is the smaller of the detector
-    design's rank and the probes' span rank.
+    design's rank and the probes' span rank, its cond the larger of their
+    condition numbers.
     """
     tables = np.asarray(joint_tables, dtype=float)
-    probes = _square_stack(probe_states, "probe state")
+    probes = square_stack(probe_states, "probe state")
     if tables.ndim != 3 or tables.shape[0] != len(probes):
         raise ContractViolation(
             f"joint tables must be (n_probes, J+1, K+1), got {tables.shape}"
@@ -324,40 +313,37 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
             f"tables have {tables.shape[2] - 1} element slots for a "
             f"{len(measure)}-element detector"
         )
-    comp = informational_completeness(measure)
-    if not comp.complete:
-        raise RankDeficiencyError(
-            f"second detector is not informationally complete: rank {comp.rank}",
-            rank=comp.rank,
-            required=measure.dim ** 2,
-        )
+    # One solve on the detector design for every (probe, branch) output, before any check of
+    # the tables: column ell * (J+1) + j holds the element rates of probe ell in branch j.
+    n_probes, n_branches, n_slots = tables.shape
+    y = tables[:, :, 1:].reshape(-1, n_slots - 1).T
+    x, _, det_cond, det_rank = _hermitian_lstsq(measure.elements, y, None, "instrument tomography")
     d = measure.dim
     if probes.shape[1] != d:
         raise ContractViolation(f"probe states are {probes.shape[1]}-dimensional, the second "
                                 f"detector measures {d}x{d} states")
-    n_probes, n_branches, n_slots = tables.shape
     marginals = tables.sum(axis=2)  # (n_probes, J+1)
     silent = marginals.max(axis=0) <= min_branch_rate
     if silent[1:].any():
         raise ContractViolation(f"insufficient events for branch {np.argmax(silent[1:]) + 1}: "
                                 "no probe recorded a response")
-    # One solve on the detector design for every (probe, branch) output:
-    # column ell * (J+1) + j holds the element rates of probe ell in branch j.
-    y = tables[:, :, 1:].reshape(-1, n_slots - 1).T
-    x, _, _, det_rank = _hermitian_lstsq(measure.elements, y, None, "instrument tomography")
     outputs, _ = project_psd(x, trace_target=y.sum(axis=0))
     output_residuals = _rate_residuals(measure.elements, outputs, y).reshape(n_probes, n_branches)
     live = ~silent
-    fit, fit_residuals, dists, _, cond, probe_rank = _fit_superops(
+    fit, fit_residuals, dists, _, probe_cond, probe_rank = _fit_superops(
         probes, outputs.reshape(n_probes, n_branches, d, d)[:, live].swapaxes(0, 1), project_cp)
     maps = np.zeros((n_branches, d * d, d * d), dtype=complex)
     maps[live] = fit
     residual_sq = np.sum(output_residuals[:, live] ** 2, axis=0) + fit_residuals ** 2
     # tr E_j(rho) sums the entries of E_j vec(rho) that land on the diagonal
     predicted = (maps[:, ::d + 1] @ probes.reshape(n_probes, -1).T).sum(axis=1).real.T
+    cond = max(det_cond, probe_cond)
+    flags = ["null_branch_zero"] if silent[0] else []
+    if cond > COND_WARN:
+        flags.append("ill_conditioned")
     report = ReconstructionReport(
         float(np.sqrt(np.sum(residual_sq))), cond, float(np.sqrt(np.sum(dists ** 2))),
-        min(det_rank, probe_rank), ("null_branch_zero",) if silent[0] else (),
+        min(det_rank, probe_rank), tuple(flags),
         {"branch_marginals": marginals, "predicted_marginals": predicted},
     )
     return list(maps), report
@@ -419,18 +405,17 @@ def self_calibrating_tomography(outputs, init_filters, init_sources,
     n_filters, n_sources = data.shape[:2]
     if n_filters < 2 or n_sources < 2:
         raise ContractViolation("self-calibration needs at least 2 filters and 2 sources")
-    filters = [as_square(f, "filter superoperator") for f in init_filters]
-    sources = [as_square(s, "source state") for s in init_sources]
+    filters = square_stack(init_filters, "filter superoperator")
+    sources = square_stack(init_sources, "source state")
     if len(filters) != n_filters or len(sources) != n_sources:
         raise ContractViolation("initial guesses must match the output grid")
     d = data.shape[2]
-    if data.shape[3] != d or any(s.shape != (d, d) for s in sources):
+    if data.shape[3] != d or sources.shape[1] != d:
         raise ContractViolation(f"outputs and initial sources must all be {d}x{d} matrices")
-    if any(f.shape != (d * d, d * d) for f in filters):
+    if filters.shape[1] != d * d:
         raise ContractViolation(f"filters must be {d * d}x{d * d} superoperators of {d}x{d} states")
     if not np.isfinite(data).all():
         raise ContractViolation("outputs have non-finite entries")
-    filters, sources = np.stack(filters), np.stack(sources)
     basis = hermitian_basis(d)
     gauge_trace = float(np.trace(sources[0]).real)
     if gauge_trace <= 0.0:

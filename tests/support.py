@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qtomo import QuantumMeasure, density_from_state
+from qtomo import PAULI, QuantumMeasure, density_from_state, tetrahedron_measure
 
 
 def random_complex(shape, rng):
@@ -46,6 +46,20 @@ def random_measure(d, n_elements, rng):
     evals, evecs = np.linalg.eigh(total)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     return QuantumMeasure([inv_sqrt @ p @ inv_sqrt for p in parts])
+
+
+def squashed_tetrahedron(eps):
+    """The tetrahedron measure (1 + n_k . sigma) / 4 with the z component of every n_k times eps."""
+    return squash_measure(tetrahedron_measure(), np.array([0.0, 0.0, 1.0]), eps)
+
+
+def squash_measure(measure, axis, eps):
+    """A qubit measure with the Bloch-vector component of every element along the unit axis
+    scaled by eps: a valid measure again, informationally complete iff eps != 0 and the
+    original is."""
+    stokes = np.einsum("kij,sji->ks", measure.elements, np.stack(PAULI)).real  # tr(P_k sigma_s)
+    stokes[:, 1:] -= (1.0 - eps) * np.outer(stokes[:, 1:] @ axis, axis)
+    return QuantumMeasure(0.5 * np.einsum("ks,sij->kij", stokes, np.stack(PAULI)))
 
 
 def random_kraus(d, n_ops, rng, scale=None):

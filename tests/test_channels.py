@@ -180,6 +180,13 @@ class TestSuperopFromKraus:
             report = validate_density(out, 1e-10, 1e-10)
             assert report.ok
 
+    def test_kraus_sizes_checked(self):
+        for build in (superop_from_kraus, pi_operator):
+            with pytest.raises(ContractViolation, match="Kraus operator 1 is 3x3, expected 2x2"):
+                build([np.eye(2), np.eye(3)])
+            with pytest.raises(ContractViolation, match="need at least one Kraus operator"):
+                build([])
+
     def test_output_intensity_identity(self):
         rng = np.random.default_rng(51)
         for _ in range(50):
@@ -232,3 +239,14 @@ class TestInstrument:
     def test_empty_branch_rejected(self):
         with pytest.raises(ContractViolation):
             Instrument(((),))
+
+    def test_kraus_sizes_checked_across_branches(self):
+        # operators are numbered across the branches, in order
+        with pytest.raises(ContractViolation, match="instrument Kraus operator 2 is 3x3, expected 2x2"):
+            Instrument(((np.eye(2), np.eye(2)), (np.eye(3),)))
+        with pytest.raises(ContractViolation, match="instrument Kraus operator 1 has non-finite"):
+            Instrument(((np.eye(2),), (np.full((2, 2), np.inf),)))
+        inst = Instrument(((np.eye(2), 0.5 * np.eye(2)), (PAULI[1],)))
+        assert [len(b) for b in inst.branches] == [2, 1]
+        assert np.array_equal(inst.branches[0][1], 0.5 * np.eye(2))
+        assert np.array_equal(inst.branches[1][0], PAULI[1])

@@ -617,6 +617,38 @@ class TestDynamicsCommand:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("method", ["exact", "slice", "lindblad"])
+    def test_trajectory_beyond_the_limit_exits_2(self, tmp_path, method):
+        from qtomo.cli import MAX_TRAJECTORY_ENTRIES
+
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {
+            "H": qio.matrix_to_json(qtomo.PAULI[1]),
+            "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
+        })
+        # 10^12 steps, which would run slice for hours and have lindblad and exact ask for
+        # terabytes; then one step more than the limit allows.
+        n_max = MAX_TRAJECTORY_ENTRIES // 4 - 1
+        for t, dt, n in (("1", "1e-12", 10 ** 12), (repr((n_max + 1) * 0.5), "0.5", n_max + 1)):
+            out = tmp_path / "run" / "traj.json"
+            result = run_cli(["dynamics", str(model), f"--t={t}", f"--dt={dt}",
+                              "--method", method, "--out", str(out)])
+            assert result.exit_code == 2, result.output
+            assert not out.exists()
+            error = json.loads((out.parent / "manifest.json").read_text())["error"]
+            assert error["type"] == "ContractViolation"
+            assert f"n = {n} steps of 2x2 states" in error["message"]
+
+    def test_infinite_step_count_exits_2(self, tmp_path):
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {"H": [[1.0]], "rho0": [[1.0]]})
+        out = tmp_path / "run" / "traj.json"
+        result = run_cli(["dynamics", str(model), "--t", "1e300", "--dt", "1e-300",
+                          "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert "not a finite number of steps" in error["message"]
+
     def test_richardson_ratio_near_two(self, tmp_path):
         model = tmp_path / "model.json"
         qio.write_json_atomic(str(model), {
@@ -764,6 +796,61 @@ class TestManifestsAndDeterminism:
         second = pipeline("run_b")
         for name in ("events.csv", "counts.json", "report.json", "lines.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestOneRankRuleAcrossModes:
+    """The squashed tetrahedron of support.squashed_tetrahedron, with the instrument of the
+    CI smoke bundle: the two modes that invert a detector agree on its rank."""
+
+    def _bundle(self, tmp_path, eps):
+        from support import probe_states, squashed_tetrahedron
+
+        det = qtomo.Detector(squashed_tetrahedron(eps), np.arange(1.0, 5.0))
+        inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+        probes = probe_states(2)
+        bundle = tmp_path / f"eps{eps}"
+        for i, probe in enumerate(probes):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
+        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure, det.scale))
+        tables = np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])
+        qio.write_json_atomic(str(bundle / "tables.json"), {"tables": tables})
+        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": tables[2, 1:, 1:].sum(axis=0)})
+        return bundle, tables
+
+    def test_nearly_flat_detector_is_flagged_by_both_modes(self, tmp_path):
+        bundle, _ = self._bundle(tmp_path, 1e-7)
+        for mode in ("state", "instrument"):
+            out = tmp_path / mode / "report.json"
+            result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
+            assert result.exit_code == 0, (mode, result.output)
+            report = json.loads(out.read_text())
+            assert report["rank"] == 4 and report["cond"] > 1e7
+            assert "ill_conditioned" in report["flags"], mode
+
+    def test_flat_detector_exits_3_in_both_modes(self, tmp_path):
+        bundle, tables = self._bundle(tmp_path, 0.0)
+        for mode in ("state", "instrument"):
+            result = run_cli(["tomo", mode, str(bundle), "--out", str(tmp_path / mode / "r.json")])
+            assert result.exit_code == 3, (mode, result.output)
+        tables[:, 2] = 0.0  # a silent branch is an input error only for a detector of full rank
+        qio.write_json_atomic(str(bundle / "tables.json"), {"tables": tables})
+        result = run_cli(["tomo", "instrument", str(bundle), "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 3, result.output
+        assert "rank 3 < 4" in json.loads(result.stderr)["error"]["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_state_rates_report_a_finite_residual(tmp_path):
+    bundle = tmp_path / "bundle"
+    qio.write_json_atomic(str(bundle / "measure.json"),
+                          qio.measure_to_json(qtomo.pauli_six_measure()))
+    rates = 1e200 * np.array([0.3, 0.1, 0.2, 0.15, 0.1, 0.15])  # no state gives these exactly
+    qio.write_json_atomic(str(bundle / "rates.json"), {"rates": rates})
+    out = tmp_path / "run" / "report.json"
+    result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(out.read_text())
+    assert 1e198 < report["residual_unprojected"] <= report["residual"] < 1e200
 
 
 class TestOverflowExits4WithCause:

@@ -174,12 +174,12 @@ def test_tomo_instrument_tables_document(doc):
         _check(tmp, ["tomo", "instrument", bundle, "--out", os.path.join(tmp, "run", "report.json")])
 
 
-_probe_docs = _dims.flatmap(lambda d: _documents(
+_density_docs = _dims.flatmap(lambda d: _documents(
     {"matrix": _hermitian(d) | _square(d)}, {"dim": st.integers(0, 4)}))
 
 
 @_SETTINGS
-@given(_probe_docs)
+@given(_density_docs)
 @example({"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
 @example({"matrix": [[1, 0], [0, 0]]})
 def test_tomo_process_probe_document(doc):
@@ -191,6 +191,88 @@ def test_tomo_process_probe_document(doc):
                                   qio.density_to_json(probe))
         _write(os.path.join(bundle, "probes", "p0.json"), doc)
         _check(tmp, ["tomo", "process", bundle, "--out", os.path.join(tmp, "run", "report.json")])
+
+
+@_SETTINGS
+@given(_density_docs)
+@example({"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+@example({"matrix": [[0.5, 0.5], [0.5, 0.5]]})
+def test_tomo_detector_probe_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle")
+        probes = _qubit_bundle(bundle)
+        measure = qtomo.tetrahedron_measure()
+        rates = np.stack([qtomo.response_probabilities(measure, p) for p in probes])
+        qio.write_json_atomic(os.path.join(bundle, "rates.json"), {"rates": rates})
+        _write(os.path.join(bundle, "probes", "p0.json"), doc)
+        _check(tmp, ["tomo", "detector", bundle, "--out", os.path.join(tmp, "run", "report.json")])
+
+
+# one rate per tetrahedron element (state), or a (probe, element) table of them (detector)
+_rates_docs = _documents({"rates": st.lists(_rates, min_size=4, max_size=4)
+                          | st.lists(st.lists(_rates, min_size=4, max_size=4), min_size=4,
+                                     max_size=4)})
+
+
+@_SETTINGS
+@given(_rates_docs, st.sampled_from(["state", "detector"]))
+@example({"rates": [1e200, 1e200, 1e200, 1e200]}, "state")
+@example({"rates": [[1e200, 0.0, 1e200, 0.0]] * 4}, "detector")
+@example({"rates": [[0.25] * 4] * 3}, "detector")
+@example({"rates": [0.25] * 3}, "state")
+def test_rates_document(doc, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle")
+        _qubit_bundle(bundle)
+        _write(os.path.join(bundle, "rates.json"), doc)
+        _check(tmp, ["tomo", mode, bundle, "--out", os.path.join(tmp, "run", "report.json")])
+
+
+_QUBIT = {"matrix": [[0.5, 0.5], [0.5, 0.5]]}
+_PAULI_DETECTOR = json.loads(qio.canonical_json(
+    qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0))))
+
+
+def _simulate(tmp, source, device):
+    _write(os.path.join(tmp, "source.json"), source)
+    _write(os.path.join(tmp, "device.json"), device)
+    _check(tmp, ["simulate", os.path.join(tmp, "source.json"), os.path.join(tmp, "device.json"),
+                 "--shots", "10", "--seed", "1", "--out", os.path.join(tmp, "run")])
+
+
+@_SETTINGS
+@given(_density_docs)
+@example({"matrix": [[1, 0], [0, 0]]})
+@example({"matrix": [[0.5, 0.5], [0.5, 0.5]], "dim": 2})
+@example({"matrix": [[2, 0], [0, 0]]})
+def test_simulate_source_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        _simulate(tmp, doc, _PAULI_DETECTOR)
+
+
+def _device(d):
+    """A measure or detector document, or an instrument with its detector, on C^d."""
+    elements = st.lists(_hermitian(d) | _square(d), min_size=1, max_size=4)
+    scale = st.lists(st.lists(_entries, min_size=1, max_size=1), min_size=1, max_size=4)
+    detector = _documents({"elements": elements, "scale": scale}, {"dim": st.integers(0, 4)})
+    branch = _documents({"kraus": st.lists(_square(d), min_size=1, max_size=2)})
+    instrument = _documents({"branches": st.lists(branch, min_size=1, max_size=2)})
+    return (_documents({"elements": elements}, {"scale": scale, "dim": st.integers(0, 4)})
+            | _documents({"instrument": instrument, "detector": detector}))
+
+
+@_SETTINGS
+@given(st.integers(1, 2).flatmap(_device))
+@example(_PAULI_DETECTOR)
+@example({"instrument": {"branches": [{"kraus": [[[1, 0], [0, 0]]]}, {"kraus": [[[0, 0], [0, 1]]]}]},
+          "detector": _PAULI_DETECTOR})
+@example({"instrument": {"branches": [{"kraus": [[[2, 0], [0, 0]]]}]}, "detector": _PAULI_DETECTOR})
+@example({"instrument": {"branches": [{"kraus": [[[1, 0], [0, 0]]]}]}, "detector": 5})
+@example({"instrument": {"branches": [{"kraus": [[[1.0]]]}]}, "detector": _PAULI_DETECTOR})
+@example({"elements": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "scale": [[1], [1]]})
+def test_simulate_device_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        _simulate(tmp, _QUBIT, doc)
 
 
 _model_docs = _dims.flatmap(lambda d: _documents(

@@ -95,9 +95,17 @@ class TestDocuments:
         (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "hbar": "1"}),
         (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "lindblad": {"L": [[[1]]], "gamma": ["x"]}}),
         (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "lindblad": [1]}),
+        (qio.hamiltonian_from_json, [[1]]),
+        (qio.hamiltonian_from_json, {"H": [[1]], "hbar": True}),
+        (qio.selfcal_from_json, {"outputs": [[[[1]]], 5], "init_filters": [], "init_sources": []}),
+        (qio.selfcal_from_json, {"outputs": [[[[1]]], [[[1]], [[1]]]], "init_filters": [],
+                                 "init_sources": []}),
+        (qio.selfcal_from_json, {"outputs": [[[[1]]]], "init_filters": {}, "init_sources": []}),
     ], ids=["scalar", "string-dim", "fractional-dim", "scalar-elements",
             "string-measure", "scalar-kraus", "empty-kraus", "object-branches",
-            "one-child-split", "scalar-leaf", "string-hbar", "string-gamma", "array-lindblad"])
+            "one-child-split", "scalar-leaf", "string-hbar", "string-gamma", "array-lindblad",
+            "array-hamiltonian", "boolean-hbar", "scalar-selfcal-row", "ragged-selfcal-grid",
+            "object-selfcal-filters"])
     def test_wrong_types_rejected(self, parse, doc):
         with pytest.raises(ContractViolation):
             parse(doc)
@@ -167,6 +175,24 @@ class TestDocuments:
         model, _ = qio.model_from_json(doc)
         assert np.array_equal(model.V, 0.5 * np.eye(2))
         assert model.jump_ops == () and model.rates == ()
+
+    def test_hamiltonian_document(self):
+        h, hbar = qio.hamiltonian_from_json({"H": qio.matrix_to_json(PAULI[3]), "hbar": 2})
+        assert np.array_equal(h, PAULI[3]) and hbar == 2.0
+        h, hbar = qio.hamiltonian_from_json({"matrix": [[1, 0], [0, 2]]})
+        assert np.array_equal(h, np.diag([1.0, 2.0])) and hbar == 1.0
+
+    def test_selfcal_document(self):
+        outputs, filters, sources = qio.selfcal_from_json({
+            "outputs": [[qio.matrix_to_json(np.eye(2) * (k + l)) for l in range(3)]
+                        for k in range(2)],
+            "init_filters": [qio.matrix_to_json(np.eye(4))] * 2,
+            "init_sources": [[[1, 0], [0, 0]]] * 3,
+        })
+        assert outputs.shape == (2, 3, 2, 2) and outputs.dtype == complex
+        assert np.array_equal(outputs[1, 2], 3 * np.eye(2))
+        assert len(filters) == 2 and len(sources) == 3
+        assert np.array_equal(sources[0], np.diag([1.0, 0.0]))
 
     def test_model_rho0_dim_mismatch(self):
         doc = {"H": qio.matrix_to_json(PAULI[3]), "rho0": qio.matrix_to_json(np.eye(3) / 3)}

@@ -22,7 +22,7 @@ from qtomo import (
     tetrahedron_measure,
     validate_measure,
 )
-from support import random_density, random_measure
+from support import random_density, random_measure, squashed_tetrahedron
 
 
 class TestValidateMeasure:
@@ -40,8 +40,10 @@ class TestValidateMeasure:
         assert report.sum_defect == pytest.approx(0.2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="measure element 1 is 3x3, expected 2x2"):
             QuantumMeasure([np.eye(2), np.eye(3)])
+        with pytest.raises(ContractViolation, match="need at least one measure element"):
+            QuantumMeasure([])
 
     def test_negative_element_flagged(self):
         m = QuantumMeasure([np.diag([1.2, 1.0]), np.diag([-0.2, 0.0])])
@@ -196,6 +198,13 @@ class TestInformationalCompleteness:
     def test_tetrahedron_minimal(self):
         report = informational_completeness(tetrahedron_measure())
         assert report.rank == 4 and report.complete and report.minimal
+
+    @pytest.mark.parametrize("eps, rank", [(1e-7, 4), (1e-9, 4), (1e-12, 3), (0.0, 3)])
+    def test_squashed_tetrahedron_rank_is_relative_to_the_design(self, eps, rank):
+        # the z components shrink by eps: the design's smallest singular value is
+        # about eps / sqrt(3) of the largest, against the cut RANK_RTOL = 1e-10
+        report = informational_completeness(squashed_tetrahedron(eps))
+        assert report.rank == rank and report.complete == (rank == 4)
 
 
 class TestDetectorScale:

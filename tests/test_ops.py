@@ -12,6 +12,7 @@ from qtomo import (
     trace_distance,
     validate_density,
 )
+from qtomo.ops import numerical_rank, real_traces, square_stack
 from support import random_density, random_hermitian
 
 
@@ -180,3 +181,34 @@ class TestNormalize:
 
 def test_trace_distance_pure_orthogonal():
     assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
+
+
+class TestSquareStack:
+    def test_stacks_matrices_of_one_size(self):
+        stack = square_stack([np.eye(2), [[0, 1], [1, 0]]], "probe state")
+        assert stack.shape == (2, 2, 2) and stack.dtype == complex
+        assert np.array_equal(stack[1], PAULI[1])
+
+    @pytest.mark.parametrize("matrices, message", [
+        ([], "need at least one probe state"),
+        ([np.eye(2), np.ones((2, 3))], r"probe state 1 must be square, got shape \(2, 3\)"),
+        ([np.full((2, 2), np.nan)], "probe state 0 has non-finite entries"),
+        ([np.eye(2), np.eye(2), np.eye(3), np.eye(1)], "probe state 2 is 3x3, expected 2x2"),
+    ])
+    def test_refusal_names_the_first_offender(self, matrices, message):
+        with pytest.raises(ContractViolation, match=message):
+            square_stack(matrices, "probe state")
+
+
+class TestDesignRank:
+    def test_real_traces_against_einsum(self):
+        rng = np.random.default_rng(3)
+        a = np.stack([random_hermitian(3, rng) for _ in range(5)])
+        b = hermitian_basis(3)
+        assert np.allclose(real_traces(a, b), np.einsum("kij,aji->ka", a, b).real, atol=1e-14)
+
+    def test_rank_counts_singular_values_above_the_relative_cut(self):
+        assert numerical_rank(np.array([2.0, 1.0, 2.1e-10, 1.9e-10])) == 3
+        assert numerical_rank(np.array([1e-20, 1e-25])) == 2  # relative, not absolute
+        assert numerical_rank(np.array([0.0, 0.0])) == 0
+        assert numerical_rank(np.array([])) == 0

@@ -20,6 +20,7 @@ from qtomo import (
     detector_tomography,
     empirical_rates,
     hermitian_basis,
+    informational_completeness,
     instrument_tomography,
     is_completely_positive,
     joint_probabilities,
@@ -45,6 +46,8 @@ from support import (
     random_kraus,
     random_measure,
     random_unitary,
+    squash_measure,
+    squashed_tetrahedron,
 )
 
 
@@ -124,6 +127,16 @@ class TestPsdProjection:
         assert np.allclose(once, twice)
         assert dist > 0.0
         assert dist2 <= 1e-14
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distance_of_any_finite_magnitude(self):
+        # the distance's squares would underflow (1e-310) or overflow (1e200) unscaled
+        for x, target, dist in ((np.diag([1.0, -1e-310]), None, 1e-310),
+                                (np.diag([1e200, 1e200]), 1.0, np.sqrt(2.0) * 1e200)):
+            _, d = project_psd(x, trace_target=target)
+            assert d == pytest.approx(dist, rel=1e-15)
+            _, ds = project_psd(np.stack([x, np.eye(2)]), trace_target=target)
+            assert ds[0] == d
 
     def test_residual_increase_bounded_by_projection_distance(self):
         rng = np.random.default_rng(75)
@@ -379,13 +392,13 @@ class TestProcessTomography:
     def test_states_of_another_size_rejected(self):
         probes = probe_states(2)
         odd = probes[:-1] + [np.eye(3) / 3]
-        with pytest.raises(ContractViolation, match="one size"):
+        with pytest.raises(ContractViolation, match="probe state 3 is 3x3, expected 2x2"):
             process_tomography(odd, probes)
-        with pytest.raises(ContractViolation, match="one size"):
+        with pytest.raises(ContractViolation, match="output state 3 is 3x3, expected 2x2"):
             process_tomography(probes, odd)
         with pytest.raises(ContractViolation, match="of size 3"):
             process_tomography(probes, [np.eye(3) / 3] * len(probes))
-        with pytest.raises(ContractViolation, match="one size"):
+        with pytest.raises(ContractViolation, match="probe state 3 is 3x3, expected 2x2"):
             detector_tomography(odd, np.full((len(odd), 2), 0.5))
 
 
@@ -480,7 +493,7 @@ class TestInstrumentTomography:
         tables = np.full((len(probes), 2, 5), 0.1)
         with pytest.raises(ContractViolation, match="measures 2x2 states"):
             instrument_tomography(tables, probes, det)
-        with pytest.raises(ContractViolation, match="one size"):
+        with pytest.raises(ContractViolation, match="probe state 4 is 3x3, expected 2x2"):
             instrument_tomography(tables[:5], probe_states(2) + [np.eye(3) / 3], det)
 
     def test_incomplete_second_detector_rejected(self):
@@ -490,6 +503,18 @@ class TestInstrumentTomography:
         tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
         with pytest.raises(RankDeficiencyError):
             instrument_tomography(tables, probes, det)
+        tables[:, 2] = 0.0  # a silent branch does not hide the rank deficiency
+        with pytest.raises(RankDeficiencyError, match="rank 2 < 4"):
+            instrument_tomography(tables, probes, det)
+
+    def test_ill_conditioned_detector_is_flagged(self):
+        det = Detector(squashed_tetrahedron(1e-7), np.arange(1.0, 5.0))
+        probes = probe_states(2)
+        tables = np.stack([joint_probabilities(_projective_instrument(), det, p) for p in probes])
+        _, report = instrument_tomography(tables, probes, det)
+        _, state_report = state_tomography(det.measure, tables[0, 1:, 1:].sum(axis=0))
+        assert report.rank == 4 and report.cond == state_report.cond > 1e7
+        assert report.flags == ("null_branch_zero", "ill_conditioned")
 
     def test_sampled_marginals_within_bounds(self):
         from qtomo import sample_coincidences
@@ -503,6 +528,39 @@ class TestInstrumentTomography:
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
         assert abs(emp.branch_marginal[1] - 0.3) <= 5 * stderr
         assert abs(emp.branch_marginal[2] - 0.7) <= 5 * stderr
+
+
+@st.composite
+def _qubit_measures(draw):
+    """Random qubit measures of 2 to 6 elements, some squashed along a random Bloch axis
+    by 10^-k for k = 3 ... 9, which brings their design near the rank cut."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    measure = random_measure(2, draw(st.integers(2, 6)), rng)
+    k = draw(st.none() | st.integers(3, 9))
+    if k is not None:
+        axis = rng.normal(size=3)
+        measure = squash_measure(measure, axis / np.linalg.norm(axis), 10.0 ** -k)
+    return measure
+
+
+class TestOneRankRule:
+    """informational_completeness and the reconstructions judge a detector alike."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_qubit_measures())
+    def test_complete_exactly_when_state_and_instrument_tomography_accept(self, measure):
+        det = Detector(measure, np.arange(1.0, len(measure) + 1.0))
+        probes = probe_states(2)
+        tables = np.stack([joint_probabilities(_projective_instrument(), det, p) for p in probes])
+        runs = (lambda: state_tomography(measure, response_probabilities(measure, probes[2])),
+                lambda: instrument_tomography(tables, probes, det))
+        if informational_completeness(measure).rank == 4:
+            for run in runs:
+                run()
+        else:
+            for run in runs:
+                with pytest.raises(RankDeficiencyError):
+                    run()
 
 
 class TestSelfCalibration:
@@ -657,11 +715,14 @@ def _oracle_instrument(tables, probes, measure, project_cp=False):
     """Reference: the per-branch instrument fit the engine ran before it fitted all
     branches at once.  Each responding branch gets its own pseudo-inverse of the probe
     matrix and its own Choi clip, and each (probe, branch) marginal its own
-    apply_superop."""
+    apply_superop.  The report's cond is the larger of the probe matrix's and the
+    detector design's."""
     d = measure.dim
     v = np.stack([p.reshape(-1) for p in probes], axis=1)
     sing = np.linalg.svd(v, compute_uv=False)
     assert np.sum(sing > sing[0] * 1e-10) == d * d
+    _, _, det_cond, _ = _per_column_solve(measure.elements, np.zeros(len(measure)))
+    cond = max(float(sing[0] / sing[-1]), det_cond)
     maps, flags, residual_sq, dist_sq = [], [], 0.0, 0.0
     for j in range(tables.shape[1]):
         if tables[:, j].sum(axis=1).max() <= 1e-12:
@@ -685,8 +746,9 @@ def _oracle_instrument(tables, probes, measure, project_cp=False):
         residual_sq += np.linalg.norm(e @ v - w) ** 2
         maps.append(e)
     predicted = np.array([[np.trace(apply_superop(e, p)).real for e in maps] for p in probes])
-    return (maps, np.sqrt(residual_sq), float(sing[0] / sing[-1]), d * d, np.sqrt(dist_sq),
-            predicted, tuple(flags))
+    if cond > 1e6:
+        flags.append("ill_conditioned")
+    return (maps, np.sqrt(residual_sq), cond, d * d, np.sqrt(dist_sq), predicted, tuple(flags))
 
 
 def _problem(d, noisy, rng):
