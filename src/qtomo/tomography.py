@@ -84,6 +84,23 @@ def _scaled_norms(x, axis):
     return np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -exp), axis=axis), exp.squeeze(axis))
 
 
+def _scaled(norm, *parts):
+    """norm(*parts) for a norm of degree one in the parts' entries (a root of a sum of their
+    squares), computed on the parts scaled by one power of two near their largest entry, as in
+    _scaled_norms: the squares can neither overflow nor underflow, and the bits of a result
+    whose squares do neither are unchanged."""
+    _, exp = np.frexp(max(np.abs(part).max(initial=0.0) for part in parts))
+    exp = max(int(exp), -1021)
+    scale = np.ldexp(1.0, -exp)
+    return float(np.ldexp(norm(*(part * scale for part in parts)), exp))
+
+
+def _root_sum_squares(*parts):
+    """Root of the sum of squares of the parts' entries: each part's squares summed with np.sum,
+    the part sums added in order, scaled as in _scaled."""
+    return _scaled(lambda *xs: np.sqrt(sum(float(np.sum(x ** 2)) for x in xs)), *parts)
+
+
 def _simplex(evals, target):
     """Euclidean projection of each row of evals onto {lam >= 0, sum(lam) = target > 0}.
 
@@ -197,7 +214,7 @@ def detector_tomography(probe_states, rates, stderr=None):
         )
     x, residuals, cond, rank = _hermitian_lstsq(probes, table, stderr, "detector tomography")
     elements, dists = project_psd(x)
-    dist_sq = float(np.sum(dists ** 2))
+    moves = [dists]
     identity = np.eye(probes[0].shape[0], dtype=complex)
     # Spread the identity deficit over the elements in proportion to their
     # traces, re-clip, and repeat: clipping can reopen a small deficit when
@@ -210,7 +227,7 @@ def detector_tomography(probe_states, rates, stderr=None):
             break
         shares = traces / traces.sum()
         elements, dists = project_psd(elements + shares[:, None, None] * deficit)
-        dist_sq += float(np.sum(dists ** 2))
+        moves.append(dists)
         iterations += 1
         deficit = identity - elements.sum(axis=0)
     measure = QuantumMeasure(elements)
@@ -220,7 +237,7 @@ def detector_tomography(probe_states, rates, stderr=None):
     if np.max(np.abs(deficit)) > 1e-12:
         flags.append("deficit_not_converged")
     report = ReconstructionReport(
-        float(np.sqrt(np.sum(residuals ** 2))), cond, float(np.sqrt(dist_sq)), rank,
+        _root_sum_squares(residuals), cond, _root_sum_squares(*moves), rank,
         tuple(flags),
         {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
@@ -229,8 +246,9 @@ def detector_tomography(probe_states, rates, stderr=None):
 
 def _norms(stack):
     """Frobenius norm of each matrix in a stack, summed as np.linalg.norm sums one matrix,
-    so that a report does not depend on how many maps were fitted with it."""
-    return np.array([np.linalg.norm(m) for m in stack])
+    so that a report does not depend on how many maps were fitted with it; without overflow
+    (_scaled)."""
+    return np.array([_scaled(np.linalg.norm, m) for m in stack])
 
 
 def _fit_superops(probes, outputs, project_cp):
@@ -334,7 +352,8 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
         probes, outputs.reshape(n_probes, n_branches, d, d)[:, live].swapaxes(0, 1), project_cp)
     maps = np.zeros((n_branches, d * d, d * d), dtype=complex)
     maps[live] = fit
-    residual_sq = np.sum(output_residuals[:, live] ** 2, axis=0) + fit_residuals ** 2
+    residual = _scaled(lambda o, f: np.sqrt(np.sum(np.sum(o ** 2, axis=0) + f ** 2)),
+                       output_residuals[:, live], fit_residuals)
     # tr E_j(rho) sums the entries of E_j vec(rho) that land on the diagonal
     predicted = (maps[:, ::d + 1] @ probes.reshape(n_probes, -1).T).sum(axis=1).real.T
     cond = max(det_cond, probe_cond)
@@ -342,7 +361,7 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
     if cond > COND_WARN:
         flags.append("ill_conditioned")
     report = ReconstructionReport(
-        float(np.sqrt(np.sum(residual_sq))), cond, float(np.sqrt(np.sum(dists ** 2))),
+        residual, cond, _root_sum_squares(dists),
         min(det_rank, probe_rank), tuple(flags),
         {"branch_marginals": marginals, "predicted_marginals": predicted},
     )

@@ -853,6 +853,26 @@ def test_huge_state_rates_report_a_finite_residual(tmp_path):
     assert 1e198 < report["residual_unprojected"] <= report["residual"] < 1e200
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_detector_rates_report_finite_distances(tmp_path):
+    from support import probe_states
+
+    bundle = tmp_path / "bundle"
+    probes = probe_states(2)
+    for i, probe in enumerate(probes):
+        qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
+    rates = np.stack([qtomo.response_probabilities(qtomo.tetrahedron_measure(), p)
+                      for p in probes])
+    qio.write_json_atomic(str(bundle / "rates.json"), {"rates": 1e200 * rates})
+    out = tmp_path / "run" / "report.json"
+    result = run_cli(["tomo", "detector", str(bundle), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(out.read_text())
+    # the elements are 1e200 times a measure, so no rescaling of them sums to the identity
+    assert 0.0 < report["projection_distance"] < 1e201 and 0.0 <= report["residual"] < 1e201
+    assert "deficit_not_converged" in report["flags"]
+
+
 class TestOverflowExits4WithCause:
     def _expect_exit_4(self, tmp_path, mode, bundle, cause):
         out = tmp_path / "run" / "report.json"

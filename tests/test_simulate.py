@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qtomo import (
@@ -353,6 +353,73 @@ class TestCsvProperties:
             assert back.n_branches == log.n_branches
         assert np.array_equal(back.labels, log.labels)
         assert event_log_to_csv(back).splitlines() == text.splitlines()
+
+
+# values at digit-count edges and at the edges of the dtypes _csv_rows picks
+_CSV_EDGES = [0, 9, 10, 99_999, 100_000, 255, 256, 65_535, 65_536, 2 ** 32 - 1, 2 ** 32,
+              2 ** 63 - 1]
+
+
+def _csv_rows_oracle(columns) -> bytes:
+    return "".join(",".join(map(str, row)) + "\n" for row in zip(*columns)).encode("ascii")
+
+
+@st.composite
+def _csv_columns(draw):
+    """1-3 equal-length int64 columns, each of one digit count or of mixed counts."""
+    rows = draw(st.integers(0, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            width = draw(st.integers(1, 18))
+            values = st.integers(10 ** (width - 1) if width > 1 else 0, 10 ** width - 1)
+        else:
+            values = st.sampled_from(_CSV_EDGES) | st.integers(0, 2 ** 63 - 1)
+        columns.append(np.array(draw(st.lists(values, min_size=rows, max_size=rows)),
+                                dtype=np.int64))
+    return columns
+
+
+class TestCsvRowsProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_csv_columns())
+    @example([np.array(_CSV_EDGES), np.array(_CSV_EDGES[::-1]), np.arange(len(_CSV_EDGES))])
+    @example([np.array([10, 99, 11]), np.array([99_999, 10_000, 12_345])])  # fixed widths
+    @example([np.zeros(0, dtype=np.int64)] * 3)
+    def test_equals_the_per_row_join(self, columns):
+        assert simulate._csv_rows(columns) == _csv_rows_oracle(columns)
+
+
+@st.composite
+def _cdfs_and_uniforms(draw):
+    """A cdf of _prepare_cdf with zero-probability outcomes inside and at its end, and
+    uniforms on its entries, next to them and anywhere in [0, 1]."""
+    k = draw(st.sampled_from([1, 2, 6, 255, 256, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    weights = rng.random(k)
+    weights[rng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    weights[draw(st.integers(0, k - 1))] = 1.0  # some outcome can occur
+    if k > 1 and draw(st.booleans()):
+        weights[-draw(st.integers(1, k - 1)):] = 0.0  # impossible outcomes at the end
+        weights[0] = 1.0
+    cdf = simulate._prepare_cdf(weights / weights.sum())
+    on = cdf[rng.integers(0, k, draw(st.integers(0, 50)))]
+    u = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 2.0), [0.0, 1.0],
+                        draw(st.lists(st.floats(0.0, 1.0), max_size=20)), rng.random(500)])
+    return cdf, u
+
+
+class TestOutcomeLookupProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(_cdfs_and_uniforms())
+    # a uniform of 1 counts every entry: 255 still fits the uint8 count
+    @example((simulate._prepare_cdf(np.full(255, 1 / 255)), np.array([1.0, 0.0])))
+    @example((simulate._prepare_cdf(np.full(256, 1 / 256)), np.array([1.0, 0.0])))
+    def test_equals_searchsorted(self, case):
+        cdf, u = case
+        idx = simulate._outcomes(cdf, u)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
 
 
 def _uniform_detector(k, trailing_zero):

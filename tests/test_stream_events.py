@@ -61,6 +61,20 @@ def test_streamed_log_equals_the_in_memory_log(coincidences, seed, run):
     assert memo["events_sha256"] == hashlib.sha256(expected).hexdigest()
 
 
+@pytest.mark.parametrize("coincidences", [False, True], ids=["detector", "coincidence"])
+@pytest.mark.parametrize("chunk", [1, 7, 99_999, 100_001])
+def test_any_chunk_size_writes_the_bytes_of_the_sampled_log(coincidences, chunk):
+    # 250 000 shots: the shot column crosses the digit counts 1..6 inside chunks and at
+    # their edges, and the last chunk is partial
+    cfg = _config(coincidences, 11, 250_000)
+    sample = qtomo.sample_coincidences if coincidences else qtomo.sample_detections
+    expected = qtomo.event_log_to_csv(sample(cfg)[0]).encode("ascii")
+    buffer = io.BytesIO()
+    with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
+        simulate.write_events(cfg, buffer)
+    assert buffer.getvalue() == expected
+
+
 def test_every_chunk_is_checked_with_its_global_shot_index():
     empty = qtomo.EventLog(1, simulate.GENERATOR_NAME, 6, np.zeros(0, dtype=np.int64))
     chunks = [np.array([1, 2, 3, 4]), np.array([5, 6, 7, 1])]

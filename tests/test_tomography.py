@@ -915,6 +915,37 @@ class TestSelfCalibrationMatchesPerSourceOracle:
         assert np.max(np.abs(np.stack(result.sources) - np.stack(o_sources))) <= self.TOL
 
 
+class TestHugeFiniteRates:
+    """Report norms of huge finite data are finite: each sum of squares is scaled first."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("project_cp", [False, True])
+    def test_instrument_report_scales_with_the_tables(self, project_cp):
+        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        inst = Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+        probes = probe_states(2)
+        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
+        tables[:, 1, 1] += 0.01  # no instrument gives these exactly
+        _, small = instrument_tomography(tables, probes, det, project_cp=project_cp)
+        _, huge = instrument_tomography(1e200 * tables, probes, det, project_cp=project_cp)
+        assert small.residual > 1e-3
+        assert (small.projection_distance > 1e-3) == project_cp
+        assert huge.residual == pytest.approx(1e200 * small.residual, rel=1e-12)
+        assert huge.projection_distance == pytest.approx(1e200 * small.projection_distance,
+                                                         rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_process_report_scales_with_the_outputs(self):
+        probes = probe_states(2)
+        outputs = np.array([p.T for p in probes])  # the transpose map is not CP
+        _, small = process_tomography(probes, outputs, project_cp=True)
+        _, huge = process_tomography(probes, 1e200 * outputs, project_cp=True)
+        assert small.residual > 0.1 and small.projection_distance > 0.1
+        assert huge.residual == pytest.approx(1e200 * small.residual, rel=1e-12)
+        assert huge.projection_distance == pytest.approx(1e200 * small.projection_distance,
+                                                         rel=1e-12)
+
+
 class TestOverflowIsNamed:
     """Huge finite inputs raise NumericalError before LAPACK or the JSON writer sees inf."""
 
