@@ -91,7 +91,6 @@ _EXPORTS = {
         "stokes_to_density",
     ),
     "simulate": (
-        "CoincidenceLog",
         "EventLog",
         "ExperimentConfig",
         "empirical_rates",

@@ -97,7 +97,7 @@ def _seed(seed):
 
 
 def simulate(tols, source, device, shots, seed, out_dir):
-    """Sample detection (or coincidence) events from SOURCE into a log."""
+    """Sample a detection log, or a coincidence log for an instrument DEVICE, from SOURCE."""
     run = _Run("simulate", {"source": source, "device": device, "shots": shots},
                out_dir, seed=seed, tolerances=tols)
 
@@ -117,23 +117,22 @@ def simulate(tols, source, device, shots, seed, out_dir):
         doc = io.read_json(device)
         if not isinstance(doc, dict):
             raise ContractViolation(f"{device}: device document must be a JSON object")
+        instrument = None
         if "instrument" in doc:
             instrument = io.instrument_from_json(doc["instrument"])
             detector = io.detector_from_json(doc["detector"])
-            cfg = ExperimentConfig(cfg_seed, shots, rho, detector, instrument)
+        elif doc.get("scale") is not None:
+            detector = io.detector_from_json(doc)
         else:
-            if doc.get("scale") is not None:
-                detector = io.detector_from_json(doc)
-            else:
-                measure, _ = io.measure_from_json(doc)
-                detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
-            mrep = validate_measure(detector.measure, tols["tol_psd"])
-            if not mrep.ok:
-                raise ContractViolation(
-                    f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
-                    f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
-                )
-            cfg = ExperimentConfig(cfg_seed, shots, rho, detector)
+            measure, _ = io.measure_from_json(doc)
+            detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
+        mrep = validate_measure(detector.measure, tols["tol_psd"])
+        if not mrep.ok:
+            raise ContractViolation(
+                f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
+                f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
+            )
+        cfg = ExperimentConfig(cfg_seed, shots, rho, detector, instrument)
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
         io.write_json_atomic(os.path.join(out_dir, "counts.json"), memo)
@@ -162,17 +161,41 @@ def _counts_memo(events_dir):
         return None
 
 
-def _event_rates(problem_dir, kind, logs):
-    """Rates of each events/*.csv log in problem_dir, in file-name order.
+# By the number of devices a bundle's logs record: the name of such a log; the file, key
+# and axes of the rates the bundle may hold instead; the first slot of a log's rates that
+# its engine takes (a detection log's null slot is no element rate).
+_LOG_KINDS = (("detection log", "rates.json", "rates", (1, 2), 1),
+              ("coincidence log", "tables.json", "tables", (3,), 0))
 
-    Every log must be of the given kind, "EventLog" or "CoincidenceLog".  A
-    log's rates come from the counts in events/counts.json when that memo
-    records the log's sha256, else from parsing the log.  The digest is taken
-    block by block, so only a log that the memo does not describe is read
-    whole.  logs maps each log's file name to its sha256 and the file its
-    rates came from.
+
+def _read_table(path, key, ndims):
+    """The array under key in the JSON file at path, as floats; it must have one of ndims axes."""
+    doc = io.read_json(path)
+    try:
+        table = np.array(doc[key])
+    except (KeyError, TypeError, ValueError):  # no such key, not an object, or ragged rows
+        table = np.array(None)
+    if table.dtype.kind not in "iuf" or table.ndim not in ndims or not np.isfinite(table).all():
+        raise ContractViolation(
+            f"{path}: '{key}' must be a rectangular array of finite numbers with "
+            f"{' or '.join(map(str, ndims))} axes")
+    return table.astype(float)
+
+
+def _load_rates(problem_dir, devices, logs):
+    """(rates, stderr or None) of a bundle whose logs record 1 or 2 devices.
+
+    From rates.json or tables.json if present, else one row per events/*.csv
+    log (which must record that many devices) in file-name order, with its
+    standard errors.  A log's rates come from events/counts.json when that
+    memo records the log's sha256 (so it serves at most one log of a bundle),
+    else from parsing the log, which only then is read whole.  logs maps each
+    log's file name to its sha256 and the file its rates came from.
     """
-    from . import simulate
+    _, table_file, key, ndims, first = _LOG_KINDS[devices - 1]
+    if os.path.exists(os.path.join(problem_dir, table_file)):
+        return _read_table(os.path.join(problem_dir, table_file), key, ndims), None
+    from . import simulate  # only here: a bundle of rates need not load the sampler
 
     events_dir = os.path.join(problem_dir, "events")
     files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
@@ -197,44 +220,19 @@ def _event_rates(problem_dir, kind, logs):
                 counts, shots = simulate.counts_from_document(memo)
             except ContractViolation as err:
                 raise ContractViolation(f"counts.json: {err}") from None
-        found = "EventLog" if counts.ndim == 1 else "CoincidenceLog"
-        if found != kind:
-            raise ContractViolation(f"{source}: is a {found}, this bundle needs {kind}s")
+        if counts.ndim != devices:
+            raise ContractViolation(f"{source}: is a {_LOG_KINDS[counts.ndim - 1][0]}, "
+                                    f"this bundle needs {_LOG_KINDS[devices - 1][0]}s")
         rates.append(simulate.rates_from_counts(counts, shots))
-    return rates
-
-
-def _read_table(path, key, ndims):
-    """The array under key in the JSON file at path, as floats; it must have one of ndims axes."""
-    doc = io.read_json(path)
-    try:
-        table = np.array(doc[key])
-    except (KeyError, TypeError, ValueError):  # no such key, not an object, or ragged rows
-        table = np.array(None)
-    if table.dtype.kind not in "iuf" or table.ndim not in ndims or not np.isfinite(table).all():
-        raise ContractViolation(
-            f"{path}: '{key}' must be a rectangular array of finite numbers with "
-            f"{' or '.join(map(str, ndims))} axes")
-    return table.astype(float)
-
-
-def _load_rates(problem_dir, logs):
-    """Rates from rates.json if present, else empirical rates of the event logs.
-
-    Event rates come with their standard errors, one row per log.
-    """
-    rates_path = os.path.join(problem_dir, "rates.json")
-    if os.path.exists(rates_path):
-        return _read_table(rates_path, "rates", (1, 2)), None
-    emp = _event_rates(problem_dir, "EventLog", logs)
-    return np.stack([e.p_hat[1:] for e in emp]), np.stack([e.stderr[1:] for e in emp])
+    return (np.stack([r.p_hat[first:] for r in rates]),
+            np.stack([r.stderr[first:] for r in rates]))
 
 
 def _tomo_state(problem_dir, logs):
     from .tomography import state_tomography
 
     measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
-    rates, err = _load_rates(problem_dir, logs)
+    rates, err = _load_rates(problem_dir, 1, logs)
     if err is not None:
         if len(rates) != 1:
             raise ContractViolation(
@@ -249,7 +247,7 @@ def _tomo_detector(problem_dir, logs):
     from .tomography import detector_tomography
 
     probes = _states(problem_dir, "probes")
-    rates, err = _load_rates(problem_dir, logs)
+    rates, err = _load_rates(problem_dir, 1, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates),
                                           None if err is None else np.atleast_2d(err))
     return {"estimate": io.measure_to_json(measure)}, report
@@ -267,11 +265,7 @@ def _tomo_instrument(problem_dir, logs):
 
     probes = _states(problem_dir, "probes")
     detector = io.detector_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
-    tables_path = os.path.join(problem_dir, "tables.json")
-    if os.path.exists(tables_path):
-        tables = _read_table(tables_path, "tables", (3,))
-    else:
-        tables = np.stack([e.table for e in _event_rates(problem_dir, "CoincidenceLog", logs)])
+    tables, _ = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, detector)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 

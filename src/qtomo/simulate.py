@@ -2,11 +2,13 @@
 
 Randomness comes from numpy's Philox bit generator, a counter-based 64-bit
 generator keyed directly with the run seed, so event logs are reproducible
-across processes and platforms.  Outcomes are drawn by inverse CDF on the
-cumulative probability vector, one uniform per shot: a shot's outcome index
-is the number of cumulative entries at or below its uniform, which is
-np.searchsorted(cdf, u, side="right").  Up to 255 outcomes that count is
-taken directly, one comparison per entry; larger tables use searchsorted.
+across processes and platforms.  A log holds one label per device and shot
+(`EventLog`): a detector alone gives detection logs, an instrument observed
+by a second detector coincidence logs.  Outcomes are drawn by inverse CDF on
+the run's flattened probability table, one uniform per shot: a shot's
+outcome index is the number of cumulative entries at or below its uniform,
+which is np.searchsorted(cdf, u, side="right").  Up to 255 outcomes that
+count is taken directly, one comparison per entry; larger tables use searchsorted.
 Shots can be drawn in chunks, in order from the one generator; chunked
 output is identical to sequential output.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -76,89 +79,65 @@ class ExperimentConfig:
         object.__setattr__(self, "source", rho)
 
 
-def _check_range(values, bound: int, what: str, name: str, start: int = 0) -> None:
-    """Labels of shots start, start+1, ... must lie in [0, bound]."""
-    bad = np.flatnonzero((values < 0) | (values > bound))
-    if bad.size:
-        raise ContractViolation(
-            f"shot {start + bad[0]}: {what} {values[bad[0]]} is outside [0, {name}={bound}]")
+# A log's CSV form, by its number of devices: the column header, and for each label column
+# the word for its labels and the header key of its bound.  The only place the kinds differ.
+_CSV_FORMS = {
+    1: ("shot,label", (("label", "n_elements"),)),
+    2: ("shot,j,k", (("branch", "n_branches"), ("element", "n_elements"))),
+}
 
 
 @dataclass(frozen=True)
 class EventLog:
-    """Per-shot detection element labels in [0, n_elements]; label 0 means null detection."""
+    """Per-shot labels, one column per device; column i lies in [0, bounds[i]].
 
-    seed: int
-    generator: str
-    n_elements: int
-    labels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self._check(self.labels)
-
-    def __len__(self) -> int:
-        return self.labels.size
-
-    def counts(self) -> np.ndarray:
-        return self._count(self.labels)
-
-    # The methods below take labels of this log's kind and header: all of
-    # them, or one chunk of them whose first shot is start.
-    def _check(self, labels, start=0):
-        _check_range(labels, self.n_elements, "label", "n_elements", start)
-
-    def _count(self, labels):
-        return np.bincount(labels, minlength=self.n_elements + 1)
-
-    def _header(self) -> str:
-        return f"# n_elements={self.n_elements}\nshot,label\n"
-
-    @staticmethod
-    def _columns(labels):
-        return [labels]
-
-
-@dataclass(frozen=True)
-class CoincidenceLog:
-    """Per-shot (instrument branch, detector element) label pairs.
-
-    Branches lie in [0, n_branches] and elements in [0, n_elements].  Branch
-    label 0 is the appended null branch; element label 0 is a null detection
-    at the second device.
+    A detection log has one column, the detector element (bounds is
+    (n_elements,)); a coincidence log has two, the instrument branch and the
+    second detector's element (bounds is (n_branches, n_elements)).  Label 0
+    is a device's null response: the appended null branch, or no detection.
+    labels has shape (shots, len(bounds)).
     """
 
     seed: int
     generator: str
-    n_branches: int
-    n_elements: int
-    labels: np.ndarray = field(repr=False)  # shape (shots, 2)
+    bounds: tuple
+    labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "bounds", tuple(map(int, self.bounds)))
+        if len(self.bounds) not in _CSV_FORMS or self.labels.shape[1:] != (len(self.bounds),):
+            raise ContractViolation(f"labels of shape {self.labels.shape} do not fit bounds "
+                                    f"{self.bounds}; a log has 1 or 2 devices")
         self._check(self.labels)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def counts(self) -> np.ndarray:
+        """Shots per label tuple, as an array of shape bounds + 1."""
         return self._count(self.labels)
 
-    # As for EventLog: labels of this log's kind, all of them or one chunk.
+    # The methods below take labels of this log's devices: all of them, or
+    # one chunk of them whose first shot is start.
     def _check(self, labels, start=0):
-        _check_range(labels[:, 0], self.n_branches, "branch", "n_branches", start)
-        _check_range(labels[:, 1], self.n_elements, "element", "n_elements", start)
+        columns = _CSV_FORMS[len(self.bounds)][1]
+        for column, bound, (what, key) in zip(labels.T, self.bounds, columns):
+            bad = np.flatnonzero((column < 0) | (column > bound))
+            if bad.size:
+                raise ContractViolation(f"shot {start + bad[0]}: {what} {column[bad[0]]} "
+                                        f"is outside [0, {key}={bound}]")
 
     def _count(self, labels):
-        n_cols = self.n_elements + 1
-        flat = np.bincount(labels[:, 0] * n_cols + labels[:, 1],
-                           minlength=(self.n_branches + 1) * n_cols)
-        return flat.reshape(self.n_branches + 1, n_cols)
+        shape = tuple(bound + 1 for bound in self.bounds)
+        flat = labels[:, 0]  # the row-major index of each shot's label tuple
+        for column, size in zip(labels.T[1:], shape[1:]):
+            flat = flat * size + column
+        return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
     def _header(self) -> str:
-        return f"# n_branches={self.n_branches}\n# n_elements={self.n_elements}\nshot,j,k\n"
-
-    @staticmethod
-    def _columns(labels):
-        return [labels[:, 0], labels[:, 1]]
+        line, columns = _CSV_FORMS[len(self.bounds)]
+        keys = "".join(f"# {key}={bound}\n" for bound, (_, key) in zip(self.bounds, columns))
+        return f"{keys}{line}\n"
 
 
 def _prepare_cdf(p):
@@ -196,24 +175,30 @@ def _uniforms(seed: int, shots: int, chunk_size=None):
 
 
 def _label_chunks(cfg: ExperimentConfig, chunk_size=None):
-    """(log, chunks): an empty log of cfg's kind and header, and its label chunks in shot order."""
-    if cfg.instrument is None:
-        measure = cfg.detector.measure
-        cdf = _prepare_cdf(response_probabilities(measure, cfg.source, _PROB_TOL))
-        log = EventLog(cfg.seed, GENERATOR_NAME, len(measure), np.zeros(0, dtype=np.int64))
+    """(log, chunks): an empty log of cfg's devices, and its label chunks in shot order.
 
-        def labels(idx):
-            return idx + 1  # element k is label k + 1; 0 (null) cannot occur
+    A shot's labels index one slot of the probability table (one axis per
+    device, null slots included).  Slot 0, every device null, cannot occur,
+    as the last device is a detector; the draw is over the other slots.
+    """
+    if cfg.instrument is None:
+        table = np.zeros(len(cfg.detector.measure) + 1)
+        table[1:] = response_probabilities(cfg.detector.measure, cfg.source, _PROB_TOL)
     else:
         table = joint_probabilities(cfg.instrument, cfg.detector, cfg.source)
-        cdf = _prepare_cdf(table.reshape(-1))
-        log = CoincidenceLog(cfg.seed, GENERATOR_NAME, len(cfg.instrument),
-                             len(cfg.detector.measure), np.zeros((0, 2), dtype=np.int64))
+    log = EventLog(cfg.seed, GENERATOR_NAME, [n - 1 for n in table.shape],
+                   np.zeros((0, table.ndim), dtype=np.int64))
+    cdf = _prepare_cdf(table.reshape(-1)[1:])
 
-        def labels(idx):
-            return np.stack(np.divmod(idx, table.shape[1]), axis=1)
-    chunks = (labels(_outcomes(cdf, u)) for u in _uniforms(cfg.seed, cfg.shots, chunk_size))
-    return log, chunks
+    def labels(u):
+        out = np.empty((u.size, table.ndim), dtype=np.int64, order="F")  # contiguous columns
+        flat = out[:, 0]
+        np.add(_outcomes(cdf, u), 1, out=flat)
+        for axis in range(table.ndim - 1, 0, -1):  # np.unravel_index, which is slower
+            np.divmod(flat, table.shape[axis], out=(flat, out[:, axis]))
+        return out
+
+    return log, map(labels, _uniforms(cfg.seed, cfg.shots, chunk_size))
 
 
 # Largest outcome count whose indices fit _outcomes' uint8 count; on larger
@@ -289,32 +274,22 @@ def sample_coincidences(cfg: ExperimentConfig, chunk_size=None):
 
 
 @dataclass(frozen=True)
-class EmpiricalRates:
+class Rates:
+    """Relative frequencies of a log's label tuples and their standard errors, as its counts."""
+
     p_hat: np.ndarray
     stderr: np.ndarray
-
-
-@dataclass(frozen=True)
-class JointRates:
-    table: np.ndarray
-    stderr: np.ndarray
-    branch_marginal: np.ndarray
-    element_marginal: np.ndarray
 
 
 def rates_from_counts(counts, shots):
     """Relative frequencies with binomial standard errors sqrt(p(1-p)/N).
 
-    counts is a log's count vector (EmpiricalRates) or coincidence table
-    (JointRates) over shots events.
+    counts is a log's count vector or coincidence table over shots events.
     """
     if shots == 0:
         raise ContractViolation("empty event log has no rates")
     p = np.asarray(counts).astype(float) / shots
-    err = np.sqrt(p * (1.0 - p) / shots)
-    if p.ndim == 2:
-        return JointRates(p, err, p.sum(axis=1), p.sum(axis=0))
-    return EmpiricalRates(p, err)
+    return Rates(p, np.sqrt(p * (1.0 - p) / shots))
 
 
 def empirical_rates(log):
@@ -388,7 +363,7 @@ def _write_csv(handle, log, chunks) -> dict:
     for labels in chunks:
         log._check(labels, start)
         counts += log._count(labels)
-        put(_csv_rows([np.arange(start, start + len(labels)), *log._columns(labels)]))
+        put(_csv_rows([np.arange(start, start + len(labels)), *labels.T]))
         start += len(labels)
     return _memo(log.seed, start, counts, digest.hexdigest())
 
@@ -434,9 +409,11 @@ def event_log_from_csv(text: str):
             header[key.strip()] = value.strip()
         elif line:
             columns = [c.strip() for c in line.split(",")]
-    if columns not in (["shot", "label"], ["shot", "j", "k"]):
+    forms = dict(_CSV_FORMS.values())  # column header -> label columns
+    label_columns = forms.get(",".join(columns))
+    if label_columns is None:
         raise ContractViolation(
-            f"event log columns must be shot,label or shot,j,k, got {','.join(columns)}")
+            f"event log columns must be {' or '.join(forms)}, got {','.join(columns)}")
     try:
         # bytes, not text: a StringIO would hold four bytes per character
         body = text[pos:].encode("ascii")
@@ -462,13 +439,10 @@ def event_log_from_csv(text: str):
 
     seed = header_int("seed")
     generator = header.get("generator", GENERATOR_NAME)
-    if len(columns) == 3:
-        labels = np.ascontiguousarray(rows[:, 1:])
-        n_branches = header_int("n_branches", labels[:, 0].max(initial=0))
-        n_elements = header_int("n_elements", labels[:, 1].max(initial=0))
-        return CoincidenceLog(seed, generator, n_branches, n_elements, labels)
-    labels = rows[:, 1].copy()
-    return EventLog(seed, generator, header_int("n_elements", labels.max(initial=0)), labels)
+    labels = np.ascontiguousarray(rows[:, 1:])
+    bounds = [header_int(key, column.max(initial=0))
+              for column, (_, key) in zip(labels.T, label_columns)]
+    return EventLog(seed, generator, bounds, labels)
 
 
 def events_sha256(data: bytes) -> str:

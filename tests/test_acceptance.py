@@ -224,7 +224,7 @@ def test_instrument_tomography():
     emp = qtomo.empirical_rates(log)
     for branch, expected in ((1, 0.3), (2, 0.7)):
         stderr = np.sqrt(expected * (1.0 - expected) / shots)
-        assert abs(emp.branch_marginal[branch] - expected) <= 5.0 * stderr
+        assert abs(emp.p_hat.sum(axis=1)[branch] - expected) <= 5.0 * stderr
 
 
 @_announce(8, "polarization optics", 5)

@@ -66,6 +66,26 @@ class TestSimulate:
         assert manifest["error"]["type"] == "ContractViolation"
         assert "sum defect" in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("instrument", [False, True], ids=["detector", "instrument"])
+    def test_measure_with_a_negative_element_exits_2(self, tmp_path, instrument):
+        # elements that sum to the identity, but +-X/4 beside the projectors are not PSD
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        x = 0.25 * qtomo.PAULI[1]
+        measure = qio.measure_to_json(qtomo.QuantumMeasure([p0, p1, x, -x]), np.arange(1.0, 5.0))
+        device = measure
+        if instrument:
+            device = {"instrument": qio.instrument_to_json(qtomo.Instrument(((p0,), (p1,)))),
+                      "detector": measure}
+        qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(np.eye(2) / 2))
+        qio.write_json_atomic(str(tmp_path / "device.json"), device)
+        out = tmp_path / "run"
+        result = run_cli(["simulate", str(tmp_path / "source.json"), str(tmp_path / "device.json"),
+                          "--shots", "100", "--seed", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        message = json.loads((out / "manifest.json").read_text())["error"]["message"]
+        assert "invalid measure" in message and "min eigenvalue -2.500e-01" in message
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_golden_counts_snapshot(self, fixture_files, tmp_path):
         out = tmp_path / "golden"
         result = run_cli([
@@ -256,7 +276,7 @@ class TestEventLogContract:
     def test_coincidence_log_in_state_bundle(self, tmp_path):
         bundle = self._state_bundle(tmp_path, [
             "# seed=1\n# generator=philox4x64\n# n_branches=1\n# n_elements=6\nshot,j,k\n0,1,1\n"])
-        self._expect_exit_2(tmp_path, "state", bundle, "is a CoincidenceLog")
+        self._expect_exit_2(tmp_path, "state", bundle, "is a coincidence log")
 
     def test_state_bundle_takes_one_log(self, tmp_path):
         bundle = self._state_bundle(tmp_path, [_STATE_HEAD + _VALID_ROWS] * 2)

@@ -22,10 +22,10 @@ from support import probe_states, run_cli
 def _log(kind, seed, shots, n_elements, n_branches):
     labels = np.random.default_rng(seed).integers(0, n_elements + 1, size=shots)
     if kind == "events":
-        return qtomo.EventLog(seed, simulate.GENERATOR_NAME, n_elements, labels)
+        return qtomo.EventLog(seed, simulate.GENERATOR_NAME, (n_elements,), labels[:, None])
     branches = np.random.default_rng(seed + 1).integers(0, n_branches + 1, size=shots)
-    return qtomo.CoincidenceLog(seed, simulate.GENERATOR_NAME, n_branches, n_elements,
-                                np.stack([branches, labels], axis=1))
+    return qtomo.EventLog(seed, simulate.GENERATOR_NAME, (n_branches, n_elements),
+                          np.stack([branches, labels], axis=1))
 
 
 def _rate_arrays(rates):
@@ -251,7 +251,7 @@ class TestStaleOrOldMemo:
         ({"counts": [0, 1, 2]}, "'shots' must be the integer count total 3"),
         ({"counts": [0, -1, 2]}, "nonnegative integers"),
         ({"shots": "3000"}, "'shots' must be the integer count total 3000"),
-        ({"counts": [[0, 1500], [0, 1500]]}, "counts.json: is a CoincidenceLog"),
+        ({"counts": [[0, 1500], [0, 1500]]}, "counts.json: is a coincidence log"),
         ({"counts": [0] * 7, "shots": 0}, "empty event log has no rates"),
     ], ids=["sum", "negative", "shots-type", "kind", "empty"])
     def test_malformed_memo_of_this_log_exits_2(self, tmp_path, bundle, change,

@@ -38,7 +38,7 @@ EXPORTS = {
            "normalize quantum_value trace_distance validate_density",
     "optics": "Leaf Split apply_jones beam_splitter cascade_measure degree_of_polarization "
               "density_to_stokes stokes_to_density",
-    "simulate": "CoincidenceLog EventLog ExperimentConfig empirical_rates event_log_from_csv "
+    "simulate": "EventLog ExperimentConfig empirical_rates event_log_from_csv "
                 "event_log_to_csv joint_probabilities sample_coincidences sample_detections",
     "tomography": "ReconstructionReport SelfCalibrationResult detector_tomography "
                   "instrument_tomography process_tomography project_psd "

@@ -1,4 +1,7 @@
 import hashlib
+import io
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from qtomo import (
     tetrahedron_measure,
 )
 from qtomo import simulate
-from qtomo.simulate import CoincidenceLog, EventLog
+from qtomo.simulate import EventLog
 from support import random_density
 
 
@@ -154,8 +157,8 @@ class TestCoincidences:
         log, table = sample_coincidences(cfg)
         emp = empirical_rates(log)
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
-        assert abs(emp.branch_marginal[1] - 0.3) <= 5 * stderr
-        assert abs(emp.branch_marginal[2] - 0.7) <= 5 * stderr
+        assert abs(emp.p_hat.sum(axis=1)[1] - 0.3) <= 5 * stderr
+        assert abs(emp.p_hat.sum(axis=1)[2] - 0.7) <= 5 * stderr
 
     def test_super_unital_instrument_rejected(self):
         inst = Instrument(((np.sqrt(1.2) * np.eye(2, dtype=complex),),))
@@ -185,7 +188,7 @@ class TestEmpiricalRates:
         from qtomo.simulate import EventLog
 
         labels = np.array([1] * 300 + [2] * 700)
-        emp = empirical_rates(EventLog(0, "philox4x64", 2, labels))
+        emp = empirical_rates(EventLog(0, "philox4x64", (2,), labels[:, None]))
         assert np.allclose(emp.p_hat[1:], [0.3, 0.7])
         assert np.allclose(emp.stderr[1:], np.sqrt(0.3 * 0.7 / 1000), atol=1e-12)
         assert emp.p_hat.sum() == pytest.approx(1.0)
@@ -196,15 +199,16 @@ class TestEmpiricalRates:
         cfg = ExperimentConfig(15, 2000, np.diag([0.4, 0.6]), det, inst)
         log, _ = sample_coincidences(cfg)
         emp = empirical_rates(log)
-        assert np.allclose(emp.branch_marginal, emp.table.sum(axis=1))
-        assert np.allclose(emp.element_marginal, emp.table.sum(axis=0))
-        assert emp.table.sum() == pytest.approx(1.0)
+        assert emp.p_hat.shape == emp.stderr.shape == (3, 3)
+        assert np.allclose(emp.p_hat.sum(axis=1), log.counts().sum(axis=1) / 2000)
+        assert np.allclose(emp.p_hat.sum(axis=0), log.counts().sum(axis=0) / 2000)
+        assert emp.p_hat.sum() == pytest.approx(1.0)
 
     def test_empty_log_rejected(self):
         from qtomo.simulate import EventLog
 
         with pytest.raises(ContractViolation, match="empty"):
-            empirical_rates(EventLog(0, "philox4x64", 2, np.zeros(0, dtype=np.int64)))
+            empirical_rates(EventLog(0, "philox4x64", (2,), np.zeros((0, 1), dtype=np.int64)))
 
 
 class TestCsvRoundTrip:
@@ -215,7 +219,7 @@ class TestCsvRoundTrip:
         assert text.startswith("# seed=5\n# generator=philox4x64\n")
         back = event_log_from_csv(text)
         assert back.seed == log.seed
-        assert back.n_elements == log.n_elements
+        assert back.bounds == log.bounds == (2,)
         assert np.array_equal(back.labels, log.labels)
         assert event_log_to_csv(back) == text
 
@@ -225,18 +229,18 @@ class TestCsvRoundTrip:
         log, _ = sample_coincidences(cfg)
         back = event_log_from_csv(event_log_to_csv(log))
         assert np.array_equal(back.labels, log.labels)
-        assert back.n_branches == log.n_branches
+        assert back.bounds == log.bounds == (2, 2)
 
 
 def _csv_oracle(log) -> str:
     """Plain per-row formatter: the reference for event_log_to_csv."""
     lines = [f"# seed={log.seed}", f"# generator={log.generator}"]
-    if isinstance(log, CoincidenceLog):
-        lines += [f"# n_branches={log.n_branches}", f"# n_elements={log.n_elements}", "shot,j,k"]
+    if len(log.bounds) == 2:
+        lines += [f"# n_branches={log.bounds[0]}", f"# n_elements={log.bounds[1]}", "shot,j,k"]
         lines += [f"{shot},{j},{k}" for shot, (j, k) in enumerate(log.labels)]
     else:
-        lines += [f"# n_elements={log.n_elements}", "shot,label"]
-        lines += [f"{shot},{label}" for shot, label in enumerate(log.labels)]
+        lines += [f"# n_elements={log.bounds[0]}", "shot,label"]
+        lines += [f"{shot},{label}" for shot, (label,) in enumerate(log.labels)]
     return "\n".join(lines) + "\n"
 
 
@@ -246,28 +250,28 @@ def _sha256(text):
 
 class TestCsvSnapshots:
     def test_small_coincidence_log(self):
-        log = CoincidenceLog(5, "philox4x64", 2, 4, np.array([[1, 3], [0, 0], [2, 4]]))
+        log = EventLog(5, "philox4x64", (2, 4), np.array([[1, 3], [0, 0], [2, 4]]))
         assert event_log_to_csv(log) == (
             "# seed=5\n# generator=philox4x64\n# n_branches=2\n# n_elements=4\nshot,j,k\n"
             "0,1,3\n1,0,0\n2,2,4\n"
         )
 
     def test_empty_logs(self):
-        text = event_log_to_csv(EventLog(0, "philox4x64", 6, np.zeros(0, dtype=np.int64)))
+        text = event_log_to_csv(EventLog(0, "philox4x64", (6,), np.zeros((0, 1), dtype=np.int64)))
         assert text == "# seed=0\n# generator=philox4x64\n# n_elements=6\nshot,label\n"
         back = event_log_from_csv(text)
-        assert len(back) == 0 and back.n_elements == 6
-        empty = CoincidenceLog(0, "philox4x64", 1, 6, np.zeros((0, 2), dtype=np.int64))
+        assert len(back) == 0 and back.bounds == (6,)
+        empty = EventLog(0, "philox4x64", (1, 6), np.zeros((0, 2), dtype=np.int64))
         text = event_log_to_csv(empty)
         assert text == ("# seed=0\n# generator=philox4x64\n# n_branches=1\n# n_elements=6\n"
                         "shot,j,k\n")
         back = event_log_from_csv(text)
-        assert back.labels.shape == (0, 2) and back.n_branches == 1
+        assert back.labels.shape == (0, 2) and back.bounds == (1, 6)
 
     def test_wide_labels_and_shot_boundaries(self):
         # digests of the per-row formatter's output, fixed before the writer was vectorised
         shots = np.arange(1001)
-        text = event_log_to_csv(EventLog(11, "philox4x64", 150, (shots * 37) % 151))
+        text = event_log_to_csv(EventLog(11, "philox4x64", (150,), (shots[:, None] * 37) % 151))
         lines = text.splitlines()
         assert lines[4:6] == ["0,0", "1,37"]
         assert lines[13:15] == ["9,31", "10,68"]
@@ -275,7 +279,7 @@ class TestCsvSnapshots:
         assert lines[1003:] == ["999,119", "1000,5"]
         assert _sha256(text) == "032ed99ea28ce14f2fd9e650676513efbbad8ee881e10f7443e5bf7d1e6d3453"
         labels = np.stack([shots % 13, (shots * 37) % 151], axis=1)
-        text = event_log_to_csv(CoincidenceLog(12, "philox4x64", 12, 150, labels))
+        text = event_log_to_csv(EventLog(12, "philox4x64", (12, 150), labels))
         lines = text.splitlines()
         assert lines[14:16] == ["9,9,31", "10,10,68"]
         assert lines[104:106] == ["99,8,39", "100,9,76"]
@@ -315,13 +319,13 @@ class TestCsvReaderContract:
 
     def test_constructors_check_label_range(self):
         with pytest.raises(ContractViolation, match="label 3 is outside"):
-            EventLog(0, "philox4x64", 2, np.array([1, 3]))
+            EventLog(0, "philox4x64", (2,), np.array([[1], [3]]))
         with pytest.raises(ContractViolation, match="branch 2 is outside"):
-            CoincidenceLog(0, "philox4x64", 1, 2, np.array([[2, 1]]))
+            EventLog(0, "philox4x64", (1, 2), np.array([[2, 1]]))
 
     def test_missing_header_counts_default_to_label_maxima(self):
         log = event_log_from_csv("shot,j,k\n0,1,3\n1,2,0\n")
-        assert (log.seed, log.generator, log.n_branches, log.n_elements) == (0, "philox4x64", 2, 3)
+        assert (log.seed, log.generator, log.bounds) == (0, "philox4x64", (2, 3))
 
 
 @st.composite
@@ -333,9 +337,9 @@ def _logs(draw):
     if draw(st.booleans()):
         n_branches = draw(st.integers(1, 20))
         branches = draw(hnp.arrays(np.int64, shots, elements=st.integers(0, n_branches)))
-        return CoincidenceLog(seed, "philox4x64", n_branches, n_elements,
-                              np.stack([branches, labels], axis=1))
-    return EventLog(seed, "philox4x64", n_elements, labels)
+        return EventLog(seed, "philox4x64", (n_branches, n_elements),
+                        np.stack([branches, labels], axis=1))
+    return EventLog(seed, "philox4x64", (n_elements,), labels[:, None])
 
 
 class TestCsvProperties:
@@ -347,12 +351,45 @@ class TestCsvProperties:
         assert text.splitlines() == _csv_oracle(log).splitlines() and text.endswith("\n")
         back = event_log_from_csv(text)
         assert type(back) is type(log)
-        for name in ("seed", "generator", "n_elements"):
+        for name in ("seed", "generator", "bounds"):
             assert getattr(back, name) == getattr(log, name)
-        if isinstance(log, CoincidenceLog):
-            assert back.n_branches == log.n_branches
         assert np.array_equal(back.labels, log.labels)
         assert event_log_to_csv(back).splitlines() == text.splitlines()
+
+
+def _counter_oracle(labels):
+    """Shots per label tuple, counted one shot at a time."""
+    return Counter(map(tuple, np.asarray(labels).tolist()))
+
+
+def _nonzero_counts(counts):
+    return {index: int(n) for index, n in np.ndenumerate(np.asarray(counts)) if n}
+
+
+class TestCountsProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_logs())
+    @example(EventLog(0, "philox4x64", (3,), np.zeros((0, 1), dtype=np.int64)))
+    @example(EventLog(0, "philox4x64", (2, 3), np.zeros((0, 2), dtype=np.int64)))
+    def test_counts_equal_a_per_shot_counter(self, log):
+        counts = log.counts()
+        assert counts.shape == tuple(bound + 1 for bound in log.bounds)
+        assert counts.sum() == len(log)
+        assert _nonzero_counts(counts) == _counter_oracle(log.labels)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.booleans(), st.integers(0, 2 ** 32), st.integers(0, 3000), st.integers(1, 700))
+    def test_write_events_memo_counts_equal_a_per_shot_counter(self, coincidences, seed,
+                                                               shots, chunk):
+        if coincidences:
+            sample, cfg = sample_coincidences, _coincidence_config(seed, shots)
+        else:
+            sample, cfg = sample_detections, _detection_config(seed, shots)
+        log, _ = sample(cfg)
+        with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
+            memo = simulate.write_events(cfg, io.BytesIO())
+        assert np.shape(memo["counts"]) == tuple(bound + 1 for bound in log.bounds)
+        assert _nonzero_counts(memo["counts"]) == _counter_oracle(log.labels)
 
 
 # values at digit-count edges and at the edges of the dtypes _csv_rows picks
@@ -386,6 +423,10 @@ class TestCsvRowsProperty:
     @example([np.array(_CSV_EDGES), np.array(_CSV_EDGES[::-1]), np.arange(len(_CSV_EDGES))])
     @example([np.array([10, 99, 11]), np.array([99_999, 10_000, 12_345])])  # fixed widths
     @example([np.zeros(0, dtype=np.int64)] * 3)
+    # one-row chunks whose shot has 5 or 6 digits, as write_events makes at chunk size 1
+    @example([np.array([99_999]), np.array([6])])
+    @example([np.array([100_000]), np.array([2]), np.array([4])])
+    @example([np.array([249_999]), np.array([0])])
     def test_equals_the_per_row_join(self, columns):
         assert simulate._csv_rows(columns) == _csv_rows_oracle(columns)
 
@@ -447,7 +488,7 @@ class TestInverseCdfTail:
         assert _rounded_cdf_end(response_probabilities(detector.measure, np.eye(1))) < 1.0
         monkeypatch.setattr(simulate, "_uniforms", _top_uniforms)
         log, counts = sample_detections(ExperimentConfig(1, 3, np.eye(1), detector))
-        assert log.labels.tolist() == [10, 10, 10] and counts[10] == 3
+        assert log.labels.tolist() == [[10]] * 3 and counts[10] == 3
 
     @pytest.mark.parametrize("trailing_zero", [0, 1])
     def test_largest_uniform_draws_the_last_coincidence(self, monkeypatch, trailing_zero):

@@ -65,8 +65,9 @@ def test_streamed_log_equals_the_in_memory_log(coincidences, seed, run):
 @pytest.mark.parametrize("chunk", [1, 7, 99_999, 100_001])
 def test_any_chunk_size_writes_the_bytes_of_the_sampled_log(coincidences, chunk):
     # 250 000 shots: the shot column crosses the digit counts 1..6 inside chunks and at
-    # their edges, and the last chunk is partial
-    cfg = _config(coincidences, 11, 250_000)
+    # their edges, and the last chunk is partial.  One-shot chunks take 2 000 shots (digit
+    # counts 1..4); test_simulate's _csv_rows oracle test has the one-row chunks of 5 and 6.
+    cfg = _config(coincidences, 11, 2_000 if chunk == 1 else 250_000)
     sample = qtomo.sample_coincidences if coincidences else qtomo.sample_detections
     expected = qtomo.event_log_to_csv(sample(cfg)[0]).encode("ascii")
     buffer = io.BytesIO()
@@ -76,11 +77,11 @@ def test_any_chunk_size_writes_the_bytes_of_the_sampled_log(coincidences, chunk)
 
 
 def test_every_chunk_is_checked_with_its_global_shot_index():
-    empty = qtomo.EventLog(1, simulate.GENERATOR_NAME, 6, np.zeros(0, dtype=np.int64))
-    chunks = [np.array([1, 2, 3, 4]), np.array([5, 6, 7, 1])]
+    empty = qtomo.EventLog(1, simulate.GENERATOR_NAME, (6,), np.zeros((0, 1), dtype=np.int64))
+    chunks = [np.array([[1], [2], [3], [4]]), np.array([[5], [6], [7], [1]])]
     with pytest.raises(ContractViolation, match=r"shot 6: label 7 is outside \[0, n_elements=6\]"):
         simulate._write_csv(io.BytesIO(), empty, chunks)
-    empty = qtomo.CoincidenceLog(1, simulate.GENERATOR_NAME, 2, 4, np.zeros((0, 2), dtype=np.int64))
+    empty = qtomo.EventLog(1, simulate.GENERATOR_NAME, (2, 4), np.zeros((0, 2), dtype=np.int64))
     chunks = [np.array([[1, 1], [2, 4]]), np.array([[0, 0], [2, 5]])]
     with pytest.raises(ContractViolation, match=r"shot 3: element 5 is outside \[0, n_elements=4\]"):
         simulate._write_csv(io.BytesIO(), empty, chunks)

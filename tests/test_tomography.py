@@ -526,8 +526,8 @@ class TestInstrumentTomography:
         log, _ = sample_coincidences(cfg)
         emp = empirical_rates(log)
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
-        assert abs(emp.branch_marginal[1] - 0.3) <= 5 * stderr
-        assert abs(emp.branch_marginal[2] - 0.7) <= 5 * stderr
+        assert abs(emp.p_hat.sum(axis=1)[1] - 0.3) <= 5 * stderr
+        assert abs(emp.p_hat.sum(axis=1)[2] - 0.7) <= 5 * stderr
 
 
 @st.composite
