@@ -7,7 +7,9 @@ on failure, with the error embedded (an unexpected error also records its
 traceback there).  Errors are additionally reported as JSON on stderr.
 
 Each command imports the engines it runs inside its body, so start-up loads
-only argparse, numpy and the JSON layer.
+only argparse, numpy and the JSON layer.  The process entry
+(``qtomo.__main__.run``) freezes the heap these imports build and skips the
+collection at exit; outputs and exit codes are those of main.
 """
 
 from __future__ import annotations
@@ -172,10 +174,10 @@ def _read_table(path, key, ndims):
     """The array under key in the JSON file at path, as floats; it must have one of ndims axes."""
     doc = io.read_json(path)
     try:
-        table = np.array(doc[key])
-    except (KeyError, TypeError, ValueError):  # no such key, not an object, or ragged rows
-        table = np.array(None)
-    if table.dtype.kind not in "iuf" or table.ndim not in ndims or not np.isfinite(table).all():
+        table = io._number_array(doc[key])
+    except (KeyError, TypeError):  # no such key, or not an object
+        table = None
+    if table is None or table.ndim not in ndims or not np.isfinite(table).all():
         raise ContractViolation(
             f"{path}: '{key}' must be a rectangular array of finite numbers with "
             f"{' or '.join(map(str, ndims))} axes")

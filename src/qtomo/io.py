@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,12 +51,35 @@ def matrix_to_json(m):
     return np.stack([arr.real, arr.imag], -1)
 
 
+def _number_array(obj):
+    """np.array(obj) if obj nests lists to a rectangular array of JSON numbers, else None.
+
+    Booleans are not numbers, though numpy would read them as 1 and 0 among numbers.
+    """
+    try:
+        arr = np.array(obj)
+    except (ValueError, OverflowError):  # ragged rows, or an integer beyond float range
+        return None
+    if arr.dtype.kind not in "iuf":
+        return None
+    entries = [obj]
+    for _ in range(arr.ndim):
+        entries = chain.from_iterable(entries)
+    return arr if set(map(type, entries)) <= {int, float} else None
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse rows of numbers and [re, im] pairs, or the array matrix_to_json returns."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
         raise ContractViolation("matrix must be a nonempty array of rows")
+    arr = _number_array(obj)
+    if arr is not None and arr.ndim == 2:
+        return arr.astype(complex)
+    if arr is not None and arr.shape[2:] == (2,):  # all [re, im] pairs
+        return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(arr.shape[:2])
+    # rows that mix numbers and pairs, or an entry that is neither
     widths = {len(row) for row in obj}
     if len(widths) != 1:
         raise ContractViolation(f"matrix rows differ in length: {sorted(widths)}")

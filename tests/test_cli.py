@@ -1,9 +1,13 @@
 import functools
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,7 +321,8 @@ class TestMalformedJson:
         [0.5, None, 0.5, 0.5, 0.5, 0.5],
         0.5,
         [[[0.5] * 6]],
-    ], ids=["non-numeric", "ragged", "null", "scalar", "three-axes"])
+        [1 / 6] * 5 + [True],
+    ], ids=["non-numeric", "ragged", "null", "scalar", "three-axes", "boolean"])
     def test_malformed_rates(self, tmp_path, rates):
         bundle = tmp_path / "bundle"
         bundle.mkdir()
@@ -333,7 +338,8 @@ class TestMalformedJson:
         [[[0.5, "x"]]],
         [[[0.5, 0.5], [0.5]]],
         [[0.5, 0.5]],
-    ], ids=["non-numeric", "ragged", "two-axes"])
+        [[[0.0] * 5, [0.0, 0.25, 0.25, 0.25, True]]],
+    ], ids=["non-numeric", "ragged", "two-axes", "boolean"])
     def test_malformed_tables(self, tmp_path, tables):
         det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
         bundle = tmp_path / "bundle"
@@ -957,3 +963,103 @@ class TestCountsMemoBytes:
         assert (out / "counts.json").read_text() == (
             '{"counts":[%s],"events_sha256":"%s","seed":2024,"shots":1000000}\n'
             % (",".join(map(str, GOLDEN_COUNTS)), GOLDEN_EVENTS_SHA256))
+
+
+def _entry_inputs(tmp_path):
+    """argv of every command kind, on small inputs under tmp_path, by a short name: each
+    command runs in process (ResourceWarning check) and as `python -m qtomo`."""
+    from support import probe_states
+
+    rho = qtomo.density_from_state(np.array([0.6, 0.8], dtype=complex))
+    source, device = tmp_path / "source.json", tmp_path / "device.json"
+    qio.write_json_atomic(str(source), qio.density_to_json(rho))
+    det = qtomo.Detector(qtomo.pauli_six_measure(), np.arange(1.0, 7.0))
+    qio.write_json_atomic(str(device), qio.measure_to_json(det.measure, det.scale))
+    # a state bundle whose log is parsed (no counts.json)
+    state = tmp_path / "state"
+    (state / "events").mkdir(parents=True)
+    qio.write_json_atomic(str(state / "measure.json"), qio.measure_to_json(det.measure))
+    log, _ = qtomo.sample_detections(qtomo.ExperimentConfig(3, 5000, rho, det))
+    (state / "events" / "run.csv").write_text(qtomo.event_log_to_csv(log))
+    probes = probe_states(2)
+    (tmp_path / "instrument" / "probes").mkdir(parents=True)
+    for i, probe in enumerate(probes):
+        qio.write_json_atomic(str(tmp_path / "instrument" / "probes" / f"p{i}.json"),
+                              qio.density_to_json(probe))
+    inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+    tables = np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])
+    qio.write_json_atomic(str(tmp_path / "instrument" / "measure.json"),
+                          qio.measure_to_json(det.measure, det.scale))
+    qio.write_json_atomic(str(tmp_path / "instrument" / "tables.json"), {"tables": tables})
+    model = tmp_path / "model.json"
+    qio.write_json_atomic(str(model), {"H": qio.matrix_to_json(qtomo.PAULI[1]),
+                                       "rho0": qio.matrix_to_json(np.diag([1.0, 0.0]))})
+    return {
+        "simulate": ["simulate", str(source), str(device), "--shots", "5000", "--seed", "4",
+                     "--out", str(tmp_path / "sim")],
+        "tomo-state": ["tomo", "state", str(state), "--out", str(tmp_path / "st" / "r.json")],
+        "tomo-instrument": ["tomo", "instrument", str(tmp_path / "instrument"),
+                            "--out", str(tmp_path / "in" / "r.json")],
+        "dynamics": ["dynamics", str(model), "--t", "0.4", "--dt", "0.1", "--method", "slice",
+                     "--richardson", "--out", str(tmp_path / "dyn" / "t.json")],
+        "report-uncertainty": ["report", "uncertainty", str(source), str(device),
+                               "--out", str(tmp_path / "unc" / "r.json"),
+                               "--plot-csv", str(tmp_path / "unc" / "p.csv")],
+        # exit 2: the bundle has no measure.json
+        "tomo-failing": ["tomo", "state", str(tmp_path / "instrument"),
+                         "--out", str(tmp_path / "bad" / "r.json")],
+    }
+
+
+class TestProcessEntry:
+    """`python -m qtomo` and the console script run qtomo.__main__.run, which freezes the
+    heap; callers in a running process get cli.main and a collector left as it was."""
+
+    @pytest.mark.parametrize("name", ["dynamics", "tomo-failing"])
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, name):
+        argv = _entry_inputs(tmp_path)[name]
+        before = gc.isenabled(), gc.get_freeze_count()
+        importlib.import_module("qtomo.__main__")
+        assert run_cli(argv).exit_code == (0 if name == "dynamics" else 2)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("name", ["simulate", "tomo-state", "tomo-instrument", "dynamics",
+                                      "report-uncertainty", "tomo-failing"])
+    def test_no_command_leaves_a_file_open(self, tmp_path, monkeypatch, name):
+        # a frozen file object is never finalized at exit, so an unclosed one would never be
+        # flushed: every command must close what it opens
+        argv = _entry_inputs(tmp_path)[name]
+        gc.collect()
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook",
+                            lambda u: unraisable.append(f"{u.exc_type.__name__}: {u.exc_value}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            result = run_cli(argv)
+            gc.collect()
+        assert result.exit_code == (2 if name == "tomo-failing" else 0), result.output
+        assert unraisable == []
+
+    @pytest.mark.parametrize("entry", [
+        ["-m", "qtomo"],
+        ["-c", "import sys; from qtomo.__main__ import run; sys.exit(run())"],
+    ], ids=["python-m", "console-script"])
+    def test_process_entry_writes_what_main_writes(self, tmp_path, entry):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")])
+        commands_a, commands_b = _entry_inputs(tmp_path / "a"), _entry_inputs(tmp_path / "b")
+        for name in ("tomo-state", "dynamics", "tomo-failing"):
+            inproc, proc = commands_a[name], commands_b[name]
+            expected = run_cli(inproc)
+            got = subprocess.run([sys.executable, *entry, *proc], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert (got.returncode, got.stdout) == (expected.exit_code, expected.stdout), name
+            assert got.stderr == expected.stderr.replace(str(tmp_path / "a"),
+                                                         str(tmp_path / "b")), name
+            mine, theirs = (Path(argv[argv.index("--out") + 1]).parent for argv in (proc, inproc))
+            outputs = sorted(path.name for path in mine.iterdir())
+            assert outputs == sorted(path.name for path in theirs.iterdir()), name
+            assert "manifest.json" in outputs, name
+            for output in set(outputs) - {"manifest.json"}:  # the manifest holds timings
+                assert (mine / output).read_bytes() == (theirs / output).read_bytes(), output

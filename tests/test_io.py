@@ -69,6 +69,65 @@ class TestComplexAndMatrix:
         assert np.array_equal(back, m)
 
 
+def _per_entry_matrix(obj):
+    """The reference decoder: one json_to_complex call per entry of equally long rows."""
+    if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
+        raise ContractViolation("matrix must be a nonempty array of rows")
+    widths = {len(row) for row in obj}
+    if len(widths) != 1:
+        raise ContractViolation(f"matrix rows differ in length: {sorted(widths)}")
+    return np.array([[qio.json_to_complex(x) for x in row] for row in obj], dtype=complex)
+
+
+def _decoded(parse, obj):
+    """What parse makes of obj: the matrix's dtype, shape and bytes, or the error message."""
+    try:
+        m = parse(obj)
+    except ContractViolation as err:
+        return str(err)
+    return m.dtype, m.shape, m.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-2 ** 66, 2 ** 66),
+    st.sampled_from([2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1,
+                     2 ** 64, 10 ** 400, -10 ** 400]),
+)
+_ODD = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                 st.lists(_NUMBERS, max_size=3), st.dictionaries(st.text(max_size=1), _NUMBERS,
+                                                                 max_size=1))
+
+
+@st.composite
+def _nested_matrices(draw):
+    """Rows of numbers, of [re, im] pairs, or of both, now and then ragged or with odd entries;
+    one draw in eight is no array of rows at all."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_ODD | st.lists(_ODD | _NUMBERS, max_size=3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    pair = st.lists(_NUMBERS, min_size=2, max_size=2)
+    entry = draw(st.sampled_from([_NUMBERS, pair, pair, _NUMBERS | pair]))
+    odd = draw(st.sampled_from([st.nothing(), st.nothing(), _ODD]))
+    width = st.integers(0, 3) if draw(st.integers(0, 4)) == 0 else st.just(cols)
+    return [draw(st.lists(entry | odd, min_size=n, max_size=n)) for n in
+            (draw(width) for _ in range(rows))]
+
+
+class TestMatrixDecoder:
+    @settings(max_examples=400, deadline=None)
+    @given(_nested_matrices())
+    @example([[True, 0.5]])
+    @example([[[0.5, True], [0, 1]]])
+    @example([[[-0.0, -0.0], [1, float("inf")]]])
+    @example([[1, [0.0, -0.0]], [[-0.0, 2], 3]])
+    @example([[0.5, 10 ** 400]])
+    @example([[2 ** 63, -1]])
+    @example([[]])
+    def test_equals_the_per_entry_decoder(self, obj):
+        assert _decoded(qio.matrix_from_json, obj) == _decoded(_per_entry_matrix, obj)
+
+
 class TestDocuments:
     def test_density_round_trip(self):
         rng = np.random.default_rng(132)
