@@ -188,11 +188,12 @@ def _load_rates(problem_dir, devices, logs):
     """(rates, stderr or None) of a bundle whose logs record 1 or 2 devices.
 
     From rates.json or tables.json if present, else one row per events/*.csv
-    log (which must record that many devices) in file-name order, with its
-    standard errors.  A log's rates come from events/counts.json when that
-    memo records the log's sha256 (so it serves at most one log of a bundle),
-    else from parsing the log, which only then is read whole.  logs maps each
-    log's file name to its sha256 and the file its rates came from.
+    log (each must record that many devices and count the outcomes of the
+    first) in file-name order, with its standard errors.  A log's rates come
+    from events/counts.json when that memo records the log's sha256 (so it
+    serves at most one log of a bundle), else from parsing the log, which only
+    then is read whole.  logs maps each log's file name to its sha256 and the
+    file its rates came from.
     """
     _, table_file, key, ndims, first = _LOG_KINDS[devices - 1]
     if os.path.exists(os.path.join(problem_dir, table_file)):
@@ -225,6 +226,10 @@ def _load_rates(problem_dir, devices, logs):
         if counts.ndim != devices:
             raise ContractViolation(f"{source}: is a {_LOG_KINDS[counts.ndim - 1][0]}, "
                                     f"this bundle needs {_LOG_KINDS[devices - 1][0]}s")
+        if rates and counts.shape != rates[0].p_hat.shape:
+            raise ContractViolation(f"{name}: counts of shape {counts.shape}, but {files[0]} has "
+                                    f"{rates[0].p_hat.shape}; the logs of a bundle must count "
+                                    "the same outcomes")
         rates.append(simulate.rates_from_counts(counts, shots))
     return (np.stack([r.p_hat[first:] for r in rates]),
             np.stack([r.stderr[first:] for r in rates]))
@@ -266,9 +271,9 @@ def _tomo_instrument(problem_dir, logs):
     from .tomography import instrument_tomography
 
     probes = _states(problem_dir, "probes")
-    detector = io.detector_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
+    measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
     tables, _ = _load_rates(problem_dir, 2, logs)
-    maps, report = instrument_tomography(tables, probes, detector)
+    maps, report = instrument_tomography(tables, probes, measure)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolation
+from .io import _number_array
 from .measures import Detector, response_probabilities
 from .ops import as_square
 
@@ -474,14 +475,11 @@ def _memo(seed, shots, counts, digest):
 
 
 def _count_array(obj):
-    """obj as a 1-D or 2-D int64 array of nonnegative JSON integers, else None."""
-    if not isinstance(obj, list):
+    """obj as a nonempty 1-D or 2-D int64 array of nonnegative JSON integers, else None."""
+    arr = _number_array(obj)  # an empty array reads as floats, so it fails the kind check
+    if arr is None or arr.dtype.kind != "i" or arr.ndim not in (1, 2) or (arr < 0).any():
         return None
-    rows = obj if obj and all(isinstance(row, list) for row in obj) else [obj]
-    if (len({len(row) for row in rows}) != 1
-            or not all(type(x) is int and 0 <= x < 2 ** 63 for row in rows for x in row)):
-        return None
-    return np.array(obj, dtype=np.int64)
+    return arr.astype(np.int64)
 
 
 def memo_describes(doc, digest: str) -> bool:

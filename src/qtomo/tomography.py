@@ -4,11 +4,11 @@ Every engine solves the linear response system tr(rho P_k) = p_k in a real
 Hermitian parametrization by (optionally weighted) least squares, factoring
 each design once for all its right-hand sides, and then projects onto the
 feasible cone: densities go to the nearest PSD matrix with the trace fixed
-to the measured intensity (eigenvalues projected onto the simplex), measure
-elements are clipped and the identity deficit redistributed, channels may
-be clipped to completely positive.  Reports carry the residual, the design
-condition number, how far the projection moved the estimate, the achieved
-rank, and warning flags.
+to the measured intensity (eigenvalues projected onto the simplex), and
+measure elements are clipped and the identity deficit redistributed.
+Process and instrument maps are the least-squares fits, not projected.
+Reports carry the residual, the design condition number, how far the
+projection moved the estimate, the achieved rank, and warning flags.
 """
 
 from __future__ import annotations
@@ -18,14 +18,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
-from .measures import Detector, QuantumMeasure
+from .measures import QuantumMeasure
 from .ops import hermitian_basis, numerical_rank, real_traces, square_stack
 
 COND_WARN = 1e6
+# An instrument branch whose joint rates stay at or below this for every probe recorded no response.
+SILENT_RATE = 1e-12
 
 
 @dataclass(frozen=True)
 class ReconstructionReport:
+    """What a reconstruction computed besides its estimate.
+
+    residual: norm of the misfit of the returned estimate to the data it was fitted to.
+    cond, rank: condition number and numerical rank of the design (of two designs, the
+        larger cond and the smaller rank).
+    projection_distance: Frobenius distance from the unconstrained least-squares solution
+        to what the mode projected it to; 0 for a mode that projects nothing.
+    flags: warning names, such as "ill_conditioned"; extras: mode-specific values.
+    """
+
     residual: float
     cond: float
     projection_distance: float
@@ -95,10 +107,10 @@ def _scaled(norm, *parts):
     return float(np.ldexp(norm(*(part * scale for part in parts)), exp))
 
 
-def _root_sum_squares(*parts):
-    """Root of the sum of squares of the parts' entries: each part's squares summed with np.sum,
-    the part sums added in order, scaled as in _scaled."""
-    return _scaled(lambda *xs: np.sqrt(sum(float(np.sum(x ** 2)) for x in xs)), *parts)
+def _root_sum_squares(x):
+    """Root of the sum of squares of the real entries of x, summed with np.sum, scaled as in
+    _scaled."""
+    return _scaled(lambda a: np.sqrt(float(np.sum(a ** 2))), x)
 
 
 def _simplex(evals, target):
@@ -204,7 +216,8 @@ def detector_tomography(probe_states, rates, stderr=None):
     they are clipped again, until the deficit is below 1e-12.  When that
     loop gives up (after 100 passes, or with no positive trace left) the
     report carries the flag "deficit_not_converged"; extras record the
-    number of passes as "deficit_iterations".
+    number of passes as "deficit_iterations".  The projection distance is
+    that of the returned elements from the unconstrained solutions.
     """
     probes = square_stack(probe_states, "probe state")
     table = np.asarray(rates, dtype=float)
@@ -213,8 +226,7 @@ def detector_tomography(probe_states, rates, stderr=None):
             f"rates must be (n_probes, K), got {table.shape} for {len(probes)} probes"
         )
     x, residuals, cond, rank = _hermitian_lstsq(probes, table, stderr, "detector tomography")
-    elements, dists = project_psd(x)
-    moves = [dists]
+    elements, _ = project_psd(x)
     identity = np.eye(probes[0].shape[0], dtype=complex)
     # Spread the identity deficit over the elements in proportion to their
     # traces, re-clip, and repeat: clipping can reopen a small deficit when
@@ -226,8 +238,7 @@ def detector_tomography(probe_states, rates, stderr=None):
         if traces.sum() <= 0.0:
             break
         shares = traces / traces.sum()
-        elements, dists = project_psd(elements + shares[:, None, None] * deficit)
-        moves.append(dists)
+        elements, _ = project_psd(elements + shares[:, None, None] * deficit)
         iterations += 1
         deficit = identity - elements.sum(axis=0)
     measure = QuantumMeasure(elements)
@@ -237,53 +248,36 @@ def detector_tomography(probe_states, rates, stderr=None):
     if np.max(np.abs(deficit)) > 1e-12:
         flags.append("deficit_not_converged")
     report = ReconstructionReport(
-        _root_sum_squares(residuals), cond, _root_sum_squares(*moves), rank,
+        _root_sum_squares(residuals), cond, _scaled(np.linalg.norm, elements - x), rank,
         tuple(flags),
         {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
     return measure, report
 
 
-def _norms(stack):
-    """Frobenius norm of each matrix in a stack, summed as np.linalg.norm sums one matrix,
-    so that a report does not depend on how many maps were fitted with it; without overflow
-    (_scaled)."""
-    return np.array([_scaled(np.linalg.norm, m) for m in stack])
-
-
-def _fit_superops(probes, outputs, project_cp):
+def _fit_superops(probes, outputs):
     """Least-squares maps E_b with E_b vec(probes[l]) = vec(outputs[b, l]) for a (B, n, d, d) stack.
 
     One pseudo-inverse of the probe matrix serves all B maps.  Returns (maps,
-    residuals, CP projection distances, least Choi eigenvalues (0 unprojected),
-    cond, rank).
+    residuals, cond, rank).
     """
-    from .channels import swap_middle
-
     n, d = probes.shape[:2]
     v = probes.reshape(n, d * d).T
     rank, cond = _span(np.linalg.svd(v, compute_uv=False), d,
                        "probe states do not span Hermitian space")
     w = outputs.reshape(len(outputs), n, d * d).transpose(0, 2, 1)
     e = w @ np.linalg.pinv(v)
-    dist = lowest = np.zeros(len(e))
-    if project_cp:
-        choi = swap_middle(e, d)
-        evals, evecs = np.linalg.eigh(0.5 * (choi + choi.conj().swapaxes(1, 2)))
-        lowest = evals[:, 0]
-        clipped = (evecs * np.clip(evals, 0.0, None)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
-        projected = swap_middle(clipped, d)
-        e, dist = projected, _norms(projected - e)
-    return e, _norms(e @ v - w), dist, lowest, cond, rank
+    # each map's residual norm as np.linalg.norm sums one matrix, so that it does not depend on
+    # how many maps were fitted with it; without overflow (_scaled)
+    return e, np.array([_scaled(np.linalg.norm, r) for r in e @ v - w]), cond, rank
 
 
-def process_tomography(probe_states, output_states, project_cp=False, cp_tol=1e-9):
+def process_tomography(probe_states, output_states):
     """Reconstruct the superoperator mapping probe states to output states.
 
-    The probes must span the space of Hermitian operators.  With exact data
-    from a completely positive map the returned matrix reproduces the map;
-    optionally the estimate is projected to the CP cone by clipping Choi
-    eigenvalues.
+    The probes must span the space of Hermitian operators.  The estimate is
+    the least-squares map, not projected; with exact data from a completely
+    positive map it reproduces the map.
     """
     from .channels import choi_rank
 
@@ -292,32 +286,28 @@ def process_tomography(probe_states, output_states, project_cp=False, cp_tol=1e-
     if outs.shape != probes.shape:
         raise ContractViolation(f"{len(probes)} probes of size {probes.shape[1]} but {len(outs)} "
                                 f"reconstructed outputs of size {outs.shape[1]}")
-    e, residual, dist, lowest, cond, rank = _fit_superops(probes, outs[None], project_cp)
-    flags = ["cp_projected"] if lowest[0] < -cp_tol else []
-    if cond > COND_WARN:
-        flags.append("ill_conditioned")
-    report = ReconstructionReport(
-        float(residual[0]), cond, float(dist[0]), rank, tuple(flags),
-        {"choi_rank": choi_rank(e[0], cp_tol)},
-    )
+    e, residual, cond, rank = _fit_superops(probes, outs[None])
+    flags = ("ill_conditioned",) if cond > COND_WARN else ()
+    report = ReconstructionReport(float(residual[0]), cond, 0.0, rank, flags,
+                                  {"choi_rank": choi_rank(e[0])})
     return e[0], report
 
 
-def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
-                          min_branch_rate=1e-12, project_cp=False):
+def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
     """Reconstruct the branch maps of an instrument from coincidence tables.
 
     joint_tables has shape (n_probes, J+1, K+1): for each probe state, the
     joint rates over (branch j, element k) with j = 0 the null branch and
-    k = 0 the null detection slot.  The postselected element rates of every
-    (probe, branch) pair are inverted together to unnormalized conditional
-    output states (second detector must be informationally complete), and
-    the maps of all responding branches follow by process tomography over
+    k = 0 the null detection slot; measure is the second detector's K-element
+    measure, which must be informationally complete.  The element rates of
+    every (probe, branch) pair are inverted together to unnormalized
+    conditional output states, each projected to PSD with its measured trace,
+    and the maps of all responding branches follow by process tomography over
     the probes, with one pseudo-inverse of the probe matrix.  Branch 0 with
     no recorded rate is returned as the zero map; an ordinary branch without
     events is an error.  The report's rank is the smaller of the detector
     design's rank and the probes' span rank, its cond the larger of their
-    condition numbers.
+    condition numbers, its projection distance that of the responding outputs.
     """
     tables = np.asarray(joint_tables, dtype=float)
     probes = square_stack(probe_states, "probe state")
@@ -325,7 +315,6 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
         raise ContractViolation(
             f"joint tables must be (n_probes, J+1, K+1), got {tables.shape}"
         )
-    measure = second_detector.measure
     if tables.shape[2] != len(measure) + 1:
         raise ContractViolation(
             f"tables have {tables.shape[2] - 1} element slots for a "
@@ -341,15 +330,15 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
         raise ContractViolation(f"probe states are {probes.shape[1]}-dimensional, the second "
                                 f"detector measures {d}x{d} states")
     marginals = tables.sum(axis=2)  # (n_probes, J+1)
-    silent = marginals.max(axis=0) <= min_branch_rate
+    silent = marginals.max(axis=0) <= SILENT_RATE
     if silent[1:].any():
         raise ContractViolation(f"insufficient events for branch {np.argmax(silent[1:]) + 1}: "
                                 "no probe recorded a response")
-    outputs, _ = project_psd(x, trace_target=y.sum(axis=0))
+    outputs, dists = project_psd(x, trace_target=y.sum(axis=0))
     output_residuals = _rate_residuals(measure.elements, outputs, y).reshape(n_probes, n_branches)
     live = ~silent
-    fit, fit_residuals, dists, _, probe_cond, probe_rank = _fit_superops(
-        probes, outputs.reshape(n_probes, n_branches, d, d)[:, live].swapaxes(0, 1), project_cp)
+    fit, fit_residuals, probe_cond, probe_rank = _fit_superops(
+        probes, outputs.reshape(n_probes, n_branches, d, d)[:, live].swapaxes(0, 1))
     maps = np.zeros((n_branches, d * d, d * d), dtype=complex)
     maps[live] = fit
     residual = _scaled(lambda o, f: np.sqrt(np.sum(np.sum(o ** 2, axis=0) + f ** 2)),
@@ -361,7 +350,7 @@ def instrument_tomography(joint_tables, probe_states, second_detector: Detector,
     if cond > COND_WARN:
         flags.append("ill_conditioned")
     report = ReconstructionReport(
-        residual, cond, _root_sum_squares(dists),
+        residual, cond, _root_sum_squares(dists.reshape(n_probes, n_branches)[:, live]),
         min(det_rank, probe_rank), tuple(flags),
         {"branch_marginals": marginals, "predicted_marginals": predicted},
     )

@@ -211,7 +211,7 @@ def test_instrument_tomography():
     probes = probe_states(2)
     # exact statistics: branch maps recovered to 1e-8 on a basis
     tables = np.stack([qtomo.joint_probabilities(instrument, detector, p) for p in probes])
-    maps, _ = qtomo.instrument_tomography(tables, probes, detector)
+    maps, _ = qtomo.instrument_tomography(tables, probes, detector.measure)
     for j, proj in ((1, p0), (2, p1)):
         for b in qtomo.hermitian_basis(2):
             recovered = qtomo.apply_superop(maps[j], b)

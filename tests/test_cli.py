@@ -277,6 +277,42 @@ class TestEventLogContract:
         self._expect_exit_2(tmp_path, "instrument", bundle,
                             "p0.csv", "branch 3 is outside [0, n_branches=2]")
 
+    def test_detection_logs_of_another_size(self, tmp_path):
+        from support import probe_states
+
+        head = "# seed=1\n# generator=philox4x64\n# n_elements={}\nshot,label\n"
+        rows = "".join(f"{shot},{shot % 4 + 1}\n" for shot in range(40))
+        bundle = self._state_bundle(tmp_path, [head.format(n) + rows for n in (4, 4, 6, 4)])
+        (bundle / "probes").mkdir()
+        for i, probe in enumerate(probe_states(2)):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
+        self._expect_exit_2(tmp_path, "detector", bundle,
+                            "run2.csv: counts of shape (7,), but run0.csv has (5,)")
+
+    def test_coincidence_logs_of_another_size(self, tmp_path):
+        # the odd log's counts come from its counts.json memo
+        det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
+        bundle = tmp_path / "bundle"
+        (bundle / "probes").mkdir(parents=True)
+        (bundle / "events").mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(det.measure, det.scale))
+        head = "# seed=1\n# generator=philox4x64\n# n_branches={}\n# n_elements=4\nshot,j,k\n"
+        rows = "".join(f"{shot},{shot % 2 + 1},{shot % 4 + 1}\n" for shot in range(40))
+        for i, n_branches in enumerate((2, 3)):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"),
+                                  qio.density_to_json(np.eye(2) / 2))
+            (bundle / "events" / f"p{i}.csv").write_text(head.format(n_branches) + rows)
+        log = (bundle / "events" / "p1.csv").read_bytes()
+        counts = qtomo.event_log_from_csv(log.decode()).counts()
+        qio.write_json_atomic(str(bundle / "events" / "counts.json"), {
+            "seed": 1, "shots": 40, "counts": counts.tolist(),
+            "events_sha256": hashlib.sha256(log).hexdigest()})
+        self._expect_exit_2(tmp_path, "instrument", bundle,
+                            "p1.csv: counts of shape (4, 5), but p0.csv has (3, 5)")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["event_logs"]["p1.csv"]["rates_from"] == "counts.json"
+
     def test_coincidence_log_in_state_bundle(self, tmp_path):
         bundle = self._state_bundle(tmp_path, [
             "# seed=1\n# generator=philox4x64\n# n_branches=1\n# n_elements=6\nshot,j,k\n0,1,1\n"])
@@ -450,6 +486,12 @@ class TestTomoDetectorInstrumentSelfcal:
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert len(report["estimate"]["branches"]) == 3  # null + two branches
+        # the second detector's scale is not read: without it, the same report bytes
+        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure))
+        unscaled = tmp_path / "unscaled" / "report.json"
+        result = run_cli(["tomo", "instrument", str(bundle), "--out", str(unscaled)])
+        assert result.exit_code == 0, result.output
+        assert unscaled.read_bytes() == out.read_bytes()
 
     def test_instrument_bundle_from_coincidence_events(self, tmp_path):
         from support import probe_states

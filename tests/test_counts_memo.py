@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qtomo
 from qtomo import io as qio
@@ -87,6 +88,44 @@ class TestCountsDocument:
         with pytest.raises(ContractViolation) as info:
             simulate.counts_from_document({"seed": 1, "shots": shots, "counts": counts})
         assert invariant in str(info.value)
+
+
+def _rowwise_count_array(obj):
+    """Reference: the count reader that walked the rows itself, before it was built on the
+    JSON number reader; it also accepted empty counts."""
+    if not isinstance(obj, list):
+        return None
+    rows = obj if obj and all(isinstance(row, list) for row in obj) else [obj]
+    if (len({len(row) for row in rows}) != 1
+            or not all(type(x) is int and 0 <= x < 2 ** 63 for row in rows for x in row)):
+        return None
+    return np.array(obj, dtype=np.int64)
+
+
+_json_scalars = (st.integers(-2, 5) | st.integers() | st.floats() | st.booleans() | st.none()
+                 | st.text(max_size=2))
+_json_values = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=4),
+                            max_leaves=12)
+_int_arrays = hnp.arrays(
+    np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=st.integers(-1, 2 ** 63 - 1)).map(lambda a: a.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values | _int_arrays)
+@example([])
+@example([[]])
+@example([[1, 2], [3]])
+@example([[1, 2], 3])
+@example([2 ** 63, 0])
+@example([[2 ** 64, 1], [0, 1]])
+@example([[0, 1], [2, 3]])
+def test_count_reader_equals_the_rowwise_reader(obj):
+    new, old = simulate._count_array(obj), _rowwise_count_array(obj)
+    if old is None or old.size == 0:  # empty counts are refused here now, not at the rates
+        assert new is None
+    else:
+        assert new.dtype == old.dtype and new.shape == old.shape and np.array_equal(new, old)
 
 
 def _write_device(tmp_path):
