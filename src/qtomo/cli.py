@@ -119,21 +119,16 @@ def simulate(tols, source, device, shots, seed, out_dir):
         doc = io.read_json(device)
         if not isinstance(doc, dict):
             raise ContractViolation(f"{device}: device document must be a JSON object")
-        instrument = None
-        if "instrument" in doc:
-            instrument = io.instrument_from_json(doc["instrument"])
-            detector = io.detector_from_json(doc["detector"])
-        elif doc.get("scale") is not None:
-            detector = io.detector_from_json(doc)
-        else:
-            measure, _ = io.measure_from_json(doc)
-            detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
-        mrep = validate_measure(detector.measure, tols["tol_psd"])
+        instrument = io.instrument_from_json(doc["instrument"]) if "instrument" in doc else None
+        # sampling draws labels and never reads a scale, so the detector is read as a measure
+        measure, _ = io.measure_from_json(doc["detector"] if instrument is not None else doc)
+        mrep = validate_measure(measure, tols["tol_psd"])
         if not mrep.ok:
             raise ContractViolation(
                 f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
                 f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
             )
+        detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
         cfg = ExperimentConfig(cfg_seed, shots, rho, detector, instrument)
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
@@ -142,14 +137,39 @@ def simulate(tols, source, device, shots, seed, out_dir):
     _guard(run, work)
 
 
-def _states(problem_dir, folder):
-    """The density matrices of the *.json files in problem_dir/folder, in file-name order."""
+def _hermitian(stack, tol_herm, names):
+    """The (n, d, d) stack, unless a matrix's Hermitian defect (max-norm distance to its
+    adjoint) exceeds tol_herm: every design is built on the Hermitian parts of its operators,
+    so a non-Hermitian one is refused, with its name (ContractViolation)."""
+    with np.errstate(over="ignore"):  # an infinite defect is refused below
+        defects = np.abs(stack - np.swapaxes(stack, 1, 2).conj()).max(axis=(1, 2))
+    bad = np.flatnonzero(defects > tol_herm)
+    if bad.size:
+        raise ContractViolation(f"{names[bad[0]]}: Hermitian defect {defects[bad[0]]:.3e} "
+                                f"exceeds --tol-herm {tol_herm!r}")
+    return stack
+
+
+def _states(problem_dir, folder, tol_herm):
+    """The density matrices of the *.json files in problem_dir/folder, in file-name order, as
+    one stack checked by square_stack (as a "probe state" or "output state") and _hermitian."""
+    from .ops import square_stack
+
     path = os.path.join(problem_dir, folder)
-    states = [io.density_from_json(io.read_json(os.path.join(path, n)))
-              for n in sorted(os.listdir(path)) if n.endswith(".json")]
-    if not states:
+    files = [os.path.join(path, n) for n in sorted(os.listdir(path)) if n.endswith(".json")]
+    if not files:
         raise ContractViolation(f"no states found in {path}")
-    return states
+    states = square_stack([io.density_from_json(io.read_json(f)) for f in files],
+                          f"{folder.rstrip('s')} state")
+    return _hermitian(states, tol_herm, files)
+
+
+def _measure(problem_dir, tol_herm):
+    """The measure of problem_dir/measure.json, its elements checked by _hermitian."""
+    path = os.path.join(problem_dir, "measure.json")
+    measure, _ = io.measure_from_json(io.read_json(path))
+    _hermitian(measure.elements, tol_herm, [f"{path}: element {k}" for k in range(len(measure))])
+    return measure
 
 
 def _counts_memo(events_dir):
@@ -235,10 +255,10 @@ def _load_rates(problem_dir, devices, logs):
             np.stack([r.stderr[first:] for r in rates]))
 
 
-def _tomo_state(problem_dir, logs):
+def _tomo_state(problem_dir, logs, tol_herm):
     from .tomography import state_tomography
 
-    measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
+    measure = _measure(problem_dir, tol_herm)
     rates, err = _load_rates(problem_dir, 1, logs)
     if err is not None:
         if len(rates) != 1:
@@ -250,28 +270,29 @@ def _tomo_state(problem_dir, logs):
     return {"estimate": io.density_to_json(rho)}, report
 
 
-def _tomo_detector(problem_dir, logs):
+def _tomo_detector(problem_dir, logs, tol_herm):
     from .tomography import detector_tomography
 
-    probes = _states(problem_dir, "probes")
+    probes = _states(problem_dir, "probes", tol_herm)
     rates, err = _load_rates(problem_dir, 1, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates),
                                           None if err is None else np.atleast_2d(err))
     return {"estimate": io.measure_to_json(measure)}, report
 
 
-def _tomo_process(problem_dir):
+def _tomo_process(problem_dir, tol_herm):
     from .tomography import process_tomography
 
-    e, report = process_tomography(_states(problem_dir, "probes"), _states(problem_dir, "outputs"))
+    e, report = process_tomography(_states(problem_dir, "probes", tol_herm),
+                                   _states(problem_dir, "outputs", tol_herm))
     return {"estimate": {"superoperator": io.matrix_to_json(e)}}, report
 
 
-def _tomo_instrument(problem_dir, logs):
+def _tomo_instrument(problem_dir, logs, tol_herm):
     from .tomography import instrument_tomography
 
-    probes = _states(problem_dir, "probes")
-    measure, _ = io.measure_from_json(io.read_json(os.path.join(problem_dir, "measure.json")))
+    probes = _states(problem_dir, "probes", tol_herm)
+    measure = _measure(problem_dir, tol_herm)
     tables, _ = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, measure)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
@@ -305,13 +326,13 @@ def tomo(tols, mode, problem_dir, out_path):
 
     def work():
         if mode == "state":
-            payload, report = _tomo_state(problem_dir, logs)
+            payload, report = _tomo_state(problem_dir, logs, tols["tol_herm"])
         elif mode == "detector":
-            payload, report = _tomo_detector(problem_dir, logs)
+            payload, report = _tomo_detector(problem_dir, logs, tols["tol_herm"])
         elif mode == "process":
-            payload, report = _tomo_process(problem_dir)
+            payload, report = _tomo_process(problem_dir, tols["tol_herm"])
         elif mode == "instrument":
-            payload, report = _tomo_instrument(problem_dir, logs)
+            payload, report = _tomo_instrument(problem_dir, logs, tols["tol_herm"])
         else:
             payload, report = _tomo_selfcal(problem_dir, tols["rtol"])
         if report is not None:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import (PAULI, TOL_PSD, as_square, hermitian_basis, min_eigenvalue, numerical_rank,
-                  real_traces, square_stack)
+from .ops import PAULI, TOL_PSD, _design, as_square, min_eigenvalue, numerical_rank, square_stack
 
 
 class QuantumMeasure:
@@ -193,10 +192,9 @@ class CompletenessReport:
 
 
 def informational_completeness(measure: QuantumMeasure) -> CompletenessReport:
-    """Real-linear rank of the elements in Hermitian space: the numerical_rank of the thin SVD of
-    their design, the rule by which every reconstruction judges the same design."""
-    design = real_traces(measure.elements, hermitian_basis(measure.dim))
-    rank = numerical_rank(np.linalg.svd(design, full_matrices=False)[1])
+    """Real-linear rank of the elements in Hermitian space: the numerical_rank of their design
+    (ops._design), the rule by which every reconstruction judges the same design."""
+    rank = numerical_rank(_design(measure.elements)[3])
     d2 = measure.dim ** 2
     complete = rank == d2
     return CompletenessReport(rank, complete, complete and len(measure) == d2)

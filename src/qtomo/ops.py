@@ -51,8 +51,17 @@ def square_stack(matrices, name="matrix") -> np.ndarray:
 
 def real_traces(a, b) -> np.ndarray:
     """Matrix of Re tr(a_i b_j) over two stacks of d x d matrices, as one matrix product; with
-    b = hermitian_basis(d), the design mapping a Hermitian X's coefficients to each tr(X a_i)."""
+    b = hermitian_basis(d), the coefficients on that basis of the Hermitian parts of the a_i."""
     return (a.reshape(len(a), -1) @ np.swapaxes(b, 1, 2).reshape(len(b), -1).T).real
+
+
+def _design(operators):
+    """(basis, m, u, sing, vt): the design m[k, a] = Re tr(O_k B_a) of a (n, d, d) stack of
+    Hermitian operators on basis = hermitian_basis(d), and its thin SVD.  The basis is orthonormal,
+    so sing are the singular values of [Re vec O_k, Im vec O_k]: they judge the operators alone."""
+    basis = hermitian_basis(operators.shape[1])
+    m = real_traces(operators, basis)
+    return (basis, m, *np.linalg.svd(m, full_matrices=False))
 
 
 def numerical_rank(sing) -> int:
@@ -85,39 +94,32 @@ def quantum_value(rho, X) -> complex:
 
 
 def hermitian_basis(d: int) -> np.ndarray:
-    """Basis of d^2 Hermitian matrices spanning Hermitian space over the reals.
+    """Orthonormal basis of d^2 Hermitian matrices, tr(B_a B_b) = delta_ab, as a (d^2, d, d) array.
 
-    Returned as a (d^2, d, d) complex array.  Ordering: identity, d-1
-    diagonal traceless matrices, then the symmetric off-diagonal elements of
-    all index pairs j < k in row-major order, then the antisymmetric ones in
-    the same order.  For d = 2 the non-identity elements are exactly the
-    three Pauli matrices.
-    """
+    The generalised Gell-Mann matrices over sqrt(2) (Bertlmann & Krammer, J. Phys. A 41,
+    235303, 2008), in this order: I / sqrt(d), the diagonal (sum_{j<l} e_jj - l e_ll)
+    / sqrt(l (l+1)) for l = 1..d-1, then (e_jk + e_kj) / sqrt(2) for all j < k in row-major
+    order, then (i e_kj - i e_jk) / sqrt(2) in the same order.  At d = 2: I, sigma_3, sigma_1,
+    sigma_2 over sqrt(2)."""
     if d < 1:
         raise ContractViolation(f"dimension must be >= 1, got {d}")
     basis = np.zeros((d * d, d, d), dtype=complex)
     diag = np.arange(d)
-    basis[0, diag, diag] = 1.0
-    basis[diag[1:], diag[:-1], diag[:-1]] = 1.0
-    basis[diag[1:], diag[1:], diag[1:]] = -1.0
+    basis[0, diag, diag] = 1.0 / np.sqrt(d)
+    level = diag[1:, None]
+    basis[level, diag, diag] = (np.tri(d, k=-1) - np.diag(diag))[1:] / np.sqrt(level * (level + 1))
     j, k = np.triu_indices(d, 1)
-    sym = d + np.arange(j.size)
-    antisym = sym + j.size
-    basis[sym, j, k] = basis[sym, k, j] = 1.0
-    basis[antisym, j, k] = -1j
-    basis[antisym, k, j] = 1j
+    sym, antisym = d + np.arange(j.size), d + j.size + np.arange(j.size)
+    basis[sym, j, k] = basis[sym, k, j] = np.sqrt(0.5)
+    basis[antisym, j, k], basis[antisym, k, j] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
     return basis
 
 
-def expand_hermitian(h, basis=None) -> np.ndarray:
-    """Real coefficients x with h = sum_a x_a B_a for a Hermitian basis."""
+def expand_hermitian(h) -> np.ndarray:
+    """Real coefficients x_a = Re tr(h B_a) on hermitian_basis, so that h = sum_a x_a B_a for a
+    Hermitian h (the basis is orthonormal); for any square h they give its Hermitian part."""
     m = as_square(h)
-    d = m.shape[0]
-    if basis is None:
-        basis = hermitian_basis(d)
-    cols = np.stack([b.reshape(-1) for b in basis], axis=1)
-    coeff, *_ = np.linalg.lstsq(cols, m.reshape(-1), rcond=None)
-    return coeff.real
+    return real_traces(m[None], hermitian_basis(m.shape[0]))[0]
 
 
 @dataclass(frozen=True)

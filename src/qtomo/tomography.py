@@ -1,11 +1,11 @@
 """Reconstruction engines: state, detector, process, instrument, self-calibration.
 
-Every engine solves the linear response system tr(rho P_k) = p_k in a real
-Hermitian parametrization by (optionally weighted) least squares, factoring
-each design once for all its right-hand sides, and then projects onto the
-feasible cone: densities go to the nearest PSD matrix with the trace fixed
-to the measured intensity (eigenvalues projected onto the simplex), and
-measure elements are clipped and the identity deficit redistributed.
+Every engine solves the linear response system tr(rho P_k) = p_k by (optionally
+weighted) least squares on one design per operator set (``ops._design``: Re tr(P_k B_a)
+on the orthonormal ``hermitian_basis``, factored once for all right-hand sides, so a set
+has one ``cond`` in every engine), then projects onto the feasible cone: densities go to
+the nearest PSD matrix with the trace fixed to the measured intensity (eigenvalues
+projected onto the simplex), and measure elements are clipped and the deficit spread.
 Process and instrument maps are the least-squares fits, not projected.
 Reports carry the residual, the design condition number, how far the
 projection moved the estimate, the achieved rank, and warning flags.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 from .measures import QuantumMeasure
-from .ops import hermitian_basis, numerical_rank, real_traces, square_stack
+from .ops import _design, hermitian_basis, numerical_rank, real_traces, square_stack
 
 COND_WARN = 1e6
 # An instrument branch whose joint rates stay at or below this for every probe recorded no response.
@@ -57,17 +57,15 @@ def _span(sing, d, message):
 def _hermitian_lstsq(operators, rates, stderr, what):
     """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c.
 
-    The design and the basis are built once, and one SVD gives the rank and
-    condition checks and the solution of every column.  A column with
+    The design is built and factored once (ops._design), and its SVD gives the
+    rank and condition checks and the solution of every column.  A column with
     standard errors has its own row weights, so it gets its own weighted
     solve of the same design.  Returns (X of shape (n, d, d), per-column
     residuals of the unweighted equations, cond, rank).
     """
     ops = square_stack(operators, "design operator")
     d = ops.shape[1]
-    basis = hermitian_basis(d)
-    m = real_traces(ops, basis)
-    u, sing, vt = np.linalg.svd(m, full_matrices=False)
+    basis, m, u, sing, vt = _design(ops)
     rank, cond = _span(sing, d, f"{what} design is not informationally complete")
     y = np.asarray(rates, dtype=float)
     if y.shape[0] != len(ops):
@@ -170,6 +168,13 @@ def project_psd(x, trace_target=None):
     return out, (float(dist) if a.ndim == 2 else dist)
 
 
+def _warnings(cond, dist=0.0, trace=0.0):
+    """Flags "ill_conditioned" (cond above COND_WARN) and "projected" (the projection moved the
+    estimate by more than 1e-12 of max(1, |trace|); a mode that flags none passes no dist)."""
+    return (("ill_conditioned",) * bool(cond > COND_WARN)
+            + ("projected",) * bool(dist > 1e-12 * max(1.0, abs(trace))))
+
+
 def _rate_residuals(operators, x, rates):
     """Per-column norms of tr(x_c O_k) - rates[k, c] for a stack x of shape (n, d, d)."""
     return _scaled_norms(real_traces(operators, x) - rates, 0)
@@ -183,7 +188,7 @@ def state_tomography(measures, rates, stderr=None):
     The unconstrained Hermitian solution is projected to the nearest PSD
     matrix with its trace fixed to the measured intensity, so exact rates
     from a valid state are reproduced and sampled rates always yield a
-    valid state.
+    valid state.  Rates summing below zero (no density) raise ContractViolation.
     """
     if isinstance(measures, QuantumMeasure):
         measures = [measures]
@@ -193,14 +198,11 @@ def state_tomography(measures, rates, stderr=None):
     x, residual, cond, rank = _hermitian_lstsq(operators, y, err, "state tomography")
     intensity = float(y.sum()) / len(measures)
     rho, dist = project_psd(x[0], trace_target=intensity)
-    flags = []
-    if cond > COND_WARN:
-        flags.append("ill_conditioned")
-    if dist > 1e-12 * max(1.0, abs(intensity)):
-        flags.append("projected")
+    if intensity < 0.0:
+        raise ContractViolation(f"rates sum to {float(y.sum())!r} < 0: no density has that trace")
     residual_after = float(_rate_residuals(operators, rho[None], y)[0])
     report = ReconstructionReport(
-        residual_after, cond, dist, rank, tuple(flags),
+        residual_after, cond, dist, rank, _warnings(cond, dist, intensity),
         {"residual_unprojected": float(residual[0]), "intensity": intensity},
     )
     return rho, report
@@ -242,14 +244,9 @@ def detector_tomography(probe_states, rates, stderr=None):
         iterations += 1
         deficit = identity - elements.sum(axis=0)
     measure = QuantumMeasure(elements)
-    flags = []
-    if cond > COND_WARN:
-        flags.append("ill_conditioned")
-    if np.max(np.abs(deficit)) > 1e-12:
-        flags.append("deficit_not_converged")
+    flags = _warnings(cond) + ("deficit_not_converged",) * bool(np.max(np.abs(deficit)) > 1e-12)
     report = ReconstructionReport(
-        _root_sum_squares(residuals), cond, _scaled(np.linalg.norm, elements - x), rank,
-        tuple(flags),
+        _root_sum_squares(residuals), cond, _scaled(np.linalg.norm, elements - x), rank, flags,
         {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
     return measure, report
@@ -258,15 +255,16 @@ def detector_tomography(probe_states, rates, stderr=None):
 def _fit_superops(probes, outputs):
     """Least-squares maps E_b with E_b vec(probes[l]) = vec(outputs[b, l]) for a (B, n, d, d) stack.
 
-    One pseudo-inverse of the probe matrix serves all B maps.  Returns (maps,
-    residuals, cond, rank).
+    The probes' design m = U diag(sing) V^T (ops._design) serves all B maps: vec(probes[l]) =
+    sum_a m[l, a] vec(B_a) with orthonormal rows vec(B_a), so E_b = W_b U diag(1/sing) V^T
+    conj(B_vec).  Returns (maps, residuals, cond, rank).
     """
     n, d = probes.shape[:2]
-    v = probes.reshape(n, d * d).T
-    rank, cond = _span(np.linalg.svd(v, compute_uv=False), d,
-                       "probe states do not span Hermitian space")
+    basis, _, u, sing, vt = _design(probes)
+    rank, cond = _span(sing, d, "probe states do not span Hermitian space")
     w = outputs.reshape(len(outputs), n, d * d).transpose(0, 2, 1)
-    e = w @ np.linalg.pinv(v)
+    e = w @ ((u / sing) @ vt @ basis.reshape(d * d, d * d).conj())
+    v = probes.reshape(n, d * d).T
     # each map's residual norm as np.linalg.norm sums one matrix, so that it does not depend on
     # how many maps were fitted with it; without overflow (_scaled)
     return e, np.array([_scaled(np.linalg.norm, r) for r in e @ v - w]), cond, rank
@@ -287,8 +285,7 @@ def process_tomography(probe_states, output_states):
         raise ContractViolation(f"{len(probes)} probes of size {probes.shape[1]} but {len(outs)} "
                                 f"reconstructed outputs of size {outs.shape[1]}")
     e, residual, cond, rank = _fit_superops(probes, outs[None])
-    flags = ("ill_conditioned",) if cond > COND_WARN else ()
-    report = ReconstructionReport(float(residual[0]), cond, 0.0, rank, flags,
+    report = ReconstructionReport(float(residual[0]), cond, 0.0, rank, _warnings(cond),
                                   {"choi_rank": choi_rank(e[0])})
     return e[0], report
 
@@ -303,11 +300,12 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
     every (probe, branch) pair are inverted together to unnormalized
     conditional output states, each projected to PSD with its measured trace,
     and the maps of all responding branches follow by process tomography over
-    the probes, with one pseudo-inverse of the probe matrix.  Branch 0 with
-    no recorded rate is returned as the zero map; an ordinary branch without
-    events is an error.  The report's rank is the smaller of the detector
-    design's rank and the probes' span rank, its cond the larger of their
-    condition numbers, its projection distance that of the responding outputs.
+    the probes, on one factored probe design.  Branch 0 with no recorded rate
+    is returned as the zero map; an ordinary branch without events is an
+    error.  The report's rank is the smaller of the detector design's rank and
+    the probes' span rank, its cond the larger of their condition numbers, its
+    projection distance that of the responding outputs, flagged as in state
+    tomography relative to the largest output trace.
     """
     tables = np.asarray(joint_tables, dtype=float)
     probes = square_stack(probe_states, "probe state")
@@ -334,7 +332,8 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
     if silent[1:].any():
         raise ContractViolation(f"insufficient events for branch {np.argmax(silent[1:]) + 1}: "
                                 "no probe recorded a response")
-    outputs, dists = project_psd(x, trace_target=y.sum(axis=0))
+    traces = y.sum(axis=0)
+    outputs, dists = project_psd(x, trace_target=traces)
     output_residuals = _rate_residuals(measure.elements, outputs, y).reshape(n_probes, n_branches)
     live = ~silent
     fit, fit_residuals, probe_cond, probe_rank = _fit_superops(
@@ -346,12 +345,11 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
     # tr E_j(rho) sums the entries of E_j vec(rho) that land on the diagonal
     predicted = (maps[:, ::d + 1] @ probes.reshape(n_probes, -1).T).sum(axis=1).real.T
     cond = max(det_cond, probe_cond)
-    flags = ["null_branch_zero"] if silent[0] else []
-    if cond > COND_WARN:
-        flags.append("ill_conditioned")
+    dist = _root_sum_squares(dists.reshape(n_probes, n_branches)[:, live])
+    flags = ((("null_branch_zero",) if silent[0] else ())
+             + _warnings(cond, dist, np.abs(traces).max()))
     report = ReconstructionReport(
-        residual, cond, _root_sum_squares(dists.reshape(n_probes, n_branches)[:, live]),
-        min(det_rank, probe_rank), tuple(flags),
+        residual, cond, dist, min(det_rank, probe_rank), flags,
         {"branch_marginals": marginals, "predicted_marginals": predicted},
     )
     return list(maps), report

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,7 +27,9 @@ GOLDEN_TRAJECTORY_SHA256 = {
     "lindblad": "3864d3d1b814bec4fe17900485e2a53d0ba1f79786e3d1e541325fae343c9a80",
     "slice": "d1411cc14eccc3309d6e5a8eb3e4a5e3cbb3e3eeff640dd909bde44fc75bb097",
 }
-GOLDEN_PROCESS_SHA256 = "4856382ba282aece35f619d57a19d41d1912b84831ac19dff3be776c168ddde7"
+# sha256 of the process report of the golden-bytes test below; CHANGES.md gives the values
+# that moved at each re-pin
+GOLDEN_PROCESS_SHA256 = "d4c691527a7e20526d40b1eeedb1f50ff12bc7e9f34d4cfbe5c8eff3fc78780b"
 
 
 @pytest.fixture
@@ -151,6 +154,35 @@ class TestSimulate:
         header = (out / "events.csv").read_text().splitlines()[4]
         assert header == "shot,j,k"
 
+    def _simulate(self, source, device, out):
+        return run_cli(["simulate", source, str(device), "--shots", "1000", "--seed", "3",
+                        "--out", str(out)])
+
+    def test_coincidence_device_without_a_scale(self, fixture_files, tmp_path):
+        # sampling never reads a scale, so the second detector may be a bare measure
+        inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+        docs = {"scaled": qio.measure_to_json(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0)),
+                "bare": qio.measure_to_json(qtomo.tetrahedron_measure())}
+        for name, detector in docs.items():
+            qio.write_json_atomic(str(tmp_path / f"{name}.json"),
+                                  {"instrument": qio.instrument_to_json(inst), "detector": detector})
+            result = self._simulate(fixture_files["source"], tmp_path / f"{name}.json",
+                                    tmp_path / name)
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "bare" / "events.csv").read_bytes() == \
+            (tmp_path / "scaled" / "events.csv").read_bytes()
+
+    def test_detection_device_with_repeated_scale_values(self, fixture_files, tmp_path):
+        repeated = qio.measure_to_json(qtomo.pauli_six_measure(), [1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        qio.write_json_atomic(str(tmp_path / "repeated.json"), repeated)
+        result = self._simulate(fixture_files["source"], tmp_path / "repeated.json",
+                                tmp_path / "repeated")
+        assert result.exit_code == 0, result.output
+        result = self._simulate(fixture_files["source"], fixture_files["device"], tmp_path / "distinct")
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "repeated" / "events.csv").read_bytes() == \
+            (tmp_path / "distinct" / "events.csv").read_bytes()
+
 
 class TestTomoState:
     def _bundle(self, tmp_path, rates):
@@ -172,6 +204,16 @@ class TestTomoState:
         est = qio.density_from_json(report["estimate"])
         assert qtomo.trace_distance(est, rho) <= 1e-10
         assert report["rank"] == 4
+
+    def test_rates_summing_below_zero_exit_2(self, tmp_path):
+        # the least-squares estimate has trace -0.4: no density has it
+        bundle = self._bundle(tmp_path, [0.5, -0.9, 0.0, 0.0, 0.0, 0.0])
+        out = tmp_path / "run" / "report.json"
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "ContractViolation" and "rates sum to -0.4" in error["message"]
+        assert not out.exists()
 
     def test_missing_events_exits_2(self, tmp_path):
         bundle = tmp_path / "empty_problem"
@@ -905,6 +947,84 @@ class TestOneRankRuleAcrossModes:
         result = run_cli(["tomo", "instrument", str(bundle), "--out", str(tmp_path / "r.json")])
         assert result.exit_code == 3, result.output
         assert "rank 3 < 4" in json.loads(result.stderr)["error"]["message"]
+
+
+class TestOneDesignAcrossModes:
+    """Every mode builds, factors and judges a set of operators by one rule (ops._design)."""
+
+    def test_one_probe_set_has_one_cond(self, tmp_path):
+        from support import random_density, random_kraus, random_measure
+
+        # nine pure qutrit probes (cond 92.7) and a 12-element measure (cond 10.1), so the
+        # instrument's cond, the larger of the two, is the probes' as well
+        rng = np.random.default_rng(1)
+        probes = [random_density(3, rng, pure=True) for _ in range(9)]
+        det = qtomo.Detector(random_measure(3, 12, rng), np.arange(1.0, 13.0))
+        inst = qtomo.Instrument(tuple((k,) for k in random_kraus(3, 2, rng, scale=0.3 / np.sqrt(3))))
+        bundle = tmp_path / "bundle"
+        for i, probe in enumerate(probes):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
+            output = sum(qtomo.kraus_apply(branch, probe) for branch in inst.branches)
+            qio.write_json_atomic(str(bundle / "outputs" / f"p{i}.json"), qio.density_to_json(output))
+        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure))
+        qio.write_json_atomic(str(bundle / "rates.json"), {
+            "rates": np.stack([qtomo.response_probabilities(det.measure, p) for p in probes])})
+        qio.write_json_atomic(str(bundle / "tables.json"), {
+            "tables": np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])})
+        conds = {}
+        for mode in ("detector", "process", "instrument"):
+            out = tmp_path / mode / "report.json"
+            result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
+            assert result.exit_code == 0, (mode, result.output)
+            conds[mode] = re.search(rb'"cond":([^,}]*)', out.read_bytes()).group(1)
+        assert conds["detector"] == conds["process"] == conds["instrument"], conds
+        assert 90.0 < float(conds["process"]) < 95.0
+
+
+class TestNonHermitianOperatorsExit2:
+    """The design takes the Hermitian part of each operator, so tomo refuses, naming the file,
+    a probe, output or measure element whose Hermitian defect exceeds --tol-herm."""
+
+    @staticmethod
+    def _bundle(tmp_path, mode):
+        from support import probe_states
+
+        measure = qtomo.tetrahedron_measure()
+        probes = probe_states(2)
+        bundle = tmp_path / "bundle"
+        for i, probe in enumerate(probes):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
+            qio.write_json_atomic(str(bundle / "outputs" / f"p{i}.json"), qio.density_to_json(probe))
+        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(measure))
+        rates = np.stack([qtomo.response_probabilities(measure, p) for p in probes])
+        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": rates[0] if mode == "state"
+                                                           else rates})
+        inst = qtomo.Instrument(((np.eye(2),),))
+        det = qtomo.Detector(measure, np.arange(1.0, 5.0))
+        qio.write_json_atomic(str(bundle / "tables.json"), {
+            "tables": np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])})
+        return bundle
+
+    @pytest.mark.parametrize("mode, path", [
+        ("detector", "probes/p0.json"), ("process", "probes/p0.json"),
+        ("process", "outputs/p0.json"), ("instrument", "probes/p0.json"),
+        ("state", "measure.json"), ("instrument", "measure.json")])
+    def test_refused_naming_the_file(self, tmp_path, mode, path):
+        bundle = self._bundle(tmp_path, mode)
+        out = tmp_path / "run" / "report.json"
+        result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((bundle / path).read_text())
+        matrix = doc["elements"][0] if path == "measure.json" else doc["matrix"]
+        matrix[0][1][0] += 0.3  # off the adjoint of entry (1, 0) by 0.3
+        (bundle / path).write_text(json.dumps(doc))
+        result = run_cli(["tomo", mode, str(bundle), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        message = json.loads((out.parent / "manifest.json").read_text())["error"]["message"]
+        assert str(bundle / path) in message and "Hermitian defect 3.000e-01" in message
+        # a looser --tol-herm lets the same bundle through
+        result = run_cli(["--tol-herm", "0.5", "tomo", mode, str(bundle), "--out", str(out)])
+        assert result.exit_code == 0, result.output
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

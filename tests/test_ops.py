@@ -67,10 +67,15 @@ class TestHermitianBasis:
         assert np.allclose(basis[0], [[1.0]])
 
     def test_d2_is_pauli_set(self):
-        basis = hermitian_basis(2)
-        assert len(basis) == 4
-        for sigma in PAULI:
-            assert any(np.allclose(b, sigma) for b in basis)
+        # I, sigma_3, sigma_1, sigma_2 over sqrt(2)
+        expected = np.stack([PAULI[0], PAULI[3], PAULI[1], PAULI[2]]) / np.sqrt(2.0)
+        assert np.max(np.abs(hermitian_basis(2) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_orthonormal(self, d):
+        basis = hermitian_basis(d)
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        assert np.max(np.abs(gram - np.eye(d * d))) <= 1e-15
 
     def test_d3_gram_rank_nine(self):
         basis = hermitian_basis(3)
@@ -90,30 +95,36 @@ class TestHermitianBasis:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
     def test_matches_double_loop_construction(self, d):
-        loop = [np.eye(d, dtype=complex)]
-        for j in range(d - 1):
+        # the generalised Gell-Mann matrices (Bertlmann & Krammer 2008), each over sqrt(2),
+        # after I / sqrt(d)
+        loop = [np.eye(d, dtype=complex) / np.sqrt(d)]
+        for l in range(1, d):
             m = np.zeros((d, d), dtype=complex)
-            m[j, j], m[j + 1, j + 1] = 1.0, -1.0
-            loop.append(m)
+            for j in range(l):
+                m[j, j] = 1.0
+            m[l, l] = -l
+            loop.append(np.sqrt(2.0 / (l * (l + 1))) * m / np.sqrt(2.0))
         sym, antisym = [], []
         for j in range(d):
             for k in range(j + 1, d):
                 s = np.zeros((d, d), dtype=complex)
                 s[j, k] = s[k, j] = 1.0
-                sym.append(s)
+                sym.append(s / np.sqrt(2.0))
                 a = np.zeros((d, d), dtype=complex)
                 a[j, k], a[k, j] = -1j, 1j
-                antisym.append(a)
-        assert np.array_equal(hermitian_basis(d), np.stack(loop + sym + antisym))
+                antisym.append(a / np.sqrt(2.0))
+        assert np.max(np.abs(hermitian_basis(d) - np.stack(loop + sym + antisym))) <= 1e-15
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_expand_and_resum_reproduces(self, d):
         rng = np.random.default_rng(13)
-        basis = hermitian_basis(d)
         h = random_hermitian(d, rng)
-        coeff = expand_hermitian(h, basis)
-        resummed = np.tensordot(coeff, np.stack(basis), axes=(0, 0))
-        assert np.max(np.abs(resummed - h)) <= 1e-10 * np.max(np.abs(h))
+        coeff = expand_hermitian(h)
+        assert coeff.dtype == float and coeff.shape == (d * d,)
+        resummed = np.tensordot(coeff, hermitian_basis(d), axes=(0, 0))
+        assert np.max(np.abs(resummed - h)) <= 1e-14 * np.max(np.abs(h))
+        # and back: the coefficients of the resummed matrix are the ones it was summed from
+        assert np.max(np.abs(expand_hermitian(resummed) - coeff)) <= 1e-14 * np.max(np.abs(coeff))
 
 
 class TestValidateDensity:

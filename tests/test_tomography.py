@@ -481,7 +481,10 @@ class TestInstrumentTomography:
         _, report = instrument_tomography(tables, probes, det.measure)
         _, state_report = state_tomography(det.measure, tables[0, 1:, 1:].sum(axis=0))
         assert report.rank == 4 and report.cond == state_report.cond > 1e7
-        assert report.flags == ("null_branch_zero", "ill_conditioned")
+        # the rounding that cond 1.7e7 amplifies moves every output by about 1e-9: state
+        # tomography flags that as projected, and the instrument by the same rule
+        assert state_report.flags == ("ill_conditioned", "projected")
+        assert report.flags == ("null_branch_zero", "ill_conditioned", "projected")
 
     def test_sampled_marginals_within_bounds(self):
         from qtomo import sample_coincidences
@@ -528,6 +531,31 @@ class TestOneRankRule:
             for run in runs:
                 with pytest.raises(RankDeficiencyError):
                     run()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+    def test_rank_and_cond_are_those_of_the_operators(self, d, extra, missing, seed):
+        """Every engine's rank and cond are those of the basis-free matrix [Re vec O_k, Im vec O_k]
+        of its Hermitian operators: d^2 + extra of them, spanning d^2 - missing dimensions."""
+        rng = np.random.default_rng(seed)
+        span = np.stack([random_hermitian(d, rng) for _ in range(d * d - missing)])
+        ops = np.einsum("kr,rij->kij", rng.normal(size=(d * d + extra, len(span))), span)
+        flat = ops.reshape(len(ops), -1)
+        sing = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), compute_uv=False)
+        rank = int(np.sum(sing > sing[0] * 1e-10))
+        assert informational_completeness(QuantumMeasure(ops)).rank == rank
+        runs = (lambda: state_tomography(QuantumMeasure(ops), np.ones(len(ops))),
+                lambda: detector_tomography(ops, np.ones((len(ops), 2))),
+                lambda: process_tomography(ops, ops))
+        if rank < d * d:
+            for run in runs:
+                with pytest.raises(RankDeficiencyError) as info:
+                    run()
+                assert info.value.rank == rank
+            return
+        reports = [run()[1] for run in runs]
+        assert all(r.rank == rank and r.cond == reports[0].cond for r in reports)
+        assert reports[0].cond == pytest.approx(sing[0] / sing[rank - 1], rel=1e-9)
 
 
 class TestSelfCalibration:
@@ -710,6 +738,8 @@ def _oracle_instrument(tables, probes, measure):
     predicted = np.array([[np.trace(apply_superop(e, p)).real for e in maps] for p in probes])
     if cond > 1e6:
         flags.append("ill_conditioned")
+    if np.sqrt(dist_sq) > 1e-12 * max(1.0, tables[:, :, 1:].sum(axis=2).max()):
+        flags.append("projected")  # state tomography's rule, on the largest output trace
     return (maps, np.sqrt(residual_sq), cond, d * d, np.sqrt(dist_sq), predicted, tuple(flags))
 
 
@@ -849,6 +879,21 @@ class TestOutputProjectionHelps:
                       for fit in (maps, self._unprojected(tables, probes, det.measure))]
             wins += errors[0] < errors[1]
         assert wins >= 9
+
+    def test_sampled_outputs_are_flagged_projected(self):
+        from qtomo import sample_coincidences
+
+        rng = np.random.default_rng(0)
+        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        probes = probe_states(2)
+        for i in range(3):
+            inst = _lossy_weak_measurement(rng)
+            tables = np.stack([
+                empirical_rates(sample_coincidences(
+                    ExperimentConfig(10 * i + ell, 2000, p, det, inst))[0]).p_hat
+                for ell, p in enumerate(probes)])
+            _, report = instrument_tomography(tables, probes, det.measure)
+            assert report.projection_distance > 1e-3 and "projected" in report.flags
 
 
 def _oracle_selfcal(outputs, init_filters, init_sources, rtol=1e-10, max_iter=100):
