@@ -97,8 +97,7 @@ _EXPORTS = {
         "event_log_from_csv",
         "event_log_to_csv",
         "joint_probabilities",
-        "sample_coincidences",
-        "sample_detections",
+        "sample_events",
     ),
     "tomography": (
         "ReconstructionReport",

@@ -104,7 +104,7 @@ def simulate(tols, source, device, shots, seed, out_dir):
                out_dir, seed=seed, tolerances=tols)
 
     def work():
-        from .measures import Detector, validate_measure
+        from .measures import validate_measure
         from .ops import validate_density
         from .simulate import ExperimentConfig, write_events
 
@@ -128,8 +128,7 @@ def simulate(tols, source, device, shots, seed, out_dir):
                 f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
                 f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
             )
-        detector = Detector(measure, np.arange(1, len(measure) + 1, dtype=float))
-        cfg = ExperimentConfig(cfg_seed, shots, rho, detector, instrument)
+        cfg = ExperimentConfig(cfg_seed, shots, rho, measure, instrument)
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
         io.write_json_atomic(os.path.join(out_dir, "counts.json"), memo)
@@ -436,10 +435,8 @@ def report(tols, kind, inputs, out_path, plot_path):
             }
         io.write_json_atomic(out_path, payload)
         if plot_path is not None and series is not None:
-            with open(plot_path, "w") as handle:
-                handle.write("x,y\n")
-                for x, y in series:
-                    handle.write(f"{x:.17g},{y:.17g}\n")
+            text = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in series)
+            io.write_atomic(plot_path, lambda handle: handle.write(text.encode("ascii")))
 
     _guard(run, work)
 

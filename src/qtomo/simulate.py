@@ -9,8 +9,8 @@ the run's flattened probability table, one uniform per shot: a shot's
 outcome index is the number of cumulative entries at or below its uniform,
 which is np.searchsorted(cdf, u, side="right").  Up to 255 outcomes that
 count is taken directly, one comparison per entry; larger tables use searchsorted.
-Shots can be drawn in chunks, in order from the one generator; chunked
-output is identical to sequential output.
+Shots are drawn in fixed-size chunks, in order from the one generator, so
+the labels do not depend on the chunk size.
 
 A log is written as CSV text (`event_log_to_csv`), and its counts, the
 sufficient statistic of every reconstruction, as a counts.json memo that
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .io import _number_array
-from .measures import Detector, response_probabilities
+from .measures import QuantumMeasure, response_probabilities
 from .ops import as_square
 
 if TYPE_CHECKING:
@@ -42,8 +42,8 @@ if TYPE_CHECKING:
 
 GENERATOR_NAME = "philox4x64"
 _PROB_TOL = 1e-9
-# Shots drawn, checked, formatted and written at a time by write_events and
-# event_log_to_csv; bounds their working memory (a few MB), not their output.
+# Shots drawn at a time by every sampler, and checked, formatted and written at a time by
+# write_events and event_log_to_csv; bounds their working memory (a few MB), not their output.
 _CHUNK_SHOTS = 1 << 16
 
 
@@ -51,14 +51,14 @@ _CHUNK_SHOTS = 1 << 16
 class ExperimentConfig:
     """One simulated run: seed, shot count, unit-intensity source, device.
 
-    The device is either a detector alone, or an instrument observed in
-    coincidence with a second detector.
+    The device is a detector's measure alone, or an instrument observed in
+    coincidence with a second detector of that measure; sampling reads no scale.
     """
 
     seed: int
     shots: int
     source: np.ndarray = field(repr=False)
-    detector: Detector | None = None
+    measure: QuantumMeasure
     instrument: Instrument | None = None
 
     def __post_init__(self):
@@ -70,10 +70,11 @@ class ExperimentConfig:
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > _PROB_TOL:
             raise ContractViolation(f"source must have unit intensity, trace is {tr}")
-        if self.detector is None:
-            raise ContractViolation("config needs a detector (alone or after an instrument)")
+        if not isinstance(self.measure, QuantumMeasure):
+            raise ContractViolation(
+                f"measure must be a QuantumMeasure, got {type(self.measure).__name__}")
         d = rho.shape[0]
-        for what, device in (("detector", self.detector.measure), ("instrument", self.instrument)):
+        for what, device in (("detector", self.measure), ("instrument", self.instrument)):
             if device is not None and device.dim != d:
                 raise ContractViolation(
                     f"the {what} acts on {device.dim}x{device.dim} states, the source is {d}x{d}")
@@ -161,21 +162,19 @@ def _prepare_cdf(p):
     return cdf
 
 
-def _uniforms(seed: int, shots: int, chunk_size=None):
+def _uniforms(seed: int, shots: int):
     """One uniform per shot, drawn in order from the seed's Philox stream.
 
-    Yields chunks of chunk_size shots (all shots at once when None), and
-    always at least one chunk; the concatenation does not depend on the
-    chunk size.
+    Yields chunks of _CHUNK_SHOTS shots, and always at least one chunk; the
+    concatenation does not depend on the chunk size.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
-    size = max(1, shots if chunk_size is None else int(chunk_size))
-    yield gen.random(min(size, shots))
-    for start in range(size, shots, size):
-        yield gen.random(min(size, shots - start))
+    yield gen.random(min(_CHUNK_SHOTS, shots))
+    for start in range(_CHUNK_SHOTS, shots, _CHUNK_SHOTS):
+        yield gen.random(min(_CHUNK_SHOTS, shots - start))
 
 
-def _label_chunks(cfg: ExperimentConfig, chunk_size=None):
+def _label_chunks(cfg: ExperimentConfig):
     """(log, chunks): an empty log of cfg's devices, and its label chunks in shot order.
 
     A shot's labels index one slot of the probability table (one axis per
@@ -183,10 +182,10 @@ def _label_chunks(cfg: ExperimentConfig, chunk_size=None):
     as the last device is a detector; the draw is over the other slots.
     """
     if cfg.instrument is None:
-        table = np.zeros(len(cfg.detector.measure) + 1)
-        table[1:] = response_probabilities(cfg.detector.measure, cfg.source, _PROB_TOL)
+        table = np.zeros(len(cfg.measure) + 1)
+        table[1:] = response_probabilities(cfg.measure, cfg.source, _PROB_TOL)
     else:
-        table = joint_probabilities(cfg.instrument, cfg.detector, cfg.source)
+        table = joint_probabilities(cfg.instrument, cfg.measure, cfg.source)
     log = EventLog(cfg.seed, GENERATOR_NAME, [n - 1 for n in table.shape],
                    np.zeros((0, table.ndim), dtype=np.int64))
     cdf = _prepare_cdf(table.reshape(-1)[1:])
@@ -199,7 +198,7 @@ def _label_chunks(cfg: ExperimentConfig, chunk_size=None):
             np.divmod(flat, table.shape[axis], out=(flat, out[:, axis]))
         return out
 
-    return log, map(labels, _uniforms(cfg.seed, cfg.shots, chunk_size))
+    return log, map(labels, _uniforms(cfg.seed, cfg.shots))
 
 
 # Largest outcome count whose indices fit _outcomes' uint8 count; on larger
@@ -226,35 +225,30 @@ def _outcomes(cdf, u):
     return count.astype(np.int64)
 
 
-def _sample(cfg: ExperimentConfig, chunk_size):
-    empty, chunks = _label_chunks(cfg, chunk_size)
+def sample_events(cfg: ExperimentConfig):
+    """Draw cfg's run; returns (EventLog, counts), byte-identical for identical configs.
+
+    Without an instrument: a detection log of labels 1..K for the K measure
+    elements (0, null, cannot occur, as a valid measure responds with total
+    rate one) and its count vector; with one: a coincidence log of (branch,
+    element) pairs and its table.
+    """
+    empty, chunks = _label_chunks(cfg)
     log = replace(empty, labels=np.concatenate(list(chunks)))
     return log, log.counts()
 
 
-def sample_detections(cfg: ExperimentConfig, chunk_size=None):
-    """Draw per-shot detection labels; returns (EventLog, count vector).
-
-    Labels are 1..K for the K measure elements (0 is reserved for null and
-    cannot occur since a valid measure responds with total rate one).
-    Identical configs give byte-identical logs, whatever the chunk size.
-    """
-    if cfg.instrument is not None:
-        raise ContractViolation("config with an instrument needs sample_coincidences")
-    return _sample(cfg, chunk_size)
-
-
-def joint_probabilities(instrument: Instrument, detector: Detector, rho, tol: float = _PROB_TOL):
+def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho, tol=_PROB_TOL):
     """Exact coincidence table p[j, k] = tr(P_k E_j(rho)) including null slots.
 
-    Row j = 0 is the appended null branch; column k = 0 is the (never
-    responding) null slot of the second detector.
+    P_k are the measure's elements.  Row j = 0 is the appended null branch;
+    column k = 0 is the (never responding) null slot of the second detector.
     """
     from .channels import kraus_apply
 
     rho = as_square(rho, "rho")
     branches = [instrument.null_kraus(tol)] + list(instrument.branches)
-    k_elems = detector.measure.elements
+    k_elems = measure.elements
     table = np.zeros((len(branches), k_elems.shape[0] + 1))
     for j, branch in enumerate(branches):
         out = kraus_apply(branch, rho)
@@ -265,13 +259,6 @@ def joint_probabilities(instrument: Instrument, detector: Detector, rho, tol: fl
     if table.min() < -tol:
         raise ContractViolation(f"negative joint rate {table.min():.3e}")
     return table
-
-
-def sample_coincidences(cfg: ExperimentConfig, chunk_size=None):
-    """Draw (branch, element) pairs for an instrument run; returns (log, table)."""
-    if cfg.instrument is None:
-        raise ContractViolation("coincidence sampling needs an instrument in the config")
-    return _sample(cfg, chunk_size)
 
 
 @dataclass(frozen=True)
@@ -381,10 +368,10 @@ def write_events(cfg: ExperimentConfig, handle) -> dict:
     """Sample cfg's run and write its CSV to the binary handle; returns its counts.json memo.
 
     The bytes and the memo are those of event_log_to_csv and counts_document
-    of the log that sample_detections or sample_coincidences draws, but only
-    one chunk of shots is in memory at a time.
+    of the log that sample_events draws, but only one chunk of shots is in
+    memory at a time.
     """
-    return _write_csv(handle, *_label_chunks(cfg, _CHUNK_SHOTS))
+    return _write_csv(handle, *_label_chunks(cfg))
 
 
 def event_log_from_csv(text: str):

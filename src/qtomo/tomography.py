@@ -9,6 +9,9 @@ projected onto the simplex), and measure elements are clipped and the deficit sp
 Process and instrument maps are the least-squares fits, not projected.
 Reports carry the residual, the design condition number, how far the
 projection moved the estimate, the achieved rank, and warning flags.
+A design sees only the Hermitian parts of its operators (measure elements or
+probes), and no engine checks them; ``qtomo tomo`` refuses, naming the file, an
+operator whose Hermitian defect exceeds --tol-herm.
 """
 
 from __future__ import annotations
@@ -189,6 +192,7 @@ def state_tomography(measures, rates, stderr=None):
     matrix with its trace fixed to the measured intensity, so exact rates
     from a valid state are reproduced and sampled rates always yield a
     valid state.  Rates summing below zero (no density) raise ContractViolation.
+    Uses the elements' Hermitian parts, unchecked (``tomo`` checks --tol-herm).
     """
     if isinstance(measures, QuantumMeasure):
         measures = [measures]
@@ -219,7 +223,9 @@ def detector_tomography(probe_states, rates, stderr=None):
     loop gives up (after 100 passes, or with no positive trace left) the
     report carries the flag "deficit_not_converged"; extras record the
     number of passes as "deficit_iterations".  The projection distance is
-    that of the returned elements from the unconstrained solutions.
+    that of the returned elements from the unconstrained solutions, flagged as
+    in state tomography relative to the largest element trace.  Uses the
+    probes' Hermitian parts, unchecked (``tomo`` checks --tol-herm).
     """
     probes = square_stack(probe_states, "probe state")
     table = np.asarray(rates, dtype=float)
@@ -244,9 +250,11 @@ def detector_tomography(probe_states, rates, stderr=None):
         iterations += 1
         deficit = identity - elements.sum(axis=0)
     measure = QuantumMeasure(elements)
-    flags = _warnings(cond) + ("deficit_not_converged",) * bool(np.max(np.abs(deficit)) > 1e-12)
+    dist = _scaled(np.linalg.norm, elements - x)
+    flags = (_warnings(cond, dist, np.abs(np.trace(x, axis1=1, axis2=2).real).max())
+             + ("deficit_not_converged",) * bool(np.max(np.abs(deficit)) > 1e-12))
     report = ReconstructionReport(
-        _root_sum_squares(residuals), cond, _scaled(np.linalg.norm, elements - x), rank, flags,
+        _root_sum_squares(residuals), cond, dist, rank, flags,
         {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
     return measure, report
@@ -275,7 +283,8 @@ def process_tomography(probe_states, output_states):
 
     The probes must span the space of Hermitian operators.  The estimate is
     the least-squares map, not projected; with exact data from a completely
-    positive map it reproduces the map.
+    positive map it reproduces the map.  Uses the probes' Hermitian parts,
+    unchecked, and the outputs as given (``tomo`` checks both --tol-herm).
     """
     from .channels import choi_rank
 
@@ -305,7 +314,8 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
     error.  The report's rank is the smaller of the detector design's rank and
     the probes' span rank, its cond the larger of their condition numbers, its
     projection distance that of the responding outputs, flagged as in state
-    tomography relative to the largest output trace.
+    tomography relative to the largest output trace.  Uses the Hermitian parts
+    of the elements and probes, unchecked (``tomo`` checks --tol-herm).
     """
     tables = np.asarray(joint_tables, dtype=float)
     probes = square_stack(probe_states, "probe state")

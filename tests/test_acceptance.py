@@ -62,7 +62,6 @@ def test_detector_response_round_trip():
 @_announce(2, "state tomography exact and sampled", 30)
 def test_state_tomography_accuracy_and_scaling():
     measure = qtomo.pauli_six_measure()
-    detector = qtomo.Detector(measure, np.arange(1.0, 7.0))
     # exact rates: trace distance 1e-10
     rng = np.random.default_rng(1002)
     for _ in range(10):
@@ -76,8 +75,8 @@ def test_state_tomography_accuracy_and_scaling():
         state_rng = np.random.default_rng(10_000 + seed)
         rho = random_density(2, state_rng, pure=True)
         for shots in (10**4, 10**6):
-            cfg = qtomo.ExperimentConfig(seed * 2 + (shots == 10**6), shots, rho, detector)
-            _, counts = qtomo.sample_detections(cfg)
+            cfg = qtomo.ExperimentConfig(seed * 2 + (shots == 10**6), shots, rho, measure)
+            _, counts = qtomo.sample_events(cfg)
             est, _ = qtomo.state_tomography(measure, counts[1:] / shots)
             errors[shots].append(qtomo.trace_distance(est, rho))
     med_small = float(np.median(errors[10**4]))
@@ -97,8 +96,8 @@ def test_sampled_means_match_quantum_values():
         scale = np.sort(rng.normal(size=n) * 2.0)
         detector = qtomo.Detector(measure, scale)
         rho = random_density(d, rng)
-        cfg = qtomo.ExperimentConfig(3000 + case, shots, rho, detector)
-        log, _ = qtomo.sample_detections(cfg)
+        cfg = qtomo.ExperimentConfig(3000 + case, shots, rho, measure)
+        log, _ = qtomo.sample_events(cfg)
         values = scale[log.labels - 1]
         mean = float(np.mean(values))
         sigma_sample = float(np.std(values))
@@ -207,11 +206,11 @@ def test_instrument_tomography():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     instrument = qtomo.Instrument(((p0,), (p1,)))
-    detector = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
+    measure = qtomo.tetrahedron_measure()
     probes = probe_states(2)
     # exact statistics: branch maps recovered to 1e-8 on a basis
-    tables = np.stack([qtomo.joint_probabilities(instrument, detector, p) for p in probes])
-    maps, _ = qtomo.instrument_tomography(tables, probes, detector.measure)
+    tables = np.stack([qtomo.joint_probabilities(instrument, measure, p) for p in probes])
+    maps, _ = qtomo.instrument_tomography(tables, probes, measure)
     for j, proj in ((1, p0), (2, p1)):
         for b in qtomo.hermitian_basis(2):
             recovered = qtomo.apply_superop(maps[j], b)
@@ -219,8 +218,8 @@ def test_instrument_tomography():
     # sampled branch marginals within 5 standard errors at N = 1e7
     shots = 10**7
     rho = np.diag([0.3, 0.7]).astype(complex)
-    cfg = qtomo.ExperimentConfig(7007, shots, rho, detector, instrument)
-    log, _ = qtomo.sample_coincidences(cfg)
+    cfg = qtomo.ExperimentConfig(7007, shots, rho, measure, instrument)
+    log, _ = qtomo.sample_events(cfg)
     emp = qtomo.empirical_rates(log)
     for branch, expected in ((1, 0.3), (2, 0.7)):
         stderr = np.sqrt(expected * (1.0 - expected) / shots)

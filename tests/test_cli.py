@@ -514,7 +514,7 @@ class TestTomoDetectorInstrumentSelfcal:
         inst = qtomo.Instrument(((p0,), (p1,)))
         det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
         probes = probe_states(2)
-        tables = np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])
+        tables = np.stack([qtomo.joint_probabilities(inst, det.measure, p) for p in probes])
         bundle = tmp_path / "instrument_problem"
         (bundle / "probes").mkdir(parents=True)
         for i, probe in enumerate(probes):
@@ -551,8 +551,8 @@ class TestTomoDetectorInstrumentSelfcal:
         for i, probe in enumerate(probes):
             qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"),
                                   qio.density_to_json(probe))
-            cfg = qtomo.ExperimentConfig(600 + i, 200_000, probe, det, inst)
-            log, _ = qtomo.sample_coincidences(cfg)
+            cfg = qtomo.ExperimentConfig(600 + i, 200_000, probe, det.measure, inst)
+            log, _ = qtomo.sample_events(cfg)
             (bundle / "events" / f"p{i}.csv").write_text(qtomo.event_log_to_csv(log))
         out = tmp_path / "report.json"
         result = run_cli(["tomo", "instrument", str(bundle), "--out", str(out)])
@@ -790,6 +790,26 @@ class TestReportCommand:
         assert np.allclose(report["nu"], np.array([1.0, 2.0, 3.0]) / (2 * np.pi))
         assert csv_path.read_text().splitlines()[0] == "x,y"
 
+    def test_plot_csv_is_written_atomically(self, tmp_path):
+        # like every other output: its directory is made, and a failed write leaves no file
+        ham = tmp_path / "h.json"
+        qio.write_json_atomic(str(ham), {"H": qio.matrix_to_json(np.diag([0.0, 1.0, 3.0]))})
+        csv_path = tmp_path / "nodir" / "p.csv"
+        result = run_cli(["report", "lines", str(ham), "--out", str(tmp_path / "r" / "lines.json"),
+                          "--plot-csv", str(csv_path)])
+        assert result.exit_code == 0, result.output
+        nu = np.array([1.0, 2.0, 3.0]) / (2 * np.pi)
+        assert csv_path.read_bytes() == ("x,y\n" + "".join(
+            f"{k + 1:.17g},{v:.17g}\n" for k, v in enumerate(nu))).encode("ascii")
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        result = run_cli(["report", "lines", str(ham), "--out", str(tmp_path / "r2" / "lines.json"),
+                          "--plot-csv", str(taken)])
+        assert result.exit_code == 2, result.output
+        assert taken.is_dir() and list(taken.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json", "nodir", "r", "r2",
+                                                              "taken"]
+
     def test_uncertainty_projective_zero_excess(self, tmp_path):
         src = tmp_path / "state.json"
         qio.write_json_atomic(str(src), qio.density_to_json(np.diag([0.3, 0.7])))
@@ -922,7 +942,7 @@ class TestOneRankRuleAcrossModes:
         for i, probe in enumerate(probes):
             qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
         qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure, det.scale))
-        tables = np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])
+        tables = np.stack([qtomo.joint_probabilities(inst, det.measure, p) for p in probes])
         qio.write_json_atomic(str(bundle / "tables.json"), {"tables": tables})
         qio.write_json_atomic(str(bundle / "rates.json"), {"rates": tables[2, 1:, 1:].sum(axis=0)})
         return bundle, tables
@@ -959,18 +979,18 @@ class TestOneDesignAcrossModes:
         # instrument's cond, the larger of the two, is the probes' as well
         rng = np.random.default_rng(1)
         probes = [random_density(3, rng, pure=True) for _ in range(9)]
-        det = qtomo.Detector(random_measure(3, 12, rng), np.arange(1.0, 13.0))
+        measure = random_measure(3, 12, rng)
         inst = qtomo.Instrument(tuple((k,) for k in random_kraus(3, 2, rng, scale=0.3 / np.sqrt(3))))
         bundle = tmp_path / "bundle"
         for i, probe in enumerate(probes):
             qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
             output = sum(qtomo.kraus_apply(branch, probe) for branch in inst.branches)
             qio.write_json_atomic(str(bundle / "outputs" / f"p{i}.json"), qio.density_to_json(output))
-        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure))
+        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(measure))
         qio.write_json_atomic(str(bundle / "rates.json"), {
-            "rates": np.stack([qtomo.response_probabilities(det.measure, p) for p in probes])})
+            "rates": np.stack([qtomo.response_probabilities(measure, p) for p in probes])})
         qio.write_json_atomic(str(bundle / "tables.json"), {
-            "tables": np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])})
+            "tables": np.stack([qtomo.joint_probabilities(inst, measure, p) for p in probes])})
         conds = {}
         for mode in ("detector", "process", "instrument"):
             out = tmp_path / mode / "report.json"
@@ -1000,9 +1020,8 @@ class TestNonHermitianOperatorsExit2:
         qio.write_json_atomic(str(bundle / "rates.json"), {"rates": rates[0] if mode == "state"
                                                            else rates})
         inst = qtomo.Instrument(((np.eye(2),),))
-        det = qtomo.Detector(measure, np.arange(1.0, 5.0))
         qio.write_json_atomic(str(bundle / "tables.json"), {
-            "tables": np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])})
+            "tables": np.stack([qtomo.joint_probabilities(inst, measure, p) for p in probes])})
         return bundle
 
     @pytest.mark.parametrize("mode, path", [
@@ -1141,7 +1160,7 @@ def _entry_inputs(tmp_path):
     state = tmp_path / "state"
     (state / "events").mkdir(parents=True)
     qio.write_json_atomic(str(state / "measure.json"), qio.measure_to_json(det.measure))
-    log, _ = qtomo.sample_detections(qtomo.ExperimentConfig(3, 5000, rho, det))
+    log, _ = qtomo.sample_events(qtomo.ExperimentConfig(3, 5000, rho, det.measure))
     (state / "events" / "run.csv").write_text(qtomo.event_log_to_csv(log))
     probes = probe_states(2)
     (tmp_path / "instrument" / "probes").mkdir(parents=True)
@@ -1149,7 +1168,7 @@ def _entry_inputs(tmp_path):
         qio.write_json_atomic(str(tmp_path / "instrument" / "probes" / f"p{i}.json"),
                               qio.density_to_json(probe))
     inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
-    tables = np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])
+    tables = np.stack([qtomo.joint_probabilities(inst, det.measure, p) for p in probes])
     qio.write_json_atomic(str(tmp_path / "instrument" / "measure.json"),
                           qio.measure_to_json(det.measure, det.scale))
     qio.write_json_atomic(str(tmp_path / "instrument" / "tables.json"), {"tables": tables})

@@ -212,7 +212,8 @@ def test_instrument_report_bytes_with_and_without_memo(tmp_path_factory, shots, 
     qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure, det.scale))
     for i, probe in enumerate(probe_states(2)):
         qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
-        log, _ = qtomo.sample_coincidences(qtomo.ExperimentConfig(seed + i, shots, probe, det, inst))
+        log, _ = qtomo.sample_events(qtomo.ExperimentConfig(seed + i, shots, probe, det.measure,
+                                                             inst))
         data = qtomo.event_log_to_csv(log).encode("ascii")
         (bundle / "events" / f"p{i}.csv").write_bytes(data)
         if i == memo_of:

@@ -39,7 +39,7 @@ EXPORTS = {
     "optics": "Leaf Split apply_jones beam_splitter cascade_measure degree_of_polarization "
               "density_to_stokes stokes_to_density",
     "simulate": "EventLog ExperimentConfig empirical_rates event_log_from_csv "
-                "event_log_to_csv joint_probabilities sample_coincidences sample_detections",
+                "event_log_to_csv joint_probabilities sample_events",
     "tomography": "ReconstructionReport SelfCalibrationResult detector_tomography "
                   "instrument_tomography process_tomography project_psd "
                   "self_calibrating_tomography state_tomography",
@@ -126,7 +126,7 @@ def _instrument_bundle(bundle):
     _probes(bundle, probes)
     inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
     det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
-    tables = np.stack([qtomo.joint_probabilities(inst, det, p) for p in probes])
+    tables = np.stack([qtomo.joint_probabilities(inst, det.measure, p) for p in probes])
     qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure, det.scale))
     qio.write_json_atomic(str(bundle / "tables.json"), {"tables": tables})
 

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from qtomo import (
     ContractViolation,
-    Detector,
     ExperimentConfig,
     Instrument,
     QuantumMeasure,
@@ -22,8 +21,7 @@ from qtomo import (
     pauli_six_measure,
     projective_measure,
     response_probabilities,
-    sample_coincidences,
-    sample_detections,
+    sample_events,
     tetrahedron_measure,
 )
 from qtomo import simulate
@@ -31,84 +29,103 @@ from qtomo.simulate import EventLog
 from support import random_density
 
 
-def _sigma3_detector():
-    return Detector(projective_measure(np.eye(2)), [1.0, -1.0])
+def _sigma3_measure():
+    return projective_measure(np.eye(2))
+
+
+def _sample_in_chunks(cfg, chunk):
+    """sample_events(cfg), drawn chunk shots at a time."""
+    with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
+        return sample_events(cfg)
 
 
 class TestSampleDetections:
     def test_zero_shots(self):
-        cfg = ExperimentConfig(1, 0, np.diag([0.5, 0.5]), _sigma3_detector())
-        log, counts = sample_detections(cfg)
+        cfg = ExperimentConfig(1, 0, np.diag([0.5, 0.5]), _sigma3_measure())
+        log, counts = sample_events(cfg)
         assert len(log) == 0
         assert counts.sum() == 0
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_seed_outside_the_philox_key_range_rejected(self, seed):
         with pytest.raises(ContractViolation, match=r"seed must lie in \[0, 2\*\*128\)"):
-            ExperimentConfig(seed, 10, np.diag([1.0, 0.0]), _sigma3_detector())
+            ExperimentConfig(seed, 10, np.diag([1.0, 0.0]), _sigma3_measure())
 
     def test_largest_seed_samples(self):
-        cfg = ExperimentConfig(2 ** 128 - 1, 10, np.diag([1.0, 0.0]), _sigma3_detector())
-        assert sample_detections(cfg)[1][1] == 10
+        cfg = ExperimentConfig(2 ** 128 - 1, 10, np.diag([1.0, 0.0]), _sigma3_measure())
+        assert sample_events(cfg)[1][1] == 10
 
     def test_deterministic_outcome(self):
-        cfg = ExperimentConfig(2, 500, np.diag([1.0, 0.0]), _sigma3_detector())
-        log, counts = sample_detections(cfg)
+        cfg = ExperimentConfig(2, 500, np.diag([1.0, 0.0]), _sigma3_measure())
+        log, counts = sample_events(cfg)
         assert np.all(log.labels == 1)
         assert counts[1] == 500
 
     def test_binomial_concentration(self):
         rho = density_from_state(np.array([1.0, 1.0]) / np.sqrt(2))
-        cfg = ExperimentConfig(3, 10**6, rho, _sigma3_detector())
-        _, counts = sample_detections(cfg)
+        cfg = ExperimentConfig(3, 10**6, rho, _sigma3_measure())
+        _, counts = sample_events(cfg)
         half = 5 * 10**5
         assert abs(counts[1] - half) <= 4 * np.sqrt(10**6 * 0.25)
 
     def test_seed_determinism_byte_identical(self):
         rng = np.random.default_rng(60)
         rho = random_density(2, rng)
-        cfg = ExperimentConfig(11, 2000, rho, Detector(pauli_six_measure(), np.arange(6.0)))
-        log1, _ = sample_detections(cfg)
-        log2, _ = sample_detections(cfg)
+        cfg = ExperimentConfig(11, 2000, rho, pauli_six_measure())
+        log1, _ = sample_events(cfg)
+        log2, _ = sample_events(cfg)
         assert event_log_to_csv(log1) == event_log_to_csv(log2)
 
     def test_chunked_equals_sequential(self):
         rng = np.random.default_rng(61)
         rho = random_density(2, rng)
-        cfg = ExperimentConfig(12, 5000, rho, Detector(pauli_six_measure(), np.arange(6.0)))
-        seq, _ = sample_detections(cfg)
+        cfg = ExperimentConfig(12, 5000, rho, pauli_six_measure())
+        seq, _ = _sample_in_chunks(cfg, cfg.shots)
         for chunk in (64, 1000, 1237):
-            chunked, _ = sample_detections(cfg, chunk_size=chunk)
+            chunked, _ = _sample_in_chunks(cfg, chunk)
             assert np.array_equal(seq.labels, chunked.labels)
 
     def test_consistency_error_decreases_with_shots(self):
         m = pauli_six_measure()
         rho = density_from_state(np.array([0.8, 0.6j]))
         p = response_probabilities(m, rho)
-        det = Detector(m, np.arange(1.0, 7.0))
         errors = []
         for i, n in enumerate((10**3, 10**4, 10**5, 10**6)):
-            cfg = ExperimentConfig(100 + i, n, rho, det)
-            _, counts = sample_detections(cfg)
+            cfg = ExperimentConfig(100 + i, n, rho, m)
+            _, counts = sample_events(cfg)
             errors.append(np.max(np.abs(counts[1:] / n - p)))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         stderr = np.sqrt(p * (1.0 - p) / 10**6)
-        _, counts = sample_detections(ExperimentConfig(103, 10**6, rho, det))
+        _, counts = sample_events(ExperimentConfig(103, 10**6, rho, m))
         assert np.all(np.abs(counts[1:] / 10**6 - p) <= 5 * stderr)
 
     def test_unnormalized_source_rejected(self):
         with pytest.raises(ContractViolation, match="unit intensity"):
-            ExperimentConfig(1, 10, np.diag([1.0, 1.0]), _sigma3_detector())
+            ExperimentConfig(1, 10, np.diag([1.0, 1.0]), _sigma3_measure())
 
     def test_negative_shots_rejected(self):
         with pytest.raises(ContractViolation):
-            ExperimentConfig(1, -1, np.diag([0.5, 0.5]), _sigma3_detector())
+            ExperimentConfig(1, -1, np.diag([0.5, 0.5]), _sigma3_measure())
+
+    def test_device_that_is_not_a_measure_rejected(self):
+        from qtomo import Detector
+
+        det = Detector(_sigma3_measure(), [1.0, -1.0])
+        with pytest.raises(ContractViolation,
+                           match="measure must be a QuantumMeasure, got Detector"):
+            ExperimentConfig(1, 10, np.diag([0.5, 0.5]), det)
+
+    def test_device_dimensions_must_match_the_source(self):
+        with pytest.raises(ContractViolation, match="detector acts on 2x2 states, the source is 1x1"):
+            ExperimentConfig(1, 10, np.eye(1), _sigma3_measure())
+        inst = Instrument(((np.eye(1, dtype=complex),),))
+        with pytest.raises(ContractViolation, match="instrument acts on 1x1 states, the source is 2x2"):
+            ExperimentConfig(1, 10, np.diag([0.5, 0.5]), _sigma3_measure(), inst)
 
     def test_incomplete_measure_rejected(self):
         half = QuantumMeasure([0.5 * np.eye(2)])
-        det = Detector(half, [1.0])
         with pytest.raises(ContractViolation, match="sum"):
-            sample_detections(ExperimentConfig(1, 10, np.diag([0.5, 0.5]), det))
+            sample_events(ExperimentConfig(1, 10, np.diag([0.5, 0.5]), half))
 
 
 def _projective_instrument():
@@ -120,9 +137,9 @@ def _projective_instrument():
 class TestCoincidences:
     def test_projective_joint_mass_on_diagonal(self):
         inst = _projective_instrument()
-        det = _sigma3_detector()
+        measure = _sigma3_measure()
         rho = np.diag([0.3, 0.7]).astype(complex)
-        table = joint_probabilities(inst, det, rho)
+        table = joint_probabilities(inst, measure, rho)
         # branches 1, 2 align with detector elements 1, 2
         assert table[1, 1] == pytest.approx(0.3)
         assert table[2, 2] == pytest.approx(0.7)
@@ -132,29 +149,28 @@ class TestCoincidences:
 
     def test_identity_instrument_marginal(self):
         inst = Instrument(((np.eye(2, dtype=complex),),))
-        det = _sigma3_detector()
+        measure = _sigma3_measure()
         rng = np.random.default_rng(62)
         rho = random_density(2, rng)
-        table = joint_probabilities(inst, det, rho)
+        table = joint_probabilities(inst, measure, rho)
         assert table.sum(axis=1)[1] == pytest.approx(1.0)
         assert table[0].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_normalization_invariance(self):
         inst = _projective_instrument()
-        det = _sigma3_detector()
+        measure = _sigma3_measure()
         rho = np.diag([0.25, 0.75]).astype(complex)
         scaled = 1e-6 * rho / np.trace(1e-6 * rho).real
         assert np.allclose(
-            joint_probabilities(inst, det, rho),
-            joint_probabilities(inst, det, scaled),
+            joint_probabilities(inst, measure, rho),
+            joint_probabilities(inst, measure, scaled),
         )
 
     def test_sampled_marginals(self):
         inst = _projective_instrument()
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
         rho = np.diag([0.3, 0.7]).astype(complex)
-        cfg = ExperimentConfig(13, 10**5, rho, det, inst)
-        log, table = sample_coincidences(cfg)
+        cfg = ExperimentConfig(13, 10**5, rho, tetrahedron_measure(), inst)
+        log, table = sample_events(cfg)
         emp = empirical_rates(log)
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
         assert abs(emp.p_hat.sum(axis=1)[1] - 0.3) <= 5 * stderr
@@ -162,24 +178,24 @@ class TestCoincidences:
 
     def test_super_unital_instrument_rejected(self):
         inst = Instrument(((np.sqrt(1.2) * np.eye(2, dtype=complex),),))
-        det = _sigma3_detector()
-        cfg = ExperimentConfig(1, 10, np.diag([0.5, 0.5]), det, inst)
+        measure = _sigma3_measure()
+        cfg = ExperimentConfig(1, 10, np.diag([0.5, 0.5]), measure, inst)
         with pytest.raises(ContractViolation, match="super-unital"):
-            sample_coincidences(cfg)
+            sample_events(cfg)
 
     def test_determinism(self):
         inst = _projective_instrument()
-        det = _sigma3_detector()
-        cfg = ExperimentConfig(14, 1000, np.diag([0.4, 0.6]), det, inst)
-        log1, _ = sample_coincidences(cfg)
-        log2, _ = sample_coincidences(cfg)
+        measure = _sigma3_measure()
+        cfg = ExperimentConfig(14, 1000, np.diag([0.4, 0.6]), measure, inst)
+        log1, _ = sample_events(cfg)
+        log2, _ = sample_events(cfg)
         assert np.array_equal(log1.labels, log2.labels)
 
 
 class TestEmpiricalRates:
     def test_constant_log(self):
-        cfg = ExperimentConfig(4, 100, np.diag([1.0, 0.0]), _sigma3_detector())
-        log, _ = sample_detections(cfg)
+        cfg = ExperimentConfig(4, 100, np.diag([1.0, 0.0]), _sigma3_measure())
+        log, _ = sample_events(cfg)
         emp = empirical_rates(log)
         assert emp.p_hat[1] == pytest.approx(1.0)
         assert emp.stderr[1] == pytest.approx(0.0)
@@ -195,9 +211,9 @@ class TestEmpiricalRates:
 
     def test_joint_marginals_consistent(self):
         inst = _projective_instrument()
-        det = _sigma3_detector()
-        cfg = ExperimentConfig(15, 2000, np.diag([0.4, 0.6]), det, inst)
-        log, _ = sample_coincidences(cfg)
+        measure = _sigma3_measure()
+        cfg = ExperimentConfig(15, 2000, np.diag([0.4, 0.6]), measure, inst)
+        log, _ = sample_events(cfg)
         emp = empirical_rates(log)
         assert emp.p_hat.shape == emp.stderr.shape == (3, 3)
         assert np.allclose(emp.p_hat.sum(axis=1), log.counts().sum(axis=1) / 2000)
@@ -213,8 +229,8 @@ class TestEmpiricalRates:
 
 class TestCsvRoundTrip:
     def test_event_log(self):
-        cfg = ExperimentConfig(5, 137, np.diag([0.5, 0.5]), _sigma3_detector())
-        log, _ = sample_detections(cfg)
+        cfg = ExperimentConfig(5, 137, np.diag([0.5, 0.5]), _sigma3_measure())
+        log, _ = sample_events(cfg)
         text = event_log_to_csv(log)
         assert text.startswith("# seed=5\n# generator=philox4x64\n")
         back = event_log_from_csv(text)
@@ -225,8 +241,8 @@ class TestCsvRoundTrip:
 
     def test_coincidence_log(self):
         inst = _projective_instrument()
-        cfg = ExperimentConfig(6, 53, np.diag([0.5, 0.5]), _sigma3_detector(), inst)
-        log, _ = sample_coincidences(cfg)
+        cfg = ExperimentConfig(6, 53, np.diag([0.5, 0.5]), _sigma3_measure(), inst)
+        log, _ = sample_events(cfg)
         back = event_log_from_csv(event_log_to_csv(log))
         assert np.array_equal(back.labels, log.labels)
         assert back.bounds == log.bounds == (2, 2)
@@ -381,11 +397,8 @@ class TestCountsProperty:
     @given(st.booleans(), st.integers(0, 2 ** 32), st.integers(0, 3000), st.integers(1, 700))
     def test_write_events_memo_counts_equal_a_per_shot_counter(self, coincidences, seed,
                                                                shots, chunk):
-        if coincidences:
-            sample, cfg = sample_coincidences, _coincidence_config(seed, shots)
-        else:
-            sample, cfg = sample_detections, _detection_config(seed, shots)
-        log, _ = sample(cfg)
+        cfg = (_coincidence_config if coincidences else _detection_config)(seed, shots)
+        log, _ = sample_events(cfg)
         with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
             memo = simulate.write_events(cfg, io.BytesIO())
         assert np.shape(memo["counts"]) == tuple(bound + 1 for bound in log.bounds)
@@ -463,13 +476,13 @@ class TestOutcomeLookupProperty:
         assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
 
 
-def _uniform_detector(k, trailing_zero):
+def _uniform_measure(k, trailing_zero):
     """k d = 1 elements of rate 1/k, then optionally one of rate 0."""
     elements = [np.array([[1.0 / k]])] * k + [np.array([[0.0]])] * trailing_zero
-    return Detector(QuantumMeasure(elements), np.arange(1.0, k + 1.0 + trailing_zero))
+    return QuantumMeasure(elements)
 
 
-def _top_uniforms(seed, shots, chunk_size=None):
+def _top_uniforms(seed, shots):
     yield np.full(shots, 1.0 - 2.0 ** -53)  # the largest double Philox's random() returns
 
 
@@ -484,20 +497,20 @@ class TestInverseCdfTail:
 
     @pytest.mark.parametrize("trailing_zero", [0, 1])
     def test_largest_uniform_draws_the_last_element(self, monkeypatch, trailing_zero):
-        detector = _uniform_detector(10, trailing_zero)
-        assert _rounded_cdf_end(response_probabilities(detector.measure, np.eye(1))) < 1.0
+        measure = _uniform_measure(10, trailing_zero)
+        assert _rounded_cdf_end(response_probabilities(measure, np.eye(1))) < 1.0
         monkeypatch.setattr(simulate, "_uniforms", _top_uniforms)
-        log, counts = sample_detections(ExperimentConfig(1, 3, np.eye(1), detector))
+        log, counts = sample_events(ExperimentConfig(1, 3, np.eye(1), measure))
         assert log.labels.tolist() == [[10]] * 3 and counts[10] == 3
 
     @pytest.mark.parametrize("trailing_zero", [0, 1])
     def test_largest_uniform_draws_the_last_coincidence(self, monkeypatch, trailing_zero):
         # nine elements: the table's null row and column change the sum's rounding
         inst = Instrument(((np.eye(1, dtype=complex),),))
-        cfg = ExperimentConfig(1, 3, np.eye(1), _uniform_detector(9, trailing_zero), inst)
-        assert _rounded_cdf_end(joint_probabilities(inst, cfg.detector, np.eye(1)).ravel()) < 1.0
+        cfg = ExperimentConfig(1, 3, np.eye(1), _uniform_measure(9, trailing_zero), inst)
+        assert _rounded_cdf_end(joint_probabilities(inst, cfg.measure, np.eye(1)).ravel()) < 1.0
         monkeypatch.setattr(simulate, "_uniforms", _top_uniforms)
-        log, table = sample_coincidences(cfg)
+        log, table = sample_events(cfg)
         assert log.labels.tolist() == [[1, 9]] * 3 and table[1, 9] == 3
 
     def test_cdf_ends_at_one_from_the_last_possible_outcome(self):
@@ -508,25 +521,22 @@ class TestInverseCdfTail:
 
 
 def _coincidence_config(seed, shots):
-    det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
-    return ExperimentConfig(seed, shots, np.diag([0.3, 0.7]), det, _projective_instrument())
+    return ExperimentConfig(seed, shots, np.diag([0.3, 0.7]), tetrahedron_measure(),
+                            _projective_instrument())
 
 
 def _detection_config(seed, shots):
     rho = random_density(2, np.random.default_rng(seed))
-    return ExperimentConfig(seed, shots, rho, Detector(pauli_six_measure(), np.arange(6.0)))
+    return ExperimentConfig(seed, shots, rho, pauli_six_measure())
 
 
 class TestChunkedSamplingProperty:
     @settings(max_examples=25, deadline=None)
     @given(st.booleans(), st.integers(0, 2 ** 32), st.integers(0, 3000), st.integers(1, 4000))
     def test_chunked_equals_sequential(self, coincidences, seed, shots, chunk):
-        if coincidences:
-            sample, cfg = sample_coincidences, _coincidence_config(seed, shots)
-        else:
-            sample, cfg = sample_detections, _detection_config(seed, shots)
-        seq, seq_counts = sample(cfg)
-        chunked, chunked_counts = sample(cfg, chunk_size=chunk)
+        cfg = (_coincidence_config if coincidences else _detection_config)(seed, shots)
+        seq, seq_counts = _sample_in_chunks(cfg, max(1, shots))  # all shots in one chunk
+        chunked, chunked_counts = _sample_in_chunks(cfg, chunk)
         assert chunked.labels.dtype == seq.labels.dtype == np.int64
         assert np.array_equal(seq.labels, chunked.labels)
         assert np.array_equal(seq_counts, chunked_counts)

@@ -30,10 +30,8 @@ def _config(coincidences, seed, shots):
     rho = qtomo.density_from_state(np.array([0.6, 0.8j]))
     if coincidences:
         inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
-        det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
-        return qtomo.ExperimentConfig(seed, shots, rho, det, inst)
-    det = qtomo.Detector(qtomo.pauli_six_measure(), np.arange(1.0, 7.0))
-    return qtomo.ExperimentConfig(seed, shots, rho, det)
+        return qtomo.ExperimentConfig(seed, shots, rho, qtomo.tetrahedron_measure(), inst)
+    return qtomo.ExperimentConfig(seed, shots, rho, qtomo.pauli_six_measure())
 
 
 @st.composite
@@ -49,8 +47,7 @@ def _runs(draw):
 def test_streamed_log_equals_the_in_memory_log(coincidences, seed, run):
     chunk, shots = run
     cfg = _config(coincidences, seed, shots)
-    sample = qtomo.sample_coincidences if coincidences else qtomo.sample_detections
-    log, counts = sample(cfg)
+    log, counts = qtomo.sample_events(cfg)
     expected = qtomo.event_log_to_csv(log).encode("ascii")  # at the default chunk size
     buffer = io.BytesIO()
     with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
@@ -68,8 +65,7 @@ def test_any_chunk_size_writes_the_bytes_of_the_sampled_log(coincidences, chunk)
     # their edges, and the last chunk is partial.  One-shot chunks take 2 000 shots (digit
     # counts 1..4); test_simulate's _csv_rows oracle test has the one-row chunks of 5 and 6.
     cfg = _config(coincidences, 11, 2_000 if chunk == 1 else 250_000)
-    sample = qtomo.sample_coincidences if coincidences else qtomo.sample_detections
-    expected = qtomo.event_log_to_csv(sample(cfg)[0]).encode("ascii")
+    expected = qtomo.event_log_to_csv(qtomo.sample_events(cfg)[0]).encode("ascii")
     buffer = io.BytesIO()
     with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
         simulate.write_events(cfg, buffer)

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from qtomo import (
     PAULI,
     ContractViolation,
-    Detector,
     ExperimentConfig,
     Instrument,
     NumericalError,
@@ -28,7 +27,7 @@ from qtomo import (
     project_psd,
     projective_measure,
     response_probabilities,
-    sample_detections,
+    sample_events,
     self_calibrating_tomography,
     state_tomography,
     superop_from_kraus,
@@ -81,10 +80,9 @@ class TestStateTomography:
     def test_sampled_rates_close(self):
         rng = np.random.default_rng(71)
         m = pauli_six_measure()
-        det = Detector(m, np.arange(1.0, 7.0))
         rho = random_density(2, rng, pure=True)
-        cfg = ExperimentConfig(19, 10**6, rho, det)
-        log, _ = sample_detections(cfg)
+        cfg = ExperimentConfig(19, 10**6, rho, m)
+        log, _ = sample_events(cfg)
         emp = empirical_rates(log)
         est, _ = state_tomography(m, emp.p_hat[1:], emp.stderr[1:])
         assert trace_distance(est, rho) <= 5e-3
@@ -139,11 +137,10 @@ class TestPsdProjection:
     def test_residual_increase_bounded_by_projection_distance(self):
         rng = np.random.default_rng(75)
         m = pauli_six_measure()
-        det = Detector(m, np.arange(1.0, 7.0))
         for seed in range(5):
             rho = random_density(2, rng, pure=True)
-            cfg = ExperimentConfig(1000 + seed, 10**4, rho, det)
-            log, _ = sample_detections(cfg)
+            cfg = ExperimentConfig(1000 + seed, 10**4, rho, m)
+            log, _ = sample_events(cfg)
             emp = empirical_rates(log)
             est, report = state_tomography(m, emp.p_hat[1:])
             before = report.extras["residual_unprojected"]
@@ -290,12 +287,11 @@ class TestDetectorTomography:
 
     def test_sampled_rates_tetrahedron(self):
         target = tetrahedron_measure()
-        det = Detector(target, np.arange(1.0, 5.0))
         probes = probe_states(2)
         rates, errs = [], []
         for i, probe in enumerate(probes):
-            cfg = ExperimentConfig(500 + i, 10**6, probe, det)
-            log, _ = sample_detections(cfg)
+            cfg = ExperimentConfig(500 + i, 10**6, probe, target)
+            log, _ = sample_events(cfg)
             emp = empirical_rates(log)
             rates.append(emp.p_hat[1:])
             errs.append(emp.stderr[1:])
@@ -333,6 +329,18 @@ class TestDetectorTomography:
         assert report.projection_distance > 0.01
         assert report.projection_distance == pytest.approx(
             np.linalg.norm(est.elements - solutions), rel=1e-12)
+
+    def test_projected_flag_follows_the_state_and_instrument_rule(self):
+        # rates of the tetrahedron measure summing to 1.05 I, with noise: the projection
+        # moves the estimate by 0.0745, far above 1e-12 of the largest element trace
+        probes = probe_states(2)
+        rates = np.stack([response_probabilities(tetrahedron_measure(), p) for p in probes])
+        noisy = 1.05 * rates + 0.01 * np.random.default_rng(0).normal(size=rates.shape)
+        _, report = detector_tomography(probes, noisy)
+        assert report.projection_distance == pytest.approx(0.0745, abs=1e-4)
+        assert report.flags == ("projected",)
+        _, report = detector_tomography(probes, rates)
+        assert report.projection_distance <= 1e-12 and report.flags == ()
 
     def test_probe_rank_deficiency_names_rank(self):
         probes = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([0.5, 0.5])]
@@ -415,10 +423,10 @@ def _projective_instrument():
 class TestInstrumentTomography:
     def test_exact_recovery_of_projective_branches(self):
         inst = _projective_instrument()
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
-        maps, report = instrument_tomography(tables, probes, det.measure)
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        maps, report = instrument_tomography(tables, probes, measure)
         basis = hermitian_basis(2)
         for j, proj in ((1, np.diag([1.0, 0.0])), (2, np.diag([0.0, 1.0]))):
             for b in basis:
@@ -428,58 +436,59 @@ class TestInstrumentTomography:
 
     def test_single_identity_branch(self):
         inst = Instrument(((np.eye(2, dtype=complex),),))
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
-        maps, report = instrument_tomography(tables, probes, det.measure)
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        maps, report = instrument_tomography(tables, probes, measure)
         assert np.allclose(report.extras["branch_marginals"][:, 1], 1.0)
         for b in hermitian_basis(2):
             assert np.max(np.abs(apply_superop(maps[1], b) - b)) <= 1e-8
 
     def test_marginals_match_recovered_rates(self):
         inst = _projective_instrument()
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
-        _, report = instrument_tomography(tables, probes, det.measure)
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        _, report = instrument_tomography(tables, probes, measure)
         assert np.max(np.abs(report.extras["predicted_marginals"]
                              - report.extras["branch_marginals"])) <= 1e-8
 
     def test_empty_branch_bin_rejected(self):
         inst = _projective_instrument()
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
         tables[:, 2, :] = 0.0  # erase all events for branch 2
         with pytest.raises(ContractViolation, match="branch 2"):
-            instrument_tomography(tables, probes, det.measure)
+            instrument_tomography(tables, probes, measure)
 
     def test_probes_of_another_size_rejected(self):
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(3)
         tables = np.full((len(probes), 2, 5), 0.1)
         with pytest.raises(ContractViolation, match="measures 2x2 states"):
-            instrument_tomography(tables, probes, det.measure)
+            instrument_tomography(tables, probes, measure)
         with pytest.raises(ContractViolation, match="probe state 4 is 3x3, expected 2x2"):
-            instrument_tomography(tables[:5], probe_states(2) + [np.eye(3) / 3], det.measure)
+            instrument_tomography(tables[:5], probe_states(2) + [np.eye(3) / 3], measure)
 
     def test_incomplete_second_detector_rejected(self):
         inst = _projective_instrument()
-        det = Detector(projective_measure(np.eye(2)), [1.0, -1.0])
+        measure = projective_measure(np.eye(2))
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
         with pytest.raises(RankDeficiencyError):
-            instrument_tomography(tables, probes, det.measure)
+            instrument_tomography(tables, probes, measure)
         tables[:, 2] = 0.0  # a silent branch does not hide the rank deficiency
         with pytest.raises(RankDeficiencyError, match="rank 2 < 4"):
-            instrument_tomography(tables, probes, det.measure)
+            instrument_tomography(tables, probes, measure)
 
     def test_ill_conditioned_detector_is_flagged(self):
-        det = Detector(squashed_tetrahedron(1e-7), np.arange(1.0, 5.0))
+        measure = squashed_tetrahedron(1e-7)
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(_projective_instrument(), det, p) for p in probes])
-        _, report = instrument_tomography(tables, probes, det.measure)
-        _, state_report = state_tomography(det.measure, tables[0, 1:, 1:].sum(axis=0))
+        tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
+                           for p in probes])
+        _, report = instrument_tomography(tables, probes, measure)
+        _, state_report = state_tomography(measure, tables[0, 1:, 1:].sum(axis=0))
         assert report.rank == 4 and report.cond == state_report.cond > 1e7
         # the rounding that cond 1.7e7 amplifies moves every output by about 1e-9: state
         # tomography flags that as projected, and the instrument by the same rule
@@ -487,13 +496,11 @@ class TestInstrumentTomography:
         assert report.flags == ("null_branch_zero", "ill_conditioned", "projected")
 
     def test_sampled_marginals_within_bounds(self):
-        from qtomo import sample_coincidences
-
         inst = _projective_instrument()
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         rho = np.diag([0.3, 0.7]).astype(complex)
-        cfg = ExperimentConfig(21, 10**5, rho, det, inst)
-        log, _ = sample_coincidences(cfg)
+        cfg = ExperimentConfig(21, 10**5, rho, measure, inst)
+        log, _ = sample_events(cfg)
         emp = empirical_rates(log)
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
         assert abs(emp.p_hat.sum(axis=1)[1] - 0.3) <= 5 * stderr
@@ -519,11 +526,11 @@ class TestOneRankRule:
     @settings(max_examples=80, deadline=None)
     @given(_qubit_measures())
     def test_complete_exactly_when_state_and_instrument_tomography_accept(self, measure):
-        det = Detector(measure, np.arange(1.0, len(measure) + 1.0))
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(_projective_instrument(), det, p) for p in probes])
+        tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
+                           for p in probes])
         runs = (lambda: state_tomography(measure, response_probabilities(measure, probes[2])),
-                lambda: instrument_tomography(tables, probes, det.measure))
+                lambda: instrument_tomography(tables, probes, measure))
         if informational_completeness(measure).rank == 4:
             for run in runs:
                 run()
@@ -793,10 +800,10 @@ class TestFactoredEnginesMatchPerColumnOracle:
         self._close(report.projection_distance, o_dist)
         assert report.rank == o_rank
 
-    def _check_instrument(self, tables, probes, det):
-        maps, report = instrument_tomography(tables, probes, det.measure)
+    def _check_instrument(self, tables, probes, measure):
+        maps, report = instrument_tomography(tables, probes, measure)
         (o_maps, o_res, o_cond, o_rank, o_dist, o_predicted,
-         o_flags) = _oracle_instrument(tables, probes, det.measure)
+         o_flags) = _oracle_instrument(tables, probes, measure)
         assert len(maps) == len(o_maps)
         for e, o in zip(maps, o_maps):
             assert np.max(np.abs(e - o)) <= self.TOL
@@ -812,12 +819,11 @@ class TestFactoredEnginesMatchPerColumnOracle:
         rng = np.random.default_rng(110 + d + 10 * noisy)
         probes = probe_states(d) + [random_density(d, rng)]
         measure = random_measure(d, d * d + 1, rng)
-        det = Detector(measure, np.arange(1.0, len(measure) + 1.0))
         inst = Instrument(tuple((k,) for k in random_kraus(d, 2, rng, scale=0.3 / np.sqrt(d))))
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
         if noisy:
             tables = tables + 1e-3 * rng.normal(size=tables.shape)
-        return tables, probes, det
+        return tables, probes, measure
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
@@ -828,14 +834,14 @@ class TestFactoredEnginesMatchPerColumnOracle:
     def test_instrument_null_branch_edges(self, case):
         rng = np.random.default_rng(120)
         probes = probe_states(2) + [random_density(2, rng)]
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         if case == "silent_null":  # projective branches leave the null branch no rate
-            tables = np.stack([joint_probabilities(_projective_instrument(), det, p)
+            tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
                                for p in probes])
         else:  # one lossy branch, of which only the null branch is kept
             inst = Instrument(((0.6 * random_unitary(2, rng),),))
-            tables = np.stack([joint_probabilities(inst, det, p) for p in probes])[:, :1]
-        report = self._check_instrument(tables, probes, det)
+            tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[:, :1]
+        report = self._check_instrument(tables, probes, measure)
         assert report.flags == (("null_branch_zero",) if case == "silent_null" else ())
 
 
@@ -861,38 +867,34 @@ class TestOutputProjectionHelps:
                 for j in range(tables.shape[1])]
 
     def test_projected_maps_are_closer_to_the_truth(self):
-        from qtomo import sample_coincidences
-
         rng = np.random.default_rng(0)
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(2)  # |0>, |1>, |+>, |+i>
         wins = 0
         for i in range(10):
             inst = _lossy_weak_measurement(rng)
             truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
             tables = np.stack([
-                empirical_rates(sample_coincidences(
-                    ExperimentConfig(10 * i + ell, 2000, p, det, inst))[0]).p_hat
+                empirical_rates(sample_events(
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat
                 for ell, p in enumerate(probes)])
-            maps, _ = instrument_tomography(tables, probes, det.measure)
+            maps, _ = instrument_tomography(tables, probes, measure)
             errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(fit, truth)))
-                      for fit in (maps, self._unprojected(tables, probes, det.measure))]
+                      for fit in (maps, self._unprojected(tables, probes, measure))]
             wins += errors[0] < errors[1]
         assert wins >= 9
 
     def test_sampled_outputs_are_flagged_projected(self):
-        from qtomo import sample_coincidences
-
         rng = np.random.default_rng(0)
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         probes = probe_states(2)
         for i in range(3):
             inst = _lossy_weak_measurement(rng)
             tables = np.stack([
-                empirical_rates(sample_coincidences(
-                    ExperimentConfig(10 * i + ell, 2000, p, det, inst))[0]).p_hat
+                empirical_rates(sample_events(
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat
                 for ell, p in enumerate(probes)])
-            _, report = instrument_tomography(tables, probes, det.measure)
+            _, report = instrument_tomography(tables, probes, measure)
             assert report.projection_distance > 1e-3 and "projected" in report.flags
 
 
@@ -963,13 +965,13 @@ class TestHugeFiniteRates:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_instrument_report_scales_with_the_tables(self):
-        det = Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+        measure = tetrahedron_measure()
         inst = Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, det, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
         tables[:, 1, 1] += 0.01  # no instrument gives these exactly
-        _, small = instrument_tomography(tables, probes, det.measure)
-        _, huge = instrument_tomography(1e200 * tables, probes, det.measure)
+        _, small = instrument_tomography(tables, probes, measure)
+        _, huge = instrument_tomography(1e200 * tables, probes, measure)
         assert small.residual > 1e-3 and small.projection_distance > 1e-3
         assert huge.residual == pytest.approx(1e200 * small.residual, rel=1e-12)
         assert huge.projection_distance == pytest.approx(1e200 * small.projection_distance,

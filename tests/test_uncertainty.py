@@ -12,7 +12,7 @@ from qtomo import (
     q_uncertainty,
     robertson_check,
     response_probabilities,
-    sample_detections,
+    sample_events,
     spectrum_membership,
     statistical_vs_quantum,
     tetrahedron_measure,
@@ -124,8 +124,8 @@ class TestStatisticalVsQuantum:
         rng = np.random.default_rng(117)
         rho = random_density(2, rng)
         report = statistical_vs_quantum(det, rho)
-        cfg = ExperimentConfig(23, 10**6, rho, det)
-        log, _ = sample_detections(cfg)
+        cfg = ExperimentConfig(23, 10**6, rho, det.measure)
+        log, _ = sample_events(cfg)
         values = det.scale[log.labels - 1, 0].real
         a_bar = np.einsum(
             "k,k->", response_probabilities(det.measure, rho), det.scale[:, 0]
