@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import as_square, hermitian_defect, square_stack
+from .ops import as_square, hermitian_defect, hermitian_part, min_eigenvalue, square_stack
 
 CP_TOL = 1e-9
 
@@ -112,8 +112,7 @@ def is_completely_positive(e, tol: float = CP_TOL) -> CPReport:
     """Complete positivity via Hermiticity and spectrum of the Choi matrix."""
     choi = choi_transform(e)
     defect = hermitian_defect(choi)
-    sym = 0.5 * (choi + choi.conj().T)
-    mineig = float(np.linalg.eigvalsh(sym)[0])
+    mineig = min_eigenvalue(choi)
     return CPReport(defect, mineig, defect <= tol and mineig >= -tol)
 
 
@@ -137,7 +136,7 @@ def kraus_from_choi(choi, tol: float = CP_TOL) -> list[np.ndarray]:
         raise ContractViolation(
             f"not completely positive: Choi matrix has Hermitian defect {defect:.3e}"
         )
-    evals, evecs = np.linalg.eigh(0.5 * (c + c.conj().T))
+    evals, evecs = np.linalg.eigh(hermitian_part(c))
     top = float(evals[-1])
     if top <= tol:
         if float(evals[0]) < -tol:
@@ -166,7 +165,7 @@ def kraus_from_superop(e, tol: float = CP_TOL) -> list[np.ndarray]:
 
 def choi_rank(e, tol: float = CP_TOL) -> int:
     choi = choi_transform(e)
-    evals = np.abs(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)))
+    evals = np.abs(np.linalg.eigvalsh(hermitian_part(choi)))
     top = float(evals.max()) if evals.size else 0.0
     if top == 0.0:
         return 0
@@ -195,7 +194,7 @@ def classify_filter(kraus, tol: float = CP_TOL) -> FilterClass:
     pi = pi_operator(kraus)
     d = pi.shape[0]
     lossless = float(np.max(np.abs(pi - np.eye(d)))) <= tol
-    top = float(np.linalg.eigvalsh(0.5 * (pi + pi.conj().T))[-1])
+    top = float(np.linalg.eigvalsh(hermitian_part(pi))[-1])
     passive = top <= 1.0 + tol
     mixing = choi_rank(superop_from_kraus(kraus), tol) > 1
     return FilterClass(lossless, passive, not passive, mixing)
@@ -237,7 +236,7 @@ class Instrument:
     def null_kraus(self, tol: float = CP_TOL) -> list[np.ndarray]:
         """Kraus set of the null branch completing the rates to the intensity."""
         residue = np.eye(self.dim) - self.total_pi()
-        evals, evecs = np.linalg.eigh(0.5 * (residue + residue.conj().T))
+        evals, evecs = np.linalg.eigh(hermitian_part(residue))
         if float(evals[0]) < -tol:
             raise ContractViolation(
                 f"super-unital instrument: branch rates exceed the intensity "

@@ -121,13 +121,13 @@ def simulate(tols, source, device, shots, seed, out_dir):
             raise ContractViolation(f"{device}: device document must be a JSON object")
         instrument = io.instrument_from_json(doc["instrument"]) if "instrument" in doc else None
         # sampling draws labels and never reads a scale, so the detector is read as a measure
-        measure, _ = io.measure_from_json(doc["detector"] if instrument is not None else doc)
+        measure = _measure(device, tols["tol_herm"],
+                           doc["detector"] if instrument is not None else doc)
         mrep = validate_measure(measure, tols["tol_psd"])
-        if not mrep.ok:
+        low = float(mrep.min_eigenvalues.min())
+        if low < -tols["tol_psd"] or mrep.sum_defect > tols["tol_psd"]:
             raise ContractViolation(
-                f"invalid measure: sum defect {mrep.sum_defect:.3e}, "
-                f"min eigenvalue {float(mrep.min_eigenvalues.min()):.3e}"
-            )
+                f"invalid measure: sum defect {mrep.sum_defect:.3e}, min eigenvalue {low:.3e}")
         cfg = ExperimentConfig(cfg_seed, shots, rho, measure, instrument)
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
@@ -140,8 +140,9 @@ def _hermitian(stack, tol_herm, names):
     """The (n, d, d) stack, unless a matrix's Hermitian defect (max-norm distance to its
     adjoint) exceeds tol_herm: every design is built on the Hermitian parts of its operators,
     so a non-Hermitian one is refused, with its name (ContractViolation)."""
-    with np.errstate(over="ignore"):  # an infinite defect is refused below
-        defects = np.abs(stack - np.swapaxes(stack, 1, 2).conj()).max(axis=(1, 2))
+    from .ops import hermitian_defect
+
+    defects = hermitian_defect(stack)
     bad = np.flatnonzero(defects > tol_herm)
     if bad.size:
         raise ContractViolation(f"{names[bad[0]]}: Hermitian defect {defects[bad[0]]:.3e} "
@@ -163,10 +164,10 @@ def _states(problem_dir, folder, tol_herm):
     return _hermitian(states, tol_herm, files)
 
 
-def _measure(problem_dir, tol_herm):
-    """The measure of problem_dir/measure.json, its elements checked by _hermitian."""
-    path = os.path.join(problem_dir, "measure.json")
-    measure, _ = io.measure_from_json(io.read_json(path))
+def _measure(path, tol_herm, doc=None):
+    """The measure of the JSON file at path (or of doc, read from it), its elements checked by
+    _hermitian."""
+    measure, _ = io.measure_from_json(io.read_json(path) if doc is None else doc)
     _hermitian(measure.elements, tol_herm, [f"{path}: element {k}" for k in range(len(measure))])
     return measure
 
@@ -257,7 +258,7 @@ def _load_rates(problem_dir, devices, logs):
 def _tomo_state(problem_dir, logs, tol_herm):
     from .tomography import state_tomography
 
-    measure = _measure(problem_dir, tol_herm)
+    measure = _measure(os.path.join(problem_dir, "measure.json"), tol_herm)
     rates, err = _load_rates(problem_dir, 1, logs)
     if err is not None:
         if len(rates) != 1:
@@ -291,7 +292,7 @@ def _tomo_instrument(problem_dir, logs, tol_herm):
     from .tomography import instrument_tomography
 
     probes = _states(problem_dir, "probes", tol_herm)
-    measure = _measure(problem_dir, tol_herm)
+    measure = _measure(os.path.join(problem_dir, "measure.json"), tol_herm)
     tables, _ = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, measure)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
@@ -433,10 +434,10 @@ def report(tols, kind, inputs, out_path, plot_path):
                 "choi_rank": choi_rank(superop_from_kraus(kraus)),
                 "pi": io.matrix_to_json(pi_operator(kraus)),
             }
-        io.write_json_atomic(out_path, payload)
         if plot_path is not None and series is not None:
             text = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in series)
             io.write_atomic(plot_path, lambda handle: handle.write(text.encode("ascii")))
+        io.write_json_atomic(out_path, payload)
 
     _guard(run, work)
 

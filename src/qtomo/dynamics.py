@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import as_square, hermitian_defect, quantum_value
+from .ops import as_square, hermitian_defect, hermitian_part, min_eigenvalue, quantum_value
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LindbladModel:
             v = as_square(self.V, "V")
             if hermitian_defect(v) > 1e-9:
                 raise ContractViolation("dissipative potential must be Hermitian")
-            if float(np.linalg.eigvalsh(0.5 * (v + v.conj().T))[0]) < -1e-9:
+            if min_eigenvalue(v) < -1e-9:
                 raise ContractViolation("dissipative potential must be PSD for a passive medium")
             object.__setattr__(self, "V", v)
         jumps = tuple(as_square(l, "jump operator") for l in self.jump_ops)
@@ -83,7 +83,7 @@ class Trajectory:
 def evolution_operator(H, t: float, hbar: float = 1.0) -> np.ndarray:
     """Propagator exp(-i H t / hbar) via Hermitian eigendecomposition."""
     h = as_square(H, "H")
-    evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    evals, evecs = np.linalg.eigh(hermitian_part(h))
     phases = np.exp(-1j * evals * t / hbar)
     return (evecs * phases) @ evecs.conj().T
 
@@ -108,7 +108,7 @@ def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
     """
     h = as_square(H, "H")
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    evals, evecs = np.linalg.eigh(hermitian_part(h))
     spread = max(float(evals[-1] - evals[0]), 1.0)
     gap = cluster_tol * spread
     components = []
@@ -231,7 +231,7 @@ def gibbs_state(H, temperature: float, k_boltzmann: float = 1.0) -> np.ndarray:
     if temperature <= 0:
         raise ContractViolation(f"temperature must be positive, got {temperature}")
     h = as_square(H, "H")
-    evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    evals, evecs = np.linalg.eigh(hermitian_part(h))
     weights = np.exp((evals[0] - evals) / (k_boltzmann * temperature))
     weights = weights / weights.sum()
     return (evecs * weights) @ evecs.conj().T
@@ -249,8 +249,9 @@ def rydberg_ritz_lines(H, hbar: float = 1.0, tol: float = 1e-9) -> SpectralLines
     Differences within tol (relative to the spectral spread) of each other
     are merged into one line.
     """
-    h = as_square(H, "H")
-    evals = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+    if hbar <= 0:
+        raise ContractViolation("hbar must be positive")
+    evals = np.linalg.eigvalsh(hermitian_part(as_square(H, "H")))
     spread = max(float(evals[-1] - evals[0]), 1.0)
     cut = tol * spread
     diffs = sorted(

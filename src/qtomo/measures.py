@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import PAULI, TOL_PSD, _design, as_square, min_eigenvalue, numerical_rank, square_stack
+from .ops import (PAULI, TOL_PSD, _design, as_square, hermitian_defect, hermitian_part,
+                  min_eigenvalue, numerical_rank, square_stack)
 
 
 class QuantumMeasure:
@@ -49,10 +50,10 @@ class QuantumMeasure:
         A zero element never responds (the ideal-cascade remainder is the
         one place it legitimately appears), so all_nonzero is informational.
         """
-        mineigs = np.array([min_eigenvalue(p) for p in self.elements])
+        mineigs = min_eigenvalue(self.elements)
         defect = self.sum_defect()
-        nonzero = bool(all(np.max(np.abs(p)) > 0.0 for p in self.elements))
-        herm = max(float(np.max(np.abs(p - p.conj().T))) for p in self.elements)
+        nonzero = bool(np.abs(self.elements).max(axis=(1, 2)).all())
+        herm = float(hermitian_defect(self.elements).max())
         ok = bool(mineigs.min() >= -tol and defect <= tol and herm <= tol)
         return MeasureReport(mineigs, defect, herm, nonzero, ok)
 
@@ -94,21 +95,11 @@ class Detector:
                 f"scale has {values.shape[0] if values.ndim else 0} values "
                 f"for {len(self.measure)} detection elements"
             )
-        # One lexicographic sort puts equal rows next to each other, so
-        # comparing neighbours tells whether any rows may coincide; only then
-        # does the pair loop run.  The loop decides, since array_equal never
-        # matches NaN entries, and it names the first coinciding pair in its
-        # order.  (np.unique(values, axis=0) would also tell, but it imports
-        # numpy.ma, which costs more than the sort.)
-        if not self.allow_repeated_values:
-            ordered = values[np.lexsort(np.concatenate([values.real, values.imag], axis=1).T)]
-            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-                for j in range(values.shape[0]):
-                    for k in range(j + 1, values.shape[0]):
-                        if np.array_equal(values[j], values[k]):
-                            raise ContractViolation(
-                                f"scale values {j} and {k} coincide; values must be distinct"
-                            )
+        if not self.allow_repeated_values:  # NaN never equals, so NaN rows never coincide
+            pairs = np.argwhere(np.triu((values[:, None] == values[None]).all(axis=2), 1))
+            if pairs.size:
+                j, k = pairs[0]
+                raise ContractViolation(f"scale values {j} and {k} coincide; values must be distinct")
         object.__setattr__(self, "scale", values)
 
     @property
@@ -272,21 +263,16 @@ def coherent_partition_measure(
             f"cell weights must sum to one on the disc; max defect {np.max(np.abs(total - 1.0)):.3e}"
         )
 
-    elements = []
-    for e in values:
-        p = np.einsum("rt,rtm,rtn->mn", e * weight, amp, amp.conj())
-        elements.append(0.5 * (p + p.conj().T))
+    elements = hermitian_part(np.stack(
+        [np.einsum("rt,rtm,rtn->mn", e * weight, amp, amp.conj()) for e in values]))
     remainder = np.eye(dim, dtype=complex) - np.sum(elements, axis=0)
     low = min_eigenvalue(remainder)
     if low < -tol:
         raise ContractViolation(
             f"truncation insufficient: remainder element has min eigenvalue {low:.3e}"
         )
-    for i, p in enumerate(elements):
-        low_p = min_eigenvalue(p)
-        if low_p < -tol:
-            raise ContractViolation(
-                f"cell element {i} has min eigenvalue {low_p:.3e}"
-            )
-    elements.append(remainder)
-    return QuantumMeasure(elements)
+    lows = min_eigenvalue(elements)
+    bad = np.flatnonzero(lows < -tol)
+    if bad.size:
+        raise ContractViolation(f"cell element {bad[0]} has min eigenvalue {lows[bad[0]]:.3e}")
+    return QuantumMeasure([*elements, remainder])

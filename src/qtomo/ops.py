@@ -26,10 +26,11 @@ SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
 
 
-def as_square(a, name="matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray or raise ContractViolation."""
+def as_square(a, name="matrix", stack=False) -> np.ndarray:
+    """Coerce to a square complex ndarray, with stack=True also to a stack (..., d, d) of them, or
+    raise ContractViolation."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if not (m.ndim == 2 or stack and m.ndim > 2) or m.shape[-1] != m.shape[-2]:
         raise ContractViolation(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ContractViolation(f"{name} has non-finite entries")
@@ -69,17 +70,29 @@ def numerical_rank(sing) -> int:
     return int(np.sum(sing > sing[0] * RANK_RTOL)) if sing.size and sing[0] > 0 else 0
 
 
-def hermitian_defect(a) -> float:
-    """Max-norm distance from a to its adjoint."""
+def hermitian_part(a) -> np.ndarray:
+    """(a + a*)/2 of a matrix, or of each matrix of a stack (..., d, d).  Halving before the sum
+    keeps it finite for finite entries; where no part is below 2**-1021 in magnitude (zero
+    aside) and no sum overflows, it equals the halved sum but perhaps for the sign of a zero."""
+    a = np.asarray(a, dtype=complex)
+    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2).conj()
+
+
+def hermitian_defect(a):
+    """Max-norm distance from a matrix to its adjoint (inf beyond the float range); for a stack
+    (..., d, d), the array of the distances of its matrices."""
     m = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    with np.errstate(over="ignore"):
+        defect = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if m.ndim == 2 else defect
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of the symmetrized matrix (a + a*)/2."""
-    m = as_square(a)
-    h = 0.5 * (m + m.conj().T)
-    return float(np.linalg.eigvalsh(h)[0])
+def min_eigenvalue(a):
+    """Smallest eigenvalue of the Hermitian part of a square matrix; for a stack (..., d, d), the
+    array of the smallest eigenvalues of its matrices."""
+    m = as_square(a, stack=True)
+    low = np.linalg.eigvalsh(hermitian_part(m))[..., 0]
+    return float(low) if m.ndim == 2 else low
 
 
 def quantum_value(rho, X) -> complex:
@@ -167,6 +180,5 @@ def normalize(rho) -> np.ndarray:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
-    diff = as_square(a) - as_square(b)
-    diff = 0.5 * (diff + diff.conj().T)
+    diff = hermitian_part(as_square(a) - as_square(b))
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 from .measures import QuantumMeasure
-from .ops import _design, hermitian_basis, numerical_rank, real_traces, square_stack
+from .ops import (_design, as_square, hermitian_basis, hermitian_part, numerical_rank,
+                  real_traces, square_stack)
 
 COND_WARN = 1e6
 # An instrument branch whose joint rates stay at or below this for every probe recorded no response.
@@ -145,13 +146,8 @@ def project_psd(x, trace_target=None):
     one matrix, an array over the stack).  Idempotent: a matrix already in
     the cone with the right trace is returned unchanged.
     """
-    a = np.asarray(x, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ContractViolation(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ContractViolation("matrix has non-finite entries")
-    h = 0.5 * a + 0.5 * np.swapaxes(a, -1, -2).conj()  # halving first keeps the sum finite
-    evals, evecs = np.linalg.eigh(h)
+    a = as_square(x, stack=True)
+    evals, evecs = np.linalg.eigh(hermitian_part(a))
     lam = np.clip(evals, 0.0, None)
     if trace_target is not None:
         target = np.broadcast_to(np.asarray(trace_target, dtype=float), evals.shape[:-1])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .measures import Detector, measured_quantity, response_probabilities
-from .ops import as_square, hermitian_defect
+from .ops import as_square, hermitian_defect, hermitian_part
 
 _NORM_TOL = 1e-9
 
@@ -168,7 +168,7 @@ def spectrum_membership(X, xi, tol: float = 1e-9) -> SpectrumReport:
     for x, v in zip(comps, values):
         shifted = x - v * np.eye(d)
         b += shifted.conj().T @ shifted
-    evals, evecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+    evals, evecs = np.linalg.eigh(hermitian_part(b))
     min_eig = float(evals[0])
     member = min_eig <= tol
     return SpectrumReport(min_eig, member, evecs[:, 0] if member else None)

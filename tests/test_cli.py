@@ -93,6 +93,32 @@ class TestSimulate:
         assert "invalid measure" in message and "min eigenvalue -2.500e-01" in message
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize("instrument", [False, True], ids=["detector", "instrument"])
+    def test_simulate_and_tomo_judge_hermiticity_by_tol_herm(self, fixture_files, tmp_path,
+                                                             instrument):
+        # element 0 is off its adjoint by 5e-10: above --tol-herm, within --tol-psd
+        doc = qio.measure_to_json(qtomo.pauli_six_measure())
+        doc["elements"][0][0, 1, 0] += 5e-10  # the real part of entry (0, 1)
+        device = tmp_path / "device.json"
+        qio.write_json_atomic(str(device), doc if not instrument else {
+            "instrument": qio.instrument_to_json(qtomo.Instrument(((np.eye(2),),))),
+            "detector": doc})
+        bundle = tmp_path / "bundle"
+        qio.write_json_atomic(str(bundle / "measure.json"), doc)
+        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [1 / 6] * 6})
+        for tol, code in (("1e-10", 2), ("1e-9", 0)):
+            out = tmp_path / tol
+            runs = {device: ["simulate", fixture_files["source"], str(device), "--shots", "10",
+                             "--out", str(out / "simulate")],
+                    bundle / "measure.json": ["tomo", "state", str(bundle),
+                                              "--out", str(out / "tomo" / "report.json")]}
+            for path, argv in runs.items():
+                result = run_cli(["--tol-herm", tol, *argv])
+                assert result.exit_code == code, result.output
+                error = json.loads((out / argv[0] / "manifest.json").read_text())["error"]
+                assert error is None if code == 0 else error["message"] == (
+                    f"{path}: element 0: Hermitian defect 5.000e-10 exceeds --tol-herm 1e-10")
+
     def test_golden_counts_snapshot(self, fixture_files, tmp_path):
         out = tmp_path / "golden"
         result = run_cli([
@@ -620,6 +646,20 @@ class TestDynamicsCommand:
         for snap in traj:
             assert np.allclose(qio.matrix_from_json(snap["matrix"]), np.diag([0.25, 0.75]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_flow_of_a_huge_finite_hamiltonian(self, tmp_path):
+        # the propagator was all nan, and the run failed on serialising it
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {"H": qio.matrix_to_json(np.diag([1e308, 0.0])),
+                                           "rho0": qio.matrix_to_json(np.full((2, 2), 0.5))})
+        out = tmp_path / "traj.json"
+        result = run_cli(["dynamics", str(model), "--t", "1.0", "--dt", "0.5", "--method", "exact",
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        for snap in json.loads(out.read_text()):
+            state = qio.matrix_from_json(snap["matrix"])
+            assert np.isfinite(state).all() and np.trace(state).real == pytest.approx(1.0)
+
     def test_dephasing_off_diagonal_decay(self, tmp_path):
         gamma = 0.25
         model = tmp_path / "model.json"
@@ -790,6 +830,28 @@ class TestReportCommand:
         assert np.allclose(report["nu"], np.array([1.0, 2.0, 3.0]) / (2 * np.pi))
         assert csv_path.read_text().splitlines()[0] == "x,y"
 
+    @pytest.mark.parametrize("hbar", [-1, 0])
+    def test_lines_refuse_a_nonpositive_hbar(self, tmp_path, hbar):
+        ham = tmp_path / "h.json"
+        qio.write_json_atomic(str(ham), {"H": qio.matrix_to_json(np.diag([0.0, 1.0])),
+                                         "hbar": hbar})
+        out = tmp_path / "run" / "lines.json"
+        result = run_cli(["report", "lines", str(ham), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error == {"type": "ContractViolation", "message": "hbar must be positive"}
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lines_of_a_huge_finite_hamiltonian(self, tmp_path):
+        # the halved sum of H and its adjoint overflowed, and the report had no line
+        ham = tmp_path / "h.json"
+        qio.write_json_atomic(str(ham), {"H": qio.matrix_to_json(np.diag([1e308, 0.0]))})
+        out = tmp_path / "lines.json"
+        result = run_cli(["report", "lines", str(ham), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["omega"] == [1e308]
+
     def test_plot_csv_is_written_atomically(self, tmp_path):
         # like every other output: its directory is made, and a failed write leaves no file
         ham = tmp_path / "h.json"
@@ -807,6 +869,8 @@ class TestReportCommand:
                           "--plot-csv", str(taken)])
         assert result.exit_code == 2, result.output
         assert taken.is_dir() and list(taken.iterdir()) == []
+        # the plot is written before the report, so the failed run leaves only its manifest
+        assert [p.name for p in (tmp_path / "r2").iterdir()] == ["manifest.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json", "nodir", "r", "r2",
                                                               "taken"]
 

@@ -305,6 +305,12 @@ class TestGibbs:
         with pytest.raises(ContractViolation):
             gibbs_state(np.diag([0.0, 1.0]), 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_hamiltonian(self):
+        # the halved sum of H and its adjoint overflowed, and every entry was nan
+        rho = gibbs_state(np.diag([1e308, 0.0]), 1.0)
+        assert np.array_equal(rho, np.diag([0.0, 1.0]))
+
 
 class TestRydbergRitz:
     def test_three_levels(self):
@@ -329,6 +335,17 @@ class TestRydbergRitz:
     def test_hbar_scaling(self):
         lines = rydberg_ritz_lines(np.diag([0.0, 2.0]), hbar=2.0)
         assert np.allclose(lines.omega, [1.0])
+
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0])
+    def test_nonpositive_hbar_rejected(self, hbar):
+        # as in LindbladModel: omega = |E_j - E_k| / hbar needs hbar > 0
+        with pytest.raises(ContractViolation, match="hbar must be positive"):
+            rydberg_ritz_lines(np.diag([0.0, 1.0]), hbar=hbar)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_hamiltonian_has_one_line(self):
+        lines = rydberg_ritz_lines(np.diag([1e308, 0.0]))
+        assert lines.omega.tolist() == [1e308] and lines.nu.tolist() == [1e308 / (2 * np.pi)]
 
 
 class TestLieProducts:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qtomo import (
     PAULI,
@@ -12,7 +14,8 @@ from qtomo import (
     trace_distance,
     validate_density,
 )
-from qtomo.ops import numerical_rank, real_traces, square_stack
+from qtomo.ops import (hermitian_defect, hermitian_part, min_eigenvalue, numerical_rank,
+                       real_traces, square_stack)
 from support import random_density, random_hermitian
 
 
@@ -192,6 +195,58 @@ class TestNormalize:
 
 def test_trace_distance_pure_orthogonal():
     assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_distance_of_a_huge_finite_difference():
+    # the halved sum of diag(1e308, 0) and its adjoint overflowed to a nan distance
+    assert trace_distance(np.diag([1e308, 0.0]), np.zeros((2, 2))) == 5e307
+
+
+def _stacks(elements):
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: hnp.arrays(complex, (shape[0], shape[1], shape[1]), elements=elements))
+
+
+# real and imaginary parts 0 or of magnitude in [2^-1021, 8e307], either sign: halving each
+# part is exact, and no sum of two of them overflows
+_parts = (st.just(0.0) | st.floats(2.0 ** -1021, 8e307)).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+class TestHermitianPartRule:
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+    def test_a_stack_gives_each_matrix_its_own_result(self, stack):
+        defects, lows = hermitian_defect(stack), min_eigenvalue(stack)
+        assert defects.shape == lows.shape == (len(stack),)
+        for i, m in enumerate(stack):
+            one_defect, one_low = hermitian_defect(m), min_eigenvalue(m)
+            assert type(one_defect) is float and type(one_low) is float
+            assert np.float64(one_defect).tobytes() == defects[i].tobytes()
+            assert np.float64(one_low).tobytes() == lows[i].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(st.builds(complex, _parts, _parts)))
+    def test_halving_first_gives_the_halved_sum(self, stack):
+        # the same numbers; the sign of a zero may differ
+        for m in stack:
+            assert np.array_equal(hermitian_part(m), 0.5 * (m + m.conj().T))
+        assert np.array_equal(hermitian_part(stack), 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_entries(self):
+        a = np.array([[1e308, 1e308j], [-1e308j, -1e308]])
+        assert np.array_equal(hermitian_part(a), a)
+        assert min_eigenvalue(a) == pytest.approx(-np.sqrt(2.0) * 1e308, rel=1e-15)
+        # the defect 2e308 is beyond the float range
+        assert hermitian_defect(np.array([[0.0, 1e308], [-1e308, 0.0]])) == np.inf
+
+    def test_min_eigenvalue_refuses_what_is_not_a_square_matrix_or_stack(self):
+        for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 2, 3))):
+            with pytest.raises(ContractViolation, match="must be square"):
+                min_eigenvalue(bad)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            min_eigenvalue(np.full((2, 2, 2), np.nan))
 
 
 class TestSquareStack:
