@@ -376,8 +376,7 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
             traj = sliced_master(medium, rho0, dt, steps)
         else:
             times = dt * np.arange(steps + 1)
-            states = np.stack([von_neumann_evolve(medium.H, rho0, t, medium.hbar) for t in times])
-            traj = Trajectory(times, states)
+            traj = Trajectory(times, von_neumann_evolve(medium.H, rho0, times, medium.hbar))
         io.write_json_atomic(out_path, io.trajectory_to_json(traj))
         if richardson:
             exact = von_neumann_evolve(medium.H, rho0, steps * dt, medium.hbar)

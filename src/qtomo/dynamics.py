@@ -7,11 +7,15 @@ the von Neumann (V = 0) and dissipative cases; adding weak mixing terms
 sqrt(dt) L_l per slice yields the Lindblad equation in the limit.  One
 model, LindbladModel, carries H, V and the jumps for every case.  Closed
 forms use Hermitian eigendecompositions; the Lindblad reference applies
-the exact one-step propagator exp(L dt) of the vectorized master equation.
+the exact one-step propagator exp(L dt) of the vectorized master equation,
+a real matrix in real coordinates of Hermitian matrices: L dt is halved
+until its 1-norm is at most 1/2, the Taylor degree is read off that norm,
+the polynomial is evaluated by Paterson-Stockmeyer, and it is squared back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,17 +84,20 @@ class Trajectory:
         return self.states[-1]
 
 
-def evolution_operator(H, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Propagator exp(-i H t / hbar) via Hermitian eigendecomposition."""
+def evolution_operator(H, t, hbar: float = 1.0) -> np.ndarray:
+    """Propagator exp(-i H t / hbar) by one eigendecomposition; a stack (..., d, d) for an array t."""
+    if hbar <= 0:
+        raise ContractViolation("hbar must be positive")
     h = as_square(H, "H")
     evals, evecs = np.linalg.eigh(hermitian_part(h))
-    phases = np.exp(-1j * evals * t / hbar)
-    return (evecs * phases) @ evecs.conj().T
+    phases = np.exp(-1j * evals * np.asarray(t, dtype=float)[..., None] / hbar)
+    return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
-def von_neumann_evolve(H, rho0, t: float, hbar: float = 1.0) -> np.ndarray:
+def von_neumann_evolve(H, rho0, t, hbar: float = 1.0) -> np.ndarray:
+    """U rho0 U* with U = evolution_operator(H, t, hbar); a stack of states for an array t."""
     u = evolution_operator(H, t, hbar)
-    return u @ as_square(rho0, "rho0") @ u.conj().T
+    return u @ as_square(rho0, "rho0") @ np.swapaxes(u, -1, -2).conj()
 
 
 def schrodinger_evolve(H, psi0, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -122,42 +129,58 @@ def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
     return components
 
 
-def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Vectorized generator of the master equation (row-major convention)."""
-    d = model.dim
-    ident = np.eye(d, dtype=complex)
-    h = model.H
-    gen = (-1j / model.hbar) * (np.kron(h, ident) - np.kron(ident, h.T))
+def _slice_generator(model: LindbladModel) -> np.ndarray:
+    """K = -i H / hbar - V / hbar - (1/2) sum_l gamma_l L_l* L_l."""
+    k = -1j * model.H / model.hbar
     if model.V is not None:
-        gen -= (np.kron(model.V, ident) + np.kron(ident, model.V.T)) / model.hbar
+        k = k - model.V / model.hbar
     for g, l in zip(model.rates, model.jump_ops):
-        ll = l.conj().T @ l
-        gen += g * (
-            np.kron(l, l.conj())
-            - 0.5 * np.kron(ll, ident)
-            - 0.5 * np.kron(ident, ll.T)
-        )
-    return gen
+        k = k - 0.5 * g * (l.conj().T @ l)
+    return k
+
+
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """Vectorized generator of the master equation (row-major convention).
+
+    K (x) I + I (x) conj(K) + sum_l gamma_l L_l (x) conj(L_l), with K the slice generator,
+    filled into one (d, d, d, d) array: entry [i, j, k, l] acts on rho[k, l] in d rho[i, j].
+    """
+    d = model.dim
+    k = _slice_generator(model)
+    gen = np.zeros((d, d, d, d), dtype=complex)
+    for g, l in zip(model.rates, model.jump_ops):
+        gen += (g * l)[:, None, :, None] * l.conj()[None, :, None, :]
+    diag = np.arange(d)
+    gen[:, diag, :, diag] += k
+    gen[diag, :, diag, :] += k.conj()
+    return gen.reshape(d * d, d * d)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a Taylor series.
+    """Matrix exponential by scaling and squaring a Taylor polynomial.
 
-    Moler & Van Loan, SIAM Rev. 45 (2003): halve a until its 1-norm is at
-    most 1/2, sum Taylor terms until one falls below machine epsilon
-    relative to the sum (about 20 terms at that norm), then square back.
+    Moler & Van Loan, SIAM Rev. 45 (2003): halve a until its 1-norm x is at most 1/2, take
+    the smallest degree m whose Taylor remainder bound x^(m+1) / (m+1)! / (1 - x / (m+2)) is
+    at most machine epsilon, evaluate that polynomial by Paterson & Stockmeyer, SIAM J.
+    Comput. 2, 60 (1973) -- powers a^2 .. a^s, then Horner in a^s over blocks of degree
+    below s, (s - 1) + floor(m / s) products with s chosen to minimise them -- and square back.
     """
     norm = np.linalg.norm(a, 1)
     squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
     a = a / 2.0**squarings
-    term = np.eye(a.shape[0], dtype=complex)
-    total = term.copy()
-    eps = np.finfo(float).eps
-    for k in range(1, 30):
-        term = (term @ a) / k
-        total += term
-        if np.linalg.norm(term, 1) <= eps * np.linalg.norm(total, 1):
-            break
+    x = norm / 2.0**squarings
+    m = 0
+    while x ** (m + 1) / math.factorial(m + 1) / (1.0 - x / (m + 2)) > np.finfo(float).eps:
+        m += 1
+    s = min(range(1, m + 2), key=lambda s: s - 1 + m // s)
+    powers = [np.eye(a.shape[0], dtype=a.dtype), a]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ a)
+    blocks = [sum(powers[i] / math.factorial(j * s + i) for i in range(min(s, m - j * s + 1)))
+              for j in range(m // s + 1)]
+    total = blocks[-1]
+    for block in reversed(blocks[:-1]):
+        total = total @ powers[s] + block
     for _ in range(squarings):
         total = total @ total
     return total
@@ -176,9 +199,11 @@ def step_count(t: float, dt: float) -> int:
 def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajectory:
     """Reference master-equation solution on the grid dt * arange(n + 1).
 
-    n = step_count(t, dt), the grid of sliced_master; the one-step
-    propagator exp(L dt) of the vectorized equation is computed once and
-    applied n times, so the trajectory is exact up to rounding.
+    n = step_count(t, dt), the grid of sliced_master.  exp(L dt) keeps a matrix Hermitian, so
+    in the real coordinates r = Re rho + Im rho of a Hermitian rho (rho = ((1 + i) r + (1 - i)
+    r^T) / 2) it is the real exponential of Re L[i, j, k, l] - Im L[j, i, k, l].  That is
+    computed once and applied n times to the real and the imaginary part of the coordinates
+    of rho0, so the trajectory is exact up to rounding; its first state is rho0 itself.
     """
     rho = as_square(rho0, "rho0")
     d = model.dim
@@ -187,14 +212,17 @@ def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajecto
     if t < 0 or dt <= 0:
         raise ContractViolation("need t >= 0 and dt > 0")
     n_steps = step_count(t, dt)
-    times = dt * np.arange(n_steps + 1)
-    if n_steps == 0:
-        return Trajectory(times, rho[None, :, :].astype(complex))
-    step = _expm(liouvillian(model) * dt)
-    states = [rho.reshape(-1).astype(complex)]
-    for _ in range(n_steps):
-        states.append(step @ states[-1])
-    return Trajectory(times, np.stack(states).reshape(-1, d, d))
+    gen = liouvillian(model).reshape(d, d, d, d)
+    real_gen = (gen.real - gen.imag.swapaxes(0, 1)).reshape(d * d, d * d)
+    step = _expm(real_gen * dt) if n_steps else None
+    coords = np.empty((n_steps + 1, d, d), dtype=complex)
+    coords[0] = ((1 - 1j) * rho + (1 + 1j) * rho.T) / 2
+    parts = coords.view(float).reshape(n_steps + 1, d * d, 2)
+    for k in range(n_steps):
+        np.matmul(step, parts[k], out=parts[k + 1])
+    states = ((1 + 1j) * coords + (1 - 1j) * coords.swapaxes(1, 2)) / 2
+    states[0] = rho
+    return Trajectory(dt * np.arange(n_steps + 1), states)
 
 
 def sliced_master(model: LindbladModel, rho0, dt: float, steps: int) -> Trajectory:
@@ -209,21 +237,16 @@ def sliced_master(model: LindbladModel, rho0, dt: float, steps: int) -> Trajecto
     if dt <= 0:
         raise ContractViolation(f"dt must be positive, got {dt}")
     d = model.dim
-    k = -1j * model.H / model.hbar
-    if model.V is not None:
-        k = k - model.V / model.hbar
-    for g, l in zip(model.rates, model.jump_ops):
-        k = k - 0.5 * g * (l.conj().T @ l)
-    t_op = np.eye(d, dtype=complex) + dt * k
-    rho = as_square(rho0, "rho0").copy()
-    states = [rho]
-    for _ in range(steps):
-        nxt = t_op @ rho @ t_op.conj().T
-        for g, l in zip(model.rates, model.jump_ops):
-            nxt = nxt + dt * g * (l @ rho @ l.conj().T)
-        rho = nxt
-        states.append(rho)
-    return Trajectory(dt * np.arange(steps + 1), np.stack(states))
+    t_op = np.eye(d, dtype=complex) + dt * _slice_generator(model)
+    t_adj = t_op.conj().T
+    jumps = [(dt * g, l, l.conj().T) for g, l in zip(model.rates, model.jump_ops)]
+    states = np.empty((steps + 1, d, d), dtype=complex)
+    states[0] = as_square(rho0, "rho0")
+    for rho, nxt in zip(states, states[1:]):
+        np.matmul(t_op @ rho, t_adj, out=nxt)
+        for w, l, l_adj in jumps:
+            nxt += w * (l @ rho @ l_adj)
+    return Trajectory(dt * np.arange(steps + 1), states)
 
 
 def gibbs_state(H, temperature: float, k_boltzmann: float = 1.0) -> np.ndarray:

@@ -274,10 +274,7 @@ def selfcal_from_json(obj):
 
 
 def trajectory_to_json(traj):
-    return [
-        {"t": float(t), "matrix": matrix_to_json(state)}
-        for t, state in zip(traj.times, traj.states)
-    ]
+    return [{"t": float(t), "matrix": m} for t, m in zip(traj.times, matrix_to_json(traj.states))]
 
 
 def _canonical(obj, out, arrays):

@@ -180,5 +180,5 @@ def normalize(rho) -> np.ndarray:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
-    diff = hermitian_part(as_square(a) - as_square(b))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    half_diff = hermitian_part(as_square(a) / 2 - as_square(b) / 2)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(half_diff))))

@@ -22,9 +22,11 @@ GOLDEN_COUNTS = [0, 326505, 6735, 166116, 166485, 120085, 214074]
 # sha256 of that run's events.csv, recorded before the CSV writer was vectorised
 GOLDEN_EVENTS_SHA256 = "51fd1ba046188b9036018cfa283fce158eed22aaa71760e719f1dafb4f182a32"
 # sha256 of canonical JSON outputs (the model and bundle of the golden-bytes tests below),
-# recorded before the JSON writer formatted each array in one call
+# recorded before the JSON writer formatted each array in one call; the lindblad digest was
+# re-pinned when the propagator moved to real coordinates and Paterson-Stockmeyer (CHANGES.md
+# gives the moved values)
 GOLDEN_TRAJECTORY_SHA256 = {
-    "lindblad": "3864d3d1b814bec4fe17900485e2a53d0ba1f79786e3d1e541325fae343c9a80",
+    "lindblad": "3cdd57fa0efa665dd6467a3833c2ecd7f22fe4fb9de44748d558e7a2d2e9b32a",
     "slice": "d1411cc14eccc3309d6e5a8eb3e4a5e3cbb3e3eeff640dd909bde44fc75bb097",
 }
 # sha256 of the process report of the golden-bytes test below; CHANGES.md gives the values
@@ -754,6 +756,30 @@ class TestDynamicsCommand:
         ])
         assert result.exit_code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256[method]
+
+    def test_exact_trajectory_is_the_per_time_stack(self, tmp_path):
+        # one eigendecomposition of H for every time, and the bytes of one von_neumann_evolve
+        # call per time
+        from qtomo.dynamics import Trajectory
+
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {
+            "H": qio.matrix_to_json(0.5 * (g + g.conj().T)),
+            "rho0": qio.matrix_to_json(rho / np.trace(rho)), "hbar": 0.9,
+        })
+        out = tmp_path / "traj.json"
+        result = run_cli(["dynamics", str(model), "--t", "1.3", "--dt", "0.05",
+                          "--method", "exact", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        medium, rho0 = qio.model_from_json(qio.read_json(str(model)))
+        times = 0.05 * np.arange(27)
+        per_time = np.stack([qtomo.von_neumann_evolve(medium.H, rho0, t, medium.hbar)
+                             for t in times])
+        expected = qio.canonical_json(qio.trajectory_to_json(Trajectory(times, per_time)))
+        assert out.read_text() == expected + "\n"
 
     def test_negative_dt_exits_2(self, tmp_path):
         model = tmp_path / "model.json"

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtomo import (
     PAULI,
@@ -7,9 +10,11 @@ from qtomo import (
     LindbladModel,
     density_from_state,
     ehrenfest_derivative,
+    evolution_operator,
     gibbs_state,
     lie_product,
     lindblad_evolve,
+    liouvillian,
     poisson_bracket,
     quantum_value,
     rydberg_ritz_lines,
@@ -20,7 +25,31 @@ from qtomo import (
     validate_density,
     von_neumann_evolve,
 )
-from support import random_density, random_hermitian
+from support import random_complex, random_density, random_hermitian
+
+
+def _kron_liouvillian(model):
+    """Row-major generator as a sum of Kronecker products: a test-only oracle for liouvillian."""
+    ident = np.eye(model.dim)
+    h = model.H
+    gen = (-1j / model.hbar) * (np.kron(h, ident) - np.kron(ident, h.T))
+    if model.V is not None:
+        gen = gen - (np.kron(model.V, ident) + np.kron(ident, model.V.T)) / model.hbar
+    for g, l in zip(model.rates, model.jump_ops):
+        ll = l.conj().T @ l
+        gen = gen + g * (np.kron(l, l.conj()) - 0.5 * np.kron(ll, ident)
+                         - 0.5 * np.kron(ident, ll.T))
+    return gen
+
+
+def _random_model(d, n_jumps, with_v, rng, hbar=1.0, scale=1.0):
+    jumps = tuple(random_complex((d, d), rng) / d for _ in range(n_jumps))
+    v = None
+    if with_v:
+        g = random_complex((d, d), rng)
+        v = g @ g.conj().T / d
+    return LindbladModel(scale * random_hermitian(d, rng), jumps,
+                         tuple(rng.uniform(0.1, 1.0, n_jumps)), hbar, V=v)
 
 
 class TestSliceEvolution:
@@ -96,7 +125,87 @@ class TestSliceEvolution:
             LindbladModel(np.zeros((2, 2)), (np.eye(3),), (0.1,))
 
 
+class TestLindbladPropagator:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("n_jumps", [0, 1, 2])
+    @pytest.mark.parametrize("with_v", [False, True])
+    def test_liouvillian_matches_the_kronecker_form(self, d, n_jumps, with_v):
+        rng = np.random.default_rng(1000 * d + 10 * n_jumps + with_v)
+        model = _random_model(d, n_jumps, with_v, rng, hbar=0.7)
+        oracle = _kron_liouvillian(model)
+        # rounding is relative to the terms, which cancel to 0 for d = 1 without V (L (x) conj(L)
+        # = |L|^2 there): bound each term's 1-norm and sum
+        scale = 2 * np.linalg.norm(model.H, 1) / model.hbar + sum(
+            2 * g * np.linalg.norm(l, 1) ** 2 for g, l in zip(model.rates, model.jump_ops))
+        if with_v:
+            scale += 2 * np.linalg.norm(model.V, 1) / model.hbar
+        assert np.max(np.abs(liouvillian(model) - oracle)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("dt", [0.01, 0.4])
+    def test_trajectory_matches_scipy_expm(self, d, dt):
+        rng = np.random.default_rng(d)
+        model = _random_model(d, 2, d == 4, rng, scale=2.0)
+        rho0 = random_density(d, rng)
+        step = scipy.linalg.expm(_kron_liouvillian(model) * dt)
+        if dt == 0.4:
+            assert np.linalg.norm(_kron_liouvillian(model) * dt, 1) > 0.5  # squaring branch
+        traj = lindblad_evolve(model, rho0, 2.0, dt)
+        expected = [rho0.reshape(-1)]
+        for _ in range(len(traj) - 1):
+            expected.append(step @ expected[-1])
+        assert np.max(np.abs(traj.states - np.stack(expected).reshape(-1, d, d))) <= 1e-12
+
+    def test_zero_generator_repeats_the_initial_state(self):
+        # exp(0) is the identity, so every step repeats the state; after t = 0 the state has
+        # passed once through the real coordinates and back, which rounds
+        rho0 = random_density(3, np.random.default_rng(5))
+        traj = lindblad_evolve(LindbladModel(np.zeros((3, 3))), rho0, 1.0, 0.1)
+        assert len(traj) == 11
+        assert np.array_equal(traj.states[0], rho0)
+        assert np.array_equal(traj.states[1:], np.broadcast_to(traj.states[1], (10, 3, 3)))
+        assert np.max(np.abs(traj.states[1] - rho0)) <= np.finfo(float).eps * np.max(np.abs(rho0))
+
+    def test_state_that_is_not_hermitian(self):
+        # the real and imaginary parts of the coordinates propagate alike
+        rng = np.random.default_rng(7)
+        model = _random_model(3, 2, True, rng)
+        rho0 = random_complex((3, 3), rng)
+        step = scipy.linalg.expm(_kron_liouvillian(model) * 0.1)
+        traj = lindblad_evolve(model, rho0, 1.0, 0.1)
+        expected = [rho0.reshape(-1)]
+        for _ in range(10):
+            expected.append(step @ expected[-1])
+        assert np.max(np.abs(traj.states - np.stack(expected).reshape(-1, 3, 3))) <= 1e-12
+
+    def test_no_step_returns_the_initial_state(self):
+        rho0 = random_density(2, np.random.default_rng(6))
+        traj = lindblad_evolve(LindbladModel(PAULI[1]), rho0, 0.0, 0.1)
+        assert np.array_equal(traj.times, [0.0]) and np.array_equal(traj.states, rho0[None])
+
+
 class TestVonNeumann:
+    def test_times_array_stacks_the_per_time_states(self):
+        rng = np.random.default_rng(95)
+        h, rho = random_hermitian(5, rng), random_density(5, rng)
+        times = 0.05 * np.arange(41)
+        stacked = von_neumann_evolve(h, rho, times, 0.8)
+        per_time = np.stack([von_neumann_evolve(h, rho, t, 0.8) for t in times])
+        assert stacked.tobytes() == per_time.tobytes()
+        assert evolution_operator(h, times[3], 0.8).tobytes() == evolution_operator(
+            h, times, 0.8)[3].tobytes()
+
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0])
+    def test_nonpositive_hbar_rejected(self, hbar):
+        h, rho = np.diag([1.0, 0.0]), np.diag([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (lambda: evolution_operator(h, 1.0, hbar),
+                         lambda: von_neumann_evolve(h, rho, 1.0, hbar),
+                         lambda: schrodinger_evolve(h, np.array([1.0, 0.0]), 1.0, hbar)):
+                with pytest.raises(ContractViolation, match="hbar must be positive"):
+                    call()
+
     def test_commuting_state_constant(self):
         h = np.diag([0.0, 1.0])
         rho = np.diag([0.3, 0.7])

@@ -203,6 +203,12 @@ def test_trace_distance_of_a_huge_finite_difference():
     assert trace_distance(np.diag([1e308, 0.0]), np.zeros((2, 2))) == 5e307
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_distance_of_opposite_huge_matrices():
+    # the difference 2e308 overflows; half of it does not
+    assert trace_distance(np.diag([1e308, 0.0]), np.diag([-1e308, 0.0])) == 1e308
+
+
 def _stacks(elements):
     return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
         lambda shape: hnp.arrays(complex, (shape[0], shape[1], shape[1]), elements=elements))
