@@ -94,15 +94,23 @@ def evolution_operator(H, t, hbar: float = 1.0) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
+def _initial_state(state, d: int, matrix: bool = True) -> np.ndarray:
+    """The initial density matrix (matrix=False: state vector), checked against dimension d."""
+    x = as_square(state, "rho0") if matrix else np.asarray(state, dtype=complex).reshape(-1)
+    if len(x) != d:
+        raise ContractViolation("initial state does not match the model dimension")
+    return x
+
+
 def von_neumann_evolve(H, rho0, t, hbar: float = 1.0) -> np.ndarray:
     """U rho0 U* with U = evolution_operator(H, t, hbar); a stack of states for an array t."""
     u = evolution_operator(H, t, hbar)
-    return u @ as_square(rho0, "rho0") @ np.swapaxes(u, -1, -2).conj()
+    return u @ _initial_state(rho0, u.shape[-1]) @ np.swapaxes(u, -1, -2).conj()
 
 
 def schrodinger_evolve(H, psi0, t: float, hbar: float = 1.0) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    return evolution_operator(H, t, hbar) @ psi
+    u = evolution_operator(H, t, hbar)
+    return u @ _initial_state(psi0, u.shape[-1], matrix=False)
 
 
 def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
@@ -114,7 +122,7 @@ def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
     Returns a list of (E_k, psi_k) pairs covering all clusters.
     """
     h = as_square(H, "H")
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
+    psi = _initial_state(psi0, len(h), matrix=False)
     evals, evecs = np.linalg.eigh(hermitian_part(h))
     spread = max(float(evals[-1] - evals[0]), 1.0)
     gap = cluster_tol * spread
@@ -205,10 +213,8 @@ def lindblad_evolve(model: LindbladModel, rho0, t: float, dt: float) -> Trajecto
     computed once and applied n times to the real and the imaginary part of the coordinates
     of rho0, so the trajectory is exact up to rounding; its first state is rho0 itself.
     """
-    rho = as_square(rho0, "rho0")
     d = model.dim
-    if rho.shape[0] != d:
-        raise ContractViolation("initial state does not match the model dimension")
+    rho = _initial_state(rho0, d)
     if t < 0 or dt <= 0:
         raise ContractViolation("need t >= 0 and dt > 0")
     n_steps = step_count(t, dt)
@@ -241,7 +247,7 @@ def sliced_master(model: LindbladModel, rho0, dt: float, steps: int) -> Trajecto
     t_adj = t_op.conj().T
     jumps = [(dt * g, l, l.conj().T) for g, l in zip(model.rates, model.jump_ops)]
     states = np.empty((steps + 1, d, d), dtype=complex)
-    states[0] = as_square(rho0, "rho0")
+    states[0] = _initial_state(rho0, d)
     for rho, nxt in zip(states, states[1:]):
         np.matmul(t_op @ rho, t_adj, out=nxt)
         for w, l, l_adj in jumps:

@@ -279,7 +279,7 @@ def trajectory_to_json(traj):
 
 def _canonical(obj, out, arrays):
     """Append the canonical text of obj to out; a float array leaves a None in out and
-    (its index in out, the array) in arrays, for canonical_json to format them together."""
+    (its index in out, the array) in arrays, for _canonical_pieces to format them together."""
     if obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -314,8 +314,8 @@ def _canonical(obj, out, arrays):
         raise ContractViolation(f"cannot serialize {type(obj)!r} canonically")
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+def _canonical_pieces(obj) -> list:
+    """The canonical text of obj as a list of str pieces, its float arrays printed together."""
     out, arrays = [], []
     _canonical(obj, out, arrays)
     if arrays:
@@ -323,7 +323,12 @@ def canonical_json(obj) -> str:
 
         for (i, _), text in zip(arrays, format_arrays([a for _, a in arrays])):
             out[i] = text
-    return "".join(out)
+    return out
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    return "".join(_canonical_pieces(obj))
 
 
 def write_atomic(path, write):
@@ -346,9 +351,11 @@ def write_atomic(path, write):
 
 
 def write_json_atomic(path, obj):
-    """Write canonical JSON via a temp file and rename, so readers never see partial output."""
-    data = canonical_json(obj).encode("ascii")  # json.dumps escapes non-ASCII
-    write_atomic(path, lambda handle: handle.writelines((data, b"\n")))
+    """Write canonical JSON via a temp file and rename, so readers never see partial output.
+    The pieces are printed before the file opens and written one by one, never joined."""
+    pieces = _canonical_pieces(obj)
+    write_atomic(path, lambda handle: handle.writelines(  # json.dumps escapes non-ASCII
+        chain((piece.encode("ascii") for piece in pieces), (b"\n",))))
 
 
 def read_json(path):

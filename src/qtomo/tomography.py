@@ -89,30 +89,14 @@ def _hermitian_lstsq(operators, rates, stderr, what):
     return x, _scaled_norms(m @ coeff - y, 0), cond, rank
 
 
-def _scaled_norms(x, axis):
-    """np.linalg.norm(x, axis=axis), with x first scaled by a power of two near its largest
-    entry along axis: the squares can neither overflow nor underflow, and the bits of a norm
-    whose squares do neither are unchanged."""
+def _scaled_norms(x, axis=None):
+    """np.linalg.norm(x, axis=axis) (a float for axis=None), with x first scaled by a power of
+    two near its largest entry along axis: the squares can neither overflow nor underflow, and
+    the bits of a norm whose squares do neither are unchanged."""
     _, exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
     exp = np.maximum(exp, -1021)  # 2**-exp stays finite for subnormal entries
-    return np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -exp), axis=axis), exp.squeeze(axis))
-
-
-def _scaled(norm, *parts):
-    """norm(*parts) for a norm of degree one in the parts' entries (a root of a sum of their
-    squares), computed on the parts scaled by one power of two near their largest entry, as in
-    _scaled_norms: the squares can neither overflow nor underflow, and the bits of a result
-    whose squares do neither are unchanged."""
-    _, exp = np.frexp(max(np.abs(part).max(initial=0.0) for part in parts))
-    exp = max(int(exp), -1021)
-    scale = np.ldexp(1.0, -exp)
-    return float(np.ldexp(norm(*(part * scale for part in parts)), exp))
-
-
-def _root_sum_squares(x):
-    """Root of the sum of squares of the real entries of x, summed with np.sum, scaled as in
-    _scaled."""
-    return _scaled(lambda a: np.sqrt(float(np.sum(a ** 2))), x)
+    norms = np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -exp), axis=axis), exp.squeeze(axis))
+    return float(norms) if axis is None else norms
 
 
 def _simplex(evals, target):
@@ -246,11 +230,11 @@ def detector_tomography(probe_states, rates, stderr=None):
         iterations += 1
         deficit = identity - elements.sum(axis=0)
     measure = QuantumMeasure(elements)
-    dist = _scaled(np.linalg.norm, elements - x)
+    dist = _scaled_norms(elements - x)
     flags = (_warnings(cond, dist, np.abs(np.trace(x, axis1=1, axis2=2).real).max())
              + ("deficit_not_converged",) * bool(np.max(np.abs(deficit)) > 1e-12))
     report = ReconstructionReport(
-        _root_sum_squares(residuals), cond, dist, rank, flags,
+        float(_scaled_norms(residuals, 0)), cond, dist, rank, flags,
         {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
     return measure, report
@@ -269,9 +253,8 @@ def _fit_superops(probes, outputs):
     w = outputs.reshape(len(outputs), n, d * d).transpose(0, 2, 1)
     e = w @ ((u / sing) @ vt @ basis.reshape(d * d, d * d).conj())
     v = probes.reshape(n, d * d).T
-    # each map's residual norm as np.linalg.norm sums one matrix, so that it does not depend on
-    # how many maps were fitted with it; without overflow (_scaled)
-    return e, np.array([_scaled(np.linalg.norm, r) for r in e @ v - w]), cond, rank
+    # one matrix per norm, so that a map's residual does not depend on how many maps were fitted
+    return e, np.array([_scaled_norms(r) for r in e @ v - w]), cond, rank
 
 
 def process_tomography(probe_states, output_states):
@@ -346,12 +329,12 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
         probes, outputs.reshape(n_probes, n_branches, d, d)[:, live].swapaxes(0, 1))
     maps = np.zeros((n_branches, d * d, d * d), dtype=complex)
     maps[live] = fit
-    residual = _scaled(lambda o, f: np.sqrt(np.sum(np.sum(o ** 2, axis=0) + f ** 2)),
-                       output_residuals[:, live], fit_residuals)
+    residual = float(_scaled_norms(np.concatenate([output_residuals[:, live].ravel(),
+                                                   fit_residuals]), 0))
     # tr E_j(rho) sums the entries of E_j vec(rho) that land on the diagonal
     predicted = (maps[:, ::d + 1] @ probes.reshape(n_probes, -1).T).sum(axis=1).real.T
     cond = max(det_cond, probe_cond)
-    dist = _root_sum_squares(dists.reshape(n_probes, n_branches)[:, live])
+    dist = float(_scaled_norms(dists.reshape(n_probes, n_branches)[:, live], (0, 1)))
     flags = ((("null_branch_zero",) if silent[0] else ())
              + _warnings(cond, dist, np.abs(traces).max()))
     report = ReconstructionReport(

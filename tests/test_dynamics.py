@@ -510,3 +510,22 @@ class TestLieProducts:
         assert poisson_bracket(a, b, rho) == pytest.approx(
             quantum_value(rho, lie_product(a, b))
         )
+
+
+# Each evolution of a qubit model given a qutrit initial state: a 3x3 density matrix or a
+# 3-vector.
+_WRONG_DIMENSION = {
+    "sliced_master, 0 steps": lambda h, rho, psi: sliced_master(LindbladModel(h), rho, 0.1, 0),
+    "sliced_master, 5 steps": lambda h, rho, psi: sliced_master(LindbladModel(h), rho, 0.1, 5),
+    "lindblad_evolve": lambda h, rho, psi: lindblad_evolve(LindbladModel(h), rho, 0.5, 0.1),
+    "von_neumann_evolve": lambda h, rho, psi: von_neumann_evolve(h, rho, 0.5),
+    "von_neumann_evolve, times": lambda h, rho, psi: von_neumann_evolve(h, rho, [0.0, 0.5]),
+    "schrodinger_evolve": lambda h, rho, psi: schrodinger_evolve(h, psi, 0.5),
+    "spectral_solution": lambda h, rho, psi: spectral_solution(h, psi),
+}
+
+
+@pytest.mark.parametrize("evolve", _WRONG_DIMENSION.values(), ids=_WRONG_DIMENSION)
+def test_initial_state_of_another_dimension_is_refused(evolve):
+    with pytest.raises(ContractViolation, match="initial state does not match the model dimension"):
+        evolve(np.diag([1.0, 0.0]), np.eye(3) / 3, np.ones(3) / np.sqrt(3.0))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qtomo import (
     LindbladModel,
     PAULI,
     Split,
+    Trajectory,
     cascade_measure,
     kraus_apply,
     pauli_six_measure,
@@ -285,6 +287,31 @@ class TestCanonicalJson:
         qio.write_json_atomic(str(path), {"k": 1.25})
         assert path.read_text() == '{"k":1.25}\n'
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["doc.json"]
+
+    def test_non_finite_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(ContractViolation):
+            qio.write_json_atomic(str(tmp_path / "doc.json"), {"x": np.array([0.5, np.inf])})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_streams_the_text(self, tmp_path):
+        # a d = 16, 201-state trajectory (2.4 MB of text): the write holds the printed pieces
+        # and the printer's fixed scratch, never the joined text or its encoded copy
+        rng = np.random.default_rng(23)
+        states = random_complex((201, 16, 16), rng) / 64
+        doc = qio.trajectory_to_json(Trajectory(0.01 * np.arange(201), states))
+        path = tmp_path / "traj.json"
+        qio.write_json_atomic(str(path), doc)  # the printer's tables are built once, here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            qio.write_json_atomic(str(path), doc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert path.read_bytes() == qio.canonical_json(doc).encode("ascii") + b"\n"
+        assert peak <= 1.5 * size
 
 
 def _per_element(a):

@@ -36,6 +36,7 @@ from qtomo import (
     validate_density,
     validate_measure,
 )
+from qtomo.tomography import _scaled_norms
 from support import (
     probe_states,
     random_density,
@@ -986,6 +987,57 @@ class TestHugeFiniteRates:
         assert small.residual > 0.1
         assert huge.residual == pytest.approx(1e200 * small.residual, rel=1e-12)
         assert small.projection_distance == huge.projection_distance == 0.0
+
+
+@st.composite
+def _norm_case(draw, low, high):
+    """(x, axis): a real or complex array of 0-3 axes, each entry 0 or +-10**u with u in
+    [low, high], and an axis np.linalg.norm takes for it."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    entry = st.just(0.0) | st.builds(lambda sign, u: sign * 10.0 ** u,
+                                     st.sampled_from([-1.0, 1.0]), st.floats(low, high))
+    parts = [draw(hnp.arrays(np.float64, shape, elements=entry))
+             for _ in range(draw(st.sampled_from([1, 2])))]
+    x = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+    axes = [None] + [0] * (x.ndim >= 1) + [(0, 1), (-2, -1)] * (x.ndim >= 2)
+    return x, draw(st.sampled_from(axes))
+
+
+def _ldexp(a, k):
+    """a * 2**k, rounded once, for a real or complex a."""
+    if np.iscomplexobj(a):
+        return _ldexp(a.real, k) + 1j * _ldexp(a.imag, k)
+    return np.ldexp(a, k)
+
+
+class TestOneNorm:
+    """Every residual, total and distance of a report is _scaled_norms: np.linalg.norm, bit for
+    bit, computed on entries scaled by a power of two so that no square leaves the float range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_norm_case(-75.0, 75.0))
+    def test_equals_numpy_where_no_square_leaves_the_range(self, case):
+        x, axis = case
+        got, want = _scaled_norms(x, axis), np.linalg.norm(x, axis=axis)
+        if axis is None:
+            assert type(got) is float
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_norm_case(-30.0, 30.0), st.sampled_from([-1060, -665, 665]))
+    @example((np.array([1.0, 1.0]), None), 665)  # entries near 1e200
+    @example((np.array([[1.0, 0.0], [6e3, 2e13]]), (0, 1)), -1074)  # subnormal entries
+    def test_equals_rescaled_numpy_near_the_ends_of_the_range(self, case, k):
+        # x = y * 2**k, with y's squares in range: its norm is 2**k times y's
+        x, axis = case
+        x = _ldexp(x, k)
+        y = _ldexp(x, -k)
+        want = np.ldexp(np.linalg.norm(y, axis=axis), k)
+        assert np.asarray(_scaled_norms(x, axis)).tobytes() == np.asarray(want).tobytes()
+        if k == 665 and np.abs(x).max(initial=0.0) > 1e160:
+            with np.errstate(over="ignore"):  # the unscaled squares overflow
+                assert not np.isfinite(np.linalg.norm(x, axis=axis)).all()
 
 
 class TestOverflowIsNamed:
