@@ -13,12 +13,12 @@ Conventions, fixed project-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import as_square, hermitian_defect, hermitian_part, min_eigenvalue, square_stack
+from .ops import _Frozen, as_square, hermitian_defect, hermitian_part, min_eigenvalue, square_stack
 
 CP_TOL = 1e-9
 
@@ -101,8 +101,7 @@ def swap_middle(m, d: int) -> np.ndarray:
 superop_from_choi = choi_transform
 
 
-@dataclass(frozen=True)
-class CPReport:
+class CPReport(NamedTuple):
     hermitian_defect: float
     min_choi_eigenvalue: float
     cp: bool
@@ -181,8 +180,7 @@ def pi_operator(kraus) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FilterClass:
+class FilterClass(NamedTuple):
     lossless: bool
     passive: bool
     active: bool
@@ -200,8 +198,7 @@ def classify_filter(kraus, tol: float = CP_TOL) -> FilterClass:
     return FilterClass(lossless, passive, not passive, mixing)
 
 
-@dataclass(frozen=True)
-class Instrument:
+class Instrument(_Frozen):
     """Indexed family of CP maps, each given by its Kraus operators.
 
     Branch j of the instrument transforms the input as rho -> E_j(rho) and
@@ -210,15 +207,15 @@ class Instrument:
     the remaining rate.
     """
 
-    branches: tuple
+    __slots__ = ("branches",)
 
-    def __post_init__(self):
-        branches = tuple(tuple(branch) for branch in self.branches)
+    def __init__(self, branches):
+        branches = tuple(tuple(branch) for branch in branches)
         if not branches or any(len(b) == 0 for b in branches):
             raise ContractViolation("instrument needs at least one nonempty branch")
         # one check of every Kraus operator, numbered across the branches in order
         ops = iter(square_stack([t for b in branches for t in b], "instrument Kraus operator"))
-        object.__setattr__(self, "branches", tuple(tuple(next(ops) for _ in b) for b in branches))
+        self._fill(tuple(tuple(next(ops) for _ in b) for b in branches))
 
     @property
     def dim(self) -> int:

@@ -8,8 +8,9 @@ traceback there).  Errors are additionally reported as JSON on stderr.
 
 Each command imports the engines it runs inside its body, so start-up loads
 only argparse, numpy and the JSON layer.  The process entry
-(``qtomo.__main__.run``) freezes the heap these imports build and skips the
-collection at exit; outputs and exit codes are those of main.
+(``qtomo.__main__.run``) freezes the heap these imports build and ends the
+process without the interpreter's teardown; outputs and exit codes are those
+of main.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from . import __version__, io
 from .errors import ContractViolation, NumericalError, RankDeficiencyError
 
 SEED_ENV = "QTOMO_SEED"
+# The BLAS thread variables whose values each manifest records.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 # Largest trajectory `dynamics` computes, in complex entries (n + 1) d^2: 2 GiB of states,
 # several GB once printed as JSON.
 MAX_TRAJECTORY_ENTRIES = 2 ** 27
@@ -44,6 +47,12 @@ class _Run:
             "seed": seed,
             "tolerances": tolerances or {},
             "tool_version": __version__,
+            # what the timings ran on
+            "environment": {
+                "python": "%d.%d.%d" % sys.version_info[:3],
+                "numpy": np.__version__,
+                "thread_vars": {var: os.environ.get(var) for var in THREAD_VARS},
+            },
             "wall_time_s": None,
             "error": None,
         }
@@ -218,7 +227,7 @@ def _load_rates(problem_dir, devices, logs):
     _, table_file, key, ndims, first = _LOG_KINDS[devices - 1]
     if os.path.exists(os.path.join(problem_dir, table_file)):
         return _read_table(os.path.join(problem_dir, table_file), key, ndims), None
-    from . import simulate  # only here: a bundle of rates need not load the sampler
+    from .tomography import rates_from_counts
 
     events_dir = os.path.join(problem_dir, "events")
     files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
@@ -228,19 +237,21 @@ def _load_rates(problem_dir, devices, logs):
     rates = []
     for name in files:
         path = os.path.join(events_dir, name)
-        digest = simulate.file_sha256(path)
-        source = "counts.json" if simulate.memo_describes(memo, digest) else name
+        digest = io.file_sha256(path)
+        source = "counts.json" if io.memo_describes(memo, digest) else name
         logs[name] = {"sha256": digest, "rates_from": source}
         if source == name:
+            from .simulate import event_log_from_csv  # only here: a memo's counts need no sampler
+
             try:  # decoded with open()'s text-mode defaults: locale encoding, any newline
                 with open(path) as handle:
-                    log = simulate.event_log_from_csv(handle.read())
+                    log = event_log_from_csv(handle.read())
             except (ContractViolation, UnicodeDecodeError) as err:
                 raise ContractViolation(f"{name}: {err}") from None
             counts, shots = log.counts(), len(log)
         else:
             try:
-                counts, shots = simulate.counts_from_document(memo)
+                counts, shots = io.counts_from_document(memo)
             except ContractViolation as err:
                 raise ContractViolation(f"counts.json: {err}") from None
         if counts.ndim != devices:
@@ -250,7 +261,7 @@ def _load_rates(problem_dir, devices, logs):
             raise ContractViolation(f"{name}: counts of shape {counts.shape}, but {files[0]} has "
                                     f"{rates[0].p_hat.shape}; the logs of a bundle must count "
                                     "the same outcomes")
-        rates.append(simulate.rates_from_counts(counts, shots))
+        rates.append(rates_from_counts(counts, shots))
     return (np.stack([r.p_hat[first:] for r in rates]),
             np.stack([r.stderr[first:] for r in rates]))
 

@@ -16,16 +16,15 @@ the polynomial is evaluated by Paterson-Stockmeyer, and it is squared back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import as_square, hermitian_defect, hermitian_part, min_eigenvalue, quantum_value
+from .ops import _Frozen, as_square, hermitian_defect, hermitian_part, min_eigenvalue, quantum_value
 
 
-@dataclass(frozen=True)
-class LindbladModel:
+class LindbladModel(_Frozen):
     """One medium: Hamiltonian H, optional PSD dissipative potential V, and
     jump operators L_l with nonnegative rates gamma_l.
 
@@ -34,47 +33,41 @@ class LindbladModel:
     passive (trace-decreasing) medium; jumps alone give the Lindblad equation.
     """
 
-    H: np.ndarray
-    jump_ops: tuple = ()
-    rates: tuple = ()
-    hbar: float = 1.0
-    V: np.ndarray | None = None
+    __slots__ = ("H", "jump_ops", "rates", "hbar", "V")
 
-    def __post_init__(self):
-        h = as_square(self.H, "H")
+    def __init__(self, H, jump_ops=(), rates=(), hbar: float = 1.0, V=None):
+        h = as_square(H, "H")
         if hermitian_defect(h) > 1e-9:
             raise ContractViolation("Hamiltonian must be Hermitian")
-        if self.V is not None:
-            v = as_square(self.V, "V")
-            if hermitian_defect(v) > 1e-9:
+        if V is not None:
+            V = as_square(V, "V")
+            if hermitian_defect(V) > 1e-9:
                 raise ContractViolation("dissipative potential must be Hermitian")
-            if min_eigenvalue(v) < -1e-9:
+            if min_eigenvalue(V) < -1e-9:
                 raise ContractViolation("dissipative potential must be PSD for a passive medium")
-            object.__setattr__(self, "V", v)
-        jumps = tuple(as_square(l, "jump operator") for l in self.jump_ops)
-        gammas = tuple(float(g) for g in self.rates)
-        others = jumps if self.V is None else (self.V,) + jumps
+        jumps = tuple(as_square(l, "jump operator") for l in jump_ops)
+        gammas = tuple(float(g) for g in rates)
+        others = jumps if V is None else (V,) + jumps
         if any(m.shape != h.shape for m in others):
             raise ContractViolation(f"V and jump operators must have the shape of H, {h.shape}")
         if len(jumps) != len(gammas):
             raise ContractViolation("need one rate per jump operator")
         if any(g < 0 for g in gammas):
             raise ContractViolation(f"rates must be nonnegative, got {gammas}")
-        if self.hbar <= 0:
+        if hbar <= 0:
             raise ContractViolation("hbar must be positive")
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "jump_ops", jumps)
-        object.__setattr__(self, "rates", gammas)
+        self._fill(h, jumps, gammas, hbar, V)
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray = field(repr=False)
+class Trajectory(_Frozen):
+    __slots__ = ("times", "states")
+
+    def __init__(self, times, states):
+        self._fill(times, states)
 
     def __len__(self) -> int:
         return self.times.size
@@ -266,8 +259,7 @@ def gibbs_state(H, temperature: float, k_boltzmann: float = 1.0) -> np.ndarray:
     return (evecs * weights) @ evecs.conj().T
 
 
-@dataclass(frozen=True)
-class SpectralLines:
+class SpectralLines(NamedTuple):
     omega: np.ndarray  # angular frequencies |E_j - E_k| / hbar
     nu: np.ndarray     # line frequencies omega / (2 pi)
 

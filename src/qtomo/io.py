@@ -1,5 +1,11 @@
 """JSON file formats and canonical serialization.
 
+The counts.json memo of an event log is here too (``counts_memo``,
+``counts_document``): the log's seed, shot count and counts, and the sha256 of
+its CSV bytes.  A reader takes the counts in place of the CSV only when that
+digest matches the file beside it (``file_sha256``, ``memo_describes``,
+``counts_from_document``), so it needs no sampler to trust them.
+
 Complex scalars are encoded as two-element arrays [re, im] and matrices as
 row-major nested arrays.  The encoders return each matrix as a float array
 of shape (rows, cols, 2) holding those pairs.  The canonical writer sorts
@@ -275,6 +281,76 @@ def selfcal_from_json(obj):
 
 def trajectory_to_json(traj):
     return [{"t": float(t), "matrix": m} for t, m in zip(traj.times, matrix_to_json(traj.states))]
+
+
+def events_sha256(data) -> str:
+    """Hex sha256 of an event log's CSV bytes, the digest counts.json records."""
+    import hashlib  # here: loading OpenSSL costs a command 3-5 ms
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_sha256(path) -> str:
+    """events_sha256 of the bytes of the file at path, read into one reused 1 MiB buffer."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    block = bytearray(1 << 20)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def counts_memo(seed, shots, counts, digest) -> dict:
+    """The counts.json memo of a run: seed, shots, the counts array and events_sha256."""
+    return {"seed": seed, "shots": shots, "counts": counts.tolist(), "events_sha256": digest}
+
+
+def counts_document(log, data) -> dict:
+    """The counts.json memo of an event log whose CSV is data: seed, shots, counts, events_sha256.
+
+    The counts are the log's sufficient statistic; events_sha256 is the
+    digest of exactly data, so a reader can tell whether the memo still
+    describes the CSV beside it.
+    """
+    return counts_memo(log.seed, len(log), log.counts(), events_sha256(data))
+
+
+def _count_array(obj):
+    """obj as a nonempty 1-D or 2-D int64 array of nonnegative JSON integers, else None."""
+    arr = _number_array(obj)  # an empty array reads as floats, so it fails the kind check
+    if arr is None or arr.dtype.kind != "i" or arr.ndim not in (1, 2) or (arr < 0).any():
+        return None
+    return arr.astype(np.int64)
+
+
+def memo_describes(doc, digest: str) -> bool:
+    """Whether a parsed counts.json is the memo of the log whose CSV bytes have this sha256.
+
+    A memo without events_sha256 (from an older run) or with another digest
+    (of another log, or of this log before an edit) describes no log.
+    """
+    return isinstance(doc, dict) and doc.get("events_sha256") == digest
+
+
+def counts_from_document(doc):
+    """(counts, shots) of a counts.json document.
+
+    The counts must be a rectangular array of 1 or 2 axes of nonnegative
+    integers (a count vector or a coincidence table) summing to the integer
+    shots, else ContractViolation.
+    """
+    counts = _count_array(doc.get("counts"))
+    if counts is None:
+        raise ContractViolation(
+            "'counts' must be a rectangular array of nonnegative integers with 1 or 2 axes")
+    shots = doc.get("shots")
+    total = sum(map(int, counts.flat))
+    if type(shots) is not int or shots != total:
+        raise ContractViolation(f"'shots' must be the integer count total {total}, got {shots!r}")
+    return counts, shots
 
 
 def _canonical(obj, out, arrays):

@@ -8,12 +8,12 @@ operator measured by a detector is A = sum_k a_k P_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import (PAULI, TOL_PSD, _design, as_square, hermitian_defect, hermitian_part,
+from .ops import (PAULI, TOL_PSD, _design, _Frozen, as_square, hermitian_defect, hermitian_part,
                   min_eigenvalue, numerical_rank, square_stack)
 
 
@@ -58,8 +58,7 @@ class QuantumMeasure:
         return MeasureReport(mineigs, defect, herm, nonzero, ok)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     min_eigenvalues: np.ndarray
     sum_defect: float
     hermitian_defect: float
@@ -71,8 +70,7 @@ def validate_measure(measure: QuantumMeasure, tol: float = TOL_PSD) -> MeasureRe
     return measure.validate(tol)
 
 
-@dataclass(frozen=True)
-class Detector:
+class Detector(_Frozen):
     """A quantum measure plus a scale of distinct outcome values.
 
     The scale is stored as a (K, m) complex array; scalar scales have m = 1.
@@ -82,25 +80,23 @@ class Detector:
     explicitly.
     """
 
-    measure: QuantumMeasure
-    scale: np.ndarray = field(repr=False)
-    allow_repeated_values: bool = False
+    __slots__ = ("measure", "scale", "allow_repeated_values")
 
-    def __post_init__(self):
-        values = np.asarray(self.scale, dtype=complex)
+    def __init__(self, measure: QuantumMeasure, scale, allow_repeated_values: bool = False):
+        values = np.asarray(scale, dtype=complex)
         if values.ndim == 1:
             values = values[:, None]
-        if values.ndim != 2 or values.shape[0] != len(self.measure):
+        if values.ndim != 2 or values.shape[0] != len(measure):
             raise ContractViolation(
                 f"scale has {values.shape[0] if values.ndim else 0} values "
-                f"for {len(self.measure)} detection elements"
+                f"for {len(measure)} detection elements"
             )
-        if not self.allow_repeated_values:  # NaN never equals, so NaN rows never coincide
+        if not allow_repeated_values:  # NaN never equals, so NaN rows never coincide
             pairs = np.argwhere(np.triu((values[:, None] == values[None]).all(axis=2), 1))
             if pairs.size:
                 j, k = pairs[0]
                 raise ContractViolation(f"scale values {j} and {k} coincide; values must be distinct")
-        object.__setattr__(self, "scale", values)
+        self._fill(measure, values, allow_repeated_values)
 
     @property
     def n_components(self) -> int:
@@ -175,8 +171,7 @@ def is_projective(measure: QuantumMeasure, tol: float = 1e-10):
     return defect <= tol, defect
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     rank: int
     complete: bool
     minimal: bool

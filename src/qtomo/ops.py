@@ -7,7 +7,7 @@ needed and rejects the dark state (the zero matrix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,30 @@ SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
+
+
+class _Frozen:
+    """Base of the records that check their fields: immutable slots, each set once by __init__
+    through _fill, in the order of __slots__, which is the order of the fields."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild the record through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def as_square(a, name="matrix", stack=False) -> np.ndarray:
@@ -135,8 +159,7 @@ def expand_hermitian(h) -> np.ndarray:
     return real_traces(m[None], hermitian_basis(m.shape[0]))[0]
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     hermitian_defect: float
     min_eigenvalue: float
     trace: float

@@ -9,13 +9,13 @@ plus a remainder element for the absorbed part of the beam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation
 from .measures import QuantumMeasure
-from .ops import PAULI, as_square, min_eigenvalue, validate_density
+from .ops import PAULI, _Frozen, as_square, min_eigenvalue, validate_density
 
 _STOKES_TOL = 1e-12
 
@@ -86,14 +86,13 @@ def beam_splitter(rho_in) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(_Frozen):
     """Terminal arm of a splitter cascade holding the filter in that arm."""
 
-    jones: np.ndarray
+    __slots__ = ("jones",)
 
-    def __post_init__(self):
-        t = as_square(self.jones, "jones matrix")
+    def __init__(self, jones):
+        t = as_square(jones, "jones matrix")
         if t.shape != (2, 2):
             raise ContractViolation(f"leaf Jones matrix must be 2x2, got {t.shape}")
         norm = float(np.linalg.norm(t, 2))
@@ -101,11 +100,10 @@ class Leaf:
             raise ContractViolation(
                 f"leaf Jones matrix has spectral norm {norm} > 1; cascades must be passive"
             )
-        object.__setattr__(self, "jones", t)
+        self._fill(t)
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """Balanced splitter node with two downstream subnetworks."""
 
     left: "Split | Leaf"

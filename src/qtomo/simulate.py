@@ -14,12 +14,12 @@ the labels do not depend on the chunk size.
 
 A log is written as CSV text (`event_log_to_csv`), and its counts, the
 sufficient statistic of every reconstruction, as a counts.json memo that
-records the sha256 of those CSV bytes (`counts_document`).  `write_events`
+records the sha256 of those CSV bytes (``io.counts_document``).  `write_events`
 streams a run straight to a file instead: it draws, checks, formats, hashes
-and counts a fixed number of shots at a time, so its memory does not grow
-with the shot count, and it writes the same bytes and memo.  A reader takes
-the counts in place of the CSV only when the memo's digest matches the CSV
-(`memo_describes`, `counts_from_document`); the CSV stays the record.
+and counts a fixed number of shots at a time, in buffers allocated once per
+run, so its memory does not grow with the shot count, and it writes the same
+bytes and memo.  A reader takes the counts in place of the CSV only when the
+memo's digest matches the CSV (``io.memo_describes``); the CSV stays the record.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolation
-from .io import _number_array
+from .io import counts_memo
 from .measures import QuantumMeasure, response_probabilities
-from .ops import as_square
+from .ops import _Frozen, as_square
 
 if TYPE_CHECKING:
     from .channels import Instrument
@@ -47,38 +46,34 @@ _PROB_TOL = 1e-9
 _CHUNK_SHOTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen):
     """One simulated run: seed, shot count, unit-intensity source, device.
 
     The device is a detector's measure alone, or an instrument observed in
     coincidence with a second detector of that measure; sampling reads no scale.
     """
 
-    seed: int
-    shots: int
-    source: np.ndarray = field(repr=False)
-    measure: QuantumMeasure
-    instrument: Instrument | None = None
+    __slots__ = ("seed", "shots", "source", "measure", "instrument")
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 128:  # a Philox key is 128 bits
-            raise ContractViolation(f"seed must lie in [0, 2**128), got {self.seed}")
-        if self.shots < 0:
-            raise ContractViolation(f"shot count must be nonnegative, got {self.shots}")
-        rho = as_square(self.source, "source")
+    def __init__(self, seed: int, shots: int, source, measure: QuantumMeasure,
+                 instrument: Instrument | None = None):
+        if not 0 <= seed < 2 ** 128:  # a Philox key is 128 bits
+            raise ContractViolation(f"seed must lie in [0, 2**128), got {seed}")
+        if shots < 0:
+            raise ContractViolation(f"shot count must be nonnegative, got {shots}")
+        rho = as_square(source, "source")
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > _PROB_TOL:
             raise ContractViolation(f"source must have unit intensity, trace is {tr}")
-        if not isinstance(self.measure, QuantumMeasure):
+        if not isinstance(measure, QuantumMeasure):
             raise ContractViolation(
-                f"measure must be a QuantumMeasure, got {type(self.measure).__name__}")
+                f"measure must be a QuantumMeasure, got {type(measure).__name__}")
         d = rho.shape[0]
-        for what, device in (("detector", self.measure), ("instrument", self.instrument)):
+        for what, device in (("detector", measure), ("instrument", instrument)):
             if device is not None and device.dim != d:
                 raise ContractViolation(
                     f"the {what} acts on {device.dim}x{device.dim} states, the source is {d}x{d}")
-        object.__setattr__(self, "source", rho)
+        self._fill(seed, shots, rho, measure, instrument)
 
 
 # A log's CSV form, by its number of devices: the column header, and for each label column
@@ -89,8 +84,7 @@ _CSV_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(_Frozen):
     """Per-shot labels, one column per device; column i lies in [0, bounds[i]].
 
     A detection log has one column, the detector element (bounds is
@@ -100,17 +94,15 @@ class EventLog:
     labels has shape (shots, len(bounds)).
     """
 
-    seed: int
-    generator: str
-    bounds: tuple
-    labels: np.ndarray = field(repr=False)
+    __slots__ = ("seed", "generator", "bounds", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(map(int, self.bounds)))
-        if len(self.bounds) not in _CSV_FORMS or self.labels.shape[1:] != (len(self.bounds),):
-            raise ContractViolation(f"labels of shape {self.labels.shape} do not fit bounds "
-                                    f"{self.bounds}; a log has 1 or 2 devices")
-        self._check(self.labels)
+    def __init__(self, seed: int, generator: str, bounds, labels):
+        bounds = tuple(map(int, bounds))
+        if len(bounds) not in _CSV_FORMS or labels.shape[1:] != (len(bounds),):
+            raise ContractViolation(f"labels of shape {labels.shape} do not fit bounds "
+                                    f"{bounds}; a log has 1 or 2 devices")
+        self._fill(seed, generator, bounds, labels)
+        self._check(labels)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -124,9 +116,9 @@ class EventLog:
     def _check(self, labels, start=0):
         columns = _CSV_FORMS[len(self.bounds)][1]
         for column, bound, (what, key) in zip(labels.T, self.bounds, columns):
-            bad = np.flatnonzero((column < 0) | (column > bound))
-            if bad.size:
-                raise ContractViolation(f"shot {start + bad[0]}: {what} {column[bad[0]]} "
+            if column.min(initial=0) < 0 or column.max(initial=0) > bound:
+                bad = np.flatnonzero((column < 0) | (column > bound))[0]
+                raise ContractViolation(f"shot {start + bad}: {what} {column[bad]} "
                                         f"is outside [0, {key}={bound}]")
 
     def _count(self, labels):
@@ -165,13 +157,14 @@ def _prepare_cdf(p):
 def _uniforms(seed: int, shots: int):
     """One uniform per shot, drawn in order from the seed's Philox stream.
 
-    Yields chunks of _CHUNK_SHOTS shots, and always at least one chunk; the
-    concatenation does not depend on the chunk size.
+    Yields chunks of _CHUNK_SHOTS shots, and always at least one chunk, each
+    drawn into one buffer that the next chunk overwrites; the concatenation of
+    the chunks does not depend on the chunk size.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
-    yield gen.random(min(_CHUNK_SHOTS, shots))
-    for start in range(_CHUNK_SHOTS, shots, _CHUNK_SHOTS):
-        yield gen.random(min(_CHUNK_SHOTS, shots - start))
+    u = np.empty(min(_CHUNK_SHOTS, shots))
+    for start in range(0, max(shots, 1), _CHUNK_SHOTS):
+        yield gen.random(out=u[:min(_CHUNK_SHOTS, shots - start)])
 
 
 def _label_chunks(cfg: ExperimentConfig):
@@ -180,6 +173,7 @@ def _label_chunks(cfg: ExperimentConfig):
     A shot's labels index one slot of the probability table (one axis per
     device, null slots included).  Slot 0, every device null, cannot occur,
     as the last device is a detector; the draw is over the other slots.
+    Every chunk is a view of one label array that the next chunk overwrites.
     """
     if cfg.instrument is None:
         table = np.zeros(len(cfg.measure) + 1)
@@ -189,14 +183,18 @@ def _label_chunks(cfg: ExperimentConfig):
     log = EventLog(cfg.seed, GENERATOR_NAME, [n - 1 for n in table.shape],
                    np.zeros((0, table.ndim), dtype=np.int64))
     cdf = _prepare_cdf(table.reshape(-1)[1:])
+    size = min(_CHUNK_SHOTS, cfg.shots)
+    out = np.empty((size, table.ndim), dtype=np.int64, order="F")  # contiguous columns
+    counters = np.empty((2, size), dtype=np.uint8)
 
     def labels(u):
-        out = np.empty((u.size, table.ndim), dtype=np.int64, order="F")  # contiguous columns
-        flat = out[:, 0]
-        np.add(_outcomes(cdf, u), 1, out=flat)
+        chunk = out[:u.size]
+        flat = chunk[:, 0]
+        _outcomes(cdf, u, flat, counters[:, :u.size])
+        flat += 1
         for axis in range(table.ndim - 1, 0, -1):  # np.unravel_index, which is slower
-            np.divmod(flat, table.shape[axis], out=(flat, out[:, axis]))
-        return out
+            np.divmod(flat, table.shape[axis], out=(flat, chunk[:, axis]))
+        return chunk
 
     return log, map(labels, _uniforms(cfg.seed, cfg.shots))
 
@@ -206,23 +204,29 @@ def _label_chunks(cfg: ExperimentConfig):
 _COUNTED_OUTCOMES = np.iinfo(np.uint8).max
 
 
-def _outcomes(cdf, u):
+def _outcomes(cdf, u, out=None, counters=None):
     """Outcome index of each uniform: np.searchsorted(cdf, u, side="right"), as int64.
 
     The index is the number of cdf entries at or below u, ties included.  Up
     to _COUNTED_OUTCOMES entries it is counted with one vectorised comparison
     per entry, which at a few outcomes is an order of magnitude faster than
-    the binary search; on larger tables the search is faster.
+    the binary search; on larger tables the search is faster.  The indices go
+    to out (a new array by default), and the count to counters, two uint8
+    rows as long as u (new by default).
     """
+    if out is None:
+        out = np.empty(u.shape, dtype=np.int64)
     if cdf.size > _COUNTED_OUTCOMES:
-        return np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
-    count = np.zeros(u.shape, dtype=np.uint8)
-    hit = np.empty(u.shape, dtype=np.uint8)
+        out[...] = np.searchsorted(cdf, u, side="right")
+        return out
+    count, hit = np.empty((2, *u.shape), dtype=np.uint8) if counters is None else counters
+    count.fill(0)
     flag = hit.view(bool)
     for edge in cdf:
         np.less_equal(edge, u, out=flag)
         count += hit
-    return count.astype(np.int64)
+    out[...] = count
+    return out
 
 
 def sample_events(cfg: ExperimentConfig):
@@ -234,7 +238,8 @@ def sample_events(cfg: ExperimentConfig):
     element) pairs and its table.
     """
     empty, chunks = _label_chunks(cfg)
-    log = replace(empty, labels=np.concatenate(list(chunks)))
+    labels = np.concatenate([chunk.copy() for chunk in chunks])  # the chunks share one array
+    log = EventLog(empty.seed, empty.generator, empty.bounds, labels)
     return log, log.counts()
 
 
@@ -261,27 +266,10 @@ def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho, to
     return table
 
 
-@dataclass(frozen=True)
-class Rates:
-    """Relative frequencies of a log's label tuples and their standard errors, as its counts."""
-
-    p_hat: np.ndarray
-    stderr: np.ndarray
-
-
-def rates_from_counts(counts, shots):
-    """Relative frequencies with binomial standard errors sqrt(p(1-p)/N).
-
-    counts is a log's count vector or coincidence table over shots events.
-    """
-    if shots == 0:
-        raise ContractViolation("empty event log has no rates")
-    p = np.asarray(counts).astype(float) / shots
-    return Rates(p, np.sqrt(p * (1.0 - p) / shots))
-
-
 def empirical_rates(log):
-    """rates_from_counts of the log's counts."""
+    """tomography.rates_from_counts of the log's counts."""
+    from .tomography import rates_from_counts
+
     return rates_from_counts(log.counts(), len(log))
 
 
@@ -291,29 +279,39 @@ def empirical_rates(log):
 _LEADING = -ord("0") & 0xFF
 
 
-def _csv_rows(columns) -> bytes:
-    """CSV bytes of equal-length nonnegative integer columns, one line per row.
+def _csv_rows(columns, scratch=None):
+    """CSV bytes of equal-length nonnegative integer columns, one line per row, as a bytes-like.
 
     Every digit is written right-aligned into one (rows, width) byte matrix,
     each column as wide as its largest value.  A value's digits come from the
     right, each as rest - 10 * (rest // 10) on the smallest unsigned dtype
-    that holds the column.  When every value of a column has the digit count
-    of its largest, as in every chunk of a long log but the first few, the
-    matrix is the text.  Otherwise the leading cells of the shorter values
-    are NUL and are dropped from the bytes.
+    that holds every value of that width.  When every value of a column has
+    the digit count of its largest, as in every chunk of a long log but the
+    first few, the matrix is the text, and a view of it is returned.
+    Otherwise the leading cells of the shorter values are NUL and are dropped
+    from the bytes.  scratch keeps, for the next call to overwrite, the
+    matrix of each tuple of column widths and the digit buffers of each
+    width; without it the buffers are new.
     """
     n = columns[0].size
     if n == 0:
         return b""
+    scratch = {} if scratch is None else scratch
     tops = [int(col.max()) for col in columns]
     widths = [len(str(top)) for top in tops]
     short = [int(col.min()) < 10 ** (width - 1) for col, width in zip(columns, widths)]
-    out = np.empty((n, sum(widths) + len(widths)), dtype=np.uint8)
+    out = scratch.get(tuple(widths))
+    if out is None or len(out) < n:
+        out = scratch[tuple(widths)] = np.empty((n, sum(widths) + len(widths)), dtype=np.uint8)
+    out = out[:n]
     stop = 0
-    for col, top, width, ragged in zip(columns, tops, widths, short):
+    for col, width, ragged in zip(columns, widths, short):
+        digits = scratch.get(width)
+        if digits is None or digits.shape[1] < n:
+            digits = scratch[width] = np.empty((3, n), dtype=np.min_scalar_type(10 ** width - 1))
+        rest, quot, tens = digits[:, :n]
+        np.copyto(rest, col, casting="unsafe")
         stop += width
-        rest = col.astype(np.min_scalar_type(top))
-        quot, tens = np.empty_like(rest), np.empty_like(rest)
         for k in range(width):  # rest is col // 10**k
             cell = out[:, stop - 1 - k]
             if k == width - 1:
@@ -329,15 +327,16 @@ def _csv_rows(columns) -> bytes:
         stop += 1
     out[:, -1] = (ord("\n") - ord("0")) & 0xFF
     out += ord("0")
-    return out.tobytes().translate(None, b"\0") if any(short) else out.tobytes()
+    return out.tobytes().translate(None, b"\0") if any(short) else out.reshape(-1).data
 
 
 def _write_csv(handle, log, chunks) -> dict:
     """Write the CSV of log's header and of the label chunks to the binary handle.
 
-    The chunks are the labels of shots 0, 1, ... in order; each is checked
-    against the header and counted as it is written.  Returns the counts.json
-    memo of the bytes written.
+    The chunks are the labels of shots 0, 1, ... in order, none longer than
+    the first; each is checked against the header and counted as it is
+    written.  The handle gets each chunk's bytes in a buffer that the next
+    chunk overwrites.  Returns the counts.json memo of the bytes written.
     """
     digest = hashlib.sha256()
 
@@ -347,13 +346,16 @@ def _write_csv(handle, log, chunks) -> dict:
 
     put(f"# seed={log.seed}\n# generator={log.generator}\n{log._header()}".encode())
     counts = log._count(log.labels[:0])
-    start = 0
+    start, index, scratch = 0, None, {}
     for labels in chunks:
+        if index is None:
+            index = np.arange(len(labels))  # the shot column of each chunk, moved on in place
         log._check(labels, start)
         counts += log._count(labels)
-        put(_csv_rows([np.arange(start, start + len(labels)), *labels.T]))
+        put(_csv_rows([index[:len(labels)], *labels.T], scratch))
+        index += len(labels)
         start += len(labels)
-    return _memo(log.seed, start, counts, digest.hexdigest())
+    return counts_memo(log.seed, start, counts, digest.hexdigest())
 
 
 def event_log_to_csv(log) -> str:
@@ -367,9 +369,10 @@ def event_log_to_csv(log) -> str:
 def write_events(cfg: ExperimentConfig, handle) -> dict:
     """Sample cfg's run and write its CSV to the binary handle; returns its counts.json memo.
 
-    The bytes and the memo are those of event_log_to_csv and counts_document
+    The bytes and the memo are those of event_log_to_csv and io.counts_document
     of the log that sample_events draws, but only one chunk of shots is in
-    memory at a time.
+    memory at a time, drawn, labelled, checked, formatted and hashed in
+    buffers allocated once per run.
     """
     return _write_csv(handle, *_label_chunks(cfg))
 
@@ -431,66 +434,3 @@ def event_log_from_csv(text: str):
     bounds = [header_int(key, column.max(initial=0))
               for column, (_, key) in zip(labels.T, label_columns)]
     return EventLog(seed, generator, bounds, labels)
-
-
-def events_sha256(data: bytes) -> str:
-    """Hex sha256 of an event log's CSV bytes, the digest counts.json records."""
-    return hashlib.sha256(data).hexdigest()
-
-
-def file_sha256(path) -> str:
-    """events_sha256 of the bytes of the file at path, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def counts_document(log, data: bytes) -> dict:
-    """The counts.json memo of a log whose CSV is data: seed, shots, counts, events_sha256.
-
-    The counts are the log's sufficient statistic; events_sha256 is the
-    digest of exactly data, so a reader can tell whether the memo still
-    describes the CSV beside it.
-    """
-    return _memo(log.seed, len(log), log.counts(), events_sha256(data))
-
-
-def _memo(seed, shots, counts, digest):
-    return {"seed": seed, "shots": shots, "counts": counts.tolist(), "events_sha256": digest}
-
-
-def _count_array(obj):
-    """obj as a nonempty 1-D or 2-D int64 array of nonnegative JSON integers, else None."""
-    arr = _number_array(obj)  # an empty array reads as floats, so it fails the kind check
-    if arr is None or arr.dtype.kind != "i" or arr.ndim not in (1, 2) or (arr < 0).any():
-        return None
-    return arr.astype(np.int64)
-
-
-def memo_describes(doc, digest: str) -> bool:
-    """Whether a parsed counts.json is the memo of the log whose CSV bytes have this sha256.
-
-    A memo without events_sha256 (from an older run) or with another digest
-    (of another log, or of this log before an edit) describes no log.
-    """
-    return isinstance(doc, dict) and doc.get("events_sha256") == digest
-
-
-def counts_from_document(doc):
-    """(counts, shots) of a counts.json document.
-
-    The counts must be a rectangular array of 1 or 2 axes of nonnegative
-    integers (a count vector or a coincidence table) summing to the integer
-    shots, else ContractViolation.
-    """
-    counts = _count_array(doc.get("counts"))
-    if counts is None:
-        raise ContractViolation(
-            "'counts' must be a rectangular array of nonnegative integers with 1 or 2 axes")
-    shots = doc.get("shots")
-    total = sum(map(int, counts.flat))
-    if type(shots) is not int or shots != total:
-        raise ContractViolation(f"'shots' must be the integer count total {total}, got {shots!r}")
-    return counts, shots

@@ -16,7 +16,8 @@ operator whose Hermitian defect exceeds --tol-herm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ COND_WARN = 1e6
 SILENT_RATE = 1e-12
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     """What a reconstruction computed besides its estimate.
 
     residual: norm of the misfit of the returned estimate to the data it was fitted to.
@@ -39,7 +39,8 @@ class ReconstructionReport:
         larger cond and the smaller rank).
     projection_distance: Frobenius distance from the unconstrained least-squares solution
         to what the mode projected it to; 0 for a mode that projects nothing.
-    flags: warning names, such as "ill_conditioned"; extras: mode-specific values.
+    flags: warning names, such as "ill_conditioned"; extras: mode-specific values (by default
+        an empty read-only mapping, shared by every report that gets no extras).
     """
 
     residual: float
@@ -47,7 +48,7 @@ class ReconstructionReport:
     projection_distance: float
     rank: int
     flags: tuple = ()
-    extras: dict = field(default_factory=dict)
+    extras: dict = MappingProxyType({})
 
 
 def _span(sing, d, message):
@@ -127,8 +128,9 @@ def project_psd(x, trace_target=None):
     zero clipped matrix stays zero.
 
     Returns (projected matrix or stack, Frobenius distance moved: a float for
-    one matrix, an array over the stack).  Idempotent: a matrix already in
-    the cone with the right trace is returned unchanged.
+    one matrix, an array over the stack).  Each projected matrix equals its
+    conjugate transpose exactly.  Idempotent: a matrix already in the cone
+    with the right trace is returned unchanged.
     """
     a = as_square(x, stack=True)
     evals, evecs = np.linalg.eigh(hermitian_part(a))
@@ -142,7 +144,8 @@ def project_psd(x, trace_target=None):
                        _simplex(evals, np.where(positive, target, 1.0)),
                        lam * scale[..., None])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = (evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+        # V diag(lam) V* as computed need not equal its adjoint in the last bit
+        out = hermitian_part((evecs * lam[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj())
         dist = _scaled_norms(out - a, (-2, -1))
     if not (np.isfinite(out).all() and np.isfinite(dist).all()):
         raise NumericalError(
@@ -161,6 +164,25 @@ def _warnings(cond, dist=0.0, trace=0.0):
 def _rate_residuals(operators, x, rates):
     """Per-column norms of tr(x_c O_k) - rates[k, c] for a stack x of shape (n, d, d)."""
     return _scaled_norms(real_traces(operators, x) - rates, 0)
+
+
+class Rates(NamedTuple):
+    """Relative frequencies of a log's label tuples and their standard errors, as its counts."""
+
+    p_hat: np.ndarray
+    stderr: np.ndarray
+
+
+def rates_from_counts(counts, shots):
+    """Relative frequencies with binomial standard errors sqrt(p(1-p)/N), the rates and the row
+    weights 1/stderr that state and detector tomography take.
+
+    counts is a log's count vector or coincidence table over shots events.
+    """
+    if shots == 0:
+        raise ContractViolation("empty event log has no rates")
+    p = np.asarray(counts).astype(float) / shots
+    return Rates(p, np.sqrt(p * (1.0 - p) / shots))
 
 
 def state_tomography(measures, rates, stderr=None):
@@ -344,8 +366,7 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
     return list(maps), report
 
 
-@dataclass(frozen=True)
-class SelfCalibrationResult:
+class SelfCalibrationResult(NamedTuple):
     filters: list
     sources: list
     residual: float

@@ -8,7 +8,7 @@ means the Euclidean square x*x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +39,10 @@ def _check_normalized(rho) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     mean: np.ndarray
     sigma: float
-    covariance: np.ndarray = field(repr=False)
+    covariance: np.ndarray
 
 
 def q_uncertainty(rho, X) -> UncertaintyReport:
@@ -67,8 +66,7 @@ def q_uncertainty(rho, X) -> UncertaintyReport:
     return UncertaintyReport(mean, float(np.sqrt(max(sigma_sq, 0.0))), cov)
 
 
-@dataclass(frozen=True)
-class RobertsonReport:
+class RobertsonReport(NamedTuple):
     lhs: float
     rhs: float
     satisfied: bool
@@ -86,8 +84,7 @@ def robertson_check(rho, A, B, slack: float = 1e-10) -> RobertsonReport:
     return RobertsonReport(float(lhs), float(rhs), lhs >= rhs - slack)
 
 
-@dataclass(frozen=True)
-class ExcessReport:
+class ExcessReport(NamedTuple):
     e_var: float
     sigma2: float
     excess: float
@@ -109,8 +106,7 @@ def statistical_vs_quantum(det: Detector, rho) -> ExcessReport:
     return ExcessReport(e_var, float(sigma2), e_var - float(sigma2))
 
 
-@dataclass(frozen=True)
-class MeasurementErrorReport:
+class MeasurementErrorReport(NamedTuple):
     rmse: float
     bias: float
     delta: float
@@ -142,8 +138,7 @@ def measurement_uncertainty(det: Detector, rho, X) -> MeasurementErrorReport:
     return MeasurementErrorReport(float(np.sqrt(mse)), bias, float(np.sqrt(mse + correction)))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     min_eig: float
     member: bool
     witness: np.ndarray | None

@@ -943,6 +943,19 @@ class TestManifestsAndDeterminism:
         manifest = json.loads((bad_out / "manifest.json").read_text())
         assert manifest["error"] is not None
 
+    def test_manifest_records_the_environment(self, fixture_files, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        run_cli(["simulate", fixture_files["source"], fixture_files["device"],
+                 "--shots", "10", "--out", str(out)])
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        threads = {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
+        assert environment == {"python": ".".join(map(str, sys.version_info[:3])),
+                               "numpy": np.__version__, "thread_vars": threads}
+        assert threads["OMP_NUM_THREADS"] == "3" and threads["MKL_NUM_THREADS"] is None
+
     def test_unexpected_error_exits_4_with_manifest(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("unexpected failure")
@@ -1310,6 +1323,40 @@ class TestProcessEntry:
             gc.collect()
         assert result.exit_code == (2 if name == "tomo-failing" else 0), result.output
         assert unraisable == []
+
+    # python -m qtomo runs qtomo/__main__.py as __main__, which runpy does below after the
+    # handler is registered; the console script is the module setuptools generates
+    _ATEXIT_ENTRIES = {
+        "python-m": "import atexit, runpy; atexit.register(print, 'atexit ran'); "
+                    "runpy.run_module('qtomo', run_name='__main__', alter_sys=True)",
+        "console-script": "import atexit, sys; atexit.register(print, 'atexit ran'); "
+                          "from qtomo.__main__ import run; sys.exit(run())",
+    }
+
+    @pytest.mark.parametrize("entry", sorted(_ATEXIT_ENTRIES))
+    def test_process_entry_ends_as_the_interpreter_would(self, tmp_path, entry):
+        # run() ends the process with os._exit: atexit handlers still run, every byte written
+        # to stdout and stderr reaches the pipe, and the exit codes are main's
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is then block-buffered
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")])
+        deficient = tmp_path / "deficient"
+        qio.write_json_atomic(str(deficient / "measure.json"),
+                              qio.measure_to_json(qtomo.projective_measure(np.eye(2))))
+        qio.write_json_atomic(str(deficient / "rates.json"), {"rates": [0.5, 0.5]})
+        cases = [(["--version"], 0, "qtomo, version"),
+                 (["dynamics", "model.json"], 2, "required"),
+                 (["tomo", "state", str(deficient), "--out", str(tmp_path / "r" / "r.json")], 3,
+                  "RankDeficiencyError")]
+        for argv, code, text in cases:
+            expected = run_cli(argv)
+            got = subprocess.run([sys.executable, "-c", self._ATEXIT_ENTRIES[entry], *argv],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert (got.returncode, expected.exit_code) == (code, code), (argv, got.stderr)
+            assert got.stdout == expected.stdout + "atexit ran\n", argv
+            assert got.stderr == expected.stderr, argv
+            assert text in got.stdout + got.stderr, argv
 
     @pytest.mark.parametrize("entry", [
         ["-m", "qtomo"],

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import qtomo
 from qtomo import io as qio
-from qtomo import simulate
+from qtomo import simulate, tomography
 from qtomo.errors import ContractViolation
 from support import probe_states, run_cli
 
@@ -30,7 +30,7 @@ def _log(kind, seed, shots, n_elements, n_branches):
 
 
 def _rate_arrays(rates):
-    return [np.asarray(v) for v in vars(rates).values()]
+    return [np.asarray(v) for v in rates._asdict().values()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -41,20 +41,20 @@ def _rate_arrays(rates):
 def test_counts_path_rates_equal_parsed_rates(kind, seed, shots, n_elements, n_branches):
     log = _log(kind, seed, shots, n_elements, n_branches)
     data = simulate.event_log_to_csv(log).encode("ascii")
-    digest = simulate.events_sha256(data)
+    digest = qio.events_sha256(data)
     # the memo as a reader sees it: written canonically, then parsed
-    doc = json.loads(qio.canonical_json(simulate.counts_document(log, data)))
+    doc = json.loads(qio.canonical_json(qio.counts_document(log, data)))
     assert doc["events_sha256"] == hashlib.sha256(data).hexdigest()
-    assert simulate.memo_describes(doc, digest)
-    counts, memo_shots = simulate.counts_from_document(doc)
+    assert qio.memo_describes(doc, digest)
+    counts, memo_shots = qio.counts_from_document(doc)
     parsed = simulate.event_log_from_csv(data.decode("ascii"))
     if shots == 0:
-        for call in (lambda: simulate.rates_from_counts(counts, memo_shots),
+        for call in (lambda: tomography.rates_from_counts(counts, memo_shots),
                      lambda: simulate.empirical_rates(parsed)):
             with pytest.raises(ContractViolation, match="empty event log has no rates"):
                 call()
         return
-    from_memo = simulate.rates_from_counts(counts, memo_shots)
+    from_memo = tomography.rates_from_counts(counts, memo_shots)
     from_csv = simulate.empirical_rates(parsed)
     assert type(from_memo) is type(from_csv)
     for a, b in zip(_rate_arrays(from_memo), _rate_arrays(from_csv)):
@@ -64,13 +64,13 @@ def test_counts_path_rates_equal_parsed_rates(kind, seed, shots, n_elements, n_b
 class TestCountsDocument:
     def test_memo_of_another_log_is_not_used(self):
         log = _log("events", 1, 50, 6, 1)
-        doc = simulate.counts_document(log, b"other bytes")
-        assert simulate.memo_describes(doc, simulate.events_sha256(b"other bytes"))
-        assert not simulate.memo_describes(doc, simulate.events_sha256(b"these bytes"))
-        assert not simulate.memo_describes([doc], doc["events_sha256"])
-        assert not simulate.memo_describes(None, doc["events_sha256"])
+        doc = qio.counts_document(log, b"other bytes")
+        assert qio.memo_describes(doc, qio.events_sha256(b"other bytes"))
+        assert not qio.memo_describes(doc, qio.events_sha256(b"these bytes"))
+        assert not qio.memo_describes([doc], doc["events_sha256"])
+        assert not qio.memo_describes(None, doc["events_sha256"])
         del doc["events_sha256"]
-        assert not simulate.memo_describes(doc, simulate.events_sha256(b"other bytes"))
+        assert not qio.memo_describes(doc, qio.events_sha256(b"other bytes"))
 
     @pytest.mark.parametrize("counts, shots, invariant", [
         ([1, -2, 3], 2, "nonnegative integers"),
@@ -86,7 +86,7 @@ class TestCountsDocument:
     ])
     def test_malformed_memo_of_this_log(self, counts, shots, invariant):
         with pytest.raises(ContractViolation) as info:
-            simulate.counts_from_document({"seed": 1, "shots": shots, "counts": counts})
+            qio.counts_from_document({"seed": 1, "shots": shots, "counts": counts})
         assert invariant in str(info.value)
 
 
@@ -121,7 +121,7 @@ _int_arrays = hnp.arrays(
 @example([[2 ** 64, 1], [0, 1]])
 @example([[0, 1], [2, 3]])
 def test_count_reader_equals_the_rowwise_reader(obj):
-    new, old = simulate._count_array(obj), _rowwise_count_array(obj)
+    new, old = qio._count_array(obj), _rowwise_count_array(obj)
     if old is None or old.size == 0:  # empty counts are refused here now, not at the rates
         assert new is None
     else:
@@ -218,7 +218,7 @@ def test_instrument_report_bytes_with_and_without_memo(tmp_path_factory, shots, 
         (bundle / "events" / f"p{i}.csv").write_bytes(data)
         if i == memo_of:
             qio.write_json_atomic(str(bundle / "events" / "counts.json"),
-                                  simulate.counts_document(log, data))
+                                  qio.counts_document(log, data))
     result, manifest = _tomo("instrument", bundle, tmp_path / "memo" / "report.json")
     assert result.exit_code == 0, result.output
     assert [log["rates_from"] for log in manifest["event_logs"].values()] == [

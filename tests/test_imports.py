@@ -229,3 +229,68 @@ class TestCommandImports:
         loaded = _loaded_engines("tomo", "detector", str(tmp_path / "detector"),
                                  "--out", str(tmp_path / "d.json"))
         assert "tomography" in loaded and "channels" not in loaded
+
+
+def _every_command(tmp_path):
+    """argv of every command kind on small inputs under tmp_path, in an order that runs:
+    --version, simulate, each tomo mode, dynamics and each report kind."""
+    rho = np.diag([1.0, 0.0])
+    source, device = tmp_path / "source.json", tmp_path / "device.json"
+    qio.write_json_atomic(str(source), qio.density_to_json(rho))
+    qio.write_json_atomic(str(device),
+                          qio.measure_to_json(qtomo.pauli_six_measure(), np.arange(1.0, 7.0)))
+    state = tmp_path / "state"
+    qio.write_json_atomic(str(state / "measure.json"), qio.measure_to_json(qtomo.pauli_six_measure()))
+    _detector_bundle(tmp_path / "detector")
+    _process_bundle(tmp_path / "process")
+    _instrument_bundle(tmp_path / "instrument")
+    filters = [qtomo.superop_from_kraus([np.eye(2)]), qtomo.superop_from_kraus([qtomo.PAULI[1]])]
+    sources = [rho, np.eye(2) / 2]
+    qio.write_json_atomic(str(tmp_path / "selfcal" / "selfcal.json"), {
+        "outputs": [[qio.matrix_to_json(qtomo.apply_superop(f, s)) for s in sources] for f in filters],
+        "init_filters": [qio.matrix_to_json(f) for f in filters],
+        "init_sources": [qio.matrix_to_json(s) for s in sources]})
+    model = tmp_path / "model.json"
+    qio.write_json_atomic(str(model), {"H": qio.matrix_to_json(qtomo.PAULI[1]),
+                                       "rho0": qio.matrix_to_json(rho)})
+    channel = tmp_path / "channel.json"
+    qio.write_json_atomic(str(channel), qio.channel_to_json([qtomo.PAULI[1]]))
+    out = str(tmp_path / "out")
+    return [["--version"],
+            ["simulate", str(source), str(device), "--shots", "100", "--out", str(state / "events")],
+            *(["tomo", mode, str(tmp_path / mode), "--out", f"{out}/{mode}.json"]
+              for mode in ("state", "detector", "process", "instrument", "selfcal")),
+            ["dynamics", str(model), "--t", "0.2", "--dt", "0.1", "--method", "lindblad",
+             "--out", f"{out}/traj.json"],
+            ["report", "uncertainty", str(source), str(device), "--out", f"{out}/unc.json"],
+            ["report", "lines", str(model), "--out", f"{out}/lines.json"],
+            ["report", "classify", str(channel), "--out", f"{out}/classify.json"]]
+
+
+class TestStartUp:
+    def test_no_command_imports_dataclasses(self, tmp_path):
+        # the records are NamedTuples and slotted classes, which generate no code at import
+        for argv in _every_command(tmp_path):
+            loaded = _loaded_modules(*argv)
+            assert "qtomo.cli" in loaded and "dataclasses" not in loaded, argv
+
+    def test_tomo_state_loads_the_sampler_only_to_parse_a_log(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        source, device = tmp_path / "source.json", tmp_path / "device.json"
+        qio.write_json_atomic(str(source), qio.density_to_json(np.diag([1.0, 0.0])))
+        qio.write_json_atomic(str(device), qio.measure_to_json(qtomo.pauli_six_measure()))
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        _loaded_modules("simulate", str(source), str(device), "--shots", "500", "--seed", "3",
+                        "--out", str(bundle / "events"))
+        tomo = ("tomo", "state", str(bundle), "--out", str(tmp_path / "run" / "report.json"))
+        loaded = _loaded_engines(*tomo)
+        assert "tomography" in loaded and "simulate" not in loaded
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["event_logs"]["events.csv"]["rates_from"] == "counts.json"
+        # an edited log no longer has the memo's digest: it is parsed, with the sampler's reader
+        log = bundle / "events" / "events.csv"
+        log.write_text(log.read_text().replace("# seed=3", "# seed=4"))
+        assert "simulate" in _loaded_engines(*tomo)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["event_logs"]["events.csv"]["rates_from"] == "events.csv"

@@ -284,3 +284,43 @@ class TestDesignRank:
         assert numerical_rank(np.array([1e-20, 1e-25])) == 2  # relative, not absolute
         assert numerical_rank(np.array([0.0, 0.0])) == 0
         assert numerical_rank(np.array([])) == 0
+
+
+def _checked_records():
+    """One of each record that checks its fields, on the _Frozen base."""
+    import qtomo
+
+    measure = qtomo.pauli_six_measure()
+    rho = np.diag([1.0, 0.0])
+    log, _ = qtomo.sample_events(qtomo.ExperimentConfig(1, 20, rho, measure))
+    return [qtomo.Detector(measure, np.arange(1.0, 7.0)),
+            qtomo.ExperimentConfig(1, 20, rho, measure), log,
+            qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),))),
+            qtomo.LindbladModel(qtomo.PAULI[1], (np.diag([0.0, 1.0]),), (0.5,)),
+            qtomo.Trajectory(np.zeros(1), rho[None]), qtomo.Leaf(0.5 * np.eye(2))]
+
+
+class TestCheckedRecords:
+    def test_fields_are_immutable(self):
+        for record in _checked_records():
+            name = record.__slots__[0]
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+
+    def test_copy_and_pickle_rebuild_the_record(self):
+        import copy
+        import pickle
+
+        def same(a, b):
+            if isinstance(a, tuple):
+                return len(a) == len(b) and all(map(same, a, b))
+            if hasattr(a, "elements"):  # a QuantumMeasure
+                a, b = a.elements, b.elements
+            return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+        for record in _checked_records():
+            for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert type(twin) is type(record)
+                assert all(same(getattr(twin, n), getattr(record, n)) for n in record.__slots__)

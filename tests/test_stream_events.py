@@ -53,7 +53,7 @@ def test_streamed_log_equals_the_in_memory_log(coincidences, seed, run):
     with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
         memo = simulate.write_events(cfg, buffer)
     assert buffer.getvalue() == expected
-    assert memo == simulate.counts_document(log, expected)
+    assert memo == qio.counts_document(log, expected)
     assert memo["counts"] == counts.tolist()
     assert memo["events_sha256"] == hashlib.sha256(expected).hexdigest()
 
@@ -70,6 +70,46 @@ def test_any_chunk_size_writes_the_bytes_of_the_sampled_log(coincidences, chunk)
     with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
         simulate.write_events(cfg, buffer)
     assert buffer.getvalue() == expected
+
+
+def _wide_config(seed, shots):
+    """A d = 1 detector of 300 elements, the last 45 holding most of the rate: labels above 255."""
+    rates = np.concatenate([np.full(255, 1e-3), np.full(45, (1.0 - 0.255) / 45)])
+    return qtomo.ExperimentConfig(seed, shots, np.eye(1), qtomo.QuantumMeasure(rates[:, None, None]))
+
+
+def _oracle_labels(cfg):
+    """cfg's labels drawn in one piece: every uniform at once, one searchsorted, unravelled."""
+    if cfg.instrument is None:
+        table = np.concatenate([[0.0], qtomo.response_probabilities(cfg.measure, cfg.source)])
+    else:
+        table = qtomo.joint_probabilities(cfg.instrument, cfg.measure, cfg.source)
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random(cfg.shots)
+    flat = np.searchsorted(simulate._prepare_cdf(table.reshape(-1)[1:]), u, side="right") + 1
+    return np.stack(np.unravel_index(flat, table.shape), axis=1)
+
+
+_ORACLE_CHUNK = 8
+
+
+@pytest.mark.parametrize("shots", [0, 1, _ORACLE_CHUNK - 1, _ORACLE_CHUNK, _ORACLE_CHUNK + 1,
+                                   3 * _ORACLE_CHUNK + 5])
+@pytest.mark.parametrize("config", [lambda seed, shots: _config(False, seed, shots),
+                                    lambda seed, shots: _config(True, seed, shots),
+                                    _wide_config], ids=["detector", "coincidence", "300-outcomes"])
+def test_reused_buffers_draw_the_labels_of_one_searchsorted(config, shots):
+    # the sampler reuses one buffer per run for its uniforms, labels, counters and CSV rows
+    cfg = config(5, shots)
+    expected = _oracle_labels(cfg)
+    with mock.patch.object(simulate, "_CHUNK_SHOTS", _ORACLE_CHUNK):
+        log, counts = qtomo.sample_events(cfg)
+        buffer = io.BytesIO()
+        memo = simulate.write_events(cfg, buffer)
+    assert np.array_equal(log.labels, expected)
+    assert np.array_equal(counts, log.counts())
+    oracle_log = qtomo.EventLog(cfg.seed, simulate.GENERATOR_NAME, log.bounds, expected)
+    assert buffer.getvalue() == qtomo.event_log_to_csv(oracle_log).encode("ascii")
+    assert memo == qio.counts_document(oracle_log, buffer.getvalue())
 
 
 def test_every_chunk_is_checked_with_its_global_shot_index():

@@ -201,6 +201,16 @@ class TestPsdProjectionProperties:
         _, dist = project_psd(h, trace_target=target)
         assert dist <= np.linalg.norm(old - h) + 1e-12 * self._scale(h, target)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([None, 1.0, 0.0]))
+    def test_output_equals_its_adjoint_exactly(self, d, stack, seed, target):
+        # V diag(lam) V* as a product need not equal its adjoint in the last bit
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*stack, d, d)) + 1j * rng.normal(size=(*stack, d, d))
+        out, _ = project_psd(x, trace_target=target)
+        assert np.array_equal(out, np.swapaxes(out, -1, -2).conj())
+
     def test_exact_simplex_optimum(self):
         x = np.diag([0.8, 0.4, -0.2])
         out, dist = project_psd(x, trace_target=1.0)
