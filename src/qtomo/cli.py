@@ -266,10 +266,10 @@ def _load_rates(problem_dir, devices, logs):
             np.stack([r.stderr[first:] for r in rates]))
 
 
-def _tomo_state(problem_dir, logs, tol_herm):
+def _tomo_state(problem_dir, logs, tols):
     from .tomography import state_tomography
 
-    measure = _measure(os.path.join(problem_dir, "measure.json"), tol_herm)
+    measure = _measure(os.path.join(problem_dir, "measure.json"), tols["tol_herm"])
     rates, err = _load_rates(problem_dir, 1, logs)
     if err is not None:
         if len(rates) != 1:
@@ -281,40 +281,40 @@ def _tomo_state(problem_dir, logs, tol_herm):
     return {"estimate": io.density_to_json(rho)}, report
 
 
-def _tomo_detector(problem_dir, logs, tol_herm):
+def _tomo_detector(problem_dir, logs, tols):
     from .tomography import detector_tomography
 
-    probes = _states(problem_dir, "probes", tol_herm)
+    probes = _states(problem_dir, "probes", tols["tol_herm"])
     rates, err = _load_rates(problem_dir, 1, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates),
                                           None if err is None else np.atleast_2d(err))
     return {"estimate": io.measure_to_json(measure)}, report
 
 
-def _tomo_process(problem_dir, tol_herm):
+def _tomo_process(problem_dir, logs, tols):
     from .tomography import process_tomography
 
-    e, report = process_tomography(_states(problem_dir, "probes", tol_herm),
-                                   _states(problem_dir, "outputs", tol_herm))
+    e, report = process_tomography(_states(problem_dir, "probes", tols["tol_herm"]),
+                                   _states(problem_dir, "outputs", tols["tol_herm"]))
     return {"estimate": {"superoperator": io.matrix_to_json(e)}}, report
 
 
-def _tomo_instrument(problem_dir, logs, tol_herm):
+def _tomo_instrument(problem_dir, logs, tols):
     from .tomography import instrument_tomography
 
-    probes = _states(problem_dir, "probes", tol_herm)
-    measure = _measure(os.path.join(problem_dir, "measure.json"), tol_herm)
+    probes = _states(problem_dir, "probes", tols["tol_herm"])
+    measure = _measure(os.path.join(problem_dir, "measure.json"), tols["tol_herm"])
     tables, _ = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, measure)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
 
-def _tomo_selfcal(problem_dir, rtol):
+def _tomo_selfcal(problem_dir, logs, tols):
     from .tomography import self_calibrating_tomography
 
     outputs, filters, sources = io.selfcal_from_json(
         io.read_json(os.path.join(problem_dir, "selfcal.json")))
-    result = self_calibrating_tomography(outputs, filters, sources, rtol=rtol)
+    result = self_calibrating_tomography(outputs, filters, sources, rtol=tols["rtol"])
     payload = {
         "estimate": {
             "filters": [io.matrix_to_json(f) for f in result.filters],
@@ -329,6 +329,12 @@ def _tomo_selfcal(problem_dir, rtol):
     return payload, None
 
 
+# Each tomo mode by name, in the parser's order: its adapter (problem_dir, logs, tols) returns
+# (payload, report or None), and records each event log it reads in logs.
+_TOMO_MODES = {"state": _tomo_state, "detector": _tomo_detector, "process": _tomo_process,
+               "instrument": _tomo_instrument, "selfcal": _tomo_selfcal}
+
+
 def tomo(tols, mode, problem_dir, out_path):
     """Run a reconstruction over a problem bundle directory."""
     run = _Run(f"tomo {mode}", {"problem_dir": problem_dir}, os.path.dirname(os.path.abspath(out_path)),
@@ -336,16 +342,7 @@ def tomo(tols, mode, problem_dir, out_path):
     logs = run.manifest["event_logs"] = {}
 
     def work():
-        if mode == "state":
-            payload, report = _tomo_state(problem_dir, logs, tols["tol_herm"])
-        elif mode == "detector":
-            payload, report = _tomo_detector(problem_dir, logs, tols["tol_herm"])
-        elif mode == "process":
-            payload, report = _tomo_process(problem_dir, tols["tol_herm"])
-        elif mode == "instrument":
-            payload, report = _tomo_instrument(problem_dir, logs, tols["tol_herm"])
-        else:
-            payload, report = _tomo_selfcal(problem_dir, tols["rtol"])
+        payload, report = _TOMO_MODES[mode](problem_dir, logs, tols)
         if report is not None:
             payload.update(
                 residual=report.residual,
@@ -492,7 +489,7 @@ def _parser(prog):
     sub.add_argument("--out", dest="out_dir", required=True, help="Output directory.")
 
     sub = command(tomo)
-    sub.add_argument("mode", choices=["state", "detector", "process", "instrument", "selfcal"])
+    sub.add_argument("mode", choices=_TOMO_MODES)
     sub.add_argument("problem_dir")
     sub.add_argument("--out", dest="out_path", required=True, help="Report JSON path.")
 
@@ -526,10 +523,7 @@ def main(args=None, prog_name="qtomo", standalone_mode=True):
     opts.pop("run")(tols, **opts)
 
 
-# Callers written for the click entry point that main once was call
-# main.main(args=..., prog_name=..., standalone_mode=...); this alias keeps that call working.
+# perfbench's in-process runner (_invoke in perfbench/run.py) calls
+# main.main(args=..., prog_name="qtomo", standalone_mode=False); this alias and the ignored
+# keyword keep that call working.
 main.main = main
-
-
-if __name__ == "__main__":
-    main()

@@ -214,27 +214,6 @@ def instrument_to_json(instrument: Instrument):
     }
 
 
-def network_from_json(obj):
-    from .optics import Leaf, Split
-
-    if "leaf" in _object(obj, "network node"):
-        return Leaf(matrix_from_json(_object(obj["leaf"], "leaf")["jones"]))
-    if "split" in obj:
-        children = _array(obj, "split", "network node")
-        if len(children) != 2:
-            raise ContractViolation(f"a split has two children, got {len(children)}")
-        return Split(network_from_json(children[0]), network_from_json(children[1]))
-    raise ContractViolation("network node must have 'leaf' or 'split'")
-
-
-def network_to_json(net):
-    from .optics import Leaf
-
-    if isinstance(net, Leaf):
-        return {"leaf": {"jones": matrix_to_json(net.jones)}}
-    return {"split": [network_to_json(net.left), network_to_json(net.right)]}
-
-
 def model_from_json(obj):
     """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0)."""
     from .dynamics import LindbladModel

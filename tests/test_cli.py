@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -1381,3 +1382,41 @@ class TestProcessEntry:
             assert "manifest.json" in outputs, name
             for output in set(outputs) - {"manifest.json"}:  # the manifest holds timings
                 assert (mine / output).read_bytes() == (theirs / output).read_bytes(), output
+
+    def test_benchmark_in_process_entry(self, fixture_files, tmp_path):
+        # perfbench/run.py's in-process iterations call main.main with these keywords inside
+        # spans.Tracer: the same bytes on every call, and the same as a `python -m qtomo` run
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                      root / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        from qtomo import cli
+
+        def commands(bundle):
+            (bundle / "events").mkdir(parents=True)
+            (bundle / "measure.json").write_bytes(Path(fixture_files["device"]).read_bytes())
+            return [["simulate", fixture_files["source"], fixture_files["device"], "--shots",
+                     "5000", "--seed", "4", "--out", str(bundle / "events")],
+                    ["tomo", "state", str(bundle), "--out", str(bundle / "run" / "report.json")]]
+
+        def outputs(bundle):
+            return [(bundle / name).read_bytes()
+                    for name in ("events/events.csv", "events/counts.json", "run/report.json")]
+
+        with spans.Tracer() as tracer:
+            for run in ("a", "b"):
+                for argv in commands(tmp_path / run):
+                    try:
+                        cli.main.main(args=argv, prog_name="qtomo", standalone_mode=False)
+                        code = 0
+                    except SystemExit as exit_:
+                        code = exit_.code
+                    assert code == 0, (run, argv)
+        assert tracer.stats["tomography.state_tomography"][0] == 2
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+        for argv in commands(tmp_path / "m"):
+            subprocess.run([sys.executable, "-m", "qtomo", *argv], env=env, check=True,
+                           capture_output=True, timeout=120)
+        assert outputs(tmp_path / "a") == outputs(tmp_path / "b") == outputs(tmp_path / "m")

@@ -9,12 +9,9 @@ from hypothesis.extra import numpy as hnp
 from qtomo import (
     ContractViolation,
     Instrument,
-    Leaf,
     LindbladModel,
     PAULI,
-    Split,
     Trajectory,
-    cascade_measure,
     kraus_apply,
     pauli_six_measure,
     sliced_master,
@@ -151,8 +148,6 @@ class TestDocuments:
         (qio.channel_from_json, {"kraus": 5}),
         (qio.channel_from_json, {"kraus": []}),
         (qio.instrument_from_json, {"branches": {"kraus": []}}),
-        (qio.network_from_json, {"split": [{"leaf": {"jones": [[1]]}}]}),
-        (qio.network_from_json, {"leaf": 5}),
         (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "hbar": "1"}),
         (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "lindblad": {"L": [[[1]]], "gamma": ["x"]}}),
         (qio.model_from_json, {"H": [[1]], "rho0": [[1]], "lindblad": [1]}),
@@ -163,10 +158,9 @@ class TestDocuments:
                                  "init_sources": []}),
         (qio.selfcal_from_json, {"outputs": [[[[1]]]], "init_filters": {}, "init_sources": []}),
     ], ids=["scalar", "string-dim", "fractional-dim", "scalar-elements",
-            "string-measure", "scalar-kraus", "empty-kraus", "object-branches",
-            "one-child-split", "scalar-leaf", "string-hbar", "string-gamma", "array-lindblad",
-            "array-hamiltonian", "boolean-hbar", "scalar-selfcal-row", "ragged-selfcal-grid",
-            "object-selfcal-filters"])
+            "string-measure", "scalar-kraus", "empty-kraus", "object-branches", "string-hbar",
+            "string-gamma", "array-lindblad", "array-hamiltonian", "boolean-hbar",
+            "scalar-selfcal-row", "ragged-selfcal-grid", "object-selfcal-filters"])
     def test_wrong_types_rejected(self, parse, doc):
         with pytest.raises(ContractViolation):
             parse(doc)
@@ -210,13 +204,6 @@ class TestDocuments:
         back = qio.instrument_from_json(qio.instrument_to_json(inst))
         assert len(back) == 2
         assert np.array_equal(back.branches[0][0], p0)
-
-    def test_network_round_trip(self):
-        net = Split(Leaf(np.eye(2)), Split(Leaf(0.5 * np.eye(2)), Leaf(PAULI[1])))
-        back = qio.network_from_json(qio.network_to_json(net))
-        m1 = cascade_measure(net)
-        m2 = cascade_measure(back)
-        assert np.array_equal(m1.elements, m2.elements)
 
     def test_model_round_trip(self):
         doc = {
