@@ -193,10 +193,9 @@ def _counts_memo(events_dir):
 
 
 # By the number of devices a bundle's logs record: the name of such a log; the file, key
-# and axes of the rates the bundle may hold instead; the first slot of a log's rates that
-# its engine takes (a detection log's null slot is no element rate).
-_LOG_KINDS = (("detection log", "rates.json", "rates", (1, 2), 1),
-              ("coincidence log", "tables.json", "tables", (3,), 0))
+# and axes of the rates the bundle may hold instead.
+_LOG_KINDS = (("detection log", "rates.json", "rates", (1, 2)),
+              ("coincidence log", "tables.json", "tables", (3,)))
 
 
 def _read_table(path, key, ndims):
@@ -218,15 +217,18 @@ def _load_rates(problem_dir, devices, logs):
 
     From rates.json or tables.json if present, else one row per events/*.csv
     log (each must record that many devices and count the outcomes of the
-    first) in file-name order, with its standard errors.  A log's rates come
-    from events/counts.json when that memo records the log's sha256 (so it
-    serves at most one log of a bundle), else from parsing the log, which only
-    then is read whole.  logs maps each log's file name to its sha256 and the
-    file its rates came from.
+    first) in file-name order, with its standard errors.  The engines take
+    element rates, so the null detection slot (slot 0 of the last axis) is
+    dropped from every log's rates and from tables.json; rates.json has none.
+    A log's rates come from events/counts.json when that memo records the
+    log's sha256 (so it serves at most one log of a bundle), else from parsing
+    the log, which only then is read whole.  logs maps each log's file name to
+    its sha256 and the file its rates came from.
     """
-    _, table_file, key, ndims, first = _LOG_KINDS[devices - 1]
+    _, table_file, key, ndims = _LOG_KINDS[devices - 1]
     if os.path.exists(os.path.join(problem_dir, table_file)):
-        return _read_table(os.path.join(problem_dir, table_file), key, ndims), None
+        table = _read_table(os.path.join(problem_dir, table_file), key, ndims)
+        return (table[..., 1:] if table_file == "tables.json" else table), None
     from .tomography import rates_from_counts
 
     events_dir = os.path.join(problem_dir, "events")
@@ -262,8 +264,8 @@ def _load_rates(problem_dir, devices, logs):
                                     f"{rates[0].p_hat.shape}; the logs of a bundle must count "
                                     "the same outcomes")
         rates.append(rates_from_counts(counts, shots))
-    return (np.stack([r.p_hat[first:] for r in rates]),
-            np.stack([r.stderr[first:] for r in rates]))
+    return (np.stack([r.p_hat[..., 1:] for r in rates]),
+            np.stack([r.stderr[..., 1:] for r in rates]))
 
 
 def _tomo_state(problem_dir, logs, tols):
@@ -304,8 +306,8 @@ def _tomo_instrument(problem_dir, logs, tols):
 
     probes = _states(problem_dir, "probes", tols["tol_herm"])
     measure = _measure(os.path.join(problem_dir, "measure.json"), tols["tol_herm"])
-    tables, _ = _load_rates(problem_dir, 2, logs)
-    maps, report = instrument_tomography(tables, probes, measure)
+    tables, err = _load_rates(problem_dir, 2, logs)
+    maps, report = instrument_tomography(tables, probes, measure, err)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
 

@@ -299,7 +299,7 @@ def _csv_rows(columns, scratch=None):
     scratch = {} if scratch is None else scratch
     tops = [int(col.max()) for col in columns]
     widths = [len(str(top)) for top in tops]
-    short = [int(col.min()) < 10 ** (width - 1) for col, width in zip(columns, widths)]
+    short = [w > 1 and int(col.min()) < 10 ** (w - 1) for col, w in zip(columns, widths)]
     out = scratch.get(tuple(widths))
     if out is None or len(out) < n:
         out = scratch[tuple(widths)] = np.empty((n, sum(widths) + len(widths)), dtype=np.uint8)

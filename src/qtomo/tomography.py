@@ -63,10 +63,12 @@ def _hermitian_lstsq(operators, rates, stderr, what):
     """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c.
 
     The design is built and factored once (ops._design), and its SVD gives the
-    rank and condition checks and the solution of every column.  A column with
-    standard errors has its own row weights, so it gets its own weighted
-    solve of the same design.  Returns (X of shape (n, d, d), per-column
-    residuals of the unweighted equations, cond, rank).
+    rank and condition checks and the solution of every column without
+    standard errors.  Every column with errors weights row k by 1/stderr[k, c]
+    (errors floored at 1e-6 of the column's largest), and all such columns are
+    solved by one stacked QR of their row-scaled designs: positive finite
+    weights keep the design's full rank.  Returns (X of shape (n, d, d),
+    per-column residuals of the unweighted equations, cond, rank).
     """
     ops = square_stack(operators, "design operator")
     d = ops.shape[1]
@@ -82,10 +84,11 @@ def _hermitian_lstsq(operators, rates, stderr, what):
         err = np.asarray(stderr, dtype=float)
         if err.shape != y.shape:
             raise ContractViolation("standard errors must match the rates")
-        for c in np.flatnonzero(np.any(err != 0.0, axis=0)):
-            floor = max(err[:, c].max() * 1e-6, 1e-300)
-            w = 1.0 / np.clip(err[:, c], floor, None)
-            coeff[:, c] = np.linalg.lstsq(m * w[:, None], y[:, c] * w, rcond=None)[0]
+        cols = np.flatnonzero(np.any(err != 0.0, axis=0))
+        w = 1.0 / np.clip(err[:, cols], np.maximum(err[:, cols].max(axis=0) * 1e-6, 1e-300), None)
+        q, r = np.linalg.qr(m * w.T[:, :, None])  # (columns, K, d^2) and (columns, d^2, d^2)
+        qty = q.swapaxes(1, 2) @ (y[:, cols] * w).T[:, :, None]
+        coeff[:, cols] = np.linalg.solve(r, qty)[:, :, 0].T
     x = np.tensordot(coeff.T, basis, axes=(1, 0))
     return x, _scaled_norms(m @ coeff - y, 0), cond, rank
 
@@ -175,7 +178,7 @@ class Rates(NamedTuple):
 
 def rates_from_counts(counts, shots):
     """Relative frequencies with binomial standard errors sqrt(p(1-p)/N), the rates and the row
-    weights 1/stderr that state and detector tomography take.
+    weights 1/stderr that every count-based mode takes.
 
     counts is a log's count vector or coincidence table over shots events.
     """
@@ -300,40 +303,44 @@ def process_tomography(probe_states, output_states):
     return e[0], report
 
 
-def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure):
+def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure, stderr=None):
     """Reconstruct the branch maps of an instrument from coincidence tables.
 
-    joint_tables has shape (n_probes, J+1, K+1): for each probe state, the
-    joint rates over (branch j, element k) with j = 0 the null branch and
-    k = 0 the null detection slot; measure is the second detector's K-element
-    measure, which must be informationally complete.  The element rates of
-    every (probe, branch) pair are inverted together to unnormalized
-    conditional output states, each projected to PSD with its measured trace,
-    and the maps of all responding branches follow by process tomography over
-    the probes, on one factored probe design.  Branch 0 with no recorded rate
-    is returned as the zero map; an ordinary branch without events is an
-    error.  The report's rank is the smaller of the detector design's rank and
-    the probes' span rank, its cond the larger of their condition numbers, its
-    projection distance that of the responding outputs, flagged as in state
-    tomography relative to the largest output trace.  Uses the Hermitian parts
-    of the elements and probes, unchecked (``tomo`` checks --tol-herm).
+    joint_tables has shape (n_probes, J+1, K): for each probe state, the
+    joint rates over (branch j, element k) with j = 0 the null branch, and no
+    null detection slot; measure is the second detector's K-element measure,
+    which must be informationally complete.  The element rates of every
+    (probe, branch) pair are inverted together to unnormalized conditional
+    output states, weighted as in state tomography by the optional standard
+    errors (shaped like the tables), each projected to PSD with its measured
+    trace, and the maps of all responding branches follow by process
+    tomography over the probes, on one factored probe design.  Branch 0 with
+    no recorded rate is returned as the zero map; an ordinary branch without
+    events is an error.  The report's rank is the smaller of the detector
+    design's rank and the probes' span rank, its cond the larger of their
+    condition numbers, its projection distance that of the responding outputs,
+    flagged as in state tomography relative to the largest output trace.  Uses
+    the Hermitian parts of the elements and probes, unchecked (``tomo`` checks
+    --tol-herm).
     """
     tables = np.asarray(joint_tables, dtype=float)
     probes = square_stack(probe_states, "probe state")
     if tables.ndim != 3 or tables.shape[0] != len(probes):
         raise ContractViolation(
-            f"joint tables must be (n_probes, J+1, K+1), got {tables.shape}"
+            f"joint tables must be (n_probes, J+1, K), got {tables.shape}"
         )
-    if tables.shape[2] != len(measure) + 1:
+    if tables.shape[2] != len(measure):
         raise ContractViolation(
-            f"tables have {tables.shape[2] - 1} element slots for a "
-            f"{len(measure)}-element detector"
+            f"tables have {tables.shape[2]} element slots for a {len(measure)}-element detector"
         )
+    if stderr is not None and np.shape(stderr) != tables.shape:
+        raise ContractViolation("standard errors must match the rates")
     # One solve on the detector design for every (probe, branch) output, before any check of
     # the tables: column ell * (J+1) + j holds the element rates of probe ell in branch j.
     n_probes, n_branches, n_slots = tables.shape
-    y = tables[:, :, 1:].reshape(-1, n_slots - 1).T
-    x, _, det_cond, det_rank = _hermitian_lstsq(measure.elements, y, None, "instrument tomography")
+    y = tables.reshape(-1, n_slots).T
+    err = None if stderr is None else np.reshape(stderr, (-1, n_slots)).T
+    x, _, det_cond, det_rank = _hermitian_lstsq(measure.elements, y, err, "instrument tomography")
     d = measure.dim
     if probes.shape[1] != d:
         raise ContractViolation(f"probe states are {probes.shape[1]}-dimensional, the second "

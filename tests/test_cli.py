@@ -593,6 +593,42 @@ class TestTomoDetectorInstrumentSelfcal:
                 err = np.max(np.abs(qtomo.apply_superop(maps[j], b) - proj @ b @ proj))
                 assert err <= 0.05
 
+    def test_instrument_logs_weight_the_output_solves(self, tmp_path):
+        """tomo instrument fits the logs' element rates weighted by their standard errors; the
+        same rates in a tables.json, which keeps the null detection slot, give the unweighted
+        fit.  The Pauli-6 second detector overdetermines each output, so weights matter."""
+        from support import probe_states
+
+        inst = qtomo.Instrument(((np.sqrt(0.9) * np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+        measure = qtomo.pauli_six_measure()
+        probes = probe_states(2)
+        bundle = tmp_path / "bundle"
+        (bundle / "probes").mkdir(parents=True)
+        (bundle / "events").mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(measure))
+        rates = []
+        for i, probe in enumerate(probes):
+            qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"),
+                                  qio.density_to_json(probe))
+            log, _ = qtomo.sample_events(qtomo.ExperimentConfig(700 + i, 5000, probe, measure,
+                                                                inst))
+            (bundle / "events" / f"p{i}.csv").write_text(qtomo.event_log_to_csv(log))
+            rates.append(qtomo.empirical_rates(log))
+        tables = np.stack([r.p_hat for r in rates])
+        stderr = np.stack([r.stderr for r in rates])
+        fits = {}
+        for name, err in (("logs", stderr[..., 1:]), ("tables", None)):
+            out = tmp_path / name / "report.json"
+            assert run_cli(["tomo", "instrument", str(bundle), "--out", str(out)]).exit_code == 0
+            report = json.loads(out.read_text())
+            maps, expected = qtomo.instrument_tomography(tables[..., 1:], probes, measure, err)
+            fits[name] = [qio.matrix_from_json(b) for b in report["estimate"]["branches"]]
+            assert np.array_equal(fits[name], maps)
+            assert report["residual"] == expected.residual
+            assert report["projection_distance"] == expected.projection_distance
+            qio.write_json_atomic(str(bundle / "tables.json"), {"tables": tables})
+        assert np.max(np.abs(np.subtract(fits["logs"], fits["tables"]))) > 1e-6
+
     @staticmethod
     def _selfcal_report(tmp_path):
         rng = np.random.default_rng(140)

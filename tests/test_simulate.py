@@ -443,6 +443,15 @@ class TestCsvRowsProperty:
     def test_equals_the_per_row_join(self, columns):
         assert simulate._csv_rows(columns) == _csv_rows_oracle(columns)
 
+    def test_one_digit_columns_holding_zero_are_a_view(self):
+        # a coincidence chunk: six-digit shots, the null branch 0 and null responses among
+        # labels 0..6; a one-digit column has no leading cells to drop
+        rng = np.random.default_rng(3)
+        columns = [np.arange(100_000, 101_000), rng.integers(0, 3, 1000), np.arange(1000) % 7]
+        rows = simulate._csv_rows(columns)
+        assert isinstance(rows, memoryview)
+        assert rows == _csv_rows_oracle(columns)
+
 
 @st.composite
 def _cdfs_and_uniforms(draw):

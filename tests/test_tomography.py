@@ -36,7 +36,7 @@ from qtomo import (
     validate_density,
     validate_measure,
 )
-from qtomo.tomography import _scaled_norms
+from qtomo.tomography import _hermitian_lstsq, _scaled_norms
 from support import (
     probe_states,
     random_density,
@@ -436,7 +436,7 @@ class TestInstrumentTomography:
         inst = _projective_instrument()
         measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[..., 1:]
         maps, report = instrument_tomography(tables, probes, measure)
         basis = hermitian_basis(2)
         for j, proj in ((1, np.diag([1.0, 0.0])), (2, np.diag([0.0, 1.0]))):
@@ -449,7 +449,7 @@ class TestInstrumentTomography:
         inst = Instrument(((np.eye(2, dtype=complex),),))
         measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[..., 1:]
         maps, report = instrument_tomography(tables, probes, measure)
         assert np.allclose(report.extras["branch_marginals"][:, 1], 1.0)
         for b in hermitian_basis(2):
@@ -459,7 +459,7 @@ class TestInstrumentTomography:
         inst = _projective_instrument()
         measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[..., 1:]
         _, report = instrument_tomography(tables, probes, measure)
         assert np.max(np.abs(report.extras["predicted_marginals"]
                              - report.extras["branch_marginals"])) <= 1e-8
@@ -468,7 +468,7 @@ class TestInstrumentTomography:
         inst = _projective_instrument()
         measure = tetrahedron_measure()
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[..., 1:]
         tables[:, 2, :] = 0.0  # erase all events for branch 2
         with pytest.raises(ContractViolation, match="branch 2"):
             instrument_tomography(tables, probes, measure)
@@ -476,7 +476,7 @@ class TestInstrumentTomography:
     def test_probes_of_another_size_rejected(self):
         measure = tetrahedron_measure()
         probes = probe_states(3)
-        tables = np.full((len(probes), 2, 5), 0.1)
+        tables = np.full((len(probes), 2, 4), 0.1)
         with pytest.raises(ContractViolation, match="measures 2x2 states"):
             instrument_tomography(tables, probes, measure)
         with pytest.raises(ContractViolation, match="probe state 4 is 3x3, expected 2x2"):
@@ -486,7 +486,7 @@ class TestInstrumentTomography:
         inst = _projective_instrument()
         measure = projective_measure(np.eye(2))
         probes = probe_states(2)
-        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
+        tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[..., 1:]
         with pytest.raises(RankDeficiencyError):
             instrument_tomography(tables, probes, measure)
         tables[:, 2] = 0.0  # a silent branch does not hide the rank deficiency
@@ -497,9 +497,9 @@ class TestInstrumentTomography:
         measure = squashed_tetrahedron(1e-7)
         probes = probe_states(2)
         tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
-                           for p in probes])
+                           for p in probes])[..., 1:]
         _, report = instrument_tomography(tables, probes, measure)
-        _, state_report = state_tomography(measure, tables[0, 1:, 1:].sum(axis=0))
+        _, state_report = state_tomography(measure, tables[0, 1:].sum(axis=0))
         assert report.rank == 4 and report.cond == state_report.cond > 1e7
         # the rounding that cond 1.7e7 amplifies moves every output by about 1e-9: state
         # tomography flags that as projected, and the instrument by the same rule
@@ -539,7 +539,7 @@ class TestOneRankRule:
     def test_complete_exactly_when_state_and_instrument_tomography_accept(self, measure):
         probes = probe_states(2)
         tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
-                           for p in probes])
+                           for p in probes])[..., 1:]
         runs = (lambda: state_tomography(measure, response_probabilities(measure, probes[2])),
                 lambda: instrument_tomography(tables, probes, measure))
         if informational_completeness(measure).rank == 4:
@@ -745,7 +745,7 @@ def _oracle_instrument(tables, probes, measure):
             continue
         outputs = []
         for ell in range(len(probes)):
-            rho, res, _, _, dist = _oracle_state(measure, tables[ell, j, 1:])
+            rho, res, _, _, dist = _oracle_state(measure, tables[ell, j])
             outputs.append(rho)
             residual_sq += res ** 2
             dist_sq += dist ** 2
@@ -756,7 +756,7 @@ def _oracle_instrument(tables, probes, measure):
     predicted = np.array([[np.trace(apply_superop(e, p)).real for e in maps] for p in probes])
     if cond > 1e6:
         flags.append("ill_conditioned")
-    if np.sqrt(dist_sq) > 1e-12 * max(1.0, tables[:, :, 1:].sum(axis=2).max()):
+    if np.sqrt(dist_sq) > 1e-12 * max(1.0, tables.sum(axis=2).max()):
         flags.append("projected")  # state tomography's rule, on the largest output trace
     return (maps, np.sqrt(residual_sq), cond, d * d, np.sqrt(dist_sq), predicted, tuple(flags))
 
@@ -834,7 +834,7 @@ class TestFactoredEnginesMatchPerColumnOracle:
         tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
         if noisy:
             tables = tables + 1e-3 * rng.normal(size=tables.shape)
-        return tables, probes, measure
+        return tables[..., 1:], probes, measure
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
@@ -848,12 +848,40 @@ class TestFactoredEnginesMatchPerColumnOracle:
         measure = tetrahedron_measure()
         if case == "silent_null":  # projective branches leave the null branch no rate
             tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
-                               for p in probes])
+                               for p in probes])[..., 1:]
         else:  # one lossy branch, of which only the null branch is kept
             inst = Instrument(((0.6 * random_unitary(2, rng),),))
-            tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[:, :1]
+            tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])[:, :1, 1:]
         report = self._check_instrument(tables, probes, measure)
         assert report.flags == (("null_branch_zero",) if case == "silent_null" else ())
+
+
+@st.composite
+def _weighted_columns(draw):
+    """Hermitian operators (d = 2, 3; K = d^2 ... d^2 + 4) and 1-5 rate columns, each with
+    positive standard errors spread over two decades or with none (all zero)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(2, 3))
+    k, cols = d * d + draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    ops = np.stack([random_hermitian(d, rng) for _ in range(k)])
+    stderr = 10.0 ** rng.uniform(-2.0, 0.0, size=(k, cols))
+    stderr[:, np.array(draw(st.lists(st.booleans(), min_size=cols, max_size=cols)))] = 0.0
+    return ops, rng.normal(size=(k, cols)), stderr
+
+
+class TestWeightedSolve:
+    """The stacked QR solve of every weighted column agrees with one lstsq per column."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_weighted_columns())
+    def test_equals_the_per_column_oracle(self, problem):
+        ops, rates, stderr = problem
+        x, residuals, cond, rank = _hermitian_lstsq(ops, rates, stderr, "weighted solve")
+        for c in range(rates.shape[1]):
+            o_x, o_res, o_cond, o_rank = _per_column_solve(ops, rates[:, c], stderr[:, c])
+            assert np.max(np.abs(x[c] - o_x)) <= 1e-10 * np.max(np.abs(o_x))
+            assert abs(residuals[c] - o_res) <= 1e-10 * max(1.0, o_res)
+            assert cond == pytest.approx(o_cond, rel=1e-10) and rank == o_rank
 
 
 def _lossy_weak_measurement(rng):
@@ -873,7 +901,7 @@ class TestOutputProjectionHelps:
         """Reference without the output projection: one Hermitian least-squares solve per
         (probe, branch) output, then pinv of the probe matrix for every branch."""
         v = np.stack([p.reshape(-1) for p in probes], axis=1)
-        return [np.stack([_per_column_solve(measure.elements, table[j, 1:])[0].reshape(-1)
+        return [np.stack([_per_column_solve(measure.elements, table[j])[0].reshape(-1)
                           for table in tables], axis=1) @ np.linalg.pinv(v)
                 for j in range(tables.shape[1])]
 
@@ -887,7 +915,7 @@ class TestOutputProjectionHelps:
             truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
             tables = np.stack([
                 empirical_rates(sample_events(
-                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat[:, 1:]
                 for ell, p in enumerate(probes)])
             maps, _ = instrument_tomography(tables, probes, measure)
             errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(fit, truth)))
@@ -903,10 +931,35 @@ class TestOutputProjectionHelps:
             inst = _lossy_weak_measurement(rng)
             tables = np.stack([
                 empirical_rates(sample_events(
-                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat[:, 1:]
                 for ell, p in enumerate(probes)])
             _, report = instrument_tomography(tables, probes, measure)
             assert report.projection_distance > 1e-3 and "projected" in report.flags
+
+
+class TestWeightsHelpInstruments:
+    """With a Pauli-6 second detector (K = 6 > d^2 = 4) the output solves are overdetermined,
+    and weighting their rows by 1/stderr brings sampled maps closer to the truth."""
+
+    @pytest.mark.parametrize("shots", [2000, 20000])
+    def test_weighted_maps_are_closer_to_the_truth(self, shots):
+        rng = np.random.default_rng(0)
+        measure = pauli_six_measure()
+        probes = probe_states(2)
+        wins = 0
+        for i in range(20):
+            inst = _lossy_weak_measurement(rng)
+            truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
+            rates = [empirical_rates(sample_events(
+                ExperimentConfig(10 * i + ell, shots, p, measure, inst))[0])
+                for ell, p in enumerate(probes)]
+            tables = np.stack([r.p_hat[:, 1:] for r in rates])
+            stderr = np.stack([r.stderr[:, 1:] for r in rates])
+            errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(maps, truth)))
+                      for maps in (instrument_tomography(tables, probes, measure, err)[0]
+                                   for err in (stderr, None))]
+            wins += errors[0] < errors[1]
+        assert wins >= 16
 
 
 def _oracle_selfcal(outputs, init_filters, init_sources, rtol=1e-10, max_iter=100):
@@ -981,8 +1034,8 @@ class TestHugeFiniteRates:
         probes = probe_states(2)
         tables = np.stack([joint_probabilities(inst, measure, p) for p in probes])
         tables[:, 1, 1] += 0.01  # no instrument gives these exactly
-        _, small = instrument_tomography(tables, probes, measure)
-        _, huge = instrument_tomography(1e200 * tables, probes, measure)
+        _, small = instrument_tomography(tables[..., 1:], probes, measure)
+        _, huge = instrument_tomography(1e200 * tables[..., 1:], probes, measure)
         assert small.residual > 1e-3 and small.projection_distance > 1e-3
         assert huge.residual == pytest.approx(1e200 * small.residual, rel=1e-12)
         assert huge.projection_distance == pytest.approx(1e200 * small.projection_distance,
