@@ -279,6 +279,12 @@ def _tomo_state(problem_dir, logs, tols):
                 f"a state bundle takes exactly one event log, found {len(rates)} in "
                 f"{os.path.join(problem_dir, 'events')}")
         rates, err = rates[0], err[0]
+    elif rates.ndim == 2:
+        if len(rates) != 1:
+            raise ContractViolation(
+                f"{os.path.join(problem_dir, 'rates.json')}: 'rates' has shape {rates.shape}; a "
+                "state bundle takes one row of rates, of shape (K,) or (1, K)")
+        rates = rates[0]
     rho, report = state_tomography(measure, rates, err)
     return {"estimate": io.density_to_json(rho)}, report
 
@@ -407,7 +413,9 @@ def report(tols, kind, inputs, out_path, plot_path):
                os.path.dirname(os.path.abspath(out_path)), tolerances=tols)
 
     def work():
-        series = None
+        if plot_path is not None and kind == "classify":
+            raise ContractViolation("--plot-csv takes the series of report uncertainty or lines; "
+                                    "report classify has none")
         if kind == "uncertainty":
             if len(inputs) != 2:
                 raise ContractViolation("report uncertainty needs SOURCE and DETECTOR files")
@@ -443,7 +451,7 @@ def report(tols, kind, inputs, out_path, plot_path):
                 "choi_rank": choi_rank(superop_from_kraus(kraus)),
                 "pi": io.matrix_to_json(pi_operator(kraus)),
             }
-        if plot_path is not None and series is not None:
+        if plot_path is not None:
             text = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in series)
             io.write_atomic(plot_path, lambda handle: handle.write(text.encode("ascii")))
         io.write_json_atomic(out_path, payload)
@@ -511,7 +519,7 @@ def _parser(prog):
     sub.add_argument("inputs", nargs="*")
     sub.add_argument("--out", dest="out_path", required=True, help="Report JSON path.")
     sub.add_argument("--plot-csv", dest="plot_path", default=None,
-                     help="Optional (x, y) series as CSV.")
+                     help="Optional (x, y) series as CSV (uncertainty and lines only).")
     return parser
 
 

@@ -106,6 +106,13 @@ def schrodinger_evolve(H, psi0, t: float, hbar: float = 1.0) -> np.ndarray:
     return u @ _initial_state(psi0, u.shape[-1], matrix=False)
 
 
+def _runs(values, gap) -> list:
+    """Slices of the runs of the ascending 1-D values in which each value lies within gap of the
+    one before, in order; a value farther than gap from its predecessor starts a new run."""
+    cuts = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), len(values)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
 def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
     """Decompose psi0 into eigencomponents: psi(t) = sum exp(-i t E_k) psi_k.
 
@@ -117,16 +124,10 @@ def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
     h = as_square(H, "H")
     psi = _initial_state(psi0, len(h), matrix=False)
     evals, evecs = np.linalg.eigh(hermitian_part(h))
-    spread = max(float(evals[-1] - evals[0]), 1.0)
-    gap = cluster_tol * spread
     components = []
-    start = 0
-    for i in range(1, evals.size + 1):
-        if i == evals.size or evals[i] - evals[i - 1] > gap:
-            block = evecs[:, start:i]
-            comp = block @ (block.conj().T @ psi)
-            components.append((float(np.mean(evals[start:i])), comp))
-            start = i
+    for run in _runs(evals, cluster_tol * max(float(evals[-1] - evals[0]), 1.0)):
+        block = evecs[:, run]
+        components.append((float(np.mean(evals[run])), block @ (block.conj().T @ psi)))
     return components
 
 
@@ -267,24 +268,17 @@ class SpectralLines(NamedTuple):
 def rydberg_ritz_lines(H, hbar: float = 1.0, tol: float = 1e-9) -> SpectralLines:
     """Distinct level-difference frequencies, zero excluded.
 
-    Differences within tol (relative to the spectral spread) of each other
-    are merged into one line.
+    In ascending order, a difference within tol (relative to the spectral
+    spread) of the one before joins its line, which is their mean.
     """
     if hbar <= 0:
         raise ContractViolation("hbar must be positive")
     evals = np.linalg.eigvalsh(hermitian_part(as_square(H, "H")))
-    spread = max(float(evals[-1] - evals[0]), 1.0)
-    cut = tol * spread
-    diffs = sorted(
-        abs(a - b) for i, a in enumerate(evals) for b in evals[:i] if abs(a - b) > cut
-    )
-    merged = []
-    for x in diffs:
-        if merged and x - merged[-1][-1] <= cut:
-            merged[-1].append(x)
-        else:
-            merged.append([x])
-    omega = np.array([np.mean(group) for group in merged]) / hbar
+    cut = tol * max(float(evals[-1] - evals[0]), 1.0)
+    high, low = np.tril_indices(evals.size, -1)
+    diffs = np.abs(evals[high] - evals[low])
+    diffs = np.sort(diffs[diffs > cut])
+    omega = np.array([np.mean(diffs[run]) for run in _runs(diffs, cut)]) / hbar
     return SpectralLines(omega, omega / (2.0 * np.pi))
 
 

@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import (PAULI, TOL_PSD, _design, _Frozen, as_square, hermitian_defect, hermitian_part,
-                  min_eigenvalue, numerical_rank, square_stack)
+from .ops import (PAULI, TOL_PSD, _design, _Frozen, _unit_intensity, as_square, hermitian_defect,
+                  hermitian_part, min_eigenvalue, numerical_rank, square_stack)
 
 
 class QuantumMeasure:
@@ -145,12 +145,7 @@ def statistical_expectation(det: Detector, rho, f=None, tol: float = 1e-9):
     to the identity, giving the mean outcome (Born's rule in expectation
     form: it equals tr(rho A) for A the measured quantity).
     """
-    r = as_square(rho, "rho")
-    tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > tol:
-        raise ContractViolation(
-            f"statistical expectation needs a normalized state; trace is {tr}"
-        )
+    r = _unit_intensity(rho, tol=tol)
     p = response_probabilities(det.measure, r, tol)
     values = det.scale[:, 0] if det.n_components == 1 else det.scale
     if f is None:

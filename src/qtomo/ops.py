@@ -18,6 +18,7 @@ from .errors import ContractViolation
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 RANK_RTOL = 1e-10  # a design's rank counts its singular values above this share of the largest
+_UNIT_TOL = 1e-9  # a probability-like operation takes a state whose trace is within this of one
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,15 +120,15 @@ def min_eigenvalue(a):
     return float(low) if m.ndim == 2 else low
 
 
-def quantum_value(rho, X) -> complex:
-    """Value tr(rho X) that the state rho assigns to the operator X."""
+def quantum_value(rho, X):
+    """Value tr(rho X) that the state rho assigns to the operator X; for a stack X (..., d, d),
+    the array of the values of its operators."""
     r = as_square(rho, "rho")
-    x = as_square(X, "X")
-    if r.shape != x.shape:
-        raise ContractViolation(
-            f"dimension mismatch: rho is {r.shape}, X is {x.shape}"
-        )
-    return complex(np.trace(r @ x))
+    x = as_square(X, "X", stack=True)
+    if r.shape != x.shape[-2:]:
+        raise ContractViolation(f"dimension mismatch: rho is {r.shape}, X is {x.shape}")
+    value = np.trace(r @ x, axis1=-2, axis2=-1)
+    return complex(value) if x.ndim == 2 else value
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -186,6 +187,16 @@ def density_from_state(psi) -> np.ndarray:
     if not np.all(np.isfinite(v.view(float))):
         raise ContractViolation("state vector has non-finite components")
     return np.outer(v, v.conj())
+
+
+def _unit_intensity(rho, name="rho", tol: float = _UNIT_TOL) -> np.ndarray:
+    """The square matrix rho, unless its trace lies farther than tol from one: the check of every
+    probability-like operation (ContractViolation naming the trace)."""
+    r = as_square(rho, name)
+    tr = float(np.trace(r).real)
+    if abs(tr - 1.0) > tol:
+        raise ContractViolation(f"{name} must have unit intensity, trace is {tr}")
+    return r
 
 
 def intensity(rho) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .measures import QuantumMeasure
-from .ops import PAULI, _Frozen, as_square, min_eigenvalue, validate_density
+from .ops import PAULI, _Frozen, as_square, min_eigenvalue, quantum_value, validate_density
 
 _STOKES_TOL = 1e-12
 
@@ -47,7 +47,7 @@ def density_to_stokes(rho) -> np.ndarray:
             f"not a valid density matrix (hermitian defect {report.hermitian_defect:.3e}, "
             f"min eigenvalue {report.min_eigenvalue:.3e})"
         )
-    return np.array([np.trace(r @ sigma).real for sigma in PAULI])
+    return quantum_value(r, PAULI).real
 
 
 def degree_of_polarization(s) -> float:

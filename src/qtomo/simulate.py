@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractViolation
 from .io import counts_memo
 from .measures import QuantumMeasure, response_probabilities
-from .ops import _Frozen, as_square
+from .ops import _Frozen, _unit_intensity, as_square
 
 if TYPE_CHECKING:
     from .channels import Instrument
@@ -61,10 +61,7 @@ class ExperimentConfig(_Frozen):
             raise ContractViolation(f"seed must lie in [0, 2**128), got {seed}")
         if shots < 0:
             raise ContractViolation(f"shot count must be nonnegative, got {shots}")
-        rho = as_square(source, "source")
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > _PROB_TOL:
-            raise ContractViolation(f"source must have unit intensity, trace is {tr}")
+        rho = _unit_intensity(source, "source")
         if not isinstance(measure, QuantumMeasure):
             raise ContractViolation(
                 f"measure must be a QuantumMeasure, got {type(measure).__name__}")

@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .measures import Detector, measured_quantity, response_probabilities
-from .ops import as_square, hermitian_defect, hermitian_part
-
-_NORM_TOL = 1e-9
+from .ops import _unit_intensity, as_square, hermitian_defect, hermitian_part, quantum_value
 
 
 def _components(X) -> np.ndarray:
@@ -29,14 +27,6 @@ def _components(X) -> np.ndarray:
             f"quantity must be one square matrix or a stack of them, got {arr.shape}"
         )
     return arr
-
-
-def _check_normalized(rho) -> np.ndarray:
-    r = as_square(rho, "rho")
-    tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > _NORM_TOL:
-        raise ContractViolation(f"state must have unit trace, got {tr}")
-    return r
 
 
 class UncertaintyReport(NamedTuple):
@@ -52,16 +42,11 @@ def q_uncertainty(rho, X) -> UncertaintyReport:
     covariance matrix uses the same adjoint-first ordering, so its trace
     equals sigma^2 for arbitrary (also non-normal) components.
     """
-    r = _check_normalized(rho)
+    r = _unit_intensity(rho)
     comps = _components(X)
-    mean = np.array([np.trace(r @ x) for x in comps])
+    mean = quantum_value(r, comps)
     centered = comps - mean[:, None, None] * np.eye(comps.shape[1])
-    cov = np.array(
-        [
-            [np.trace(r @ (cj.conj().T @ ck)) for ck in centered]
-            for cj in centered
-        ]
-    )
+    cov = quantum_value(r, centered.conj().swapaxes(1, 2)[:, None] @ centered[None, :])
     sigma_sq = float(np.trace(cov).real)
     return UncertaintyReport(mean, float(np.sqrt(max(sigma_sq, 0.0))), cov)
 
@@ -78,10 +63,15 @@ def robertson_check(rho, A, B, slack: float = 1e-10) -> RobertsonReport:
     b = as_square(B, "B")
     if hermitian_defect(a) > 1e-9 or hermitian_defect(b) > 1e-9:
         raise ContractViolation("Robertson check needs Hermitian operators")
-    r = _check_normalized(rho)
+    r = _unit_intensity(rho)
     lhs = q_uncertainty(r, a).sigma * q_uncertainty(r, b).sigma
-    rhs = 0.5 * abs(np.trace(r @ (a @ b - b @ a)))
+    rhs = 0.5 * abs(quantum_value(r, a @ b - b @ a))
     return RobertsonReport(float(lhs), float(rhs), lhs >= rhs - slack)
+
+
+def _mean_square(det: Detector, p, center) -> float:
+    """Outcome mean square E(|a_k - center|^2) under the outcome probabilities p."""
+    return float(np.sum(p * np.sum(np.abs(det.scale - center) ** 2, axis=1)))
 
 
 class ExcessReport(NamedTuple):
@@ -96,12 +86,10 @@ def statistical_vs_quantum(det: Detector, rho) -> ExcessReport:
     The excess is nonnegative and vanishes exactly for projective detectors;
     it measures how far the detector is from an ideal projective one.
     """
-    r = _check_normalized(rho)
+    r = _unit_intensity(rho)
     p = response_probabilities(det.measure, r)
     a = _components(measured_quantity(det))
-    mean = np.array([np.trace(r @ x) for x in a])
-    dev = det.scale - mean[None, :]
-    e_var = float(np.sum(p * np.sum(np.abs(dev) ** 2, axis=1)))
+    e_var = _mean_square(det, p, quantum_value(r, a))
     sigma2 = q_uncertainty(r, a).sigma ** 2
     return ExcessReport(e_var, float(sigma2), e_var - float(sigma2))
 
@@ -119,7 +107,7 @@ def measurement_uncertainty(det: Detector, rho, X) -> MeasurementErrorReport:
     spread correction (sigma_X^2 - sigma_A^2)_+ under the square root and is
     bounded below by sqrt(sigma_X^2 + bias^2).
     """
-    r = _check_normalized(rho)
+    r = _unit_intensity(rho)
     comps_x = _components(X)
     a = _components(measured_quantity(det))
     if comps_x.shape != a.shape:
@@ -127,10 +115,9 @@ def measurement_uncertainty(det: Detector, rho, X) -> MeasurementErrorReport:
             f"quantity has {comps_x.shape[0]} components, detector measures {a.shape[0]}"
         )
     p = response_probabilities(det.measure, r)
-    x_mean = np.array([np.trace(r @ x) for x in comps_x])
-    dev = det.scale - x_mean[None, :]
-    mse = float(np.sum(p * np.sum(np.abs(dev) ** 2, axis=1)))
-    a_mean = np.array([np.trace(r @ x) for x in a])
+    x_mean = quantum_value(r, comps_x)
+    mse = _mean_square(det, p, x_mean)
+    a_mean = quantum_value(r, a)
     bias = float(np.linalg.norm(a_mean - x_mean))
     sigma_x = q_uncertainty(r, comps_x).sigma
     sigma_a = q_uncertainty(r, a).sigma

@@ -33,6 +33,15 @@ GOLDEN_TRAJECTORY_SHA256 = {
 # sha256 of the process report of the golden-bytes test below; CHANGES.md gives the values
 # that moved at each re-pin
 GOLDEN_PROCESS_SHA256 = "d4c691527a7e20526d40b1eeedb1f50ff12bc7e9f34d4cfbe5c8eff3fc78780b"
+# sha256 of the report outputs of TestReportBytes below, recorded before the analysis layer
+# computed its quantum values, unit-intensity checks and spectral runs by one rule each
+GOLDEN_REPORT_SHA256 = {
+    "unc.json": "c524c96493dd4eb68ba196c7db8a6bd021d35030862c7515e644d0d6ed43a4f1",
+    "unc.csv": "dfb9ba4fc55bca5f4cbd43ed0445ed0067d2ac45d474d897043827bc4bc65a91",
+    "lines.json": "e3d8f9a08f17b9b5720293f1d2871987db29b9cb5c53403ca9f7889703f5e816",
+    "lines.csv": "17dec20398fd81f184d9ec8f64175492c9e71c41d1c46180178582205e4ade66",
+    "classify.json": "66cf4e5244f4ee130ce3ca4bb009dda6120b7a7e1e31781f522ce03e227e7ad3",
+}
 
 
 @pytest.fixture
@@ -290,6 +299,38 @@ class TestTomoState:
         assert result.exit_code == 0
         est = qio.density_from_json(json.loads(out.read_text())["estimate"])
         assert qtomo.trace_distance(est, fixture_files["rho"]) <= 0.02
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 6), (3, 2)])
+    def test_rates_of_more_than_one_row_exit_2(self, tmp_path, shape):
+        # a (2, 3) table of the six rates was flattened and reconstructed, and a (2, 6) one was
+        # refused for its count of 12 rates
+        bundle = tmp_path / "state_problem"
+        bundle.mkdir()
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(qtomo.pauli_six_measure()))
+        qio.write_json_atomic(str(bundle / "rates.json"),
+                              {"rates": np.full(shape, 1.0 / 6.0).tolist()})
+        out = tmp_path / "run" / "report.json"
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "ContractViolation"
+        assert error["message"] == (
+            f"{bundle / 'rates.json'}: 'rates' has shape {shape}; a state bundle takes one row "
+            "of rates, of shape (K,) or (1, K)")
+        assert not out.exists()
+
+    def test_one_row_of_rates_is_the_rate_vector(self, tmp_path):
+        rates = qtomo.response_probabilities(qtomo.pauli_six_measure(), np.diag([0.25, 0.75]))
+        reports = []
+        for name, table in (("flat", rates), ("row", rates[None])):
+            (tmp_path / name).mkdir()
+            bundle = self._bundle(tmp_path / name, [])
+            qio.write_json_atomic(str(bundle / "rates.json"), {"rates": table})
+            out = tmp_path / name / "report.json"
+            assert run_cli(["tomo", "state", str(bundle), "--out", str(out)]).exit_code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 _STATE_HEAD = "# seed=1\n# generator=philox4x64\n# n_elements=6\nshot,label\n"
@@ -959,6 +1000,53 @@ class TestReportCommand:
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["lossless"] and report["passive"] and not report["mixing"]
+
+    def test_classify_refuses_a_plot_csv(self, tmp_path):
+        # classify has no series: the plot was silently not written
+        chan = tmp_path / "chan.json"
+        qio.write_json_atomic(str(chan), qio.channel_to_json([qtomo.PAULI[1]]))
+        out = tmp_path / "run" / "cls.json"
+        csv_path = tmp_path / "run" / "cls.csv"
+        result = run_cli(["report", "classify", str(chan), "--out", str(out),
+                          "--plot-csv", str(csv_path)])
+        assert result.exit_code == 2, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error == {"type": "ContractViolation", "message": "--plot-csv takes the series of "
+                         "report uncertainty or lines; report classify has none"}
+        assert [p.name for p in out.parent.iterdir()] == ["manifest.json"]
+
+
+class TestReportBytes:
+    """The three reports on fixed inputs whose dyadic entries make every sum exact, so their
+    bytes do not depend on the BLAS or on the order of a sum."""
+
+    def test_golden_report_bytes(self, tmp_path):
+        source = tmp_path / "source.json"
+        qio.write_json_atomic(str(source), qio.density_to_json(
+            np.array([[0.5, 0.25 - 0.25j], [0.25 + 0.25j, 0.5]])))
+        p1 = np.diag([0.5, 0.0])
+        p2 = np.array([[0.25, -0.25j], [0.25j, 0.25]])
+        detector = tmp_path / "detector.json"
+        qio.write_json_atomic(str(detector), qio.measure_to_json(
+            qtomo.QuantumMeasure([p1, p2, np.eye(2) - p1 - p2]), [1.0, -1.0, 2.0]))
+        # levels 1 and 3 twice, and 1 + 2^-40 far below the merge cut of 3e-9: the differences
+        # 1 and 1 + 2^-40, and 2 - 2^-40 and 2, each merge into one line
+        ham = tmp_path / "ham.json"
+        qio.write_json_atomic(str(ham), {"H": qio.matrix_to_json(
+            np.diag([3.0, 1.0, 0.0, 1.0 + 2.0 ** -40, 1.0, 3.0])), "hbar": 0.5})
+        chan = tmp_path / "chan.json"
+        qio.write_json_atomic(str(chan), qio.channel_to_json(
+            [np.diag([0.5, 0.5j]), np.array([[0.0, 0.25], [0.5, 0.0]])]))
+        out = tmp_path / "out"
+        for args in (["uncertainty", source, detector, "--out", out / "unc.json",
+                      "--plot-csv", out / "unc.csv"],
+                     ["lines", ham, "--out", out / "lines.json", "--plot-csv", out / "lines.csv"],
+                     ["classify", chan, "--out", out / "classify.json"]):
+            result = run_cli(["report", *map(str, args)])
+            assert result.exit_code == 0, result.output
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_REPORT_SHA256}
+        assert digests == GOLDEN_REPORT_SHA256
 
 
 class TestManifestsAndDeterminism:
