@@ -74,7 +74,6 @@ _EXPORTS = {
         "density_from_state",
         "expand_hermitian",
         "hermitian_basis",
-        "intensity",
         "normalize",
         "quantum_value",
         "trace_distance",

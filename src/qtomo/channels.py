@@ -137,16 +137,12 @@ def kraus_from_choi(choi, tol: float = CP_TOL) -> list[np.ndarray]:
         )
     evals, evecs = np.linalg.eigh(hermitian_part(c))
     top = float(evals[-1])
-    if top <= tol:
-        if float(evals[0]) < -tol:
-            raise ContractViolation(
-                f"not completely positive: min Choi eigenvalue {evals[0]:.3e}"
-            )
-        raise ContractViolation("Choi matrix is numerically zero; no Kraus expansion")
     if float(evals[0]) < -tol * max(top, 1.0):
         raise ContractViolation(
             f"not completely positive: min Choi eigenvalue {evals[0]:.3e}"
         )
+    if top <= tol:
+        raise ContractViolation("Choi matrix is numerically zero; no Kraus expansion")
     ops = []
     cutoff = tol * top
     for lam, v in sorted(zip(evals, evecs.T), key=lambda p: -p[0]):

@@ -34,11 +34,6 @@ if TYPE_CHECKING:  # the parsers import these engines when they build one
     from .measures import Detector, QuantumMeasure
 
 
-def complex_to_json(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def json_to_complex(obj) -> complex:
     """A JSON number or [re, im] pair of numbers as a complex (booleans are not numbers)."""
     try:
@@ -147,24 +142,29 @@ def measure_to_json(measure: QuantumMeasure, scale=None):
         "elements": [matrix_to_json(p) for p in measure.elements],
     }
     if scale is not None:
-        values = np.asarray(scale, dtype=complex)
-        if values.ndim == 1:
-            values = values[:, None]
-        doc["scale"] = matrix_to_json(values)
+        from .measures import _scale_values
+
+        doc["scale"] = matrix_to_json(_scale_values(scale))
     return doc
 
 
 def measure_from_json(obj):
-    """Parse a measure document; returns (QuantumMeasure, scale or None)."""
-    from .measures import QuantumMeasure
+    """Parse a measure document; returns (QuantumMeasure, scale or None).  The scale is a matrix
+    of one row of values per element, or a flat array of numbers, one scalar value each."""
+    from .measures import QuantumMeasure, _scale_values
 
     if "elements" not in _object(obj, "measure"):
         raise ContractViolation("measure document needs an 'elements' field")
     measure = QuantumMeasure([matrix_from_json(e) for e in _array(obj, "elements", "measure")])
     _check_dim(obj, measure.dim, f"element dimension {measure.dim}")
-    scale = None
-    if obj.get("scale") is not None:
-        scale = matrix_from_json(obj["scale"])
+    scale = obj.get("scale")
+    if scale is not None:
+        flat = _number_array(scale)
+        try:
+            scale = (_scale_values(flat) if flat is not None and flat.ndim == 1 and flat.size
+                     else matrix_from_json(scale))
+        except ContractViolation as err:
+            raise ContractViolation(f"measure 'scale': {err}") from None
     return measure, scale
 
 

@@ -17,15 +17,17 @@ from .ops import (PAULI, TOL_PSD, _design, _Frozen, _unit_intensity, as_square, 
                   hermitian_part, min_eigenvalue, numerical_rank, square_stack)
 
 
-class QuantumMeasure:
+class QuantumMeasure(_Frozen):
     """Family of K Hermitian PSD operators on C^d summing to the identity.
 
     Elements are stored as a (K, d, d) complex array and indexed 0..K-1;
     event labels in the simulator are 1-based with 0 reserved for null.
     """
 
+    __slots__ = ("elements",)
+
     def __init__(self, elements):
-        self.elements = square_stack(elements, "measure element")
+        self._fill(square_stack(elements, "measure element"))
 
     @property
     def dim(self) -> int:
@@ -34,28 +36,9 @@ class QuantumMeasure:
     def __len__(self) -> int:
         return self.elements.shape[0]
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, k):
-        return self.elements[k]
-
     def sum_defect(self) -> float:
         total = self.elements.sum(axis=0)
         return float(np.max(np.abs(total - np.eye(self.dim))))
-
-    def validate(self, tol: float = TOL_PSD) -> "MeasureReport":
-        """PSD and sum-to-identity check; zero elements are reported, not fatal.
-
-        A zero element never responds (the ideal-cascade remainder is the
-        one place it legitimately appears), so all_nonzero is informational.
-        """
-        mineigs = min_eigenvalue(self.elements)
-        defect = self.sum_defect()
-        nonzero = bool(np.abs(self.elements).max(axis=(1, 2)).all())
-        herm = float(hermitian_defect(self.elements).max())
-        ok = bool(mineigs.min() >= -tol and defect <= tol and herm <= tol)
-        return MeasureReport(mineigs, defect, herm, nonzero, ok)
 
 
 class MeasureReport(NamedTuple):
@@ -67,7 +50,24 @@ class MeasureReport(NamedTuple):
 
 
 def validate_measure(measure: QuantumMeasure, tol: float = TOL_PSD) -> MeasureReport:
-    return measure.validate(tol)
+    """PSD and sum-to-identity check; zero elements are reported, not fatal.
+
+    A zero element never responds (the ideal-cascade remainder is the
+    one place it legitimately appears), so all_nonzero is informational.
+    """
+    elements = measure.elements
+    mineigs = min_eigenvalue(elements)
+    defect = measure.sum_defect()
+    nonzero = bool(np.abs(elements).max(axis=(1, 2)).all())
+    herm = float(hermitian_defect(elements).max())
+    ok = bool(mineigs.min() >= -tol and defect <= tol and herm <= tol)
+    return MeasureReport(mineigs, defect, herm, nonzero, ok)
+
+
+def _scale_values(scale) -> np.ndarray:
+    """A scale as a complex array of one row of values per element; 1-D is one scalar each."""
+    values = np.asarray(scale, dtype=complex)
+    return values[:, None] if values.ndim == 1 else values
 
 
 class Detector(_Frozen):
@@ -83,9 +83,7 @@ class Detector(_Frozen):
     __slots__ = ("measure", "scale", "allow_repeated_values")
 
     def __init__(self, measure: QuantumMeasure, scale, allow_repeated_values: bool = False):
-        values = np.asarray(scale, dtype=complex)
-        if values.ndim == 1:
-            values = values[:, None]
+        values = _scale_values(scale)
         if values.ndim != 2 or values.shape[0] != len(measure):
             raise ContractViolation(
                 f"scale has {values.shape[0] if values.ndim else 0} values "
@@ -210,6 +208,17 @@ def tetrahedron_measure() -> QuantumMeasure:
     return QuantumMeasure(elements)
 
 
+def _completed(elements, tol: float, what: str) -> QuantumMeasure:
+    """The measure of elements and their remainder 1 - sum P_k, appended last, unless the
+    remainder's smallest eigenvalue is below -tol ("{what} has min eigenvalue ...")."""
+    elements = np.asarray(elements, dtype=complex)
+    remainder = np.eye(elements.shape[-1], dtype=complex) - elements.sum(axis=0)
+    low = min_eigenvalue(remainder)
+    if low < -tol:
+        raise ContractViolation(f"{what} has min eigenvalue {low:.3e}")
+    return QuantumMeasure([*elements, remainder])
+
+
 def coherent_partition_measure(
     n_max: int,
     cells,
@@ -255,14 +264,9 @@ def coherent_partition_measure(
 
     elements = hermitian_part(np.stack(
         [np.einsum("rt,rtm,rtn->mn", e * weight, amp, amp.conj()) for e in values]))
-    remainder = np.eye(dim, dtype=complex) - np.sum(elements, axis=0)
-    low = min_eigenvalue(remainder)
-    if low < -tol:
-        raise ContractViolation(
-            f"truncation insufficient: remainder element has min eigenvalue {low:.3e}"
-        )
+    measure = _completed(elements, tol, "truncation insufficient: remainder element")
     lows = min_eigenvalue(elements)
     bad = np.flatnonzero(lows < -tol)
     if bad.size:
         raise ContractViolation(f"cell element {bad[0]} has min eigenvalue {lows[bad[0]]:.3e}")
-    return QuantumMeasure([*elements, remainder])
+    return measure

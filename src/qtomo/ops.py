@@ -199,10 +199,6 @@ def _unit_intensity(rho, name="rho", tol: float = _UNIT_TOL) -> np.ndarray:
     return r
 
 
-def intensity(rho) -> float:
-    return float(np.trace(as_square(rho, "rho")).real)
-
-
 def normalize(rho) -> np.ndarray:
     """Rescale a density matrix to unit trace; rejects the dark state."""
     m = as_square(rho, "rho")

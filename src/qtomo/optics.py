@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .measures import QuantumMeasure
-from .ops import PAULI, _Frozen, as_square, min_eigenvalue, quantum_value, validate_density
+from .measures import QuantumMeasure, _completed
+from .ops import PAULI, _Frozen, as_square, quantum_value, validate_density
 
 _STOKES_TOL = 1e-12
 
@@ -125,15 +125,5 @@ def cascade_measure(net) -> QuantumMeasure:
     The remainder P_0 = 1 - sum P_k (the beam fraction absorbed in the
     filters) is appended as the last element.
     """
-    leaves = network_leaves(net)
-    elements = []
-    for jones, depth in leaves:
-        elements.append(2.0 ** (-depth) * (jones.conj().T @ jones))
-    remainder = np.eye(2, dtype=complex) - np.sum(elements, axis=0)
-    low = min_eigenvalue(remainder)
-    if low < -1e-10:
-        raise ContractViolation(
-            f"lossy-network inconsistency: remainder has min eigenvalue {low:.3e}"
-        )
-    elements.append(remainder)
-    return QuantumMeasure(elements)
+    elements = [2.0 ** (-depth) * (jones.conj().T @ jones) for jones, depth in network_leaves(net)]
+    return _completed(elements, 1e-10, "lossy-network inconsistency: remainder")

@@ -227,10 +227,12 @@ def detector_tomography(probe_states, rates, stderr=None):
     they are clipped again, until the deficit is below 1e-12.  When that
     loop gives up (after 100 passes, or with no positive trace left) the
     report carries the flag "deficit_not_converged"; extras record the
-    number of passes as "deficit_iterations".  The projection distance is
-    that of the returned elements from the unconstrained solutions, flagged as
-    in state tomography relative to the largest element trace.  Uses the
-    probes' Hermitian parts, unchecked (``tomo`` checks --tol-herm).
+    number of passes as "deficit_iterations".  The residual is the misfit of
+    the returned elements to the rates, and "residual_unprojected" that of
+    the unconstrained solutions, whose distance from the returned elements is
+    the projection distance, flagged as in state tomography relative to the
+    largest element trace.  Uses the probes' Hermitian parts, unchecked
+    (``tomo`` checks --tol-herm).
     """
     probes = square_stack(probe_states, "probe state")
     table = np.asarray(rates, dtype=float)
@@ -259,8 +261,9 @@ def detector_tomography(probe_states, rates, stderr=None):
     flags = (_warnings(cond, dist, np.abs(np.trace(x, axis1=1, axis2=2).real).max())
              + ("deficit_not_converged",) * bool(np.max(np.abs(deficit)) > 1e-12))
     report = ReconstructionReport(
-        float(_scaled_norms(residuals, 0)), cond, dist, rank, flags,
-        {"sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
+        float(_scaled_norms(_rate_residuals(probes, elements, table), 0)), cond, dist, rank, flags,
+        {"residual_unprojected": float(_scaled_norms(residuals, 0)),
+         "sum_defect": measure.sum_defect(), "deficit_iterations": iterations},
     )
     return measure, report
 

@@ -503,6 +503,94 @@ class TestMalformedJson:
                             "tables.json", "with 3 axes")
 
 
+_EYE2 = [[1, 0], [0, 1]]
+_EYE4 = np.eye(4).tolist()
+_STATE = '{"matrix": [[1, 0], [0, 0]]}'
+_MEASURE = '{"elements": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}'
+_UNCERTAINTY = "report uncertainty {}/s.json {}/d.json --out {}/run/unc.json"
+
+
+def _model(**fields):
+    return json.dumps({"H": [[1, 0], [0, 0]], "rho0": [[1, 0], [0, 0]], **fields})
+
+
+def _selfcal(filters, sources):
+    return json.dumps({"outputs": [[_EYE2] * 2] * 2, "init_filters": filters,
+                       "init_sources": sources})
+
+
+class TestInputRefusals:
+    """Each input error the CLI checks itself exits 2 with its message on stderr and in the
+    manifest; a malformed option value is a usage error, with no manifest.  A malformed
+    detector scale is named as the measure's 'scale'."""
+
+    # (files to write under the run's directory, argv with {} for that directory, message)
+    CASES = {
+        "process-without-probes": (
+            {"b/probes/notes.txt": "", "b/outputs/p.json": _STATE},
+            "tomo process {}/b --out {}/run/report.json", "no states found in {}/b/probes"),
+        "uncertainty-one-input": (
+            {}, "report uncertainty {}/s.json --out {}/run/unc.json",
+            "report uncertainty needs SOURCE and DETECTOR files"),
+        "boolean-scale": (
+            {"s.json": _STATE, "d.json": _MEASURE[:-1] + ', "scale": [true, false]}'},
+            _UNCERTAINTY, "measure 'scale': matrix must be a nonempty array of rows"),
+        "ragged-scale": (
+            {"s.json": _STATE, "d.json": _MEASURE[:-1] + ', "scale": [[1], [2, 3]]}'},
+            _UNCERTAINTY, "measure 'scale': matrix rows differ in length: [1, 2]"),
+        "lines-two-inputs": (
+            {}, "report lines {}/a.json {}/b.json --out {}/run/lines.json",
+            "report lines needs one Hamiltonian file"),
+        "classify-no-input": (
+            {}, "report classify --out {}/run/class.json",
+            "report classify needs one channel file"),
+        "instrument-without-branches": (
+            {"s.json": _STATE, "d.json": '{"instrument": {}, "detector": %s}' % _MEASURE},
+            "simulate {}/s.json {}/d.json --shots 10 --out {}/run",
+            "instrument document needs a 'branches' field"),
+        "non-hermitian-hamiltonian": (
+            {"m.json": _model(H=[[0, 1], [0, 0]])},
+            "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
+            "Hamiltonian must be Hermitian"),
+        "one-rate-for-two-jumps": (
+            {"m.json": _model(lindblad={"L": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                                        "gamma": [1]})},
+            "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
+            "need one rate per jump operator"),
+        "negative-hbar": (
+            {"m.json": _model(hbar=-1)},
+            "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json", "hbar must be positive"),
+        "one-filter-for-two-rows": (
+            {"b/selfcal.json": _selfcal([_EYE4], [_EYE2, _EYE2])},
+            "tomo selfcal {}/b --out {}/run/report.json",
+            "initial guesses must match the output grid"),
+        "sources-of-another-size": (
+            {"b/selfcal.json": _selfcal([_EYE4, _EYE4], [np.eye(3).tolist()] * 2)},
+            "tomo selfcal {}/b --out {}/run/report.json",
+            "outputs and initial sources must all be 2x2 matrices"),
+        "dt-not-a-number": (
+            {"m.json": _model()}, "dynamics {}/m.json --t 1 --dt abc --out {}/run/t.json",
+            "argument --dt: not a finite number: 'abc'"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_with_exit_2(self, tmp_path, case):
+        files, argv, message = self.CASES[case]
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        message = message.replace("{}", str(tmp_path))
+        result = run_cli(argv.replace("{}", str(tmp_path)).split())
+        assert result.exit_code == 2, result.output
+        manifest = tmp_path / "run" / "manifest.json"
+        if case == "dt-not-a-number":  # argparse refuses it before any command runs
+            assert message in result.stderr and not manifest.exists()
+            return
+        assert json.loads(result.stderr)["error"]["message"] == message
+        error = json.loads(manifest.read_text())["error"]
+        assert error == {"type": "ContractViolation", "message": message}
+
+
 class TestTomoProcess:
     @staticmethod
     def _identity_bundle(tmp_path):
@@ -991,6 +1079,21 @@ class TestReportCommand:
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert abs(report["excess"]) <= 1e-10
+
+    def test_uncertainty_takes_a_flat_scale(self, tmp_path):
+        # a flat numeric scale holds one scalar value per element, as Detector(measure, [1, -1])
+        src = tmp_path / "source.json"
+        src.write_text('{"matrix": [[0.5, 0.25], [0.25, 0.5]]}')
+        reports = []
+        for name, scale in (("column", "[[1], [-1]]"), ("flat", "[1, -1]")):
+            det = tmp_path / f"{name}.json"
+            det.write_text('{"elements": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "scale": %s}'
+                           % scale)
+            out = tmp_path / name / "unc.json"
+            result = run_cli(["report", "uncertainty", str(src), str(det), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == b'{"e_var":1,"excess":0,"sigma2":1}\n'
 
     def test_classify_unitary_lossless(self, tmp_path):
         chan = tmp_path / "chan.json"

@@ -34,8 +34,8 @@ EXPORTS = {
                 "coherent_partition_measure informational_completeness is_projective "
                 "measured_quantity pauli_six_measure projective_measure response_probabilities "
                 "statistical_expectation tetrahedron_measure validate_measure",
-    "ops": "PAULI DensityReport density_from_state expand_hermitian hermitian_basis intensity "
-           "normalize quantum_value trace_distance validate_density",
+    "ops": "PAULI DensityReport density_from_state expand_hermitian hermitian_basis normalize "
+           "quantum_value trace_distance validate_density",
     "optics": "Leaf Split apply_jones beam_splitter cascade_measure degree_of_polarization "
               "density_to_stokes stokes_to_density",
     "simulate": "EventLog ExperimentConfig empirical_rates event_log_from_csv "

@@ -341,6 +341,23 @@ class TestDetectorTomography:
         assert report.projection_distance == pytest.approx(
             np.linalg.norm(est.elements - solutions), rel=1e-12)
 
+    @pytest.mark.parametrize("d, n_elements", [(2, 6), (3, 11)])
+    def test_residual_is_the_misfit_of_the_returned_measure(self, d, n_elements):
+        # noisy rates: the clip and deficit steps move the elements away from the least-squares
+        # solutions, and the residual is that of the elements returned, as in state tomography
+        rng = np.random.default_rng(d)
+        measure = random_measure(d, n_elements, rng)
+        probes = probe_states(d) + [random_density(d, rng)]
+        rates = np.stack([response_probabilities(measure, p) for p in probes])
+        rates += 0.02 * rng.normal(size=rates.shape)
+        est, report = detector_tomography(probes, rates)
+        predicted = np.stack([response_probabilities(est, p) for p in probes])
+        assert report.residual == pytest.approx(np.linalg.norm(predicted - rates), rel=1e-12)
+        misfits = [_per_column_solve(probes, column)[1] for column in rates.T]
+        assert report.extras["residual_unprojected"] == pytest.approx(np.linalg.norm(misfits),
+                                                                      rel=1e-12)
+        assert report.residual > report.extras["residual_unprojected"] + 1e-3
+
     def test_projected_flag_follows_the_state_and_instrument_rule(self):
         # rates of the tetrahedron measure summing to 1.05 I, with noise: the projection
         # moves the estimate by 0.0745, far above 1e-12 of the largest element trace
@@ -699,15 +716,15 @@ def _oracle_state(measure, rates):
 
 
 def _oracle_detector(probes, table, stderr):
-    """Reference: one solve, one clip and one deficit share per element.  The projection
-    distance is that of the returned elements from the unconstrained solutions."""
-    solutions, elements, residual_sq = [], [], 0.0
+    """Reference: one solve, one clip and one deficit share per element.  The residual is
+    the misfit of the returned elements to the rates, and the projection distance that of
+    the returned elements from the unconstrained solutions."""
+    solutions, elements = [], []
     for k in range(table.shape[1]):
-        x, res, cond, rank = _per_column_solve(
+        x, _, cond, rank = _per_column_solve(
             probes, table[:, k], None if stderr is None else stderr[:, k])
         solutions.append(x)
         elements.append(project_psd(x)[0])
-        residual_sq += res ** 2
     d = probes[0].shape[0]
     for _ in range(100):
         deficit = np.eye(d) - np.sum(elements, axis=0)
@@ -721,7 +738,8 @@ def _oracle_detector(probes, table, stderr):
             redistributed.append(project_psd(p + share * deficit)[0])
         elements = redistributed
     dist = np.sqrt(sum(np.linalg.norm(p - x) ** 2 for p, x in zip(elements, solutions)))
-    return elements, np.sqrt(residual_sq), cond, rank, dist
+    pred = np.array([[np.trace(rho @ p).real for p in elements] for rho in probes])
+    return elements, float(np.linalg.norm(pred - table)), cond, rank, dist
 
 
 def _oracle_instrument(tables, probes, measure):
