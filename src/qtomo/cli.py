@@ -1,10 +1,10 @@
 """Command-line surface for reproducible simulation and reconstruction runs.
 
-Exit codes: 0 success, 2 input or validation error, 3 reconstruction
+Exit codes: 0 success, 2 input, output or validation error, 3 reconstruction
 infeasibility (rank deficiency), 4 internal numerical failure or any other
 unexpected error.  Every command writes a manifest next to its outputs, also
-on failure, with the error embedded (an unexpected error also records its
-traceback there).  Errors are additionally reported as JSON on stderr.
+on failure unless their directory cannot be made, with the error embedded (an
+unexpected error with its traceback).  Errors are also reported as JSON on stderr.
 
 Each command imports the engines it runs inside its body, so start-up loads
 only argparse, numpy and the JSON layer.  The process entry
@@ -72,7 +72,10 @@ class _Run:
 
 
 def _fail(run, error, code, trace=None):
-    run.finish(error, trace)
+    try:
+        run.finish(error, trace)
+    except OSError:  # the output directory cannot be made or written: the error stands alone
+        pass
     payload = {"error": {"type": type(error).__name__, "message": str(error)}}
     print(io.canonical_json(payload), file=sys.stderr)
     sys.exit(code)
@@ -80,8 +83,9 @@ def _fail(run, error, code, trace=None):
 
 def _guard(run, fn):
     try:
-        result = fn()
-    except (ContractViolation, FileNotFoundError, KeyError, OSError) as err:
+        fn()
+        run.finish()  # a manifest that cannot be written is an output error, exit 2
+    except (ContractViolation, OSError) as err:
         _fail(run, err, 2)
     except RankDeficiencyError as err:
         _fail(run, err, 3)
@@ -91,9 +95,6 @@ def _guard(run, fn):
         import traceback
 
         _fail(run, err, 4, traceback.format_exc())
-    else:
-        run.finish()
-        return result
 
 
 def _seed(seed):
@@ -118,20 +119,14 @@ def simulate(tols, source, device, shots, seed, out_dir):
         from .simulate import ExperimentConfig, write_events
 
         run.manifest["seed"] = cfg_seed = _seed(seed)
-        rho = io.density_from_json(io.read_json(source))
+        rho = _load(source, io.density_from_json)
         rep = validate_density(rho, tols["tol_herm"], tols["tol_psd"])
         if not rep.ok:
             raise ContractViolation(
                 f"source is not a valid density matrix: hermitian defect "
                 f"{rep.hermitian_defect:.3e}, min eigenvalue {rep.min_eigenvalue:.3e}"
             )
-        doc = io.read_json(device)
-        if not isinstance(doc, dict):
-            raise ContractViolation(f"{device}: device document must be a JSON object")
-        instrument = io.instrument_from_json(doc["instrument"]) if "instrument" in doc else None
-        # sampling draws labels and never reads a scale, so the detector is read as a measure
-        measure = _measure(device, tols["tol_herm"],
-                           doc["detector"] if instrument is not None else doc)
+        instrument, measure = _load(device, _device, tols["tol_herm"])
         mrep = validate_measure(measure, tols["tol_psd"])
         low = float(mrep.min_eigenvalues.min())
         if low < -tols["tol_psd"] or mrep.sum_defect > tols["tol_psd"]:
@@ -168,47 +163,50 @@ def _states(problem_dir, folder, tol_herm):
     files = [os.path.join(path, n) for n in sorted(os.listdir(path)) if n.endswith(".json")]
     if not files:
         raise ContractViolation(f"no states found in {path}")
-    states = square_stack([io.density_from_json(io.read_json(f)) for f in files],
+    states = square_stack([_load(f, io.density_from_json) for f in files],
                           f"{folder.rstrip('s')} state")
     return _hermitian(states, tol_herm, files)
 
 
-def _measure(path, tol_herm, doc=None):
-    """The measure of the JSON file at path (or of doc, read from it), its elements checked by
-    _hermitian."""
-    measure, _ = io.measure_from_json(io.read_json(path) if doc is None else doc)
-    _hermitian(measure.elements, tol_herm, [f"{path}: element {k}" for k in range(len(measure))])
+def _load(path, parse, *args):
+    """parse(the JSON document at path, *args); a ContractViolation it raises names the file."""
+    doc = io.read_json(path)
+    try:
+        return parse(doc, *args)
+    except ContractViolation as err:
+        raise ContractViolation(f"{path}: {err}") from None
+
+
+def _measure(doc, tol_herm):
+    """The measure of a measure document, its elements checked by _hermitian."""
+    measure, _ = io.measure_from_json(doc)
+    _hermitian(measure.elements, tol_herm, [f"element {k}" for k in range(len(measure))])
     return measure
+
+
+def _device(doc, tol_herm):
+    """(instrument or None, measure) of a device document, a measure or an instrument and the
+    detector observing it, read as a measure: sampling draws labels and never reads a scale."""
+    if not (isinstance(doc, dict) and "instrument" in doc):
+        return None, _measure(doc, tol_herm)
+    return (io.instrument_from_json(doc["instrument"]),
+            _measure(io._field(doc, "detector", "device"), tol_herm))
 
 
 def _counts_memo(events_dir):
     """The parsed events/counts.json, or None when there is none or it is not JSON."""
-    path = os.path.join(events_dir, "counts.json")
-    if not os.path.isfile(path):
-        return None
     try:
-        return io.read_json(path)
-    except (ContractViolation, OSError):  # an unreadable memo vouches for no log
+        return io.read_json(os.path.join(events_dir, "counts.json"))
+    except (ContractViolation, OSError):  # a missing or unreadable memo vouches for no log
         return None
 
 
-# By the number of devices a bundle's logs record: the name of such a log; the file, key
-# and axes of the rates the bundle may hold instead.
-_LOG_KINDS = (("detection log", "rates.json", "rates", (1, 2)),
-              ("coincidence log", "tables.json", "tables", (3,)))
-
-
-def _read_table(path, key, ndims):
-    """The array under key in the JSON file at path, as floats; it must have one of ndims axes."""
-    doc = io.read_json(path)
-    try:
-        table = io._number_array(doc[key])
-    except (KeyError, TypeError):  # no such key, or not an object
-        table = None
+def _table(doc, key, ndims):
+    """The array under key of a rates document, as floats; it must have one of ndims axes."""
+    table = io._number_array(doc.get(key)) if isinstance(doc, dict) else None
     if table is None or table.ndim not in ndims or not np.isfinite(table).all():
-        raise ContractViolation(
-            f"{path}: '{key}' must be a rectangular array of finite numbers with "
-            f"{' or '.join(map(str, ndims))} axes")
+        raise ContractViolation(f"'{key}' must be a rectangular array of finite numbers with "
+                                f"{' or '.join(map(str, ndims))} axes")
     return table.astype(float)
 
 
@@ -225,9 +223,9 @@ def _load_rates(problem_dir, devices, logs):
     the log, which only then is read whole.  logs maps each log's file name to
     its sha256 and the file its rates came from.
     """
-    _, table_file, key, ndims = _LOG_KINDS[devices - 1]
+    table_file, key, ndims = io._LOG_KINDS[devices][3:]
     if os.path.exists(os.path.join(problem_dir, table_file)):
-        table = _read_table(os.path.join(problem_dir, table_file), key, ndims)
+        table = _load(os.path.join(problem_dir, table_file), _table, key, ndims)
         return (table[..., 1:] if table_file == "tables.json" else table), None
     from .tomography import rates_from_counts
 
@@ -257,8 +255,8 @@ def _load_rates(problem_dir, devices, logs):
             except ContractViolation as err:
                 raise ContractViolation(f"counts.json: {err}") from None
         if counts.ndim != devices:
-            raise ContractViolation(f"{source}: is a {_LOG_KINDS[counts.ndim - 1][0]}, "
-                                    f"this bundle needs {_LOG_KINDS[devices - 1][0]}s")
+            raise ContractViolation(f"{source}: is a {io._LOG_KINDS[counts.ndim][0]}, "
+                                    f"this bundle needs {io._LOG_KINDS[devices][0]}s")
         if rates and counts.shape != rates[0].p_hat.shape:
             raise ContractViolation(f"{name}: counts of shape {counts.shape}, but {files[0]} has "
                                     f"{rates[0].p_hat.shape}; the logs of a bundle must count "
@@ -271,7 +269,7 @@ def _load_rates(problem_dir, devices, logs):
 def _tomo_state(problem_dir, logs, tols):
     from .tomography import state_tomography
 
-    measure = _measure(os.path.join(problem_dir, "measure.json"), tols["tol_herm"])
+    measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
     rates, err = _load_rates(problem_dir, 1, logs)
     if err is not None:
         if len(rates) != 1:
@@ -311,7 +309,7 @@ def _tomo_instrument(problem_dir, logs, tols):
     from .tomography import instrument_tomography
 
     probes = _states(problem_dir, "probes", tols["tol_herm"])
-    measure = _measure(os.path.join(problem_dir, "measure.json"), tols["tol_herm"])
+    measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
     tables, err = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, measure, err)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
@@ -320,8 +318,8 @@ def _tomo_instrument(problem_dir, logs, tols):
 def _tomo_selfcal(problem_dir, logs, tols):
     from .tomography import self_calibrating_tomography
 
-    outputs, filters, sources = io.selfcal_from_json(
-        io.read_json(os.path.join(problem_dir, "selfcal.json")))
+    outputs, filters, sources = _load(os.path.join(problem_dir, "selfcal.json"),
+                                      io.selfcal_from_json)
     result = self_calibrating_tomography(outputs, filters, sources, rtol=tols["rtol"])
     payload = {
         "estimate": {
@@ -376,7 +374,7 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
 
         if dt <= 0 or t_final < 0:
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
-        medium, rho0 = io.model_from_json(io.read_json(model))
+        medium, rho0 = _load(model, io.model_from_json)
         steps = step_count(t_final, dt)
         d = medium.dim
         if (steps + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
@@ -422,8 +420,8 @@ def report(tols, kind, inputs, out_path, plot_path):
             from .measures import response_probabilities
             from .uncertainty import statistical_vs_quantum
 
-            rho = io.density_from_json(io.read_json(inputs[0]))
-            detector = io.detector_from_json(io.read_json(inputs[1]))
+            rho = _load(inputs[0], io.density_from_json)
+            detector = _load(inputs[1], io.detector_from_json)
             res = statistical_vs_quantum(detector, rho)
             payload = {"e_var": res.e_var, "sigma2": res.sigma2, "excess": res.excess}
             p = response_probabilities(detector.measure, rho)
@@ -433,7 +431,7 @@ def report(tols, kind, inputs, out_path, plot_path):
                 raise ContractViolation("report lines needs one Hamiltonian file")
             from .dynamics import rydberg_ritz_lines
 
-            lines = rydberg_ritz_lines(*io.hamiltonian_from_json(io.read_json(inputs[0])))
+            lines = rydberg_ritz_lines(*_load(inputs[0], io.hamiltonian_from_json))
             payload = {"omega": lines.omega.tolist(), "nu": lines.nu.tolist()}
             series = [(float(i + 1), float(nu)) for i, nu in enumerate(lines.nu)]
         else:
@@ -441,7 +439,7 @@ def report(tols, kind, inputs, out_path, plot_path):
                 raise ContractViolation("report classify needs one channel file")
             from .channels import choi_rank, classify_filter, pi_operator, superop_from_kraus
 
-            kraus = io.channel_from_json(io.read_json(inputs[0]))
+            kraus = _load(inputs[0], io.channel_from_json)
             cls = classify_filter(kraus)
             payload = {
                 "lossless": cls.lossless,

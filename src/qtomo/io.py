@@ -94,9 +94,16 @@ def _object(obj, what):
     return obj
 
 
+def _field(obj, key, what):
+    """The value under key of a JSON object, else ContractViolation naming the document kind."""
+    if key not in _object(obj, what):
+        raise ContractViolation(f"{what} document needs a '{key}' field")
+    return obj[key]
+
+
 def _array(obj, key, what):
-    """The array under key of a parsed JSON object, else ContractViolation."""
-    value = obj[key]
+    """The array under key of a JSON object, else ContractViolation."""
+    value = _field(obj, key, what)
     if not isinstance(value, list):
         raise ContractViolation(f"{what} '{key}' must be an array, got {type(value).__name__}")
     return value
@@ -129,9 +136,7 @@ def density_to_json(rho):
 
 
 def density_from_json(obj) -> np.ndarray:
-    if "matrix" not in _object(obj, "density"):
-        raise ContractViolation("density document needs a 'matrix' field")
-    m = matrix_from_json(obj["matrix"])
+    m = matrix_from_json(_field(obj, "matrix", "density"))
     _check_dim(obj, m.shape[0], f"matrix shape {m.shape}")
     return m
 
@@ -153,8 +158,6 @@ def measure_from_json(obj):
     of one row of values per element, or a flat array of numbers, one scalar value each."""
     from .measures import QuantumMeasure, _scale_values
 
-    if "elements" not in _object(obj, "measure"):
-        raise ContractViolation("measure document needs an 'elements' field")
     measure = QuantumMeasure([matrix_from_json(e) for e in _array(obj, "elements", "measure")])
     _check_dim(obj, measure.dim, f"element dimension {measure.dim}")
     scale = obj.get("scale")
@@ -201,8 +204,6 @@ def channel_from_json(obj) -> list:
 def instrument_from_json(obj) -> Instrument:
     from .channels import Instrument
 
-    if "branches" not in _object(obj, "instrument"):
-        raise ContractViolation("instrument document needs a 'branches' field")
     branches = _array(obj, "branches", "instrument")
     return Instrument(tuple(tuple(channel_from_json(b)) for b in branches))
 
@@ -218,18 +219,16 @@ def model_from_json(obj):
     """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0)."""
     from .dynamics import LindbladModel
 
-    if "H" not in _object(obj, "model") or "rho0" not in obj:
-        raise ContractViolation("model document needs 'H' and 'rho0'")
-    section = (_object(obj["lindblad"], "lindblad") if obj.get("lindblad") is not None
-               else {"L": [], "gamma": []})
+    h, rho0 = _field(obj, "H", "model"), _field(obj, "rho0", "model")
+    section = obj["lindblad"] if obj.get("lindblad") is not None else {"L": [], "gamma": []}
     model = LindbladModel(
-        matrix_from_json(obj["H"]),
+        matrix_from_json(h),
         tuple(matrix_from_json(l) for l in _array(section, "L", "lindblad")),
         tuple(_number(g, "lindblad rate") for g in _array(section, "gamma", "lindblad")),
         _number(obj.get("hbar", 1.0), "hbar"),
         matrix_from_json(obj["V"]) if obj.get("V") is not None else None,
     )
-    rho0 = matrix_from_json(obj["rho0"])
+    rho0 = matrix_from_json(rho0)
     if rho0.shape != model.H.shape:
         raise ContractViolation(f"rho0 of shape {rho0.shape} does not match H, {model.H.shape}")
     return model, rho0
@@ -237,24 +236,22 @@ def model_from_json(obj):
 
 def hamiltonian_from_json(obj):
     """Parse a Hamiltonian document ("H" or "matrix", optional "hbar"); returns (H, hbar)."""
-    doc = _object(obj, "Hamiltonian")
-    h = matrix_from_json(doc["H"] if "H" in doc else doc["matrix"])
-    return h, _number(doc.get("hbar", 1.0), "hbar")
+    key = "H" if "H" in _object(obj, "Hamiltonian") else "matrix"
+    return matrix_from_json(_field(obj, key, "Hamiltonian")), _number(obj.get("hbar", 1.0), "hbar")
 
 
 def selfcal_from_json(obj):
     """Parse a self-calibration document; returns (outputs, init_filters, init_sources), the
     outputs as the complex (K, L, d, d) grid of K rows of L equally sized matrices."""
-    doc = _object(obj, "selfcal")
-    rows = _array(doc, "outputs", "selfcal")
+    rows = _array(obj, "outputs", "selfcal")
     if not all(isinstance(row, list) for row in rows):
         raise ContractViolation("selfcal 'outputs' must be an array of rows of matrices")
     grid = [[matrix_from_json(m) for m in row] for row in rows]
     if len({len(row) for row in grid}) > 1 or len({m.shape for row in grid for m in row}) > 1:
         raise ContractViolation(
             "selfcal 'outputs' must be a rectangular grid of equally sized matrices")
-    filters = [matrix_from_json(f) for f in _array(doc, "init_filters", "selfcal")]
-    sources = [matrix_from_json(s) for s in _array(doc, "init_sources", "selfcal")]
+    filters = [matrix_from_json(f) for f in _array(obj, "init_filters", "selfcal")]
+    sources = [matrix_from_json(s) for s in _array(obj, "init_sources", "selfcal")]
     return np.array(grid, dtype=complex), filters, sources
 
 
@@ -280,6 +277,16 @@ def file_sha256(path) -> str:
         while size := handle.readinto(block):
             digest.update(view[:size])
     return digest.hexdigest()
+
+
+# The two kinds of event log, by their number of devices: the name of such a log; its CSV
+# column header, and for each label column the word for its labels and the header key of its
+# bound; the file, key and axes of the rates a bundle may hold instead of such logs.
+_LOG_KINDS = {
+    1: ("detection log", "shot,label", (("label", "n_elements"),), "rates.json", "rates", (1, 2)),
+    2: ("coincidence log", "shot,j,k", (("branch", "n_branches"), ("element", "n_elements")),
+        "tables.json", "tables", (3,)),
+}
 
 
 def counts_memo(seed, shots, counts, digest) -> dict:

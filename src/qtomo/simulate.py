@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolation
-from .io import counts_memo
+from .io import _LOG_KINDS, counts_memo
 from .measures import QuantumMeasure, response_probabilities
 from .ops import _Frozen, _unit_intensity, as_square
 
@@ -73,14 +73,6 @@ class ExperimentConfig(_Frozen):
         self._fill(seed, shots, rho, measure, instrument)
 
 
-# A log's CSV form, by its number of devices: the column header, and for each label column
-# the word for its labels and the header key of its bound.  The only place the kinds differ.
-_CSV_FORMS = {
-    1: ("shot,label", (("label", "n_elements"),)),
-    2: ("shot,j,k", (("branch", "n_branches"), ("element", "n_elements"))),
-}
-
-
 class EventLog(_Frozen):
     """Per-shot labels, one column per device; column i lies in [0, bounds[i]].
 
@@ -95,7 +87,7 @@ class EventLog(_Frozen):
 
     def __init__(self, seed: int, generator: str, bounds, labels):
         bounds = tuple(map(int, bounds))
-        if len(bounds) not in _CSV_FORMS or labels.shape[1:] != (len(bounds),):
+        if len(bounds) not in _LOG_KINDS or labels.shape[1:] != (len(bounds),):
             raise ContractViolation(f"labels of shape {labels.shape} do not fit bounds "
                                     f"{bounds}; a log has 1 or 2 devices")
         self._fill(seed, generator, bounds, labels)
@@ -111,7 +103,7 @@ class EventLog(_Frozen):
     # The methods below take labels of this log's devices: all of them, or
     # one chunk of them whose first shot is start.
     def _check(self, labels, start=0):
-        columns = _CSV_FORMS[len(self.bounds)][1]
+        columns = _LOG_KINDS[len(self.bounds)][2]
         for column, bound, (what, key) in zip(labels.T, self.bounds, columns):
             if column.min(initial=0) < 0 or column.max(initial=0) > bound:
                 bad = np.flatnonzero((column < 0) | (column > bound))[0]
@@ -126,7 +118,7 @@ class EventLog(_Frozen):
         return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
     def _header(self) -> str:
-        line, columns = _CSV_FORMS[len(self.bounds)]
+        _, line, columns = _LOG_KINDS[len(self.bounds)][:3]
         keys = "".join(f"# {key}={bound}\n" for bound, (_, key) in zip(self.bounds, columns))
         return f"{keys}{line}\n"
 
@@ -397,7 +389,7 @@ def event_log_from_csv(text: str):
             header[key.strip()] = value.strip()
         elif line:
             columns = [c.strip() for c in line.split(",")]
-    forms = dict(_CSV_FORMS.values())  # column header -> label columns
+    forms = {kind[1]: kind[2] for kind in _LOG_KINDS.values()}  # column header -> label columns
     label_columns = forms.get(",".join(columns))
     if label_columns is None:
         raise ContractViolation(

@@ -534,10 +534,10 @@ class TestInputRefusals:
             "report uncertainty needs SOURCE and DETECTOR files"),
         "boolean-scale": (
             {"s.json": _STATE, "d.json": _MEASURE[:-1] + ', "scale": [true, false]}'},
-            _UNCERTAINTY, "measure 'scale': matrix must be a nonempty array of rows"),
+            _UNCERTAINTY, "{}/d.json: measure 'scale': matrix must be a nonempty array of rows"),
         "ragged-scale": (
             {"s.json": _STATE, "d.json": _MEASURE[:-1] + ', "scale": [[1], [2, 3]]}'},
-            _UNCERTAINTY, "measure 'scale': matrix rows differ in length: [1, 2]"),
+            _UNCERTAINTY, "{}/d.json: measure 'scale': matrix rows differ in length: [1, 2]"),
         "lines-two-inputs": (
             {}, "report lines {}/a.json {}/b.json --out {}/run/lines.json",
             "report lines needs one Hamiltonian file"),
@@ -547,19 +547,20 @@ class TestInputRefusals:
         "instrument-without-branches": (
             {"s.json": _STATE, "d.json": '{"instrument": {}, "detector": %s}' % _MEASURE},
             "simulate {}/s.json {}/d.json --shots 10 --out {}/run",
-            "instrument document needs a 'branches' field"),
+            "{}/d.json: instrument document needs a 'branches' field"),
         "non-hermitian-hamiltonian": (
             {"m.json": _model(H=[[0, 1], [0, 0]])},
             "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
-            "Hamiltonian must be Hermitian"),
+            "{}/m.json: Hamiltonian must be Hermitian"),
         "one-rate-for-two-jumps": (
             {"m.json": _model(lindblad={"L": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
                                         "gamma": [1]})},
             "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
-            "need one rate per jump operator"),
+            "{}/m.json: need one rate per jump operator"),
         "negative-hbar": (
             {"m.json": _model(hbar=-1)},
-            "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json", "hbar must be positive"),
+            "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
+            "{}/m.json: hbar must be positive"),
         "one-filter-for-two-rows": (
             {"b/selfcal.json": _selfcal([_EYE4], [_EYE2, _EYE2])},
             "tomo selfcal {}/b --out {}/run/report.json",
@@ -589,6 +590,121 @@ class TestInputRefusals:
         assert json.loads(result.stderr)["error"]["message"] == message
         error = json.loads(manifest.read_text())["error"]
         assert error == {"type": "ContractViolation", "message": message}
+
+
+_DEVICE = {"instrument": {"branches": [{"kraus": [_EYE2]}]}, "detector": json.loads(_MEASURE)}
+_SIMULATE = "simulate {}/s.json {}/d.json --shots 10 --out {}/run"
+_DYNAMICS = "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json"
+_JUMPS = json.loads(_model(lindblad={"L": [[[0, 1], [0, 0]]], "gamma": [1]}))
+_SELFCAL = "tomo selfcal {}/b --out {}/run/report.json"
+
+
+class TestRequiredFields:
+    """A document without a field it needs exits 2 with a ContractViolation whose message names
+    the file, the document kind and the field; rates.json and tables.json name their array."""
+
+    # (documents to write under the run's directory, the file and the keys down to the field
+    # deleted from it, argv with {} for that directory, message)
+    CASES = {
+        "density-matrix": ({"s.json": json.loads(_STATE), "d.json": json.loads(_MEASURE)},
+                           ("s.json", "matrix"), _SIMULATE,
+                           "{}/s.json: density document needs a 'matrix' field"),
+        "measure-elements": ({"s.json": json.loads(_STATE), "d.json": json.loads(_MEASURE)},
+                             ("d.json", "elements"), _SIMULATE,
+                             "{}/d.json: measure document needs a 'elements' field"),
+        "detector-scale": ({"s.json": json.loads(_STATE),
+                            "d.json": {**json.loads(_MEASURE), "scale": [1, -1]}},
+                           ("d.json", "scale"), _UNCERTAINTY,
+                           "{}/d.json: detector document needs a 'scale' field"),
+        "instrument-branches": ({"s.json": json.loads(_STATE), "d.json": _DEVICE},
+                                ("d.json", "instrument", "branches"), _SIMULATE,
+                                "{}/d.json: instrument document needs a 'branches' field"),
+        "device-detector": ({"s.json": json.loads(_STATE), "d.json": _DEVICE},
+                            ("d.json", "detector"), _SIMULATE,
+                            "{}/d.json: device document needs a 'detector' field"),
+        "model-H": ({"m.json": _JUMPS}, ("m.json", "H"), _DYNAMICS,
+                    "{}/m.json: model document needs a 'H' field"),
+        "model-rho0": ({"m.json": _JUMPS}, ("m.json", "rho0"), _DYNAMICS,
+                       "{}/m.json: model document needs a 'rho0' field"),
+        "lindblad-L": ({"m.json": _JUMPS}, ("m.json", "lindblad", "L"), _DYNAMICS,
+                       "{}/m.json: lindblad document needs a 'L' field"),
+        "lindblad-gamma": ({"m.json": _JUMPS}, ("m.json", "lindblad", "gamma"), _DYNAMICS,
+                           "{}/m.json: lindblad document needs a 'gamma' field"),
+        "hamiltonian-matrix": ({"h.json": {"matrix": _EYE2}}, ("h.json", "matrix"),
+                               "report lines {}/h.json --out {}/run/lines.json",
+                               "{}/h.json: Hamiltonian document needs a 'matrix' field"),
+        "selfcal-outputs": ({"b/selfcal.json": json.loads(_selfcal([_EYE4] * 2, [_EYE2] * 2))},
+                            ("b/selfcal.json", "outputs"), _SELFCAL,
+                            "{}/b/selfcal.json: selfcal document needs a 'outputs' field"),
+        "selfcal-init-filters": (
+            {"b/selfcal.json": json.loads(_selfcal([_EYE4] * 2, [_EYE2] * 2))},
+            ("b/selfcal.json", "init_filters"), _SELFCAL,
+            "{}/b/selfcal.json: selfcal document needs a 'init_filters' field"),
+        "selfcal-init-sources": (
+            {"b/selfcal.json": json.loads(_selfcal([_EYE4] * 2, [_EYE2] * 2))},
+            ("b/selfcal.json", "init_sources"), _SELFCAL,
+            "{}/b/selfcal.json: selfcal document needs a 'init_sources' field"),
+        "rates": ({"b/measure.json": json.loads(_MEASURE), "b/rates.json": {"rates": [0.5, 0.5]}},
+                  ("b/rates.json", "rates"), "tomo state {}/b --out {}/run/report.json",
+                  "{}/b/rates.json: 'rates' must be a rectangular array of finite numbers with "
+                  "1 or 2 axes"),
+        "tables": ({"b/measure.json": json.loads(_MEASURE), "b/probes/p.json": json.loads(_STATE),
+                    "b/tables.json": {"tables": [[[0, 1, 0], [0, 0, 0]]]}},
+                   ("b/tables.json", "tables"), "tomo instrument {}/b --out {}/run/report.json",
+                   "{}/b/tables.json: 'tables' must be a rectangular array of finite numbers "
+                   "with 3 axes"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_missing_field_exits_2_naming_file_and_field(self, tmp_path, case):
+        docs, (name, *keys), argv, message = self.CASES[case]
+        docs = json.loads(json.dumps(docs))  # a copy, as the case's documents are shared
+        parent = docs[name]
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        for path, doc in docs.items():
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_text(json.dumps(doc))
+        message = message.replace("{}", str(tmp_path))
+        result = run_cli(argv.replace("{}", str(tmp_path)).split())
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"]["message"] == message
+        error = json.loads((tmp_path / "run" / "manifest.json").read_text())["error"]
+        assert error == {"type": "ContractViolation", "message": message}
+
+
+class TestUnwritableOutput:
+    """An output directory that cannot be made exits 2 with one JSON error on stderr and no
+    manifest; a manifest that cannot be written after a successful command exits 2 naming it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "tomo", "dynamics"])
+    def test_out_under_a_regular_file_exits_2(self, fixture_files, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "measure.json").write_text(Path(fixture_files["device"]).read_text())
+        (bundle / "rates.json").write_text(json.dumps({"rates": [1 / 6] * 6}))
+        (tmp_path / "m.json").write_text(_model())
+        argv = {"simulate": f"simulate {fixture_files['source']} {fixture_files['device']} "
+                            f"--shots 10 --out {blocker}/run",
+                "tomo": f"tomo state {bundle} --out {blocker}/report.json",
+                "dynamics": f"dynamics {tmp_path}/m.json --t 1 --dt 0.1 --out {blocker}/t.json"}
+        result = run_cli(argv[command].split())
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] in ("FileExistsError", "NotADirectoryError"), error
+        assert str(blocker) in error["message"] and "Traceback" not in result.output
+
+    def test_manifest_that_cannot_be_written_exits_2(self, tmp_path):
+        (tmp_path / "m.json").write_text(_model())
+        (tmp_path / "run" / "manifest.json").mkdir(parents=True)
+        result = run_cli(["dynamics", str(tmp_path / "m.json"), "--t", "1", "--dt", "0.1",
+                          "--out", str(tmp_path / "run" / "t.json")])
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr)["error"]
+        assert "manifest.json" in error["message"] and "Traceback" not in result.output
 
 
 class TestTomoProcess:
@@ -1202,6 +1318,21 @@ class TestManifestsAndDeterminism:
         assert error["message"] == "unexpected failure"
         assert "in broken" in error["traceback"]
         assert not out.exists()
+
+    def test_key_error_of_a_bug_exits_4_with_traceback(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("estimate")
+
+        monkeypatch.setattr("qtomo.tomography.state_tomography", broken)
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "measure.json").write_text(_MEASURE)
+        (bundle / "rates.json").write_text('{"rates": [0.5, 0.5]}')
+        out = tmp_path / "run" / "report.json"
+        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        error = json.loads((out.parent / "manifest.json").read_text())["error"]
+        assert error["type"] == "KeyError" and "in broken" in error["traceback"]
 
     def test_cli_import_does_not_load_scipy(self):
         # scipy is a test-only dependency; importing it would add to every command's start-up

@@ -69,6 +69,8 @@ def _check(tmp, argv):
     assert result.exit_code in (0, 2, 3, 4)
     assert (error is None) == (result.exit_code == 0)
     assert error is None or "traceback" not in error, error
+    # a missing or malformed field is a ContractViolation, never a bare KeyError
+    assert result.exit_code != 2 or error["type"] != "KeyError", error
 
 
 def _write(path, doc):
