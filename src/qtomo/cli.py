@@ -156,15 +156,14 @@ def _hermitian(stack, tol_herm, names):
 
 def _states(problem_dir, folder, tol_herm):
     """The density matrices of the *.json files in problem_dir/folder, in file-name order, as
-    one stack checked by square_stack (as a "probe state" or "output state") and _hermitian."""
+    one stack checked by square_stack and _hermitian, each refusal naming its file."""
     from .ops import square_stack
 
     path = os.path.join(problem_dir, folder)
     files = [os.path.join(path, n) for n in sorted(os.listdir(path)) if n.endswith(".json")]
     if not files:
         raise ContractViolation(f"no states found in {path}")
-    states = square_stack([_load(f, io.density_from_json) for f in files],
-                          f"{folder.rstrip('s')} state")
+    states = square_stack([_load(f, io.density_from_json) for f in files], [f"{f}:" for f in files])
     return _hermitian(states, tol_herm, files)
 
 
@@ -211,11 +210,11 @@ def _table(doc, key, ndims):
 
 
 def _load_rates(problem_dir, devices, logs):
-    """(rates, stderr or None) of a bundle whose logs record 1 or 2 devices.
+    """(rates, shots or None) of a bundle whose logs record 1 or 2 devices.
 
     From rates.json or tables.json if present, else one row per events/*.csv
     log (each must record that many devices and count the outcomes of the
-    first) in file-name order, with its standard errors.  The engines take
+    first) in file-name order, with each log's shot count.  The engines take
     element rates, so the null detection slot (slot 0 of the last axis) is
     dropped from every log's rates and from tables.json; rates.json has none.
     A log's rates come from events/counts.json when that memo records the
@@ -234,7 +233,7 @@ def _load_rates(problem_dir, devices, logs):
     if not files:
         raise ContractViolation(f"no rates.json or tables.json and no events in {events_dir}")
     memo = _counts_memo(events_dir)
-    rates = []
+    rates, log_shots = [], []
     for name in files:
         path = os.path.join(events_dir, name)
         digest = io.file_sha256(path)
@@ -257,33 +256,29 @@ def _load_rates(problem_dir, devices, logs):
         if counts.ndim != devices:
             raise ContractViolation(f"{source}: is a {io._LOG_KINDS[counts.ndim][0]}, "
                                     f"this bundle needs {io._LOG_KINDS[devices][0]}s")
-        if rates and counts.shape != rates[0].p_hat.shape:
+        if rates and counts.shape != rates[0].shape:
             raise ContractViolation(f"{name}: counts of shape {counts.shape}, but {files[0]} has "
-                                    f"{rates[0].p_hat.shape}; the logs of a bundle must count "
-                                    "the same outcomes")
+                                    f"{rates[0].shape}; the logs of a bundle must count the "
+                                    "same outcomes")
         rates.append(rates_from_counts(counts, shots))
-    return (np.stack([r.p_hat[..., 1:] for r in rates]),
-            np.stack([r.stderr[..., 1:] for r in rates]))
+        log_shots.append(shots)
+    return np.stack([r[..., 1:] for r in rates]), np.array(log_shots)
 
 
 def _tomo_state(problem_dir, logs, tols):
     from .tomography import state_tomography
 
     measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
-    rates, err = _load_rates(problem_dir, 1, logs)
-    if err is not None:
+    rates, shots = _load_rates(problem_dir, 1, logs)  # one row per log, or rates.json's
+    if rates.ndim == 2:
         if len(rates) != 1:
             raise ContractViolation(
                 f"a state bundle takes exactly one event log, found {len(rates)} in "
-                f"{os.path.join(problem_dir, 'events')}")
-        rates, err = rates[0], err[0]
-    elif rates.ndim == 2:
-        if len(rates) != 1:
-            raise ContractViolation(
+                f"{os.path.join(problem_dir, 'events')}" if shots is not None else
                 f"{os.path.join(problem_dir, 'rates.json')}: 'rates' has shape {rates.shape}; a "
                 "state bundle takes one row of rates, of shape (K,) or (1, K)")
         rates = rates[0]
-    rho, report = state_tomography(measure, rates, err)
+    rho, report = state_tomography(measure, rates, shots)
     return {"estimate": io.density_to_json(rho)}, report
 
 
@@ -291,9 +286,8 @@ def _tomo_detector(problem_dir, logs, tols):
     from .tomography import detector_tomography
 
     probes = _states(problem_dir, "probes", tols["tol_herm"])
-    rates, err = _load_rates(problem_dir, 1, logs)
-    measure, report = detector_tomography(probes, np.atleast_2d(rates),
-                                          None if err is None else np.atleast_2d(err))
+    rates, shots = _load_rates(problem_dir, 1, logs)
+    measure, report = detector_tomography(probes, np.atleast_2d(rates), shots)
     return {"estimate": io.measure_to_json(measure)}, report
 
 
@@ -310,8 +304,8 @@ def _tomo_instrument(problem_dir, logs, tols):
 
     probes = _states(problem_dir, "probes", tols["tol_herm"])
     measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
-    tables, err = _load_rates(problem_dir, 2, logs)
-    maps, report = instrument_tomography(tables, probes, measure, err)
+    tables, shots = _load_rates(problem_dir, 2, logs)
+    maps, report = instrument_tomography(tables, probes, measure, shots)
     return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
 
 

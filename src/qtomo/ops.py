@@ -64,14 +64,17 @@ def as_square(a, name="matrix", stack=False) -> np.ndarray:
 
 def square_stack(matrices, name="matrix") -> np.ndarray:
     """(n, d, d) complex stack of n >= 1 finite square matrices of one size, else ContractViolation
-    naming the first offender: matrix i is checked by as_square as f"{name} {i}"."""
-    mats = [as_square(m, f"{name} {i}") for i, m in enumerate(matrices)]
+    naming the first offender: matrix i is checked by as_square as f"{name} {i}", or as name[i]
+    when name is a list of one name per matrix."""
+    mats = list(matrices)
+    names = name if isinstance(name, list) else [f"{name} {i}" for i in range(len(mats))]
+    mats = [as_square(m, n) for m, n in zip(mats, names)]
     if not mats:
         raise ContractViolation(f"need at least one {name}")
     d = mats[0].shape[0]
-    for i, m in enumerate(mats):
+    for m, n in zip(mats, names):
         if m.shape[0] != d:
-            raise ContractViolation(f"{name} {i} is {m.shape[0]}x{m.shape[0]}, expected {d}x{d}")
+            raise ContractViolation(f"{n} is {m.shape[0]}x{m.shape[0]}, expected {d}x{d}")
     return np.stack(mats)
 
 

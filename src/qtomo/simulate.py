@@ -256,7 +256,7 @@ def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho, to
 
 
 def empirical_rates(log):
-    """tomography.rates_from_counts of the log's counts."""
+    """tomography.rates_from_counts of the log's counts: one array of relative frequencies."""
     from .tomography import rates_from_counts
 
     return rates_from_counts(log.counts(), len(log))

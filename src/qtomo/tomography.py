@@ -59,16 +59,16 @@ def _span(sing, d, message):
     return rank, float(sing[0] / sing[rank - 1])
 
 
-def _hermitian_lstsq(operators, rates, stderr, what):
+def _hermitian_lstsq(operators, rates, shots, what):
     """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c.
 
     The design is built and factored once (ops._design), and its SVD gives the
-    rank and condition checks and the solution of every column without
-    standard errors.  Every column with errors weights row k by 1/stderr[k, c]
-    (errors floored at 1e-6 of the column's largest), and all such columns are
-    solved by one stacked QR of their row-scaled designs: positive finite
-    weights keep the design's full rank.  Returns (X of shape (n, d, d),
-    per-column residuals of the unweighted equations, cond, rank).
+    rank and condition checks and the solution of every column without shots.  With
+    shots (of _shots, per column or per row) every column whose rates y have binomial errors
+    e = sqrt(y (1 - y) / shots), not all zero, weights row k by 1/e[k, c] (floored at 1e-6 of
+    the column's largest), and all such columns are solved by one stacked QR of their
+    row-scaled designs: positive finite weights keep the design's full rank.  Returns (X of
+    shape (n, d, d), per-column residuals of the unweighted equations, cond, rank).
     """
     ops = square_stack(operators, "design operator")
     d = ops.shape[1]
@@ -80,10 +80,8 @@ def _hermitian_lstsq(operators, rates, stderr, what):
             f"{what}: got {y.shape[0]} rates for {len(ops)} design operators"
         )
     coeff = vt.T @ ((u.T @ y) / sing[:, None])
-    if stderr is not None:
-        err = np.asarray(stderr, dtype=float)
-        if err.shape != y.shape:
-            raise ContractViolation("standard errors must match the rates")
+    if shots is not None:
+        err = np.sqrt(y * (1.0 - y) / shots)
         cols = np.flatnonzero(np.any(err != 0.0, axis=0))
         w = 1.0 / np.clip(err[:, cols], np.maximum(err[:, cols].max(axis=0) * 1e-6, 1e-300), None)
         q, r = np.linalg.qr(m * w.T[:, :, None])  # (columns, K, d^2) and (columns, d^2, d^2)
@@ -91,6 +89,21 @@ def _hermitian_lstsq(operators, rates, stderr, what):
         coeff[:, cols] = np.linalg.solve(r, qty)[:, :, 0].T
     x = np.tensordot(coeff.T, basis, axes=(1, 0))
     return x, _scaled_norms(m @ coeff - y, 0), cond, rank
+
+
+def _shots(shots, rates, n_probes):
+    """None, or the (n_probes, 1) shot counts of shots, one for all probes or one per probe;
+    ContractViolation unless each is positive and finite and every rate (an array) is in [0, 1]."""
+    if shots is None:
+        return None
+    n = np.asarray(shots, dtype=float).reshape(-1, 1)
+    if (len(n) not in (1, n_probes) or not np.all((n > 0) & (n < np.inf))
+            or not np.all((rates >= 0) & (rates <= 1))):
+        raise ContractViolation(f"weighting by shots takes rates in [0, 1] and one positive finite "
+                                f"shot count for all {n_probes} probes or one per probe, got shots "
+                                f"{n.ravel()} and rates from {rates.min(initial=np.inf):g} to "
+                                f"{rates.max(initial=-np.inf):g}")
+    return np.broadcast_to(n, (n_probes, 1))
 
 
 def _scaled_norms(x, axis=None):
@@ -169,30 +182,19 @@ def _rate_residuals(operators, x, rates):
     return _scaled_norms(real_traces(operators, x) - rates, 0)
 
 
-class Rates(NamedTuple):
-    """Relative frequencies of a log's label tuples and their standard errors, as its counts."""
-
-    p_hat: np.ndarray
-    stderr: np.ndarray
-
-
 def rates_from_counts(counts, shots):
-    """Relative frequencies with binomial standard errors sqrt(p(1-p)/N), the rates and the row
-    weights 1/stderr that every count-based mode takes.
-
-    counts is a log's count vector or coincidence table over shots events.
-    """
+    """Relative frequencies of a log's label tuples, shaped like its counts (a count vector or
+    coincidence table over shots events): the rates every count-based mode takes, with shots."""
     if shots == 0:
         raise ContractViolation("empty event log has no rates")
-    p = np.asarray(counts).astype(float) / shots
-    return Rates(p, np.sqrt(p * (1.0 - p) / shots))
+    return np.asarray(counts).astype(float) / shots
 
 
-def state_tomography(measures, rates, stderr=None):
+def state_tomography(measures, rates, shots=None):
     """Reconstruct a density matrix from response rates of known measures.
 
-    measures is one QuantumMeasure or a sequence of them; rates (and
-    optional standard errors) are concatenated in the same element order.
+    measures is one QuantumMeasure or a sequence of them; rates are concatenated in the
+    same element order, and optional shots (one count) weight them by binomial errors.
     The unconstrained Hermitian solution is projected to the nearest PSD
     matrix with its trace fixed to the measured intensity, so exact rates
     from a valid state are reproduced and sampled rates always yield a
@@ -203,8 +205,7 @@ def state_tomography(measures, rates, stderr=None):
         measures = [measures]
     operators = np.concatenate([m.elements for m in measures])
     y = np.asarray(rates, dtype=float).reshape(-1, 1)
-    err = None if stderr is None else np.asarray(stderr, dtype=float)[..., None]
-    x, residual, cond, rank = _hermitian_lstsq(operators, y, err, "state tomography")
+    x, residual, cond, rank = _hermitian_lstsq(operators, y, _shots(shots, y, 1), "state tomography")
     intensity = float(y.sum()) / len(measures)
     rho, dist = project_psd(x[0], trace_target=intensity)
     if intensity < 0.0:
@@ -217,11 +218,12 @@ def state_tomography(measures, rates, stderr=None):
     return rho, report
 
 
-def detector_tomography(probe_states, rates, stderr=None):
+def detector_tomography(probe_states, rates, shots=None):
     """Reconstruct a quantum measure from per-probe, per-element rates.
 
     probe_states must contain at least d^2 states with linearly independent
-    density matrices; rates has shape (n_probes, K).  All elements are
+    density matrices; rates has shape (n_probes, K), weighted as in state tomography by
+    optional shots, one count for all probes or one per probe.  All elements are
     solved on the one probe design and clipped to PSD; then the identity
     deficit is spread over the elements in proportion to their traces and
     they are clipped again, until the deficit is below 1e-12.  When that
@@ -240,7 +242,8 @@ def detector_tomography(probe_states, rates, stderr=None):
         raise ContractViolation(
             f"rates must be (n_probes, K), got {table.shape} for {len(probes)} probes"
         )
-    x, residuals, cond, rank = _hermitian_lstsq(probes, table, stderr, "detector tomography")
+    x, residuals, cond, rank = _hermitian_lstsq(
+        probes, table, _shots(shots, table, len(probes)), "detector tomography")
     elements, _ = project_psd(x)
     identity = np.eye(probes[0].shape[0], dtype=complex)
     # Spread the identity deficit over the elements in proportion to their
@@ -306,7 +309,7 @@ def process_tomography(probe_states, output_states):
     return e[0], report
 
 
-def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure, stderr=None):
+def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure, shots=None):
     """Reconstruct the branch maps of an instrument from coincidence tables.
 
     joint_tables has shape (n_probes, J+1, K): for each probe state, the
@@ -314,9 +317,9 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure, s
     null detection slot; measure is the second detector's K-element measure,
     which must be informationally complete.  The element rates of every
     (probe, branch) pair are inverted together to unnormalized conditional
-    output states, weighted as in state tomography by the optional standard
-    errors (shaped like the tables), each projected to PSD with its measured
-    trace, and the maps of all responding branches follow by process
+    output states, weighted as in state tomography by the optional shots (one
+    count for all probes or one per probe), each projected to PSD with its
+    measured trace, and the maps of all responding branches follow by process
     tomography over the probes, on one factored probe design.  Branch 0 with
     no recorded rate is returned as the zero map; an ordinary branch without
     events is an error.  The report's rank is the smaller of the detector
@@ -336,14 +339,13 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure, s
         raise ContractViolation(
             f"tables have {tables.shape[2]} element slots for a {len(measure)}-element detector"
         )
-    if stderr is not None and np.shape(stderr) != tables.shape:
-        raise ContractViolation("standard errors must match the rates")
     # One solve on the detector design for every (probe, branch) output, before any check of
     # the tables: column ell * (J+1) + j holds the element rates of probe ell in branch j.
     n_probes, n_branches, n_slots = tables.shape
     y = tables.reshape(-1, n_slots).T
-    err = None if stderr is None else np.reshape(stderr, (-1, n_slots)).T
-    x, _, det_cond, det_rank = _hermitian_lstsq(measure.elements, y, err, "instrument tomography")
+    n = _shots(shots, tables, n_probes)  # each probe's count, repeated over its J+1 columns
+    x, _, det_cond, det_rank = _hermitian_lstsq(
+        measure.elements, y, n if n is None else n.repeat(n_branches), "instrument tomography")
     d = measure.dim
     if probes.shape[1] != d:
         raise ContractViolation(f"probe states are {probes.shape[1]}-dimensional, the second "

@@ -220,10 +220,10 @@ def test_instrument_tomography():
     rho = np.diag([0.3, 0.7]).astype(complex)
     cfg = qtomo.ExperimentConfig(7007, shots, rho, measure, instrument)
     log, _ = qtomo.sample_events(cfg)
-    emp = qtomo.empirical_rates(log)
+    rates = qtomo.empirical_rates(log)
     for branch, expected in ((1, 0.3), (2, 0.7)):
         stderr = np.sqrt(expected * (1.0 - expected) / shots)
-        assert abs(emp.p_hat.sum(axis=1)[branch] - expected) <= 5.0 * stderr
+        assert abs(rates.sum(axis=1)[branch] - expected) <= 5.0 * stderr
 
 
 @_announce(8, "polarization optics", 5)

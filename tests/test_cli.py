@@ -529,6 +529,11 @@ class TestInputRefusals:
         "process-without-probes": (
             {"b/probes/notes.txt": "", "b/outputs/p.json": _STATE},
             "tomo process {}/b --out {}/run/report.json", "no states found in {}/b/probes"),
+        "probes-of-two-sizes": (
+            {"b/probes/p0.json": _STATE, "b/probes/p1.json": '{"matrix": %s}' % np.eye(3).tolist(),
+             "b/outputs/p0.json": _STATE, "b/outputs/p1.json": _STATE},
+            "tomo process {}/b --out {}/run/report.json",
+            "{}/b/probes/p1.json: is 3x3, expected 2x2"),
         "uncertainty-one-input": (
             {}, "report uncertainty {}/s.json --out {}/run/unc.json",
             "report uncertainty needs SOURCE and DETECTOR files"),
@@ -839,7 +844,7 @@ class TestTomoDetectorInstrumentSelfcal:
                 assert err <= 0.05
 
     def test_instrument_logs_weight_the_output_solves(self, tmp_path):
-        """tomo instrument fits the logs' element rates weighted by their standard errors; the
+        """tomo instrument fits the logs' element rates weighted by their shot counts; the
         same rates in a tables.json, which keeps the null detection slot, give the unweighted
         fit.  The Pauli-6 second detector overdetermines each output, so weights matter."""
         from support import probe_states
@@ -859,14 +864,13 @@ class TestTomoDetectorInstrumentSelfcal:
                                                                 inst))
             (bundle / "events" / f"p{i}.csv").write_text(qtomo.event_log_to_csv(log))
             rates.append(qtomo.empirical_rates(log))
-        tables = np.stack([r.p_hat for r in rates])
-        stderr = np.stack([r.stderr for r in rates])
+        tables = np.stack(rates)
         fits = {}
-        for name, err in (("logs", stderr[..., 1:]), ("tables", None)):
+        for name, shots in (("logs", 5000), ("tables", None)):
             out = tmp_path / name / "report.json"
             assert run_cli(["tomo", "instrument", str(bundle), "--out", str(out)]).exit_code == 0
             report = json.loads(out.read_text())
-            maps, expected = qtomo.instrument_tomography(tables[..., 1:], probes, measure, err)
+            maps, expected = qtomo.instrument_tomography(tables[..., 1:], probes, measure, shots)
             fits[name] = [qio.matrix_from_json(b) for b in report["estimate"]["branches"]]
             assert np.array_equal(fits[name], maps)
             assert report["residual"] == expected.residual

@@ -171,10 +171,10 @@ class TestCoincidences:
         rho = np.diag([0.3, 0.7]).astype(complex)
         cfg = ExperimentConfig(13, 10**5, rho, tetrahedron_measure(), inst)
         log, table = sample_events(cfg)
-        emp = empirical_rates(log)
+        rates = empirical_rates(log)
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
-        assert abs(emp.p_hat.sum(axis=1)[1] - 0.3) <= 5 * stderr
-        assert abs(emp.p_hat.sum(axis=1)[2] - 0.7) <= 5 * stderr
+        assert abs(rates.sum(axis=1)[1] - 0.3) <= 5 * stderr
+        assert abs(rates.sum(axis=1)[2] - 0.7) <= 5 * stderr
 
     def test_super_unital_instrument_rejected(self):
         inst = Instrument(((np.sqrt(1.2) * np.eye(2, dtype=complex),),))
@@ -192,33 +192,39 @@ class TestCoincidences:
         assert np.array_equal(log1.labels, log2.labels)
 
 
+def _binomial_errors(rates, shots):
+    """sqrt(p (1 - p) / N), the error by which the engines weight a rate p of N shots."""
+    return np.sqrt(rates * (1.0 - rates) / shots)
+
+
 class TestEmpiricalRates:
     def test_constant_log(self):
         cfg = ExperimentConfig(4, 100, np.diag([1.0, 0.0]), _sigma3_measure())
         log, _ = sample_events(cfg)
-        emp = empirical_rates(log)
-        assert emp.p_hat[1] == pytest.approx(1.0)
-        assert emp.stderr[1] == pytest.approx(0.0)
+        rates = empirical_rates(log)
+        assert rates[1] == pytest.approx(1.0)
+        assert _binomial_errors(rates, len(log))[1] == pytest.approx(0.0)
 
     def test_formula_evaluation(self):
         from qtomo.simulate import EventLog
 
         labels = np.array([1] * 300 + [2] * 700)
-        emp = empirical_rates(EventLog(0, "philox4x64", (2,), labels[:, None]))
-        assert np.allclose(emp.p_hat[1:], [0.3, 0.7])
-        assert np.allclose(emp.stderr[1:], np.sqrt(0.3 * 0.7 / 1000), atol=1e-12)
-        assert emp.p_hat.sum() == pytest.approx(1.0)
+        rates = empirical_rates(EventLog(0, "philox4x64", (2,), labels[:, None]))
+        assert np.allclose(rates[1:], [0.3, 0.7])
+        assert np.allclose(_binomial_errors(rates, 1000)[1:], np.sqrt(0.3 * 0.7 / 1000),
+                           atol=1e-12)
+        assert rates.sum() == pytest.approx(1.0)
 
     def test_joint_marginals_consistent(self):
         inst = _projective_instrument()
         measure = _sigma3_measure()
         cfg = ExperimentConfig(15, 2000, np.diag([0.4, 0.6]), measure, inst)
         log, _ = sample_events(cfg)
-        emp = empirical_rates(log)
-        assert emp.p_hat.shape == emp.stderr.shape == (3, 3)
-        assert np.allclose(emp.p_hat.sum(axis=1), log.counts().sum(axis=1) / 2000)
-        assert np.allclose(emp.p_hat.sum(axis=0), log.counts().sum(axis=0) / 2000)
-        assert emp.p_hat.sum() == pytest.approx(1.0)
+        rates = empirical_rates(log)
+        assert rates.shape == log.counts().shape == (3, 3)
+        assert np.allclose(rates.sum(axis=1), log.counts().sum(axis=1) / 2000)
+        assert np.allclose(rates.sum(axis=0), log.counts().sum(axis=0) / 2000)
+        assert rates.sum() == pytest.approx(1.0)
 
     def test_empty_log_rejected(self):
         from qtomo.simulate import EventLog

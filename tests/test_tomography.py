@@ -36,6 +36,7 @@ from qtomo import (
     validate_density,
     validate_measure,
 )
+from qtomo.ops import _design
 from qtomo.tomography import _hermitian_lstsq, _scaled_norms
 from support import (
     probe_states,
@@ -84,8 +85,7 @@ class TestStateTomography:
         rho = random_density(2, rng, pure=True)
         cfg = ExperimentConfig(19, 10**6, rho, m)
         log, _ = sample_events(cfg)
-        emp = empirical_rates(log)
-        est, _ = state_tomography(m, emp.p_hat[1:], emp.stderr[1:])
+        est, _ = state_tomography(m, empirical_rates(log)[1:], shots=len(log))
         assert trace_distance(est, rho) <= 5e-3
         assert validate_density(est).ok
 
@@ -142,8 +142,7 @@ class TestPsdProjection:
             rho = random_density(2, rng, pure=True)
             cfg = ExperimentConfig(1000 + seed, 10**4, rho, m)
             log, _ = sample_events(cfg)
-            emp = empirical_rates(log)
-            est, report = state_tomography(m, emp.p_hat[1:])
+            est, report = state_tomography(m, empirical_rates(log)[1:])
             before = report.extras["residual_unprojected"]
             assert report.residual <= before + report.projection_distance + 1e-12
 
@@ -299,14 +298,12 @@ class TestDetectorTomography:
     def test_sampled_rates_tetrahedron(self):
         target = tetrahedron_measure()
         probes = probe_states(2)
-        rates, errs = [], []
+        rates = []
         for i, probe in enumerate(probes):
             cfg = ExperimentConfig(500 + i, 10**6, probe, target)
             log, _ = sample_events(cfg)
-            emp = empirical_rates(log)
-            rates.append(emp.p_hat[1:])
-            errs.append(emp.stderr[1:])
-        est, _ = detector_tomography(probes, np.stack(rates), np.stack(errs))
+            rates.append(empirical_rates(log)[1:])
+        est, _ = detector_tomography(probes, np.stack(rates), shots=10**6)
         for a, b in zip(est.elements, target.elements):
             assert np.max(np.abs(a - b)) <= 1e-2
         assert validate_measure(est).ok
@@ -529,10 +526,10 @@ class TestInstrumentTomography:
         rho = np.diag([0.3, 0.7]).astype(complex)
         cfg = ExperimentConfig(21, 10**5, rho, measure, inst)
         log, _ = sample_events(cfg)
-        emp = empirical_rates(log)
+        rates = empirical_rates(log)
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
-        assert abs(emp.p_hat.sum(axis=1)[1] - 0.3) <= 5 * stderr
-        assert abs(emp.p_hat.sum(axis=1)[2] - 0.7) <= 5 * stderr
+        assert abs(rates.sum(axis=1)[1] - 0.3) <= 5 * stderr
+        assert abs(rates.sum(axis=1)[2] - 0.7) <= 5 * stderr
 
 
 @st.composite
@@ -817,11 +814,13 @@ class TestFactoredEnginesMatchPerColumnOracle:
     def test_detector(self, d, noisy, weighted):
         rng = np.random.default_rng(100 + d + 10 * noisy + 20 * weighted)
         probes, _, table = _problem(d, noisy, rng)
-        stderr = None
-        if weighted:
-            stderr = rng.uniform(1e-3, 2e-2, size=table.shape)
-            stderr[:, 0] = 0.0  # a column without errors is solved unweighted
-        est, report = detector_tomography(probes, table, stderr)
+        shots = stderr = None
+        if weighted:  # each probe's rates counted over its own number of shots
+            shots = rng.integers(50, 10**5, size=len(probes))
+            table = np.rint(np.clip(table, 0.0, 1.0) * shots[:, None]) / shots[:, None]
+            table[:, 0] = 0.0  # a column without errors is solved unweighted
+            stderr = np.sqrt(table * (1.0 - table) / shots[:, None])
+        est, report = detector_tomography(probes, table, shots)
         o_elements, o_res, o_cond, o_rank, o_dist = _oracle_detector(probes, table, stderr)
         assert np.max(np.abs(est.elements - np.stack(o_elements))) <= self.TOL
         self._close(report.residual, o_res)
@@ -875,31 +874,118 @@ class TestFactoredEnginesMatchPerColumnOracle:
 
 
 @st.composite
-def _weighted_columns(draw):
-    """Hermitian operators (d = 2, 3; K = d^2 ... d^2 + 4) and 1-5 rate columns, each with
-    positive standard errors spread over two decades or with none (all zero)."""
+def _weighted_columns(draw, zero_cells=True):
+    """Hermitian operators (d = 2, 3; K = d^2 ... d^2 + 4) and 1-5 columns of integer counts,
+    each out of its own N shots: binomial counts, or a column of all 0 or all N counts, whose
+    rates have no error and are solved unweighted.  With zero_cells, N = 1 ... 10^5 and some
+    cells count 0; else N >= 2 and the binomial cells count 1 ... N - 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.integers(2, 3))
     k, cols = d * d + draw(st.integers(0, 4)), draw(st.integers(1, 5))
     ops = np.stack([random_hermitian(d, rng) for _ in range(k)])
-    stderr = 10.0 ** rng.uniform(-2.0, 0.0, size=(k, cols))
-    stderr[:, np.array(draw(st.lists(st.booleans(), min_size=cols, max_size=cols)))] = 0.0
-    return ops, rng.normal(size=(k, cols)), stderr
+    shots = rng.integers(1 if zero_cells else 2, 10**5, size=cols, endpoint=True)
+    counts = rng.binomial(shots, rng.uniform(size=(k, cols)))
+    if zero_cells:
+        counts[rng.uniform(size=(k, cols)) < 0.2] = 0
+    else:
+        counts = np.clip(counts, 1, shots - 1)
+    fills = draw(st.lists(st.sampled_from(["binomial", "zero", "all"]),
+                          min_size=cols, max_size=cols))
+    for c, fill in enumerate(fills):
+        if fill != "binomial":
+            counts[:, c] = shots[c] * (fill == "all")
+    return ops, counts, shots
+
+
+def _stderr_weighted_solve(ops, rates, stderr):
+    """Reference: the stacked QR solve as it weighted columns by standard errors, before the
+    engines took shot counts."""
+    basis, m, u, sing, vt = _design(ops)
+    coeff = vt.T @ ((u.T @ rates) / sing[:, None])
+    cols = np.flatnonzero(np.any(stderr != 0.0, axis=0))
+    w = 1.0 / np.clip(stderr[:, cols], np.maximum(stderr[:, cols].max(axis=0) * 1e-6, 1e-300),
+                      None)
+    q, r = np.linalg.qr(m * w.T[:, :, None])
+    qty = q.swapaxes(1, 2) @ (rates[:, cols] * w).T[:, :, None]
+    coeff[:, cols] = np.linalg.solve(r, qty)[:, :, 0].T
+    return np.tensordot(coeff.T, basis, axes=(1, 0)), _scaled_norms(m @ coeff - rates, 0)
 
 
 class TestWeightedSolve:
-    """The stacked QR solve of every weighted column agrees with one lstsq per column."""
+    """The stacked QR solve of every weighted column agrees with one lstsq per column, and
+    shot counts weight the rates exactly as the binomial standard errors of the counts did.
+
+    A zero cell among nonzero errors gets the floored error, 1e-6 of its column's largest,
+    and so a weight up to 1e6 times the others: both solves are backward stable, but their
+    difference grows with that spread, so the per-column oracle sees no zero cells."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_weighted_columns())
+    @given(_weighted_columns(zero_cells=False))
     def test_equals_the_per_column_oracle(self, problem):
-        ops, rates, stderr = problem
-        x, residuals, cond, rank = _hermitian_lstsq(ops, rates, stderr, "weighted solve")
+        ops, counts, shots = problem
+        rates = counts / shots
+        stderr = np.sqrt(rates * (1.0 - rates) / shots)
+        x, residuals, cond, rank = _hermitian_lstsq(ops, rates, shots, "weighted solve")
         for c in range(rates.shape[1]):
             o_x, o_res, o_cond, o_rank = _per_column_solve(ops, rates[:, c], stderr[:, c])
             assert np.max(np.abs(x[c] - o_x)) <= 1e-10 * np.max(np.abs(o_x))
             assert abs(residuals[c] - o_res) <= 1e-10 * max(1.0, o_res)
             assert cond == pytest.approx(o_cond, rel=1e-10) and rank == o_rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(_weighted_columns())
+    def test_shots_weigh_bit_for_bit_as_standard_errors(self, problem):
+        ops, counts, shots = problem
+        rates = counts / shots
+        stderr = np.sqrt(rates * (1.0 - rates) / shots)  # what rates_from_counts returned
+        x, residuals, _, _ = _hermitian_lstsq(ops, rates, shots, "weighted solve")
+        o_x, o_residuals = _stderr_weighted_solve(ops, rates, stderr)
+        assert np.array_equal(x, o_x) and np.array_equal(residuals, o_residuals)
+
+
+def _weighted_engine_call(engine, shots, bad_rate=False):
+    """Run one count-based engine on exact qubit rates of 4 probes (one state for "state"),
+    weighted by shots; bad_rate puts one rate outside [0, 1]."""
+    measure, probes = pauli_six_measure(), probe_states(2)
+    if engine == "state":
+        rates = response_probabilities(measure, probes[2])
+        rates[0] += 1.5 * bad_rate
+        return state_tomography(measure, rates, shots=shots)
+    if engine == "detector":
+        rates = np.stack([response_probabilities(measure, p) for p in probes])
+        rates[0, 0] -= 1.5 * bad_rate
+        return detector_tomography(probes, rates, shots=shots)
+    tables = np.stack([joint_probabilities(_projective_instrument(), measure, p)
+                       for p in probes])[..., 1:]
+    tables[1, 1, 1] += 1.5 * bad_rate
+    return instrument_tomography(tables, probes, measure, shots=shots)
+
+
+class TestShotsAreChecked:
+    """With shots, every count-based engine takes rates in [0, 1] and one positive finite
+    shot count for all probes or one per probe (a state has one), and refuses anything else."""
+
+    ENGINES = ["state", "detector", "instrument"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("shots, bad_rate", [
+        (0, False), (-100, False), ([0, 1000, 1000, 1000], False), (np.nan, False),
+        (np.inf, False), ([1000, 1000], False), ([1000] * 5, False), (1000, True),
+    ], ids=["zero", "negative", "one_zero", "nan", "inf", "two_counts", "five_counts",
+            "rate_outside_0_1"])
+    def test_refused(self, engine, shots, bad_rate):
+        if engine == "state" and np.size(shots) == 4:
+            shots = shots[:1]  # a state's one count
+        with pytest.raises(ContractViolation, match="shots|rates"):
+            _weighted_engine_call(engine, shots, bad_rate)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_count_for_all_and_one_per_probe_agree(self, engine):
+        per_probe = [1000] if engine == "state" else [1000] * 4
+        (one, one_report), (each, each_report) = (_weighted_engine_call(engine, shots)
+                                                  for shots in (1000, per_probe))
+        assert np.array_equal(getattr(one, "elements", one), getattr(each, "elements", each))
+        assert one_report[:5] == each_report[:5]  # all but the extras
 
 
 def _lossy_weak_measurement(rng):
@@ -933,7 +1019,7 @@ class TestOutputProjectionHelps:
             truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
             tables = np.stack([
                 empirical_rates(sample_events(
-                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat[:, 1:]
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0])[:, 1:]
                 for ell, p in enumerate(probes)])
             maps, _ = instrument_tomography(tables, probes, measure)
             errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(fit, truth)))
@@ -949,7 +1035,7 @@ class TestOutputProjectionHelps:
             inst = _lossy_weak_measurement(rng)
             tables = np.stack([
                 empirical_rates(sample_events(
-                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0]).p_hat[:, 1:]
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0])[:, 1:]
                 for ell, p in enumerate(probes)])
             _, report = instrument_tomography(tables, probes, measure)
             assert report.projection_distance > 1e-3 and "projected" in report.flags
@@ -957,7 +1043,8 @@ class TestOutputProjectionHelps:
 
 class TestWeightsHelpInstruments:
     """With a Pauli-6 second detector (K = 6 > d^2 = 4) the output solves are overdetermined,
-    and weighting their rows by 1/stderr brings sampled maps closer to the truth."""
+    and weighting their rows by the rates' binomial errors brings sampled maps closer to the
+    truth."""
 
     @pytest.mark.parametrize("shots", [2000, 20000])
     def test_weighted_maps_are_closer_to_the_truth(self, shots):
@@ -968,14 +1055,12 @@ class TestWeightsHelpInstruments:
         for i in range(20):
             inst = _lossy_weak_measurement(rng)
             truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
-            rates = [empirical_rates(sample_events(
-                ExperimentConfig(10 * i + ell, shots, p, measure, inst))[0])
-                for ell, p in enumerate(probes)]
-            tables = np.stack([r.p_hat[:, 1:] for r in rates])
-            stderr = np.stack([r.stderr[:, 1:] for r in rates])
+            tables = np.stack([empirical_rates(sample_events(
+                ExperimentConfig(10 * i + ell, shots, p, measure, inst))[0])[:, 1:]
+                for ell, p in enumerate(probes)])
             errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(maps, truth)))
-                      for maps in (instrument_tomography(tables, probes, measure, err)[0]
-                                   for err in (stderr, None))]
+                      for maps in (instrument_tomography(tables, probes, measure, n)[0]
+                                   for n in (shots, None))]
             wins += errors[0] < errors[1]
         assert wins >= 16
 
