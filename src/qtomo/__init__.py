@@ -105,6 +105,7 @@ _EXPORTS = {
         "instrument_tomography",
         "process_tomography",
         "project_psd",
+        "rates_from_counts",
         "self_calibrating_tomography",
         "state_tomography",
     ),

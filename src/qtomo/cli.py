@@ -192,14 +192,6 @@ def _device(doc, tol_herm):
             _measure(io._field(doc, "detector", "device"), tol_herm))
 
 
-def _counts_memo(events_dir):
-    """The parsed events/counts.json, or None when there is none or it is not JSON."""
-    try:
-        return io.read_json(os.path.join(events_dir, "counts.json"))
-    except (ContractViolation, OSError):  # a missing or unreadable memo vouches for no log
-        return None
-
-
 def _table(doc, key, ndims):
     """The array under key of a rates document, as floats; it must have one of ndims axes."""
     table = io._number_array(doc.get(key)) if isinstance(doc, dict) else None
@@ -217,8 +209,8 @@ def _load_rates(problem_dir, devices, logs):
     first) in file-name order, with each log's shot count.  The engines take
     element rates, so the null detection slot (slot 0 of the last axis) is
     dropped from every log's rates and from tables.json; rates.json has none.
-    A log's rates come from events/counts.json when that memo records the
-    log's sha256 (so it serves at most one log of a bundle), else from parsing
+    A log's rates come from the memo among events/*.json that records the
+    log's sha256 (io.memos_by_digest), whatever its name, else from parsing
     the log, which only then is read whole.  logs maps each log's file name to
     its sha256 and the file its rates came from.
     """
@@ -232,14 +224,14 @@ def _load_rates(problem_dir, devices, logs):
     files = sorted(f for f in os.listdir(events_dir) if f.endswith(".csv"))
     if not files:
         raise ContractViolation(f"no rates.json or tables.json and no events in {events_dir}")
-    memo = _counts_memo(events_dir)
+    memos = io.memos_by_digest(events_dir)
     rates, log_shots = [], []
     for name in files:
         path = os.path.join(events_dir, name)
         digest = io.file_sha256(path)
-        source = "counts.json" if io.memo_describes(memo, digest) else name
+        source, memo = memos.get(digest, (name, None))
         logs[name] = {"sha256": digest, "rates_from": source}
-        if source == name:
+        if memo is None:
             from .simulate import event_log_from_csv  # only here: a memo's counts need no sampler
 
             try:  # decoded with open()'s text-mode defaults: locale encoding, any newline
@@ -252,7 +244,7 @@ def _load_rates(problem_dir, devices, logs):
             try:
                 counts, shots = io.counts_from_document(memo)
             except ContractViolation as err:
-                raise ContractViolation(f"counts.json: {err}") from None
+                raise ContractViolation(f"{source}: {err}") from None
         if counts.ndim != devices:
             raise ContractViolation(f"{source}: is a {io._LOG_KINDS[counts.ndim][0]}, "
                                     f"this bundle needs {io._LOG_KINDS[devices][0]}s")
@@ -418,8 +410,9 @@ def report(tols, kind, inputs, out_path, plot_path):
             detector = _load(inputs[1], io.detector_from_json)
             res = statistical_vs_quantum(detector, rho)
             payload = {"e_var": res.e_var, "sigma2": res.sigma2, "excess": res.excess}
-            p = response_probabilities(detector.measure, rho)
-            series = [(float(k + 1), float(v)) for k, v in enumerate(p)]
+            if plot_path is not None:  # the series repeats the probabilities: only for a plot
+                p = response_probabilities(detector.measure, rho)
+                series = [(float(k + 1), float(v)) for k, v in enumerate(p)]
         elif kind == "lines":
             if len(inputs) != 1:
                 raise ContractViolation("report lines needs one Hamiltonian file")

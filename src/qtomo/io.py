@@ -1,10 +1,10 @@
 """JSON file formats and canonical serialization.
 
-The counts.json memo of an event log is here too (``counts_memo``,
-``counts_document``): the log's seed, shot count and counts, and the sha256 of
-its CSV bytes.  A reader takes the counts in place of the CSV only when that
-digest matches the file beside it (``file_sha256``, ``memo_describes``,
-``counts_from_document``), so it needs no sampler to trust them.
+The counts memo of an event log is here too (``counts_memo``, ``counts_document``):
+the log's seed, shot count and counts, and the sha256 of its CSV bytes.  A reader
+takes a log's counts from the memo, whatever its name, that records the sha256 of
+that log's bytes (``file_sha256``, ``memos_by_digest``, ``counts_from_document``),
+so it needs no sampler to trust them.
 
 Complex scalars are encoded as two-element arrays [re, im] and matrices as
 row-major nested arrays.  The encoders return each matrix as a float array
@@ -260,7 +260,7 @@ def trajectory_to_json(traj):
 
 
 def events_sha256(data) -> str:
-    """Hex sha256 of an event log's CSV bytes, the digest counts.json records."""
+    """Hex sha256 of an event log's CSV bytes, the digest its counts memo records."""
     import hashlib  # here: loading OpenSSL costs a command 3-5 ms
 
     return hashlib.sha256(data).hexdigest()
@@ -312,17 +312,24 @@ def _count_array(obj):
     return arr.astype(np.int64)
 
 
-def memo_describes(doc, digest: str) -> bool:
-    """Whether a parsed counts.json is the memo of the log whose CSV bytes have this sha256.
-
-    A memo without events_sha256 (from an older run) or with another digest
-    (of another log, or of this log before an edit) describes no log.
-    """
-    return isinstance(doc, dict) and doc.get("events_sha256") == digest
+def memos_by_digest(directory) -> dict:
+    """{digest: (file name, memo)} of the JSON objects in directory's *.json files whose
+    events_sha256 is a string, the first by file name for each digest.  A memo describes only
+    the log whose bytes have its digest; a file that is unreadable or not JSON describes none."""
+    memos = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".json"):
+            try:
+                doc = read_json(os.path.join(directory, name))
+            except (ContractViolation, OSError):
+                continue
+            if isinstance(doc, dict) and isinstance(doc.get("events_sha256"), str):
+                memos.setdefault(doc["events_sha256"], (name, doc))
+    return memos
 
 
 def counts_from_document(doc):
-    """(counts, shots) of a counts.json document.
+    """(counts, shots) of a counts memo.
 
     The counts must be a rectangular array of 1 or 2 axes of nonnegative
     integers (a count vector or a coincidence table) summing to the integer

@@ -18,8 +18,8 @@ records the sha256 of those CSV bytes (``io.counts_document``).  `write_events`
 streams a run straight to a file instead: it draws, checks, formats, hashes
 and counts a fixed number of shots at a time, in buffers allocated once per
 run, so its memory does not grow with the shot count, and it writes the same
-bytes and memo.  A reader takes the counts in place of the CSV only when the
-memo's digest matches the CSV (``io.memo_describes``); the CSV stays the record.
+bytes and memo.  A reader takes a log's counts from the memo, whatever its name,
+whose digest matches the log's bytes (``io.memos_by_digest``); the CSV stays the record.
 """
 
 from __future__ import annotations

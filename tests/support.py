@@ -9,7 +9,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+import qtomo
 from qtomo import PAULI, QuantumMeasure, density_from_state, tetrahedron_measure
+from qtomo import io as qio
 
 
 def random_complex(shape, rng):
@@ -83,6 +85,30 @@ def probe_states(d):
                 v[k] = z
                 states.append(density_from_state(v / np.sqrt(2.0)))
     return states
+
+
+def probe_log_bundle(bundle, mode, shots, seed, memos=(True,) * 4):
+    """A qubit "detector" or "instrument" bundle at the pathlib.Path bundle: the four
+    probe_states(2) in probes/, and for probe i a sampled log events/p{i}.csv (seed + i) and,
+    where memos[i], its counts memo beside it as events/p{i}.json.  The detector has the
+    tetrahedron measure; the instrument is two computational-basis branches, observed by it."""
+    det = qtomo.Detector(tetrahedron_measure(), np.arange(1.0, 5.0))
+    inst = qtomo.Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+    (bundle / "probes").mkdir(parents=True)
+    (bundle / "events").mkdir()
+    if mode == "instrument":
+        qio.write_json_atomic(str(bundle / "measure.json"),
+                              qio.measure_to_json(det.measure, det.scale))
+    for i, probe in enumerate(probe_states(2)):
+        qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
+        log, _ = qtomo.sample_events(qtomo.ExperimentConfig(
+            seed + i, shots, probe, det.measure, inst if mode == "instrument" else None))
+        data = qtomo.event_log_to_csv(log).encode("ascii")
+        (bundle / "events" / f"p{i}.csv").write_bytes(data)
+        if memos[i]:
+            qio.write_json_atomic(str(bundle / "events" / f"p{i}.json"),
+                                  qio.counts_document(log, data))
+    return bundle
 
 
 class CliResult(NamedTuple):

@@ -1215,6 +1215,27 @@ class TestReportCommand:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1] == b'{"e_var":1,"excess":0,"sigma2":1}\n'
 
+    def test_uncertainty_builds_the_series_only_for_a_plot(self, tmp_path, monkeypatch):
+        import qtomo.measures
+        import qtomo.uncertainty  # binds its own response_probabilities before the patch
+
+        calls = []
+        original = qtomo.measures.response_probabilities
+        monkeypatch.setattr(qtomo.measures, "response_probabilities",
+                            lambda *args: calls.append(args) or original(*args))
+        (tmp_path / "s.json").write_text('{"matrix": [[0.5, 0.25], [0.25, 0.5]]}')
+        (tmp_path / "d.json").write_text(
+            '{"elements": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "scale": [1, -1]}')
+        argv = ["report", "uncertainty", str(tmp_path / "s.json"), str(tmp_path / "d.json")]
+        assert run_cli(argv + ["--out", str(tmp_path / "a" / "unc.json")]).exit_code == 0
+        assert calls == []
+        assert run_cli(argv + ["--out", str(tmp_path / "b" / "unc.json"),
+                               "--plot-csv", str(tmp_path / "b" / "unc.csv")]).exit_code == 0
+        assert len(calls) == 1
+        assert (tmp_path / "b" / "unc.csv").read_bytes() == b"x,y\n1,0.5\n2,0.5\n"
+        assert (tmp_path / "a" / "unc.json").read_bytes() == (
+            tmp_path / "b" / "unc.json").read_bytes()
+
     def test_classify_unitary_lossless(self, tmp_path):
         chan = tmp_path / "chan.json"
         qio.write_json_atomic(str(chan), qio.channel_to_json([qtomo.PAULI[1]]))

@@ -1,8 +1,9 @@
-"""counts.json is a checked memo of its event log: same rates, same reports, or not used.
+"""A counts memo is a checked memo of its event log: same rates, same reports, or not used.
 
 `simulate` records the sha256 of the CSV bytes it wrote in counts.json; `tomo`
-takes a log's rates from those counts only when the digest matches the log,
-and otherwise parses the CSV, which stays the authoritative record.
+takes a log's rates from the memo in events/, whatever its name, that records
+the log's digest, and otherwise parses the CSV, which stays the authoritative
+record.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import qtomo
 from qtomo import io as qio
 from qtomo import simulate, tomography
 from qtomo.errors import ContractViolation
-from support import probe_states, run_cli
+from support import probe_log_bundle, run_cli
 
 
 def _log(kind, seed, shots, n_elements, n_branches):
@@ -40,8 +41,7 @@ def test_counts_path_rates_equal_parsed_rates(kind, seed, shots, n_elements, n_b
     digest = qio.events_sha256(data)
     # the memo as a reader sees it: written canonically, then parsed
     doc = json.loads(qio.canonical_json(qio.counts_document(log, data)))
-    assert doc["events_sha256"] == hashlib.sha256(data).hexdigest()
-    assert qio.memo_describes(doc, digest)
+    assert doc["events_sha256"] == digest == hashlib.sha256(data).hexdigest()
     counts, memo_shots = qio.counts_from_document(doc)
     parsed = simulate.event_log_from_csv(data.decode("ascii"))
     if shots == 0:
@@ -58,15 +58,25 @@ def test_counts_path_rates_equal_parsed_rates(kind, seed, shots, n_elements, n_b
 
 
 class TestCountsDocument:
-    def test_memo_of_another_log_is_not_used(self):
-        log = _log("events", 1, 50, 6, 1)
-        doc = qio.counts_document(log, b"other bytes")
-        assert qio.memo_describes(doc, qio.events_sha256(b"other bytes"))
-        assert not qio.memo_describes(doc, qio.events_sha256(b"these bytes"))
-        assert not qio.memo_describes([doc], doc["events_sha256"])
-        assert not qio.memo_describes(None, doc["events_sha256"])
-        del doc["events_sha256"]
-        assert not qio.memo_describes(doc, qio.events_sha256(b"other bytes"))
+    def test_memo_of_another_log_is_not_used(self, tmp_path):
+        doc = qio.counts_document(_log("events", 1, 50, 6, 1), b"other bytes")
+        for name, value in [("a.json", [doc]), ("b.json", None),
+                            ("c.json", {k: v for k, v in doc.items() if k != "events_sha256"}),
+                            ("d.json", {**doc, "events_sha256": 5}), ("e.json", doc)]:
+            qio.write_json_atomic(str(tmp_path / name), value)
+        (tmp_path / "f.json").write_text("not json {")
+        (tmp_path / "g.csv").write_text(json.dumps({**doc, "events_sha256": "csv"}))
+        memos = qio.memos_by_digest(str(tmp_path))
+        # only the object with a string digest is a memo, and only of the bytes it names
+        assert memos == {qio.events_sha256(b"other bytes"): ("e.json", doc)}
+        assert qio.events_sha256(b"these bytes") not in memos
+
+    def test_two_memos_of_one_digest_resolve_to_the_first_by_name(self, tmp_path):
+        doc = qio.counts_document(_log("events", 1, 50, 6, 1), b"these bytes")
+        for name, shots in [("b.json", 50), ("a.json", 7), ("c.json", 50)]:
+            qio.write_json_atomic(str(tmp_path / name), {**doc, "shots": shots})
+        assert qio.memos_by_digest(str(tmp_path)) == {
+            doc["events_sha256"]: ("a.json", {**doc, "shots": 7})}
 
     @pytest.mark.parametrize("counts, shots, invariant", [
         ([1, -2, 3], 2, "nonnegative integers"),
@@ -150,17 +160,17 @@ def _tomo(mode, bundle, out):
 
 
 def _tomo_without_memo(mode, bundle, out):
-    """_tomo on the same bundle with counts.json moved away (and then restored)."""
-    memo = bundle / "events" / "counts.json"
-    kept = memo.read_bytes() if memo.exists() else None
-    if kept is not None:
-        memo.unlink()
+    """_tomo on the same bundle with every *.json of events/, each memo among them, moved away
+    (and then restored): every log is parsed."""
+    kept = {path: path.read_bytes() for path in (bundle / "events").glob("*.json")}
+    for path in kept:
+        path.unlink()
     try:
         result, manifest = _tomo(mode, bundle, out)
     finally:
-        if kept is not None:
-            memo.write_bytes(kept)
-    assert all(log["rates_from"] != "counts.json" for log in manifest["event_logs"].values())
+        for path, data in kept.items():
+            path.write_bytes(data)
+    assert all(log["rates_from"] == name for name, log in manifest["event_logs"].items())
     return result, manifest
 
 
@@ -193,34 +203,82 @@ def test_state_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed)
         "state", bundle, tmp_path / "csv" / "report.json")
 
 
-@settings(max_examples=4, deadline=None)
-@given(st.integers(50, 3000), st.integers(0, 2 ** 31), st.integers(0, 3))
-def test_instrument_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed, memo_of):
-    """One counts.json per events directory: it stands for the one log it names."""
-    tmp_path = tmp_path_factory.mktemp("instrument")
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    inst = qtomo.Instrument(((p0,), (p1,)))
-    det = qtomo.Detector(qtomo.tetrahedron_measure(), np.arange(1.0, 5.0))
-    bundle = tmp_path / "bundle"
-    (bundle / "probes").mkdir(parents=True)
-    (bundle / "events").mkdir()
-    qio.write_json_atomic(str(bundle / "measure.json"), qio.measure_to_json(det.measure, det.scale))
-    for i, probe in enumerate(probe_states(2)):
-        qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
-        log, _ = qtomo.sample_events(qtomo.ExperimentConfig(seed + i, shots, probe, det.measure,
-                                                             inst))
-        data = qtomo.event_log_to_csv(log).encode("ascii")
-        (bundle / "events" / f"p{i}.csv").write_bytes(data)
-        if i == memo_of:
-            qio.write_json_atomic(str(bundle / "events" / "counts.json"),
-                                  qio.counts_document(log, data))
-    result, manifest = _tomo("instrument", bundle, tmp_path / "memo" / "report.json")
+_memo_sets = st.lists(st.booleans(), min_size=4, max_size=4)
+
+
+def _check_bytes_with_and_without_memo(tmp_path, mode, shots, seed, memos):
+    """Each log's memo sits beside it under its own name and stands for that log alone."""
+    bundle = probe_log_bundle(tmp_path / "bundle", mode, shots, seed, memos)
+    result, manifest = _tomo(mode, bundle, tmp_path / "memo" / "report.json")
     assert result.exit_code == 0, result.output
     assert [log["rates_from"] for log in manifest["event_logs"].values()] == [
-        "counts.json" if i == memo_of else f"p{i}.csv" for i in range(4)]
+        f"p{i}.json" if memos[i] else f"p{i}.csv" for i in range(4)]
     assert (tmp_path / "memo" / "report.json").read_bytes() == _report_without_memo(
-        "instrument", bundle, tmp_path / "csv" / "report.json")
+        mode, bundle, tmp_path / "csv" / "report.json")
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(50, 3000), st.integers(0, 2 ** 31), _memo_sets)
+@example(200, 1, [True] * 4)
+def test_instrument_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed, memos):
+    _check_bytes_with_and_without_memo(tmp_path_factory.mktemp("instrument"), "instrument",
+                                       shots, seed, memos)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(50, 3000), st.integers(0, 2 ** 31), _memo_sets)
+@example(200, 1, [True] * 4)
+def test_detector_report_bytes_with_and_without_memo(tmp_path_factory, shots, seed, memos):
+    _check_bytes_with_and_without_memo(tmp_path_factory.mktemp("detector"), "detector",
+                                       shots, seed, memos)
+
+
+class TestMemoByDigest:
+    """tomo finds each log's memo in events/ by the digest it records, not by its name."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        return probe_log_bundle(tmp_path / "bundle", "instrument", 400, 5)
+
+    def _rates_from(self, bundle, out):
+        result, manifest = _tomo("instrument", bundle, out)
+        assert result.exit_code == 0, result.output
+        return {name: log["rates_from"] for name, log in manifest["event_logs"].items()}
+
+    def test_edited_log_is_parsed_and_the_others_are_not(self, tmp_path, bundle):
+        log = bundle / "events" / "p2.csv"
+        log.write_text(log.read_text().replace("# seed=7", "# seed=8"))
+        out = tmp_path / "edited" / "report.json"
+        assert self._rates_from(bundle, out) == {
+            "p0.csv": "p0.json", "p1.csv": "p1.json", "p2.csv": "p2.csv", "p3.csv": "p3.json"}
+        assert out.read_bytes() == _report_without_memo("instrument", bundle,
+                                                        tmp_path / "csv" / "report.json")
+
+    def test_files_that_are_no_memo_of_a_log_vouch_for_nothing(self, tmp_path, bundle):
+        events = bundle / "events"
+        # p0's memo now of another log, p1's inside a list, p2's malformed, and a run's manifest
+        memo = json.loads((events / "p0.json").read_text())
+        qio.write_json_atomic(str(events / "p0.json"),
+                              {**memo, "events_sha256": qio.events_sha256(b"another log")})
+        qio.write_json_atomic(str(events / "p1.json"),
+                              [json.loads((events / "p1.json").read_text())])
+        (events / "p2.json").write_text((events / "p2.json").read_text()[:-5])
+        qio.write_json_atomic(str(events / "manifest.json"), {"command": "simulate", "error": None})
+        assert self._rates_from(bundle, tmp_path / "run" / "report.json") == {
+            "p0.csv": "p0.csv", "p1.csv": "p1.csv", "p2.csv": "p2.csv", "p3.csv": "p3.json"}
+
+    def test_the_first_of_two_memos_by_name_is_used(self, tmp_path, bundle):
+        events = bundle / "events"
+        memo = json.loads((events / "p1.json").read_text())
+        qio.write_json_atomic(str(events / "p1-bad.json"), {**memo, "shots": memo["shots"] + 1})
+        qio.write_json_atomic(str(events / "a-copy.json"), memo)
+        rates_from = self._rates_from(bundle, tmp_path / "copy" / "report.json")
+        assert rates_from["p1.csv"] == "a-copy.json"
+        (events / "a-copy.json").unlink()  # p1-bad.json now sorts first: it is used, and refused
+        result, manifest = _tomo("instrument", bundle, tmp_path / "bad" / "report.json")
+        assert result.exit_code == 2, result.output
+        assert manifest["error"]["message"].startswith("p1-bad.json: 'shots' must be the integer")
+        assert manifest["event_logs"]["p1.csv"]["rates_from"] == "p1-bad.json"
 
 
 class TestStaleOrOldMemo:

@@ -12,7 +12,7 @@ import pytest
 
 import qtomo
 from qtomo import io as qio
-from support import probe_states
+from support import probe_log_bundle, probe_states
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 ENGINES = frozenset({"channels", "dynamics", "measures", "ops", "optics", "simulate",
@@ -41,7 +41,7 @@ EXPORTS = {
     "simulate": "EventLog ExperimentConfig empirical_rates event_log_from_csv "
                 "event_log_to_csv joint_probabilities sample_events",
     "tomography": "ReconstructionReport SelfCalibrationResult detector_tomography "
-                  "instrument_tomography process_tomography project_psd "
+                  "instrument_tomography process_tomography project_psd rates_from_counts "
                   "self_calibrating_tomography state_tomography",
     "uncertainty": "ExcessReport MeasurementErrorReport RobertsonReport SpectrumReport "
                    "UncertaintyReport measurement_uncertainty q_uncertainty robertson_check "
@@ -177,6 +177,16 @@ class TestCommandImports:
                                  "--out", str(tmp_path / "report.json"))
         assert "tomography" in loaded
         assert not loaded & {"dynamics", "optics", "simulate", "uncertainty"}
+
+    @pytest.mark.parametrize("mode", ["detector", "instrument"])
+    def test_tomo_on_memos_under_other_names_loads_no_sampler(self, tmp_path, mode):
+        bundle = probe_log_bundle(tmp_path / "bundle", mode, 500, 3)
+        loaded = _loaded_engines("tomo", mode, str(bundle),
+                                 "--out", str(tmp_path / "run" / "r.json"))
+        assert "tomography" in loaded and "simulate" not in loaded
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert {name: log["rates_from"] for name, log in manifest["event_logs"].items()} == {
+            f"p{i}.csv": f"p{i}.json" for i in range(4)}
 
     def test_commands_load_no_click(self, tmp_path):
         # the command line runs on argparse; numpy is the only runtime dependency
