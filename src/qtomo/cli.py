@@ -32,10 +32,17 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BL
 # Largest trajectory `dynamics` computes, in complex entries (n + 1) d^2: 2 GiB of states,
 # several GB once printed as JSON.
 MAX_TRAJECTORY_ENTRIES = 2 ** 27
+# The exit code of each expected error; any other exception exits 4 with its traceback.
+_EXIT_CODES = (((ContractViolation, OSError), 2), (RankDeficiencyError, 3),
+               ((NumericalError, np.linalg.LinAlgError, FloatingPointError), 4))
 
 
 class _Run:
-    """Collects manifest data and guarantees it is written once per command."""
+    """The manifest of one command, written once as its `with _Run(...) as run:` block ends.
+
+    An error of the block, or of the manifest write, becomes exit 2, 3 or 4 with one JSON
+    error on stderr; SystemExit and KeyboardInterrupt pass through with no manifest.
+    """
 
     def __init__(self, command, inputs, out_dir, seed=None, tolerances=None):
         self.started = time.monotonic()
@@ -70,31 +77,31 @@ class _Run:
         os.makedirs(self.out_dir, exist_ok=True)
         io.write_json_atomic(os.path.join(self.out_dir, "manifest.json"), self.manifest)
 
+    def __enter__(self):
+        return self
 
-def _fail(run, error, code, trace=None):
-    try:
-        run.finish(error, trace)
-    except OSError:  # the output directory cannot be made or written: the error stands alone
-        pass
-    payload = {"error": {"type": type(error).__name__, "message": str(error)}}
-    print(io.canonical_json(payload), file=sys.stderr)
-    sys.exit(code)
+    def __exit__(self, kind, error, tb):
+        if error is None:
+            try:
+                self.finish()
+                return
+            except Exception as err:  # a manifest that cannot be written is an output error
+                error = err
+        if not isinstance(error, Exception):
+            return
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(error, kinds)), None)
+        trace = None
+        if code is None:  # last resort: still exit with a documented code and a manifest
+            import traceback
 
-
-def _guard(run, fn):
-    try:
-        fn()
-        run.finish()  # a manifest that cannot be written is an output error, exit 2
-    except (ContractViolation, OSError) as err:
-        _fail(run, err, 2)
-    except RankDeficiencyError as err:
-        _fail(run, err, 3)
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
-        _fail(run, err, 4)
-    except Exception as err:  # last resort: still exit with a documented code and a manifest
-        import traceback
-
-        _fail(run, err, 4, traceback.format_exc())
+            code, trace = 4, "".join(traceback.format_exception(error))
+        try:
+            self.finish(error, trace)
+        except OSError:  # the output directory cannot be made or written: the error stands alone
+            pass
+        payload = {"error": {"type": type(error).__name__, "message": str(error)}}
+        print(io.canonical_json(payload), file=sys.stderr)
+        sys.exit(code)
 
 
 def _seed(seed):
@@ -110,10 +117,9 @@ def _seed(seed):
 
 def simulate(tols, source, device, shots, seed, out_dir):
     """Sample a detection log, or a coincidence log for an instrument DEVICE, from SOURCE."""
-    run = _Run("simulate", {"source": source, "device": device, "shots": shots},
-               out_dir, seed=seed, tolerances=tols)
-
-    def work():
+    tols = {key: tols[key] for key in ("tol_herm", "tol_psd")}
+    with _Run("simulate", {"source": source, "device": device, "shots": shots},
+              out_dir, seed=seed, tolerances=tols) as run:
         from .measures import validate_measure
         from .ops import validate_density
         from .simulate import ExperimentConfig, write_events
@@ -136,8 +142,6 @@ def simulate(tols, source, device, shots, seed, out_dir):
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
         io.write_json_atomic(os.path.join(out_dir, "counts.json"), memo)
-
-    _guard(run, work)
 
 
 def _hermitian(stack, tol_herm, names):
@@ -329,32 +333,22 @@ _TOMO_MODES = {"state": _tomo_state, "detector": _tomo_detector, "process": _tom
 
 def tomo(tols, mode, problem_dir, out_path):
     """Run a reconstruction over a problem bundle directory."""
-    run = _Run(f"tomo {mode}", {"problem_dir": problem_dir}, os.path.dirname(os.path.abspath(out_path)),
-               tolerances=tols)
-    logs = run.manifest["event_logs"] = {}
-
-    def work():
+    key = "rtol" if mode == "selfcal" else "tol_herm"  # the one tolerance the mode reads
+    tols = {key: tols[key]}
+    with _Run(f"tomo {mode}", {"problem_dir": problem_dir},
+              os.path.dirname(os.path.abspath(out_path)), tolerances=tols) as run:
+        logs = run.manifest["event_logs"] = {}
         payload, report = _TOMO_MODES[mode](problem_dir, logs, tols)
         if report is not None:
-            payload.update(
-                residual=report.residual,
-                cond=report.cond,
-                projection_distance=report.projection_distance,
-                rank=report.rank,
-                flags=list(report.flags),
-            )
-            payload.update(report.extras)
+            fields = report._asdict()
+            payload.update(fields.pop("extras"), **fields)
         io.write_json_atomic(out_path, payload)
-
-    _guard(run, work)
 
 
 def dynamics(tols, model, t_final, dt, method, out_path, richardson):
     """Evolve the model's initial state and write the trajectory."""
-    run = _Run("dynamics", {"model": model, "t": t_final, "dt": dt, "method": method},
-               os.path.dirname(os.path.abspath(out_path)), tolerances=tols)
-
-    def work():
+    with _Run("dynamics", {"model": model, "t": t_final, "dt": dt, "method": method},
+              os.path.dirname(os.path.abspath(out_path))):
         from .dynamics import (Trajectory, lindblad_evolve, sliced_master, step_count,
                                von_neumann_evolve)
 
@@ -388,15 +382,11 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
                  "ratio": float(err / err_half) if err_half > 0 else None},
             )
 
-    _guard(run, work)
-
 
 def report(tols, kind, inputs, out_path, plot_path):
     """Uncertainty, spectral-line, or filter-classification reports."""
-    run = _Run(f"report {kind}", {"inputs": list(inputs)},
-               os.path.dirname(os.path.abspath(out_path)), tolerances=tols)
-
-    def work():
+    with _Run(f"report {kind}", {"inputs": list(inputs)},
+              os.path.dirname(os.path.abspath(out_path))):
         if plot_path is not None and kind == "classify":
             raise ContractViolation("--plot-csv takes the series of report uncertainty or lines; "
                                     "report classify has none")
@@ -441,8 +431,6 @@ def report(tols, kind, inputs, out_path, plot_path):
             io.write_atomic(plot_path, lambda handle: handle.write(text.encode("ascii")))
         io.write_json_atomic(out_path, payload)
 
-    _guard(run, work)
-
 
 def _finite_float(text):
     """argparse type of the float options: nan, inf and non-numbers are usage errors."""
@@ -455,16 +443,24 @@ def _finite_float(text):
     return value
 
 
+def _tolerance(text):
+    """argparse type of the tolerance options: a finite number, 0 or more."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a tolerance must be 0 or more, got {text!r}")
+    return value
+
+
 def _parser(prog):
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Quantum tomography workbench: simulate, reconstruct, evolve, report.")
     parser.add_argument("--version", action="version", version=f"qtomo, version {__version__}")
-    parser.add_argument("--tol-psd", type=_finite_float, default=1e-9,
+    parser.add_argument("--tol-psd", type=_tolerance, default=1e-9,
                         help="PSD tolerance relative to the trace (default: %(default)s).")
-    parser.add_argument("--tol-herm", type=_finite_float, default=1e-10,
+    parser.add_argument("--tol-herm", type=_tolerance, default=1e-10,
                         help="Absolute hermiticity tolerance (default: %(default)s).")
-    parser.add_argument("--rtol", type=_finite_float, default=1e-10,
+    parser.add_argument("--rtol", type=_tolerance, default=1e-10,
                         help="Relative convergence tolerance for iterative fits "
                              "(default: %(default)s).")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)

@@ -16,6 +16,7 @@ import pytest
 
 import qtomo
 from qtomo import io as qio
+from qtomo.errors import ContractViolation
 from support import run_cli
 
 # frozen output of the built tool for seed 2024, 10^6 shots on the fixture below
@@ -508,6 +509,7 @@ _EYE4 = np.eye(4).tolist()
 _STATE = '{"matrix": [[1, 0], [0, 0]]}'
 _MEASURE = '{"elements": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}'
 _UNCERTAINTY = "report uncertainty {}/s.json {}/d.json --out {}/run/unc.json"
+_SIMULATE = "simulate {}/s.json {}/d.json --shots 10 --out {}/run"
 
 
 def _model(**fields):
@@ -577,6 +579,16 @@ class TestInputRefusals:
         "dt-not-a-number": (
             {"m.json": _model()}, "dynamics {}/m.json --t 1 --dt abc --out {}/run/t.json",
             "argument --dt: not a finite number: 'abc'"),
+        "negative-tol-herm": (
+            {"b/measure.json": _MEASURE, "b/rates.json": '{"rates": [0.5, 0.5]}'},
+            "--tol-herm -1 tomo state {}/b --out {}/run/report.json",
+            "argument --tol-herm: a tolerance must be 0 or more, got '-1'"),
+        "negative-tol-psd": (
+            {"s.json": _STATE, "d.json": _MEASURE}, "--tol-psd -1 " + _SIMULATE,
+            "argument --tol-psd: a tolerance must be 0 or more, got '-1'"),
+        "negative-rtol": (
+            {"m.json": _model()}, "--rtol -5 dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
+            "argument --rtol: a tolerance must be 0 or more, got '-5'"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -589,7 +601,7 @@ class TestInputRefusals:
         result = run_cli(argv.replace("{}", str(tmp_path)).split())
         assert result.exit_code == 2, result.output
         manifest = tmp_path / "run" / "manifest.json"
-        if case == "dt-not-a-number":  # argparse refuses it before any command runs
+        if message.startswith("argument "):  # argparse refuses it before any command runs
             assert message in result.stderr and not manifest.exists()
             return
         assert json.loads(result.stderr)["error"]["message"] == message
@@ -598,7 +610,6 @@ class TestInputRefusals:
 
 
 _DEVICE = {"instrument": {"branches": [{"kraus": [_EYE2]}]}, "detector": json.loads(_MEASURE)}
-_SIMULATE = "simulate {}/s.json {}/d.json --shots 10 --out {}/run"
 _DYNAMICS = "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json"
 _JUMPS = json.loads(_model(lindblad={"L": [[[0, 1], [0, 0]]], "gamma": [1]}))
 _SELFCAL = "tomo selfcal {}/b --out {}/run/report.json"
@@ -1293,6 +1304,32 @@ class TestReportBytes:
         assert digests == GOLDEN_REPORT_SHA256
 
 
+# The engine each command runs, as a monkeypatch target.
+_ENGINES = {"simulate": "qtomo.simulate.write_events", "tomo": "qtomo.tomography.state_tomography",
+            "dynamics": "qtomo.dynamics.von_neumann_evolve",
+            "report": "qtomo.dynamics.rydberg_ritz_lines"}
+
+
+def _command_runs(fixture_files, tmp_path):
+    """{command: (argv, output path)}: one small successful run of each command."""
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "measure.json").write_text(Path(fixture_files["device"]).read_text())
+    (bundle / "rates.json").write_text(json.dumps({"rates": [1 / 6] * 6}))
+    (tmp_path / "m.json").write_text(_model())
+    run = tmp_path / "run"
+    return {
+        "simulate": (["simulate", fixture_files["source"], fixture_files["device"], "--shots",
+                      "10", "--out", str(run)], run / "events.csv"),
+        "tomo": (["tomo", "state", str(bundle), "--out", str(run / "report.json")],
+                 run / "report.json"),
+        "dynamics": (["dynamics", str(tmp_path / "m.json"), "--t", "1", "--dt", "0.1", "--out",
+                      str(run / "t.json")], run / "t.json"),
+        "report": (["report", "lines", str(tmp_path / "m.json"), "--out",
+                    str(run / "lines.json")], run / "lines.json"),
+    }
+
+
 class TestManifestsAndDeterminism:
     def test_manifest_written_on_success_and_failure(self, fixture_files, tmp_path):
         out = tmp_path / "ok"
@@ -1325,24 +1362,42 @@ class TestManifestsAndDeterminism:
                                "numpy": np.__version__, "thread_vars": threads}
         assert threads["OMP_NUM_THREADS"] == "3" and threads["MKL_NUM_THREADS"] is None
 
-    def test_unexpected_error_exits_4_with_manifest(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error, code", [(RuntimeError, 4), (ContractViolation, 2)])
+    @pytest.mark.parametrize("command", _ENGINES)
+    def test_every_command_maps_its_error_to_one_exit_code(self, fixture_files, tmp_path,
+                                                           monkeypatch, command, error, code):
         def broken(*args, **kwargs):
-            raise RuntimeError("unexpected failure")
+            raise error("engine failure")
 
-        monkeypatch.setattr("qtomo.tomography.state_tomography", broken)
-        bundle = tmp_path / "bundle"
-        bundle.mkdir()
-        qio.write_json_atomic(str(bundle / "measure.json"),
-                              qio.measure_to_json(qtomo.pauli_six_measure()))
-        qio.write_json_atomic(str(bundle / "rates.json"), {"rates": [1 / 6] * 6})
-        out = tmp_path / "run" / "report.json"
-        result = run_cli(["tomo", "state", str(bundle), "--out", str(out)])
-        assert result.exit_code == 4
-        error = json.loads((out.parent / "manifest.json").read_text())["error"]
-        assert error["type"] == "RuntimeError"
-        assert error["message"] == "unexpected failure"
-        assert "in broken" in error["traceback"]
+        monkeypatch.setattr(_ENGINES[command], broken)
+        argv, out = _command_runs(fixture_files, tmp_path)[command]
+        result = run_cli(argv)
+        assert result.exit_code == code, result.output
+        named = {"type": error.__name__, "message": "engine failure"}
+        assert json.loads(result.stderr) == {"error": named}
+        manifest = json.loads((out.parent / "manifest.json").read_text())["error"]
+        if code == 4:  # an unexpected error alone carries its traceback
+            assert "in broken" in manifest.pop("traceback")
+        assert manifest == named
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, tolerances", [
+        ("simulate", {"tol_herm": 1e-7, "tol_psd": 1e-6}),
+        ("tomo state", {"tol_herm": 1e-7}), ("tomo detector", {"tol_herm": 1e-7}),
+        ("tomo process", {"tol_herm": 1e-7}), ("tomo instrument", {"tol_herm": 1e-7}),
+        ("tomo selfcal", {"rtol": 1e-8}), ("dynamics", {}), ("report", {})])
+    def test_manifest_records_the_tolerances_its_command_reads(self, fixture_files, tmp_path,
+                                                               command, tolerances):
+        # the bundle holds only a state problem, so the other tomo modes exit 2; their
+        # manifests record the same options as on success
+        name, _, mode = command.partition(" ")
+        argv, out = _command_runs(fixture_files, tmp_path)[name]
+        if mode:
+            argv = [*argv[:1], mode, *argv[2:]]
+        result = run_cli(["--tol-psd", "1e-6", "--tol-herm", "1e-7", "--rtol", "1e-8", *argv])
+        assert result.exit_code == (0 if mode in ("", "state") else 2), result.output
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["tolerances"] == tolerances
 
     def test_key_error_of_a_bug_exits_4_with_traceback(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
