@@ -275,7 +275,7 @@ def _tomo_state(problem_dir, logs, tols):
                 "state bundle takes one row of rates, of shape (K,) or (1, K)")
         rates = rates[0]
     rho, report = state_tomography(measure, rates, shots)
-    return {"estimate": io.density_to_json(rho)}, report
+    return io.density_to_json(rho), report
 
 
 def _tomo_detector(problem_dir, logs, tols):
@@ -284,7 +284,7 @@ def _tomo_detector(problem_dir, logs, tols):
     probes = _states(problem_dir, "probes", tols["tol_herm"])
     rates, shots = _load_rates(problem_dir, 1, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates), shots)
-    return {"estimate": io.measure_to_json(measure)}, report
+    return io.measure_to_json(measure), report
 
 
 def _tomo_process(problem_dir, logs, tols):
@@ -292,7 +292,7 @@ def _tomo_process(problem_dir, logs, tols):
 
     e, report = process_tomography(_states(problem_dir, "probes", tols["tol_herm"]),
                                    _states(problem_dir, "outputs", tols["tol_herm"]))
-    return {"estimate": {"superoperator": io.matrix_to_json(e)}}, report
+    return {"superoperator": io.matrix_to_json(e)}, report
 
 
 def _tomo_instrument(problem_dir, logs, tols):
@@ -302,7 +302,7 @@ def _tomo_instrument(problem_dir, logs, tols):
     measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
     tables, shots = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, measure, shots)
-    return {"estimate": {"branches": [io.matrix_to_json(e) for e in maps]}}, report
+    return {"branches": [io.matrix_to_json(e) for e in maps]}, report
 
 
 def _tomo_selfcal(problem_dir, logs, tols):
@@ -310,23 +310,15 @@ def _tomo_selfcal(problem_dir, logs, tols):
 
     outputs, filters, sources = _load(os.path.join(problem_dir, "selfcal.json"),
                                       io.selfcal_from_json)
-    result = self_calibrating_tomography(outputs, filters, sources, rtol=tols["rtol"])
-    payload = {
-        "estimate": {
-            "filters": [io.matrix_to_json(f) for f in result.filters],
-            "sources": [io.matrix_to_json(s) for s in result.sources],
-        },
-        "residual": result.residual,
-        "residual_history": result.residual_history,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "flags": list(result.flags),
-    }
-    return payload, None
+    (filters, sources), report = self_calibrating_tomography(outputs, filters, sources,
+                                                             rtol=tols["rtol"])
+    return {"filters": [io.matrix_to_json(f) for f in filters],
+            "sources": [io.matrix_to_json(s) for s in sources]}, report
 
 
 # Each tomo mode by name, in the parser's order: its adapter (problem_dir, logs, tols) returns
-# (payload, report or None), and records each event log it reads in logs.
+# (estimate document, record), a NamedTuple whose fields, and those of its "extras" mapping if
+# it has one, become the report's keys; it records each event log it reads in logs.
 _TOMO_MODES = {"state": _tomo_state, "detector": _tomo_detector, "process": _tomo_process,
                "instrument": _tomo_instrument, "selfcal": _tomo_selfcal}
 
@@ -338,11 +330,9 @@ def tomo(tols, mode, problem_dir, out_path):
     with _Run(f"tomo {mode}", {"problem_dir": problem_dir},
               os.path.dirname(os.path.abspath(out_path)), tolerances=tols) as run:
         logs = run.manifest["event_logs"] = {}
-        payload, report = _TOMO_MODES[mode](problem_dir, logs, tols)
-        if report is not None:
-            fields = report._asdict()
-            payload.update(fields.pop("extras"), **fields)
-        io.write_json_atomic(out_path, payload)
+        estimate, report = _TOMO_MODES[mode](problem_dir, logs, tols)
+        fields = report._asdict()
+        io.write_json_atomic(out_path, {"estimate": estimate, **fields.pop("extras", {}), **fields})
 
 
 def dynamics(tols, model, t_final, dt, method, out_path, richardson):
@@ -357,10 +347,12 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
         medium, rho0 = _load(model, io.model_from_json)
         steps = step_count(t_final, dt)
         d = medium.dim
-        if (steps + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
+        # the longest run: --richardson also slices 2n steps of dt / 2
+        longest, name = (2 * steps, "2n") if richardson else (steps, "n")
+        if (longest + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
             raise ContractViolation(
-                f"t / dt asks for n = {steps} steps of {d}x{d} states: (n + 1) d^2 = "
-                f"{(steps + 1) * d * d} complex entries, more than {MAX_TRAJECTORY_ENTRIES}")
+                f"t / dt asks for n = {steps} steps of {d}x{d} states: ({name} + 1) d^2 = "
+                f"{(longest + 1) * d * d} complex entries, more than {MAX_TRAJECTORY_ENTRIES}")
         if (method == "exact" or richardson) and (medium.V is not None or medium.jump_ops):
             raise ContractViolation(
                 "method 'exact' and --richardson cover only lossless models (no V, no jumps)")
@@ -374,7 +366,8 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
         io.write_json_atomic(out_path, io.trajectory_to_json(traj))
         if richardson:
             exact = von_neumann_evolve(medium.H, rho0, steps * dt, medium.hbar)
-            err = np.max(np.abs(sliced_master(medium, rho0, dt, steps).final - exact))
+            sliced = traj if method == "slice" else sliced_master(medium, rho0, dt, steps)
+            err = np.max(np.abs(sliced.final - exact))
             err_half = np.max(np.abs(sliced_master(medium, rho0, dt / 2, 2 * steps).final - exact))
             io.write_json_atomic(
                 os.path.splitext(out_path)[0] + ".richardson.json",
@@ -398,8 +391,7 @@ def report(tols, kind, inputs, out_path, plot_path):
 
             rho = _load(inputs[0], io.density_from_json)
             detector = _load(inputs[1], io.detector_from_json)
-            res = statistical_vs_quantum(detector, rho)
-            payload = {"e_var": res.e_var, "sigma2": res.sigma2, "excess": res.excess}
+            payload = statistical_vs_quantum(detector, rho)._asdict()
             if plot_path is not None:  # the series repeats the probabilities: only for a plot
                 p = response_probabilities(detector.measure, rho)
                 series = [(float(k + 1), float(v)) for k, v in enumerate(p)]
@@ -417,15 +409,9 @@ def report(tols, kind, inputs, out_path, plot_path):
             from .channels import choi_rank, classify_filter, pi_operator, superop_from_kraus
 
             kraus = _load(inputs[0], io.channel_from_json)
-            cls = classify_filter(kraus)
-            payload = {
-                "lossless": cls.lossless,
-                "passive": cls.passive,
-                "active": cls.active,
-                "mixing": cls.mixing,
-                "choi_rank": choi_rank(superop_from_kraus(kraus)),
-                "pi": io.matrix_to_json(pi_operator(kraus)),
-            }
+            payload = {**classify_filter(kraus)._asdict(),
+                       "choi_rank": choi_rank(superop_from_kraus(kraus)),
+                       "pi": io.matrix_to_json(pi_operator(kraus))}
         if plot_path is not None:
             text = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in series)
             io.write_atomic(plot_path, lambda handle: handle.write(text.encode("ascii")))

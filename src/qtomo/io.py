@@ -431,5 +431,5 @@ def read_json(path):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:  # too deep
             raise ContractViolation(f"{path}: not a JSON document: {err}") from None

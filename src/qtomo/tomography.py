@@ -379,17 +379,14 @@ def instrument_tomography(joint_tables, probe_states, measure: QuantumMeasure, s
 
 
 class SelfCalibrationResult(NamedTuple):
-    filters: list
-    sources: list
+    """What self-calibration computed besides its filters and sources; flags is
+    ("not_converged",) when the sweeps stopped at max_iter above the tolerance."""
+
     residual: float
     residual_history: np.ndarray
     iterations: int
     converged: bool
-
-    @property
-    def flags(self) -> tuple:
-        """("not_converged",) when the sweeps stopped at max_iter above the tolerance."""
-        return () if self.converged else ("not_converged",)
+    flags: tuple
 
 
 def _finite(what, *arrays):
@@ -426,6 +423,8 @@ def self_calibrating_tomography(outputs, init_filters, init_sources,
     identifiable, so after each sweep the first source's trace is pinned to
     the trace of its initial guess.  Stops when the residual change drops
     below rtol (relative) or after max_iter sweeps, flagging non-convergence.
+    Returns ((filters, sources), SelfCalibrationResult), lists of the fitted
+    superoperators and states and the record of the sweeps.
     """
     data = np.asarray(outputs, dtype=complex)
     if data.ndim != 4:
@@ -471,6 +470,6 @@ def self_calibrating_tomography(outputs, init_filters, init_sources,
         change = history[-2] - history[-1]
         if abs(change) <= rtol * max(1.0, history[-2]):
             converged = True
-    return SelfCalibrationResult(
-        list(filters), list(sources), history[-1], np.array(history), iterations, converged
-    )
+    flags = () if converged else ("not_converged",)
+    return (list(filters), list(sources)), SelfCalibrationResult(
+        history[-1], np.array(history), iterations, converged, flags)

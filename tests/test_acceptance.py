@@ -299,3 +299,25 @@ def test_cli_pipeline_determinism(tmp_path):
     second = pipeline("second")
     for name in ("events.csv", "counts.json", "report.json", "uncertainty.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@_announce(10, "detector tomography sampled", 15)
+def test_detector_tomography_sampled_accuracy():
+    # weighted detector tomography of sampled logs: over 20 seeds, the median Frobenius error
+    # of the elements falls by a factor in [5, 20] from 1e4 to 1e6 shots per log
+    for d, n_elements in ((2, 5), (3, 10)):
+        errors = {10**4: [], 10**6: []}
+        for seed in range(20):
+            rng = np.random.default_rng(10_100 * d + seed)
+            measure = random_measure(d, n_elements, rng)
+            probes = probe_states(d) + [random_density(d, rng)]
+            for shots in (10**4, 10**6):
+                rates = []
+                for p, probe in enumerate(probes):
+                    cfg = qtomo.ExperimentConfig(1000 * seed + 2 * p + (shots == 10**6),
+                                                 shots, probe, measure)
+                    rates.append(qtomo.sample_events(cfg)[1][1:] / shots)
+                estimate, _ = qtomo.detector_tomography(probes, np.stack(rates), shots=shots)
+                errors[shots].append(np.linalg.norm(estimate.elements - measure.elements))
+        ratio = float(np.median(errors[10**4]) / np.median(errors[10**6]))
+        assert 5.0 <= ratio <= 20.0, f"d={d}: median error ratio {ratio:.3g}"

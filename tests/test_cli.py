@@ -455,7 +455,9 @@ class TestMalformedJson:
         (b'{"matrix": [[1,0],[0,1]], "note": "\xff"}', "not a JSON document"),
         (b'5', "density document must be a JSON object, got int"),
         (b'{"matrix": [[1,0],[0,0]], "dim": "x"}', "declared dim must be an integer, got 'x'"),
-    ], ids=["truncated", "ragged", "flat", "undecodable", "scalar", "string-dim"])
+        (b"[" * 10**5 + b"]" * 10**5, "not a JSON document: maximum recursion depth"),
+    ], ids=["truncated", "ragged", "flat", "undecodable", "scalar", "string-dim",
+            "deeply-nested"])
     def test_malformed_source(self, fixture_files, tmp_path, text, invariant):
         source = tmp_path / "bad.json"
         source.write_bytes(text)
@@ -1121,6 +1123,31 @@ class TestDynamicsCommand:
         assert result.exit_code == 2, result.output
         error = json.loads((out.parent / "manifest.json").read_text())["error"]
         assert "not a finite number of steps" in error["message"]
+
+    def test_richardson_counts_the_half_step_run(self, tmp_path, monkeypatch):
+        from qtomo import cli, dynamics
+
+        model = tmp_path / "model.json"
+        qio.write_json_atomic(str(model), {
+            "H": qio.matrix_to_json(qtomo.PAULI[1]),
+            "rho0": qio.matrix_to_json(np.diag([1.0, 0.0])),
+        })
+        runs, sliced_master = [], dynamics.sliced_master
+        monkeypatch.setattr(dynamics, "sliced_master",
+                            lambda *args: runs.append(args[3]) or sliced_master(*args))
+        args = ["dynamics", str(model), "--t", "2.4", "--dt", "0.1", "--method", "slice",
+                "--richardson", "--out", str(tmp_path / "run" / "traj.json")]
+        # n = 24 steps: (n + 1) d^2 = 100 entries at dt, (2n + 1) d^2 = 196 at dt / 2
+        monkeypatch.setattr(cli, "MAX_TRAJECTORY_ENTRIES", 100)
+        result = run_cli(args)
+        assert result.exit_code == 2, result.output
+        assert runs == [] and not (tmp_path / "run" / "traj.json").exists()
+        error = json.loads((tmp_path / "run" / "manifest.json").read_text())["error"]
+        assert "(2n + 1) d^2 = 196 complex entries, more than 100" in error["message"]
+        # at the limit, the trajectory's one run at dt also gives the ratio its error at dt
+        monkeypatch.setattr(cli, "MAX_TRAJECTORY_ENTRIES", 196)
+        assert run_cli(args).exit_code == 0
+        assert runs == [24, 48]
 
     def test_richardson_ratio_near_two(self, tmp_path):
         model = tmp_path / "model.json"

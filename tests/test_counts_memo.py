@@ -267,6 +267,11 @@ class TestMemoByDigest:
         assert self._rates_from(bundle, tmp_path / "run" / "report.json") == {
             "p0.csv": "p0.csv", "p1.csv": "p1.csv", "p2.csv": "p2.csv", "p3.csv": "p3.json"}
 
+    def test_too_deeply_nested_json_vouches_for_nothing(self, tmp_path, bundle):
+        (bundle / "events" / "zz.json").write_bytes(b"[" * 10**5 + b"]" * 10**5)
+        assert self._rates_from(bundle, tmp_path / "run" / "report.json") == {
+            "p0.csv": "p0.json", "p1.csv": "p1.json", "p2.csv": "p2.json", "p3.csv": "p3.json"}
+
     def test_the_first_of_two_memos_by_name_is_used(self, tmp_path, bundle):
         events = bundle / "events"
         memo = json.loads((events / "p1.json").read_text())
