@@ -9,6 +9,12 @@ Conventions, fixed project-wide:
   row-major layout the transformed matrix of a map with Kraus operators T_l
   is sum_l vec(T_l) vec(T_l)^dagger, Hermitian and PSD exactly for
   completely positive maps.
+
+Each Kraus-map quantity is one stacked product over the operators; the Choi
+matrix is the Gram product V^T conj(V) of the rows V_l = vec(T_l).  One rule
+decides complete positivity, in is_completely_positive and kraus_from_choi:
+the Choi matrix is Hermitian within tol, and its least eigenvalue is at least
+-tol * max(largest eigenvalue, 1), so the rule does not depend on the scale.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import _Frozen, as_square, hermitian_defect, hermitian_part, min_eigenvalue, square_stack
+from .ops import _Frozen, as_square, hermitian_defect, hermitian_part, square_stack
 
 CP_TOL = 1e-9
 
@@ -61,28 +67,20 @@ def apply_superop(e, x) -> np.ndarray:
 def superop_from_kraus(kraus) -> np.ndarray:
     """Superoperator matrix of X -> sum_l T_l X T_l*."""
     ops = square_stack(kraus, "Kraus operator")
-    d = ops.shape[1]
-    e = np.zeros((d * d, d * d), dtype=complex)
-    for t in ops:
-        e += np.kron(t, t.conj())
-    return e
+    v = ops.reshape(len(ops), -1)  # row l is vec(T_l)
+    return swap_middle(v.T @ v.conj(), ops.shape[1])
 
 
 def kraus_apply(kraus, x) -> np.ndarray:
-    out = np.zeros_like(as_square(x))
-    for t in kraus:
-        out = out + t @ x @ t.conj().T
-    return out
+    ops = square_stack(kraus, "Kraus operator")
+    return (ops @ as_square(x) @ ops.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def superop_from_action(action, d: int) -> np.ndarray:
     """Superoperator matrix of an arbitrary linear map given as a callable."""
     e = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            basis = np.zeros((d, d), dtype=complex)
-            basis[j, k] = 1.0
-            e[:, d * j + k] = vec(as_square(action(basis), "image"))
+    for m, unit in enumerate(np.eye(d * d, dtype=complex).reshape(d * d, d, d)):
+        e[:, m] = vec(as_square(action(unit), "image"))
     return e
 
 
@@ -111,8 +109,9 @@ def is_completely_positive(e, tol: float = CP_TOL) -> CPReport:
     """Complete positivity via Hermiticity and spectrum of the Choi matrix."""
     choi = choi_transform(e)
     defect = hermitian_defect(choi)
-    mineig = min_eigenvalue(choi)
-    return CPReport(defect, mineig, defect <= tol and mineig >= -tol)
+    evals = np.linalg.eigvalsh(hermitian_part(choi))
+    low, top = float(evals[0]), float(evals[-1])
+    return CPReport(defect, low, defect <= tol and low >= -tol * max(top, 1.0))
 
 
 def is_hermiticity_preserving(e, tol: float = CP_TOL) -> bool:
@@ -137,7 +136,7 @@ def kraus_from_choi(choi, tol: float = CP_TOL) -> list[np.ndarray]:
         )
     evals, evecs = np.linalg.eigh(hermitian_part(c))
     top = float(evals[-1])
-    if float(evals[0]) < -tol * max(top, 1.0):
+    if float(evals[0]) < -tol * max(top, 1.0):  # is_completely_positive's rule
         raise ContractViolation(
             f"not completely positive: min Choi eigenvalue {evals[0]:.3e}"
         )
@@ -161,19 +160,13 @@ def kraus_from_superop(e, tol: float = CP_TOL) -> list[np.ndarray]:
 def choi_rank(e, tol: float = CP_TOL) -> int:
     choi = choi_transform(e)
     evals = np.abs(np.linalg.eigvalsh(hermitian_part(choi)))
-    top = float(evals.max()) if evals.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(evals > tol * top))
+    return int(np.sum(evals > tol * evals.max(initial=0.0)))  # 0 for the zero map
 
 
 def pi_operator(kraus) -> np.ndarray:
     """Intensity operator sum_l T_l* T_l: output intensity is tr(pi rho)."""
     ops = square_stack(kraus, "Kraus operator")
-    out = np.zeros_like(ops[0])
-    for t in ops:
-        out = out + t.conj().T @ t
-    return out
+    return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
 class FilterClass(NamedTuple):

@@ -235,28 +235,26 @@ def _load_rates(problem_dir, devices, logs):
         digest = io.file_sha256(path)
         source, memo = memos.get(digest, (name, None))
         logs[name] = {"sha256": digest, "rates_from": source}
-        if memo is None:
-            from .simulate import event_log_from_csv  # only here: a memo's counts need no sampler
+        try:  # a refusal names the log, or the memo that vouched for it
+            if memo is None:
+                from .simulate import event_log_from_csv  # only here: memos need no sampler
 
-            try:  # decoded with open()'s text-mode defaults: locale encoding, any newline
+                # decoded with open()'s text-mode defaults: locale encoding, any newline
                 with open(path) as handle:
                     log = event_log_from_csv(handle.read())
-            except (ContractViolation, UnicodeDecodeError) as err:
-                raise ContractViolation(f"{name}: {err}") from None
-            counts, shots = log.counts(), len(log)
-        else:
-            try:
+                counts, shots = log.counts(), len(log)
+            else:
                 counts, shots = io.counts_from_document(memo)
-            except ContractViolation as err:
-                raise ContractViolation(f"{source}: {err}") from None
+            rates.append(rates_from_counts(counts, shots))
+        except (ContractViolation, UnicodeDecodeError) as err:
+            raise ContractViolation(f"{source}: {err}") from None
         if counts.ndim != devices:
             raise ContractViolation(f"{source}: is a {io._LOG_KINDS[counts.ndim][0]}, "
                                     f"this bundle needs {io._LOG_KINDS[devices][0]}s")
-        if rates and counts.shape != rates[0].shape:
+        if counts.shape != rates[0].shape:
             raise ContractViolation(f"{name}: counts of shape {counts.shape}, but {files[0]} has "
                                     f"{rates[0].shape}; the logs of a bundle must count the "
                                     "same outcomes")
-        rates.append(rates_from_counts(counts, shots))
         log_shots.append(shots)
     return np.stack([r[..., 1:] for r in rates]), np.array(log_shots)
 

@@ -30,10 +30,7 @@ def stokes_to_density(s) -> np.ndarray:
         raise ContractViolation(
             f"Stokes bound violated: S0 = {v[0]} < |S| = {norm}"
         )
-    rho = np.zeros((2, 2), dtype=complex)
-    for c, sigma in zip(v, PAULI):
-        rho += c * sigma
-    return rho / 2.0
+    return (v[:, None, None] * PAULI).sum(axis=0) / 2.0
 
 
 def density_to_stokes(rho) -> np.ndarray:

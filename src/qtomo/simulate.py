@@ -237,21 +237,15 @@ def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho, to
 
     P_k are the measure's elements.  Row j = 0 is the appended null branch;
     column k = 0 is the (never responding) null slot of the second detector.
+    Row j is response_probabilities of E_j(rho), checked by the detector's rule.
     """
     from .channels import kraus_apply
 
     rho = as_square(rho, "rho")
     branches = [instrument.null_kraus(tol)] + list(instrument.branches)
-    k_elems = measure.elements
-    table = np.zeros((len(branches), k_elems.shape[0] + 1))
+    table = np.zeros((len(branches), len(measure) + 1))
     for j, branch in enumerate(branches):
-        out = kraus_apply(branch, rho)
-        rates = np.einsum("kab,ba->k", k_elems, out)
-        if np.max(np.abs(rates.imag)) > tol:
-            raise ContractViolation("joint rates have a non-negligible imaginary part")
-        table[j, 1:] = rates.real
-    if table.min() < -tol:
-        raise ContractViolation(f"negative joint rate {table.min():.3e}")
+        table[j, 1:] = response_probabilities(measure, kraus_apply(branch, rho), tol)
     return table
 
 

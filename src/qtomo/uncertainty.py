@@ -145,11 +145,9 @@ def spectrum_membership(X, xi, tol: float = 1e-9) -> SpectrumReport:
         raise ContractViolation(
             f"xi must have {comps.shape[0]} components, got {values.shape}"
         )
-    d = comps.shape[1]
-    b = np.zeros((d, d), dtype=complex)
-    for x, v in zip(comps, values):
-        shifted = x - v * np.eye(d)
-        b += shifted.conj().T @ shifted
+    from .channels import pi_operator  # only here: report uncertainty loads no channels
+
+    b = pi_operator(comps - values[:, None, None] * np.eye(comps.shape[1]))
     evals, evecs = np.linalg.eigh(hermitian_part(b))
     min_eig = float(evals[0])
     member = min_eig <= tol

@@ -221,6 +221,15 @@ class TestCommandImports:
                                  "--out", str(tmp_path / "i.json"))
         assert "qtomo.tomography" in loaded and "numpy.ma" not in loaded
 
+    @pytest.mark.parametrize("kind, engines", [
+        ("uncertainty", {"measures", "ops", "uncertainty"}),
+        ("lines", {"dynamics", "ops"}),
+        ("classify", {"channels", "ops"}),
+    ])
+    def test_each_report_kind_loads_only_its_engines(self, tmp_path, kind, engines):
+        argv = next(argv for argv in _every_command(tmp_path) if argv[:2] == ["report", kind])
+        assert _loaded_engines(*argv) == engines
+
     def test_detection_commands_load_no_channels(self, tmp_path):
         # channels serves coincidences, processes, instruments and self-calibration only
         qio.write_json_atomic(str(tmp_path / "source.json"), qio.density_to_json(np.diag([1.0, 0.0])))
