@@ -24,7 +24,6 @@ _EXPORTS = {
         "choi_transform",
         "classify_filter",
         "is_completely_positive",
-        "is_hermiticity_preserving",
         "kraus_apply",
         "kraus_from_choi",
         "kraus_from_superop",
@@ -38,7 +37,6 @@ _EXPORTS = {
         "LindbladModel",
         "SpectralLines",
         "Trajectory",
-        "ehrenfest_derivative",
         "evolution_operator",
         "gibbs_state",
         "lie_product",
@@ -46,7 +44,6 @@ _EXPORTS = {
         "liouvillian",
         "poisson_bracket",
         "rydberg_ritz_lines",
-        "schrodinger_evolve",
         "sliced_master",
         "spectral_solution",
         "von_neumann_evolve",

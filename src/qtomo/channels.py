@@ -73,7 +73,10 @@ def superop_from_kraus(kraus) -> np.ndarray:
 
 def kraus_apply(kraus, x) -> np.ndarray:
     ops = square_stack(kraus, "Kraus operator")
-    return (ops @ as_square(x) @ ops.conj().swapaxes(1, 2)).sum(axis=0)
+    xm = as_square(x, "X")
+    if xm.shape != ops.shape[1:]:
+        raise ContractViolation(f"X is {xm.shape}, the Kraus operators are {ops.shape[1:]}")
+    return (ops @ xm @ ops.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def superop_from_action(action, d: int) -> np.ndarray:
@@ -112,11 +115,6 @@ def is_completely_positive(e, tol: float = CP_TOL) -> CPReport:
     evals = np.linalg.eigvalsh(hermitian_part(choi))
     low, top = float(evals[0]), float(evals[-1])
     return CPReport(defect, low, defect <= tol and low >= -tol * max(top, 1.0))
-
-
-def is_hermiticity_preserving(e, tol: float = CP_TOL) -> bool:
-    """Whether E(X*) = E(X)* , equivalently whether the Choi matrix is Hermitian."""
-    return hermitian_defect(choi_transform(e)) <= tol
 
 
 def kraus_from_choi(choi, tol: float = CP_TOL) -> list[np.ndarray]:

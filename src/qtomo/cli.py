@@ -120,47 +120,32 @@ def simulate(tols, source, device, shots, seed, out_dir):
     tols = {key: tols[key] for key in ("tol_herm", "tol_psd")}
     with _Run("simulate", {"source": source, "device": device, "shots": shots},
               out_dir, seed=seed, tolerances=tols) as run:
-        from .measures import validate_measure
-        from .ops import validate_density
         from .simulate import ExperimentConfig, write_events
 
         run.manifest["seed"] = cfg_seed = _seed(seed)
-        rho = _load(source, io.density_from_json)
-        rep = validate_density(rho, tols["tol_herm"], tols["tol_psd"])
-        if not rep.ok:
-            raise ContractViolation(
-                f"source is not a valid density matrix: hermitian defect "
-                f"{rep.hermitian_defect:.3e}, min eigenvalue {rep.min_eigenvalue:.3e}"
-            )
-        instrument, measure = _load(device, _device, tols["tol_herm"])
-        mrep = validate_measure(measure, tols["tol_psd"])
-        low = float(mrep.min_eigenvalues.min())
-        if low < -tols["tol_psd"] or mrep.sum_defect > tols["tol_psd"]:
-            raise ContractViolation(
-                f"invalid measure: sum defect {mrep.sum_defect:.3e}, min eigenvalue {low:.3e}")
+        rho = _judged(_load(source, io.density_from_json), source, tols)
+        instrument, measure = _load(device, _device, tols)
+        if measure.sum_defect() > tols["tol_psd"]:
+            raise ContractViolation(f"{device}: sum defect {measure.sum_defect():.3e} of the "
+                                    f"elements exceeds --tol-psd {tols['tol_psd']!r}")
         cfg = ExperimentConfig(cfg_seed, shots, rho, measure, instrument)
         memo = io.write_atomic(os.path.join(out_dir, "events.csv"),
                                lambda handle: write_events(cfg, handle))
         io.write_json_atomic(os.path.join(out_dir, "counts.json"), memo)
 
 
-def _hermitian(stack, tol_herm, names):
-    """The (n, d, d) stack, unless a matrix's Hermitian defect (max-norm distance to its
-    adjoint) exceeds tol_herm: every design is built on the Hermitian parts of its operators,
-    so a non-Hermitian one is refused, with its name (ContractViolation)."""
-    from .ops import hermitian_defect
+def _judged(stack, names, tols):
+    """The stack (or one matrix, named by the string names) of states or measure elements, checked
+    by ops.require_hermitian with --tol-herm, and with --tol-psd if the command reads it."""
+    from .ops import require_hermitian
 
-    defects = hermitian_defect(stack)
-    bad = np.flatnonzero(defects > tol_herm)
-    if bad.size:
-        raise ContractViolation(f"{names[bad[0]]}: Hermitian defect {defects[bad[0]]:.3e} "
-                                f"exceeds --tol-herm {tol_herm!r}")
-    return stack
+    return require_hermitian(stack, names, tols["tol_herm"], tols.get("tol_psd"),
+                             dimensionless=True)
 
 
-def _states(problem_dir, folder, tol_herm):
+def _states(problem_dir, folder, tols):
     """The density matrices of the *.json files in problem_dir/folder, in file-name order, as
-    one stack checked by square_stack and _hermitian, each refusal naming its file."""
+    one stack checked by square_stack and _judged, each refusal naming its file."""
     from .ops import square_stack
 
     path = os.path.join(problem_dir, folder)
@@ -168,7 +153,7 @@ def _states(problem_dir, folder, tol_herm):
     if not files:
         raise ContractViolation(f"no states found in {path}")
     states = square_stack([_load(f, io.density_from_json) for f in files], [f"{f}:" for f in files])
-    return _hermitian(states, tol_herm, files)
+    return _judged(states, files, tols)
 
 
 def _load(path, parse, *args):
@@ -180,20 +165,20 @@ def _load(path, parse, *args):
         raise ContractViolation(f"{path}: {err}") from None
 
 
-def _measure(doc, tol_herm):
-    """The measure of a measure document, its elements checked by _hermitian."""
+def _measure(doc, tols):
+    """The measure of a measure document, its elements checked by _judged."""
     measure, _ = io.measure_from_json(doc)
-    _hermitian(measure.elements, tol_herm, [f"element {k}" for k in range(len(measure))])
+    _judged(measure.elements, [f"element {k}" for k in range(len(measure))], tols)
     return measure
 
 
-def _device(doc, tol_herm):
+def _device(doc, tols):
     """(instrument or None, measure) of a device document, a measure or an instrument and the
     detector observing it, read as a measure: sampling draws labels and never reads a scale."""
     if not (isinstance(doc, dict) and "instrument" in doc):
-        return None, _measure(doc, tol_herm)
+        return None, _measure(doc, tols)
     return (io.instrument_from_json(doc["instrument"]),
-            _measure(io._field(doc, "detector", "device"), tol_herm))
+            _measure(io._field(doc, "detector", "device"), tols))
 
 
 def _table(doc, key, ndims):
@@ -262,7 +247,7 @@ def _load_rates(problem_dir, devices, logs):
 def _tomo_state(problem_dir, logs, tols):
     from .tomography import state_tomography
 
-    measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
+    measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols)
     rates, shots = _load_rates(problem_dir, 1, logs)  # one row per log, or rates.json's
     if rates.ndim == 2:
         if len(rates) != 1:
@@ -279,7 +264,7 @@ def _tomo_state(problem_dir, logs, tols):
 def _tomo_detector(problem_dir, logs, tols):
     from .tomography import detector_tomography
 
-    probes = _states(problem_dir, "probes", tols["tol_herm"])
+    probes = _states(problem_dir, "probes", tols)
     rates, shots = _load_rates(problem_dir, 1, logs)
     measure, report = detector_tomography(probes, np.atleast_2d(rates), shots)
     return io.measure_to_json(measure), report
@@ -288,16 +273,16 @@ def _tomo_detector(problem_dir, logs, tols):
 def _tomo_process(problem_dir, logs, tols):
     from .tomography import process_tomography
 
-    e, report = process_tomography(_states(problem_dir, "probes", tols["tol_herm"]),
-                                   _states(problem_dir, "outputs", tols["tol_herm"]))
+    e, report = process_tomography(_states(problem_dir, "probes", tols),
+                                   _states(problem_dir, "outputs", tols))
     return {"superoperator": io.matrix_to_json(e)}, report
 
 
 def _tomo_instrument(problem_dir, logs, tols):
     from .tomography import instrument_tomography
 
-    probes = _states(problem_dir, "probes", tols["tol_herm"])
-    measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols["tol_herm"])
+    probes = _states(problem_dir, "probes", tols)
+    measure = _load(os.path.join(problem_dir, "measure.json"), _measure, tols)
     tables, shots = _load_rates(problem_dir, 2, logs)
     maps, report = instrument_tomography(tables, probes, measure, shots)
     return {"branches": [io.matrix_to_json(e) for e in maps]}, report
@@ -335,14 +320,15 @@ def tomo(tols, mode, problem_dir, out_path):
 
 def dynamics(tols, model, t_final, dt, method, out_path, richardson):
     """Evolve the model's initial state and write the trajectory."""
+    tols = {key: tols[key] for key in ("tol_herm", "tol_psd")}
     with _Run("dynamics", {"model": model, "t": t_final, "dt": dt, "method": method},
-              os.path.dirname(os.path.abspath(out_path))):
+              os.path.dirname(os.path.abspath(out_path)), tolerances=tols):
         from .dynamics import (Trajectory, lindblad_evolve, sliced_master, step_count,
                                von_neumann_evolve)
 
         if dt <= 0 or t_final < 0:
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
-        medium, rho0 = _load(model, io.model_from_json)
+        medium, rho0 = _load(model, lambda doc: io.model_from_json(doc, **tols))
         steps = step_count(t_final, dt)
         d = medium.dim
         # the longest run: --richardson also slices 2n steps of dt / 2
@@ -376,8 +362,9 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
 
 def report(tols, kind, inputs, out_path, plot_path):
     """Uncertainty, spectral-line, or filter-classification reports."""
+    tols = {key: tols[key] for key in ("tol_herm", "tol_psd")}
     with _Run(f"report {kind}", {"inputs": list(inputs)},
-              os.path.dirname(os.path.abspath(out_path))):
+              os.path.dirname(os.path.abspath(out_path)), tolerances=tols):
         if plot_path is not None and kind == "classify":
             raise ContractViolation("--plot-csv takes the series of report uncertainty or lines; "
                                     "report classify has none")
@@ -387,8 +374,10 @@ def report(tols, kind, inputs, out_path, plot_path):
             from .measures import response_probabilities
             from .uncertainty import statistical_vs_quantum
 
-            rho = _load(inputs[0], io.density_from_json)
+            rho = _judged(_load(inputs[0], io.density_from_json), inputs[0], tols)
             detector = _load(inputs[1], io.detector_from_json)
+            _judged(detector.measure.elements,
+                    [f"{inputs[1]}: element {k}" for k in range(len(detector.scale))], tols)
             payload = statistical_vs_quantum(detector, rho)._asdict()
             if plot_path is not None:  # the series repeats the probabilities: only for a plot
                 p = response_probabilities(detector.measure, rho)
@@ -398,7 +387,9 @@ def report(tols, kind, inputs, out_path, plot_path):
                 raise ContractViolation("report lines needs one Hamiltonian file")
             from .dynamics import rydberg_ritz_lines
 
-            lines = rydberg_ritz_lines(*_load(inputs[0], io.hamiltonian_from_json))
+            h, hbar = _load(inputs[0], lambda doc: io.hamiltonian_from_json(
+                doc, tol_herm=tols["tol_herm"]))
+            lines = rydberg_ritz_lines(h, hbar, tol_herm=tols["tol_herm"])
             payload = {"omega": lines.omega.tolist(), "nu": lines.nu.tolist()}
             series = [(float(i + 1), float(nu)) for i, nu in enumerate(lines.nu)]
         else:
@@ -441,9 +432,11 @@ def _parser(prog):
         description="Quantum tomography workbench: simulate, reconstruct, evolve, report.")
     parser.add_argument("--version", action="version", version=f"qtomo, version {__version__}")
     parser.add_argument("--tol-psd", type=_tolerance, default=1e-9,
-                        help="PSD tolerance relative to the trace (default: %(default)s).")
+                        help="PSD tolerance, relative to each operator's scale "
+                             "(default: %(default)s).")
     parser.add_argument("--tol-herm", type=_tolerance, default=1e-10,
-                        help="Absolute hermiticity tolerance (default: %(default)s).")
+                        help="Hermiticity tolerance, relative to each operator's scale "
+                             "(default: %(default)s).")
     parser.add_argument("--rtol", type=_tolerance, default=1e-10,
                         help="Relative convergence tolerance for iterative fits "
                              "(default: %(default)s).")

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import _Frozen, as_square, hermitian_defect, hermitian_part, min_eigenvalue, quantum_value
+from .ops import (TOL_HERM, TOL_PSD, _Frozen, as_square, hermitian_part, quantum_value,
+                  require_hermitian)
 
 
 class LindbladModel(_Frozen):
@@ -31,20 +32,16 @@ class LindbladModel(_Frozen):
     The slice generator is K = -i H / hbar - V / hbar - (1/2) sum_l gamma_l
     L_l* L_l.  V = 0 without jumps is the von Neumann case; V alone is a
     passive (trace-decreasing) medium; jumps alone give the Lindblad equation.
+    ops.require_hermitian checks H, and V with its PSD test, each against its own max-norm.
     """
 
     __slots__ = ("H", "jump_ops", "rates", "hbar", "V")
 
-    def __init__(self, H, jump_ops=(), rates=(), hbar: float = 1.0, V=None):
-        h = as_square(H, "H")
-        if hermitian_defect(h) > 1e-9:
-            raise ContractViolation("Hamiltonian must be Hermitian")
+    def __init__(self, H, jump_ops=(), rates=(), hbar: float = 1.0, V=None,
+                 tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD):
+        h = require_hermitian(as_square(H, "H"), "H", tol_herm)
         if V is not None:
-            V = as_square(V, "V")
-            if hermitian_defect(V) > 1e-9:
-                raise ContractViolation("dissipative potential must be Hermitian")
-            if min_eigenvalue(V) < -1e-9:
-                raise ContractViolation("dissipative potential must be PSD for a passive medium")
+            V = require_hermitian(as_square(V, "V"), "V", tol_herm, tol_psd)
         jumps = tuple(as_square(l, "jump operator") for l in jump_ops)
         gammas = tuple(float(g) for g in rates)
         others = jumps if V is None else (V,) + jumps
@@ -57,6 +54,9 @@ class LindbladModel(_Frozen):
         if hbar <= 0:
             raise ContractViolation("hbar must be positive")
         self._fill(h, jumps, gammas, hbar, V)
+
+    def __reduce__(self):  # H and V passed their check once, perhaps with looser tolerances
+        return type(self), super().__reduce__()[1] + (math.inf, math.inf)
 
     @property
     def dim(self) -> int:
@@ -99,11 +99,6 @@ def von_neumann_evolve(H, rho0, t, hbar: float = 1.0) -> np.ndarray:
     """U rho0 U* with U = evolution_operator(H, t, hbar); a stack of states for an array t."""
     u = evolution_operator(H, t, hbar)
     return u @ _initial_state(rho0, u.shape[-1]) @ np.swapaxes(u, -1, -2).conj()
-
-
-def schrodinger_evolve(H, psi0, t: float, hbar: float = 1.0) -> np.ndarray:
-    u = evolution_operator(H, t, hbar)
-    return u @ _initial_state(psi0, u.shape[-1], matrix=False)
 
 
 def _runs(values, gap) -> list:
@@ -265,15 +260,17 @@ class SpectralLines(NamedTuple):
     nu: np.ndarray     # line frequencies omega / (2 pi)
 
 
-def rydberg_ritz_lines(H, hbar: float = 1.0, tol: float = 1e-9) -> SpectralLines:
-    """Distinct level-difference frequencies, zero excluded.
+def rydberg_ritz_lines(H, hbar: float = 1.0, tol: float = 1e-9,
+                       tol_herm: float = TOL_HERM) -> SpectralLines:
+    """Distinct level-difference frequencies of H (ops.require_hermitian), zero excluded.
 
     In ascending order, a difference within tol (relative to the spectral
     spread) of the one before joins its line, which is their mean.
     """
     if hbar <= 0:
         raise ContractViolation("hbar must be positive")
-    evals = np.linalg.eigvalsh(hermitian_part(as_square(H, "H")))
+    h = require_hermitian(as_square(H, "H"), "H", tol_herm)
+    evals = np.linalg.eigvalsh(hermitian_part(h))
     cut = tol * max(float(evals[-1] - evals[0]), 1.0)
     high, low = np.tril_indices(evals.size, -1)
     diffs = np.abs(evals[high] - evals[low])
@@ -289,14 +286,7 @@ def lie_product(A, B, hbar: float = 1.0) -> np.ndarray:
     return (1j / hbar) * (a @ b - b @ a)
 
 
-def ehrenfest_derivative(rho, H, A, hbar: float = 1.0) -> complex:
-    """Time derivative of <A> along the von Neumann flow: <H lie A>."""
-    h = as_square(H, "H")
-    if hermitian_defect(h) > 1e-9:
-        raise ContractViolation("Ehrenfest derivative needs a Hermitian Hamiltonian")
-    return quantum_value(rho, lie_product(h, A, hbar))
-
-
 def poisson_bracket(A, B, rho, hbar: float = 1.0) -> complex:
-    """Induced Lie product of the quantum values <A>, <B>: <A lie B>."""
+    """Induced Lie product of the quantum values <A>, <B>: <A lie B>; for a Hermitian A = H,
+    the time derivative of <B> along the von Neumann flow (Ehrenfest)."""
     return quantum_value(rho, lie_product(A, B, hbar))

@@ -215,8 +215,9 @@ def instrument_to_json(instrument: Instrument):
     }
 
 
-def model_from_json(obj):
-    """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0)."""
+def model_from_json(obj, **tols):
+    """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0).
+    The keywords tol_herm and tol_psd, if given, go to LindbladModel."""
     from .dynamics import LindbladModel
 
     h, rho0 = _field(obj, "H", "model"), _field(obj, "rho0", "model")
@@ -227,6 +228,7 @@ def model_from_json(obj):
         tuple(_number(g, "lindblad rate") for g in _array(section, "gamma", "lindblad")),
         _number(obj.get("hbar", 1.0), "hbar"),
         matrix_from_json(obj["V"]) if obj.get("V") is not None else None,
+        **tols,
     )
     rho0 = matrix_from_json(rho0)
     if rho0.shape != model.H.shape:
@@ -234,10 +236,14 @@ def model_from_json(obj):
     return model, rho0
 
 
-def hamiltonian_from_json(obj):
-    """Parse a Hamiltonian document ("H" or "matrix", optional "hbar"); returns (H, hbar)."""
+def hamiltonian_from_json(obj, **tols):
+    """Parse a Hamiltonian document ("H" or "matrix", optional "hbar"); returns (H, hbar), H
+    checked by ops.require_hermitian against its max-norm (keyword tol_herm)."""
+    from .ops import require_hermitian
+
     key = "H" if "H" in _object(obj, "Hamiltonian") else "matrix"
-    return matrix_from_json(_field(obj, key, "Hamiltonian")), _number(obj.get("hbar", 1.0), "hbar")
+    h = require_hermitian(matrix_from_json(_field(obj, key, "Hamiltonian")), "H", **tols)
+    return h, _number(obj.get("hbar", 1.0), "hbar")
 
 
 def selfcal_from_json(obj):

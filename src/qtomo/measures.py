@@ -13,8 +13,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import (PAULI, TOL_PSD, _design, _Frozen, _unit_intensity, as_square, hermitian_defect,
-                  hermitian_part, min_eigenvalue, numerical_rank, square_stack)
+from .ops import (PAULI, TOL_PSD, _breach, _design, _Frozen, _unit_intensity, as_square,
+                  hermitian_defect, hermitian_part, min_eigenvalue, numerical_rank,
+                  require_hermitian, square_stack)
 
 
 class QuantumMeasure(_Frozen):
@@ -50,18 +51,15 @@ class MeasureReport(NamedTuple):
 
 
 def validate_measure(measure: QuantumMeasure, tol: float = TOL_PSD) -> MeasureReport:
-    """PSD and sum-to-identity check; zero elements are reported, not fatal.
-
-    A zero element never responds (the ideal-cascade remainder is the
-    one place it legitimately appears), so all_nonzero is informational.
-    """
+    """Hermiticity, PSD and sum-to-identity check.  ok: ops.require_hermitian accepts the
+    elements (dimensionless, tol for both tests) and their sum lies within tol of the identity;
+    the other fields are absolute.  A zero element never responds (the ideal-cascade remainder
+    is the one place it legitimately appears), so all_nonzero is informational, not fatal."""
     elements = measure.elements
-    mineigs = min_eigenvalue(elements)
     defect = measure.sum_defect()
-    nonzero = bool(np.abs(elements).max(axis=(1, 2)).all())
-    herm = float(hermitian_defect(elements).max())
-    ok = bool(mineigs.min() >= -tol and defect <= tol and herm <= tol)
-    return MeasureReport(mineigs, defect, herm, nonzero, ok)
+    ok = defect <= tol and _breach(elements, tol, tol, True) is None
+    return MeasureReport(min_eigenvalue(elements), defect, float(hermitian_defect(elements).max()),
+                         bool(np.abs(elements).max(axis=(1, 2)).all()), ok)
 
 
 def _scale_values(scale) -> np.ndarray:
@@ -265,8 +263,6 @@ def coherent_partition_measure(
     elements = hermitian_part(np.stack(
         [np.einsum("rt,rtm,rtn->mn", e * weight, amp, amp.conj()) for e in values]))
     measure = _completed(elements, tol, "truncation insufficient: remainder element")
-    lows = min_eigenvalue(elements)
-    bad = np.flatnonzero(lows < -tol)
-    if bad.size:
-        raise ContractViolation(f"cell element {bad[0]} has min eigenvalue {lows[bad[0]]:.3e}")
+    require_hermitian(elements, [f"cell element {k}" for k in range(len(elements))],
+                      tol_psd=tol, dimensionless=True)
     return measure

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
-# Hermiticity defects are compared absolutely, PSD defects relative to the
-# trace; both cover accumulated rounding at dimensions up to a few dozen.
+# Hermiticity and PSD defects are judged relative to each operator's scale (require_hermitian);
+# both cover accumulated rounding at dimensions up to a few dozen.
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 RANK_RTOL = 1e-10  # a design's rank counts its singular values above this share of the largest
@@ -163,6 +163,38 @@ def expand_hermitian(h) -> np.ndarray:
     return real_traces(m[None], hermitian_basis(m.shape[0]))[0]
 
 
+def _breach(stack, tol_herm, tol_psd, dimensionless):
+    """(i, fault) of the first matrix of a stack (n, d, d) require_hermitian refuses, or None."""
+    if dimensionless:
+        scale = np.maximum(np.trace(stack, axis1=-2, axis2=-1).real, 1.0)
+    else:
+        scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+        scale[scale == 0] = 1.0  # the zero matrix has no defect to scale
+    for what, flag, tol, defect in (("Hermitian", "herm", tol_herm, hermitian_defect),
+                                    ("PSD", "psd", tol_psd, lambda m: -min_eigenvalue(m))):
+        if tol is None:  # no PSD test
+            return None
+        defects = defect(stack) / scale
+        bad = np.flatnonzero(~(defects <= tol))
+        if bad.size:
+            return bad[0], f"{what} defect {defects[bad[0]]:.3e} exceeds --tol-{flag} {tol!r}"
+    return None
+
+
+def require_hermitian(stack, names, tol_herm: float = TOL_HERM, tol_psd: float | None = None,
+                      dimensionless: bool = False) -> np.ndarray:
+    """The stack (n, d, d), or the one matrix named by the string names, unless a matrix's
+    Hermitian defect or, given tol_psd, its PSD defect (minus its least eigenvalue) over its scale
+    exceeds the tolerance: "<name>: Hermitian defect <d> exceeds --tol-herm <tol>", or the same
+    with PSD and --tol-psd (ContractViolation, for the first offender).  The scale is max(Re
+    trace, 1) if dimensionless (a state, a measure element), else the max-norm (H, V, ...)."""
+    one = stack.ndim == 2
+    breach = _breach(stack[None] if one else stack, tol_herm, tol_psd, dimensionless)
+    if breach is not None:
+        raise ContractViolation(f"{names if one else names[breach[0]]}: {breach[1]}")
+    return stack
+
+
 class DensityReport(NamedTuple):
     hermitian_defect: float
     min_eigenvalue: float
@@ -171,17 +203,11 @@ class DensityReport(NamedTuple):
 
 
 def validate_density(rho, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> DensityReport:
-    """Check Hermiticity and positive semidefiniteness of a density matrix.
-
-    ok is true iff the Hermitian defect is at most tol_herm and the smallest
-    eigenvalue is at least -tol_psd * max(trace, 1).
-    """
+    """The absolute Hermitian defect, least eigenvalue and trace of a density matrix, and ok:
+    whether require_hermitian accepts it as a state (dimensionless) with these tolerances."""
     m = as_square(rho, "rho")
-    defect = hermitian_defect(m)
-    trace = float(np.trace(m).real)
-    mineig = min_eigenvalue(m)
-    ok = defect <= tol_herm and mineig >= -tol_psd * max(trace, 1.0)
-    return DensityReport(defect, mineig, trace, ok)
+    ok = _breach(m[None], tol_herm, tol_psd, True) is None
+    return DensityReport(hermitian_defect(m), min_eigenvalue(m), float(np.trace(m).real), ok)
 
 
 def density_from_state(psi) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .measures import QuantumMeasure, _completed
-from .ops import PAULI, _Frozen, as_square, quantum_value, validate_density
+from .ops import PAULI, TOL_PSD, _Frozen, as_square, quantum_value, require_hermitian
 
 _STOKES_TOL = 1e-12
 
@@ -26,7 +26,7 @@ def stokes_to_density(s) -> np.ndarray:
     if v.shape != (4,):
         raise ContractViolation(f"Stokes vector must have 4 components, got {v.shape}")
     norm = float(np.linalg.norm(v[1:]))
-    if v[0] < norm - _STOKES_TOL * max(1.0, abs(v[0])):
+    if not v[0] >= norm - _STOKES_TOL * max(1.0, abs(v[0])):  # NaN fails the bound too
         raise ContractViolation(
             f"Stokes bound violated: S0 = {v[0]} < |S| = {norm}"
         )
@@ -34,17 +34,12 @@ def stokes_to_density(s) -> np.ndarray:
 
 
 def density_to_stokes(rho) -> np.ndarray:
-    """Stokes components S_k = tr(rho sigma_k) of a 2x2 density matrix."""
+    """Stokes components S_k = tr(rho sigma_k) of a 2x2 state (ops.require_hermitian)."""
     r = as_square(rho, "rho")
     if r.shape != (2, 2):
         raise ContractViolation(f"polarization state must be 2x2, got {r.shape}")
-    report = validate_density(r)
-    if not report.ok:
-        raise ContractViolation(
-            f"not a valid density matrix (hermitian defect {report.hermitian_defect:.3e}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e})"
-        )
-    return quantum_value(r, PAULI).real
+    return quantum_value(require_hermitian(r, "rho", tol_psd=TOL_PSD, dimensionless=True),
+                         PAULI).real
 
 
 def degree_of_polarization(s) -> float:

@@ -11,7 +11,7 @@ Reports carry the residual, the design condition number, how far the
 projection moved the estimate, the achieved rank, and warning flags.
 A design sees only the Hermitian parts of its operators (measure elements or
 probes), and no engine checks them; ``qtomo tomo`` refuses, naming the file, an
-operator whose Hermitian defect exceeds --tol-herm.
+operator whose Hermitian defect over max(trace, 1) exceeds --tol-herm.
 """
 
 from __future__ import annotations

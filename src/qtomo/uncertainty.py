@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .measures import Detector, measured_quantity, response_probabilities
-from .ops import _unit_intensity, as_square, hermitian_defect, hermitian_part, quantum_value
+from .ops import _unit_intensity, as_square, hermitian_part, quantum_value, require_hermitian
 
 
 def _components(X) -> np.ndarray:
@@ -58,11 +58,9 @@ class RobertsonReport(NamedTuple):
 
 
 def robertson_check(rho, A, B, slack: float = 1e-10) -> RobertsonReport:
-    """Check sigma_A sigma_B >= |<[A, B]>| / 2 for Hermitian A, B."""
-    a = as_square(A, "A")
-    b = as_square(B, "B")
-    if hermitian_defect(a) > 1e-9 or hermitian_defect(b) > 1e-9:
-        raise ContractViolation("Robertson check needs Hermitian operators")
+    """Check sigma_A sigma_B >= |<[A, B]>| / 2 for A, B passing ops.require_hermitian."""
+    a = require_hermitian(as_square(A, "A"), "A")
+    b = require_hermitian(as_square(B, "B"), "B")
     r = _unit_intensity(rho)
     lhs = q_uncertainty(r, a).sigma * q_uncertainty(r, b).sigma
     rhs = 0.5 * abs(quantum_value(r, a @ b - b @ a))

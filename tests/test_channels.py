@@ -11,7 +11,6 @@ from qtomo import (
     classify_filter,
     hermitian_basis,
     is_completely_positive,
-    is_hermiticity_preserving,
     kraus_apply,
     kraus_from_choi,
     kraus_from_superop,
@@ -21,6 +20,8 @@ from qtomo import (
     superop_from_kraus,
     validate_density,
 )
+from qtomo.channels import CP_TOL
+from qtomo.ops import hermitian_defect
 from support import random_complex, random_density, random_kraus, random_unitary
 
 
@@ -111,9 +112,11 @@ class TestCompletePositivity:
     def test_hermiticity_preserving_flag(self):
         rng = np.random.default_rng(46)
         e = superop_from_kraus(random_kraus(2, 2, rng))
-        assert is_hermiticity_preserving(e)
+        # E(X*) = E(X)* exactly when the Choi matrix is Hermitian
+        assert hermitian_defect(choi_transform(e)) <= CP_TOL
         # left multiplication by sigma1 is linear but not hermiticity preserving
-        assert not is_hermiticity_preserving(superop_from_action(lambda x: PAULI[1] @ x, 2))
+        left = superop_from_action(lambda x: PAULI[1] @ x, 2)
+        assert hermitian_defect(choi_transform(left)) > CP_TOL
 
 
 class TestKrausExtraction:

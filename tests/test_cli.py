@@ -103,7 +103,8 @@ class TestSimulate:
                           "--shots", "100", "--seed", "1", "--out", str(out)])
         assert result.exit_code == 2, result.output
         message = json.loads((out / "manifest.json").read_text())["error"]["message"]
-        assert "invalid measure" in message and "min eigenvalue -2.500e-01" in message
+        assert message == (f"{tmp_path / 'device.json'}: element 2: PSD defect 2.500e-01 "
+                           "exceeds --tol-psd 1e-09")
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     @pytest.mark.parametrize("instrument", [False, True], ids=["detector", "instrument"])
@@ -560,7 +561,7 @@ class TestInputRefusals:
         "non-hermitian-hamiltonian": (
             {"m.json": _model(H=[[0, 1], [0, 0]])},
             "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
-            "{}/m.json: Hamiltonian must be Hermitian"),
+            "{}/m.json: H: Hermitian defect 1.000e+00 exceeds --tol-herm 1e-10"),
         "one-rate-for-two-jumps": (
             {"m.json": _model(lindblad={"L": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
                                         "gamma": [1]})},
@@ -1412,7 +1413,8 @@ class TestManifestsAndDeterminism:
         ("simulate", {"tol_herm": 1e-7, "tol_psd": 1e-6}),
         ("tomo state", {"tol_herm": 1e-7}), ("tomo detector", {"tol_herm": 1e-7}),
         ("tomo process", {"tol_herm": 1e-7}), ("tomo instrument", {"tol_herm": 1e-7}),
-        ("tomo selfcal", {"rtol": 1e-8}), ("dynamics", {}), ("report", {})])
+        ("tomo selfcal", {"rtol": 1e-8}), ("dynamics", {"tol_herm": 1e-7, "tol_psd": 1e-6}),
+        ("report", {"tol_herm": 1e-7, "tol_psd": 1e-6})])
     def test_manifest_records_the_tolerances_its_command_reads(self, fixture_files, tmp_path,
                                                                command, tolerances):
         # the bundle holds only a state problem, so the other tomo modes exit 2; their

@@ -9,7 +9,6 @@ from qtomo import (
     ContractViolation,
     LindbladModel,
     density_from_state,
-    ehrenfest_derivative,
     evolution_operator,
     gibbs_state,
     lie_product,
@@ -18,7 +17,6 @@ from qtomo import (
     poisson_bracket,
     quantum_value,
     rydberg_ritz_lines,
-    schrodinger_evolve,
     sliced_master,
     spectral_solution,
     trace_distance,
@@ -201,8 +199,7 @@ class TestVonNeumann:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for call in (lambda: evolution_operator(h, 1.0, hbar),
-                         lambda: von_neumann_evolve(h, rho, 1.0, hbar),
-                         lambda: schrodinger_evolve(h, np.array([1.0, 0.0]), 1.0, hbar)):
+                         lambda: von_neumann_evolve(h, rho, 1.0, hbar)):
                 with pytest.raises(ContractViolation, match="hbar must be positive"):
                     call()
 
@@ -237,14 +234,14 @@ class TestSchrodinger:
     def test_stationary_state_phase(self):
         h = np.diag([0.5, 2.0])
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        out = schrodinger_evolve(h, psi0, 1.7)
+        out = evolution_operator(h, 1.7) @ psi0
         assert np.allclose(out, np.exp(-0.5j * 1.7) * psi0)
 
     def test_populations_invariant_for_diagonal_hamiltonian(self):
         h = np.diag([0.0, 1.0])
         psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
         for t in (0.2, 0.9, 4.0):
-            out = schrodinger_evolve(h, psi0, t)
+            out = evolution_operator(h, t) @ psi0
             assert abs(out[0]) ** 2 == pytest.approx(0.5)
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -252,7 +249,7 @@ class TestSchrodinger:
         rng = np.random.default_rng(95)
         h = random_hermitian(3, rng)
         psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lhs = density_from_state(schrodinger_evolve(h, psi0, 0.8))
+        lhs = density_from_state(evolution_operator(h, 0.8) @ psi0)
         rhs = von_neumann_evolve(h, density_from_state(psi0), 0.8)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -275,7 +272,7 @@ class TestSchrodinger:
         from_parts = sum(
             np.exp(-1j * t * energy) * comp for energy, comp in spectral_solution(h, psi0)
         )
-        assert np.allclose(from_parts, schrodinger_evolve(h, psi0, t))
+        assert np.allclose(from_parts, evolution_operator(h, t) @ psi0)
 
     def test_degenerate_levels_grouped(self):
         h = np.diag([1.0, 1.0, 3.0])
@@ -462,13 +459,13 @@ class TestLieProducts:
         rng = np.random.default_rng(103)
         h = random_hermitian(3, rng)
         rho = random_density(3, rng)
-        assert abs(ehrenfest_derivative(rho, h, h)) <= 1e-12
+        assert abs(poisson_bracket(h, h, rho)) <= 1e-12
 
     def test_pauli_algebra_example(self):
         # sigma3 lie sigma1 = -2 sigma2 at hbar = 1
         assert np.allclose(lie_product(PAULI[3], PAULI[1]), -2.0 * PAULI[2])
         rho = 0.5 * (np.eye(2) + PAULI[1])
-        assert abs(ehrenfest_derivative(rho, PAULI[3], PAULI[1])) <= 1e-12
+        assert abs(poisson_bracket(PAULI[3], PAULI[1], rho)) <= 1e-12
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(104)
@@ -498,7 +495,7 @@ class TestLieProducts:
             plus = quantum_value(von_neumann_evolve(h, rho, step), a).real
             minus = quantum_value(von_neumann_evolve(h, rho, -step), a).real
             fd = (plus - minus) / (2.0 * step)
-            exact = ehrenfest_derivative(rho, h, a).real
+            exact = poisson_bracket(h, a, rho).real
             scale = max(abs(exact), 1.0)
             assert abs(fd - exact) <= 1e-6 * scale
 
@@ -520,7 +517,6 @@ _WRONG_DIMENSION = {
     "lindblad_evolve": lambda h, rho, psi: lindblad_evolve(LindbladModel(h), rho, 0.5, 0.1),
     "von_neumann_evolve": lambda h, rho, psi: von_neumann_evolve(h, rho, 0.5),
     "von_neumann_evolve, times": lambda h, rho, psi: von_neumann_evolve(h, rho, [0.0, 0.5]),
-    "schrodinger_evolve": lambda h, rho, psi: schrodinger_evolve(h, psi, 0.5),
     "spectral_solution": lambda h, rho, psi: spectral_solution(h, psi),
 }
 

@@ -21,13 +21,13 @@ ENGINES = frozenset({"channels", "dynamics", "measures", "ops", "optics", "simul
 # The package's public names, by the submodule that defines them.
 EXPORTS = {
     "channels": "CPReport FilterClass Instrument apply_superop choi_rank choi_transform "
-                "classify_filter is_completely_positive is_hermiticity_preserving kraus_apply "
+                "classify_filter is_completely_positive kraus_apply "
                 "kraus_from_choi kraus_from_superop pi_operator superop_from_action "
                 "superop_from_choi superop_from_kraus",
     "cli": "main",
-    "dynamics": "LindbladModel SpectralLines Trajectory ehrenfest_derivative evolution_operator "
+    "dynamics": "LindbladModel SpectralLines Trajectory evolution_operator "
                 "gibbs_state lie_product lindblad_evolve liouvillian poisson_bracket "
-                "rydberg_ritz_lines schrodinger_evolve sliced_master spectral_solution "
+                "rydberg_ritz_lines sliced_master spectral_solution "
                 "von_neumann_evolve",
     "errors": "ContractViolation NumericalError RankDeficiencyError",
     "measures": "CompletenessReport Detector MeasureReport QuantumMeasure "

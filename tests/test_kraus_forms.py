@@ -245,8 +245,6 @@ _REFUSALS = [
     (lambda: kraus_from_choi(np.triu(np.ones((4, 4)))), "Hermitian defect"),
     (lambda: qtomo.lindblad_evolve(LindbladModel(np.eye(2)), _RHO, -1.0, 0.1),
      "need t >= 0 and dt > 0"),
-    (lambda: qtomo.ehrenfest_derivative(_RHO, np.triu(np.ones((2, 2))), PAULI[3]),
-     "needs a Hermitian Hamiltonian"),
     (lambda: qio.canonical_json({"a": object()}), "cannot serialize"),
     (lambda: qtomo.response_probabilities(_DETECTOR.measure, np.eye(3) / 3),
      "does not match measure dimension"),
@@ -261,7 +259,10 @@ _REFUSALS = [
     (lambda: qtomo.density_from_state([np.nan, 1.0]), "non-finite components"),
     (lambda: stokes_to_density([1.0, 0.0, 0.0]), "must have 4 components"),
     (lambda: qtomo.density_to_stokes(np.eye(3) / 3), "polarization state must be 2x2"),
-    (lambda: qtomo.density_to_stokes(np.diag([1.5, -0.5])), "not a valid density matrix"),
+    (lambda: qtomo.density_to_stokes(np.diag([1.5, -0.5])),
+     "rho: PSD defect 5.000e-01 exceeds --tol-psd 1e-09"),
+    (lambda: stokes_to_density([np.nan, 0.0, 0.0, 0.0]), "Stokes bound violated: S0 = nan"),
+    (lambda: qtomo.kraus_apply([np.eye(2)], np.eye(3)), "X is (3, 3), the Kraus operators are (2, 2)"),
     (lambda: qtomo.apply_jones(_RHO, np.eye(3)), "does not match state"),
     (lambda: qtomo.beam_splitter(_RHO), "two-beam state must be 4x4"),
     (lambda: qtomo.Leaf(np.eye(3)), "leaf Jones matrix must be 2x2"),
