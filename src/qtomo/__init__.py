@@ -29,7 +29,6 @@ _EXPORTS = {
         "kraus_from_superop",
         "pi_operator",
         "superop_from_action",
-        "superop_from_choi",
         "superop_from_kraus",
     ),
     "cli": ("main",),
@@ -38,14 +37,12 @@ _EXPORTS = {
         "SpectralLines",
         "Trajectory",
         "evolution_operator",
-        "gibbs_state",
         "lie_product",
         "lindblad_evolve",
         "liouvillian",
         "poisson_bracket",
         "rydberg_ritz_lines",
         "sliced_master",
-        "spectral_solution",
         "von_neumann_evolve",
     ),
     "errors": ("ContractViolation", "NumericalError", "RankDeficiencyError"),
@@ -54,14 +51,11 @@ _EXPORTS = {
         "Detector",
         "MeasureReport",
         "QuantumMeasure",
-        "coherent_partition_measure",
         "informational_completeness",
-        "is_projective",
         "measured_quantity",
         "pauli_six_measure",
         "projective_measure",
         "response_probabilities",
-        "statistical_expectation",
         "tetrahedron_measure",
         "validate_measure",
     ),
@@ -69,9 +63,7 @@ _EXPORTS = {
         "PAULI",
         "DensityReport",
         "density_from_state",
-        "expand_hermitian",
         "hermitian_basis",
-        "normalize",
         "quantum_value",
         "trace_distance",
         "validate_density",
@@ -108,14 +100,10 @@ _EXPORTS = {
     ),
     "uncertainty": (
         "ExcessReport",
-        "MeasurementErrorReport",
         "RobertsonReport",
-        "SpectrumReport",
         "UncertaintyReport",
-        "measurement_uncertainty",
         "q_uncertainty",
         "robertson_check",
-        "spectrum_membership",
         "statistical_vs_quantum",
     ),
 }

@@ -98,10 +98,6 @@ def swap_middle(m, d: int) -> np.ndarray:
     return m.reshape(*m.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(m.shape)
 
 
-# The inverse direction is the same index permutation.
-superop_from_choi = choi_transform
-
-
 class CPReport(NamedTuple):
     hermitian_defect: float
     min_choi_eigenvalue: float

@@ -87,9 +87,9 @@ def evolution_operator(H, t, hbar: float = 1.0) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
-def _initial_state(state, d: int, matrix: bool = True) -> np.ndarray:
-    """The initial density matrix (matrix=False: state vector), checked against dimension d."""
-    x = as_square(state, "rho0") if matrix else np.asarray(state, dtype=complex).reshape(-1)
+def _initial_state(state, d: int) -> np.ndarray:
+    """The initial density matrix, checked against dimension d."""
+    x = as_square(state, "rho0")
     if len(x) != d:
         raise ContractViolation("initial state does not match the model dimension")
     return x
@@ -106,24 +106,6 @@ def _runs(values, gap) -> list:
     one before, in order; a value farther than gap from its predecessor starts a new run."""
     cuts = [0, *(np.flatnonzero(np.diff(values) > gap) + 1).tolist(), len(values)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-def spectral_solution(H, psi0, cluster_tol: float = 1e-9):
-    """Decompose psi0 into eigencomponents: psi(t) = sum exp(-i t E_k) psi_k.
-
-    Eigenvalues closer than cluster_tol (relative to the spectral spread)
-    are grouped into one component, so each psi_k satisfies
-    H psi_k = E_k psi_k within tolerance even for degenerate spectra.
-    Returns a list of (E_k, psi_k) pairs covering all clusters.
-    """
-    h = as_square(H, "H")
-    psi = _initial_state(psi0, len(h), matrix=False)
-    evals, evecs = np.linalg.eigh(hermitian_part(h))
-    components = []
-    for run in _runs(evals, cluster_tol * max(float(evals[-1] - evals[0]), 1.0)):
-        block = evecs[:, run]
-        components.append((float(np.mean(evals[run])), block @ (block.conj().T @ psi)))
-    return components
 
 
 def _slice_generator(model: LindbladModel) -> np.ndarray:
@@ -242,17 +224,6 @@ def sliced_master(model: LindbladModel, rho0, dt: float, steps: int) -> Trajecto
         for w, l, l_adj in jumps:
             nxt += w * (l @ rho @ l_adj)
     return Trajectory(dt * np.arange(steps + 1), states)
-
-
-def gibbs_state(H, temperature: float, k_boltzmann: float = 1.0) -> np.ndarray:
-    """Canonical equilibrium state exp((E0 - H)/kT) normalized to unit trace."""
-    if temperature <= 0:
-        raise ContractViolation(f"temperature must be positive, got {temperature}")
-    h = as_square(H, "H")
-    evals, evecs = np.linalg.eigh(hermitian_part(h))
-    weights = np.exp((evals[0] - evals) / (k_boltzmann * temperature))
-    weights = weights / weights.sum()
-    return (evecs * weights) @ evecs.conj().T
 
 
 class SpectralLines(NamedTuple):

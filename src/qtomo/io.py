@@ -217,8 +217,10 @@ def instrument_to_json(instrument: Instrument):
 
 def model_from_json(obj, **tols):
     """Parse a dynamics model (H, optional V, hbar, lindblad); returns (LindbladModel, rho0).
-    The keywords tol_herm and tol_psd, if given, go to LindbladModel."""
+    The keywords tol_herm and tol_psd, if given, go to LindbladModel and to the check of rho0 as
+    a state by ops.require_hermitian (dimensionless, Hermitian and PSD)."""
     from .dynamics import LindbladModel
+    from .ops import TOL_HERM, TOL_PSD, require_hermitian
 
     h, rho0 = _field(obj, "H", "model"), _field(obj, "rho0", "model")
     section = obj["lindblad"] if obj.get("lindblad") is not None else {"L": [], "gamma": []}
@@ -233,7 +235,8 @@ def model_from_json(obj, **tols):
     rho0 = matrix_from_json(rho0)
     if rho0.shape != model.H.shape:
         raise ContractViolation(f"rho0 of shape {rho0.shape} does not match H, {model.H.shape}")
-    return model, rho0
+    return model, require_hermitian(rho0, "rho0", tols.get("tol_herm", TOL_HERM),
+                                    tols.get("tol_psd", TOL_PSD), dimensionless=True)
 
 
 def hamiltonian_from_json(obj, **tols):

@@ -13,9 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import (PAULI, TOL_PSD, _breach, _design, _Frozen, _unit_intensity, as_square,
-                  hermitian_defect, hermitian_part, min_eigenvalue, numerical_rank,
-                  require_hermitian, square_stack)
+from .ops import (PAULI, TOL_PSD, _breach, _design, _Frozen, as_square, hermitian_defect,
+                  min_eigenvalue, numerical_rank, square_stack)
 
 
 class QuantumMeasure(_Frozen):
@@ -134,34 +133,6 @@ def measured_quantity(det: Detector) -> np.ndarray:
     return a[0] if a.shape[0] == 1 else a
 
 
-def statistical_expectation(det: Detector, rho, f=None, tol: float = 1e-9):
-    """Expectation sum_k p_k f(a_k) of a function of the outcome values.
-
-    Requires a unit-intensity state so rates are probabilities; f defaults
-    to the identity, giving the mean outcome (Born's rule in expectation
-    form: it equals tr(rho A) for A the measured quantity).
-    """
-    r = _unit_intensity(rho, tol=tol)
-    p = response_probabilities(det.measure, r, tol)
-    values = det.scale[:, 0] if det.n_components == 1 else det.scale
-    if f is None:
-        terms = [pk * ak for pk, ak in zip(p, values)]
-    else:
-        terms = [pk * np.asarray(f(ak)) for pk, ak in zip(p, values)]
-    out = np.sum(np.stack([np.atleast_1d(np.asarray(t, dtype=complex)) for t in terms]), axis=0)
-    return complex(out[0]) if out.shape == (1,) else out
-
-
-def is_projective(measure: QuantumMeasure, tol: float = 1e-10):
-    """Whether P_j P_k = delta_jk P_k holds; returns (flag, max defect)."""
-    defect = 0.0
-    for j, pj in enumerate(measure.elements):
-        for k, pk in enumerate(measure.elements):
-            target = pk if j == k else 0.0
-            defect = max(defect, float(np.max(np.abs(pj @ pk - target))))
-    return defect <= tol, defect
-
-
 class CompletenessReport(NamedTuple):
     rank: int
     complete: bool
@@ -204,65 +175,3 @@ def tetrahedron_measure() -> QuantumMeasure:
             m = m + c * sigma
         elements.append(m / 4.0)
     return QuantumMeasure(elements)
-
-
-def _completed(elements, tol: float, what: str) -> QuantumMeasure:
-    """The measure of elements and their remainder 1 - sum P_k, appended last, unless the
-    remainder's smallest eigenvalue is below -tol ("{what} has min eigenvalue ...")."""
-    elements = np.asarray(elements, dtype=complex)
-    remainder = np.eye(elements.shape[-1], dtype=complex) - elements.sum(axis=0)
-    low = min_eigenvalue(remainder)
-    if low < -tol:
-        raise ContractViolation(f"{what} has min eigenvalue {low:.3e}")
-    return QuantumMeasure([*elements, remainder])
-
-
-def coherent_partition_measure(
-    n_max: int,
-    cells,
-    radius: float,
-    n_radial: int = 200,
-    n_angular: int = 64,
-    tol: float = 1e-9,
-) -> QuantumMeasure:
-    """Finite-resolution phase-space measure from a partition of unity.
-
-    Each cell weight e_k (a function of the complex phase-space point alpha,
-    nonnegative, with the cells summing to one on the disc of the given
-    radius) yields an element (1/pi) * integral of e_k(alpha) |alpha><alpha|
-    over the disc, evaluated by a midpoint rule on a polar grid and truncated
-    to the number-state levels 0..n_max.  A remainder element 1 - sum P_k is
-    appended so the family sums to the identity exactly; if truncation or the
-    region make the remainder indefinite, the construction fails.
-    """
-    if n_max < 0 or radius <= 0 or n_radial < 1 or n_angular < 1:
-        raise ContractViolation("need n_max >= 0, radius > 0 and a nonempty grid")
-    dim = n_max + 1
-    dr = radius / n_radial
-    dtheta = 2.0 * np.pi / n_angular
-    r = (np.arange(n_radial) + 0.5) * dr
-    theta = (np.arange(n_angular) + 0.5) * dtheta
-    alpha = r[:, None] * np.exp(1j * theta[None, :])
-    weight = r[:, None] * dr * dtheta / np.pi
-
-    # coherent-state amplitudes <n|alpha> on the truncated levels
-    ns = np.arange(dim)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    amp = np.exp(-0.5 * np.abs(alpha[..., None]) ** 2) * alpha[..., None] ** ns \
-        / np.exp(0.5 * log_fact)
-
-    values = np.stack([np.vectorize(e)(alpha).astype(float) for e in cells])
-    if values.min() < -tol:
-        raise ContractViolation(f"cell weights must be nonnegative, found {values.min():.3e}")
-    total = values.sum(axis=0)
-    if np.max(np.abs(total - 1.0)) > 1e-9:
-        raise ContractViolation(
-            f"cell weights must sum to one on the disc; max defect {np.max(np.abs(total - 1.0)):.3e}"
-        )
-
-    elements = hermitian_part(np.stack(
-        [np.einsum("rt,rtm,rtn->mn", e * weight, amp, amp.conj()) for e in values]))
-    measure = _completed(elements, tol, "truncation insufficient: remainder element")
-    require_hermitian(elements, [f"cell element {k}" for k in range(len(elements))],
-                      tol_psd=tol, dimensionless=True)
-    return measure

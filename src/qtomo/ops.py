@@ -1,8 +1,8 @@
 """Complex-matrix primitives: Hermitian checks, operator bases, quantum values.
 
 Density matrices carry the source intensity in their trace, so traces are not
-forced to one here; ``normalize`` rescales when a unit-intensity state is
-needed and rejects the dark state (the zero matrix).
+forced to one here; a probability-like operation refuses a state whose trace
+is not one (``_unit_intensity``).
 """
 
 from __future__ import annotations
@@ -156,13 +156,6 @@ def hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def expand_hermitian(h) -> np.ndarray:
-    """Real coefficients x_a = Re tr(h B_a) on hermitian_basis, so that h = sum_a x_a B_a for a
-    Hermitian h (the basis is orthonormal); for any square h they give its Hermitian part."""
-    m = as_square(h)
-    return real_traces(m[None], hermitian_basis(m.shape[0]))[0]
-
-
 def _breach(stack, tol_herm, tol_psd, dimensionless):
     """(i, fault) of the first matrix of a stack (n, d, d) require_hermitian refuses, or None."""
     if dimensionless:
@@ -218,23 +211,14 @@ def density_from_state(psi) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _unit_intensity(rho, name="rho", tol: float = _UNIT_TOL) -> np.ndarray:
-    """The square matrix rho, unless its trace lies farther than tol from one: the check of every
-    probability-like operation (ContractViolation naming the trace)."""
+def _unit_intensity(rho, name="rho") -> np.ndarray:
+    """The square matrix rho, unless its trace lies farther than _UNIT_TOL from one: the check of
+    every probability-like operation (ContractViolation naming the trace)."""
     r = as_square(rho, name)
     tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > _UNIT_TOL:
         raise ContractViolation(f"{name} must have unit intensity, trace is {tr}")
     return r
-
-
-def normalize(rho) -> np.ndarray:
-    """Rescale a density matrix to unit trace; rejects the dark state."""
-    m = as_square(rho, "rho")
-    tr = float(np.trace(m).real)
-    if tr <= 0.0:
-        raise ContractViolation(f"cannot normalize state with trace {tr}")
-    return m / tr
 
 
 def trace_distance(a, b) -> float:

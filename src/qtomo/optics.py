@@ -14,8 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .measures import QuantumMeasure, _completed
-from .ops import PAULI, TOL_PSD, _Frozen, as_square, quantum_value, require_hermitian
+from .measures import QuantumMeasure
+from .ops import (PAULI, TOL_PSD, _Frozen, as_square, min_eigenvalue, quantum_value,
+                  require_hermitian)
 
 _STOKES_TOL = 1e-12
 
@@ -115,7 +116,14 @@ def cascade_measure(net) -> QuantumMeasure:
     """Quantum measure of a splitter cascade: P_k = 2^-s T_k* T_k per leaf.
 
     The remainder P_0 = 1 - sum P_k (the beam fraction absorbed in the
-    filters) is appended as the last element.
+    filters) is appended as the last element, unless its smallest eigenvalue
+    is below -1e-10.
     """
-    elements = [2.0 ** (-depth) * (jones.conj().T @ jones) for jones, depth in network_leaves(net)]
-    return _completed(elements, 1e-10, "lossy-network inconsistency: remainder")
+    elements = np.asarray([2.0 ** (-depth) * (jones.conj().T @ jones)
+                           for jones, depth in network_leaves(net)], dtype=complex)
+    remainder = np.eye(2, dtype=complex) - elements.sum(axis=0)
+    low = min_eigenvalue(remainder)
+    if low < -1e-10:
+        raise ContractViolation(
+            f"lossy-network inconsistency: remainder has min eigenvalue {low:.3e}")
+    return QuantumMeasure([*elements, remainder])

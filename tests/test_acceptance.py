@@ -62,12 +62,14 @@ def test_detector_response_round_trip():
 @_announce(2, "state tomography exact and sampled", 30)
 def test_state_tomography_accuracy_and_scaling():
     measure = qtomo.pauli_six_measure()
-    # exact rates: trace distance 1e-10
+    # exact rates: trace distance 1e-10; every estimate, exact or sampled, is a state
+    # (validate_density)
     rng = np.random.default_rng(1002)
     for _ in range(10):
         rho = random_density(2, rng, pure=True)
         est, _ = qtomo.state_tomography(measure, qtomo.response_probabilities(measure, rho))
         assert qtomo.trace_distance(est, rho) <= 1e-10
+        assert qtomo.validate_density(est).ok
     # sampled rates: median over 20 seeds at N = 1e6 below 5e-3, improving
     # by a factor in [5, 20] over N = 1e4
     errors = {10**4: [], 10**6: []}
@@ -78,6 +80,7 @@ def test_state_tomography_accuracy_and_scaling():
             cfg = qtomo.ExperimentConfig(seed * 2 + (shots == 10**6), shots, rho, measure)
             _, counts = qtomo.sample_events(cfg)
             est, _ = qtomo.state_tomography(measure, counts[1:] / shots)
+            assert qtomo.validate_density(est).ok
             errors[shots].append(qtomo.trace_distance(est, rho))
     med_small = float(np.median(errors[10**4]))
     med_large = float(np.median(errors[10**6]))
@@ -158,6 +161,17 @@ def test_lindblad_continuum_limit():
         t = gt / gamma
         final = qtomo.lindblad_evolve(model, rho0, t, t / 16).final
         assert abs(final[0, 1] - 0.5 * np.exp(-2.0 * gt)) <= 1e-6
+    # Ehrenfest's theorem: along the von Neumann flow, d<A>/dt is the Poisson bracket
+    # <H lie A>; the central difference at t = +-1e-4 gives it to 1e-6 relative, for 100
+    # random (H, A, rho) with d = 2-4
+    rng = np.random.default_rng(1005)
+    for case in range(100):
+        d = int(rng.integers(2, 5))
+        h, a, rho = random_hermitian(d, rng), random_hermitian(d, rng), random_density(d, rng)
+        before, after = (qtomo.quantum_value(state, a)
+                         for state in qtomo.von_neumann_evolve(h, rho, [-1e-4, 1e-4]))
+        bracket = qtomo.poisson_bracket(h, a, rho)
+        assert abs((after - before) / 2e-4 - bracket) <= 1e-6 * abs(bracket), f"case {case}"
 
 
 @_announce(6, "uncertainty suite", 20)
@@ -253,6 +267,17 @@ def test_polarization_optics():
     block[:2, :2] = rho
     expected = 0.5 * np.block([[rho, rho], [rho, rho]])
     assert np.array_equal(qtomo.beam_splitter(block), expected)
+    # Stokes description of a qubit, for 100 random states and 100 random pure states: the
+    # round trip returns rho to 1e-14, the degree of polarization P obeys P^2 = 2 tr rho^2 - 1
+    # to 1e-12, and P = 1 for a pure state to 1e-12
+    for i in range(200):
+        pure = bool(i % 2)
+        rho = random_density(2, rng, pure=pure)
+        stokes = qtomo.density_to_stokes(rho)
+        assert np.max(np.abs(qtomo.stokes_to_density(stokes) - rho)) <= 1e-14
+        p = qtomo.degree_of_polarization(stokes)
+        assert abs(p**2 - (2.0 * np.trace(rho @ rho).real - 1.0)) <= 1e-12
+        assert not pure or abs(p - 1.0) <= 1e-12
 
 
 @_announce(9, "pipeline determinism", 10)

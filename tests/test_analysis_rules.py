@@ -11,13 +11,10 @@ from qtomo import (
     Detector,
     ExperimentConfig,
     QuantumMeasure,
-    measurement_uncertainty,
     q_uncertainty,
     quantum_value,
     robertson_check,
     rydberg_ritz_lines,
-    spectral_solution,
-    statistical_expectation,
     statistical_vs_quantum,
 )
 from qtomo.ops import hermitian_part
@@ -67,24 +64,6 @@ class TestQuantumValueOfAStack:
             quantum_value(np.eye(2), np.zeros((3, 2, 3)))
 
 
-def _old_spectral_solution(H, psi0, cluster_tol=1e-9):
-    """spectral_solution as one loop over the eigenvalues: the oracle of its runs."""
-    h = np.asarray(H, dtype=complex)
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    evals, evecs = np.linalg.eigh(hermitian_part(h))
-    spread = max(float(evals[-1] - evals[0]), 1.0)
-    gap = cluster_tol * spread
-    components = []
-    start = 0
-    for i in range(1, evals.size + 1):
-        if i == evals.size or evals[i] - evals[i - 1] > gap:
-            block = evecs[:, start:i]
-            comp = block @ (block.conj().T @ psi)
-            components.append((float(np.mean(evals[start:i])), comp))
-            start = i
-    return components
-
-
 def _old_rydberg_ritz_lines(H, hbar=1.0, tol=1e-9):
     """rydberg_ritz_lines as a sorted list of pairwise differences merged by one loop."""
     evals = np.linalg.eigvalsh(hermitian_part(np.asarray(H, dtype=complex)))
@@ -115,8 +94,7 @@ def _degenerate_hamiltonian(draw):
                                                     max_size=d)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     u = random_unitary(d, rng)
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return (u * levels) @ u.conj().T, psi
+    return (u * levels) @ u.conj().T
 
 
 def _bits(x):
@@ -125,20 +103,9 @@ def _bits(x):
 
 class TestSpectralRuns:
     @settings(max_examples=150, deadline=None)
-    @given(_degenerate_hamiltonian(), st.sampled_from([1e-9, 1e-6, 1e-3]))
-    def test_spectral_solution_matches_the_loop_bit_for_bit(self, case, tol):
-        H, psi = case
-        new = spectral_solution(H, psi, cluster_tol=tol)
-        old = _old_spectral_solution(H, psi, cluster_tol=tol)
-        assert len(new) == len(old)
-        for (e_new, c_new), (e_old, c_old) in zip(new, old):
-            assert _bits(e_new) == _bits(e_old) and _bits(c_new) == _bits(c_old)
-
-    @settings(max_examples=150, deadline=None)
     @given(_degenerate_hamiltonian(), st.sampled_from([1e-9, 1e-6, 1e-3]),
            st.sampled_from([1.0, 0.7]))
-    def test_rydberg_ritz_lines_match_the_loop_bit_for_bit(self, case, tol, hbar):
-        H, _ = case
+    def test_rydberg_ritz_lines_match_the_loop_bit_for_bit(self, H, tol, hbar):
         lines = rydberg_ritz_lines(H, hbar=hbar, tol=tol)
         omega, nu = _old_rydberg_ritz_lines(H, hbar=hbar, tol=tol)
         assert lines.omega.dtype == omega.dtype and lines.omega.shape == omega.shape
@@ -146,8 +113,8 @@ class TestSpectralRuns:
 
 
 def _probability_like(rho):
-    """Each probability-like entry point on the state rho: uncertainty, statistical
-    expectation and the simulated source."""
+    """Each probability-like entry point on the state rho: uncertainty and the simulated
+    source."""
     d = len(rho)
     measure = QuantumMeasure([np.eye(d)])
     detector = Detector(measure, [1.0])
@@ -155,8 +122,6 @@ def _probability_like(rho):
         "q_uncertainty": lambda: q_uncertainty(rho, np.eye(d)),
         "robertson_check": lambda: robertson_check(rho, np.eye(d), np.eye(d)),
         "statistical_vs_quantum": lambda: statistical_vs_quantum(detector, rho),
-        "measurement_uncertainty": lambda: measurement_uncertainty(detector, rho, np.eye(d)),
-        "statistical_expectation": lambda: statistical_expectation(detector, rho),
         "ExperimentConfig": lambda: ExperimentConfig(1, 10, rho, measure),
     }
 

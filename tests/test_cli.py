@@ -562,6 +562,10 @@ class TestInputRefusals:
             {"m.json": _model(H=[[0, 1], [0, 0]])},
             "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
             "{}/m.json: H: Hermitian defect 1.000e+00 exceeds --tol-herm 1e-10"),
+        "non-hermitian-initial-state": (
+            {"m.json": _model(H=[[1, 0], [0, -1]], rho0=[[1, 5], [0, -3]])},
+            "dynamics {}/m.json --t 1 --dt 0.1 --out {}/run/t.json",
+            "{}/m.json: rho0: Hermitian defect 5.000e+00 exceeds --tol-herm 1e-10"),
         "one-rate-for-two-jumps": (
             {"m.json": _model(lindblad={"L": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
                                         "gamma": [1]})},

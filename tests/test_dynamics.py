@@ -10,7 +10,6 @@ from qtomo import (
     LindbladModel,
     density_from_state,
     evolution_operator,
-    gibbs_state,
     lie_product,
     lindblad_evolve,
     liouvillian,
@@ -18,9 +17,6 @@ from qtomo import (
     quantum_value,
     rydberg_ritz_lines,
     sliced_master,
-    spectral_solution,
-    trace_distance,
-    validate_density,
     von_neumann_evolve,
 )
 from support import random_complex, random_density, random_hermitian
@@ -253,33 +249,6 @@ class TestSchrodinger:
         rhs = von_neumann_evolve(h, density_from_state(psi0), 0.8)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_spectral_solution_components_are_eigenvectors(self):
-        rng = np.random.default_rng(96)
-        h = random_hermitian(4, rng)
-        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        parts = spectral_solution(h, psi0)
-        recombined = np.zeros(4, dtype=complex)
-        for energy, comp in parts:
-            assert np.linalg.norm(h @ comp - energy * comp) <= 1e-9
-            recombined += comp
-        assert np.allclose(recombined, psi0)
-
-    def test_spectral_solution_reproduces_evolution(self):
-        rng = np.random.default_rng(97)
-        h = random_hermitian(3, rng)
-        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        t = 1.3
-        from_parts = sum(
-            np.exp(-1j * t * energy) * comp for energy, comp in spectral_solution(h, psi0)
-        )
-        assert np.allclose(from_parts, evolution_operator(h, t) @ psi0)
-
-    def test_degenerate_levels_grouped(self):
-        h = np.diag([1.0, 1.0, 3.0])
-        psi0 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-        parts = spectral_solution(h, psi0)
-        assert len(parts) == 2
-
 
 class TestLindblad:
     def test_pure_dephasing_off_diagonal_decay(self):
@@ -362,60 +331,6 @@ class TestLindblad:
                 traj = sliced_master(model, rho0, 1.0 / n, n)
                 errors.append(np.max(np.abs(traj.final - exact)))
             assert 1.8 <= errors[0] / errors[1] <= 2.2
-
-
-class TestGibbs:
-    def test_high_temperature_limit(self):
-        h = np.diag([0.0, 1.0, 2.0])
-        rho = gibbs_state(h, 1e6)
-        assert np.max(np.abs(rho - np.eye(3) / 3.0)) <= 1e-5
-
-    def test_two_level_ground_population(self):
-        delta = 1.0
-        rho = gibbs_state(np.diag([0.0, delta]), delta / 10.0)
-        assert rho[0, 0].real == pytest.approx(1.0 / (1.0 + np.exp(-10.0)))
-
-    def test_degenerate_ground_space(self):
-        h = np.diag([0.0, 0.0, 5.0])
-        rho = gibbs_state(h, 0.05)
-        assert np.allclose(rho[:2, :2], 0.5 * np.eye(2), atol=1e-12)
-
-    def test_low_temperature_convergence_monotone(self):
-        h = np.diag([0.0, 1.0])
-        ground = np.diag([1.0, 0.0])
-        dists = [
-            trace_distance(gibbs_state(h, 1.0 / beta), ground)
-            for beta in (1.0, 2.0, 4.0, 8.0, 16.0)
-        ]
-        assert all(a > b for a, b in zip(dists, dists[1:]))
-
-    def test_low_temperature_gap_bound(self):
-        rng = np.random.default_rng(108)
-        h = random_hermitian(3, rng)
-        evals, evecs = np.linalg.eigh(h)
-        gap = evals[1] - evals[0]
-        ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
-        for kt in (gap / 5.0, gap / 10.0, gap / 20.0):
-            dist = trace_distance(gibbs_state(h, kt), ground)
-            assert dist <= 3.0 * np.exp(-gap / kt)
-
-    def test_commutes_with_hamiltonian_and_valid(self):
-        rng = np.random.default_rng(101)
-        h = random_hermitian(4, rng)
-        rho = gibbs_state(h, 0.7)
-        assert np.max(np.abs(h @ rho - rho @ h)) <= 1e-12
-        assert np.trace(rho).real == pytest.approx(1.0)
-        assert validate_density(rho).ok
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ContractViolation):
-            gibbs_state(np.diag([0.0, 1.0]), 0.0)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_huge_finite_hamiltonian(self):
-        # the halved sum of H and its adjoint overflowed, and every entry was nan
-        rho = gibbs_state(np.diag([1e308, 0.0]), 1.0)
-        assert np.array_equal(rho, np.diag([0.0, 1.0]))
 
 
 class TestRydbergRitz:
@@ -509,19 +424,17 @@ class TestLieProducts:
         )
 
 
-# Each evolution of a qubit model given a qutrit initial state: a 3x3 density matrix or a
-# 3-vector.
+# Each evolution of a qubit model given a qutrit initial state, a 3x3 density matrix.
 _WRONG_DIMENSION = {
-    "sliced_master, 0 steps": lambda h, rho, psi: sliced_master(LindbladModel(h), rho, 0.1, 0),
-    "sliced_master, 5 steps": lambda h, rho, psi: sliced_master(LindbladModel(h), rho, 0.1, 5),
-    "lindblad_evolve": lambda h, rho, psi: lindblad_evolve(LindbladModel(h), rho, 0.5, 0.1),
-    "von_neumann_evolve": lambda h, rho, psi: von_neumann_evolve(h, rho, 0.5),
-    "von_neumann_evolve, times": lambda h, rho, psi: von_neumann_evolve(h, rho, [0.0, 0.5]),
-    "spectral_solution": lambda h, rho, psi: spectral_solution(h, psi),
+    "sliced_master, 0 steps": lambda h, rho: sliced_master(LindbladModel(h), rho, 0.1, 0),
+    "sliced_master, 5 steps": lambda h, rho: sliced_master(LindbladModel(h), rho, 0.1, 5),
+    "lindblad_evolve": lambda h, rho: lindblad_evolve(LindbladModel(h), rho, 0.5, 0.1),
+    "von_neumann_evolve": lambda h, rho: von_neumann_evolve(h, rho, 0.5),
+    "von_neumann_evolve, times": lambda h, rho: von_neumann_evolve(h, rho, [0.0, 0.5]),
 }
 
 
 @pytest.mark.parametrize("evolve", _WRONG_DIMENSION.values(), ids=_WRONG_DIMENSION)
 def test_initial_state_of_another_dimension_is_refused(evolve):
     with pytest.raises(ContractViolation, match="initial state does not match the model dimension"):
-        evolve(np.diag([1.0, 0.0]), np.eye(3) / 3, np.ones(3) / np.sqrt(3.0))
+        evolve(np.diag([1.0, 0.0]), np.eye(3) / 3)

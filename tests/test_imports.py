@@ -1,5 +1,7 @@
-"""The package loads its submodules on first use, and each command only the engines it runs."""
+"""The package loads its submodules on first use, each command only the engines it runs, and
+every public name has a caller or a use in the acceptance suite."""
 
+import ast
 import importlib
 import json
 import os
@@ -23,19 +25,17 @@ EXPORTS = {
     "channels": "CPReport FilterClass Instrument apply_superop choi_rank choi_transform "
                 "classify_filter is_completely_positive kraus_apply "
                 "kraus_from_choi kraus_from_superop pi_operator superop_from_action "
-                "superop_from_choi superop_from_kraus",
+                "superop_from_kraus",
     "cli": "main",
     "dynamics": "LindbladModel SpectralLines Trajectory evolution_operator "
-                "gibbs_state lie_product lindblad_evolve liouvillian poisson_bracket "
-                "rydberg_ritz_lines sliced_master spectral_solution "
-                "von_neumann_evolve",
+                "lie_product lindblad_evolve liouvillian poisson_bracket "
+                "rydberg_ritz_lines sliced_master von_neumann_evolve",
     "errors": "ContractViolation NumericalError RankDeficiencyError",
     "measures": "CompletenessReport Detector MeasureReport QuantumMeasure "
-                "coherent_partition_measure informational_completeness is_projective "
-                "measured_quantity pauli_six_measure projective_measure response_probabilities "
-                "statistical_expectation tetrahedron_measure validate_measure",
-    "ops": "PAULI DensityReport density_from_state expand_hermitian hermitian_basis normalize "
-           "quantum_value trace_distance validate_density",
+                "informational_completeness measured_quantity pauli_six_measure "
+                "projective_measure response_probabilities tetrahedron_measure validate_measure",
+    "ops": "PAULI DensityReport density_from_state hermitian_basis quantum_value "
+           "trace_distance validate_density",
     "optics": "Leaf Split apply_jones beam_splitter cascade_measure degree_of_polarization "
               "density_to_stokes stokes_to_density",
     "simulate": "EventLog ExperimentConfig empirical_rates event_log_from_csv "
@@ -43,10 +43,40 @@ EXPORTS = {
     "tomography": "ReconstructionReport SelfCalibrationResult detector_tomography "
                   "instrument_tomography process_tomography project_psd rates_from_counts "
                   "self_calibrating_tomography state_tomography",
-    "uncertainty": "ExcessReport MeasurementErrorReport RobertsonReport SpectrumReport "
-                   "UncertaintyReport measurement_uncertainty q_uncertainty robertson_check "
-                   "spectrum_membership statistical_vs_quantum",
+    "uncertainty": "ExcessReport RobertsonReport UncertaintyReport q_uncertainty "
+                   "robertson_check statistical_vs_quantum",
 }
+
+# The exports that stay without a caller in src/qtomo or a use in the acceptance suite, each
+# for the ROADMAP item that will call it.
+UNREACHED_BY_DECISION = {
+    "event_log_to_csv",  # item 8: perfbench's per-layer metrics name simulate.event_log_to_csv
+    "informational_completeness",  # item 3: a design check before data
+    "kraus_from_superop",  # item 6: a tomo instrument estimate as a simulate device
+}
+
+
+def _reached_names(path):
+    """The names a module loads, as a Name or as an Attribute's attribute; a load inside the
+    definition (def or class) of the same name, and an assignment target, are not reaches."""
+    reached = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        if name is not None and name not in enclosing:
+            reached.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    with open(path, encoding="utf-8") as handle:
+        visit(ast.parse(handle.read()), frozenset())
+    return reached
 
 
 def _env():
@@ -91,6 +121,16 @@ class TestPackage:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             qtomo.no_such_name  # noqa: B018
+
+    def test_every_export_is_reached(self):
+        # a public name earns its place by a caller in the package outside its own definition,
+        # by an acceptance criterion that states the relation it checks, or by a planned item
+        package = os.path.join(SRC, "qtomo")
+        paths = [os.path.join(package, name) for name in sorted(os.listdir(package))
+                 if name.endswith(".py") and name != "__init__.py"]
+        paths.append(os.path.join(os.path.dirname(__file__), "test_acceptance.py"))
+        reached = set().union(*map(_reached_names, paths))
+        assert set(qtomo.__all__) - reached == UNREACHED_BY_DECISION
 
     def test_import_loads_no_submodule(self):
         code = "import qtomo, sys; print(sorted(m for m in sys.modules if m.startswith('qtomo.')))"

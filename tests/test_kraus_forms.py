@@ -23,10 +23,8 @@ from qtomo import (
     kraus_from_choi,
     pauli_six_measure,
     pi_operator,
-    spectrum_membership,
     stokes_to_density,
     superop_from_action,
-    superop_from_choi,
     superop_from_kraus,
     tetrahedron_measure,
 )
@@ -68,19 +66,6 @@ def _loop_superop_from_action(action, d):
             basis[j, k] = 1.0
             e[:, d * j + k] = np.asarray(action(basis), dtype=complex).reshape(-1)
     return e
-
-
-def _loop_spectrum_membership(X, xi, tol=1e-9):
-    comps = np.asarray(X, dtype=complex)
-    comps = comps[None] if comps.ndim == 2 else comps
-    values = np.atleast_1d(np.asarray(xi, dtype=complex))
-    d = comps.shape[1]
-    b = np.zeros((d, d), dtype=complex)
-    for x, v in zip(comps, values):
-        shifted = x - v * np.eye(d)
-        b += shifted.conj().T @ shifted
-    evals, evecs = np.linalg.eigh(hermitian_part(b))
-    return float(evals[0]), evals[0] <= tol, evecs[:, 0]
 
 
 def _loop_stokes_to_density(s):
@@ -140,17 +125,6 @@ class TestKrausMapsMatchTheLoops:
             d = x.shape[0]
             assert np.array_equal(superop_from_action(action, d),
                                   _loop_superop_from_action(action, d))
-
-    def test_spectrum_membership_has_the_bits_of_the_loop(self):
-        rng = np.random.default_rng(5)
-        for i, (comps, _) in enumerate(_cases(5, 200)):
-            comps = comps + comps.conj().swapaxes(1, 2)
-            xi = rng.normal(size=len(comps))
-            tol = 1e9 if i % 2 else 1e-9  # every other case has a witness
-            report = spectrum_membership(comps, xi, tol)
-            low, member, witness = _loop_spectrum_membership(comps, xi, tol)
-            assert report.min_eig == low and report.member == member
-            assert np.array_equal(report.witness, witness) if member else report.witness is None
 
     def test_stokes_to_density_has_the_bits_of_the_loop(self):
         rng = np.random.default_rng(7)
@@ -216,7 +190,7 @@ class TestOneCompletePositivityRule:
             bound = 1e-9 * max(spectrum.max(), 1.0)
             spectrum[0] = (spectrum[0], -0.1 * bound, -10.0 * bound)[i % 3]
             choi = _choi(rng, d, spectrum)
-            cp = is_completely_positive(superop_from_choi(choi)).cp
+            cp = is_completely_positive(choi_transform(choi)).cp
             assert cp == (i % 3 != 2), (i, spectrum[0])
             if cp:
                 assert len(kraus_from_choi(choi)) >= 1
@@ -227,7 +201,7 @@ class TestOneCompletePositivityRule:
     def test_a_large_map_with_a_tiny_negative_eigenvalue_is_cp(self):
         # -5e-8 lies within 1e-9 of the largest eigenvalue 100, so both calls accept the map
         choi = np.diag([100.0, 0.0, 0.0, -5e-8])
-        assert is_completely_positive(superop_from_choi(choi)).cp
+        assert is_completely_positive(choi_transform(choi)).cp
         assert len(kraus_from_choi(choi)) == 1
 
     def test_the_zero_map_has_choi_rank_zero(self):
@@ -253,9 +227,6 @@ _REFUSALS = [
     (lambda: qtomo.response_probabilities(
         QuantumMeasure([np.diag([-0.5, 0.0]), np.diag([1.5, 1.0])]), _RHO),
      "negative response rate"),
-    (lambda: qtomo.coherent_partition_measure(-1, [lambda a: 1.0], 1.0), "need n_max >= 0"),
-    (lambda: qtomo.coherent_partition_measure(0, [lambda a: -1.0, lambda a: 2.0], 1.0, 4, 4),
-     "cell weights must be nonnegative"),
     (lambda: qtomo.density_from_state([np.nan, 1.0]), "non-finite components"),
     (lambda: stokes_to_density([1.0, 0.0, 0.0]), "must have 4 components"),
     (lambda: qtomo.density_to_stokes(np.eye(3) / 3), "polarization state must be 2x2"),
@@ -272,9 +243,6 @@ _REFUSALS = [
     (lambda: qtomo.self_calibrating_tomography(np.zeros((2, 2, 2)), [], []),
      "outputs must have shape"),
     (lambda: qtomo.q_uncertainty(_RHO, np.zeros((2, 3))), "one square matrix or a stack"),
-    (lambda: qtomo.measurement_uncertainty(_DETECTOR, _RHO, [PAULI[1], PAULI[3]]),
-     "quantity has 2 components, detector measures 1"),
-    (lambda: spectrum_membership(PAULI[3], [1.0, 2.0]), "xi must have 1 components"),
 ]
 
 

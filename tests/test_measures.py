@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.integrate import quad
 
 from qtomo import (
     PAULI,
     ContractViolation,
     Detector,
     QuantumMeasure,
-    coherent_partition_measure,
     density_from_state,
     informational_completeness,
-    is_projective,
     measured_quantity,
     pauli_six_measure,
     projective_measure,
     quantum_value,
     response_probabilities,
-    statistical_expectation,
     tetrahedron_measure,
     validate_measure,
 )
@@ -141,49 +137,14 @@ class TestMeasuredQuantity:
 
 
 class TestStatisticalExpectation:
-    def test_total_probability(self):
-        rng = np.random.default_rng(23)
-        det = Detector(random_measure(2, 3, rng), [1.0, 2.0, 3.0])
-        rho = random_density(2, rng)
-        assert statistical_expectation(det, rho, lambda a: 1.0) == pytest.approx(1.0)
-
-    def test_projective_sigma3_mean(self):
-        det = Detector(projective_measure(np.eye(2)), [1.0, -1.0])
-        value = statistical_expectation(det, np.diag([0.3, 0.7]))
-        assert value == pytest.approx(-0.4)
-
-    def test_unit_modulus_scale(self):
-        det = Detector(projective_measure(np.eye(2)), [1.0, -1.0])
-        rng = np.random.default_rng(24)
-        rho = random_density(2, rng)
-        assert statistical_expectation(det, rho, lambda a: abs(a) ** 2) == pytest.approx(1.0)
-
     def test_born_rule_in_expectation_form(self):
+        # the mean outcome sum_k p_k a_k is the quantum value of the measured quantity
         rng = np.random.default_rng(25)
         m = random_measure(2, 4, rng)
         det = Detector(m, rng.normal(size=4))
         rho = random_density(2, rng)
-        mean = statistical_expectation(det, rho)
+        mean = np.sum(response_probabilities(m, rho) * det.scale[:, 0])
         assert mean == pytest.approx(quantum_value(rho, measured_quantity(det)))
-
-    def test_unnormalized_state_rejected_naming_trace(self):
-        det = Detector(projective_measure(np.eye(2)), [1.0, -1.0])
-        with pytest.raises(ContractViolation, match="2.0"):
-            statistical_expectation(det, np.diag([1.0, 1.0]))
-
-
-class TestProjectivity:
-    def test_projective_pair(self):
-        ok, defect = is_projective(projective_measure(np.eye(2)))
-        assert ok and defect <= 1e-15
-
-    def test_tetrahedron_not_projective(self):
-        ok, defect = is_projective(tetrahedron_measure())
-        assert not ok and defect > 0.1
-
-    def test_single_identity(self):
-        ok, _ = is_projective(QuantumMeasure([np.eye(3)]))
-        assert ok
 
 
 class TestInformationalCompleteness:
@@ -241,37 +202,3 @@ class TestDetectorScale:
             assert f"scale values {pairs[0][0]} and {pairs[0][1]} coincide" in str(info.value)
         else:
             assert Detector(measure, scale).scale.shape == scale.shape
-
-
-class TestCoherentPartitionMeasure:
-    def test_single_cell_matches_radial_quadrature_oracle(self):
-        radius = 1.3
-        m = coherent_partition_measure(0, [lambda a: 1.0], radius,
-                                       n_radial=400, n_angular=16)
-        # oracle: (1/pi) integral over the disc of |<0|alpha>|^2
-        oracle, _ = quad(lambda r: 2.0 * r * np.exp(-r * r), 0.0, radius)
-        assert oracle == pytest.approx(1.0 - np.exp(-radius ** 2), abs=1e-12)
-        assert m.elements[0][0, 0].real == pytest.approx(oracle, abs=1e-4)
-
-    def test_sums_to_identity_exactly(self):
-        cells = [lambda a: 0.25, lambda a: 0.75]
-        m = coherent_partition_measure(2, cells, 1.5, n_radial=50, n_angular=24)
-        assert m.sum_defect() == 0.0
-        assert validate_measure(m).ok
-
-    def test_half_disc_symmetry(self):
-        cells = [
-            lambda a: 1.0 if np.angle(a) >= 0 else 0.0,
-            lambda a: 1.0 if np.angle(a) < 0 else 0.0,
-        ]
-        m = coherent_partition_measure(2, cells, 2.0, n_radial=120, n_angular=64)
-        assert np.allclose(np.diagonal(m.elements[0]), np.diagonal(m.elements[1]))
-
-    def test_truncation_insufficient_error_names_eigenvalue(self):
-        with pytest.raises(ContractViolation, match="truncation insufficient"):
-            coherent_partition_measure(0, [lambda a: 1.0], 2.0,
-                                       n_radial=1, n_angular=8)
-
-    def test_cells_must_sum_to_one(self):
-        with pytest.raises(ContractViolation, match="sum to one"):
-            coherent_partition_measure(0, [lambda a: 0.5], 1.0)

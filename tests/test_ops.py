@@ -7,9 +7,7 @@ from qtomo import (
     PAULI,
     ContractViolation,
     density_from_state,
-    expand_hermitian,
     hermitian_basis,
-    normalize,
     quantum_value,
     trace_distance,
     validate_density,
@@ -122,12 +120,14 @@ class TestHermitianBasis:
     def test_expand_and_resum_reproduces(self, d):
         rng = np.random.default_rng(13)
         h = random_hermitian(d, rng)
-        coeff = expand_hermitian(h)
+        # the coefficients Re tr(h B_a) by which every design takes an operator (ops._design)
+        coeff = real_traces(h[None], hermitian_basis(d))[0]
         assert coeff.dtype == float and coeff.shape == (d * d,)
         resummed = np.tensordot(coeff, hermitian_basis(d), axes=(0, 0))
         assert np.max(np.abs(resummed - h)) <= 1e-14 * np.max(np.abs(h))
         # and back: the coefficients of the resummed matrix are the ones it was summed from
-        assert np.max(np.abs(expand_hermitian(resummed) - coeff)) <= 1e-14 * np.max(np.abs(coeff))
+        back = real_traces(resummed[None], hermitian_basis(d))[0]
+        assert np.max(np.abs(back - coeff)) <= 1e-14 * np.max(np.abs(coeff))
 
 
 class TestValidateDensity:
@@ -182,15 +182,6 @@ class TestDensityFromState:
         psi = np.array([0.3, 1j, -2.0])
         evals = np.linalg.eigvalsh(density_from_state(psi))
         assert np.sum(evals > 1e-12) == 1
-
-
-class TestNormalize:
-    def test_divides_by_trace(self):
-        assert np.allclose(normalize(np.diag([2.0, 2.0])), np.diag([0.5, 0.5]))
-
-    def test_dark_state_rejected(self):
-        with pytest.raises(ContractViolation):
-            normalize(np.zeros((2, 2)))
 
 
 def test_trace_distance_pure_orthogonal():

@@ -6,14 +6,12 @@ from qtomo import (
     ContractViolation,
     Detector,
     ExperimentConfig,
-    measurement_uncertainty,
     measured_quantity,
     projective_measure,
     q_uncertainty,
     robertson_check,
     response_probabilities,
     sample_events,
-    spectrum_membership,
     statistical_vs_quantum,
     tetrahedron_measure,
 )
@@ -137,38 +135,6 @@ class TestStatisticalVsQuantum:
 
 
 class TestMeasurementUncertainty:
-    def test_self_measurement_projective(self):
-        det = Detector(projective_measure(np.eye(2)), [1.0, -1.0])
-        rng = np.random.default_rng(118)
-        rho = random_density(2, rng)
-        report = measurement_uncertainty(det, rho, PAULI[3])
-        sigma = q_uncertainty(rho, PAULI[3]).sigma
-        assert report.bias == pytest.approx(0.0, abs=1e-12)
-        assert report.delta == pytest.approx(sigma, abs=1e-10)
-
-    def test_constant_shift_gives_bias(self):
-        det = Detector(projective_measure(np.eye(2)), [1.0, -1.0])
-        rng = np.random.default_rng(119)
-        rho = random_density(2, rng)
-        report = measurement_uncertainty(det, rho, PAULI[3] + 0.3 * np.eye(2))
-        assert report.bias == pytest.approx(0.3)
-
-    def test_rescaled_surrogate_brute_force(self):
-        # detector measures A = 0.9 sigma3 projectively; X = sigma3
-        det = Detector(projective_measure(np.eye(2)), [0.9, -0.9])
-        rho = 0.5 * (np.eye(2) + 0.5 * PAULI[3])
-        report = measurement_uncertainty(det, rho, PAULI[3])
-        assert report.bias == pytest.approx(0.05)
-        # brute force over the two outcomes
-        p = response_probabilities(det.measure, rho)
-        x_bar = 0.5
-        mse = p[0] * (0.9 - x_bar) ** 2 + p[1] * (-0.9 - x_bar) ** 2
-        sigma_x2 = 1.0 - x_bar**2
-        sigma_a2 = 0.81 * (1.0 - 0.25)
-        expected = np.sqrt(mse + max(sigma_x2 - sigma_a2, 0.0))
-        assert report.rmse == pytest.approx(np.sqrt(mse))
-        assert report.delta == pytest.approx(expected)
-
     def test_error_decomposition_identity(self):
         rng = np.random.default_rng(120)
         for _ in range(50):
@@ -183,53 +149,3 @@ class TestMeasurementUncertainty:
             lhs = np.sum(p * np.abs(det.scale[:, 0] - x_bar) ** 2)
             rhs = np.sum(p * np.abs(det.scale[:, 0] - a_bar) ** 2) + abs(a_bar - x_bar) ** 2
             assert abs(lhs - rhs) <= 1e-12
-
-    def test_lower_bound(self):
-        rng = np.random.default_rng(121)
-        for _ in range(100):
-            n = int(rng.integers(2, 6))
-            det = Detector(random_measure(2, n, rng), rng.normal(size=n))
-            rho = random_density(2, rng)
-            x = random_hermitian(2, rng)
-            report = measurement_uncertainty(det, rho, x)
-            sigma_x = q_uncertainty(rho, x).sigma
-            bound = np.sqrt(sigma_x**2 + report.bias**2)
-            assert report.delta >= bound - 1e-10
-
-
-class TestSpectrumMembership:
-    def test_eigenvalue_is_member_with_witness(self):
-        report = spectrum_membership(PAULI[3], 1.0)
-        assert report.member
-        assert np.allclose(np.abs(report.witness), [1.0, 0.0])
-
-    def test_gap_point_not_member(self):
-        report = spectrum_membership(PAULI[3], 0.0)
-        assert not report.member
-        assert report.min_eig == pytest.approx(1.0)
-        assert report.witness is None
-
-    def test_truncated_position_momentum_pair_has_empty_joint_spectrum(self):
-        d = 20
-        a = np.diag(np.sqrt(np.arange(1, d)), 1)  # lowering operator
-        q = (a + a.T) / np.sqrt(2.0)
-        p = (a - a.T) / (np.sqrt(2.0) * 1j)
-        report = spectrum_membership(np.stack([q, p]), np.array([0.0, 0.0]))
-        assert not report.member
-        assert report.min_eig > 0.0
-
-    def test_variational_principle_brute_force(self):
-        rng = np.random.default_rng(122)
-        x = np.stack([random_hermitian(3, rng) for _ in range(2)])
-        xi = np.array([0.3, -0.2])
-        report = spectrum_membership(x, xi, tol=1e9)  # always returns a witness
-        b = np.zeros((3, 3), dtype=complex)
-        for comp, v in zip(x, xi):
-            shifted = comp - v * np.eye(3)
-            b += shifted.conj().T @ shifted
-        for _ in range(1000):
-            psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-            psi /= np.linalg.norm(psi)
-            assert (psi.conj() @ b @ psi).real >= report.min_eig - 1e-12
-        attained = (report.witness.conj() @ b @ report.witness).real
-        assert attained == pytest.approx(report.min_eig, abs=1e-12)
