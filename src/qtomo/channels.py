@@ -11,10 +11,11 @@ Conventions, fixed project-wide:
   completely positive maps.
 
 Each Kraus-map quantity is one stacked product over the operators; the Choi
-matrix is the Gram product V^T conj(V) of the rows V_l = vec(T_l).  One rule
-decides complete positivity, in is_completely_positive and kraus_from_choi:
-the Choi matrix is Hermitian within tol, and its least eigenvalue is at least
--tol * max(largest eigenvalue, 1), so the rule does not depend on the scale.
+matrix is the Gram product V^T conj(V) of the rows V_l = vec(T_l).  Every
+verdict is a rule of ops: a map is completely positive when its Choi matrix
+passes ops.require_hermitian as a dimensionless operator (scale max(trace, 1)),
+a Choi rank counts eigenvalues by ops.numerical_rank, and a filter or an
+instrument is passive when I - pi passes the same check as its Choi matrix.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ops import _Frozen, as_square, hermitian_defect, hermitian_part, square_stack
-
-CP_TOL = 1e-9
+from .ops import (TOL_HERM, TOL_PSD, _breach, _Frozen, as_square, hermitian_defect,
+                  hermitian_part, min_eigenvalue, numerical_rank, require_hermitian, square_stack)
 
 
 def vec(x) -> np.ndarray:
@@ -104,57 +104,50 @@ class CPReport(NamedTuple):
     cp: bool
 
 
-def is_completely_positive(e, tol: float = CP_TOL) -> CPReport:
-    """Complete positivity via Hermiticity and spectrum of the Choi matrix."""
+def is_completely_positive(e) -> CPReport:
+    """The absolute Hermitian defect and least eigenvalue of the Choi matrix, and cp: whether
+    ops.require_hermitian accepts it as a dimensionless operator at the library tolerances."""
     choi = choi_transform(e)
-    defect = hermitian_defect(choi)
-    evals = np.linalg.eigvalsh(hermitian_part(choi))
-    low, top = float(evals[0]), float(evals[-1])
-    return CPReport(defect, low, defect <= tol and low >= -tol * max(top, 1.0))
+    cp = _breach(choi[None], TOL_HERM, TOL_PSD, True) is None
+    return CPReport(hermitian_defect(choi), min_eigenvalue(choi), cp)
 
 
-def kraus_from_choi(choi, tol: float = CP_TOL) -> list[np.ndarray]:
+def kraus_from_choi(choi, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> list[np.ndarray]:
     """Canonical Kraus operators from the eigendecomposition of a Choi matrix.
 
-    Eigenvalues below tol (relative to the largest) are treated as zero, so
-    the number of operators equals the numerical Choi rank.  Operators are
-    ordered by descending eigenvalue; each eigenvector's phase is fixed by
-    making its first nonnegligible component real positive.
+    The matrix must pass ops.require_hermitian as a dimensionless operator.  Its spectrum,
+    negative eigenvalues clipped to zero, gives one operator per eigenvalue that
+    ops.numerical_rank counts, so the number of operators is the numerical Choi rank.
+    Operators are ordered by descending eigenvalue; each eigenvector's phase is fixed by making
+    its first nonnegligible component real positive.
     """
     c = as_square(choi, "Choi matrix")
     d = superop_dim(c)
-    defect = hermitian_defect(c)
-    if defect > tol:
-        raise ContractViolation(
-            f"not completely positive: Choi matrix has Hermitian defect {defect:.3e}"
-        )
+    require_hermitian(c, "not completely positive: Choi matrix", tol_herm, tol_psd,
+                      dimensionless=True)
     evals, evecs = np.linalg.eigh(hermitian_part(c))
-    top = float(evals[-1])
-    if float(evals[0]) < -tol * max(top, 1.0):  # is_completely_positive's rule
-        raise ContractViolation(
-            f"not completely positive: min Choi eigenvalue {evals[0]:.3e}"
-        )
-    if top <= tol:
+    order = np.argsort(-evals, kind="stable")
+    spectrum = np.clip(evals[order], 0.0, None)
+    rank = numerical_rank(spectrum)
+    if rank == 0:
         raise ContractViolation("Choi matrix is numerically zero; no Kraus expansion")
     ops = []
-    cutoff = tol * top
-    for lam, v in sorted(zip(evals, evecs.T), key=lambda p: -p[0]):
-        if lam <= cutoff:
-            break
+    for lam, v in zip(spectrum[:rank], evecs[:, order[:rank]].T):
         idx = np.argmax(np.abs(v) > 1e-12)
         phase = v[idx] / abs(v[idx])
         ops.append(np.sqrt(lam) * unvec(v / phase, d))
     return ops
 
 
-def kraus_from_superop(e, tol: float = CP_TOL) -> list[np.ndarray]:
-    return kraus_from_choi(choi_transform(e), tol)
+def kraus_from_superop(e) -> list[np.ndarray]:
+    return kraus_from_choi(choi_transform(e))
 
 
-def choi_rank(e, tol: float = CP_TOL) -> int:
-    choi = choi_transform(e)
-    evals = np.abs(np.linalg.eigvalsh(hermitian_part(choi)))
-    return int(np.sum(evals > tol * evals.max(initial=0.0)))  # 0 for the zero map
+def choi_rank(e) -> int:
+    """ops.numerical_rank of the |eigenvalues| of the Choi matrix's Hermitian part; 0 for the
+    zero map."""
+    evals = np.abs(np.linalg.eigvalsh(hermitian_part(choi_transform(e))))
+    return numerical_rank(np.sort(evals)[::-1])
 
 
 def pi_operator(kraus) -> np.ndarray:
@@ -163,22 +156,30 @@ def pi_operator(kraus) -> np.ndarray:
     return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
+def _require_passive(pi, name: str) -> np.ndarray:
+    """The residue I - pi of an intensity operator pi, unless it fails ops.require_hermitian as a
+    dimensionless operator at the library tolerances (ContractViolation naming name)."""
+    return require_hermitian(np.eye(len(pi)) - pi, name, TOL_HERM, TOL_PSD, dimensionless=True)
+
+
 class FilterClass(NamedTuple):
     lossless: bool
     passive: bool
     active: bool
     mixing: bool
+    choi_rank: int
 
 
-def classify_filter(kraus, tol: float = CP_TOL) -> FilterClass:
-    """Lossless/passive/active from the intensity operator, mixing from Choi rank."""
+def classify_filter(kraus, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> FilterClass:
+    """Passive when I - pi passes ops.require_hermitian as a dimensionless operator, lossless
+    when max|pi - I| <= tol_psd (the sum-defect rule of a measure), active when not passive,
+    mixing when the Choi rank exceeds one."""
     pi = pi_operator(kraus)
-    d = pi.shape[0]
-    lossless = float(np.max(np.abs(pi - np.eye(d)))) <= tol
-    top = float(np.linalg.eigvalsh(hermitian_part(pi))[-1])
-    passive = top <= 1.0 + tol
-    mixing = choi_rank(superop_from_kraus(kraus), tol) > 1
-    return FilterClass(lossless, passive, not passive, mixing)
+    identity = np.eye(len(pi))
+    lossless = float(np.max(np.abs(pi - identity))) <= tol_psd
+    passive = _breach((identity - pi)[None], tol_herm, tol_psd, True) is None
+    rank = choi_rank(superop_from_kraus(kraus))
+    return FilterClass(lossless, passive, not passive, rank > 1, rank)
 
 
 class Instrument(_Frozen):
@@ -207,20 +208,12 @@ class Instrument(_Frozen):
     def __len__(self) -> int:
         return len(self.branches)
 
-    def pi_operators(self) -> list[np.ndarray]:
-        return [pi_operator(branch) for branch in self.branches]
-
-    def total_pi(self) -> np.ndarray:
-        return np.sum(self.pi_operators(), axis=0)
-
-    def null_kraus(self, tol: float = CP_TOL) -> list[np.ndarray]:
-        """Kraus set of the null branch completing the rates to the intensity."""
-        residue = np.eye(self.dim) - self.total_pi()
+    def null_kraus(self) -> list[np.ndarray]:
+        """Kraus set of the null branch completing the rates to the intensity: the root of the
+        residue I - pi, pi the intensity operator of every branch's Kraus operators."""
+        residue = _require_passive(pi_operator([t for branch in self.branches for t in branch]),
+                                   "super-unital instrument: branch rates exceed the intensity: "
+                                   "residue I - pi")
         evals, evecs = np.linalg.eigh(hermitian_part(residue))
-        if float(evals[0]) < -tol:
-            raise ContractViolation(
-                f"super-unital instrument: branch rates exceed the intensity "
-                f"(residue min eigenvalue {evals[0]:.3e})"
-            )
         root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
         return [root.astype(complex)]

@@ -177,7 +177,7 @@ def _device(doc, tols):
     detector observing it, read as a measure: sampling draws labels and never reads a scale."""
     if not (isinstance(doc, dict) and "instrument" in doc):
         return None, _measure(doc, tols)
-    return (io.instrument_from_json(doc["instrument"]),
+    return (io.instrument_from_json(doc["instrument"], **tols),
             _measure(io._field(doc, "detector", "device"), tols))
 
 
@@ -395,11 +395,10 @@ def report(tols, kind, inputs, out_path, plot_path):
         else:
             if len(inputs) != 1:
                 raise ContractViolation("report classify needs one channel file")
-            from .channels import choi_rank, classify_filter, pi_operator, superop_from_kraus
+            from .channels import classify_filter, pi_operator
 
-            kraus = _load(inputs[0], io.channel_from_json)
-            payload = {**classify_filter(kraus)._asdict(),
-                       "choi_rank": choi_rank(superop_from_kraus(kraus)),
+            kraus = _load(inputs[0], lambda doc: io.channel_from_json(doc, **tols))
+            payload = {**classify_filter(kraus, **tols)._asdict(),
                        "pi": io.matrix_to_json(pi_operator(kraus))}
         if plot_path is not None:
             text = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in series)

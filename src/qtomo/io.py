@@ -185,14 +185,15 @@ def channel_to_json(kraus):
     return {"dim": ops[0].shape[0], "kraus": [matrix_to_json(t) for t in ops]}
 
 
-def channel_from_json(obj) -> list:
-    """Parse a channel given as Kraus operators or a Choi matrix."""
+def channel_from_json(obj, **tols) -> list:
+    """Parse a channel given as Kraus operators or a Choi matrix.  The keywords tol_herm and
+    tol_psd, if given, go to kraus_from_choi."""
     from .channels import kraus_from_choi
 
     if "kraus" in _object(obj, "channel"):
         ops = [matrix_from_json(t) for t in _array(obj, "kraus", "channel")]
     elif "choi" in obj:
-        ops = kraus_from_choi(matrix_from_json(obj["choi"]))
+        ops = kraus_from_choi(matrix_from_json(obj["choi"]), **tols)
     else:
         raise ContractViolation("channel document needs 'kraus' or 'choi'")
     if not ops:
@@ -201,11 +202,12 @@ def channel_from_json(obj) -> list:
     return ops
 
 
-def instrument_from_json(obj) -> Instrument:
+def instrument_from_json(obj, **tols) -> Instrument:
+    """Parse an instrument, one channel document per branch; tols go to channel_from_json."""
     from .channels import Instrument
 
     branches = _array(obj, "branches", "instrument")
-    return Instrument(tuple(tuple(channel_from_json(b)) for b in branches))
+    return Instrument(tuple(tuple(channel_from_json(b, **tols)) for b in branches))
 
 
 def instrument_to_json(instrument: Instrument):

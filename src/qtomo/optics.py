@@ -4,7 +4,10 @@ A qubit beam state maps one-to-one onto a real Stokes 4-vector; passive
 filters act as rho -> T rho T* with a 2x2 Jones matrix T, and a balanced
 splitter acts blockwise on two-beam states.  A tree of splitters with
 filtered leaves compiles into a quantum measure with one element per leaf
-plus a remainder element for the absorbed part of the beam.
+plus a remainder element for the absorbed part of the beam.  A leaf and a
+cascade are passive by the rule of channels._require_passive: I - pi, for the
+intensity operator pi of the leaf's filter or of all leaves, passes
+ops.require_hermitian as a dimensionless operator.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import _require_passive, pi_operator
 from .errors import ContractViolation
 from .measures import QuantumMeasure
-from .ops import (PAULI, TOL_PSD, _Frozen, as_square, min_eigenvalue, quantum_value,
-                  require_hermitian)
+from .ops import PAULI, TOL_PSD, _Frozen, as_square, quantum_value, require_hermitian
 
 _STOKES_TOL = 1e-12
 
@@ -88,11 +91,7 @@ class Leaf(_Frozen):
         t = as_square(jones, "jones matrix")
         if t.shape != (2, 2):
             raise ContractViolation(f"leaf Jones matrix must be 2x2, got {t.shape}")
-        norm = float(np.linalg.norm(t, 2))
-        if norm > 1.0 + 1e-12:
-            raise ContractViolation(
-                f"leaf Jones matrix has spectral norm {norm} > 1; cascades must be passive"
-            )
+        _require_passive(pi_operator([t]), "leaf Jones matrix must be passive: I - T*T")
         self._fill(t)
 
 
@@ -116,14 +115,9 @@ def cascade_measure(net) -> QuantumMeasure:
     """Quantum measure of a splitter cascade: P_k = 2^-s T_k* T_k per leaf.
 
     The remainder P_0 = 1 - sum P_k (the beam fraction absorbed in the
-    filters) is appended as the last element, unless its smallest eigenvalue
-    is below -1e-10.
+    filters) is appended as the last element, unless sum P_k is not passive.
     """
-    elements = np.asarray([2.0 ** (-depth) * (jones.conj().T @ jones)
+    elements = np.asarray([2.0 ** (-depth) * pi_operator([jones])
                            for jones, depth in network_leaves(net)], dtype=complex)
-    remainder = np.eye(2, dtype=complex) - elements.sum(axis=0)
-    low = min_eigenvalue(remainder)
-    if low < -1e-10:
-        raise ContractViolation(
-            f"lossy-network inconsistency: remainder has min eigenvalue {low:.3e}")
+    remainder = _require_passive(elements.sum(axis=0), "lossy-network inconsistency: remainder")
     return QuantumMeasure([*elements, remainder])

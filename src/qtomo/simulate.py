@@ -232,7 +232,7 @@ def sample_events(cfg: ExperimentConfig):
     return log, log.counts()
 
 
-def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho, tol=_PROB_TOL):
+def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho):
     """Exact coincidence table p[j, k] = tr(P_k E_j(rho)) including null slots.
 
     P_k are the measure's elements.  Row j = 0 is the appended null branch;
@@ -242,10 +242,10 @@ def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho, to
     from .channels import kraus_apply
 
     rho = as_square(rho, "rho")
-    branches = [instrument.null_kraus(tol)] + list(instrument.branches)
+    branches = [instrument.null_kraus()] + list(instrument.branches)
     table = np.zeros((len(branches), len(measure) + 1))
     for j, branch in enumerate(branches):
-        table[j, 1:] = response_probabilities(measure, kraus_apply(branch, rho), tol)
+        table[j, 1:] = response_probabilities(measure, kraus_apply(branch, rho), _PROB_TOL)
     return table
 
 

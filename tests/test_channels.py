@@ -20,8 +20,7 @@ from qtomo import (
     superop_from_kraus,
     validate_density,
 )
-from qtomo.channels import CP_TOL
-from qtomo.ops import hermitian_defect
+from qtomo.ops import TOL_HERM, hermitian_defect
 from support import random_complex, random_density, random_kraus, random_unitary
 
 
@@ -113,10 +112,10 @@ class TestCompletePositivity:
         rng = np.random.default_rng(46)
         e = superop_from_kraus(random_kraus(2, 2, rng))
         # E(X*) = E(X)* exactly when the Choi matrix is Hermitian
-        assert hermitian_defect(choi_transform(e)) <= CP_TOL
+        assert hermitian_defect(choi_transform(e)) <= TOL_HERM
         # left multiplication by sigma1 is linear but not hermiticity preserving
         left = superop_from_action(lambda x: PAULI[1] @ x, 2)
-        assert hermitian_defect(choi_transform(left)) > CP_TOL
+        assert hermitian_defect(choi_transform(left)) > TOL_HERM
 
 
 class TestKrausExtraction:

@@ -1288,6 +1288,35 @@ class TestReportCommand:
         report = json.loads(out.read_text())
         assert report["lossless"] and report["passive"] and not report["mixing"]
 
+    def test_classify_reads_tol_psd_for_a_choi_document(self, tmp_path):
+        # the least Choi eigenvalue -5e-9 lies outside the default --tol-psd 1e-9
+        chan = tmp_path / "choi.json"
+        chan.write_text('{"choi": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -5e-9]]}')
+        out = tmp_path / "strict" / "cls.json"
+        result = run_cli(["report", "classify", str(chan), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"]["message"] == (
+            f"{chan}: not completely positive: Choi matrix: PSD defect 5.000e-09 exceeds "
+            "--tol-psd 1e-09")
+        assert not out.exists()
+        out = tmp_path / "loose" / "cls.json"
+        result = run_cli(["--tol-psd", "1e-8", "report", "classify", str(chan), "--out",
+                          str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["choi_rank"] == 1
+
+    def test_classify_reads_tol_psd_for_passive_and_lossless(self, tmp_path):
+        # T = (1 + 2e-9) I: I - T*T has the eigenvalue -4e-9 twice
+        chan = tmp_path / "amp.json"
+        qio.write_json_atomic(str(chan), qio.channel_to_json([(1 + 2e-9) * np.eye(2)]))
+        for options, verdict in (([], False), (["--tol-psd", "1e-8"], True)):
+            out = tmp_path / f"run-{verdict}" / "cls.json"
+            result = run_cli([*options, "report", "classify", str(chan), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            report = json.loads(out.read_text())
+            assert (report["passive"], report["lossless"], report["active"]) == (
+                verdict, verdict, not verdict)
+
     def test_classify_refuses_a_plot_csv(self, tmp_path):
         # classify has no series: the plot was silently not written
         chan = tmp_path / "chan.json"

@@ -8,10 +8,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qtomo import ContractViolation, LindbladModel, robertson_check, rydberg_ritz_lines
+from qtomo import (ContractViolation, Instrument, Leaf, LindbladModel, cascade_measure,
+                   choi_transform, classify_filter, is_completely_positive, kraus_from_choi,
+                   robertson_check, rydberg_ritz_lines)
 from qtomo.ops import TOL_HERM, TOL_PSD, hermitian_defect, min_eigenvalue, require_hermitian
 from qtomo.ops import validate_density
 from support import run_cli
@@ -20,11 +22,26 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "qtomo")
 _JUDGES = {"hermitian_defect", "min_eigenvalue"}
 
 
-def _judge_calls(node):
-    """Whether the expression holds a call to hermitian_defect or min_eigenvalue."""
+def _judge_calls(node, bound=frozenset()):
+    """Whether the expression holds a call to hermitian_defect or min_eigenvalue, or loads one of
+    the names bound to such a call."""
     return any(isinstance(n, ast.Call) and (getattr(n.func, "id", None) in _JUDGES
                                             or getattr(n.func, "attr", None) in _JUDGES)
+               or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in bound
                for n in ast.walk(node))
+
+
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function body, without those of the functions it defines."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _literal(node):
@@ -37,19 +54,30 @@ def _literal(node):
 
 def scattered_thresholds(directory):
     """file:line of each comparison in directory/*.py, ops.py aside, that sets a call to
-    hermitian_defect or min_eigenvalue against a numeric literal."""
+    hermitian_defect or min_eigenvalue, or a name the same function binds to one, against a
+    numeric literal."""
     found = []
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".py") or name == "ops.py":
             continue
         with open(os.path.join(directory, name)) as handle:
             tree = ast.parse(handle.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Compare):
-                sides = [node.left, *node.comparators]
-                if any(_judge_calls(a) and _literal(b) or _literal(a) and _judge_calls(b)
-                       for a, b in zip(sides, sides[1:])):
-                    found.append(f"{name}:{node.lineno}")
+        lines = []
+        for scope in ast.walk(tree):
+            if not isinstance(scope, _SCOPES):
+                continue
+            nodes = list(_own_nodes(scope))
+            bound = frozenset(n.id for node in nodes if isinstance(node, ast.Assign)
+                              and _judge_calls(node.value) for target in node.targets
+                              for n in ast.walk(target) if isinstance(n, ast.Name))
+            for node in nodes:
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(_judge_calls(a, bound) and _literal(b)
+                           or _literal(a) and _judge_calls(b, bound)
+                           for a, b in zip(sides, sides[1:])):
+                        lines.append(node.lineno)
+        found += [f"{name}:{line}" for line in sorted(lines)]
     return found
 
 
@@ -62,6 +90,8 @@ def test_no_module_judges_an_operator_by_its_own_literal():
     ("ok = -1e-9 <= ops.min_eigenvalue(v)\n", ["m.py:1"]),
     ("ok = float(hermitian_defect(h).max()) <= tol\n", []),
     ("ok = abs(x) > 1e-9\n", []),
+    ("def f(v):\n    low = min_eigenvalue(v)\n    if low < -1e-10:\n        pass\n", ["m.py:3"]),
+    ("def f(v):\n    low = min_eigenvalue(v)\n\ndef g(low):\n    return low < -1e-10\n", []),
 ])
 def test_the_ratchet_sees_a_literal_on_either_side(tmp_path, source, found):
     (tmp_path / "m.py").write_text(source)
@@ -180,6 +210,57 @@ class TestOneRuleForStates:
             require_hermitian(stack, ["a", "b", "c"], 1.0, 0.5)
         with pytest.raises(ContractViolation, match="^c: Hermitian defect 1.000e\\+00"):
             require_hermitian(stack, ["a", "b", "c"])
+
+
+def _bypassed_leaf(t):
+    """A Leaf holding t without the constructor's passivity check."""
+    leaf = object.__new__(Leaf)
+    object.__setattr__(leaf, "jones", t)
+    return leaf
+
+
+_DIAGONAL = np.array([[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]])
+
+
+class TestOnePassivityRule:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, (2, 2, 2), elements=_entries(-1.0, 1.0)), _entries(-1e-8, 1e-8))
+    @example(_DIAGONAL, 5e-10)
+    @example(_DIAGONAL, 4e-9)
+    def test_leaf_filter_instrument_and_cascade_agree(self, parts, excess):
+        # T is scaled so that the largest eigenvalue of T*T is 1 + excess
+        g = parts[0] + 1j * parts[1]
+        norm = np.linalg.norm(g, 2)
+        assume(norm > 1e-3)
+        t = g * (np.sqrt(1.0 + excess) / norm)
+        verdicts = {
+            "leaf": _verdict(lambda: Leaf(t)) is None,
+            "filter": classify_filter([t]).passive,
+            "instrument": _verdict(lambda: Instrument(((t,),)).null_kraus()) is None,
+            "cascade": _verdict(lambda: cascade_measure(_bypassed_leaf(t))) is None,
+        }
+        assert len(set(verdicts.values())) == 1, (excess, verdicts)
+        if abs(excess) > 2 * TOL_PSD:  # away from the bound, the verdict is the sign
+            assert verdicts["leaf"] == (excess < 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+           st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 1e-11, 1e-9]))
+    def test_complete_positivity_is_the_check_of_the_choi_matrix(self, seed, scale, low,
+                                                                 defect):
+        # a Choi matrix of trace about 2 * scale whose least eigenvalue is -low * 1e-9 of it
+        rng = np.random.default_rng(seed)
+        spectrum = scale * rng.uniform(0.1, 1.0, 4)
+        spectrum[0] = -low * TOL_PSD * max(spectrum[1:].sum(), 1.0)
+        q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        choi = (q * spectrum) @ q.conj().T
+        choi[0, 1] += defect * max(spectrum.sum(), 1.0)
+        accepted = _verdict(lambda: require_hermitian(choi, "C", TOL_HERM, TOL_PSD,
+                                                      dimensionless=True)) is None
+        assert is_completely_positive(choi_transform(choi)).cp == accepted
+        message = _verdict(lambda: kraus_from_choi(choi))
+        assert (message is None) == accepted
+        assert accepted or message.startswith("not completely positive: Choi matrix: ")
 
 
 def _write(path, doc):

@@ -76,7 +76,7 @@ def _loop_stokes_to_density(s):
 
 
 def _loop_joint_probabilities(instrument, measure, rho, tol=1e-9):
-    branches = [instrument.null_kraus(tol)] + list(instrument.branches)
+    branches = [instrument.null_kraus()] + list(instrument.branches)
     table = np.zeros((len(branches), len(measure) + 1))
     for j, branch in enumerate(branches):
         out = _loop_kraus_apply(branch, rho)
@@ -183,7 +183,8 @@ class TestOneCompletePositivityRule:
     @pytest.mark.parametrize("d", [2, 3])
     def test_kraus_extraction_refuses_exactly_the_maps_that_are_not_cp(self, d, scale):
         # by turns: a PSD Choi matrix, and one whose least eigenvalue lies a factor 10 inside
-        # or outside the bound -tol * max(largest, 1)
+        # or outside -tol * max(largest, 1); the rule's bound is -tol * max(trace, 1), and the
+        # trace lies between about the largest and d^2 = 9 times it, so both keep their verdicts
         rng = np.random.default_rng(d)
         for i in range(30):
             spectrum = scale * rng.uniform(0.1, 1.0, d * d)
