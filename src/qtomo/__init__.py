@@ -81,7 +81,6 @@ _EXPORTS = {
     "simulate": (
         "EventLog",
         "ExperimentConfig",
-        "empirical_rates",
         "event_log_from_csv",
         "event_log_to_csv",
         "joint_probabilities",

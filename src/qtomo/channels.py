@@ -14,8 +14,10 @@ Each Kraus-map quantity is one stacked product over the operators; the Choi
 matrix is the Gram product V^T conj(V) of the rows V_l = vec(T_l).  Every
 verdict is a rule of ops: a map is completely positive when its Choi matrix
 passes ops.require_hermitian as a dimensionless operator (scale max(trace, 1)),
-a Choi rank counts eigenvalues by ops.numerical_rank, and a filter or an
-instrument is passive when I - pi passes the same check as its Choi matrix.
+a Choi rank counts the eigenvalues, negative ones clipped to zero, by
+ops.numerical_rank, so it is the number of canonical Kraus operators, and a
+filter or an instrument is passive when I - pi passes the same check as its
+Choi matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ def vec(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1)
 
 
-def unvec(v, d: int | None = None) -> np.ndarray:
+def unvec(v, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
     if d * d != v.size:
         raise ContractViolation(f"cannot reshape length {v.size} into a square matrix")
     return v.reshape(d, d)
@@ -112,6 +112,14 @@ def is_completely_positive(e) -> CPReport:
     return CPReport(hermitian_defect(choi), min_eigenvalue(choi), cp)
 
 
+def _choi_spectrum(choi):
+    """(eigenvalues, eigenvectors) of a Choi matrix's Hermitian part, in descending order, the
+    negative eigenvalues clipped to zero: what kraus_from_choi and choi_rank count."""
+    evals, evecs = np.linalg.eigh(hermitian_part(choi))
+    order = np.argsort(-evals, kind="stable")
+    return np.clip(evals[order], 0.0, None), evecs[:, order]
+
+
 def kraus_from_choi(choi, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> list[np.ndarray]:
     """Canonical Kraus operators from the eigendecomposition of a Choi matrix.
 
@@ -125,14 +133,12 @@ def kraus_from_choi(choi, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) 
     d = superop_dim(c)
     require_hermitian(c, "not completely positive: Choi matrix", tol_herm, tol_psd,
                       dimensionless=True)
-    evals, evecs = np.linalg.eigh(hermitian_part(c))
-    order = np.argsort(-evals, kind="stable")
-    spectrum = np.clip(evals[order], 0.0, None)
+    spectrum, evecs = _choi_spectrum(c)
     rank = numerical_rank(spectrum)
     if rank == 0:
         raise ContractViolation("Choi matrix is numerically zero; no Kraus expansion")
     ops = []
-    for lam, v in zip(spectrum[:rank], evecs[:, order[:rank]].T):
+    for lam, v in zip(spectrum[:rank], evecs[:, :rank].T):
         idx = np.argmax(np.abs(v) > 1e-12)
         phase = v[idx] / abs(v[idx])
         ops.append(np.sqrt(lam) * unvec(v / phase, d))
@@ -144,10 +150,9 @@ def kraus_from_superop(e) -> list[np.ndarray]:
 
 
 def choi_rank(e) -> int:
-    """ops.numerical_rank of the |eigenvalues| of the Choi matrix's Hermitian part; 0 for the
-    zero map."""
-    evals = np.abs(np.linalg.eigvalsh(hermitian_part(choi_transform(e))))
-    return numerical_rank(np.sort(evals)[::-1])
+    """ops.numerical_rank of the Choi spectrum, negative eigenvalues clipped to zero: the number
+    of operators kraus_from_choi returns; 0 for the zero map."""
+    return numerical_rank(_choi_spectrum(choi_transform(e))[0])
 
 
 def pi_operator(kraus) -> np.ndarray:

@@ -323,20 +323,18 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
     tols = {key: tols[key] for key in ("tol_herm", "tol_psd")}
     with _Run("dynamics", {"model": model, "t": t_final, "dt": dt, "method": method},
               os.path.dirname(os.path.abspath(out_path)), tolerances=tols):
-        from .dynamics import (Trajectory, lindblad_evolve, sliced_master, step_count,
-                               von_neumann_evolve)
+        from .dynamics import (Trajectory, lindblad_evolve, sliced_final, sliced_master,
+                               step_count, von_neumann_evolve)
 
         if dt <= 0 or t_final < 0:
             raise ContractViolation(f"need dt > 0 and t >= 0, got dt={dt}, t={t_final}")
         medium, rho0 = _load(model, lambda doc: io.model_from_json(doc, **tols))
         steps = step_count(t_final, dt)
         d = medium.dim
-        # the longest run: --richardson also slices 2n steps of dt / 2
-        longest, name = (2 * steps, "2n") if richardson else (steps, "n")
-        if (longest + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
+        if (steps + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
             raise ContractViolation(
-                f"t / dt asks for n = {steps} steps of {d}x{d} states: ({name} + 1) d^2 = "
-                f"{(longest + 1) * d * d} complex entries, more than {MAX_TRAJECTORY_ENTRIES}")
+                f"t / dt asks for n = {steps} steps of {d}x{d} states: (n + 1) d^2 = "
+                f"{(steps + 1) * d * d} complex entries, more than {MAX_TRAJECTORY_ENTRIES}")
         if (method == "exact" or richardson) and (medium.V is not None or medium.jump_ops):
             raise ContractViolation(
                 "method 'exact' and --richardson cover only lossless models (no V, no jumps)")
@@ -349,10 +347,10 @@ def dynamics(tols, model, t_final, dt, method, out_path, richardson):
             traj = Trajectory(times, von_neumann_evolve(medium.H, rho0, times, medium.hbar))
         io.write_json_atomic(out_path, io.trajectory_to_json(traj))
         if richardson:
+            # the final states of n slices of dt and 2n of dt / 2, each by one matrix power
             exact = von_neumann_evolve(medium.H, rho0, steps * dt, medium.hbar)
-            sliced = traj if method == "slice" else sliced_master(medium, rho0, dt, steps)
-            err = np.max(np.abs(sliced.final - exact))
-            err_half = np.max(np.abs(sliced_master(medium, rho0, dt / 2, 2 * steps).final - exact))
+            err = np.max(np.abs(sliced_final(medium, rho0, dt, steps) - exact))
+            err_half = np.max(np.abs(sliced_final(medium, rho0, dt / 2, 2 * steps) - exact))
             io.write_json_atomic(
                 os.path.splitext(out_path)[0] + ".richardson.json",
                 {"error_dt": float(err), "error_half_dt": float(err_half),

@@ -226,6 +226,16 @@ def sliced_master(model: LindbladModel, rho0, dt: float, steps: int) -> Trajecto
     return Trajectory(dt * np.arange(steps + 1), states)
 
 
+def sliced_final(model: LindbladModel, rho0, dt: float, steps: int) -> np.ndarray:
+    """Final state of sliced_master for a model without jumps: T^n rho0 (T^n)* with T = 1 + dt K,
+    T^n by np.linalg.matrix_power, so the cost grows with log n, not n."""
+    if model.jump_ops:
+        raise ContractViolation("the slice power covers only models without jumps")
+    d = model.dim
+    power = np.linalg.matrix_power(np.eye(d, dtype=complex) + dt * _slice_generator(model), steps)
+    return power @ _initial_state(rho0, d) @ power.conj().T
+
+
 class SpectralLines(NamedTuple):
     omega: np.ndarray  # angular frequencies |E_j - E_k| / hbar
     nu: np.ndarray     # line frequencies omega / (2 pi)

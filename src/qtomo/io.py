@@ -1,6 +1,6 @@
 """JSON file formats and canonical serialization.
 
-The counts memo of an event log is here too (``counts_memo``, ``counts_document``):
+The counts memo of an event log is here too (``counts_memo``):
 the log's seed, shot count and counts, and the sha256 of its CSV bytes.  A reader
 takes a log's counts from the memo, whatever its name, that records the sha256 of
 that log's bytes (``file_sha256``, ``memos_by_digest``, ``counts_from_document``),
@@ -270,16 +270,10 @@ def trajectory_to_json(traj):
     return [{"t": float(t), "matrix": m} for t, m in zip(traj.times, matrix_to_json(traj.states))]
 
 
-def events_sha256(data) -> str:
-    """Hex sha256 of an event log's CSV bytes, the digest its counts memo records."""
-    import hashlib  # here: loading OpenSSL costs a command 3-5 ms
-
-    return hashlib.sha256(data).hexdigest()
-
-
 def file_sha256(path) -> str:
-    """events_sha256 of the bytes of the file at path, read into one reused 1 MiB buffer."""
-    import hashlib
+    """Hex sha256 of the bytes of the file at path, the digest an event log's counts memo
+    records, read into one reused 1 MiB buffer."""
+    import hashlib  # here: loading OpenSSL costs a command 3-5 ms
 
     digest = hashlib.sha256()
     block = bytearray(1 << 20)
@@ -301,18 +295,10 @@ _LOG_KINDS = {
 
 
 def counts_memo(seed, shots, counts, digest) -> dict:
-    """The counts.json memo of a run: seed, shots, the counts array and events_sha256."""
+    """The counts.json memo of a run: seed, shots, the counts array and events_sha256, the hex
+    sha256 of exactly the log's CSV bytes, so a reader can tell whether the memo still describes
+    the CSV beside it.  The counts are the log's sufficient statistic."""
     return {"seed": seed, "shots": shots, "counts": counts.tolist(), "events_sha256": digest}
-
-
-def counts_document(log, data) -> dict:
-    """The counts.json memo of an event log whose CSV is data: seed, shots, counts, events_sha256.
-
-    The counts are the log's sufficient statistic; events_sha256 is the
-    digest of exactly data, so a reader can tell whether the memo still
-    describes the CSV beside it.
-    """
-    return counts_memo(log.seed, len(log), log.counts(), events_sha256(data))
 
 
 def _count_array(obj):

@@ -93,13 +93,11 @@ class Detector(_Frozen):
                 raise ContractViolation(f"scale values {j} and {k} coincide; values must be distinct")
         self._fill(measure, values, allow_repeated_values)
 
-    @property
-    def n_components(self) -> int:
-        return self.scale.shape[1]
 
-
-def response_probabilities(measure: QuantumMeasure, rho, tol: float = 1e-9) -> np.ndarray:
-    """Mean response rates p_k = tr(rho P_k); they sum to the intensity."""
+def response_probabilities(measure: QuantumMeasure, rho) -> np.ndarray:
+    """Mean response rates p_k = tr(rho P_k); they sum to the intensity.  ContractViolation when
+    an imaginary part or a negative rate exceeds ops.TOL_PSD, or the sum misses the intensity by
+    more than K times that, each relative to max(1, |tr rho|)."""
     r = as_square(rho, "rho")
     if r.shape[0] != measure.dim:
         raise ContractViolation(
@@ -107,17 +105,17 @@ def response_probabilities(measure: QuantumMeasure, rho, tol: float = 1e-9) -> n
         )
     raw = np.einsum("kij,ji->k", measure.elements, r)
     scale = max(1.0, float(np.abs(np.trace(r))))
-    if np.max(np.abs(raw.imag)) > tol * scale:
+    if np.max(np.abs(raw.imag)) > TOL_PSD * scale:
         raise ContractViolation(
             f"response rates have imaginary part {np.max(np.abs(raw.imag)):.3e}; "
             "inputs are not Hermitian enough"
         )
     p = raw.real
-    if p.min() < -tol * scale:
+    if p.min() < -TOL_PSD * scale:
         raise ContractViolation(f"negative response rate {p.min():.3e}")
     total = p.sum()
     target = float(np.trace(r).real)
-    if abs(total - target) > tol * scale * len(measure):
+    if abs(total - target) > TOL_PSD * scale * len(measure):
         raise ContractViolation(
             f"rates sum to {total}, expected the intensity {target}"
         )

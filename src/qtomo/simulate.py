@@ -14,7 +14,7 @@ the labels do not depend on the chunk size.
 
 A log is written as CSV text (`event_log_to_csv`), and its counts, the
 sufficient statistic of every reconstruction, as a counts.json memo that
-records the sha256 of those CSV bytes (``io.counts_document``).  `write_events`
+records the sha256 of those CSV bytes (``io.counts_memo``).  `write_events`
 streams a run straight to a file instead: it draws, checks, formats, hashes
 and counts a fixed number of shots at a time, in buffers allocated once per
 run, so its memory does not grow with the shot count, and it writes the same
@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from .channels import Instrument
 
 GENERATOR_NAME = "philox4x64"
-_PROB_TOL = 1e-9
 # Shots drawn at a time by every sampler, and checked, formatted and written at a time by
 # write_events and event_log_to_csv; bounds their working memory (a few MB), not their output.
 _CHUNK_SHOTS = 1 << 16
@@ -126,16 +125,13 @@ class EventLog(_Frozen):
 def _prepare_cdf(p):
     """Clip tiny negative rates, renormalize, and build the cumulative vector.
 
-    The vector is exactly 1 from the last outcome of positive probability on,
-    so every uniform in [0, 1) falls on an outcome that can occur: a rounded
-    cumulative sum can end just below 1 (0.9999999999999999 for ten rates of
-    0.1), and a trailing outcome of probability zero must never be drawn.
+    The rates are those of a unit-intensity source, each row already judged by
+    response_probabilities.  The vector is exactly 1 from the last outcome of
+    positive probability on, so every uniform in [0, 1) falls on an outcome that
+    can occur: a rounded cumulative sum can end just below 1 (0.9999999999999999
+    for ten rates of 0.1), and a trailing outcome of probability zero must never
+    be drawn.
     """
-    p = np.asarray(p, dtype=float)
-    if p.min() < -_PROB_TOL:
-        raise ContractViolation(f"probability {p.min():.3e} is negative beyond tolerance")
-    if abs(p.sum() - 1.0) > _PROB_TOL * max(1, p.size):
-        raise ContractViolation(f"probabilities sum to {p.sum()}, expected 1")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     cdf = np.cumsum(p)
@@ -166,7 +162,7 @@ def _label_chunks(cfg: ExperimentConfig):
     """
     if cfg.instrument is None:
         table = np.zeros(len(cfg.measure) + 1)
-        table[1:] = response_probabilities(cfg.measure, cfg.source, _PROB_TOL)
+        table[1:] = response_probabilities(cfg.measure, cfg.source)
     else:
         table = joint_probabilities(cfg.instrument, cfg.measure, cfg.source)
     log = EventLog(cfg.seed, GENERATOR_NAME, [n - 1 for n in table.shape],
@@ -245,15 +241,8 @@ def joint_probabilities(instrument: Instrument, measure: QuantumMeasure, rho):
     branches = [instrument.null_kraus()] + list(instrument.branches)
     table = np.zeros((len(branches), len(measure) + 1))
     for j, branch in enumerate(branches):
-        table[j, 1:] = response_probabilities(measure, kraus_apply(branch, rho), _PROB_TOL)
+        table[j, 1:] = response_probabilities(measure, kraus_apply(branch, rho))
     return table
-
-
-def empirical_rates(log):
-    """tomography.rates_from_counts of the log's counts: one array of relative frequencies."""
-    from .tomography import rates_from_counts
-
-    return rates_from_counts(log.counts(), len(log))
 
 
 # A cell of _csv_rows' byte matrix holds its byte minus ord("0"), modulo 256,
@@ -352,9 +341,9 @@ def event_log_to_csv(log) -> str:
 def write_events(cfg: ExperimentConfig, handle) -> dict:
     """Sample cfg's run and write its CSV to the binary handle; returns its counts.json memo.
 
-    The bytes and the memo are those of event_log_to_csv and io.counts_document
-    of the log that sample_events draws, but only one chunk of shots is in
-    memory at a time, drawn, labelled, checked, formatted and hashed in
+    The bytes are those of event_log_to_csv of the log that sample_events draws,
+    and the memo holds their sha256 and that log's counts, but only one chunk of
+    shots is in memory at a time, drawn, labelled, checked, formatted and hashed in
     buffers allocated once per run.
     """
     return _write_csv(handle, *_label_chunks(cfg))

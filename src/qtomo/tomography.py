@@ -60,7 +60,8 @@ def _span(sing, d, message):
 
 
 def _hermitian_lstsq(operators, rates, shots, what):
-    """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c.
+    """Least-squares Hermitian X_c with tr(X_c O_k) = rates[k, c], for every column c, over
+    the complex (n, d, d) stack of operators O_k, which every caller has built and checked.
 
     The design is built and factored once (ops._design), and its SVD gives the
     rank and condition checks and the solution of every column without shots.  With
@@ -70,14 +71,12 @@ def _hermitian_lstsq(operators, rates, shots, what):
     row-scaled designs: positive finite weights keep the design's full rank.  Returns (X of
     shape (n, d, d), per-column residuals of the unweighted equations, cond, rank).
     """
-    ops = square_stack(operators, "design operator")
-    d = ops.shape[1]
-    basis, m, u, sing, vt = _design(ops)
-    rank, cond = _span(sing, d, f"{what} design is not informationally complete")
+    basis, m, u, sing, vt = _design(operators)
+    rank, cond = _span(sing, operators.shape[1], f"{what} design is not informationally complete")
     y = np.asarray(rates, dtype=float)
-    if y.shape[0] != len(ops):
+    if y.shape[0] != len(operators):
         raise ContractViolation(
-            f"{what}: got {y.shape[0]} rates for {len(ops)} design operators"
+            f"{what}: got {y.shape[0]} rates for {len(operators)} design operators"
         )
     coeff = vt.T @ ((u.T @ y) / sing[:, None])
     if shots is not None:

@@ -16,6 +16,9 @@ from .errors import ContractViolation
 from .measures import Detector, measured_quantity, response_probabilities
 from .ops import _unit_intensity, as_square, quantum_value, require_hermitian
 
+# Rounding allowance of robertson_check: the bound holds when lhs >= rhs - ROBERTSON_SLACK.
+ROBERTSON_SLACK = 1e-10
+
 
 def _components(X) -> np.ndarray:
     """Normalize a quantity to a stack of operator components (m, d, d)."""
@@ -57,14 +60,15 @@ class RobertsonReport(NamedTuple):
     satisfied: bool
 
 
-def robertson_check(rho, A, B, slack: float = 1e-10) -> RobertsonReport:
-    """Check sigma_A sigma_B >= |<[A, B]>| / 2 for A, B passing ops.require_hermitian."""
+def robertson_check(rho, A, B) -> RobertsonReport:
+    """Check sigma_A sigma_B >= |<[A, B]>| / 2, up to ROBERTSON_SLACK, for A, B passing
+    ops.require_hermitian."""
     a = require_hermitian(as_square(A, "A"), "A")
     b = require_hermitian(as_square(B, "B"), "B")
     r = _unit_intensity(rho)
     lhs = q_uncertainty(r, a).sigma * q_uncertainty(r, b).sigma
     rhs = 0.5 * abs(quantum_value(r, a @ b - b @ a))
-    return RobertsonReport(float(lhs), float(rhs), lhs >= rhs - slack)
+    return RobertsonReport(float(lhs), float(rhs), lhs >= rhs - ROBERTSON_SLACK)
 
 
 class ExcessReport(NamedTuple):

@@ -12,6 +12,7 @@ import numpy as np
 import qtomo
 from qtomo import PAULI, QuantumMeasure, density_from_state, tetrahedron_measure
 from qtomo import io as qio
+from qtomo import simulate
 
 
 def random_complex(shape, rng):
@@ -101,13 +102,12 @@ def probe_log_bundle(bundle, mode, shots, seed, memos=(True,) * 4):
                               qio.measure_to_json(det.measure, det.scale))
     for i, probe in enumerate(probe_states(2)):
         qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"), qio.density_to_json(probe))
-        log, _ = qtomo.sample_events(qtomo.ExperimentConfig(
-            seed + i, shots, probe, det.measure, inst if mode == "instrument" else None))
-        data = qtomo.event_log_to_csv(log).encode("ascii")
-        (bundle / "events" / f"p{i}.csv").write_bytes(data)
+        cfg = qtomo.ExperimentConfig(seed + i, shots, probe, det.measure,
+                                     inst if mode == "instrument" else None)
+        with open(bundle / "events" / f"p{i}.csv", "wb") as handle:
+            memo = simulate.write_events(cfg, handle)
         if memos[i]:
-            qio.write_json_atomic(str(bundle / "events" / f"p{i}.json"),
-                                  qio.counts_document(log, data))
+            qio.write_json_atomic(str(bundle / "events" / f"p{i}.json"), memo)
     return bundle
 
 

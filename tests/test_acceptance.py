@@ -233,8 +233,8 @@ def test_instrument_tomography():
     shots = 10**7
     rho = np.diag([0.3, 0.7]).astype(complex)
     cfg = qtomo.ExperimentConfig(7007, shots, rho, measure, instrument)
-    log, _ = qtomo.sample_events(cfg)
-    rates = qtomo.empirical_rates(log)
+    log, counts = qtomo.sample_events(cfg)
+    rates = qtomo.rates_from_counts(counts, len(log))
     for branch, expected in ((1, 0.3), (2, 0.7)):
         stderr = np.sqrt(expected * (1.0 - expected) / shots)
         assert abs(rates.sum(axis=1)[branch] - expected) <= 5.0 * stderr

@@ -878,10 +878,10 @@ class TestTomoDetectorInstrumentSelfcal:
         for i, probe in enumerate(probes):
             qio.write_json_atomic(str(bundle / "probes" / f"p{i}.json"),
                                   qio.density_to_json(probe))
-            log, _ = qtomo.sample_events(qtomo.ExperimentConfig(700 + i, 5000, probe, measure,
-                                                                inst))
+            log, counts = qtomo.sample_events(qtomo.ExperimentConfig(700 + i, 5000, probe,
+                                                                     measure, inst))
             (bundle / "events" / f"p{i}.csv").write_text(qtomo.event_log_to_csv(log))
-            rates.append(qtomo.empirical_rates(log))
+            rates.append(qtomo.rates_from_counts(counts, len(log)))
         tables = np.stack(rates)
         fits = {}
         for name, shots in (("logs", 5000), ("tables", None)):
@@ -1129,7 +1129,7 @@ class TestDynamicsCommand:
         error = json.loads((out.parent / "manifest.json").read_text())["error"]
         assert "not a finite number of steps" in error["message"]
 
-    def test_richardson_counts_the_half_step_run(self, tmp_path, monkeypatch):
+    def test_richardson_counts_only_the_written_trajectory(self, tmp_path, monkeypatch):
         from qtomo import cli, dynamics
 
         model = tmp_path / "model.json"
@@ -1140,19 +1140,22 @@ class TestDynamicsCommand:
         runs, sliced_master = [], dynamics.sliced_master
         monkeypatch.setattr(dynamics, "sliced_master",
                             lambda *args: runs.append(args[3]) or sliced_master(*args))
-        args = ["dynamics", str(model), "--t", "2.4", "--dt", "0.1", "--method", "slice",
-                "--richardson", "--out", str(tmp_path / "run" / "traj.json")]
-        # n = 24 steps: (n + 1) d^2 = 100 entries at dt, (2n + 1) d^2 = 196 at dt / 2
-        monkeypatch.setattr(cli, "MAX_TRAJECTORY_ENTRIES", 100)
-        result = run_cli(args)
-        assert result.exit_code == 2, result.output
-        assert runs == [] and not (tmp_path / "run" / "traj.json").exists()
-        error = json.loads((tmp_path / "run" / "manifest.json").read_text())["error"]
-        assert "(2n + 1) d^2 = 196 complex entries, more than 100" in error["message"]
-        # at the limit, the trajectory's one run at dt also gives the ratio its error at dt
-        monkeypatch.setattr(cli, "MAX_TRAJECTORY_ENTRIES", 196)
-        assert run_cli(args).exit_code == 0
-        assert runs == [24, 48]
+        # n = 24 steps: (n + 1) d^2 = 100 entries; Richardson's two final states are matrix
+        # powers, so --richardson is refused and accepted at the limits of the plain command
+        for limit, code in ((99, 2), (100, 0)):
+            monkeypatch.setattr(cli, "MAX_TRAJECTORY_ENTRIES", limit)
+            for extra in ([], ["--richardson"]):
+                out = tmp_path / f"{limit}{''.join(extra)}" / "traj.json"
+                result = run_cli(["dynamics", str(model), "--t", "2.4", "--dt", "0.1",
+                                  "--method", "slice", *extra, "--out", str(out)])
+                assert result.exit_code == code, (limit, extra, result.output)
+                assert out.exists() == (code == 0)
+                assert out.with_suffix(".richardson.json").exists() == (code == 0 and bool(extra))
+                if code:
+                    error = json.loads((out.parent / "manifest.json").read_text())["error"]
+                    assert "(n + 1) d^2 = 100 complex entries, more than 99" in error["message"]
+        # each accepted command slices its one trajectory of n steps, and nothing more
+        assert runs == [24, 24]
 
     def test_richardson_ratio_near_two(self, tmp_path):
         model = tmp_path / "model.json"

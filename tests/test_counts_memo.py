@@ -7,6 +7,7 @@ record.
 """
 
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -21,13 +22,19 @@ from qtomo.errors import ContractViolation
 from support import probe_log_bundle, run_cli
 
 
-def _log(kind, seed, shots, n_elements, n_branches):
-    labels = np.random.default_rng(seed).integers(0, n_elements + 1, size=shots)
-    if kind == "events":
-        return qtomo.EventLog(seed, simulate.GENERATOR_NAME, (n_elements,), labels[:, None])
-    branches = np.random.default_rng(seed + 1).integers(0, n_branches + 1, size=shots)
-    return qtomo.EventLog(seed, simulate.GENERATOR_NAME, (n_branches, n_elements),
-                          np.stack([branches, labels], axis=1))
+def _config(kind, seed, shots, n_elements, n_branches):
+    """A qubit run of a detector of n_elements equal elements, alone ("events") or observing an
+    instrument of n_branches equal branches ("coincidences"), so every branch can respond."""
+    measure = qtomo.QuantumMeasure([np.eye(2) / n_elements] * n_elements)
+    inst = (None if kind == "events" else
+            qtomo.Instrument([(np.eye(2) / np.sqrt(n_branches + 1),)] * n_branches))
+    return qtomo.ExperimentConfig(seed, shots, np.diag([1.0, 0.0]), measure, inst)
+
+
+def _memo_naming(data):
+    """The counts memo of a 50-shot run, as simulate writes it, but naming the bytes data."""
+    memo = simulate.write_events(_config("events", 1, 50, 6, 1), io.BytesIO())
+    return {**memo, "events_sha256": hashlib.sha256(data).hexdigest()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -36,30 +43,29 @@ def _log(kind, seed, shots, n_elements, n_branches):
 @example("events", 1, 0, 6, 1)
 @example("coincidences", 1, 0, 6, 2)
 def test_counts_path_rates_equal_parsed_rates(kind, seed, shots, n_elements, n_branches):
-    log = _log(kind, seed, shots, n_elements, n_branches)
-    data = simulate.event_log_to_csv(log).encode("ascii")
-    digest = qio.events_sha256(data)
+    buffer = io.BytesIO()
+    memo = simulate.write_events(_config(kind, seed, shots, n_elements, n_branches), buffer)
+    data = buffer.getvalue()
     # the memo as a reader sees it: written canonically, then parsed
-    doc = json.loads(qio.canonical_json(qio.counts_document(log, data)))
-    assert doc["events_sha256"] == digest == hashlib.sha256(data).hexdigest()
+    doc = json.loads(qio.canonical_json(memo))
+    assert doc["events_sha256"] == hashlib.sha256(data).hexdigest()
     counts, memo_shots = qio.counts_from_document(doc)
     parsed = simulate.event_log_from_csv(data.decode("ascii"))
     if shots == 0:
-        for call in (lambda: tomography.rates_from_counts(counts, memo_shots),
-                     lambda: simulate.empirical_rates(parsed)):
+        for log_counts, log_shots in ((counts, memo_shots), (parsed.counts(), len(parsed))):
             with pytest.raises(ContractViolation, match="empty event log has no rates"):
-                call()
+                tomography.rates_from_counts(log_counts, log_shots)
         return
     # the engines weight by the rates and the shot count: both must agree
     from_memo = tomography.rates_from_counts(counts, memo_shots)
-    from_csv = simulate.empirical_rates(parsed)
+    from_csv = tomography.rates_from_counts(parsed.counts(), len(parsed))
     assert type(from_memo) is type(from_csv) is np.ndarray and memo_shots == len(parsed)
     assert from_memo.dtype == from_csv.dtype and np.array_equal(from_memo, from_csv)
 
 
 class TestCountsDocument:
     def test_memo_of_another_log_is_not_used(self, tmp_path):
-        doc = qio.counts_document(_log("events", 1, 50, 6, 1), b"other bytes")
+        doc = _memo_naming(b"other bytes")
         for name, value in [("a.json", [doc]), ("b.json", None),
                             ("c.json", {k: v for k, v in doc.items() if k != "events_sha256"}),
                             ("d.json", {**doc, "events_sha256": 5}), ("e.json", doc)]:
@@ -68,11 +74,11 @@ class TestCountsDocument:
         (tmp_path / "g.csv").write_text(json.dumps({**doc, "events_sha256": "csv"}))
         memos = qio.memos_by_digest(str(tmp_path))
         # only the object with a string digest is a memo, and only of the bytes it names
-        assert memos == {qio.events_sha256(b"other bytes"): ("e.json", doc)}
-        assert qio.events_sha256(b"these bytes") not in memos
+        assert memos == {hashlib.sha256(b"other bytes").hexdigest(): ("e.json", doc)}
+        assert hashlib.sha256(b"these bytes").hexdigest() not in memos
 
     def test_two_memos_of_one_digest_resolve_to_the_first_by_name(self, tmp_path):
-        doc = qio.counts_document(_log("events", 1, 50, 6, 1), b"these bytes")
+        doc = _memo_naming(b"these bytes")
         for name, shots in [("b.json", 50), ("a.json", 7), ("c.json", 50)]:
             qio.write_json_atomic(str(tmp_path / name), {**doc, "shots": shots})
         assert qio.memos_by_digest(str(tmp_path)) == {
@@ -259,7 +265,7 @@ class TestMemoByDigest:
         # p0's memo now of another log, p1's inside a list, p2's malformed, and a run's manifest
         memo = json.loads((events / "p0.json").read_text())
         qio.write_json_atomic(str(events / "p0.json"),
-                              {**memo, "events_sha256": qio.events_sha256(b"another log")})
+                              {**memo, "events_sha256": hashlib.sha256(b"another log").hexdigest()})
         qio.write_json_atomic(str(events / "p1.json"),
                               [json.loads((events / "p1.json").read_text())])
         (events / "p2.json").write_text((events / "p2.json").read_text()[:-5])

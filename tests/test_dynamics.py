@@ -19,6 +19,7 @@ from qtomo import (
     sliced_master,
     von_neumann_evolve,
 )
+from qtomo.dynamics import sliced_final
 from support import random_complex, random_density, random_hermitian
 
 
@@ -107,6 +108,22 @@ class TestSliceEvolution:
     def test_invalid_dt(self):
         with pytest.raises(ContractViolation):
             sliced_master(LindbladModel(np.zeros((2, 2))), np.eye(2), -0.1, 5)
+
+    @pytest.mark.parametrize("with_v", [False, True])
+    def test_the_matrix_power_is_the_final_slice(self, with_v):
+        # repeated squaring rounds differently from n slices: agreement to 1e-12 per unit state
+        rng = np.random.default_rng(93)
+        for d, steps in ((2, 1), (3, 17), (4, 2000)):
+            model = _random_model(d, 0, with_v, rng)
+            rho = random_density(d, rng)
+            final = sliced_final(model, rho, 1e-3, steps)
+            assert np.max(np.abs(final - sliced_master(model, rho, 1e-3, steps).final)) <= 1e-12
+        assert np.array_equal(sliced_final(model, rho, 1e-3, 0), rho)
+
+    def test_the_matrix_power_refuses_jumps(self):
+        model = LindbladModel(PAULI[1], (PAULI[3],), (0.2,))
+        with pytest.raises(ContractViolation, match="without jumps"):
+            sliced_final(model, np.diag([1.0, 0.0]), 0.1, 3)
 
     def test_invalid_potential_rejected(self):
         with pytest.raises(ContractViolation, match="PSD"):

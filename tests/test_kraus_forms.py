@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qtomo
 from qtomo import (
@@ -200,10 +201,30 @@ class TestOneCompletePositivityRule:
                     kraus_from_choi(choi)
 
     def test_a_large_map_with_a_tiny_negative_eigenvalue_is_cp(self):
-        # -5e-8 lies within 1e-9 of the largest eigenvalue 100, so both calls accept the map
+        # -5e-8 lies within 1e-9 of the largest eigenvalue 100, so both calls accept the map,
+        # and the clipped eigenvalue counts toward neither the Kraus operators nor the rank
         choi = np.diag([100.0, 0.0, 0.0, -5e-8])
         assert is_completely_positive(choi_transform(choi)).cp
-        assert len(kraus_from_choi(choi)) == 1
+        assert len(kraus_from_choi(choi)) == 1 == choi_rank(choi_transform(choi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
+    def test_choi_rank_is_the_kraus_count(self, d, seed, rotate, data):
+        # spectra with eigenvalues at zero, about the rank cut 1e-10 of the largest, and
+        # negative within and beyond the complete-positivity bound, in a random or the unit basis
+        top = data.draw(st.sampled_from([1e-3, 1.0, 100.0]))
+        edges = [0.0, 1.0, 3e-11, 3e-10, -3e-11, -3e-10, -5e-10, -5e-8]
+        spectrum = top * np.array(data.draw(st.lists(
+            st.sampled_from(edges) | st.floats(-1e-9, 1.0), min_size=d * d, max_size=d * d)))
+        spectrum[0] = top
+        rng = np.random.default_rng(seed)
+        choi = _choi(rng, d, spectrum) if rotate else np.diag(spectrum).astype(complex)
+        try:
+            count = len(kraus_from_choi(choi))
+        except ContractViolation as err:
+            assert "not completely positive" in str(err)
+            return
+        assert choi_rank(choi_transform(choi)) == count
 
     def test_the_zero_map_has_choi_rank_zero(self):
         assert choi_rank(np.zeros((4, 4))) == 0
@@ -215,7 +236,7 @@ _DETECTOR = Detector(pauli_six_measure(), np.arange(1.0, 7.0))
 
 # (call, message fragment): the refusals of the library that no other test reaches
 _REFUSALS = [
-    (lambda: qtomo.channels.unvec(np.zeros(3)), "cannot reshape length 3"),
+    (lambda: qtomo.channels.unvec(np.zeros(3), 2), "cannot reshape length 3"),
     (lambda: qtomo.channels.superop_dim(np.zeros((3, 3))), "must be d^2 x d^2"),
     (lambda: kraus_from_choi(np.triu(np.ones((4, 4)))), "Hermitian defect"),
     (lambda: qtomo.lindblad_evolve(LindbladModel(np.eye(2)), _RHO, -1.0, 0.1),

@@ -14,12 +14,12 @@ from qtomo import (
     Instrument,
     QuantumMeasure,
     density_from_state,
-    empirical_rates,
     event_log_from_csv,
     event_log_to_csv,
     joint_probabilities,
     pauli_six_measure,
     projective_measure,
+    rates_from_counts,
     response_probabilities,
     sample_events,
     tetrahedron_measure,
@@ -171,7 +171,7 @@ class TestCoincidences:
         rho = np.diag([0.3, 0.7]).astype(complex)
         cfg = ExperimentConfig(13, 10**5, rho, tetrahedron_measure(), inst)
         log, table = sample_events(cfg)
-        rates = empirical_rates(log)
+        rates = rates_from_counts(table, len(log))
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
         assert abs(rates.sum(axis=1)[1] - 0.3) <= 5 * stderr
         assert abs(rates.sum(axis=1)[2] - 0.7) <= 5 * stderr
@@ -198,10 +198,12 @@ def _binomial_errors(rates, shots):
 
 
 class TestEmpiricalRates:
+    """rates_from_counts of a log's counts and shot count: the relative frequencies."""
+
     def test_constant_log(self):
         cfg = ExperimentConfig(4, 100, np.diag([1.0, 0.0]), _sigma3_measure())
-        log, _ = sample_events(cfg)
-        rates = empirical_rates(log)
+        log, counts = sample_events(cfg)
+        rates = rates_from_counts(counts, len(log))
         assert rates[1] == pytest.approx(1.0)
         assert _binomial_errors(rates, len(log))[1] == pytest.approx(0.0)
 
@@ -209,7 +211,8 @@ class TestEmpiricalRates:
         from qtomo.simulate import EventLog
 
         labels = np.array([1] * 300 + [2] * 700)
-        rates = empirical_rates(EventLog(0, "philox4x64", (2,), labels[:, None]))
+        log = EventLog(0, "philox4x64", (2,), labels[:, None])
+        rates = rates_from_counts(log.counts(), len(log))
         assert np.allclose(rates[1:], [0.3, 0.7])
         assert np.allclose(_binomial_errors(rates, 1000)[1:], np.sqrt(0.3 * 0.7 / 1000),
                            atol=1e-12)
@@ -219,8 +222,8 @@ class TestEmpiricalRates:
         inst = _projective_instrument()
         measure = _sigma3_measure()
         cfg = ExperimentConfig(15, 2000, np.diag([0.4, 0.6]), measure, inst)
-        log, _ = sample_events(cfg)
-        rates = empirical_rates(log)
+        log, counts = sample_events(cfg)
+        rates = rates_from_counts(counts, len(log))
         assert rates.shape == log.counts().shape == (3, 3)
         assert np.allclose(rates.sum(axis=1), log.counts().sum(axis=1) / 2000)
         assert np.allclose(rates.sum(axis=0), log.counts().sum(axis=0) / 2000)
@@ -229,8 +232,9 @@ class TestEmpiricalRates:
     def test_empty_log_rejected(self):
         from qtomo.simulate import EventLog
 
+        log = EventLog(0, "philox4x64", (2,), np.zeros((0, 1), dtype=np.int64))
         with pytest.raises(ContractViolation, match="empty"):
-            empirical_rates(EventLog(0, "philox4x64", (2,), np.zeros((0, 1), dtype=np.int64)))
+            rates_from_counts(log.counts(), len(log))
 
 
 class TestCsvRoundTrip:

@@ -1,9 +1,10 @@
 """simulate streams its event log: fixed-size chunks, the same bytes and memo, bounded memory.
 
 `write_events` draws, checks, formats, hashes and counts one chunk of shots at
-a time.  Its bytes and counts.json memo equal `event_log_to_csv` and
-`counts_document` of the log drawn in one piece, and the peak memory of the
-`simulate` and `tomo state` commands does not grow with the shot count.
+a time.  Its bytes equal `event_log_to_csv` of the log drawn in one piece, its
+counts.json memo holds that log's seed, counts and the sha256 of those bytes,
+and the peak memory of the `simulate` and `tomo state` commands does not grow
+with the shot count.
 """
 
 import hashlib
@@ -53,9 +54,8 @@ def test_streamed_log_equals_the_in_memory_log(coincidences, seed, run):
     with mock.patch.object(simulate, "_CHUNK_SHOTS", chunk):
         memo = simulate.write_events(cfg, buffer)
     assert buffer.getvalue() == expected
-    assert memo == qio.counts_document(log, expected)
-    assert memo["counts"] == counts.tolist()
-    assert memo["events_sha256"] == hashlib.sha256(expected).hexdigest()
+    assert memo == {"seed": seed, "shots": shots, "counts": counts.tolist(),
+                    "events_sha256": hashlib.sha256(expected).hexdigest()}
 
 
 @pytest.mark.parametrize("coincidences", [False, True], ids=["detector", "coincidence"])
@@ -109,7 +109,8 @@ def test_reused_buffers_draw_the_labels_of_one_searchsorted(config, shots):
     assert np.array_equal(counts, log.counts())
     oracle_log = qtomo.EventLog(cfg.seed, simulate.GENERATOR_NAME, log.bounds, expected)
     assert buffer.getvalue() == qtomo.event_log_to_csv(oracle_log).encode("ascii")
-    assert memo == qio.counts_document(oracle_log, buffer.getvalue())
+    assert memo == {"seed": cfg.seed, "shots": shots, "counts": oracle_log.counts().tolist(),
+                    "events_sha256": hashlib.sha256(buffer.getvalue()).hexdigest()}
 
 
 def test_every_chunk_is_checked_with_its_global_shot_index():

@@ -16,7 +16,6 @@ from qtomo import (
     apply_superop,
     density_from_state,
     detector_tomography,
-    empirical_rates,
     hermitian_basis,
     informational_completeness,
     instrument_tomography,
@@ -25,6 +24,7 @@ from qtomo import (
     pauli_six_measure,
     process_tomography,
     project_psd,
+    rates_from_counts,
     projective_measure,
     response_probabilities,
     sample_events,
@@ -84,8 +84,8 @@ class TestStateTomography:
         m = pauli_six_measure()
         rho = random_density(2, rng, pure=True)
         cfg = ExperimentConfig(19, 10**6, rho, m)
-        log, _ = sample_events(cfg)
-        est, _ = state_tomography(m, empirical_rates(log)[1:], shots=len(log))
+        log, counts = sample_events(cfg)
+        est, _ = state_tomography(m, rates_from_counts(counts, len(log))[1:], shots=len(log))
         assert trace_distance(est, rho) <= 5e-3
         assert validate_density(est).ok
 
@@ -141,8 +141,8 @@ class TestPsdProjection:
         for seed in range(5):
             rho = random_density(2, rng, pure=True)
             cfg = ExperimentConfig(1000 + seed, 10**4, rho, m)
-            log, _ = sample_events(cfg)
-            est, report = state_tomography(m, empirical_rates(log)[1:])
+            log, counts = sample_events(cfg)
+            est, report = state_tomography(m, rates_from_counts(counts, len(log))[1:])
             before = report.extras["residual_unprojected"]
             assert report.residual <= before + report.projection_distance + 1e-12
 
@@ -301,8 +301,8 @@ class TestDetectorTomography:
         rates = []
         for i, probe in enumerate(probes):
             cfg = ExperimentConfig(500 + i, 10**6, probe, target)
-            log, _ = sample_events(cfg)
-            rates.append(empirical_rates(log)[1:])
+            log, counts = sample_events(cfg)
+            rates.append(rates_from_counts(counts, len(log))[1:])
         est, _ = detector_tomography(probes, np.stack(rates), shots=10**6)
         for a, b in zip(est.elements, target.elements):
             assert np.max(np.abs(a - b)) <= 1e-2
@@ -525,8 +525,8 @@ class TestInstrumentTomography:
         measure = tetrahedron_measure()
         rho = np.diag([0.3, 0.7]).astype(complex)
         cfg = ExperimentConfig(21, 10**5, rho, measure, inst)
-        log, _ = sample_events(cfg)
-        rates = empirical_rates(log)
+        log, counts = sample_events(cfg)
+        rates = rates_from_counts(counts, len(log))
         stderr = np.sqrt(0.3 * 0.7 / 10**5)
         assert abs(rates.sum(axis=1)[1] - 0.3) <= 5 * stderr
         assert abs(rates.sum(axis=1)[2] - 0.7) <= 5 * stderr
@@ -1018,8 +1018,8 @@ class TestOutputProjectionHelps:
             inst = _lossy_weak_measurement(rng)
             truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
             tables = np.stack([
-                empirical_rates(sample_events(
-                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0])[:, 1:]
+                rates_from_counts(sample_events(
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[1], 2000)[:, 1:]
                 for ell, p in enumerate(probes)])
             maps, _ = instrument_tomography(tables, probes, measure)
             errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(fit, truth)))
@@ -1034,8 +1034,8 @@ class TestOutputProjectionHelps:
         for i in range(3):
             inst = _lossy_weak_measurement(rng)
             tables = np.stack([
-                empirical_rates(sample_events(
-                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[0])[:, 1:]
+                rates_from_counts(sample_events(
+                    ExperimentConfig(10 * i + ell, 2000, p, measure, inst))[1], 2000)[:, 1:]
                 for ell, p in enumerate(probes)])
             _, report = instrument_tomography(tables, probes, measure)
             assert report.projection_distance > 1e-3 and "projected" in report.flags
@@ -1055,8 +1055,8 @@ class TestWeightsHelpInstruments:
         for i in range(20):
             inst = _lossy_weak_measurement(rng)
             truth = [superop_from_kraus(k) for k in (inst.null_kraus(),) + inst.branches]
-            tables = np.stack([empirical_rates(sample_events(
-                ExperimentConfig(10 * i + ell, shots, p, measure, inst))[0])[:, 1:]
+            tables = np.stack([rates_from_counts(sample_events(
+                ExperimentConfig(10 * i + ell, shots, p, measure, inst))[1], shots)[:, 1:]
                 for ell, p in enumerate(probes)])
             errors = [np.sqrt(sum(np.linalg.norm(e - t) ** 2 for e, t in zip(maps, truth)))
                       for maps in (instrument_tomography(tables, probes, measure, n)[0]
